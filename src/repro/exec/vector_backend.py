@@ -251,10 +251,10 @@ class VectorBackend(ExecutionBackend):
     def result_layout(self, job: RunJob) -> str | None:
         """Vectorized jobs have no stable per-job result identity.
 
-        A vectorized job's coins depend on the batch it is grouped into
+        A dense kernel's coins depend on the batch a job is grouped into
         (the coin-block geometry is a function of the replication count),
-        so the result cache must not file it under the job's own key —
-        and a scalar-layout cache entry must never be served to it.
+        so the result cache must not file vectorized jobs under their own
+        key — and a scalar-layout cache entry must never be served to one.
         Fallback jobs inherit the fallback backend's layout.
         """
         if self._group_key(job) is not None:

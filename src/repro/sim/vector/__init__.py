@@ -12,8 +12,9 @@ transparently).
 Vector results agree with scalar results statistically, not bit-for-bit:
 the engines draw from differently shaped random streams (per-replication
 Philox here, per-packet ``random.Random`` there).  Repeated vector runs of
-the same batch are bit-identical.  ``repro.analysis.equivalence`` provides
-the statistical-agreement harness.
+the same batch are bit-identical, and the access-driven kernels' results
+are a function of (spec, seed) alone.  ``repro.analysis.equivalence``
+provides the statistical-agreement harness.
 """
 
 from repro.sim.vector.engine import VectorSimulator

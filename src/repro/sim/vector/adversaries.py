@@ -18,9 +18,9 @@ engine instead of precomputing anything:
 
 * **adaptive** jammers (:class:`AdaptiveContentionJammerVector`) receive the
   pre-injection contention row vector each slot via :meth:`set_contention`;
-* **reactive** jammers see the slot's sender matrix through
-  :meth:`reactive_jam`, called after packet decisions but before channel
-  resolution — exactly the scalar engine's step 3;
+* **reactive** jammers see the slot's senders, as (row, packet) index
+  arrays, through :meth:`reactive_jam`, called after packet decisions but
+  before channel resolution — exactly the scalar engine's step 3;
 * **backlog-coupled** arrivals (:class:`BacklogCouplingArrivalsVector`)
   compute per-slot injections from the live pre-injection backlog array
   (``coupled = True`` tells the engine to skip the chunked precompute).
@@ -445,7 +445,8 @@ class VectorJammer(abc.ABC):
     def reactive_jam(
         self,
         slot: int,
-        send: np.ndarray,
+        send_rows: np.ndarray,
+        send_cols: np.ndarray,
         num_senders: np.ndarray,
         backlog_pre: np.ndarray,
         running: np.ndarray,
@@ -454,10 +455,10 @@ class VectorJammer(abc.ABC):
     ) -> np.ndarray:
         """Reactive decisions after the slot's senders are known.
 
-        ``send`` is the raw ``(R, P)`` sender matrix (winners not yet
-        removed), ``num_senders`` its per-row counts, and ``jammed`` the
-        adaptive decisions already made; the return value replaces
-        ``jammed``.  Only called when ``reactive``.
+        ``send_rows`` / ``send_cols`` index the slot's senders (row, packet
+        id; winners not yet removed), ``num_senders`` is their per-row
+        count, and ``jammed`` the adaptive decisions already made; the
+        return value replaces ``jammed``.  Only called when ``reactive``.
         """
         return jammed
 
@@ -672,10 +673,10 @@ class ReactiveTargetedJammerVector(VectorJammer):
 
     The scalar jammer identifies its target from the pre-injection active
     set and then jams every slot the target sends; because packet ids are
-    arrival-ordered column indices here, that reduces to the target column
-    of the sender matrix, gated on ``arrival_slot < slot`` — a packet that
-    arrives and would win in the same slot is never identified (the scalar
-    jammer only sees it pre-injection), so its arrival-slot sends go
+    arrival-ordered column indices here, that reduces to a sender whose
+    column is the target index, gated on ``arrival_slot < slot`` — a packet
+    that arrives and would win in the same slot is never identified (the
+    scalar jammer only sees it pre-injection), so its arrival-slot sends go
     unjammed, exactly as in the scalar engine.
     """
 
@@ -684,7 +685,6 @@ class ReactiveTargetedJammerVector(VectorJammer):
     def __init__(self, pairs: JammerRows) -> None:
         super().__init__(pairs)
         self._target = _jam_param(pairs, lambda j: j.target_index)
-        self._rows = np.arange(self.replications)
 
     def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
         return self._false
@@ -692,27 +692,23 @@ class ReactiveTargetedJammerVector(VectorJammer):
     def reactive_jam(
         self,
         slot: int,
-        send: np.ndarray,
+        send_rows: np.ndarray,
+        send_cols: np.ndarray,
         num_senders: np.ndarray,
         backlog_pre: np.ndarray,
         running: np.ndarray,
         arrival_slot: np.ndarray,
         jammed: np.ndarray,
     ) -> np.ndarray:
-        capacity = send.shape[1]
         target = self._target
-        if not isinstance(target, np.ndarray):
-            if target >= capacity:
-                return jammed
-            target_sends = send[:, target]
-            target_known = arrival_slot[:, target] < slot
-        else:
-            in_range = target < capacity
-            safe = np.minimum(target, capacity - 1)
-            target_sends = send[self._rows, safe] & in_range
-            target_known = arrival_slot[self._rows, safe] < slot
-        decisions = target_sends & target_known & running & ~jammed
-        decisions = self._apply_budget(decisions)
+        if isinstance(target, np.ndarray):
+            target = target[send_rows]
+        hit = send_cols == target
+        rows = send_rows[hit]
+        known = arrival_slot[rows, send_cols[hit]] < slot
+        targeted = np.zeros(self.replications, dtype=bool)
+        targeted[rows[known]] = True
+        decisions = self._apply_budget(targeted & running & ~jammed)
         return jammed | decisions
 
 
@@ -727,7 +723,8 @@ class ReactiveSuccessJammerVector(VectorJammer):
     def reactive_jam(
         self,
         slot: int,
-        send: np.ndarray,
+        send_rows: np.ndarray,
+        send_cols: np.ndarray,
         num_senders: np.ndarray,
         backlog_pre: np.ndarray,
         running: np.ndarray,

@@ -8,28 +8,50 @@ batch.  The per-slot cost is a fixed number of array operations, so the
 interpreter overhead that dominates the scalar engine is paid once per slot
 instead of once per packet per replication.
 
-Two slot paths share the loop:
+Two decision paths share the loop:
 
-* **send-only protocols** compare one coin matrix against the kernel's
-  probability matrix — nothing else ever feeds back into protocol state
-  except an unsuccessful send;
-* **sensing protocols** (LOW-SENSING BACKOFF, Sawtooth, full-sensing MW)
-  additionally produce listener masks, and their state updates consume the
-  engine's per-replication ternary feedback arrays — the ``(R,)`` idle /
-  success / noise row masks derived from the sender counts and the jamming
-  decisions, i.e. exactly what a scalar packet's ``FeedbackReport`` would
-  say about its replication's channel.  Per-packet listen counters feed the
-  energy metrics.
+* **access-driven kernels** (LOW-SENSING, decoupled LSB, BEB, polynomial,
+  fixed-probability/ALOHA) change a packet's state only when it accesses
+  the channel, so every packet holds its next-access slot, a
+  Geometric(access probability) gap ahead (:class:`_AccessCalendar`).  A
+  slot touches only the packets due: one coin each splits send from listen
+  (listening kernels), the ternary feedback of their replication's channel
+  updates their state, and a second coin draws their next gap.  Lockstep
+  stretches in which no running replication has a due access or an arrival
+  change no state, so they are recorded in bulk, up to the next due
+  access and never across a ``CHUNK_SLOTS`` boundary, with each slot's jam
+  decision taken from the jammer kernel exactly as stepping would.  Cost
+  follows channel accesses, not packets × slots;
+* **dense kernels** (Sawtooth, full-sensing MW) advance state every slot —
+  Sawtooth's clock ticks while a packet sleeps, and MW listens every slot —
+  so they compare one coin matrix per slot against the kernel's thresholds
+  and consume the per-replication ternary feedback arrays: the ``(R,)``
+  idle / success / noise row masks derived from the sender counts and the
+  jamming decisions, i.e. exactly what a scalar packet's ``FeedbackReport``
+  would say about its replication's channel.
+
+Both paths hand the rest of the slot its senders as (row, packet) index
+arrays, which channel resolution, the reactive jammer kernels, and the
+trace read.  Per-packet listen counters feed the energy metrics.
+
+An access-driven replication consumes its packet stream only through its
+own events, and its adversary stream per fixed ``CHUNK_SLOTS`` chunk while
+it runs, so its result is a function of (spec, seed) alone: bit-identical
+run alone, in its group, in a resized group, or inside a mega-batch, and
+however many of its idle slots the batch skipped.  The dense kernels' coin
+blocks are shaped by their group, so their results are a function of the
+ordered group.
 
 The engine also supports **mega-batches**: several configurations that
 share one protocol/arrival/jammer kernel family (parameters promoted to
 per-row arrays) stacked into a single ragged lockstep batch via
 :meth:`VectorSimulator.from_spec_groups`.  Each configuration keeps its own
-*segment* — its own coin-block geometry, capacity trajectory, and arrival
-schedule — so every replication consumes exactly the random stream it would
-consume in a standalone per-group batch, making mega-batched results
-**bit-identical** to per-group vector execution (enforced by tests).  Only
-the per-slot Python dispatch is shared, which is where the speedup lives.
+*segment* — its own arrival schedule and, for dense kernels, its own
+coin-block geometry and capacity trajectory — so every replication consumes
+exactly the random stream it would consume in a standalone per-group batch,
+making mega-batched results **bit-identical** to per-group vector execution
+(enforced by tests).  Only the per-slot Python dispatch is shared, which is
+where the speedup lives.
 
 The engine reproduces the scalar engine's slot semantics exactly (same
 decision order, same channel rules, same metric definitions, same
@@ -71,8 +93,8 @@ from repro.sim.vector.adversaries import (
     make_arrivals_kernel,
     make_row_jammer_kernel,
 )
-from repro.sim.vector.protocols import make_protocol_row_kernel
-from repro.sim.vector.rng import CoinBlocks, VectorStreams
+from repro.sim.vector.protocols import _flat, make_protocol_row_kernel
+from repro.sim.vector.rng import CoinBlocks, RowCoins, VectorStreams, geometric_gaps
 from repro.sim.vector.support import (
     adversary_support,
     protocol_support,
@@ -86,6 +108,75 @@ _OUTCOMES = (
     SlotOutcome.COLLISION,
     SlotOutcome.JAMMED,
 )
+
+#: Next-access slot of a cell with no access ahead: not yet arrived,
+#: departed, or past the run's horizon.
+_NEVER = np.iinfo(np.int64).max
+
+#: The trace entry of a slot without senders (or listeners).
+_NO_EVENTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+
+def _contention(kernel: Any, active: np.ndarray) -> np.ndarray:
+    """C(t) per replication: the active packets' summed send probabilities.
+
+    The cumulative sum reproduces the scalar engine's sequential
+    ascending-id additions bitwise (inactive cells add +0.0, a float no-op).
+    """
+    return np.where(active, kernel.sending_probabilities(), 0.0).cumsum(axis=1)[:, -1]
+
+
+def _exhaustion_slot(arrivals: Any, max_slots: int) -> int:
+    """First slot from which an oblivious schedule is exhausted in every row.
+
+    ``exhausted`` is pure and monotone in the slot, so a binary search over
+    the run finds it; ``max_slots + 1`` when the schedule outlasts the run.
+    """
+    if not arrivals.exhausted(max_slots):
+        return max_slots + 1
+    low, high = 0, max_slots
+    while low < high:
+        middle = (low + high) // 2
+        if arrivals.exhausted(middle):
+            high = middle
+        else:
+            low = middle + 1
+    return low
+
+
+def _potential_terms(
+    kernel: Any,
+    active: np.ndarray,
+    backlog: np.ndarray,
+    term_cache: "_WindowTermCache",
+    coeffs: PotentialCoefficients,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(H, L, Σ1/w, Φ) per replication from post-slot windows and backlog.
+
+    Scalar step 5: Φ is sampled after feedback updates and the winner's
+    departure.  Windowless kernels yield zero rows, as on the scalar engine.
+    """
+    windows = kernel.window_matrix()
+    if windows is None:
+        zero = np.zeros(backlog.shape[0])
+        return zero, zero, zero, zero
+    inverse_log = np.zeros_like(windows)
+    values = windows[active]
+    if values.size:
+        inverse_log[active] = term_cache.inverse_log(values)
+    h_row = inverse_log.cumsum(axis=1)[:, -1]
+    inverse_sum = np.where(active, 1.0 / windows, 0.0).cumsum(axis=1)[:, -1]
+    occupied = backlog > 0
+    l_row = np.zeros(backlog.shape[0])
+    if occupied.any():
+        peak = np.where(active, windows, -np.inf).max(axis=1)
+        l_row[occupied] = term_cache.l_term(peak[occupied])
+    phi = np.where(
+        occupied,
+        coeffs.alpha1 * backlog + coeffs.alpha2 * h_row + coeffs.alpha3 * l_row,
+        0.0,
+    )
+    return h_row, l_row, inverse_sum, phi
 
 
 def _sample_dynamics_gauges(
@@ -107,8 +198,7 @@ def _sample_dynamics_gauges(
     growing — which is exactly what the scalar accumulator recorded for
     them.
     """
-    probabilities = kernel.sending_probabilities()
-    dyn_prob_sum[j] = np.where(active, probabilities, 0.0).cumsum(axis=1)[:, -1]
+    dyn_prob_sum[j] = _contention(kernel, active)
     if dyn_has_windows:
         windows = kernel.window_matrix()
         dyn_window_sum[j] = (
@@ -224,6 +314,10 @@ class _SlotRecorder:
             setattr(self, name, grown)
         self._capacity = new_capacity
 
+    def _ensure(self, stop: int) -> None:
+        if stop > self._capacity:
+            self._grow(stop)
+
     def record(
         self,
         slot: int,
@@ -234,8 +328,7 @@ class _SlotRecorder:
         active_after: np.ndarray,
         num_senders: np.ndarray,
     ) -> None:
-        if slot >= self._capacity:
-            self._grow(slot + 1)
+        self._ensure(slot + 1)
         self.outcome[slot] = outcome
         self.jammed[slot] = jammed
         self.arrivals[slot] = arrivals
@@ -243,13 +336,37 @@ class _SlotRecorder:
         self.active_after[slot] = active_after
         self.num_senders[slot] = num_senders
 
-    def record_trace(self, slot: int, winner: np.ndarray, contention: np.ndarray) -> None:
+    def record_idle(
+        self, start: int, stop: int, jammed: np.ndarray | None, backlog: np.ndarray
+    ) -> None:
+        """Slots ``start .. stop-1``, in which no row accessed or injected.
+
+        ``jammed`` is the ``(stop - start, R)`` jam decisions, ``None`` for
+        a jammer that never jams.
+        """
+        self._ensure(stop)
+        span = slice(start, stop)
+        if jammed is None:
+            self.outcome[span] = 0
+            self.jammed[span] = False
+        else:
+            self.outcome[span] = np.where(jammed, 3, 0)
+            self.jammed[span] = jammed
+        self.arrivals[span] = 0
+        self.active_before[span] = backlog
+        self.active_after[span] = backlog
+        self.num_senders[span] = 0
+
+    def record_trace(
+        self, slot: int | slice, winner: np.ndarray | int, contention: np.ndarray
+    ) -> None:
+        """Trace rows; a slice of idle slots takes the values broadcast."""
         self.winner[slot] = winner
         self.contention[slot] = contention
 
     def record_potential(
         self,
-        slot: int,
+        slot: int | slice,
         h_term: np.ndarray,
         l_term: np.ndarray,
         inverse_window_sum: np.ndarray,
@@ -281,26 +398,128 @@ class _GroupConfig:
         self.descriptions = descriptions
 
 
+class _AccessCalendar:
+    """Next-access slots and per-row coins of an access-driven kernel.
+
+    A packet of an access-driven kernel changes state only when it accesses
+    the channel, so between two accesses it repeats one trial per slot at a
+    fixed access probability ``p``: the slots to its next access are
+    Geometric(p), drawn once by inversion.  ``next_access`` holds each
+    cell's next access slot, and a slot touches only the packets due.
+
+    Coins come from each replication's own packet stream, consumed only by
+    that row's events in packet-id order: one per arriving packet for its
+    first gap (a first access may fall in the arrival slot), then per
+    accessor a send-vs-listen coin (listening kernels only) and the coin of
+    its next gap, drawn before the channel resolves — a winner's is unused.
+    """
+
+    def __init__(
+        self,
+        kernel: Any,
+        generators: Sequence[np.random.Generator],
+        replications: int,
+        capacity: int,
+        horizon: int,
+    ) -> None:
+        self.kernel = kernel
+        self.replications = replications
+        self.horizon = horizon
+        self.coins = RowCoins(generators)
+        self.next_access = np.full((replications, capacity), _NEVER, dtype=np.int64)
+
+    def grow(self, capacity: int) -> None:
+        grown = np.full((self.replications, capacity), _NEVER, dtype=np.int64)
+        grown[:, : self.next_access.shape[1]] = self.next_access
+        self.next_access = grown
+
+    def arrive(
+        self, cells: np.ndarray, rows: np.ndarray, counts: np.ndarray, slot: int
+    ) -> None:
+        """Schedule the first access of packets injected at ``slot``."""
+        # A first gap counts from ``slot - 1``: the capped gap is one slot
+        # longer so that at slot 0 it still lands past the run.
+        gaps = geometric_gaps(
+            self.coins.take(rows, counts),
+            self.kernel.access_probability(cells, rows),
+            self.horizon + 1,
+        )
+        _flat(self.next_access)[cells] = gaps + (slot - 1)
+
+    def due(self, slot: int) -> np.ndarray:
+        """Cells accessing at ``slot``, row by row in packet-id order."""
+        return np.flatnonzero(self.next_access == slot)
+
+    def next_due(self) -> int:
+        return int(self.next_access.min())
+
+    def decide(
+        self, cells: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(sent, gap coins)`` of the accessors at ``cells``."""
+        counts = np.bincount(rows, minlength=self.replications)
+        share = self.kernel.send_share(cells, rows)
+        if share is None:
+            return np.ones(cells.size, dtype=bool), self.coins.take(rows, counts)
+        pairs = self.coins.take(np.repeat(rows, 2), 2 * counts).reshape(-1, 2)
+        return pairs[:, 0] < share, pairs[:, 1]
+
+    def settle(
+        self,
+        cells: np.ndarray,
+        rows: np.ndarray,
+        sent: np.ndarray,
+        gap_coins: np.ndarray,
+        won: np.ndarray,
+        empty: np.ndarray,
+        noise: np.ndarray,
+        slot: int,
+    ) -> None:
+        """Feedback and next gaps for the accessors; winners leave."""
+        next_access = _flat(self.next_access)
+        if won.any():
+            next_access[cells[won]] = _NEVER
+            stay = ~won
+            cells, rows, sent, gap_coins, empty, noise = (
+                values[stay] for values in (cells, rows, sent, gap_coins, empty, noise)
+            )
+        self.kernel.on_access(cells, rows, sent, empty, noise)
+        gaps = geometric_gaps(
+            gap_coins, self.kernel.access_probability(cells, rows), self.horizon
+        )
+        next_access[cells] = gaps + slot
+
+
 class _Segment:
     """One group's private execution geometry inside a (mega-)batch.
 
     The segment owns everything whose *randomness consumption* depends on
-    the group rather than the whole batch: the arrival schedule kernel and
-    the packet coin blocks, whose block geometry is a function of the
-    group's replication count and capacity trajectory.  Keeping these per
-    segment is what makes a mega-batch bit-identical to running each group
-    in its own batch.
+    the group rather than the whole batch: the arrival schedule kernel and,
+    for dense kernels, the packet coin blocks, whose block geometry is a
+    function of the group's replication count and capacity trajectory.
+    Keeping these per segment is what makes a mega-batch bit-identical to
+    running each group in its own batch.
     """
 
-    __slots__ = ("rows", "streams", "arrivals", "coins", "capacity", "exhausted", "live")
+    __slots__ = (
+        "rows", "streams", "arrivals", "coins", "capacity", "exhausted",
+        "exhaust_slot", "live",
+    )
 
-    def __init__(self, rows: slice, streams: Any, arrivals: Any, capacity: int) -> None:
+    def __init__(
+        self, rows: slice, streams: Any, arrivals: Any, capacity: int, max_slots: int
+    ) -> None:
         self.rows = rows
         self.streams = streams
         self.arrivals = arrivals
-        self.coins = CoinBlocks(streams, capacity)
+        self.coins: CoinBlocks | None = None
         self.capacity = capacity
         self.exhausted = False
+        # Coupled schedules exhaust row by row and are asked slot by slot;
+        # an oblivious one exhausts at one slot in every row, found once.
+        self.exhaust_slot = (
+            None if arrivals.coupled else _exhaustion_slot(arrivals, max_slots)
+        )
         self.live = True
 
 
@@ -578,7 +797,8 @@ class VectorSimulator:
 
         The lockstep loop (:meth:`_simulate`) and result materialisation
         (:meth:`_finalize`) are timed as separate telemetry phases when a
-        session is active, and the hot-loop counters (kernel invocations,
+        session is active, and the hot-loop counters (kernel invocations —
+        stepped lockstep rounds —, idle slots skipped, channel accesses,
         slots simulated, feedback iterations, trace/potential
         materialisations) are all derived from post-loop state — nothing
         is sampled inside the per-slot path.
@@ -619,11 +839,17 @@ class VectorSimulator:
         start = 0
         for group in groups:
             stop = start + len(group.seeds)
-            view = streams.slice(start, stop)
             arrivals = make_arrivals_kernel(group.arrival_process, len(group.seeds))
             bound = arrivals.capacity_bound()
-            seg_capacity = max(1, bound if bound is not None else 64)
-            segments.append(_Segment(slice(start, stop), view, arrivals, seg_capacity))
+            segments.append(
+                _Segment(
+                    slice(start, stop),
+                    streams.slice(start, stop),
+                    arrivals,
+                    max(1, bound if bound is not None else 64),
+                    max_slots,
+                )
+            )
             start = stop
         multi = len(segments) > 1
         seg_starts = np.array([seg.rows.start for seg in segments], dtype=np.intp)
@@ -635,7 +861,14 @@ class VectorSimulator:
         jammer = make_row_jammer_kernel(
             [(group.jammer, len(group.seeds)) for group in groups]
         )
-        sensing = kernel.sensing
+        calendar: _AccessCalendar | None = None
+        if kernel.access_driven:
+            calendar = _AccessCalendar(
+                kernel, streams.packet_generators, replications, capacity, max_slots
+            )
+        else:
+            for seg in segments:
+                seg.coins = CoinBlocks(seg.streams, seg.capacity)
         track_listens = kernel.listens
         reactive = jammer.reactive
         needs_contention = jammer.needs_contention
@@ -653,13 +886,15 @@ class VectorSimulator:
             coupled_arrivals = segments[0].arrivals
         else:
             coupled_arrivals = None
+        # Idle stretches are skipped where no state can change unseen: an
+        # access-driven kernel, with every arrival known a chunk ahead.
+        skip_idle = calendar is not None and coupled_arrivals is None
 
         active = np.zeros((replications, capacity), dtype=bool)
         arrival_slot = np.full((replications, capacity), -1, dtype=np.int64)
         departure_slot = np.full((replications, capacity), -1, dtype=np.int64)
         sends = np.zeros((replications, capacity), dtype=np.int64)
         listens = np.zeros((replications, capacity), dtype=np.int64) if track_listens else None
-        cols = np.arange(capacity)
 
         injected = np.zeros(replications, dtype=np.int64)
         backlog = np.zeros(replications, dtype=np.int64)
@@ -678,7 +913,6 @@ class VectorSimulator:
         if collect_potential:
             term_cache = _WindowTermCache()
             coeffs = self._potential_coefficients
-            zero_row = np.zeros(replications)
             has_windows = kernel.window_matrix() is not None
 
         # Windowed dynamics gauge buffers: one row per global window
@@ -700,7 +934,7 @@ class VectorSimulator:
             dyn_has_windows = kernel.window_matrix() is not None
 
         # Per-replication arrival-exhaustion mask; monotone per segment, so
-        # each segment's (pure) exhausted() is queried only until it flips.
+        # each segment is checked only until it flips.
         exhausted_rows = np.zeros(replications, dtype=bool)
         any_exhausted = False
         live = replications
@@ -721,12 +955,18 @@ class VectorSimulator:
         chunk_start = 0
         chunk_end = 0
         arrivals_chunk: np.ndarray | None = None
-        slot_has_arrivals: list[bool] = []
+        # The chunk's slots with an arrival in some row, and the first of
+        # them not yet passed.
+        arrival_slots: list[int] = []
+        arrival_cursor = 0
         no_arrivals = np.zeros(replications, dtype=np.int64)
-        send_buffer = np.empty((replications, capacity), dtype=bool)
-        listen_buffer = np.empty((replications, capacity), dtype=bool) if sensing else None
-        coin_buffer = np.empty((replications, capacity), dtype=np.float64) if multi else None
+        if calendar is None:
+            send_buffer = np.empty((replications, capacity), dtype=bool)
+            listen_buffer = np.empty((replications, capacity), dtype=bool)
+            coin_buffer = np.empty((replications, capacity)) if multi else None
         never_jams = jammer.never_jams
+        contention_pre = None
+        skipped = 0
 
         slot = 0
         while slot < max_slots and live:
@@ -746,226 +986,291 @@ class VectorSimulator:
                         arrivals_chunk = segments[0].arrivals.chunk(
                             chunk_start, count, segments[0].streams
                         )
-                    slot_has_arrivals = arrivals_chunk.any(axis=0).tolist()
+                    arrival_slots = (
+                        np.flatnonzero(arrivals_chunk.any(axis=0)) + chunk_start
+                    ).tolist()
+                    arrival_cursor = 0
                 jammer.begin_chunk(chunk_start, count, streams, running)
+            while (
+                arrival_cursor < len(arrival_slots)
+                and arrival_slots[arrival_cursor] < slot
+            ):
+                arrival_cursor += 1
+            next_arrival = (
+                arrival_slots[arrival_cursor]
+                if arrival_cursor < len(arrival_slots)
+                else chunk_end
+            )
 
-            backlog_pre = backlog
-            if want_contention:
-                # Pre-injection contention with the *current* protocol state
-                # — exactly the scalar SystemView's C(t).  The cumulative sum
-                # reproduces the scalar's sequential ascending-id additions
-                # bitwise (inactive cells add +0.0, a float no-op).
-                probabilities = kernel.sending_probabilities()
-                contention_pre = (
-                    np.where(active, probabilities, 0.0).cumsum(axis=1)[:, -1]
-                )
-                if needs_contention:
-                    jammer.set_contention(contention_pre)
-            if coupled_arrivals is not None:
-                arriving = coupled_arrivals.arrivals_now(slot, backlog_pre, running)
-                inject = bool(arriving.any())
-            elif slot_has_arrivals[slot - chunk_start]:
-                assert arrivals_chunk is not None
-                arriving = arrivals_chunk[:, slot - chunk_start] * running
-                inject = True
+            accessors = None
+            idle_end = slot
+            if skip_idle and next_arrival > slot:
+                accessors = calendar.due(slot)
+                if not accessors.size:
+                    # No running row accesses or injects before the next due
+                    # access, arrival, or (for a waiting empty row) arrival
+                    # exhaustion; next_arrival never passes the chunk end.
+                    idle_end = min(calendar.next_due(), next_arrival)
+                    if stop_when_drained:
+                        for seg in segments:
+                            if seg.live and not seg.exhausted:
+                                idle_end = min(idle_end, seg.exhaust_slot)
+
+            if idle_end > slot:
+                # Nothing changes state in the stretch: record it in bulk,
+                # with the jam decisions stepping would have made slot by
+                # slot (the backlog, and an adaptive jammer's contention,
+                # are constant throughout).
+                length = idle_end - slot
+                if want_contention:
+                    contention_pre = _contention(kernel, active)
+                    if needs_contention:
+                        jammer.set_contention(contention_pre)
+                jammed_block = None
+                if not never_jams:
+                    jammed_block = np.empty((length, replications), dtype=bool)
+                    for offset in range(length):
+                        jammed_block[offset] = jammer.jam(slot + offset, backlog, running)
+                recorder.record_idle(slot, idle_end, jammed_block, backlog)
+                if collect_trace:
+                    recorder.record_trace(slice(slot, idle_end), -1, contention_pre)
+                    trace_senders.extend([_NO_EVENTS] * length)
+                    if track_listens:
+                        trace_listeners.extend([_NO_EVENTS] * length)
+                if collect_potential:
+                    recorder.record_potential(
+                        slice(slot, idle_end),
+                        *_potential_terms(kernel, active, backlog, term_cache, coeffs),
+                    )
+                if dynamics_window:
+                    for boundary in range(
+                        slot // dynamics_window + 1, idle_end // dynamics_window + 1
+                    ):
+                        _sample_dynamics_gauges(
+                            boundary - 1, kernel, active, listens,
+                            dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows,
+                        )
+                skipped += length
+                slot = idle_end
             else:
-                arriving = no_arrivals
-                inject = False
-            if inject:
-                total_after = injected + arriving
-                grew = False
-                if multi:
-                    needed_per_seg = np.maximum.reduceat(total_after, seg_starts)
-                    for index, seg in enumerate(segments):
-                        needed = int(needed_per_seg[index])
-                        if needed > seg.capacity:
-                            # Each segment grows on its own trajectory — the
-                            # same doubling a standalone batch of this group
-                            # would apply — keeping its coin geometry intact.
-                            seg.capacity = max(needed, seg.capacity * 2)
-                            seg.coins.resize(seg.capacity)
-                            grew = True
+                backlog_pre = backlog
+                if want_contention:
+                    # Pre-injection contention with the *current* protocol
+                    # state — exactly the scalar SystemView's C(t).
+                    contention_pre = _contention(kernel, active)
+                    if needs_contention:
+                        jammer.set_contention(contention_pre)
+                if coupled_arrivals is not None:
+                    arriving = coupled_arrivals.arrivals_now(slot, backlog_pre, running)
+                    inject = bool(arriving.any())
+                elif next_arrival == slot:
+                    assert arrivals_chunk is not None
+                    arriving = arrivals_chunk[:, slot - chunk_start] * running
+                    inject = True
                 else:
-                    seg = segments[0]
-                    needed = int(total_after.max())
-                    if needed > seg.capacity:
-                        seg.capacity = max(needed, seg.capacity * 2)
-                        seg.coins.resize(seg.capacity)
-                        grew = True
-                if grew:
-                    new_capacity = max(seg.capacity for seg in segments)
-                    if new_capacity > capacity:
-                        capacity = new_capacity
-                        grown = (
-                            np.zeros((replications, capacity), dtype=bool),
-                            np.full((replications, capacity), -1, dtype=np.int64),
-                            np.full((replications, capacity), -1, dtype=np.int64),
-                            np.zeros((replications, capacity), dtype=np.int64),
-                        )
-                        for old, new in zip(
-                            (active, arrival_slot, departure_slot, sends), grown
-                        ):
-                            new[:, : old.shape[1]] = old
-                        active, arrival_slot, departure_slot, sends = grown
-                        if listens is not None:
-                            grown_listens = np.zeros(
-                                (replications, capacity), dtype=np.int64
+                    arriving = no_arrivals
+                    inject = False
+                if inject:
+                    total_after = injected + arriving
+                    grew = False
+                    if multi:
+                        needed_per_seg = np.maximum.reduceat(total_after, seg_starts)
+                        for index, seg in enumerate(segments):
+                            needed = int(needed_per_seg[index])
+                            if needed > seg.capacity:
+                                # Each segment grows on its own trajectory —
+                                # the same doubling a standalone batch of this
+                                # group would apply — keeping its coin
+                                # geometry intact.
+                                seg.capacity = max(needed, seg.capacity * 2)
+                                if seg.coins is not None:
+                                    seg.coins.resize(seg.capacity)
+                                grew = True
+                    else:
+                        seg = segments[0]
+                        needed = int(total_after.max())
+                        if needed > seg.capacity:
+                            seg.capacity = max(needed, seg.capacity * 2)
+                            if seg.coins is not None:
+                                seg.coins.resize(seg.capacity)
+                            grew = True
+                    if grew:
+                        new_capacity = max(seg.capacity for seg in segments)
+                        if new_capacity > capacity:
+                            capacity = new_capacity
+                            grown = (
+                                np.zeros((replications, capacity), dtype=bool),
+                                np.full((replications, capacity), -1, dtype=np.int64),
+                                np.full((replications, capacity), -1, dtype=np.int64),
+                                np.zeros((replications, capacity), dtype=np.int64),
                             )
-                            grown_listens[:, : listens.shape[1]] = listens
-                            listens = grown_listens
-                        cols = np.arange(capacity)
-                        kernel.grow(capacity)
-                        send_buffer = np.empty((replications, capacity), dtype=bool)
-                        if sensing:
-                            listen_buffer = np.empty(
-                                (replications, capacity), dtype=bool
+                            for old, new in zip(
+                                (active, arrival_slot, departure_slot, sends), grown
+                            ):
+                                new[:, : old.shape[1]] = old
+                            active, arrival_slot, departure_slot, sends = grown
+                            if listens is not None:
+                                grown_listens = np.zeros(
+                                    (replications, capacity), dtype=np.int64
+                                )
+                                grown_listens[:, : listens.shape[1]] = listens
+                                listens = grown_listens
+                            kernel.grow(capacity)
+                            if calendar is not None:
+                                calendar.grow(capacity)
+                            else:
+                                send_buffer = np.empty((replications, capacity), dtype=bool)
+                                listen_buffer = np.empty(
+                                    (replications, capacity), dtype=bool
+                                )
+                                if multi:
+                                    coin_buffer = np.empty((replications, capacity))
+                    # The new packets take the next columns of their rows,
+                    # in packet-id order.
+                    new_rows = np.repeat(np.arange(replications), arriving)
+                    first = np.cumsum(arriving) - arriving
+                    new_cells = (
+                        new_rows * capacity
+                        + np.repeat(injected - first, arriving)
+                        + np.arange(new_rows.size)
+                    )
+                    _flat(active)[new_cells] = True
+                    _flat(arrival_slot)[new_cells] = slot
+                    kernel.init_packets(new_cells, new_rows)
+                    if calendar is not None:
+                        calendar.arrive(new_cells, new_rows, arriving, slot)
+                    injected = total_after
+                    backlog = backlog + arriving
+
+                active_before = backlog
+                jammed = jammer.jam(slot, backlog_pre, running)
+
+                if calendar is not None:
+                    if accessors is None:
+                        accessors = calendar.due(slot)
+                    access_rows = accessors // capacity
+                    sent, gap_coins = calendar.decide(accessors, access_rows)
+                    senders = accessors[sent]
+                    send_rows = access_rows[sent]
+                    send_cols = senders - send_rows * capacity
+                    if track_listens:
+                        listeners = accessors[~sent]
+                else:
+                    if multi:
+                        coins = coin_buffer
+                        assert coins is not None
+                        for seg in segments:
+                            if seg.live:
+                                coins[seg.rows, : seg.capacity] = seg.coins.coins(
+                                    slot, running[seg.rows]
+                                )
+                    else:
+                        coins = segments[0].coins.coins(slot, running)
+                    kernel.decide(coins, send_buffer, listen_buffer)
+                    send = send_buffer
+                    send &= active
+                    listen = listen_buffer
+                    listen &= active
+                    send_rows, send_cols = np.nonzero(send)
+                num_senders = np.bincount(send_rows, minlength=replications)
+                if reactive:
+                    # Step 3 of the scalar slot order: the reactive jammer
+                    # sees this slot's senders before the channel resolves.
+                    jammed = jammer.reactive_jam(
+                        slot, send_rows, send_cols, num_senders,
+                        backlog_pre, running, arrival_slot, jammed,
+                    )
+                if collect_trace:
+                    # Captured before the winner departs, so the winner is
+                    # among the senders — as in the scalar SlotRecord.
+                    trace_senders.append((send_rows, send_cols))
+                    if track_listens:
+                        if calendar is not None:
+                            listen_rows = listeners // capacity
+                            trace_listeners.append(
+                                (listen_rows, listeners - listen_rows * capacity)
                             )
-                        if multi:
-                            coin_buffer = np.empty(
-                                (replications, capacity), dtype=np.float64
-                            )
-                newly = (cols >= injected[:, None]) & (cols < total_after[:, None])
-                active |= newly
-                arrival_slot[newly] = slot
-                kernel.init_packets(newly)
-                injected = total_after
-                backlog = backlog + arriving
-
-            active_before = backlog
-            jammed = jammer.jam(slot, backlog_pre, running)
-
-            if multi:
-                coins = coin_buffer
-                assert coins is not None
-                for seg in segments:
-                    if seg.live:
-                        coins[seg.rows, : seg.capacity] = seg.coins.coins(
-                            slot, running[seg.rows]
-                        )
-            else:
-                coins = segments[0].coins.coins(slot, running)
-
-            if sensing:
-                assert listen_buffer is not None
-                kernel.decide(coins, send_buffer, listen_buffer)
-                send = send_buffer
-                send &= active
-                listen = listen_buffer
-                listen &= active
-            else:
-                send = np.less(coins, kernel.probabilities, out=send_buffer)
-                send &= active
-            num_senders = np.count_nonzero(send, axis=1)
-            total_senders = int(num_senders.sum())
-            if reactive:
-                # Step 3 of the scalar slot order: the reactive jammer sees
-                # this slot's senders before the channel resolves.
-                jammed = jammer.reactive_jam(
-                    slot, send, num_senders, backlog_pre, running, arrival_slot, jammed
-                )
-            if collect_trace:
-                # Captured before winner removal, so the winner is included
-                # among the senders — as in the scalar SlotRecord.
-                trace_senders.append(np.nonzero(send))
-                if sensing:
-                    trace_listeners.append(np.nonzero(listen))
-            if never_jams:
-                winners = running & (num_senders == 1)
-            else:
-                winners = running & ~jammed & (num_senders == 1)
-            sends += send
-            if listens is not None:
-                listens += listen
-
-            winner_rows = np.nonzero(winners)[0]
-            if winner_rows.size:
-                winner_cols = np.argmax(send[winner_rows], axis=1)
+                        else:
+                            trace_listeners.append(np.nonzero(listen))
+                if never_jams:
+                    winners = running & (num_senders == 1)
+                else:
+                    winners = running & ~jammed & (num_senders == 1)
+                # A sender in a winning row is that row's only sender.
+                won = winners[send_rows]
+                winner_rows = send_rows[won]
+                winner_cols = send_cols[won]
+                if calendar is not None:
+                    _flat(sends)[senders] += 1
+                    if track_listens:
+                        _flat(listens)[listeners] += 1
+                else:
+                    sends += send
+                    if listens is not None:
+                        listens += listen
                 active[winner_rows, winner_cols] = False
                 departure_slot[winner_rows, winner_cols] = slot
-                # The remaining senders are the losers of the slot.
-                send[winner_rows, winner_cols] = False
-            if collect_trace:
-                winner_column = np.full(replications, -1, dtype=np.int64)
-                if winner_rows.size:
-                    winner_column[winner_rows] = winner_cols
-            if sensing:
                 # Per-replication ternary feedback: what every accessor of
-                # that replication's channel heard this slot.  Winners are
-                # already removed (they depart without a state update).
+                # that replication's channel heard this slot.
                 if never_jams:
                     empty_rows = num_senders == 0
                     noise_rows = num_senders > 1
                 else:
                     empty_rows = ~jammed & (num_senders == 0)
                     noise_rows = jammed | (num_senders > 1)
-                kernel.on_feedback(empty_rows, noise_rows, send, listen, active)
-            elif total_senders > winner_rows.size:
-                kernel.on_unsuccessful_send(send)
-            backlog = backlog - winners
-
-            outcome = (num_senders > 0).astype(np.int8)
-            outcome += outcome
-            outcome -= winners
-            if not never_jams:
-                outcome[jammed] = 3
-            recorder.record(
-                slot, outcome, jammed, arriving, active_before, backlog, num_senders
-            )
-            if collect_trace:
-                recorder.record_trace(slot, winner_column, contention_pre)
-            if collect_potential:
-                # Scalar step 5: Φ is sampled after feedback updates and the
-                # winner's departure, from post-slot windows and backlog.
-                if not has_windows:
-                    recorder.record_potential(slot, zero_row, zero_row, zero_row, zero_row)
+                if calendar is not None:
+                    calendar.settle(
+                        accessors, access_rows, sent, gap_coins,
+                        sent & winners[access_rows],
+                        empty_rows[access_rows], noise_rows[access_rows], slot,
+                    )
                 else:
-                    windows = kernel.window_matrix()
-                    inverse_log = np.zeros_like(windows)
-                    values = windows[active]
-                    if values.size:
-                        inverse_log[active] = term_cache.inverse_log(values)
-                    h_row = inverse_log.cumsum(axis=1)[:, -1]
-                    inverse_sum = (
-                        np.where(active, 1.0 / windows, 0.0).cumsum(axis=1)[:, -1]
-                    )
-                    occupied = backlog > 0
-                    l_row = np.zeros(replications)
-                    if occupied.any():
-                        peak = np.where(active, windows, -np.inf).max(axis=1)
-                        l_row[occupied] = term_cache.l_term(peak[occupied])
-                    phi = np.where(
-                        occupied,
-                        coeffs.alpha1 * backlog
-                        + coeffs.alpha2 * h_row
-                        + coeffs.alpha3 * l_row,
-                        0.0,
-                    )
-                    recorder.record_potential(slot, h_row, l_row, inverse_sum, phi)
+                    # Winners depart without a state update; the remaining
+                    # senders are the slot's losers.
+                    send[winner_rows, winner_cols] = False
+                    kernel.on_feedback(empty_rows, noise_rows, send, listen, active)
+                backlog = backlog - winners
 
-            if dynamics_window and (slot + 1) % dynamics_window == 0:
-                # Post-step, like the scalar accumulator: feedback applied,
-                # winners departed.  The cumulative sums reproduce the scalar
-                # engine's sequential ascending-id float additions bitwise.
-                _sample_dynamics_gauges(
-                    slot // dynamics_window, kernel, active, listens,
-                    dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows,
+                outcome = (num_senders > 0).astype(np.int8)
+                outcome += outcome
+                outcome -= winners
+                if not never_jams:
+                    outcome[jammed] = 3
+                recorder.record(
+                    slot, outcome, jammed, arriving, active_before, backlog, num_senders
                 )
+                if collect_trace:
+                    winner_column = np.full(replications, -1, dtype=np.int64)
+                    winner_column[winner_rows] = winner_cols
+                    recorder.record_trace(slot, winner_column, contention_pre)
+                if collect_potential:
+                    recorder.record_potential(
+                        slot, *_potential_terms(kernel, active, backlog, term_cache, coeffs)
+                    )
+                if dynamics_window and (slot + 1) % dynamics_window == 0:
+                    # Post-step, like the scalar accumulator: feedback
+                    # applied, winners departed.
+                    _sample_dynamics_gauges(
+                        slot // dynamics_window, kernel, active, listens,
+                        dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows,
+                    )
+                slot += 1
 
-            slot += 1
             if stop_when_drained:
                 for seg in segments:
                     if seg.live and not seg.exhausted:
-                        per_row = seg.arrivals.exhausted_rows(slot)
-                        if per_row is None:
-                            if seg.arrivals.exhausted(slot):
+                        if seg.exhaust_slot is not None:
+                            if slot >= seg.exhaust_slot:
                                 seg.exhausted = True
                                 exhausted_rows[seg.rows] = True
                                 any_exhausted = True
-                        elif per_row.any():
-                            exhausted_rows[seg.rows] = per_row
-                            any_exhausted = True
-                            if per_row.all():
-                                seg.exhausted = True
+                        else:
+                            per_row = seg.arrivals.exhausted_rows(slot)
+                            if per_row.any():
+                                exhausted_rows[seg.rows] = per_row
+                                any_exhausted = True
+                                if per_row.all():
+                                    seg.exhausted = True
                 if any_exhausted:
                     finished = running & exhausted_rows & (backlog == 0)
                     if finished.any():
@@ -985,14 +1290,19 @@ class VectorSimulator:
                 dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows,
             )
 
-        # Post-loop telemetry stats: `slot` is exactly how many lockstep
-        # kernel rounds ran, and every round of a reactive/adaptive batch
-        # is one feedback-loop iteration (senders/contention handed back
-        # to the jammer kernels).
+        # Post-loop telemetry stats.  The batch covered `slot` lockstep
+        # slots: `skipped` of them recorded in bulk as idle stretches, the
+        # rest stepped kernel rounds.  Every stepped round of a
+        # reactive/adaptive batch is one feedback-loop iteration
+        # (senders/contention handed back to the jammer kernels).
+        stepped = int(slot) - skipped
         stats = {
-            "kernel_invocations": int(slot),
+            "kernel_invocations": stepped,
+            "idle_slots_skipped": skipped,
             "slots_simulated": int(num_slots.sum()),
-            "feedback_iterations": int(slot) if (reactive or needs_contention) else 0,
+            "channel_accesses": int(sends.sum())
+            + (int(listens.sum()) if listens is not None else 0),
+            "feedback_iterations": stepped if (reactive or needs_contention) else 0,
             "mega_batch_segments": len(segments),
             "trace_materialisations": replications if collect_trace else 0,
             "potential_materialisations": replications if collect_potential else 0,

@@ -1,25 +1,37 @@
 """Batched protocol kernels.
 
 A kernel holds the protocol state of *every* packet of *every* replication
-in ``(replications × packets)`` arrays.  Two slot interfaces exist:
+in ``(replications × packets)`` arrays.  Two kinds of kernel exist:
 
-* **send-only kernels** (``sensing = False``) expose ``probabilities`` — the
-  per-packet sending probability matrix, maintained incrementally — and
-  ``on_unsuccessful_send``, the only feedback a send-only protocol reacts
-  to;
-* **sensing kernels** (``sensing = True``) expose ``decide``, which turns
-  one uniform coin matrix into disjoint send/listen masks, and
-  ``on_feedback``, which consumes the engine's per-replication ternary
-  feedback arrays (idle / success / noise rows) exactly the way the scalar
-  protocol's ``observe`` consumes its :class:`FeedbackReport`.
+* **access-driven kernels** (``access_driven = True``): LOW-SENSING
+  BACKOFF, its decoupled A1 variant, binary exponential, polynomial, and
+  fixed-probability/ALOHA.  Their packet state changes only when the packet
+  accesses the channel — a sleeping packet learns nothing — so between two
+  accesses a packet repeats one trial per slot at a fixed access
+  probability, and the engine draws the gap to its next access as
+  Geometric(p) (see :mod:`repro.sim.vector.engine`).  The kernel exposes
+  ``access_probability`` and ``send_share`` (``P(send | access)``, ``None``
+  for the send-only kernels, whose every access is a send) at given cells,
+  and ``on_access``, the state update of the accessors that stay, from what
+  their replication's channel carried;
+* **dense kernels** (Sawtooth, full-sensing MW) advance state every slot —
+  Sawtooth's clock ticks while a packet sleeps, and MW listens every slot —
+  so they keep a per-slot interface: ``decide`` turns one uniform coin
+  matrix into disjoint send/listen masks (``u < T_send`` sends,
+  ``T_send ≤ u < T_listen`` listens, the rest sleeps), and ``on_feedback``
+  consumes the engine's per-replication ternary feedback arrays (idle /
+  success / noise rows) exactly the way the scalar protocol's ``observe``
+  consumes its :class:`FeedbackReport`.
 
-The scalar sensing protocols draw *two* coins per access decision (listen
-first, then send-given-access); the kernels collapse each trichotomy onto a
-single uniform — ``u < T_send`` sends, ``T_send ≤ u < T_access`` listens,
-the rest sleeps — which is the same joint distribution with half the
-randomness.  Vector results are therefore statistically (not bitwise)
-equivalent to scalar results, which is already the vector engine's
-contract.
+Cells are addressed by flat indices into the C-ordered state matrices,
+together with each cell's row, which selects per-row parameters.
+
+The scalar LOW-SENSING state draws two coins per slot (access, then
+send-given-access); the access-driven kernel draws the slots between
+accesses as one gap and then one coin per access for the send-vs-listen
+split — the same joint distribution from different coins.  Vector results
+are therefore statistically (not bitwise) equivalent to scalar results,
+which is already the vector engine's contract.
 
 Every kernel is built from a list of ``(protocol, replications)`` pairs so
 that a mega-batch can stack configurations that share a kernel family but
@@ -84,15 +96,27 @@ def _cells(param: float | np.ndarray, mask: np.ndarray) -> float | np.ndarray:
     return param
 
 
+def _at(param: float | np.ndarray, rows: np.ndarray) -> float | np.ndarray:
+    """The parameter's value for each listed row (scalar or 1-D)."""
+    if isinstance(param, np.ndarray):
+        return param[rows, 0]
+    return param
+
+
+def _flat(matrix: np.ndarray) -> np.ndarray:
+    """A state matrix as a 1-D view indexed by flat cell."""
+    return matrix.reshape(-1)
+
+
 class VectorProtocolKernel(abc.ABC):
     """Lockstep protocol state for one batch."""
 
-    #: True for kernels that consume the per-replication feedback arrays
-    #: (``on_feedback``) instead of the send-only ``on_unsuccessful_send``.
-    sensing = False
+    #: True for kernels whose packet state changes only when the packet
+    #: accesses the channel: the engine then schedules accesses by gaps.
+    access_driven = False
 
-    #: True when ``decide`` can mark packets as listeners (the engine then
-    #: maintains per-packet listen counters; send-only kernels skip them).
+    #: True when packets may listen without sending (the engine then
+    #: maintains per-packet listen counters).
     listens = False
 
     def __init__(self, replications: int, capacity: int) -> None:
@@ -104,19 +128,16 @@ class VectorProtocolKernel(abc.ABC):
         """Extend the packet dimension to ``capacity`` columns."""
 
     @abc.abstractmethod
-    def init_packets(self, newly: np.ndarray) -> None:
-        """Initialise state for freshly injected packets (boolean mask)."""
+    def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
+        """Initialise state for freshly injected packets at ``cells``."""
 
-    # -- Introspection (contention and potential accounting) -----------------
-
+    @abc.abstractmethod
     def sending_probabilities(self) -> np.ndarray | float:
         """Per-packet sending probabilities, for contention accounting.
 
-        Matches the scalar states' ``sending_probability()`` exactly;
-        defaults to :attr:`probabilities` (correct for send-only kernels),
-        sensing kernels override with their send thresholds.
+        Matches the scalar states' ``sending_probability()`` exactly; a
+        scalar or per-row column broadcasts against the packet matrix.
         """
-        return self.probabilities
 
     def window_matrix(self) -> np.ndarray | None:
         """Per-packet backoff windows, ``None`` for windowless protocols.
@@ -128,18 +149,42 @@ class VectorProtocolKernel(abc.ABC):
         """
         return None
 
-    # -- Send-only interface -------------------------------------------------
 
-    @property
-    def probabilities(self) -> np.ndarray | float:
-        """Per-packet sending probabilities (matrix, or a scalar broadcast)."""
-        raise NotImplementedError
+class AccessKernel(VectorProtocolKernel):
+    """A protocol whose packet state changes only on channel accesses."""
 
-    def on_unsuccessful_send(self, losers: np.ndarray) -> None:
-        """Feedback update for packets that sent and did not succeed."""
+    access_driven = True
 
-    # -- Sensing interface ---------------------------------------------------
+    @abc.abstractmethod
+    def access_probability(
+        self, cells: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray | float:
+        """Per-slot probability that each packet at ``cells`` accesses."""
 
+    def send_share(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
+        """``P(send | access)`` at ``cells``; ``None`` when every access sends."""
+        return None
+
+    def on_access(
+        self,
+        cells: np.ndarray,
+        rows: np.ndarray,
+        sent: np.ndarray,
+        empty: np.ndarray,
+        noise: np.ndarray,
+    ) -> None:
+        """Feedback update for the accessors that did not win.
+
+        ``sent`` marks the senders among them; ``empty`` / ``noise`` mark
+        those whose replication's channel was idle / noisy this slot (the
+        rest heard another packet's success).
+        """
+
+
+class DenseKernel(VectorProtocolKernel):
+    """A protocol whose state advances every slot: one coin matrix a slot."""
+
+    @abc.abstractmethod
     def decide(
         self, coins: np.ndarray, send_out: np.ndarray, listen_out: np.ndarray
     ) -> None:
@@ -148,8 +193,8 @@ class VectorProtocolKernel(abc.ABC):
         The engine masks both outputs by the active-packet matrix afterwards,
         so kernels need not care about inactive cells.
         """
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def on_feedback(
         self,
         empty_rows: np.ndarray,
@@ -168,15 +213,14 @@ class VectorProtocolKernel(abc.ABC):
         ``listen``/``active`` are the listener and post-departure active
         matrices.
         """
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
-# Send-only kernels
+# Access-driven kernels
 # ---------------------------------------------------------------------------
 
 
-class FixedProbabilityKernel(VectorProtocolKernel):
+class FixedProbabilityKernel(AccessKernel):
     """Constant sending probability; feedback never changes it."""
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
@@ -186,15 +230,17 @@ class FixedProbabilityKernel(VectorProtocolKernel):
     def grow(self, capacity: int) -> None:
         self.capacity = capacity
 
-    def init_packets(self, newly: np.ndarray) -> None:
+    def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
         return None
 
-    @property
-    def probabilities(self) -> float | np.ndarray:
+    def sending_probabilities(self) -> float | np.ndarray:
         return self._probability
 
+    def access_probability(self, cells: np.ndarray, rows: np.ndarray):
+        return _at(self._probability, rows)
 
-class BinaryExponentialKernel(VectorProtocolKernel):
+
+class BinaryExponentialKernel(AccessKernel):
     """Window per packet; doubles (up to a cap) on every unsuccessful send."""
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
@@ -222,30 +268,33 @@ class BinaryExponentialKernel(VectorProtocolKernel):
         )
         self.capacity = capacity
 
-    def init_packets(self, newly: np.ndarray) -> None:
-        initial = _cells(self._initial_window, newly)
-        self._window[newly] = initial
-        self._inverse[newly] = 1.0 / initial
+    def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
+        initial = _at(self._initial_window, rows)
+        _flat(self._window)[cells] = initial
+        _flat(self._inverse)[cells] = 1.0 / initial
 
-    @property
-    def probabilities(self) -> np.ndarray:
+    def sending_probabilities(self) -> np.ndarray:
         return self._inverse
 
     def window_matrix(self) -> np.ndarray:
         return self._window
 
-    def on_unsuccessful_send(self, losers: np.ndarray) -> None:
-        grown = self._window[losers] * _cells(self._backoff_factor, losers)
+    def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return _flat(self._inverse)[cells]
+
+    def on_access(self, cells, rows, sent, empty, noise) -> None:
+        # Every access is a send, and a sender that stays lost its slot.
+        grown = _flat(self._window)[cells] * _at(self._backoff_factor, rows)
         cap = self._max_window
         if isinstance(cap, np.ndarray):
-            grown = np.minimum(grown, _cells(cap, losers))
+            grown = np.minimum(grown, _at(cap, rows))
         elif cap != np.inf:
             np.minimum(grown, cap, out=grown)
-        self._window[losers] = grown
-        self._inverse[losers] = 1.0 / grown
+        _flat(self._window)[cells] = grown
+        _flat(self._inverse)[cells] = 1.0 / grown
 
 
-class PolynomialKernel(VectorProtocolKernel):
+class PolynomialKernel(AccessKernel):
     """Collision count per packet; window is ``w0 * (collisions+1)**degree``."""
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
@@ -270,12 +319,11 @@ class PolynomialKernel(VectorProtocolKernel):
         self._inverse = np.concatenate([self._inverse, fresh], axis=1)
         self.capacity = capacity
 
-    def init_packets(self, newly: np.ndarray) -> None:
-        self._collisions[newly] = 0
-        self._inverse[newly] = 1.0 / _cells(self._initial_window, newly)
+    def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
+        _flat(self._collisions)[cells] = 0
+        _flat(self._inverse)[cells] = 1.0 / _at(self._initial_window, rows)
 
-    @property
-    def probabilities(self) -> np.ndarray:
+    def sending_probabilities(self) -> np.ndarray:
         return self._inverse
 
     def window_matrix(self) -> np.ndarray:
@@ -283,26 +331,123 @@ class PolynomialKernel(VectorProtocolKernel):
         # on demand; reproduce the same float operations.
         return self._initial_window * (self._collisions + 1.0) ** self._degree
 
-    def on_unsuccessful_send(self, losers: np.ndarray) -> None:
-        bumped = self._collisions[losers] + 1
-        self._collisions[losers] = bumped
-        self._inverse[losers] = 1.0 / (
-            _cells(self._initial_window, losers)
-            * (bumped + 1.0) ** _cells(self._degree, losers)
+    def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return _flat(self._inverse)[cells]
+
+    def on_access(self, cells, rows, sent, empty, noise) -> None:
+        # Every access is a send, and a sender that stays collided.
+        bumped = _flat(self._collisions)[cells] + 1
+        _flat(self._collisions)[cells] = bumped
+        _flat(self._inverse)[cells] = 1.0 / (
+            _at(self._initial_window, rows) * (bumped + 1.0) ** _at(self._degree, rows)
         )
 
 
-class SawtoothKernel(VectorProtocolKernel):
-    """Truncated sawtooth: deterministic per-slot clock, no channel feedback.
+class LowSensingKernel(AccessKernel):
+    """LOW-SENSING BACKOFF: window per packet, updated from ternary feedback.
 
-    Sawtooth never listens, but unlike the send-only kernels its state
-    advances on *every* slot a packet is active (including sleeping slots),
-    so it runs on the sensing slot path where the engine hands over the full
-    active matrix each slot.
+    The access probability, the send share, and the unconditional send
+    probability involve logarithms, so they are kept per cell and
+    recomputed only where the window changes — the same optimisation
+    :class:`LowSensingPacketState` applies per packet.  ``decoupled=True``
+    gives the A1 ablation variant, whose send and listen coins are
+    independent: it sends with probability ``s`` and otherwise listens with
+    probability ``a``, so it accesses with probability ``s + (1 − s)·a``.
     """
 
-    sensing = True
-    listens = False
+    listens = True
+
+    def __init__(
+        self, pairs: ProtocolRows, capacity: int, *, decoupled: bool = False
+    ) -> None:
+        super().__init__(_rows(pairs), capacity)
+        self._decoupled = decoupled
+        self._c = _param_column(pairs, lambda p: p.params.c)
+        self._w_min = _param_column(pairs, lambda p: p.params.w_min)
+        self._window = np.empty((self.replications, capacity))
+        self._window[:] = self._w_min
+        self._send, self._access, self._share = self._probabilities(
+            self._window, self._c
+        )
+
+    def _probabilities(
+        self, window: np.ndarray, c: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(send, access, send share) for each window, as the scalar state."""
+        log_cubed = np.log(window) ** 3
+        access = np.minimum(1.0, c * log_cubed / window)
+        share = np.minimum(1.0, 1.0 / (c * log_cubed))
+        send = access * share
+        if self._decoupled:
+            access = send + (1.0 - send) * access
+            share = send / access
+        return send, access, share
+
+    def _store(self, cells: np.ndarray, rows: np.ndarray, window: np.ndarray) -> None:
+        _flat(self._window)[cells] = window
+        send, access, share = self._probabilities(window, _at(self._c, rows))
+        _flat(self._send)[cells] = send
+        _flat(self._access)[cells] = access
+        _flat(self._share)[cells] = share
+
+    def sending_probabilities(self) -> np.ndarray:
+        return self._send
+
+    def window_matrix(self) -> np.ndarray:
+        return self._window
+
+    def grow(self, capacity: int) -> None:
+        extra = capacity - self.capacity
+        if extra <= 0:
+            return
+        fresh = np.empty((self.replications, extra))
+        fresh[:] = self._w_min
+        blocks = (fresh, *self._probabilities(fresh, self._c))
+        for name, block in zip(("_window", "_send", "_access", "_share"), blocks):
+            setattr(self, name, np.concatenate([getattr(self, name), block], axis=1))
+        self.capacity = capacity
+
+    def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
+        window = np.empty(cells.size)
+        window[:] = _at(self._w_min, rows)
+        self._store(cells, rows, window)
+
+    def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return _flat(self._access)[cells]
+
+    def send_share(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return _flat(self._share)[cells]
+
+    def on_access(self, cells, rows, sent, empty, noise) -> None:
+        # An accessor hears silence only as a listener (a sender in an idle
+        # slot is impossible) and backs on; every accessor of a noisy slot
+        # backs off; a success heard from another packet changes nothing.
+        changed = empty | noise
+        cells, rows, empty = cells[changed], rows[changed], empty[changed]
+        if not cells.size:
+            return
+        window = _flat(self._window)[cells]
+        factor = 1.0 + 1.0 / (_at(self._c, rows) * np.log(window))
+        window = np.where(
+            empty,
+            np.maximum(window / factor, _at(self._w_min, rows)),
+            window * factor,
+        )
+        self._store(cells, rows, window)
+
+
+# ---------------------------------------------------------------------------
+# Dense kernels
+# ---------------------------------------------------------------------------
+
+
+class SawtoothKernel(DenseKernel):
+    """Truncated sawtooth: deterministic per-slot clock, no channel feedback.
+
+    Sawtooth never listens, but its state advances on *every* slot a packet
+    is active (including sleeping slots), so the engine hands it the full
+    active matrix each slot.
+    """
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
         super().__init__(_rows(pairs), capacity)
@@ -341,12 +486,12 @@ class SawtoothKernel(VectorProtocolKernel):
         )
         self.capacity = capacity
 
-    def init_packets(self, newly: np.ndarray) -> None:
-        initial = _cells(self._initial_window, newly)
-        self._phase[newly] = initial
-        self._window[newly] = initial
-        self._count[newly] = 0
-        self._inverse[newly] = 1.0 / initial
+    def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
+        initial = _at(self._initial_window, rows)
+        _flat(self._phase)[cells] = initial
+        _flat(self._window)[cells] = initial
+        _flat(self._count)[cells] = 0
+        _flat(self._inverse)[cells] = 1.0 / initial
 
     def decide(
         self, coins: np.ndarray, send_out: np.ndarray, listen_out: np.ndarray
@@ -381,10 +526,9 @@ class SawtoothKernel(VectorProtocolKernel):
         self._inverse[due] = 1.0 / window
 
 
-class FullSensingMWKernel(VectorProtocolKernel):
+class FullSensingMWKernel(DenseKernel):
     """Multiplicative-weights probability per packet; listens every slot."""
 
-    sensing = True
     listens = True
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
@@ -410,8 +554,8 @@ class FullSensingMWKernel(VectorProtocolKernel):
         self._probability = np.concatenate([self._probability, fresh], axis=1)
         self.capacity = capacity
 
-    def init_packets(self, newly: np.ndarray) -> None:
-        self._probability[newly] = _cells(self._initial, newly)
+    def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
+        _flat(self._probability)[cells] = _at(self._initial, rows)
 
     def decide(
         self, coins: np.ndarray, send_out: np.ndarray, listen_out: np.ndarray
@@ -443,121 +587,6 @@ class FullSensingMWKernel(VectorProtocolKernel):
                     _cells(self._p_min, mask),
                 )
         # SUCCESS heard from another packet: no change.
-
-
-class LowSensingKernel(VectorProtocolKernel):
-    """LOW-SENSING BACKOFF: window per packet, updated from ternary feedback.
-
-    The send/listen thresholds are maintained incrementally (they involve
-    logarithms, so only the cells whose window changed are recomputed) —
-    the same optimisation :class:`LowSensingPacketState` applies per packet.
-    ``decoupled=True`` gives the A1 ablation variant, whose thresholds come
-    from independent send/listen coins: ``T_send = s`` and
-    ``T_listen = s + (1 − s)·a`` instead of ``a·s`` and ``a``.
-    """
-
-    sensing = True
-    listens = True
-
-    def __init__(
-        self, pairs: ProtocolRows, capacity: int, *, decoupled: bool = False
-    ) -> None:
-        super().__init__(_rows(pairs), capacity)
-        self._decoupled = decoupled
-        self._c = _param_column(pairs, lambda p: p.params.c)
-        self._w_min = _param_column(pairs, lambda p: p.params.w_min)
-        shape = (self.replications, capacity)
-        self._window = np.empty(shape)
-        self._window[:] = self._w_min
-        self._send_threshold = np.empty(shape)
-        self._listen_threshold = np.empty(shape)
-        full = np.ones(shape, dtype=bool)
-        self._set_thresholds(full)
-
-    def sending_probabilities(self) -> np.ndarray:
-        # access · send-given-access for both variants (the decoupled
-        # trichotomy keeps the same marginal send probability).
-        return self._send_threshold
-
-    def window_matrix(self) -> np.ndarray:
-        return self._window
-
-    def _set_thresholds(self, mask: np.ndarray) -> None:
-        """Recompute both thresholds at each True cell of ``mask``."""
-        window = self._window[mask]
-        c = _cells(self._c, mask)
-        log_cubed = np.log(window) ** 3
-        access = np.minimum(1.0, c * log_cubed / window)
-        send_given_access = np.minimum(1.0, 1.0 / (c * log_cubed))
-        send = access * send_given_access
-        if self._decoupled:
-            self._send_threshold[mask] = send
-            self._listen_threshold[mask] = send + (1.0 - send) * access
-        else:
-            self._send_threshold[mask] = send
-            self._listen_threshold[mask] = access
-
-    def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        shape = (self.replications, extra)
-        for name in ("_window", "_send_threshold", "_listen_threshold"):
-            setattr(
-                self,
-                name,
-                np.concatenate([getattr(self, name), np.empty(shape)], axis=1),
-            )
-        self._window[:, self.capacity :] = self._w_min
-        grown = np.zeros((self.replications, capacity), dtype=bool)
-        grown[:, self.capacity :] = True
-        self.capacity = capacity
-        self._set_thresholds(grown)
-
-    def init_packets(self, newly: np.ndarray) -> None:
-        self._window[newly] = _cells(self._w_min, newly)
-        self._set_thresholds(newly)
-
-    def decide(
-        self, coins: np.ndarray, send_out: np.ndarray, listen_out: np.ndarray
-    ) -> None:
-        np.less(coins, self._send_threshold, out=send_out)
-        np.less(coins, self._listen_threshold, out=listen_out)
-        # T_send <= T_listen, so the senders are a subset: xor leaves the
-        # listen-only cells.
-        np.logical_xor(listen_out, send_out, out=listen_out)
-
-    def _update_windows(self, mask: np.ndarray, *, backon: bool) -> None:
-        window = self._window[mask]
-        c = _cells(self._c, mask)
-        factor = 1.0 + 1.0 / (c * np.log(window))
-        if backon:
-            window = np.maximum(window / factor, _cells(self._w_min, mask))
-        else:
-            window = window * factor
-        self._window[mask] = window
-        self._set_thresholds(mask)
-
-    def on_feedback(
-        self,
-        empty_rows: np.ndarray,
-        noise_rows: np.ndarray,
-        send: np.ndarray,
-        listen: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        # Only packets that accessed the channel learn anything; a slot's
-        # surviving senders are exactly the accessors in noise rows (a lone
-        # unjammed sender wins and departs), and listeners hear whatever
-        # the row's feedback was.  SUCCESS rows leave windows unchanged.
-        if empty_rows.any():
-            mask = listen & empty_rows[:, None]
-            if mask.any():
-                self._update_windows(mask, backon=True)
-        if noise_rows.any():
-            mask = (send | listen) & noise_rows[:, None]
-            if mask.any():
-                self._update_windows(mask, backon=False)
 
 
 # ---------------------------------------------------------------------------

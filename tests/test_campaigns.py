@@ -201,6 +201,37 @@ class TestRunAndResume:
             assert all(layout.startswith("vector:") for layout in layouts)
             assert len(layouts) == 2  # one batch signature per protocol group
 
+    def test_units_stored_under_an_older_coin_order_are_recomputed(self, tmp_path):
+        """A store written before the access-driven coin order holds vector
+        units under signatures without the coin-layout version; a campaign
+        run now must recompute those units, never serve or mix them in."""
+        import hashlib
+
+        from repro.sim.vector import VectorSimulator
+
+        scenario = _scenario(VECTOR_ONLY)
+        plan = build_plan(scenario, "smoke")
+        units, hashes = _partition_units(plan, "vector", 8)
+        specs = plan.specs
+        with ResultsStore(tmp_path / "store") as store:
+            for unit in units:
+                keys = json.dumps([hashes[i] for i in unit.indices], separators=(",", ":"))
+                old_layout = "vector:" + hashlib.sha256(keys.encode("utf-8")).hexdigest()
+                assert unit.vectorized and unit.layout != old_layout
+                batch = [specs[i] for i in unit.indices]
+                for index, result in zip(
+                    unit.indices, VectorSimulator.from_specs(batch).run()
+                ):
+                    store.put_run(hashes[index], specs[index].seed, old_layout, result)
+            outcome = start_campaign(
+                store, scenario, scale="smoke", backend_name="vector", campaign_id="v"
+            )
+            assert outcome.executed_runs == outcome.total_runs
+            assert outcome.skipped_runs == 0
+            assert {row["backend_layout"] for row in store.campaign_run_rows("v")} == {
+                unit.layout for unit in units
+            }
+
     def test_processes_campaign_fingerprints_like_serial(self, tmp_path):
         """Pool-returned results pickle through an extra round trip, which
         reshuffles pickle's identity memo; artifact hashing must be a

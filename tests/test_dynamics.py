@@ -24,11 +24,11 @@ import math
 import numpy as np
 import pytest
 
+from access_reference import reference_run
 from repro.adversary.arrivals import BatchArrivals
-from repro.adversary.base import SystemView
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import NoJamming, ReactiveSuccessJammer
-from repro.channel.feedback import Feedback, FeedbackReport, SlotOutcome
+from repro.channel.feedback import SlotOutcome
 from repro.dynamics import (
     ARRAY_FIELDS,
     DEFAULT_WINDOW,
@@ -52,7 +52,6 @@ from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.engine import Simulator
 from repro.sim.results import PacketRecord, SimulationResult
 from repro.sim.vector import VectorSimulator
-from repro.sim.vector.rng import CoinBlocks, VectorStreams
 
 
 def packet_tuples(result):
@@ -214,85 +213,14 @@ class TestRendering:
 # ---------------------------------------------------------------------------
 
 
-def reference_trajectory(adversary, seed, max_slots, capacity, window):
+def reference_trajectory(adversary, seed, max_slots, window):
     """Sample a trajectory by re-running one replication with scalar
-    components on the vector coins (same harness as ``reference_run`` in
+    components on the vector coins, in the access-driven coin order (the
+    same harness that proves reactive-kernel identity in
     ``test_vector_reactive``), snapshotting at every window boundary."""
-    protocol = BinaryExponentialBackoff()
-    streams = VectorStreams([seed])
-    coins = CoinBlocks(streams, capacity)
-    states, active = {}, []
-    sends_total = listens_total = 0
-    cum = dict(arrivals=0, successes=0, collisions=0, jammed=0)
-    next_id = 0
-    running = np.ones(1, dtype=bool)
-    snapshots = []
-    budget = jammer_budget(adversary)
-
-    def snap(num_slots):
-        window_sum = (
-            float(np.sum([states[i].window for i in sorted(active)]))
-            if active
-            else 0.0
-        )
-        # Sequential ascending-id float adds, mirroring the vector cumsum.
-        probability_sum = 0.0
-        for i in sorted(active):
-            probability_sum += states[i].sending_probability()
-        snapshots.append(
-            WindowSnapshot(
-                num_slots=num_slots,
-                arrivals=cum["arrivals"], successes=cum["successes"],
-                collisions=cum["collisions"], jammed=cum["jammed"],
-                sends=sends_total, listens=listens_total,
-                backlog=len(active),
-                window_sum=window_sum, window_count=len(active),
-                probability_sum=probability_sum,
-            )
-        )
-
-    slot = 0
-    while slot < max_slots and (active or not adversary.arrivals_exhausted(slot)):
-        contention = sum(states[i].sending_probability() for i in active)
-        view = SystemView(
-            slot=slot, active_packets=tuple(active), contention=contention
-        )
-        num_arrivals = adversary.arrivals(view, None)
-        for pid in range(next_id, next_id + num_arrivals):
-            states[pid] = protocol.new_packet_state()
-            active.append(pid)
-        next_id += num_arrivals
-        cum["arrivals"] += num_arrivals
-        jammed = bool(adversary.jam(view, None))
-        row = coins.coins(slot, running)[0]
-        senders = [i for i in active if row[i] < states[i].sending_probability()]
-        if not jammed and adversary.reactive:
-            jammed = bool(adversary.reactive_jam(view, tuple(senders), None))
-        if jammed:
-            winner, feedback = None, Feedback.NOISE
-            cum["jammed"] += 1
-        elif len(senders) == 1:
-            winner, feedback = senders[0], Feedback.SUCCESS
-            cum["successes"] += 1
-        elif senders:
-            winner, feedback = None, Feedback.NOISE
-            cum["collisions"] += 1
-        else:
-            winner, feedback = None, Feedback.EMPTY
-        sends_total += len(senders)
-        for index in senders:
-            if index != winner:
-                states[index].observe(
-                    FeedbackReport(feedback=feedback, sent=True), None
-                )
-        if winner is not None:
-            active.remove(winner)
-        if (slot + 1) % window == 0:
-            snap(slot + 1)
-        slot += 1
-    if slot % window:
-        snap(slot)
-    return build_trajectory(window, slot, snapshots, budget=budget)
+    return reference_run(
+        BinaryExponentialBackoff(), adversary, seed, max_slots, dynamics_window=window
+    ).trajectory
 
 
 class TestVectorTrajectoryParity:
@@ -311,7 +239,7 @@ class TestVectorTrajectoryParity:
                 CompositeAdversary(
                     BatchArrivals(12), ReactiveSuccessJammer(budget=6)
                 ),
-                seed, 4000, 12, window,
+                seed, 4000, window,
             )
             assert vector.dynamics is not None
             assert vector.dynamics == reference

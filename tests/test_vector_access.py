@@ -1,0 +1,309 @@
+"""Tests for the access-driven lockstep kernels.
+
+LOW-SENSING, decoupled LSB, BEB, polynomial and fixed-probability change a
+packet's state only when it accesses the channel, so the engine draws the
+gap to each packet's next access, touches only the packets due, and
+records stretches without accesses or arrivals in bulk.  Four layers:
+
+* **state-machine identity** — the scalar ``PacketState`` and adversary
+  objects driven with the access-driven coin order
+  (``access_reference.reference_run``) reproduce every kernel bit-for-bit,
+  trace, potential and dynamics outputs included;
+* **row locality** — a (spec, seed) result is bit-identical run alone, in
+  its group, in a group resized from 2 to 16, and inside a mega-batch.
+  Larger groups skip fewer idle slots than singletons, so this also shows
+  that skipping changes no result;
+* **the gap sampler** — chi-square against Geometric(p), and its edges;
+* **the coin stream** — a row consumes exactly its stream's prefix,
+  however the buffer is refilled.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from access_reference import reference_run
+from repro.adversary.adaptive import BacklogCouplingAdversary
+from repro.adversary.arrivals import BatchArrivals, PeriodicBurstArrivals, PoissonArrivals
+from repro.adversary.composite import CompositeAdversary
+from repro.adversary.jamming import (
+    BernoulliJamming,
+    NoJamming,
+    PeriodicJamming,
+    ReactiveSuccessJammer,
+    ReactiveTargetedJammer,
+)
+from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
+from repro.experiments.plan import RunSpec, factory
+from repro.protocols.binary_exponential import BinaryExponentialBackoff
+from repro.protocols.fixed_probability import FixedProbabilityProtocol
+from repro.protocols.polynomial_backoff import PolynomialBackoff
+from repro.sim.vector import VectorSimulator
+from repro.sim.vector import rng as vector_rng
+from repro.sim.vector.rng import RowCoins, geometric_gaps
+from repro.telemetry import MemorySink, TelemetrySession, activated
+
+ACCESS_DRIVEN = [
+    pytest.param(LowSensingBackoff(), id="low-sensing"),
+    pytest.param(DecoupledLowSensingBackoff(), id="low-sensing-decoupled"),
+    pytest.param(BinaryExponentialBackoff(), id="binary-exponential"),
+    pytest.param(PolynomialBackoff(), id="polynomial"),
+    pytest.param(FixedProbabilityProtocol(probability=0.08), id="fixed-probability"),
+]
+
+
+def packet_tuples(result):
+    return [
+        (p.packet_id, p.arrival_slot, p.departure_slot, p.sends, p.listens)
+        for p in result.packets
+    ]
+
+
+# ---------------------------------------------------------------------------
+# State-machine identity
+# ---------------------------------------------------------------------------
+
+
+def _scalar_adversaries():
+    """Fresh deterministic scalar adversaries, as (arrival process, jammer)."""
+    return {
+        "batch": lambda: (BatchArrivals(12), NoJamming()),
+        "bursts-periodic-jam": lambda: (
+            PeriodicBurstArrivals(burst_size=4, period=60, num_bursts=4),
+            PeriodicJamming(period=7, budget=20),
+        ),
+        "reactive-success": lambda: (BatchArrivals(10), ReactiveSuccessJammer(budget=5)),
+        "reactive-targeted": lambda: (
+            BatchArrivals(8),
+            ReactiveTargetedJammer(budget=4, target_index=2),
+        ),
+    }
+
+
+class TestKernelsMatchScalarStateMachines:
+    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
+    @pytest.mark.parametrize("kind", sorted(_scalar_adversaries()))
+    def test_bit_identical_to_the_scalar_state_machine(self, protocol, kind):
+        build = _scalar_adversaries()[kind]
+        for seed in (3, 11):
+            vector = VectorSimulator(
+                protocol, *build(), seeds=[seed], max_slots=3000
+            ).run()[0]
+            reference = reference_run(
+                protocol, CompositeAdversary(*build()), seed, 3000
+            )
+            assert packet_tuples(vector) == reference.packets
+
+    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
+    def test_backlog_coupling(self, protocol):
+        def adversary():
+            return BacklogCouplingAdversary(
+                target_backlog=3, total_packets=12, jam_budget=4
+            )
+
+        for seed in (3, 11):
+            coupled = adversary()
+            vector = VectorSimulator(
+                protocol, coupled, coupled, seeds=[seed], max_slots=3000
+            ).run()[0]
+            reference = reference_run(protocol, adversary(), seed, 3000)
+            assert packet_tuples(vector) == reference.packets
+
+    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
+    def test_trace_potential_and_dynamics_match(self, protocol):
+        for seed in (3, 11):
+            vector = VectorSimulator(
+                protocol,
+                BatchArrivals(10),
+                ReactiveSuccessJammer(budget=4),
+                seeds=[seed],
+                max_slots=3000,
+                collect_trace=True,
+                collect_potential=True,
+                dynamics_window=64,
+            ).run()[0]
+            reference = reference_run(
+                protocol,
+                CompositeAdversary(BatchArrivals(10), ReactiveSuccessJammer(budget=4)),
+                seed,
+                3000,
+                collect=True,
+                dynamics_window=64,
+            )
+            assert packet_tuples(vector) == reference.packets
+            assert list(vector.trace.records) == reference.records
+            assert list(vector.potential.samples) == reference.samples
+            assert vector.dynamics == reference.trajectory
+
+    def test_a_first_gap_past_the_run_never_accesses(self):
+        # Packets arriving at slot 0 with p ~ 0 almost surely never access
+        # within the run: a capped first gap must not land on its last slot.
+        protocol = FixedProbabilityProtocol(probability=1e-12)
+        for seed in (3, 11):
+            vector = VectorSimulator(
+                protocol, BatchArrivals(3), NoJamming(), seeds=[seed], max_slots=100
+            ).run()[0]
+            assert [(p.sends, p.departure_slot) for p in vector.packets] == [(0, None)] * 3
+            assert (vector.num_slots, vector.drained) == (100, False)
+            assert vector.collector.num_successes == vector.collector.num_collisions == 0
+            reference = reference_run(
+                protocol, CompositeAdversary(BatchArrivals(3), NoJamming()), seed, 100
+            )
+            assert packet_tuples(vector) == reference.packets
+
+
+# ---------------------------------------------------------------------------
+# Row locality: a result is a function of (spec, seed) alone
+# ---------------------------------------------------------------------------
+
+
+def _adversary(kind, shift=0):
+    if kind == "batch-bernoulli":
+        return factory(
+            CompositeAdversary,
+            factory(BatchArrivals, 16 + shift),
+            factory(BernoulliJamming, probability=0.05, budget=8 + shift),
+        )
+    return factory(
+        CompositeAdversary,
+        factory(PoissonArrivals, rate=0.02 + 0.01 * shift, horizon=400),
+        factory(ReactiveSuccessJammer, budget=4 + shift),
+    )
+
+
+def _specs(protocol, adversary, seeds, **options):
+    return [
+        RunSpec(protocol=protocol, adversary=adversary, seed=seed, max_slots=3000, **options)
+        for seed in seeds
+    ]
+
+
+def assert_same_run(got, expected):
+    assert packet_tuples(got) == packet_tuples(expected)
+    assert (got.num_slots, got.drained) == (expected.num_slots, expected.drained)
+    for series in ("backlog_series", "cumulative_successes", "cumulative_jammed_active"):
+        assert getattr(got.collector, series) == getattr(expected.collector, series)
+    assert got.collector.num_jammed == expected.collector.num_jammed
+    if expected.trace is not None:
+        assert list(got.trace.records) == list(expected.trace.records)
+    if expected.potential is not None:
+        assert list(got.potential.samples) == list(expected.potential.samples)
+    assert got.dynamics == expected.dynamics
+
+
+def _idle_slots_skipped(specs):
+    mem = MemorySink()
+    with activated(TelemetrySession([mem])):
+        results = VectorSimulator.from_specs(specs).run()
+    return results, mem.counter_total("idle_slots_skipped")
+
+
+class TestRowLocality:
+    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
+    @pytest.mark.parametrize("kind", ["batch-bernoulli", "poisson-reactive"])
+    def test_alone_grouped_resized_and_mega_batched(self, protocol, kind):
+        adversary = _adversary(kind)
+        seeds = list(range(1, 17))
+        options = dict(dynamics_window=50)
+        (alone,), alone_skipped = _idle_slots_skipped(
+            _specs(protocol, adversary, [2], **options)
+        )
+        grouped = VectorSimulator.from_specs(
+            _specs(protocol, adversary, seeds[:2], **options)
+        ).run()[1]
+        resized, resized_skipped = _idle_slots_skipped(
+            _specs(protocol, adversary, seeds, **options)
+        )
+        mega = VectorSimulator.from_spec_groups(
+            [
+                _specs(protocol, _adversary(kind, shift=4), [7, 8], **options),
+                _specs(protocol, adversary, seeds[:2], **options),
+            ]
+        ).run()[3]
+        for other in (grouped, resized[1], mega):
+            assert_same_run(other, alone)
+        # The contexts skipped different idle stretches around this row.
+        assert alone_skipped > 0
+        assert alone_skipped != resized_skipped
+
+    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
+    def test_collected_outputs_are_row_local(self, protocol):
+        # Trace and potential outputs run in their own lockstep batch (no
+        # mega-batching), so the contexts are alone, paired, and resized.
+        adversary = _adversary("poisson-reactive")
+        options = dict(collect_trace=True, collect_potential=True, dynamics_window=50)
+        seeds = list(range(1, 17))
+        alone = VectorSimulator.from_specs(
+            _specs(protocol, adversary, [2], **options)
+        ).run()[0]
+        for count in (2, 16):
+            batch = VectorSimulator.from_specs(
+                _specs(protocol, adversary, seeds[:count], **options)
+            ).run()
+            assert_same_run(batch[1], alone)
+
+
+# ---------------------------------------------------------------------------
+# The geometric gap sampler
+# ---------------------------------------------------------------------------
+
+
+class TestGeometricGaps:
+    @pytest.mark.parametrize("p", [0.65, 1e-3, 1e-9])
+    def test_chi_square_against_geometric(self, p):
+        draws = 200_000
+        uniforms = np.random.default_rng(20261016).random(draws)
+        gaps = geometric_gaps(uniforms, np.full(draws, p), 2**62)
+        # Bin edges at the distribution's twentieths: the smallest gap k
+        # with P(G <= k) >= i/20; expected counts from the exact CDF.
+        quantiles = np.arange(1, 20) / 20
+        edges = np.unique(np.ceil(np.log1p(-quantiles) / np.log1p(-p)).astype(np.int64))
+        cdf = -np.expm1(edges * np.log1p(-p))
+        expected = draws * np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+        observed = np.bincount(np.searchsorted(edges, gaps), minlength=edges.size + 1)
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        df = edges.size
+        # Wilson–Hilferty approximation of the chi-square 0.999 quantile.
+        critical = df * (1 - 2 / (9 * df) + 3.09 * math.sqrt(2 / (9 * df))) ** 3
+        assert statistic < critical
+
+    def test_certain_access_is_always_the_next_slot(self):
+        uniforms = np.random.default_rng(7).random(100_000)
+        assert (geometric_gaps(uniforms, np.ones(uniforms.size), 1000) == 1).all()
+        extremes = np.array([0.0, 1 - 2**-53])
+        assert (geometric_gaps(extremes, 1.0, 1000) == 1).all()
+
+    def test_vanishing_probability_never_accesses_within_the_horizon(self):
+        uniforms = np.array([1e-12, 0.5, 1 - 2**-53])
+        for p in (5e-324, 1e-320, 0.0):
+            assert abs(np.log1p(-p)) < np.finfo(float).tiny  # underflowed
+            gaps = geometric_gaps(uniforms, np.full(uniforms.size, p), 1000)
+            assert gaps.dtype == np.int64
+            assert gaps.tolist() == [1000, 1000, 1000]
+
+
+# ---------------------------------------------------------------------------
+# The per-row coin stream
+# ---------------------------------------------------------------------------
+
+
+def test_row_coins_consume_each_rows_stream_prefix(monkeypatch):
+    monkeypatch.setattr(vector_rng, "_ROW_COIN_WIDTH", 8)
+    keys = (5, 6, 7)
+    coins = RowCoins([np.random.Generator(np.random.Philox(key=key)) for key in keys])
+    consumed = [[] for _ in keys]
+    rng = random.Random(0)
+    for _ in range(60):
+        # Bursts wider than the buffer force refills and regrowth.
+        counts = np.array([rng.choice((0, 1, 3, 9, 20)) for _ in keys])
+        rows = np.repeat(np.arange(len(keys)), counts)
+        values = coins.take(rows, counts)
+        for row in range(len(keys)):
+            consumed[row].extend(values[rows == row].tolist())
+    for row, key in enumerate(keys):
+        expected = np.random.Generator(np.random.Philox(key=key)).random(len(consumed[row]))
+        assert consumed[row] == expected.tolist()

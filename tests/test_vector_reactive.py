@@ -7,8 +7,9 @@ checking, mirroring ``test_vector_sensing``:
 
 * **state-machine identity** — driving the *scalar adversary objects*
   (``ReactiveSuccessJammer``, ``ReactiveTargetedJammer``,
-  ``BacklogCouplingAdversary``) with the vector engine's own coins must
-  reproduce the vector results bit-for-bit.  This proves the kernels
+  ``BacklogCouplingAdversary``) with the vector engine's own coins, in the
+  access-driven coin order (``access_reference``), must reproduce the
+  vector results bit-for-bit.  This proves the kernels
   implement exactly the scalar jam/injection logic, so any residual
   vector-vs-scalar difference is the random-stream layout — the vector
   engine's documented contract;
@@ -23,12 +24,11 @@ checking, mirroring ``test_vector_sensing``:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from access_reference import reference_run
 from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import AdversarialQueueingArrivals, BatchArrivals
-from repro.adversary.base import SystemView
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
     AdaptiveContentionJammer,
@@ -38,14 +38,10 @@ from repro.adversary.jamming import (
     ReactiveTargetedJammer,
 )
 from repro.analysis.equivalence import verify_vector_equivalence
-from repro.channel.feedback import Feedback, FeedbackReport, SlotOutcome
-from repro.channel.trace import SlotRecord
 from repro.core.low_sensing import LowSensingBackoff
-from repro.core.potential import PotentialCoefficients, PotentialTracker
 from repro.experiments.plan import RunSpec, factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.vector import VectorSimulator
-from repro.sim.vector.rng import CoinBlocks, VectorStreams
 
 
 def packet_tuples(result):
@@ -58,95 +54,6 @@ def packet_tuples(result):
 # ---------------------------------------------------------------------------
 # State-machine identity: scalar adversaries driven by the vector coins
 # ---------------------------------------------------------------------------
-
-
-def reference_run(adversary, seed, max_slots, capacity, *, collect=False):
-    """Re-run one replication with scalar components on the vector coins.
-
-    ``adversary`` is a *scalar* adversary object (a fresh instance — the
-    reference mutates its budget counters).  The protocol is binary
-    exponential backoff, whose single-coin decision (``u < 1/w`` sends)
-    matches the vector layout exactly, so scalar adversary logic plus the
-    vector coin stream must reproduce the vector engine bit-for-bit.
-
-    Returns ``(packets, records, samples)``; the latter two are only
-    populated when ``collect`` is true, and follow the scalar engine's slot
-    order exactly: view snapshot pre-injection, arrivals, base jam, packet
-    decisions, reactive jam, resolution, feedback, departure, then the
-    potential sampled from post-departure windows.
-    """
-    protocol = BinaryExponentialBackoff()
-    streams = VectorStreams([seed])
-    coins = CoinBlocks(streams, capacity)
-    states: dict[int, object] = {}
-    active: list[int] = []
-    sends: dict[int, int] = {}
-    arrival_slots: dict[int, int] = {}
-    departed: dict[int, int] = {}
-    next_id = 0
-    running = np.ones(1, dtype=bool)
-    records: list[SlotRecord] = []
-    tracker = PotentialTracker(PotentialCoefficients()) if collect else None
-    slot = 0
-    while slot < max_slots and (active or not adversary.arrivals_exhausted(slot)):
-        contention = sum(states[i].sending_probability() for i in active)
-        view = SystemView(
-            slot=slot, active_packets=tuple(active), contention=contention
-        )
-        num_arrivals = adversary.arrivals(view, None)
-        arrival_ids = tuple(range(next_id, next_id + num_arrivals))
-        for packet_id in arrival_ids:
-            states[packet_id] = protocol.new_packet_state()
-            sends[packet_id] = 0
-            arrival_slots[packet_id] = slot
-            active.append(packet_id)
-        next_id += num_arrivals
-        active_before = len(active)
-        jammed = bool(adversary.jam(view, None))
-        row = coins.coins(slot, running)[0]
-        senders = [i for i in active if row[i] < states[i].sending_probability()]
-        if not jammed and adversary.reactive:
-            jammed = bool(adversary.reactive_jam(view, tuple(senders), None))
-        if jammed:
-            outcome, winner, feedback = SlotOutcome.JAMMED, None, Feedback.NOISE
-        elif len(senders) == 1:
-            outcome, winner, feedback = SlotOutcome.SUCCESS, senders[0], Feedback.SUCCESS
-        elif senders:
-            outcome, winner, feedback = SlotOutcome.COLLISION, None, Feedback.NOISE
-        else:
-            outcome, winner, feedback = SlotOutcome.EMPTY, None, Feedback.EMPTY
-        for index in senders:
-            sends[index] += 1
-            if index != winner:
-                states[index].observe(
-                    FeedbackReport(feedback=feedback, sent=True), None
-                )
-        if winner is not None:
-            active.remove(winner)
-            departed[winner] = slot
-        if collect:
-            sample = tracker.record(slot, [states[i].window for i in active])
-            records.append(
-                SlotRecord(
-                    slot=slot,
-                    outcome=outcome,
-                    jammed=jammed,
-                    arrivals=arrival_ids,
-                    senders=tuple(senders),
-                    listeners=(),
-                    winner=winner,
-                    active_before=active_before,
-                    active_after=len(active),
-                    contention=contention,
-                    potential=sample.potential,
-                )
-            )
-        slot += 1
-    packets = [
-        (index, arrival_slots[index], departed.get(index), sends[index], 0)
-        for index in sorted(arrival_slots)
-    ]
-    return packets, records, tracker.samples if tracker else []
 
 
 class TestReactiveKernelsMatchScalarAdversaries:
@@ -164,8 +71,8 @@ class TestReactiveKernelsMatchScalarAdversaries:
             adversary = CompositeAdversary(
                 BatchArrivals(12), ReactiveSuccessJammer(budget=6)
             )
-            packets, _, _ = reference_run(adversary, seed, 4000, 12)
-            assert packet_tuples(vector) == packets
+            reference = reference_run(BinaryExponentialBackoff(), adversary, seed, 4000)
+            assert packet_tuples(vector) == reference.packets
             assert vector.collector.num_jammed == 6
 
     def test_reactive_targeted(self):
@@ -181,8 +88,8 @@ class TestReactiveKernelsMatchScalarAdversaries:
                 BatchArrivals(8),
                 ReactiveTargetedJammer(budget=4, target_index=target),
             )
-            packets, _, _ = reference_run(adversary, seed, 4000, 8)
-            assert packet_tuples(vector) == packets
+            reference = reference_run(BinaryExponentialBackoff(), adversary, seed, 4000)
+            assert packet_tuples(vector) == reference.packets
 
     def test_backlog_coupling(self):
         for seed in (3, 11, 42):
@@ -199,7 +106,7 @@ class TestReactiveKernelsMatchScalarAdversaries:
             reference = BacklogCouplingAdversary(
                 target_backlog=3, total_packets=12, jam_budget=4
             )
-            packets, _, _ = reference_run(reference, seed, 4000, 12)
+            packets = reference_run(BinaryExponentialBackoff(), reference, seed, 4000).packets
             assert packet_tuples(vector) == packets
 
 
@@ -223,13 +130,13 @@ class TestTraceAndPotentialParity:
             adversary = CompositeAdversary(
                 BatchArrivals(10), ReactiveSuccessJammer(budget=4)
             )
-            _, records, samples = reference_run(
-                adversary, seed, 4000, 10, collect=True
+            reference = reference_run(
+                BinaryExponentialBackoff(), adversary, seed, 4000, collect=True
             )
             assert vector.trace is not None
             assert vector.potential is not None
-            assert list(vector.trace.records) == records
-            assert list(vector.potential.samples) == samples
+            assert list(vector.trace.records) == reference.records
+            assert list(vector.potential.samples) == reference.samples
 
     def test_trace_only_run_omits_potential(self):
         result = VectorSimulator(

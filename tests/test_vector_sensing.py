@@ -3,8 +3,10 @@
 Three layers of checking, from exact to statistical:
 
 * **state-machine identity** — driving the scalar ``PacketState`` objects
-  with the *vector engine's own coins* (same trichotomy thresholds, same
-  per-replication feedback) must reproduce the vector results bit-for-bit.
+  with the *vector engine's own coins* in its own order (the access-driven
+  order of ``access_reference`` for LOW-SENSING; one coin matrix per slot,
+  with the same trichotomy thresholds, for Sawtooth and MW) and the same
+  per-replication feedback must reproduce the vector results bit-for-bit.
   This proves the kernels implement exactly the scalar protocol logic, so
   any residual vector-vs-scalar difference is the random-stream layout —
   which is the vector engine's documented contract;
@@ -22,6 +24,7 @@ import random
 import numpy as np
 import pytest
 
+from access_reference import reference_run
 from repro.adversary.arrivals import BatchArrivals, PeriodicBurstArrivals, PoissonArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import BernoulliJamming, BurstJamming, NoJamming, PeriodicJamming
@@ -48,8 +51,8 @@ def packet_tuples(result):
 # ---------------------------------------------------------------------------
 
 
-def reference_run(protocol, n, seed, max_slots, thresholds):
-    """Re-run one replication with scalar PacketStates on the vector coins.
+def dense_reference_run(protocol, n, seed, max_slots, thresholds):
+    """Re-run one replication with scalar PacketStates on the dense coins.
 
     ``thresholds(state) -> (t_send, t_listen)`` maps a scalar packet state
     to the single-coin trichotomy the kernels use: ``u < t_send`` sends,
@@ -116,7 +119,7 @@ class TestKernelsMatchScalarStateMachines:
             vector = VectorSimulator(
                 protocol, BatchArrivals(10), NoJamming(), seeds=[seed], max_slots=600
             ).run()[0]
-            assert packet_tuples(vector) == reference_run(
+            assert packet_tuples(vector) == dense_reference_run(
                 protocol, 10, seed, 600, thresholds
             )
 
@@ -130,39 +133,31 @@ class TestKernelsMatchScalarStateMachines:
             vector = VectorSimulator(
                 protocol, BatchArrivals(12), NoJamming(), seeds=[seed], max_slots=800
             ).run()[0]
-            assert packet_tuples(vector) == reference_run(
+            assert packet_tuples(vector) == dense_reference_run(
                 protocol, 12, seed, 800, thresholds
             )
 
     def test_low_sensing(self):
         protocol = LowSensingBackoff()
-
-        def thresholds(state):
-            access = state.access_probability()
-            return access * state._send_given_access, access
-
         for seed in (3, 11):
             vector = VectorSimulator(
                 protocol, BatchArrivals(10), NoJamming(), seeds=[seed], max_slots=4000
             ).run()[0]
-            assert packet_tuples(vector) == reference_run(
-                protocol, 10, seed, 4000, thresholds
+            reference = reference_run(
+                protocol, CompositeAdversary(BatchArrivals(10), NoJamming()), seed, 4000
             )
+            assert packet_tuples(vector) == reference.packets
 
     def test_decoupled_low_sensing(self):
         protocol = DecoupledLowSensingBackoff()
-
-        def thresholds(state):
-            send = state.sending_probability()
-            return send, send + (1.0 - send) * state.access_probability()
-
         for seed in (3, 11):
             vector = VectorSimulator(
                 protocol, BatchArrivals(10), NoJamming(), seeds=[seed], max_slots=4000
             ).run()[0]
-            assert packet_tuples(vector) == reference_run(
-                protocol, 10, seed, 4000, thresholds
+            reference = reference_run(
+                protocol, CompositeAdversary(BatchArrivals(10), NoJamming()), seed, 4000
             )
+            assert packet_tuples(vector) == reference.packets
 
 
 class TestLowSensingKernelMath:
@@ -174,33 +169,31 @@ class TestLowSensingKernelMath:
         kernel = make_protocol_kernel(protocol, 1, 1)
         assert isinstance(kernel, LowSensingKernel)
         state = protocol.new_packet_state()
-        cell = np.ones((1, 1), dtype=bool)
-        empty = np.array([True])
-        noise = np.array([False])
-        no_rows = np.array([False])
-        sent = np.zeros((1, 1), dtype=bool)
+        cell = np.zeros(1, dtype=np.int64)  # the only cell, in row 0
+        yes = np.ones(1, dtype=bool)
+        no = ~yes
 
         def assert_in_sync():
-            assert kernel._window[0, 0] == pytest.approx(state.window, rel=1e-12)
-            assert kernel._send_threshold[0, 0] == pytest.approx(
+            assert kernel.window_matrix()[0, 0] == pytest.approx(state.window, rel=1e-12)
+            assert kernel.sending_probabilities()[0, 0] == pytest.approx(
                 state.sending_probability(), rel=1e-12
             )
-            assert kernel._listen_threshold[0, 0] == pytest.approx(
+            assert kernel.access_probability(cell, cell)[0] == pytest.approx(
                 state.access_probability(), rel=1e-12
             )
 
         assert_in_sync()
         # A run of noisy slots (listener hears NOISE): backoff each time.
         for _ in range(12):
-            kernel.on_feedback(no_rows, empty, sent, cell, cell)
+            kernel.on_access(cell, cell, no, no, yes)
             state.observe(FeedbackReport(feedback=Feedback.NOISE, sent=False), None)
             assert_in_sync()
         # Then silence: back on, clamped at w_min.
         for _ in range(20):
-            kernel.on_feedback(empty, noise, sent, cell, cell)
+            kernel.on_access(cell, cell, no, yes, no)
             state.observe(FeedbackReport(feedback=Feedback.EMPTY, sent=False), None)
             assert_in_sync()
-        assert kernel._window[0, 0] == pytest.approx(params.w_min)
+        assert kernel.window_matrix()[0, 0] == pytest.approx(params.w_min)
 
 
 # ---------------------------------------------------------------------------
