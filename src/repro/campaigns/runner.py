@@ -6,13 +6,15 @@ Execution model
 A campaign's plan is partitioned into **units**, the checkpoint granularity:
 
 * a replication group that the vector engine can batch (when the campaign
-  runs on the ``vector`` backend) is **one unit** — the whole lockstep
-  batch runs or re-runs together, because a vectorized result is a
-  deterministic function of the entire ordered batch (see
-  :func:`repro.experiments.plan.batch_signature`), not of its own spec;
-* every other spec is individually deterministic, so scalar runs are
-  chunked into units of ``checkpoint_every`` and each run can be skipped
-  or re-run on its own.
+  runs on the ``vector`` backend) is **one unit**, one lockstep batch,
+  filed under the vector result layout
+  (:data:`repro.sim.vector.RESULT_LAYOUT`);
+* every other group is chunked into scalar units of ``checkpoint_every``
+  runs, filed under ``"scalar"``.
+
+Every run, vectorized or not, is a deterministic function of its (spec,
+seed) and layout, so each run is skipped or re-run on its own: a unit
+executes only its runs missing from the store.
 
 After a unit executes, its results are written to the store and its
 membership rows committed in one transaction.  A kill therefore loses at
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.exec.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
-from repro.experiments.plan import RunSpec, SweepPlan, batch_signature
+from repro.experiments.plan import RunSpec, SweepPlan
 from repro.experiments.spec import ExperimentReport, ExperimentSpec
 from repro.store import METRIC_COLUMNS, ResultsStore
 from repro.telemetry import current as current_telemetry
@@ -118,19 +120,19 @@ def _partition_units(
             )
     units: list[_Unit] = []
     for group in plan.groups:
-        group_specs = [specs[index] for index in group.spec_indices]
         vectorize = (
-            backend_name == "vector" and group_specs[0].vector_support() is None
+            backend_name == "vector"
+            and specs[group.spec_indices[0]].vector_support() is None
         )
         if vectorize:
-            signature = batch_signature(group_specs)
-            assert signature is not None  # hashes checked above
+            from repro.sim.vector import RESULT_LAYOUT
+
             units.append(
                 _Unit(
                     group_id=group.group_id,
                     protocol=group.protocol_name,
                     indices=tuple(group.spec_indices),
-                    layout=f"vector:{signature}",
+                    layout=RESULT_LAYOUT,
                     vectorized=True,
                 )
             )
@@ -216,11 +218,6 @@ def _execute(
                 for index in unit.indices
                 if not store.has_run(hashes[index], specs[index].seed, unit.layout)
             ]
-        if unit.vectorized and pending:
-            # A vector batch is all-or-nothing: partially stored runs (a
-            # kill between artifact writes) are simply re-produced — the
-            # re-run is bit-identical, so the store converges.
-            pending = list(unit.indices)
         if pending:
             pending_specs = [specs[index] for index in pending]
             if unit.vectorized:
@@ -348,8 +345,6 @@ def start_campaign(
     and the store fingerprint are unchanged by it, and a resume may choose
     a different window (only runs actually executed record trajectories).
     """
-    from repro.scenarios.runner import build_plan, scenario_seeds
-
     if backend_name not in CAMPAIGN_BACKENDS:
         raise CampaignError(
             f"unknown campaign backend {backend_name!r}; "
@@ -361,20 +356,24 @@ def start_campaign(
         # Checked here, before the campaign row is created: a backend
         # constructor raising later would strand a 'running' campaign.
         raise CampaignError("workers must be positive")
-    seed_list = scenario_seeds(scenario, scale, seeds)
-    scenario_hash = scenario.content_hash()
-    if campaign_id is None:
-        campaign_id = default_campaign_id(
-            scenario.scenario_id, scenario_hash, scale, seed_list, backend_name
-        )
-    existing = store.get_campaign(campaign_id)
-    if existing is not None:
-        raise CampaignError(
-            f"campaign {campaign_id!r} already exists "
-            f"(status {existing['status']}); use resume"
-        )
     tele = current_telemetry()
+    # Resolving the request and checking the store for it are timed with
+    # the plan, so no set-up work falls outside the phase accounting.
     with tele.span("build", kind="phase", backend=backend_name, op="plan"):
+        from repro.scenarios.runner import build_plan, scenario_seeds
+
+        seed_list = scenario_seeds(scenario, scale, seeds)
+        scenario_hash = scenario.content_hash()
+        if campaign_id is None:
+            campaign_id = default_campaign_id(
+                scenario.scenario_id, scenario_hash, scale, seed_list, backend_name
+            )
+        existing = store.get_campaign(campaign_id)
+        if existing is not None:
+            raise CampaignError(
+                f"campaign {campaign_id!r} already exists "
+                f"(status {existing['status']}); use resume"
+            )
         plan = build_plan(scenario, scale, seed_list, dynamics_window=dynamics_window)
     with tele.span(
         "commit", kind="phase", backend=backend_name, op="create-campaign"

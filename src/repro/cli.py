@@ -1758,21 +1758,16 @@ def _command_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 
 def _command_cache(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    # Open through the cache backend, not the raw store: an existing
-    # directory of legacy loose-pickle entries (no store.db yet) is
-    # exactly what these commands must be able to inspect and prune, and
-    # the backend's lazy open migrates those entries into the store.
-    # Only a missing directory is a hard error (mistyped path).
+    # A missing directory is a hard error (mistyped path).
     root = pathlib.Path(args.cache_dir)
     if not root.is_dir():
         parser.error(
             f"no cache directory at {args.cache_dir!r} "
             "(a --cache-dir sweep or 'campaign run' creates one)"
         )
-    from repro.exec.cache import ResultCacheBackend
+    from repro.store import ResultsStore
 
-    with ResultCacheBackend(root) as backend:
-        store = backend.store
+    with ResultsStore(root) as store:
         if args.cache_command == "stats":
             stats = store.stats()
             if args.json:

@@ -11,8 +11,11 @@ Every backend honours the same contract:
 * results are returned in job order, regardless of completion order;
 * each job builds its configuration (and therefore its adversary) freshly,
   so no mutable state leaks between replicates;
-* the results are identical to what :class:`SerialBackend` produces for the
-  same jobs — parallelism must never change the science.
+* a job's result is a deterministic function of the job and the backend's
+  *result layout* (:meth:`ExecutionBackend.result_layout`), never of the
+  batch it runs in: ``"scalar"`` results are identical to what
+  :class:`SerialBackend` produces — parallelism must never change the
+  science — and the vector backend's layout is statistically equivalent.
 
 Telemetry (:mod:`repro.telemetry`) rides along without touching that
 contract: backends emit build/simulate phase spans and post-run counters
@@ -197,16 +200,14 @@ class ExecutionBackend(abc.ABC):
     def run(self, jobs: Sequence[RunJob]) -> list[SimulationResult]:
         """Execute every job and return their results in job order."""
 
-    def result_layout(self, job: RunJob) -> str | None:
+    def result_layout(self, job: RunJob) -> str:
         """Identity namespace of the result this backend produces for ``job``.
 
         ``"scalar"`` is the reference layout: serial and process-pool
         executions are bit-identical, so their results are interchangeable
-        under one cache key.  A backend whose result for a job is *not* a
-        deterministic function of the job alone (e.g. the vector backend,
-        whose coin layout depends on the batch it groups the job into)
-        returns ``None``, which tells the result cache the job has no
-        stable identity and must never be cached or served from cache.
+        under one cache key.  Every backend's result for a job is a
+        deterministic function of the job and its layout, so the result
+        cache files it under ``(spec hash, seed, layout)``.
         """
         return "scalar"
 
@@ -259,7 +260,7 @@ class DynamicsBackend(ExecutionBackend):
     def run(self, jobs: Sequence[RunJob]) -> list[SimulationResult]:
         return self._inner.run([self._with_dynamics(job) for job in jobs])
 
-    def result_layout(self, job: RunJob) -> str | None:
+    def result_layout(self, job: RunJob) -> str:
         return self._inner.result_layout(self._with_dynamics(job))
 
     def describe(self) -> dict[str, Any]:

@@ -10,18 +10,17 @@ Persistence lives in a :class:`~repro.store.ResultsStore` rooted at
 ``cache_dir`` (a SQLite registry plus content-addressed artifacts), so
 cached results carry provenance (spec hash, code version, metrics), are
 queryable and prunable (``python -m repro cache stats|prune``), and share
-one durable layer with campaigns.  The hit/miss contract is unchanged from
-the old loose-pickle cache: a corrupt or unreadable artifact counts as a
-miss, is re-run, and is replaced by a fresh entry.
+one durable layer with campaigns.  A corrupt or unreadable artifact counts
+as a miss, is re-run, and is replaced by a fresh entry.
 
 Only jobs that expose a stable ``cache_key()`` (notably
 :class:`~repro.experiments.plan.RunSpec`) participate; jobs without one, or
 whose key is ``None``, are always delegated to the inner backend and never
-stored, because there is no safe identity to file them under.  The same
-logic extends to the *result layout*: entries are filed per layout
-(``ExecutionBackend.result_layout``), so a vector-engine result is never
-served to a serial run or vice versa, and jobs whose result depends on
-batch composition (vectorized jobs) are not cached at all.
+stored, because there is no safe identity to file them under.  Entries are
+filed per *result layout* (``ExecutionBackend.result_layout``): ``"scalar"``
+for the serial and process-pool engines, the vector layout for vectorized
+jobs, so a vector-engine result is never served to a serial run or vice
+versa.
 """
 
 from __future__ import annotations
@@ -65,39 +64,7 @@ class ResultCacheBackend(ExecutionBackend):
             from repro.store import ResultsStore
 
             self._store = ResultsStore(self.cache_dir)
-            self._migrate_legacy_entries(self._store)
         return self._store
-
-    def _migrate_legacy_entries(self, store) -> None:
-        """Adopt loose ``<spec_hash>.pkl`` entries from the pre-store cache.
-
-        Earlier releases pickled each scalar result directly under
-        ``cache_dir``.  Those files are still valid results, so they are
-        moved into the store (keeping sweeps over them warm) instead of
-        becoming dead disk that ``cache prune`` could never reclaim.
-        Unreadable legacy files are deleted — under the old scheme they
-        were misses destined to be overwritten anyway — but a *readable*
-        entry is only unlinked once its store write succeeded, so a
-        transient store failure (locked database, full disk) leaves it
-        in place for the next attempt.
-        """
-        import pickle
-        import re
-
-        for path in self.cache_dir.glob("*.pkl"):
-            if not re.fullmatch(r"[0-9a-f]{64}", path.stem):
-                continue
-            try:
-                with path.open("rb") as handle:
-                    result = pickle.load(handle)
-            except Exception:
-                path.unlink(missing_ok=True)
-                continue
-            try:
-                store.put_run(path.stem, result.seed, "scalar", result)
-            except Exception:
-                continue
-            path.unlink(missing_ok=True)
 
     def run(self, jobs: Sequence[RunJob]) -> list[SimulationResult]:
         tele = current_telemetry()
@@ -139,7 +106,7 @@ class ResultCacheBackend(ExecutionBackend):
                         self.store.put_run(*key, result)
         return results  # type: ignore[return-value]
 
-    def result_layout(self, job: RunJob) -> str | None:
+    def result_layout(self, job: RunJob) -> str:
         return self.inner.result_layout(job)
 
     def close(self) -> None:
@@ -166,16 +133,10 @@ class ResultCacheBackend(ExecutionBackend):
             return None
         # The store row identifies (spec, seed, result layout): results from
         # the reference "scalar" layout are shared between serial and
-        # process-pool runs (they are bit-identical), other layouts are
-        # namespaced by the layout string, and a job with no stable result
-        # identity under the inner backend (layout None — e.g. a vectorized
-        # job, whose coins depend on its batch) is never cached or served
-        # from cache.
-        layout = self.inner.result_layout(job)
-        if layout is None:
-            return None
+        # process-pool runs (they are bit-identical), and other layouts are
+        # namespaced by the layout string.
         key = key_method()
         if key is None:
             return None
         seed = getattr(job, "seed", 0)
-        return key, int(seed), layout
+        return key, int(seed), self.inner.result_layout(job)

@@ -15,14 +15,12 @@ Contract differences from the other backends:
   its own (it is literally the same code path);
 * vectorized results are **statistically equivalent** to serial results,
   not bit-identical — the vector engine draws per-replication Philox
-  streams instead of per-packet ``random.Random`` streams.  Repeated
-  ``VectorBackend`` runs of the same batch are bit-identical, and
-  mega-batched execution is bit-identical to per-group vector execution
-  (each group keeps its own coin geometry inside the stacked batch), so
-  mega-batching changes wall-clock only — never results, and never the
-  ``batch_signature`` storage identities the campaign store files
-  vectorized results under.  See ``repro.analysis.equivalence`` for the
-  checking harness.
+  streams instead of per-packet ``random.Random`` streams.  A vectorized
+  result is a function of its (spec, seed) alone, whatever batch or
+  mega-batch it runs in, so mega-batching changes wall-clock only, and the
+  result cache files vectorized results per job under the one vector
+  layout (:data:`~repro.sim.vector.RESULT_LAYOUT`).  See
+  ``repro.analysis.equivalence`` for the checking harness.
 
 Only jobs that declare their vectorizability (``vector_support()``, i.e.
 :class:`~repro.experiments.plan.RunSpec`) are eligible; opaque jobs such as
@@ -248,17 +246,17 @@ class VectorBackend(ExecutionBackend):
         self.mega_batches += len(batches)
         return results  # type: ignore[return-value]
 
-    def result_layout(self, job: RunJob) -> str | None:
-        """Vectorized jobs have no stable per-job result identity.
+    def result_layout(self, job: RunJob) -> str:
+        """The vector layout for vectorized jobs, the fallback's otherwise.
 
-        A dense kernel's coins depend on the batch a job is grouped into
-        (the coin-block geometry is a function of the replication count),
-        so the result cache must not file vectorized jobs under their own
-        key — and a scalar-layout cache entry must never be served to one.
-        Fallback jobs inherit the fallback backend's layout.
+        A vectorized result is a function of its (spec, seed) alone, so it
+        caches per job — under its own layout, so a scalar-layout entry is
+        never served to a vectorized job or vice versa.
         """
         if self._group_key(job) is not None:
-            return None
+            from repro.sim.vector import RESULT_LAYOUT
+
+            return RESULT_LAYOUT
         return self.fallback.result_layout(job)
 
     _group_key = staticmethod(vector_group_key)

@@ -38,13 +38,6 @@ from repro.sim.results import SimulationResult
 #: previously cached results stale (randomness layout, metric definitions…).
 SPEC_SCHEMA_VERSION = 1
 
-#: Version of the vector engine's coin order, folded into every
-#: :func:`batch_signature`: vectorized results stored under an older coin
-#: order are then never served to, or mixed into, a campaign run under the
-#: current one.  Version 2 draws access-driven kernels' coins per channel
-#: access instead of per packet-slot.
-VECTOR_COIN_LAYOUT = 2
-
 
 @dataclass(frozen=True)
 class Factory:
@@ -208,29 +201,6 @@ class SweepGroup:
     columns: tuple[tuple[str, Any], ...]
     spec_indices: tuple[int, ...]
     seeds: tuple[int, ...]
-
-
-def batch_signature(specs: Sequence["RunSpec"]) -> str | None:
-    """Stable identity of one lockstep vector batch, or ``None``.
-
-    A vectorized result depends on the engine's coin order
-    (:data:`VECTOR_COIN_LAYOUT`) and, for the dense kernels, on the *whole
-    ordered batch* it ran in (their coin-block geometry depends on the
-    replication count and order), not on its own spec alone.  Hashing the
-    coin-order version with the ordered spec content hashes therefore gives
-    vector results a stable storage identity: the results store files them
-    under layout ``vector:<signature>``, so a batch re-run with the same
-    composition and coin order is served bit-identically while a
-    differently composed batch, or one stored under another coin order,
-    never collides.  ``None`` when any spec lacks a cache key.
-    """
-    keys = [spec.cache_key() for spec in specs]
-    if not keys or any(key is None for key in keys):
-        return None
-    payload = json.dumps(
-        {"coins": VECTOR_COIN_LAYOUT, "specs": keys}, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class SweepPlan:

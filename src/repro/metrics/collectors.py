@@ -10,7 +10,9 @@ per slot so that even 10^5-slot executions stay cheap.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Any
 
 from repro.channel.feedback import SlotOutcome
 
@@ -29,8 +31,25 @@ class SlotObservation:
     num_listeners: int
 
 
+#: The per-slot series, in the order :class:`MetricsCollector` creates them.
+_SERIES = (
+    "backlog_series",
+    "cumulative_arrivals",
+    "cumulative_successes",
+    "cumulative_jammed_active",
+    "cumulative_active_slots",
+)
+
+
 class MetricsCollector:
-    """Accumulates counters and per-slot series for one execution."""
+    """Accumulates counters and per-slot series for one execution.
+
+    A collector restored from a pickle (a stored or pool-returned result)
+    keeps its series packed, 4 bytes a slot instead of ~20 as a list of
+    ints, and unpacks each into its list on first read: a process holding
+    many loaded results stays small.  Pickling unpacks them, so a result's
+    bytes never depend on whether it was loaded.
+    """
 
     def __init__(self, collect_series: bool = True) -> None:
         self.collect_series = collect_series
@@ -83,6 +102,35 @@ class MetricsCollector:
             self.cumulative_successes.append(self.num_successes)
             self.cumulative_jammed_active.append(self.num_jammed_active)
             self.cumulative_active_slots.append(self.num_active_slots)
+
+    # -- Pickling --------------------------------------------------------
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        packed = state.pop("_packed", {})
+        for name in _SERIES:
+            state[name] = packed[name].tolist() if name in packed else state.pop(name)
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self._packed = {}
+        for name, value in state.items():
+            if name in _SERIES:
+                try:
+                    self._packed[name] = array("i", value)
+                except OverflowError:
+                    self._packed[name] = array("q", value)
+            else:
+                setattr(self, name, value)
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute not set: a series still packed.
+        packed = self.__dict__.get("_packed", {})
+        if name not in packed:
+            raise AttributeError(name)
+        values = packed.pop(name).tolist()
+        setattr(self, name, values)
+        return values
 
     # -- Convenience -----------------------------------------------------
 

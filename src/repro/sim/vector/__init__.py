@@ -11,13 +11,14 @@ transparently).
 
 Vector results agree with scalar results statistically, not bit-for-bit:
 the engines draw from differently shaped random streams (per-replication
-Philox here, per-packet ``random.Random`` there).  Repeated vector runs of
-the same batch are bit-identical, and the access-driven kernels' results
-are a function of (spec, seed) alone.  ``repro.analysis.equivalence``
-provides the statistical-agreement harness.
+Philox here, per-packet ``random.Random`` there).  Every vector result is
+a function of its (spec, seed) alone, whatever batch it runs in, and is
+filed under the one vector result layout :data:`RESULT_LAYOUT`.
+``repro.analysis.equivalence`` provides the statistical-agreement harness.
 """
 
 from repro.sim.vector.engine import VectorSimulator
+from repro.sim.vector.rng import RESULT_LAYOUT
 from repro.sim.vector.support import (
     VECTOR_ARRIVALS,
     VECTOR_JAMMERS,
@@ -29,6 +30,7 @@ from repro.sim.vector.support import (
 )
 
 __all__ = [
+    "RESULT_LAYOUT",
     "VECTOR_ARRIVALS",
     "VECTOR_JAMMERS",
     "VECTOR_PROTOCOLS",

@@ -420,9 +420,9 @@ class VectorJammer(abc.ABC):
         """Draw whatever randomness the next ``count`` slots need.
 
         ``running`` masks replications whose execution already ended;
-        their draws are skipped (nothing ever reads them — finish times
-        are a deterministic function of the seeds, so skipping keeps runs
-        bit-reproducible, exactly like the packet coin blocks).
+        their draws are skipped (nothing ever reads them, and a row's
+        finish time is a function of its own spec and seed, so skipping
+        keeps every row's draws its own).
         """
 
     @abc.abstractmethod

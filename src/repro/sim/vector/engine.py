@@ -24,34 +24,34 @@ Two decision paths share the loop:
   follows channel accesses, not packets × slots;
 * **dense kernels** (Sawtooth, full-sensing MW) advance state every slot —
   Sawtooth's clock ticks while a packet sleeps, and MW listens every slot —
-  so they compare one coin matrix per slot against the kernel's thresholds
-  and consume the per-replication ternary feedback arrays: the ``(R,)``
-  idle / success / noise row masks derived from the sender counts and the
-  jamming decisions, i.e. exactly what a scalar packet's ``FeedbackReport``
-  would say about its replication's channel.
+  so every active packet takes one coin a slot, scattered into a coin
+  matrix that the kernel compares against its thresholds, and the kernel
+  consumes the per-replication ternary feedback arrays: the ``(R,)`` idle /
+  success / noise row masks derived from the sender counts and the jamming
+  decisions, i.e. exactly what a scalar packet's ``FeedbackReport`` would
+  say about its replication's channel.
 
 Both paths hand the rest of the slot its senders as (row, packet) index
 arrays, which channel resolution, the reactive jammer kernels, and the
 trace read.  Per-packet listen counters feed the energy metrics.
 
-An access-driven replication consumes its packet stream only through its
-own events, and its adversary stream per fixed ``CHUNK_SLOTS`` chunk while
-it runs, so its result is a function of (spec, seed) alone: bit-identical
-run alone, in its group, in a resized group, or inside a mega-batch, and
-however many of its idle slots the batch skipped.  The dense kernels' coin
-blocks are shaped by their group, so their results are a function of the
-ordered group.
+A replication consumes its packet stream only through its own events, in
+packet-id order within a slot (:class:`~repro.sim.vector.rng.RowCoins`),
+and its adversary stream per fixed ``CHUNK_SLOTS`` chunk while it runs, so
+every result is a function of (spec, seed) alone: bit-identical run alone,
+in its group, in a resized group, or inside a mega-batch, whatever the
+batch's packet capacity, and however many of its idle slots the batch
+skipped.
 
 The engine also supports **mega-batches**: several configurations that
 share one protocol/arrival/jammer kernel family (parameters promoted to
 per-row arrays) stacked into a single ragged lockstep batch via
 :meth:`VectorSimulator.from_spec_groups`.  Each configuration keeps its own
-*segment* — its own arrival schedule and, for dense kernels, its own
-coin-block geometry and capacity trajectory — so every replication consumes
-exactly the random stream it would consume in a standalone per-group batch,
-making mega-batched results **bit-identical** to per-group vector execution
-(enforced by tests).  Only the per-slot Python dispatch is shared, which is
-where the speedup lives.
+*segment* — its own arrival schedule — and, like any row, consumes exactly
+the random streams it would consume in a standalone batch, so mega-batched
+results are **bit-identical** to per-group vector execution (enforced by
+tests).  Only the per-slot Python dispatch is shared, which is where the
+speedup lives.
 
 The engine reproduces the scalar engine's slot semantics exactly (same
 decision order, same channel rules, same metric definitions, same
@@ -94,7 +94,7 @@ from repro.sim.vector.adversaries import (
     make_row_jammer_kernel,
 )
 from repro.sim.vector.protocols import _flat, make_protocol_row_kernel
-from repro.sim.vector.rng import CoinBlocks, RowCoins, VectorStreams, geometric_gaps
+from repro.sim.vector.rng import RowCoins, VectorStreams, geometric_gaps
 from repro.sim.vector.support import (
     adversary_support,
     protocol_support,
@@ -417,7 +417,7 @@ class _AccessCalendar:
     def __init__(
         self,
         kernel: Any,
-        generators: Sequence[np.random.Generator],
+        coins: RowCoins,
         replications: int,
         capacity: int,
         horizon: int,
@@ -425,7 +425,7 @@ class _AccessCalendar:
         self.kernel = kernel
         self.replications = replications
         self.horizon = horizon
-        self.coins = RowCoins(generators)
+        self.coins = coins
         self.next_access = np.full((replications, capacity), _NEVER, dtype=np.int64)
 
     def grow(self, capacity: int) -> None:
@@ -491,29 +491,14 @@ class _AccessCalendar:
 
 
 class _Segment:
-    """One group's private execution geometry inside a (mega-)batch.
+    """One group's arrival schedule inside a (mega-)batch, over its rows."""
 
-    The segment owns everything whose *randomness consumption* depends on
-    the group rather than the whole batch: the arrival schedule kernel and,
-    for dense kernels, the packet coin blocks, whose block geometry is a
-    function of the group's replication count and capacity trajectory.
-    Keeping these per segment is what makes a mega-batch bit-identical to
-    running each group in its own batch.
-    """
+    __slots__ = ("rows", "streams", "arrivals", "exhausted", "exhaust_slot", "live")
 
-    __slots__ = (
-        "rows", "streams", "arrivals", "coins", "capacity", "exhausted",
-        "exhaust_slot", "live",
-    )
-
-    def __init__(
-        self, rows: slice, streams: Any, arrivals: Any, capacity: int, max_slots: int
-    ) -> None:
+    def __init__(self, rows: slice, streams: Any, arrivals: Any, max_slots: int) -> None:
         self.rows = rows
         self.streams = streams
         self.arrivals = arrivals
-        self.coins: CoinBlocks | None = None
-        self.capacity = capacity
         self.exhausted = False
         # Coupled schedules exhaust row by row and are asked slot by slot;
         # an oblivious one exhausts at one slot in every row, found once.
@@ -836,39 +821,33 @@ class VectorSimulator:
         streams = VectorStreams(seeds)
 
         segments: list[_Segment] = []
+        # The packet columns: enough for every arrival a bounded schedule
+        # can make, grown by doubling otherwise.  No result depends on it.
+        capacity = 1
         start = 0
         for group in groups:
             stop = start + len(group.seeds)
             arrivals = make_arrivals_kernel(group.arrival_process, len(group.seeds))
             bound = arrivals.capacity_bound()
+            capacity = max(capacity, bound if bound is not None else 64)
             segments.append(
-                _Segment(
-                    slice(start, stop),
-                    streams.slice(start, stop),
-                    arrivals,
-                    max(1, bound if bound is not None else 64),
-                    max_slots,
-                )
+                _Segment(slice(start, stop), streams.slice(start, stop), arrivals, max_slots)
             )
             start = stop
         multi = len(segments) > 1
-        seg_starts = np.array([seg.rows.start for seg in segments], dtype=np.intp)
 
-        capacity = max(seg.capacity for seg in segments)
         kernel = make_protocol_row_kernel(
             [(group.protocol, len(group.seeds)) for group in groups], capacity
         )
         jammer = make_row_jammer_kernel(
             [(group.jammer, len(group.seeds)) for group in groups]
         )
+        packet_coins = RowCoins(streams.packet_generators)
         calendar: _AccessCalendar | None = None
         if kernel.access_driven:
             calendar = _AccessCalendar(
-                kernel, streams.packet_generators, replications, capacity, max_slots
+                kernel, packet_coins, replications, capacity, max_slots
             )
-        else:
-            for seg in segments:
-                seg.coins = CoinBlocks(seg.streams, seg.capacity)
         track_listens = kernel.listens
         reactive = jammer.reactive
         needs_contention = jammer.needs_contention
@@ -961,9 +940,10 @@ class VectorSimulator:
         arrival_cursor = 0
         no_arrivals = np.zeros(replications, dtype=np.int64)
         if calendar is None:
+            row_ids = np.arange(replications)
+            coin_buffer = np.empty((replications, capacity))
             send_buffer = np.empty((replications, capacity), dtype=bool)
             listen_buffer = np.empty((replications, capacity), dtype=bool)
-            coin_buffer = np.empty((replications, capacity)) if multi else None
         never_jams = jammer.never_jams
         contention_pre = None
         skipped = 0
@@ -1072,59 +1052,31 @@ class VectorSimulator:
                     inject = False
                 if inject:
                     total_after = injected + arriving
-                    grew = False
-                    if multi:
-                        needed_per_seg = np.maximum.reduceat(total_after, seg_starts)
-                        for index, seg in enumerate(segments):
-                            needed = int(needed_per_seg[index])
-                            if needed > seg.capacity:
-                                # Each segment grows on its own trajectory —
-                                # the same doubling a standalone batch of this
-                                # group would apply — keeping its coin
-                                # geometry intact.
-                                seg.capacity = max(needed, seg.capacity * 2)
-                                if seg.coins is not None:
-                                    seg.coins.resize(seg.capacity)
-                                grew = True
-                    else:
-                        seg = segments[0]
-                        needed = int(total_after.max())
-                        if needed > seg.capacity:
-                            seg.capacity = max(needed, seg.capacity * 2)
-                            if seg.coins is not None:
-                                seg.coins.resize(seg.capacity)
-                            grew = True
-                    if grew:
-                        new_capacity = max(seg.capacity for seg in segments)
-                        if new_capacity > capacity:
-                            capacity = new_capacity
-                            grown = (
-                                np.zeros((replications, capacity), dtype=bool),
-                                np.full((replications, capacity), -1, dtype=np.int64),
-                                np.full((replications, capacity), -1, dtype=np.int64),
-                                np.zeros((replications, capacity), dtype=np.int64),
-                            )
-                            for old, new in zip(
-                                (active, arrival_slot, departure_slot, sends), grown
-                            ):
-                                new[:, : old.shape[1]] = old
-                            active, arrival_slot, departure_slot, sends = grown
-                            if listens is not None:
-                                grown_listens = np.zeros(
-                                    (replications, capacity), dtype=np.int64
-                                )
-                                grown_listens[:, : listens.shape[1]] = listens
-                                listens = grown_listens
-                            kernel.grow(capacity)
-                            if calendar is not None:
-                                calendar.grow(capacity)
-                            else:
-                                send_buffer = np.empty((replications, capacity), dtype=bool)
-                                listen_buffer = np.empty(
-                                    (replications, capacity), dtype=bool
-                                )
-                                if multi:
-                                    coin_buffer = np.empty((replications, capacity))
+                    needed = int(total_after.max())
+                    if needed > capacity:
+                        capacity = max(needed, capacity * 2)
+                        grown = (
+                            np.zeros((replications, capacity), dtype=bool),
+                            np.full((replications, capacity), -1, dtype=np.int64),
+                            np.full((replications, capacity), -1, dtype=np.int64),
+                            np.zeros((replications, capacity), dtype=np.int64),
+                        )
+                        for old, new in zip(
+                            (active, arrival_slot, departure_slot, sends), grown
+                        ):
+                            new[:, : old.shape[1]] = old
+                        active, arrival_slot, departure_slot, sends = grown
+                        if listens is not None:
+                            grown_listens = np.zeros((replications, capacity), dtype=np.int64)
+                            grown_listens[:, : listens.shape[1]] = listens
+                            listens = grown_listens
+                        kernel.grow(capacity)
+                        if calendar is not None:
+                            calendar.grow(capacity)
+                        else:
+                            coin_buffer = np.empty((replications, capacity))
+                            send_buffer = np.empty((replications, capacity), dtype=bool)
+                            listen_buffer = np.empty((replications, capacity), dtype=bool)
                     # The new packets take the next columns of their rows,
                     # in packet-id order.
                     new_rows = np.repeat(np.arange(replications), arriving)
@@ -1156,17 +1108,13 @@ class VectorSimulator:
                     if track_listens:
                         listeners = accessors[~sent]
                 else:
-                    if multi:
-                        coins = coin_buffer
-                        assert coins is not None
-                        for seg in segments:
-                            if seg.live:
-                                coins[seg.rows, : seg.capacity] = seg.coins.coins(
-                                    slot, running[seg.rows]
-                                )
-                    else:
-                        coins = segments[0].coins.coins(slot, running)
-                    kernel.decide(coins, send_buffer, listen_buffer)
+                    # Every active packet takes its row's next coin, in
+                    # packet-id order (the backlog is each row's active
+                    # count); inactive cells keep stale coins, masked below.
+                    coin_buffer[active] = packet_coins.take(
+                        np.repeat(row_ids, backlog), backlog
+                    )
+                    kernel.decide(coin_buffer, send_buffer, listen_buffer)
                     send = send_buffer
                     send &= active
                     listen = listen_buffer

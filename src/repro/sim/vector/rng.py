@@ -1,34 +1,34 @@
-"""Per-replication Philox streams for the vector engine.
+"""Per-replication Philox streams for the vector engine, and its coin order.
 
 Each replication in a batch owns two counter-based Philox streams — one for
 its packets' coins, one for its adversary's coins — keyed off the
 replication's own master seed via the same SHA-256 derivation the scalar
 engine uses (:func:`repro.sim.rng.derive_seed`).  Keying per replication
-keeps replications statistically independent and makes a batch's output a
-deterministic function of its seed list: running the same batch twice is
-bit-identical.
+keeps replications statistically independent.
 
 The scalar engine hands every *packet* its own ``random.Random``; the vector
-engine draws from the per-replication streams instead, in one of two coin
-orders.  Either produces coin sequences different from (but identically
-distributed to) the scalar engine's, which is exactly why vector results
-match scalar results statistically rather than bit-for-bit.
+engine draws from the per-replication streams instead.  Its coin sequences
+therefore differ from (but are identically distributed to) the scalar
+engine's, which is exactly why vector results match scalar results
+statistically rather than bit-for-bit.
 
-* **Access-driven order** (:class:`RowCoins`; LOW-SENSING, decoupled LSB,
-  BEB, polynomial, fixed-probability/ALOHA): a replication's packet stream
-  is consumed only by that replication's own events, slot by slot and in
-  packet-id order within a slot — one coin per arriving packet (its first
+There is one coin order (:class:`RowCoins`): a replication's packet stream
+is consumed only by that replication's own events, slot by slot and in
+packet-id order within a slot.
+
+* **Access-driven kernels** (LOW-SENSING, decoupled LSB, BEB, polynomial,
+  fixed-probability/ALOHA) take one coin per arriving packet (its first
   gap), then per accessing packet a send-vs-listen coin (listening kernels
-  only) and the coin of its next gap.  Philox streams are chunk-invariant
-  (``random(a)`` then ``random(b)`` equals ``random(a + b)``), so how the
-  buffer is refilled never matters, and a result is a function of its
-  (spec, seed) alone.
-* **Dense order** (:class:`CoinBlocks`; Sawtooth and full-sensing MW, whose
-  state advances every slot): one ``(replications × packets)`` coin matrix
-  per slot, drawn in blocks of slots.  The block size is a deterministic
-  function of the group's geometry, so the coin consumed at ``(replication,
-  slot, packet)`` depends on the group a replication runs in, but never on
-  timing or chunk boundaries chosen at run time.
+  only) and the coin of its next gap.
+* **Dense kernels** (Sawtooth and full-sensing MW, whose state advances
+  every slot) take one coin per active packet per slot.  MW accesses the
+  channel every slot, so for it this is the access-driven order too.
+
+Philox streams are chunk-invariant (``random(a)`` then ``random(b)`` equals
+``random(a + b)``), so how the buffer is refilled never matters, and every
+vector result is a function of its (spec, seed) alone: bit-identical run
+alone, in any group, or inside any mega-batch.  :data:`RESULT_LAYOUT` names
+this coin order in the result cache and the campaign store.
 """
 
 from __future__ import annotations
@@ -39,17 +39,16 @@ import numpy as np
 
 from repro.sim.rng import derive_seed
 
-#: Upper bound on the per-block coin buffer, in float64 entries (~16 MiB).
-_MAX_BLOCK_ENTRIES = 2_000_000
+#: The result layout of every vectorized run: the result cache and the
+#: campaign store file vector results under it, apart from the scalar
+#: engine's ``"scalar"``.  The number is the coin-order version.  Bump it when
+#: the coin order changes, and never reuse a layout a store may hold (older
+#: stores hold ``vector:<64-hex batch signature>`` rows), so results drawn
+#: under another order are recomputed rather than served.
+RESULT_LAYOUT = "vector:3"
 
-#: Uniforms buffered per row in the access-driven order (grown on demand).
+#: Uniforms buffered per row (grown on demand).
 _ROW_COIN_WIDTH = 4096
-
-
-def block_slots(num_replications: int, capacity: int) -> int:
-    """Slots of packet coins to buffer per refill (deterministic in shape)."""
-    per_slot = max(1, num_replications * max(1, capacity))
-    return max(1, min(256, _MAX_BLOCK_ENTRIES // per_slot))
 
 
 def geometric_gaps(
@@ -95,12 +94,9 @@ class VectorStreams:
     def slice(self, start: int, stop: int) -> "StreamView":
         """A view of the replication range ``[start, stop)``.
 
-        The view *shares* the underlying generator objects, which is what
-        mega-batched execution relies on: a segment consuming coins through
-        its view advances exactly the same generators, in exactly the same
-        per-replication order, as a standalone batch of that segment would —
-        the property that keeps mega-batched results bit-identical to
-        per-group vector runs.
+        The view *shares* the underlying generator objects, so a
+        mega-batch segment's arrival kernel advances exactly the generators
+        of its own rows, as a standalone batch of that group would.
         """
         return StreamView(
             self.seeds[start:stop],
@@ -172,60 +168,3 @@ class RowCoins:
         )
         self._next[row] = 0
         self._end[row] = width
-
-
-class CoinBlocks:
-    """Blocked ``(R, P)`` per-slot uniforms for the dense kernels.
-
-    ``coins(slot)`` returns the coin matrix for ``slot``; consecutive slots
-    read consecutive rows of a pre-drawn ``(R, block, P)`` buffer.  When the
-    packet capacity grows, the remainder of the current block is discarded
-    and a fresh block is drawn at the new width — deterministic, because
-    capacity growth itself is a deterministic function of the seeds.
-    """
-
-    def __init__(self, streams: "VectorStreams | StreamView", capacity: int) -> None:
-        self._streams = streams
-        self._capacity = max(1, capacity)
-        self._block: np.ndarray | None = None
-        self._block_start = 0
-        self._block_len = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def resize(self, capacity: int) -> None:
-        """Grow the packet dimension; discards the rest of the current block."""
-        if capacity <= self._capacity:
-            return
-        self._capacity = capacity
-        self._block = None
-
-    def coins(self, slot: int, running: np.ndarray | None = None) -> np.ndarray:
-        """The ``(R, capacity)`` uniform coin matrix for ``slot``.
-
-        ``running`` masks replications whose execution already ended; their
-        streams stop being consumed (and their rows hold stale coins no one
-        reads).  Because finish times are a deterministic function of the
-        seeds, skipping them keeps runs bit-reproducible.
-        """
-        if self._block is None or not (
-            self._block_start <= slot < self._block_start + self._block_len
-        ):
-            self._refill(slot, running)
-        assert self._block is not None
-        return self._block[:, slot - self._block_start, :]
-
-    def _refill(self, start_slot: int, running: np.ndarray | None) -> None:
-        replications = len(self._streams)
-        block = block_slots(replications, self._capacity)
-        if self._block is None or self._block.shape[2] != self._capacity:
-            self._block = np.empty(
-                (replications, block, self._capacity), dtype=np.float64
-            )
-        for index, generator in enumerate(self._streams.packet_generators):
-            if running is None or running[index]:
-                self._block[index] = generator.random((block, self._capacity))
-        self._block_start = start_slot
-        self._block_len = block

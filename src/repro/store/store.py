@@ -12,10 +12,11 @@ Design rules that the rest of the system depends on:
   by ``(spec_hash, seed, backend_layout)`` — the spec's content hash
   (:meth:`~repro.experiments.plan.RunSpec.cache_key`), its seed, and the
   identity namespace of the result layout ("scalar" for the bit-identical
-  serial/process engines, ``vector:<batch-sig>`` for a lockstep batch of a
-  specific composition).  Writing the same run twice is a no-op, which is
-  what makes interrupted-and-resumed campaigns converge to the same store
-  as uninterrupted ones.
+  serial/process engines, :data:`repro.sim.vector.RESULT_LAYOUT` for the
+  vector engine, whose results are a function of (spec, seed) too).
+  Writing the same run twice is a no-op, which is what makes
+  interrupted-and-resumed campaigns converge to the same store as
+  uninterrupted ones.
 * **Artifacts are content-addressed.**  The full pickled
   :class:`~repro.sim.results.SimulationResult` is stored under the SHA-256
   of its bytes, written atomically (temp file + rename).  Identical

@@ -16,10 +16,13 @@ from repro.campaigns import (
     resume_campaign,
     start_campaign,
 )
+from repro.campaigns import runner as campaign_runner
 from repro.campaigns.runner import _partition_units
+from repro.exec import ResultCacheBackend, VectorBackend
 from repro.experiments.bench import record_bench
 from repro.scenarios.runner import build_plan
 from repro.scenarios.spec import scenario_from_dict
+from repro.sim.vector import RESULT_LAYOUT
 from repro.store import ResultsStore
 
 #: A fast mixed-protocol scenario.  Every protocol here vectorizes (the
@@ -188,7 +191,7 @@ class TestRunAndResume:
                 )
                 assert artifacts == expected_artifacts
 
-    def test_vector_campaign_stores_batch_layouts(self, tmp_path):
+    def test_vector_campaign_stores_the_vector_layout(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:
             start_campaign(
                 store,
@@ -197,14 +200,12 @@ class TestRunAndResume:
                 backend_name="vector",
                 campaign_id="v",
             )
-            layouts = set(store.stats()["runs_by_layout"])
-            assert all(layout.startswith("vector:") for layout in layouts)
-            assert len(layouts) == 2  # one batch signature per protocol group
+            assert store.stats()["runs_by_layout"] == {RESULT_LAYOUT: 4}
 
     def test_units_stored_under_an_older_coin_order_are_recomputed(self, tmp_path):
-        """A store written before the access-driven coin order holds vector
-        units under signatures without the coin-layout version; a campaign
-        run now must recompute those units, never serve or mix them in."""
+        """Earlier coin orders filed each vector unit under its batch
+        signature, ``vector:<64-hex>``; a campaign run now must recompute
+        those units, never serve or mix them in."""
         import hashlib
 
         from repro.sim.vector import VectorSimulator
@@ -215,8 +216,12 @@ class TestRunAndResume:
         specs = plan.specs
         with ResultsStore(tmp_path / "store") as store:
             for unit in units:
-                keys = json.dumps([hashes[i] for i in unit.indices], separators=(",", ":"))
-                old_layout = "vector:" + hashlib.sha256(keys.encode("utf-8")).hexdigest()
+                # The batch signature of coin-order version 2.
+                payload = json.dumps(
+                    {"coins": 2, "specs": [hashes[i] for i in unit.indices]},
+                    separators=(",", ":"),
+                )
+                old_layout = "vector:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
                 assert unit.vectorized and unit.layout != old_layout
                 batch = [specs[i] for i in unit.indices]
                 for index, result in zip(
@@ -229,8 +234,59 @@ class TestRunAndResume:
             assert outcome.executed_runs == outcome.total_runs
             assert outcome.skipped_runs == 0
             assert {row["backend_layout"] for row in store.campaign_run_rows("v")} == {
-                unit.layout for unit in units
+                RESULT_LAYOUT
             }
+
+    @pytest.mark.parametrize("stored_by", ["killed-campaign", "cache-sweep"])
+    def test_partially_stored_vector_unit_runs_only_its_missing_runs(
+        self, tmp_path, monkeypatch, stored_by
+    ):
+        """A vector result is a function of (spec, seed), so a vector unit
+        holding some of its runs — from a kill between artifact writes, or
+        from a ``--cache-dir`` sweep — executes only the rest, and the
+        store ends up as an uninterrupted run's."""
+        seeds = [1, 2, 3, 4]
+        options = dict(scale="smoke", seeds=seeds, backend_name="vector", campaign_id="v")
+        with ResultsStore(tmp_path / "reference") as reference:
+            start_campaign(reference, _scenario(), **options)
+            expected = reference.fingerprint()
+        # Units run in protocol order (BEB, LSB, Sawtooth), four runs each;
+        # the first run of the dense Sawtooth unit is already stored.
+        stored = 9
+        batch_sizes = []
+        run_vector_unit = campaign_runner._run_vector_unit
+
+        def counting_run_vector_unit(specs):
+            batch_sizes.append(len(specs))
+            return run_vector_unit(specs)
+
+        monkeypatch.setattr(campaign_runner, "_run_vector_unit", counting_run_vector_unit)
+        with ResultsStore(tmp_path / "store") as store:
+            if stored_by == "killed-campaign":
+                put_run = store.put_run
+                writes = []
+
+                def put_run_then_die(*args, **kwargs):
+                    if len(writes) == stored:
+                        raise RuntimeError("killed between artifact writes")
+                    writes.append(args)
+                    return put_run(*args, **kwargs)
+
+                monkeypatch.setattr(store, "put_run", put_run_then_die)
+                with pytest.raises(RuntimeError, match="killed"):
+                    start_campaign(store, _scenario(), **options)
+                monkeypatch.setattr(store, "put_run", put_run)
+                batch_sizes.clear()
+                outcome = resume_campaign(store, "v")
+            else:
+                specs = build_plan(_scenario(), "smoke", seeds).specs
+                cache = ResultCacheBackend(store.root, inner=VectorBackend())
+                cache.run(specs[:stored])
+                cache.close()
+                outcome = start_campaign(store, _scenario(), **options)
+            assert (outcome.executed_runs, outcome.skipped_runs) == (12 - stored, stored)
+            assert batch_sizes == [3]
+            assert store.fingerprint() == expected
 
     def test_processes_campaign_fingerprints_like_serial(self, tmp_path):
         """Pool-returned results pickle through an extra round trip, which

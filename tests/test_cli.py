@@ -424,32 +424,6 @@ class TestCampaignCli:
 
 
 class TestCacheCli:
-    def test_stats_migrates_legacy_pickle_directories(self, tmp_path, capsys):
-        """A pre-store cache directory of loose <hash>.pkl files is exactly
-        what `cache stats|prune` must be able to manage."""
-        import pickle
-
-        from repro.adversary.arrivals import BatchArrivals
-        from repro.adversary.composite import CompositeAdversary
-        from repro.exec.backends import SerialBackend
-        from repro.experiments.plan import RunSpec, factory
-        from repro.protocols.binary_exponential import BinaryExponentialBackoff
-
-        spec = RunSpec(
-            protocol=BinaryExponentialBackoff(),
-            adversary=factory(CompositeAdversary, factory(BatchArrivals, 8)),
-            seed=3,
-            max_slots=500,
-        )
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        result = SerialBackend().run([spec])[0]
-        (legacy_dir / f"{spec.cache_key()}.pkl").write_bytes(pickle.dumps(result))
-        assert main(["cache", "stats", "--cache-dir", str(legacy_dir), "--json"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["runs"] == 1, "legacy entry was not migrated"
-        assert not list(legacy_dir.glob("*.pkl")), "legacy file left behind"
-
     def test_stats_and_prune(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         assert (

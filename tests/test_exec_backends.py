@@ -13,6 +13,7 @@ from repro.exec.backends import (
     execute_job,
 )
 from repro.exec.cache import ResultCacheBackend
+from repro.exec.vector_backend import VectorBackend
 from repro.experiments.plan import RunSpec, factory
 from repro.sim.config import SimulationConfig
 
@@ -88,15 +89,18 @@ class TestProcessPoolBackend:
 
 
 class TestResultCacheBackend:
-    def test_miss_then_hit_identical(self, tmp_path):
+    @pytest.mark.parametrize("inner", [SerialBackend, VectorBackend])
+    def test_miss_then_hit_identical(self, tmp_path, inner):
         specs = _specs()
-        cache = ResultCacheBackend(tmp_path / "cache", inner=SerialBackend())
+        cache = ResultCacheBackend(tmp_path / "cache", inner=inner())
         first = cache.run(specs)
         assert (cache.hits, cache.misses) == (0, len(specs))
         second = cache.run(specs)
         assert (cache.hits, cache.misses) == (len(specs), len(specs))
         assert _summaries(second) == _summaries(first)
-        assert _summaries(first) == _summaries(SerialBackend().run(specs))
+        assert _summaries(first) == _summaries(inner().run(specs))
+        layouts = {inner().result_layout(spec) for spec in specs}
+        assert set(cache.store.stats()["runs_by_layout"]) == layouts
 
     def test_different_specs_do_not_collide(self, tmp_path):
         cache = ResultCacheBackend(tmp_path / "cache")
@@ -152,25 +156,6 @@ class TestResultCacheBackend:
         third = cache.run(specs)[0]
         assert (cache.hits, cache.misses) == (1, 2)
         assert third.summary() == first.summary()
-
-    def test_legacy_flat_pickle_entries_are_migrated(self, tmp_path):
-        """Loose ``<spec_hash>.pkl`` files from the pre-store cache become
-        store rows (and cache hits) instead of dead disk."""
-        import pickle
-
-        specs = _specs(seeds=(9,))
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        result = SerialBackend().run(specs)[0]
-        legacy = cache_dir / f"{specs[0].cache_key()}.pkl"
-        legacy.write_bytes(pickle.dumps(result))
-        (cache_dir / "not-a-hash.pkl").write_bytes(b"ignored")
-        cache = ResultCacheBackend(cache_dir)
-        migrated = cache.run(specs)[0]
-        assert (cache.hits, cache.misses) == (1, 0)
-        assert migrated.summary() == result.summary()
-        assert not legacy.exists()
-        assert (cache_dir / "not-a-hash.pkl").exists()  # unknown files kept
 
     def test_describe_reports_hit_and_miss_counts(self, tmp_path):
         specs = _specs(seeds=(1, 2))

@@ -4,10 +4,8 @@ The headline contract: stacking compatible replication groups into one
 ragged lockstep batch (``VectorSimulator.from_spec_groups``, used by
 ``VectorBackend(mega_batch=True)``) is a pure wall-clock optimisation —
 results are **bit-identical** to running each group through its own
-per-group batch.  That identity is what keeps the campaign store's
-``vector:<batch_signature>`` storage identities stable: a mega-batched
-sweep produces byte-for-byte the artifacts a per-group campaign run
-produces.
+per-group batch, because every vector result is a function of its (spec,
+seed) alone.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from repro.adversary.jamming import BernoulliJamming, NoJamming, PeriodicJamming
 from repro.core.low_sensing import LowSensingBackoff
 from repro.core.parameters import LowSensingParameters
 from repro.exec import SerialBackend, VectorBackend
-from repro.experiments.plan import RunSpec, SweepPlan, batch_signature, factory
+from repro.experiments.plan import RunSpec, SweepPlan, factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.polynomial_backoff import PolynomialBackoff
@@ -321,27 +319,3 @@ class TestBackendMegaBatching:
         assert description["mega_batches"] == 0
         assert description["mega_batch"] is True
 
-
-class TestStorageIdentityStability:
-    def test_batch_signature_is_per_group_not_per_mega_batch(self):
-        """Campaign units are per-group lockstep batches; mega-batching a
-        sweep must neither change the per-group signatures nor the results
-        filed under them."""
-        groups = [
-            group(BinaryExponentialBackoff(initial_window=2.0 + i), batch_adversary(10), [1, 2])
-            for i in range(3)
-        ]
-        signatures = [batch_signature(specs) for specs in groups]
-        assert len(set(signatures)) == 3
-        mega = VectorSimulator.from_spec_groups(groups).run()
-        # The results a campaign would store under each signature are the
-        # per-group batch outputs — which the mega run reproduces exactly.
-        offset = 0
-        for specs in groups:
-            solo = VectorSimulator.from_specs(specs).run()
-            for expected in solo:
-                assert identical(mega[offset], expected)
-                offset += 1
-        # And the signatures are a function of the specs alone, so they are
-        # unchanged by how the backend chose to batch.
-        assert signatures == [batch_signature(specs) for specs in groups]

@@ -80,6 +80,27 @@ class TestMetricsCollector:
         assert collector.total_listens == 3
         assert collector.total_channel_accesses == 5
 
+    def test_loaded_series_stay_packed_until_read(self):
+        import pickle
+
+        collector = MetricsCollector()
+        collector.observe(observation(0, arrivals=2, active_before=2, active_after=2))
+        collector.observe(
+            observation(1, outcome=SlotOutcome.SUCCESS, active_before=2, active_after=1, senders=1)
+        )
+        collector.backlog_series[-1] = 2**40  # past the packed 4-byte range
+        payload = pickle.dumps(collector, protocol=pickle.HIGHEST_PROTOCOL)
+        loaded = pickle.loads(payload)
+        assert "cumulative_successes" not in vars(loaded)
+        assert loaded.cumulative_successes == [0, 1]
+        assert loaded.backlog_series == [2, 2**40]
+        assert loaded.backlog == 2**40
+        # Loaded, partly read, or not: the pickled bytes are the original's.
+        assert pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL) == payload
+        assert pickle.dumps(pickle.loads(payload), protocol=pickle.HIGHEST_PROTOCOL) == payload
+        with pytest.raises(AttributeError):
+            loaded.no_such_series
+
 
 class TestThroughput:
     def test_throughput_without_jamming(self):

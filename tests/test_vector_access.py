@@ -1,4 +1,4 @@
-"""Tests for the access-driven lockstep kernels.
+"""Tests for the access-driven lockstep kernels and the row coin order.
 
 LOW-SENSING, decoupled LSB, BEB, polynomial and fixed-probability change a
 packet's state only when it accesses the channel, so the engine draws the
@@ -9,10 +9,12 @@ records stretches without accesses or arrivals in bulk.  Four layers:
   objects driven with the access-driven coin order
   (``access_reference.reference_run``) reproduce every kernel bit-for-bit,
   trace, potential and dynamics outputs included;
-* **row locality** — a (spec, seed) result is bit-identical run alone, in
-  its group, in a group resized from 2 to 16, and inside a mega-batch.
-  Larger groups skip fewer idle slots than singletons, so this also shows
-  that skipping changes no result;
+* **row locality** — for every kernel, the dense Sawtooth and full-sensing
+  MW included, a (spec, seed) result is bit-identical run alone, in its
+  group, in a group resized from 2 to 16, and inside a mega-batch, also
+  when the batch grows its packet capacity at different slots.  Larger
+  groups skip fewer idle slots than singletons, so this also shows that
+  skipping changes no result;
 * **the gap sampler** — chi-square against Geometric(p), and its edges;
 * **the coin stream** — a row consumes exactly its stream's prefix,
   however the buffer is refilled.
@@ -31,6 +33,7 @@ from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import BatchArrivals, PeriodicBurstArrivals, PoissonArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
+    AdaptiveContentionJammer,
     BernoulliJamming,
     NoJamming,
     PeriodicJamming,
@@ -41,7 +44,9 @@ from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
 from repro.experiments.plan import RunSpec, factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.fixed_probability import FixedProbabilityProtocol
+from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.polynomial_backoff import PolynomialBackoff
+from repro.protocols.sawtooth import SawtoothBackoff
 from repro.sim.vector import VectorSimulator
 from repro.sim.vector import rng as vector_rng
 from repro.sim.vector.rng import RowCoins, geometric_gaps
@@ -53,6 +58,11 @@ ACCESS_DRIVEN = [
     pytest.param(BinaryExponentialBackoff(), id="binary-exponential"),
     pytest.param(PolynomialBackoff(), id="polynomial"),
     pytest.param(FixedProbabilityProtocol(probability=0.08), id="fixed-probability"),
+]
+
+DENSE = [
+    pytest.param(SawtoothBackoff(), id="sawtooth"),
+    pytest.param(FullSensingMultiplicativeWeights(), id="full-sensing-mw"),
 ]
 
 
@@ -168,10 +178,24 @@ def _adversary(kind, shift=0):
             factory(BatchArrivals, 16 + shift),
             factory(BernoulliJamming, probability=0.05, budget=8 + shift),
         )
+    if kind == "poisson-reactive":
+        return factory(
+            CompositeAdversary,
+            factory(PoissonArrivals, rate=0.02 + 0.01 * shift, horizon=400),
+            factory(ReactiveSuccessJammer, budget=4 + shift),
+        )
+    # Poisson arrivals past the engine's initial 64 packet columns: the
+    # batch grows its capacity at a slot that depends on every row in it.
+    arrivals = factory(PoissonArrivals, rate=0.12 + 0.01 * shift, horizon=800)
+    if kind == "growing-reactive":
+        return factory(
+            CompositeAdversary, arrivals, factory(ReactiveSuccessJammer, budget=40 + shift)
+        )
+    assert kind == "growing-adaptive"
     return factory(
         CompositeAdversary,
-        factory(PoissonArrivals, rate=0.02 + 0.01 * shift, horizon=400),
-        factory(ReactiveSuccessJammer, budget=4 + shift),
+        arrivals,
+        factory(AdaptiveContentionJammer, budget=100 + shift, target_regime="good"),
     )
 
 
@@ -202,35 +226,58 @@ def _idle_slots_skipped(specs):
     return results, mem.counter_total("idle_slots_skipped")
 
 
+def _seed_2_in_every_context(protocol, kind):
+    """Seed 2 alone, in groups of 2 and 16, and in a mega-batch.
+
+    Returns ``(alone, [the other three], idle slots skipped alone, and in
+    the group of 16)``.
+    """
+    adversary = _adversary(kind)
+    seeds = list(range(1, 17))
+    options = dict(dynamics_window=50)
+    (alone,), alone_skipped = _idle_slots_skipped(
+        _specs(protocol, adversary, [2], **options)
+    )
+    grouped = VectorSimulator.from_specs(
+        _specs(protocol, adversary, seeds[:2], **options)
+    ).run()[1]
+    resized, resized_skipped = _idle_slots_skipped(
+        _specs(protocol, adversary, seeds, **options)
+    )
+    mega = VectorSimulator.from_spec_groups(
+        [
+            _specs(protocol, _adversary(kind, shift=4), [7, 8], **options),
+            _specs(protocol, adversary, seeds[:2], **options),
+        ]
+    ).run()[3]
+    return alone, [grouped, resized[1], mega], alone_skipped, resized_skipped
+
+
 class TestRowLocality:
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
     @pytest.mark.parametrize("kind", ["batch-bernoulli", "poisson-reactive"])
     def test_alone_grouped_resized_and_mega_batched(self, protocol, kind):
-        adversary = _adversary(kind)
-        seeds = list(range(1, 17))
-        options = dict(dynamics_window=50)
-        (alone,), alone_skipped = _idle_slots_skipped(
-            _specs(protocol, adversary, [2], **options)
+        alone, others, alone_skipped, resized_skipped = _seed_2_in_every_context(
+            protocol, kind
         )
-        grouped = VectorSimulator.from_specs(
-            _specs(protocol, adversary, seeds[:2], **options)
-        ).run()[1]
-        resized, resized_skipped = _idle_slots_skipped(
-            _specs(protocol, adversary, seeds, **options)
-        )
-        mega = VectorSimulator.from_spec_groups(
-            [
-                _specs(protocol, _adversary(kind, shift=4), [7, 8], **options),
-                _specs(protocol, adversary, seeds[:2], **options),
-            ]
-        ).run()[3]
-        for other in (grouped, resized[1], mega):
+        for other in others:
             assert_same_run(other, alone)
         # The contexts skipped different idle stretches around this row.
         assert alone_skipped > 0
         assert alone_skipped != resized_skipped
 
-    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
+    @pytest.mark.parametrize("protocol", DENSE)
+    @pytest.mark.parametrize(
+        "kind", ["batch-bernoulli", "growing-reactive", "growing-adaptive"]
+    )
+    def test_dense_kernels_alone_grouped_resized_and_mega_batched(self, protocol, kind):
+        alone, others, _, _ = _seed_2_in_every_context(protocol, kind)
+        for other in others:
+            assert_same_run(other, alone)
+        if kind != "batch-bernoulli":
+            assert len(alone.packets) > 64  # the batch grew its capacity
+
+    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN + DENSE)
     def test_collected_outputs_are_row_local(self, protocol):
         # Trace and potential outputs run in their own lockstep batch (no
         # mega-batching), so the contexts are alone, paired, and resized.

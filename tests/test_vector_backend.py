@@ -39,6 +39,7 @@ from repro.protocols.fixed_probability import FixedProbabilityProtocol
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.sawtooth import SawtoothBackoff
 from repro.sim.config import SimulationConfig
+from repro.sim.vector import RESULT_LAYOUT
 
 
 def batch_adversary(n):
@@ -370,8 +371,7 @@ class TestRegistration:
 
 class TestCacheLayoutIsolation:
     """A shared --cache-dir must never serve one engine's results to the
-    other: the layouts are only statistically equivalent, and a vectorized
-    job's result additionally depends on the batch it is grouped into."""
+    other: the layouts are only statistically equivalent."""
 
     def test_serial_cache_entry_not_served_to_vector_run(self, tmp_path):
         job = spec(BinaryExponentialBackoff(), 7)
@@ -394,14 +394,18 @@ class TestCacheLayoutIsolation:
             == serial_result.collector.backlog_series
         )
 
-    def test_vectorized_jobs_are_never_cached(self, tmp_path):
-        job = spec(BinaryExponentialBackoff(), 7)
+    def test_vectorized_jobs_cache_per_job_whatever_their_batch(self, tmp_path):
+        jobs = [spec(FullSensingMultiplicativeWeights(), seed) for seed in (7, 8, 9)]
         vector_cached = make_backend("vector", cache_dir=str(tmp_path))
-        vector_cached.run([job])
-        vector_cached.run([job])
-        assert vector_cached.hits == 0
-        assert vector_cached.misses == 2
-        assert not list(tmp_path.glob("*.pkl"))
+        vector_cached.run(jobs[1:2])
+        # Seed 8 ran alone; inside a group of three it is a hit, and the
+        # group's results are those of an uncached run.
+        cached = vector_cached.run(jobs)
+        assert (vector_cached.hits, vector_cached.misses) == (1, 3)
+        fresh = VectorBackend().run(jobs)
+        assert [r.collector.backlog_series for r in cached] == [
+            r.collector.backlog_series for r in fresh
+        ]
 
     def test_fallback_jobs_share_the_scalar_cache(self, tmp_path):
         replayed = factory(
@@ -427,8 +431,14 @@ class TestCacheLayoutIsolation:
             factory(TraceArrivals, (5, 0, 0, 5)),
         )
         fallback_spec = spec(BinaryExponentialBackoff(), 1, adversary=replayed)
-        assert backend.result_layout(spec(BinaryExponentialBackoff(), 1)) is None
-        # Sensing protocols are vector-layout now too.
-        assert backend.result_layout(spec(LowSensingBackoff(), 1)) is None
+        # Every vectorizable job, dense kernels included, shares one layout.
+        for protocol in (
+            BinaryExponentialBackoff(),
+            LowSensingBackoff(),
+            SawtoothBackoff(),
+            FullSensingMultiplicativeWeights(),
+        ):
+            assert backend.result_layout(spec(protocol, 1)) == RESULT_LAYOUT
+        assert RESULT_LAYOUT.startswith("vector:")
         assert backend.result_layout(fallback_spec) == "scalar"
         assert SerialBackend().result_layout(fallback_spec) == "scalar"

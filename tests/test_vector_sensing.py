@@ -4,9 +4,10 @@ Three layers of checking, from exact to statistical:
 
 * **state-machine identity** — driving the scalar ``PacketState`` objects
   with the *vector engine's own coins* in its own order (the access-driven
-  order of ``access_reference`` for LOW-SENSING; one coin matrix per slot,
-  with the same trichotomy thresholds, for Sawtooth and MW) and the same
-  per-replication feedback must reproduce the vector results bit-for-bit.
+  order of ``access_reference`` for LOW-SENSING; one coin per active packet
+  per slot from the row's packet stream, in packet-id order, with the same
+  trichotomy thresholds, for Sawtooth and MW) and the same per-replication
+  feedback must reproduce the vector results bit-for-bit.
   This proves the kernels implement exactly the scalar protocol logic, so
   any residual vector-vs-scalar difference is the random-stream layout —
   which is the vector engine's documented contract;
@@ -36,7 +37,7 @@ from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.sawtooth import SawtoothBackoff
 from repro.sim.vector import VectorSimulator
 from repro.sim.vector.protocols import LowSensingKernel, make_protocol_kernel
-from repro.sim.vector.rng import CoinBlocks, VectorStreams
+from repro.sim.vector.rng import VectorStreams
 
 
 def packet_tuples(result):
@@ -52,29 +53,29 @@ def packet_tuples(result):
 
 
 def dense_reference_run(protocol, n, seed, max_slots, thresholds):
-    """Re-run one replication with scalar PacketStates on the dense coins.
+    """Re-run one replication with scalar PacketStates on the row's coins.
 
-    ``thresholds(state) -> (t_send, t_listen)`` maps a scalar packet state
-    to the single-coin trichotomy the kernels use: ``u < t_send`` sends,
-    ``t_send <= u < t_listen`` listens, the rest sleeps.
+    Each slot, every active packet takes the next uniform of the row's
+    packet stream, in packet-id order.  ``thresholds(state) -> (t_send,
+    t_listen)`` maps a scalar packet state to the single-coin trichotomy the
+    kernels use: ``u < t_send`` sends, ``t_send <= u < t_listen`` listens,
+    the rest sleeps.
     """
-    streams = VectorStreams([seed])
-    coins = CoinBlocks(streams, n)
+    generator = VectorStreams([seed]).packet_generators[0]
     states = [protocol.new_packet_state() for _ in range(n)]
     active = list(range(n))
     sends = [0] * n
     listens = [0] * n
     departed: dict[int, int] = {}
-    running = np.ones(1, dtype=bool)
     slot = 0
     while slot < max_slots and (slot == 0 or active):
-        row = coins.coins(slot, running)[0]
         senders, listeners = [], []
         for index in active:
             t_send, t_listen = thresholds(states[index])
-            if row[index] < t_send:
+            coin = generator.random()
+            if coin < t_send:
                 senders.append(index)
-            elif row[index] < t_listen:
+            elif coin < t_listen:
                 listeners.append(index)
         if len(senders) == 1:
             winner, feedback = senders[0], Feedback.SUCCESS
