@@ -2,10 +2,8 @@
 
 Runs the ``ramp-down-jamming`` catalog scenario as a campaign on the vector
 backend two ways — uninterrupted (the reference), then freshly interrupted
-after its first checkpoint unit and resumed — and merges the wall clocks
-plus the **resume-overhead ratio** into
-``benchmarks/results/BENCH_campaigns.json`` (history accumulates across
-runs — see :mod:`repro.experiments.bench`).
+after its first checkpoint unit and resumed — and prints the wall clocks
+plus the **resume-overhead ratio** (run with ``-s``).
 
 The checkpoint layer's promise is that resumption costs bookkeeping, not
 recomputation, so two things are asserted:
@@ -24,10 +22,10 @@ recomputation, so two things are asserted:
   ``BENCH_CAMPAIGN_RESUME_OVERHEAD``.
 
 The raw wall-clock ratio against the measured uninterrupted reference is
-also recorded in the artifact (``wall_ratio``) for the perf trajectory —
-it carries the cross-invocation noise, which is why it is recorded, not
-asserted.  The reference leg also anchors the subsystem's core contract:
-the resumed store must fingerprint identically to the uninterrupted one.
+also printed (``wall ratio``) — it carries the cross-invocation noise,
+which is why it is printed, not asserted.  The reference leg also anchors
+the subsystem's core contract: the resumed store must fingerprint
+identically to the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -37,14 +35,9 @@ import time
 
 import pytest
 
-from conftest import RESULTS_DIR, mirror_path
-
 from repro.campaigns import CampaignInterrupted, resume_campaign, start_campaign
-from repro.experiments.bench import record_bench
 from repro.scenarios.catalog import get_scenario
 from repro.store import ResultsStore
-
-BENCH_CAMPAIGNS_PATH = RESULTS_DIR / "BENCH_campaigns.json"
 
 SCENARIO_ID = "ramp-down-jamming"
 
@@ -121,30 +114,11 @@ def test_campaign_resume_overhead(benchmark, tmp_path):
     two_leg_wall = interrupted_seconds + resume_seconds
     ratio = two_leg_wall / two_leg_exec
     wall_ratio = two_leg_wall / uninterrupted_seconds
-    record_bench(
-        BENCH_CAMPAIGNS_PATH,
-        f"campaign:{SCENARIO_ID}",
-        seconds=uninterrupted_seconds,
-        scale="default",
-        backend={"backend": "vector"},
-        mirror=mirror_path(BENCH_CAMPAIGNS_PATH),
-        extra={
-            "resume_overhead_ratio": round(ratio, 4),
-            "wall_ratio": round(wall_ratio, 4),
-            "interrupted_seconds": round(interrupted_seconds, 4),
-            "resume_seconds": round(resume_seconds, 4),
-            "two_leg_exec_seconds": round(two_leg_exec, 4),
-            "overhead_target": OVERHEAD_TARGET,
-            "replications": REPLICATIONS,
-            "total_runs": len(scenario.protocols) * REPLICATIONS,
-            "content_hash": scenario.content_hash(),
-        },
-    )
     print(
         f"\n{SCENARIO_ID}: uninterrupted {uninterrupted_seconds:.2f}s; "
         f"interrupted {interrupted_seconds:.2f}s + resume {resume_seconds:.2f}s "
         f"over {two_leg_exec:.2f}s of unit execution -> overhead {ratio:.3f}x "
-        f"(target <= {OVERHEAD_TARGET}x; wall ratio {wall_ratio:.3f}x recorded) "
+        f"(target <= {OVERHEAD_TARGET}x; wall ratio {wall_ratio:.3f}x, not asserted) "
         f"[{len(scenario.protocols)} protocols x {REPLICATIONS} replications]"
     )
     assert ratio <= OVERHEAD_TARGET, (

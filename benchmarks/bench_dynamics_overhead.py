@@ -3,8 +3,7 @@
 Runs the same vectorizable E1 batch-arrival workload as
 ``bench_vector_backend.py`` twice — once with dynamics off
 (``dynamics_window=0``, the default) and once sampling a windowed
-trajectory per run — and records the enabled/disabled wall-clock ratio
-in ``benchmarks/results/BENCH_dynamics.json``.
+trajectory per run — and prints the enabled/disabled wall-clock ratio.
 
 The dynamics contract mirrors telemetry's: sampling happens *outside*
 the per-slot hot loop (a cheap accumulator on the scalar engine, a
@@ -12,31 +11,15 @@ post-loop materialisation on the vector engine), so enabling it must
 cost almost nothing and the disabled path must cost exactly nothing.
 The asserted bar is a ratio <= 1.05x; on contended CI hardware it can
 be relaxed via ``BENCH_DYNAMICS_OVERHEAD_TARGET``, and the measured
-ratio is always written to the JSON artifact so the acceptance number
-stays auditable.
+ratio is always printed (run with ``-s``) so the acceptance number stays
+auditable.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
-from conftest import RESULTS_DIR, mirror_path
-
-from repro.adversary.arrivals import BatchArrivals
-from repro.adversary.composite import CompositeAdversary
-from repro.exec import VectorBackend
-from repro.experiments.bench import record_bench
-from repro.experiments.plan import SweepPlan, factory
-from repro.protocols.binary_exponential import BinaryExponentialBackoff
-from repro.protocols.fixed_probability import FixedProbabilityProtocol
-from repro.protocols.polynomial_backoff import PolynomialBackoff
-
-BENCH_DYNAMICS_PATH = RESULTS_DIR / "BENCH_dynamics.json"
-
-REPLICATIONS = 24
-
-BATCH_SIZES = (100, 200)
+from conftest import build_vector_core_plan, build_warm_up_plan, time_vector_plan
 
 #: Sampling interval for the enabled side of the comparison.
 DYNAMICS_WINDOW = 500
@@ -48,82 +31,23 @@ OVERHEAD_TARGET = float(os.environ.get("BENCH_DYNAMICS_OVERHEAD_TARGET", "1.05")
 ROUNDS = 3
 
 
-def build_plan(dynamics_window: int) -> SweepPlan:
-    seeds = list(range(1, REPLICATIONS + 1))
-    plan = SweepPlan()
-    for n in BATCH_SIZES:
-        for protocol in (
-            BinaryExponentialBackoff(),
-            PolynomialBackoff(),
-            FixedProbabilityProtocol.tuned_for(n),
-        ):
-            plan.add_group(
-                protocol,
-                factory(CompositeAdversary, factory(BatchArrivals, n)),
-                seeds,
-                columns={"n": n},
-                dynamics_window=dynamics_window,
-            )
-    return plan
-
-
-def _time_plan(plan: SweepPlan) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        plan.run(VectorBackend())
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def test_dynamics_overhead(benchmark):
-    disabled_plan = build_plan(0)
-    enabled_plan = build_plan(DYNAMICS_WINDOW)
+    disabled_plan = build_vector_core_plan()
+    enabled_plan = build_vector_core_plan(DYNAMICS_WINDOW)
 
     # Warm both paths once so imports/allocator state don't bias either side.
-    warm_off = SweepPlan()
-    warm_off.add_group(
-        BinaryExponentialBackoff(),
-        factory(CompositeAdversary, factory(BatchArrivals, 50)),
-        [1, 2],
-    )
-    warm_on = SweepPlan()
-    warm_on.add_group(
-        BinaryExponentialBackoff(),
-        factory(CompositeAdversary, factory(BatchArrivals, 50)),
-        [1, 2],
-        dynamics_window=DYNAMICS_WINDOW,
-    )
-    _time_plan(warm_off)
-    _time_plan(warm_on)
+    time_vector_plan(build_warm_up_plan(), ROUNDS)
+    time_vector_plan(build_warm_up_plan(DYNAMICS_WINDOW), ROUNDS)
 
     disabled_seconds = benchmark.pedantic(
-        lambda: _time_plan(disabled_plan),
+        lambda: time_vector_plan(disabled_plan, ROUNDS),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
     )
-    enabled_seconds = _time_plan(enabled_plan)
+    enabled_seconds = time_vector_plan(enabled_plan, ROUNDS)
 
     ratio = enabled_seconds / disabled_seconds
-    record_bench(
-        BENCH_DYNAMICS_PATH,
-        "E1_vector_core_dynamics_overhead",
-        seconds=disabled_seconds,
-        scale="default",
-        backend=VectorBackend().describe(),
-        mirror=mirror_path(BENCH_DYNAMICS_PATH),
-        extra={
-            "enabled_seconds": round(enabled_seconds, 4),
-            "disabled_seconds": round(disabled_seconds, 4),
-            "overhead_ratio": round(ratio, 4),
-            "overhead_target": OVERHEAD_TARGET,
-            "dynamics_window": DYNAMICS_WINDOW,
-            "rounds": ROUNDS,
-            "replications": REPLICATIONS,
-            "batch_sizes": list(BATCH_SIZES),
-        },
-    )
     print(
         f"\ndynamics enabled {enabled_seconds:.3f}s vs disabled "
         f"{disabled_seconds:.3f}s -> {ratio:.3f}x "

@@ -7,11 +7,10 @@ per jamming budget) through the vector backend vs the serial backend.
 Before the reactive kernels existed this entire workload hit the serial
 fallback, so the >= 3x bar pins the reactive tier to the fast path.
 
-The measured speedup lands in ``BENCH_reactive.json`` (history accumulates
-across runs, mirrored to the repo root) and the asserted bar can be
-relaxed on noisy shared runners via ``BENCH_REACTIVE_SPEEDUP_TARGET`` —
-the recorded numbers keep the acceptance criteria auditable while the
-hard assertion does not flake on contended hardware.
+The measured speedup is printed (run with ``-s``) and the asserted bar can
+be relaxed on noisy shared runners via ``BENCH_REACTIVE_SPEEDUP_TARGET`` —
+the printed number keeps the acceptance criterion auditable while the hard
+assertion does not flake on contended hardware.
 """
 
 from __future__ import annotations
@@ -19,17 +18,12 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import RESULTS_DIR, mirror_path
-
 from repro.adversary.arrivals import BatchArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import ReactiveTargetedJammer
 from repro.core.low_sensing import LowSensingBackoff
 from repro.exec import SerialBackend, VectorBackend
-from repro.experiments.bench import record_bench
 from repro.experiments.plan import SweepPlan, factory
-
-BENCH_REACTIVE_PATH = RESULTS_DIR / "BENCH_reactive.json"
 
 #: Replications per jamming budget (matches the sensing benchmark, so the
 #: two tiers' speedups are comparable).
@@ -92,23 +86,6 @@ def test_reactive_vector_speedup(benchmark):
 
     reactive_speedup = serial_seconds / vector_seconds
 
-    record_bench(
-        BENCH_REACTIVE_PATH,
-        "E6_reactive_core",
-        seconds=vector_seconds,
-        scale="default",
-        backend=vector_backend.describe(),
-        mirror=mirror_path(BENCH_REACTIVE_PATH),
-        extra={
-            "serial_seconds": round(serial_seconds, 4),
-            "speedup": round(reactive_speedup, 2),
-            "speedup_target": REACTIVE_SPEEDUP_TARGET,
-            "replications": REPLICATIONS,
-            "batch_size": BATCH_SIZE,
-            "jam_budgets": list(JAM_BUDGETS),
-            "protocols": ["low-sensing"],
-        },
-    )
     print(
         f"\nreactive core: vector {vector_seconds:.2f}s vs serial "
         f"{serial_seconds:.2f}s -> {reactive_speedup:.1f}x "

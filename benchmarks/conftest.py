@@ -1,49 +1,56 @@
 """Shared infrastructure for the benchmark suite.
 
-Each benchmark regenerates one of the paper-claim experiments (see DESIGN.md
-section 3).  The experiment functions are deterministic given their seed
-list, so every benchmark runs its experiment exactly once
+Each experiment benchmark regenerates one of the paper-claim experiments
+(see DESIGN.md section 3).  The experiment functions are deterministic given
+their seed list, so every benchmark runs its experiment exactly once
 (``benchmark.pedantic(rounds=1)``): the interesting output is the table of
 measurements, not the wall-clock time, although pytest-benchmark still
 records the latter.
 
-Every benchmark writes its rendered report to ``benchmarks/results/<id>.txt``
-so that EXPERIMENTS.md can be refreshed from an actual run.
+Every experiment benchmark writes its rendered report to
+``benchmarks/results/<id>.txt`` so that EXPERIMENTS.md can be refreshed from
+an actual run.
+
+The gate benchmarks (``bench_vector_backend.py``, ``bench_*_vector.py``,
+``bench_*_overhead.py``, ``bench_campaign_store.py``) assert a speedup or
+overhead bar and print the number they measured; run them with ``-s`` to
+see it.  The repository's performance history is the results store's
+host-keyed ``perf_samples`` (``python -m repro perf record|history|regress``)
+and ``perfbench/``.  The vector-speedup and overhead gates share the E1
+vector core plan and the best-of-rounds timer defined here.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import time
+from typing import Callable
 
 import pytest
 
-from repro.experiments.bench import record_bench
+from repro.adversary.arrivals import BatchArrivals
+from repro.adversary.composite import CompositeAdversary
+from repro.exec import VectorBackend
+from repro.experiments.plan import SweepPlan, factory
 from repro.experiments.reporting import render_report
 from repro.experiments.spec import ExperimentReport
+from repro.protocols.binary_exponential import BinaryExponentialBackoff
+from repro.protocols.fixed_probability import FixedProbabilityProtocol
+from repro.protocols.polynomial_backoff import PolynomialBackoff
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Repo root, where headline BENCH artifacts are mirrored so the perf
-#: trajectory is visible where tooling looks for ``BENCH_*.json`` (the
-#: canonical history stays under ``benchmarks/results/``).
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-
-def mirror_path(path: pathlib.Path) -> pathlib.Path:
-    """The repo-root mirror of a ``benchmarks/results/BENCH_*.json`` file."""
-    return REPO_ROOT / path.name
-
-
-#: Wall-clock-per-experiment artifact.  Each benchmark run *merges* its
-#: timing into the file (per-experiment history accumulates; see
-#: :mod:`repro.experiments.bench`), so the pipeline's speedup trajectory
-#: builds up across runs and PRs instead of being overwritten.
-BENCH_PIPELINE_PATH = RESULTS_DIR / "BENCH_pipeline.json"
 
 #: Scale used by the benchmark suite.  "default" reproduces the shapes the
 #: paper claims at laptop scale; switch to "full" for a slower, larger sweep.
 BENCH_SCALE = "default"
+
+#: Replications per configuration of the E1 vector core; the vector speedup
+#: bar is defined at this count (vector cost is nearly flat in it, serial is
+#: linear).
+VECTOR_CORE_REPLICATIONS = 24
+
+VECTOR_CORE_BATCH_SIZES = (100, 200)
 
 
 def save_report(report: ExperimentReport) -> str:
@@ -55,28 +62,76 @@ def save_report(report: ExperimentReport) -> str:
     return rendered
 
 
-def record_wall_clock(exp_id: str, seconds: float, scale: str) -> None:
-    """Merge one experiment's wall-clock time into ``BENCH_pipeline.json``."""
-    record_bench(
-        BENCH_PIPELINE_PATH,
-        exp_id,
-        seconds=seconds,
-        scale=scale,
-        mirror=mirror_path(BENCH_PIPELINE_PATH),
-    )
-
-
 def run_experiment_benchmark(benchmark, experiment, scale: str = BENCH_SCALE):
     """Run ``experiment`` once under pytest-benchmark and persist its report."""
-    started = time.perf_counter()
     report = benchmark.pedantic(
         lambda: experiment(scale=scale), rounds=1, iterations=1, warmup_rounds=0
     )
-    record_wall_clock(report.spec.exp_id, time.perf_counter() - started, scale)
     rendered = save_report(report)
     print()
     print(rendered)
     return report
+
+
+def build_vector_core_plan(dynamics_window: int = 0) -> SweepPlan:
+    """The vectorizable core of E1's batch-arrival grid.
+
+    The oblivious baselines (binary exponential, polynomial, genie-tuned
+    fixed probability) on batches of each :data:`VECTOR_CORE_BATCH_SIZES`,
+    replicated over :data:`VECTOR_CORE_REPLICATIONS` seeds.
+    """
+    seeds = list(range(1, VECTOR_CORE_REPLICATIONS + 1))
+    plan = SweepPlan()
+    for n in VECTOR_CORE_BATCH_SIZES:
+        for protocol in (
+            BinaryExponentialBackoff(),
+            PolynomialBackoff(),
+            FixedProbabilityProtocol.tuned_for(n),
+        ):
+            plan.add_group(
+                protocol,
+                factory(CompositeAdversary, factory(BatchArrivals, n)),
+                seeds,
+                columns={"n": n},
+                dynamics_window=dynamics_window,
+            )
+    return plan
+
+
+def build_warm_up_plan(dynamics_window: int = 0) -> SweepPlan:
+    """A two-seed plan run once per code path before it is timed.
+
+    Warming each side first keeps imports and allocator state from biasing
+    either side of an overhead ratio.
+    """
+    plan = SweepPlan()
+    plan.add_group(
+        BinaryExponentialBackoff(),
+        factory(CompositeAdversary, factory(BatchArrivals, 50)),
+        [1, 2],
+        dynamics_window=dynamics_window,
+    )
+    return plan
+
+
+def time_vector_plan(
+    plan: SweepPlan,
+    rounds: int,
+    context: Callable[[], contextlib.AbstractContextManager] = contextlib.nullcontext,
+) -> float:
+    """Best wall clock of ``rounds`` runs of ``plan`` on a fresh VectorBackend.
+
+    Each round runs inside a fresh ``context()``, entered after the clock
+    starts, so switching instrumentation on is part of what is timed.  The
+    minimum sheds scheduler noise.
+    """
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.perf_counter()
+        with context():
+            plan.run(VectorBackend())
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
 @pytest.fixture

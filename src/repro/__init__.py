@@ -62,13 +62,7 @@ from repro.exec import (
 from repro.campaigns import resume_campaign, start_campaign
 from repro.queueing import QueueingConstraint
 from repro.scenarios.schedule import Phase, Schedule
-from repro.sim import (
-    SimulationConfig,
-    SimulationResult,
-    Simulator,
-    replicate,
-    run_simulation,
-)
+from repro.sim import SimulationConfig, SimulationResult, Simulator, run_simulation
 from repro.store import ResultsStore
 
 __version__ = "1.0.0"
@@ -114,7 +108,6 @@ __all__ = [
     "available_protocols",
     "get_protocol",
     "make_backend",
-    "replicate",
     "resume_campaign",
     "run_simulation",
     "start_campaign",

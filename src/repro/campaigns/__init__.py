@@ -9,9 +9,9 @@ transactionally, and an interrupted campaign — killed at any point —
 resumes by skipping everything already stored and completes bit-identically
 to an uninterrupted run.
 
-On top of the store, :mod:`repro.campaigns.diff` compares two campaigns (or
-one campaign's wall clock against recorded BENCH history) metric-by-metric
-with the Welch/KS machinery from :mod:`repro.analysis.equivalence`.
+On top of the store, :mod:`repro.campaigns.diff` compares two campaigns
+metric-by-metric with the Welch/KS machinery from
+:mod:`repro.analysis.equivalence`.
 """
 
 from repro.campaigns.runner import (
@@ -24,11 +24,7 @@ from repro.campaigns.runner import (
     resume_campaign,
     start_campaign,
 )
-from repro.campaigns.diff import (
-    diff_campaign_trajectories,
-    diff_campaign_vs_bench,
-    diff_campaigns,
-)
+from repro.campaigns.diff import diff_campaign_trajectories, diff_campaigns
 
 __all__ = [
     "CampaignError",
@@ -38,7 +34,6 @@ __all__ = [
     "campaign_status_rows",
     "default_campaign_id",
     "diff_campaign_trajectories",
-    "diff_campaign_vs_bench",
     "diff_campaigns",
     "resume_campaign",
     "start_campaign",

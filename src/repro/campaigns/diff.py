@@ -9,20 +9,15 @@ metrics (throughput, mean accesses, mean latency) are compared as means;
 per-packet latency/access distributions are pooled and KS-tested, which is
 what catches a distribution-shape regression that leaves the mean intact.
 
-A second mode compares one campaign's recorded wall clock against the
-merging BENCH history (:mod:`repro.experiments.bench`), flagging timing
-regressions against the last recorded run.
-
-Both modes are surfaced as ``python -m repro campaign diff``, which exits
-non-zero on any flagged regression so CI can gate on it.
+The comparison is surfaced as ``python -m repro campaign diff``, which
+exits non-zero on any flagged regression so CI can gate on it.  Wall-clock
+drift is a separate question, answered by the store's host-keyed perf
+samples (``python -m repro perf regress``, :mod:`repro.observe.perf`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any
 
 from repro.analysis.equivalence import EquivalenceReport, compare_result_sets
 from repro.campaigns.runner import CampaignError
@@ -203,54 +198,3 @@ def diff_campaign_trajectories(
         for protocol in sorted(set(left) & set(right))
     }
 
-
-def diff_campaign_vs_bench(
-    store: ResultsStore,
-    campaign_id: str,
-    bench_path: str | Path,
-    *,
-    bench_id: str | None = None,
-    factor: float = 1.5,
-) -> dict[str, Any]:
-    """Compare one campaign's wall clock against recorded BENCH history.
-
-    ``bench_id`` defaults to ``campaign:<scenario_id>`` (the key the
-    campaign bench writes under).  The campaign regresses when its
-    cumulative execution time exceeds ``factor`` × the latest recorded
-    seconds.  Returns a summary dict with a ``passed`` flag.
-    """
-    campaign = store.get_campaign(campaign_id)
-    if campaign is None:
-        raise CampaignError(f"unknown campaign {campaign_id!r}")
-    if campaign["status"] != "complete":
-        raise CampaignError(
-            f"campaign {campaign_id!r} is {campaign['status']}; its partial "
-            "elapsed time would pass the wall-clock gate spuriously — "
-            "resume it first"
-        )
-    if bench_id is None:
-        bench_id = f"campaign:{campaign['scenario_id']}"
-    path = Path(bench_path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CampaignError(f"cannot read bench history {path}: {exc}") from exc
-    entry = data.get(bench_id)
-    latest = (entry or {}).get("latest") if isinstance(entry, dict) else None
-    if not isinstance(latest, dict) or "seconds" not in latest:
-        raise CampaignError(
-            f"bench history {path} has no usable entry {bench_id!r}; "
-            f"known ids: {', '.join(sorted(data)) or '(none)'}"
-        )
-    recorded = float(latest["seconds"])
-    measured = float(campaign["elapsed_seconds"] or 0.0)
-    budget = recorded * factor
-    return {
-        "campaign_id": campaign_id,
-        "bench_id": bench_id,
-        "campaign_seconds": round(measured, 4),
-        "recorded_seconds": round(recorded, 4),
-        "factor": factor,
-        "budget_seconds": round(budget, 4),
-        "passed": measured <= budget,
-    }

@@ -17,10 +17,8 @@ Subcommands:
 
     With ``--out``, each experiment also writes a JSON report
     (``<out>/<id>.json``) containing the rows, verdicts, backend description
-    and wall-clock time, so sweeps can be archived and diffed.  With
-    ``--bench-out PATH``, a wall-clock record per experiment is merged into
-    the given BENCH JSON file (history accumulates across runs — see
-    :mod:`repro.experiments.bench`).
+    and wall-clock time, so sweeps can be archived and diffed.  Timing
+    history lives in the results store (see ``perf`` below).
 
     ``--backend vector`` batches every vectorizable replication group
     through the lockstep numpy engine (compatible groups stacked into
@@ -59,9 +57,7 @@ Subcommands:
     ``run`` checkpoints progress per unit, so a killed campaign resumes
     with ``resume`` and converges to a store bit-identical to an
     uninterrupted run.  ``diff`` compares two campaigns metric-by-metric
-    (Welch/KS) and exits non-zero on a statistical regression; with
-    ``--bench`` it instead checks the campaign's wall clock against
-    recorded BENCH history.
+    (Welch/KS) and exits non-zero on a statistical regression.
 
 ``telemetry``
     Observability tooling (:mod:`repro.telemetry`).  ``run``, ``scenario
@@ -93,10 +89,12 @@ Subcommands:
 
     ``record`` executes a scenario's plan once, timed, and appends a
     wall-clock sample to the store's ``perf_samples`` table (keyed by
-    spec hash, backend layout, and host fingerprint; excluded from the
-    store fingerprint).  ``regress`` Welch-tests the latest window of
-    each group against its rolling baseline and exits ``1`` on sustained
-    drift, ``0`` otherwise (``2`` for usage errors).
+    workload — the scenario at one scale and seed list — backend layout,
+    and host fingerprint; excluded from the store fingerprint).  This is
+    the repository's one performance history.  ``regress`` Welch-tests
+    the latest window of each group against its rolling baseline and
+    exits ``1`` on sustained drift, ``0`` otherwise (``2`` for usage
+    errors).
 
 ``report``
     Exportable observability (:mod:`repro.observe`)::
@@ -188,15 +186,6 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="write one JSON report per experiment/scenario into DIR",
-    )
-    parser.add_argument(
-        "--bench-out",
-        default=None,
-        metavar="PATH",
-        help=(
-            "merge a wall-clock record per experiment/scenario into a BENCH "
-            "JSON file (per-id history accumulates across runs)"
-        ),
     )
     _add_telemetry_options(parser)
 
@@ -480,36 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_show.add_argument("--json", action="store_true")
 
     campaign_diff = campaign_sub.add_parser(
-        "diff",
-        help="compare two campaigns (or one campaign vs BENCH history); "
-        "non-zero exit on regression",
+        "diff", help="compare two campaigns; non-zero exit on regression"
     )
     campaign_diff.add_argument("left", metavar="CAMPAIGN_A")
-    campaign_diff.add_argument(
-        "right",
-        metavar="CAMPAIGN_B",
-        nargs="?",
-        default=None,
-        help="second campaign (omit when using --bench)",
-    )
+    campaign_diff.add_argument("right", metavar="CAMPAIGN_B")
     _add_store_option(campaign_diff)
-    campaign_diff.add_argument(
-        "--bench",
-        default=None,
-        metavar="PATH",
-        help="compare CAMPAIGN_A's wall clock against this BENCH history file",
-    )
-    campaign_diff.add_argument(
-        "--bench-id",
-        default=None,
-        help="bench entry id (default: campaign:<scenario_id>)",
-    )
-    campaign_diff.add_argument(
-        "--factor",
-        type=float,
-        default=1.5,
-        help="allowed wall-clock slowdown factor for --bench (default: 1.5)",
-    )
     campaign_diff.add_argument("--alpha", type=float, default=0.001)
     campaign_diff.add_argument("--mean-alpha", type=float, default=0.002)
     campaign_diff.add_argument(
@@ -684,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_store_option(perf_history)
     perf_history.add_argument(
-        "--spec", default=None, metavar="PREFIX", help="spec-hash prefix filter"
+        "--spec", default=None, metavar="PREFIX", help="workload-hash prefix filter"
     )
     perf_history.add_argument("--json", action="store_true")
     perf_regress = perf_sub.add_parser(
@@ -1045,33 +1009,6 @@ def _prepare_out_dir(
     return out_dir
 
 
-def _prepare_bench_out(
-    raw: str | None, parser: argparse.ArgumentParser
-) -> pathlib.Path | None:
-    """Probe ``--bench-out`` writability before anything runs.
-
-    A sweep can run for hours; discovering an unwritable bench path only
-    when the first record merges would lose the whole run's timing.  The
-    probe opens the file for append (creating parents) and removes it
-    again if it did not exist, so an untouched path stays untouched.
-    """
-    if raw is None:
-        return None
-    path = pathlib.Path(raw)
-    try:
-        if path.is_dir():
-            raise IsADirectoryError(f"{raw!r} is a directory")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        existed = path.exists()
-        with path.open("a", encoding="utf-8"):
-            pass
-        if not existed:
-            path.unlink()
-    except OSError as exc:
-        parser.error(f"cannot write --bench-out {raw!r}: {exc}")
-    return path
-
-
 def _write_report_json(
     out_dir: pathlib.Path, name: str, payload: dict, label: str
 ) -> None:
@@ -1096,7 +1033,6 @@ def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         args, parser, dynamics_window=_dynamics_window(args, parser)
     )
     out_dir = _prepare_out_dir(args.out, parser)
-    _prepare_bench_out(args.bench_out, parser)
     from repro.telemetry import activated
 
     with activated(_telemetry_session(args)) as tele:
@@ -1124,17 +1060,6 @@ def _run_experiments(args, ids, seeds, build_backend, out_dir, tele) -> int:
             backend.close()
         print(render_report(report))
         print(f"\n[{exp_id}] {elapsed:.2f}s on backend {backend.describe()}\n")
-        if args.bench_out is not None:
-            from repro.experiments.bench import record_bench
-
-            record_bench(
-                args.bench_out,
-                exp_id,
-                seconds=elapsed,
-                scale=args.scale,
-                backend=backend.describe(),
-            )
-            print(f"[{exp_id}] merged wall-clock record into {args.bench_out}")
         if out_dir is not None:
             from repro.experiments.experiments import _seeds
 
@@ -1208,14 +1133,13 @@ def _command_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser)
     for argument, scenario in zip(args.scenarios, scenarios):
         previous = seen_ids.setdefault(scenario.scenario_id, str(argument))
         if previous != str(argument):
-            # Reports and bench records are keyed by scenario id, so two
-            # definitions sharing one id would silently overwrite each other.
+            # Reports are keyed by scenario id, so two definitions sharing
+            # one id would silently overwrite each other.
             parser.error(
                 f"scenario id {scenario.scenario_id!r} requested twice "
                 f"(from {previous!r} and {argument!r})"
             )
     out_dir = _prepare_out_dir(args.out, parser)
-    _prepare_bench_out(args.bench_out, parser)
     dynamics_window = _dynamics_window(args, parser)
     from repro.telemetry import activated
 
@@ -1256,18 +1180,6 @@ def _run_scenarios(
         label = scenario.scenario_id
         print(render_report(report))
         print(f"\n[{label}] {elapsed:.2f}s on backend {backend.describe()}\n")
-        if args.bench_out is not None:
-            from repro.experiments.bench import record_bench
-
-            record_bench(
-                args.bench_out,
-                f"scenario:{label}",
-                seconds=elapsed,
-                scale=args.scale,
-                backend=backend.describe(),
-                extra={"content_hash": scenario.content_hash()},
-            )
-            print(f"[{label}] merged wall-clock record into {args.bench_out}")
         if out_dir is not None:
             payload = report_to_dict(report)
             payload["scenario"] = scenario.to_dict()
@@ -1410,7 +1322,6 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
         CampaignInterrupted,
         campaign_report,
         campaign_status_rows,
-        diff_campaign_vs_bench,
         diff_campaigns,
         resume_campaign,
         start_campaign,
@@ -1532,27 +1443,6 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
                 return 0
 
             # campaign diff
-            if args.bench is not None:
-                if args.right is not None:
-                    parser.error("--bench compares one campaign; drop CAMPAIGN_B")
-                verdict = diff_campaign_vs_bench(
-                    store,
-                    args.left,
-                    args.bench,
-                    bench_id=args.bench_id,
-                    factor=args.factor,
-                )
-                status = "PASS" if verdict["passed"] else "REGRESSION"
-                print(
-                    f"campaign {verdict['campaign_id']} vs bench "
-                    f"{verdict['bench_id']}: {status} "
-                    f"({verdict['campaign_seconds']}s vs recorded "
-                    f"{verdict['recorded_seconds']}s, budget "
-                    f"{verdict['budget_seconds']}s)"
-                )
-                return 0 if verdict["passed"] else 1
-            if args.right is None:
-                parser.error("diff needs CAMPAIGN_B (or --bench PATH)")
             if args.trajectory_window is not None and args.trajectory_window < 1:
                 parser.error("--trajectory-window must be at least 1")
             diff = diff_campaigns(

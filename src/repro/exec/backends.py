@@ -2,7 +2,7 @@
 
 A *job* is any object exposing ``build_config() -> SimulationConfig``.  The
 two concrete job types are :class:`ConfigJob` (wraps an already-built
-configuration; used by the thin ``replicate``/``SweepRunner`` wrappers) and
+configuration; the dynamics backend uses it to re-window a job) and
 :class:`~repro.experiments.plan.RunSpec` (fully declarative and picklable;
 used by the sweep layer and required for process pools and caching).
 

@@ -30,7 +30,6 @@ from repro.experiments.plan import (
     factory,
 )
 from repro.experiments.reporting import render_report, report_to_dict
-from repro.experiments.runner import SweepRunner
 from repro.experiments.spec import ExperimentReport, ExperimentSpec
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "PlanResults",
     "RunSpec",
     "SweepPlan",
-    "SweepRunner",
     "aggregate_replicate_row",
     "factory",
     "render_report",

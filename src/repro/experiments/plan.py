@@ -370,9 +370,8 @@ def aggregate_replicate_row(
     """Flatten replicate results into one row of means.
 
     The row contains the protocol name, any caller-provided sweep columns,
-    and the replicate means of the headline metrics.  This is the single
-    aggregation used by both :class:`~repro.experiments.runner.SweepRunner`
-    and :meth:`PlanResults.group_rows`.
+    and the replicate means of the headline metrics.  This is the
+    aggregation behind :meth:`PlanResults.group_rows`.
     """
     summaries = [result.summary() for result in results]
     aggregated = aggregate_summaries(summaries)

@@ -1,14 +1,17 @@
 """Store-backed performance history and drift detection.
 
-``BENCH_*.json`` bars are only checked when a benchmark runs; the store's
-``elapsed_seconds`` columns are write-only provenance.  This module makes
+This is the repository's one performance history.  The store's
+``elapsed_seconds`` columns are write-only provenance; this module makes
 wall-clock a first-class, queryable time series: ``perf record`` executes
 a scenario's plan on a chosen backend, measures wall-clock and slots/sec,
 and appends one row to the store's ``perf_samples`` table — keyed by the
-scenario's content hash, the backend layout, and a **host fingerprint**
-(samples from different machines are never compared).  ``perf regress``
-then Welch-tests the latest window of samples against the rolling
-baseline before it and exits non-zero on sustained drift.
+**workload** (:func:`plan_workload_hash`: the scenario at one scale and one
+seed list), the backend layout, and a **host fingerprint** (samples from
+different machines are never compared).  ``perf regress`` then
+Welch-tests the latest window of samples against the rolling baseline
+before it and exits non-zero on sustained drift.  The ``spec_hash`` column
+holds the workload key; samples recorded before it did keep the scenario
+content hash they were filed under, and so form groups of their own.
 
 Drift rule (:func:`detect_drift`): the latest ``window`` samples drift
 when their mean is more than ``factor`` slower than the baseline mean
@@ -21,7 +24,7 @@ report ``insufficient`` and never fail the gate.
 Exit-code contract (enforced by ``python -m repro perf regress``):
 
 * ``0`` — no group drifted (insufficient-history groups count as clean);
-* ``1`` — at least one (scenario, backend layout, host) group shows
+* ``1`` — at least one (workload, backend layout, host) group shows
   sustained drift;
 * ``2`` — usage error (argparse).
 
@@ -101,6 +104,20 @@ def backend_layout_name(backend_name: str, workers: int | None) -> str:
     return backend_name
 
 
+def plan_workload_hash(plan: Any) -> str:
+    """The perf-sample key of what ``plan`` runs, in plan order.
+
+    A SHA-256 over the specs' :meth:`~repro.experiments.plan.RunSpec.cache_key`
+    values, so it covers the scenario, the scale's ``max_slots`` and the
+    seeds: one scenario recorded at two scales or two seed lists lands in
+    two groups, and ``perf regress`` never compares different work.
+    (Scenario plans always carry factory adversaries, so every spec has a
+    key.)
+    """
+    keys = "\n".join(str(spec.cache_key()) for spec in plan.specs)
+    return hashlib.sha256(keys.encode("utf-8")).hexdigest()
+
+
 def record_scenario_perf(
     store: Any,
     scenario: Any,
@@ -122,6 +139,7 @@ def record_scenario_perf(
 
     seed_list = scenario_seeds(scenario, scale, seeds)
     plan = build_plan(scenario, scale, seed_list)
+    workload = plan_workload_hash(plan)
     inject = float(os.environ.get("REPRO_PERF_INJECT_SLEEP", "0") or 0.0)
     with make_backend(backend_name, workers=workers) as backend:
         started = time.perf_counter()
@@ -132,7 +150,7 @@ def record_scenario_perf(
         elapsed = time.perf_counter() - started
     slots = sum(result.num_slots for result in results)
     sample = {
-        "spec_hash": scenario.content_hash(),
+        "spec_hash": workload,
         "backend_layout": backend_layout_name(backend_name, workers),
         "host": host_fingerprint(),
         "label": label or f"{scenario.scenario_id}@{scale}",
@@ -199,6 +217,22 @@ def detect_drift(
     }
 
 
+def group_samples(
+    rows: Sequence[Mapping[str, Any]],
+) -> dict[tuple[str, str, str], list[Mapping[str, Any]]]:
+    """``perf_samples`` rows by (spec_hash, backend_layout, host) group.
+
+    ``rows`` are registry rows in recording order (the store query
+    guarantees it); each group keeps that order, which is what
+    :func:`detect_drift` windows by.
+    """
+    groups: dict[tuple[str, str, str], list[Mapping[str, Any]]] = {}
+    for row in rows:
+        key = (row["spec_hash"], row["backend_layout"], row["host"])
+        groups.setdefault(key, []).append(row)
+    return groups
+
+
 def regress_groups(
     rows: Sequence[Mapping[str, Any]],
     *,
@@ -207,16 +241,12 @@ def regress_groups(
     alpha: float = DEFAULT_ALPHA,
     factor: float = DEFAULT_FACTOR,
 ) -> list[dict[str, Any]]:
-    """One drift verdict per (spec_hash, backend_layout, host) group.
+    """One drift verdict per :func:`group_samples` group, in key order.
 
-    ``rows`` are ``perf_samples`` registry rows in recording order (the
-    store query guarantees it).  Each verdict carries its group key and
-    label so the CLI can point at the drifting workload directly.
+    Each verdict carries its group key and label so the CLI can point at
+    the drifting workload directly.
     """
-    groups: dict[tuple[str, str, str], list[Mapping[str, Any]]] = {}
-    for row in rows:
-        key = (row["spec_hash"], row["backend_layout"], row["host"])
-        groups.setdefault(key, []).append(row)
+    groups = group_samples(rows)
     verdicts = []
     for key in sorted(groups):
         samples = groups[key]

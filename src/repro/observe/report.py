@@ -22,7 +22,7 @@ import html
 import math
 from typing import Any, Iterable, Sequence
 
-from repro.observe.perf import regress_groups
+from repro.observe.perf import group_samples, regress_groups
 from repro.observe.registry import MetricsRegistry, fold_events
 from repro.observe.workers import worker_utilization
 
@@ -327,11 +327,7 @@ def _perf_sections(store: Any) -> list[str]:
     if not rows:
         return []
     verdicts = regress_groups(rows)
-    groups: dict[tuple[str, str, str], list[dict[str, Any]]] = {}
-    for row in rows:
-        groups.setdefault(
-            (row["spec_hash"], row["backend_layout"], row["host"]), []
-        ).append(row)
+    groups = group_samples(rows)
     table_rows = []
     sparks = []
     for verdict in verdicts:

@@ -19,7 +19,7 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.results import SimulationResult
 from repro.sim.rng import RandomStreams
-from repro.sim.runner import replicate, run_simulation
+from repro.sim.runner import run_simulation
 
 __all__ = [
     "Packet",
@@ -27,6 +27,5 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "Simulator",
-    "replicate",
     "run_simulation",
 ]

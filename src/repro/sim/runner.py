@@ -1,8 +1,6 @@
-"""Convenience runners: single executions and replication across seeds."""
+"""Convenience runner: one execution from a protocol and an adversary."""
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.adversary.arrivals import ArrivalProcess
 from repro.adversary.base import Adversary
@@ -12,9 +10,6 @@ from repro.protocols.base import BackoffProtocol
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.backends import ExecutionBackend
 
 
 def run_simulation(
@@ -50,33 +45,3 @@ def run_simulation(
     )
     return Simulator(config).run()
 
-
-def replicate(
-    config_factory: Callable[[int], SimulationConfig],
-    seeds: Sequence[int],
-    backend: "ExecutionBackend | None" = None,
-) -> list[SimulationResult]:
-    """Run one execution per seed.
-
-    ``config_factory`` receives the seed and must return a *fresh*
-    configuration — in particular a fresh adversary, because budgeted jammers
-    and windowed arrival processes carry mutable state that must not leak
-    between replicates.
-
-    ``backend`` selects how the replicates are executed (serial by default);
-    see :mod:`repro.exec`.  Results are always in seed order.
-    """
-    # Imported here: repro.sim must stay importable without repro.exec
-    # (which itself imports the engine).
-    from repro.exec.backends import ConfigJob, SerialBackend
-
-    jobs = []
-    for seed in seeds:
-        config = config_factory(seed)
-        if config.seed != seed:
-            raise ValueError(
-                "config_factory must propagate the seed it was given "
-                f"(expected {seed}, got {config.seed})"
-            )
-        jobs.append(ConfigJob(config))
-    return (backend or SerialBackend()).run(jobs)

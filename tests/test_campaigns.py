@@ -11,7 +11,6 @@ from repro.campaigns import (
     CampaignInterrupted,
     campaign_report,
     campaign_status_rows,
-    diff_campaign_vs_bench,
     diff_campaigns,
     resume_campaign,
     start_campaign,
@@ -19,7 +18,6 @@ from repro.campaigns import (
 from repro.campaigns import runner as campaign_runner
 from repro.campaigns.runner import _partition_units
 from repro.exec import ResultCacheBackend, VectorBackend
-from repro.experiments.bench import record_bench
 from repro.scenarios.runner import build_plan
 from repro.scenarios.spec import scenario_from_dict
 from repro.sim.vector import RESULT_LAYOUT
@@ -439,30 +437,7 @@ class TestDiff:
             diff = diff_campaigns(left, "c", right, "c")
             assert diff.passed
 
-    def test_bench_diff_pass_and_regression(self, tmp_path):
-        bench_path = tmp_path / "BENCH_campaigns.json"
-        with ResultsStore(tmp_path / "store") as store:
-            outcome = self._campaign(store, VECTOR_ONLY, "timed")
-            record_bench(
-                bench_path,
-                "campaign:campaign-vec",
-                seconds=max(outcome.elapsed_seconds, 0.01) * 2,
-                scale="smoke",
-            )
-            verdict = diff_campaign_vs_bench(store, "timed", bench_path)
-            assert verdict["passed"], verdict
-            record_bench(
-                bench_path,
-                "campaign:campaign-vec",
-                seconds=outcome.elapsed_seconds / 100 + 1e-6,
-                scale="smoke",
-            )
-            verdict = diff_campaign_vs_bench(store, "timed", bench_path, factor=1.0)
-            assert not verdict["passed"]
-
-    def test_incomplete_campaign_flagged_by_diff_and_bench_gate(self, tmp_path):
-        bench_path = tmp_path / "BENCH.json"
-        record_bench(bench_path, "campaign:campaign-vec", seconds=100.0, scale="smoke")
+    def test_incomplete_campaign_flagged_by_diff(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:
             self._campaign(store, VECTOR_ONLY, "done")
             with pytest.raises(CampaignInterrupted):
@@ -479,16 +454,6 @@ class TestDiff:
             diff = diff_campaigns(store, "done", right_id="partial")
             assert not diff.passed
             assert any("incomplete" in item for item in diff.missing)
-            with pytest.raises(CampaignError, match="resume it first"):
-                diff_campaign_vs_bench(store, "partial", bench_path)
-
-    def test_bench_diff_unknown_entry_rejected(self, tmp_path):
-        bench_path = tmp_path / "BENCH.json"
-        bench_path.write_text("{}", encoding="utf-8")
-        with ResultsStore(tmp_path / "store") as store:
-            self._campaign(store, VECTOR_ONLY, "c")
-            with pytest.raises(CampaignError, match="no usable entry"):
-                diff_campaign_vs_bench(store, "c", bench_path)
 
 
 class TestCacheStoreInterop:

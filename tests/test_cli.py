@@ -192,21 +192,6 @@ class TestRun:
         assert e7["backend"]["fallback_jobs"] == 0
         assert e1["backend"]["vectorized_jobs"] == 12
 
-    def test_run_bench_out_merges_history(self, tmp_path):
-        bench_path = tmp_path / "BENCH_cli.json"
-        args = [
-            "run", "e1",
-            "--scale", "smoke",
-            "--seeds", "11",
-            "--bench-out", str(bench_path),
-        ]
-        assert main(args) == 0
-        assert main(args) == 0
-        payload = json.loads(bench_path.read_text(encoding="utf-8"))
-        assert len(payload["E1"]["history"]) == 2
-        assert payload["E1"]["latest"]["scale"] == "smoke"
-        assert payload["E1"]["latest"]["backend"] == {"backend": "serial"}
-
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "e42"])
@@ -272,7 +257,6 @@ class TestScenario:
                 "--scale", "smoke",
                 "--backend", "vector",
                 "--out", str(out_dir),
-                "--bench-out", str(tmp_path / "BENCH.json"),
             ]
         )
         assert code == 0
@@ -285,8 +269,6 @@ class TestScenario:
         # the schedule-aware vector kernels now.
         assert backend["vectorized_jobs"] > 0
         assert backend["fallback_jobs"] == 0
-        bench = json.loads((tmp_path / "BENCH.json").read_text(encoding="utf-8"))
-        assert bench["scenario:ramp-down-jamming"]["latest"]["content_hash"]
 
     def test_scenario_run_vector_backend_warns_on_majority_fallback(
         self, tmp_path, capsys

@@ -1,10 +1,7 @@
-"""Tests for the experiment harness (specs, runner, smoke runs, reporting)."""
+"""Tests for the experiment harness (specs, registry, smoke runs, reporting)."""
 
 import pytest
 
-from repro.adversary.arrivals import BatchArrivals
-from repro.adversary.composite import CompositeAdversary
-from repro.core.low_sensing import LowSensingBackoff
 from repro.experiments.experiments import (
     ALL_EXPERIMENTS,
     run_e1_throughput_batch,
@@ -12,7 +9,6 @@ from repro.experiments.experiments import (
     run_e9_potential_drift,
 )
 from repro.experiments.reporting import render_report
-from repro.experiments.runner import SweepRunner
 from repro.experiments.spec import ExperimentReport, ExperimentSpec, check_scale
 
 
@@ -35,27 +31,6 @@ class TestSpec:
     def test_empty_exp_id_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec("", "t", "c", "b")
-
-
-class TestSweepRunner:
-    def test_aggregate_row_contains_sweep_columns(self):
-        runner = SweepRunner(seeds=[1, 2])
-        row = runner.aggregate_row(
-            LowSensingBackoff(),
-            lambda: CompositeAdversary(BatchArrivals(20)),
-            extra_columns={"n": 20},
-        )
-        assert row["protocol"] == "low-sensing"
-        assert row["n"] == 20
-        assert row["replicates"] == 2
-        assert row["arrivals"] == 20
-        assert row["delivered"] == 20
-        assert 0.0 < row["throughput"] <= 1.0
-        assert row["drained"]
-
-    def test_requires_at_least_one_seed(self):
-        with pytest.raises(ValueError):
-            SweepRunner(seeds=[])
 
 
 class TestExperimentRegistry:

@@ -56,7 +56,9 @@ from repro.observe import (
     unit_imbalance,
     worker_utilization,
 )
+from repro.observe.perf import plan_workload_hash
 from repro.observe.registry import METRIC_NAME_RE
+from repro.scenarios.runner import build_plan
 from repro.scenarios.spec import scenario_from_dict
 from repro.store import ResultsStore
 from repro.telemetry import (
@@ -461,7 +463,9 @@ class TestPerfHistory:
         store = ResultsStore(tmp_path / "s")
         scenario = scenario_from_dict(SCENARIO)
         sample = record_scenario_perf(store, scenario, backend_name="serial")
-        assert sample["spec_hash"] == scenario.content_hash()
+        # Keyed by the workload the plan runs, not the scenario definition.
+        assert sample["spec_hash"] == plan_workload_hash(build_plan(scenario))
+        assert sample["spec_hash"] != scenario.content_hash()
         assert sample["backend_layout"] == "serial"
         assert sample["host"] == host_fingerprint()
         assert sample["runs"] == 6  # 2 protocols x 3 replications
@@ -471,6 +475,19 @@ class TestPerfHistory:
         # Recording is result-inert: no run rows, empty fingerprint.
         assert store.stats()["runs"] == 0
         store.close()
+
+    def test_workload_hash_keys_scale_and_seeds(self):
+        scenario = scenario_from_dict(dict(SCENARIO, max_slots=3000))
+
+        def key(scale, seeds=None):
+            return plan_workload_hash(build_plan(scenario, scale, seeds))
+
+        assert key("default") == key("default")
+        # The scale's own seed list spelled out is the same work.
+        default_seeds = [scenario.base_seed + index for index in range(3)]
+        assert key("default") == key("default", default_seeds)
+        # Smoke caps max_slots and replications; other seeds are other work.
+        assert len({key("smoke"), key("default"), key("default", [1, 2, 3])}) == 3
 
     def test_inject_sleep_env_slows_the_timed_region(self, tmp_path, monkeypatch):
         store = ResultsStore(tmp_path / "s")
@@ -738,6 +755,21 @@ class TestPerfCli:
         assert main(["perf", "regress", "--store", store_dir]) == 1
         assert "DRIFT" in capsys.readouterr().out
 
+    def test_two_scales_are_two_groups(self, tmp_path, capsys):
+        """Timing one scenario at two scales must not read as drift."""
+        scenario = self._scenario_file(tmp_path)
+        store_dir = str(tmp_path / "store")
+        assert main(["perf", "record", scenario, "--store", store_dir,
+                     "--scale", "smoke", "--repeat", "4"]) == 0
+        assert main(["perf", "record", scenario, "--store", store_dir,
+                     "--scale", "default", "--seeds", "1,2,3,4,5,6,7,8",
+                     "--repeat", "2"]) == 0
+        capsys.readouterr()
+        assert main(["perf", "regress", "--store", store_dir, "--json"]) == 0
+        groups = json.loads(capsys.readouterr().out)["groups"]
+        assert len(groups) == 2
+        assert sorted(group["status"] for group in groups) == ["insufficient", "ok"]
+
     def test_regress_json_reports_groups(self, tmp_path, capsys):
         scenario = self._scenario_file(tmp_path)
         store_dir = str(tmp_path / "store")
@@ -793,6 +825,19 @@ class TestReportCli:
                      "--store", str(tmp_path / "no-store")]) == 0
         document = capsys.readouterr().out
         assert "Phase wall-clock" in document
+
+    def test_html_perf_section_has_one_row_per_group(self, tmp_path):
+        store = ResultsStore(tmp_path / "s")
+        for spec_hash, seconds in (("a", 1.0), ("a", 1.1), ("b", 5.0)):
+            store.put_perf_sample(
+                spec_hash=spec_hash, backend_layout="serial", host="h",
+                seconds=seconds, label=f"workload-{spec_hash}",
+            )
+        document = render_html_report(store=store)
+        store.close()
+        assert "Performance history" in document
+        assert document.count("<td>workload-a</td>") == 1
+        assert document.count("<td>workload-b</td>") == 1
 
     def test_html_escapes_untrusted_strings(self):
         events = [_span("<script>alert(1)</script>", 1.0)]

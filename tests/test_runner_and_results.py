@@ -1,4 +1,4 @@
-"""Tests for the convenience runners and the SimulationResult API."""
+"""Tests for the convenience runner and the SimulationResult API."""
 
 import pytest
 
@@ -6,8 +6,7 @@ from repro.adversary.arrivals import BatchArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import PeriodicJamming
 from repro.core.low_sensing import LowSensingBackoff
-from repro.sim.config import SimulationConfig
-from repro.sim.runner import replicate, run_simulation
+from repro.sim.runner import run_simulation
 
 
 class TestRunSimulation:
@@ -39,32 +38,6 @@ class TestRunSimulation:
             seed=2,
         )
         assert result.num_delivered == 5
-
-
-class TestReplicate:
-    def test_one_result_per_seed(self):
-        def factory(seed: int) -> SimulationConfig:
-            return SimulationConfig(
-                protocol=LowSensingBackoff(),
-                adversary=CompositeAdversary(BatchArrivals(10)),
-                seed=seed,
-            )
-
-        results = replicate(factory, seeds=[1, 2, 3])
-        assert len(results) == 3
-        assert [r.seed for r in results] == [1, 2, 3]
-        assert all(r.num_delivered == 10 for r in results)
-
-    def test_factory_must_propagate_seed(self):
-        def bad_factory(seed: int) -> SimulationConfig:
-            return SimulationConfig(
-                protocol=LowSensingBackoff(),
-                adversary=CompositeAdversary(BatchArrivals(1)),
-                seed=0,
-            )
-
-        with pytest.raises(ValueError):
-            replicate(bad_factory, seeds=[5])
 
 
 class TestSimulationResultApi:

@@ -11,7 +11,6 @@ from repro.core.low_sensing import LowSensingBackoff
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.experiments.experiments import run_e1_throughput_batch, run_e9_potential_drift
 from repro.experiments.plan import RunSpec, SweepPlan, factory
-from repro.experiments.runner import SweepRunner
 from repro.sim.engine import Simulator
 
 
@@ -101,20 +100,19 @@ class TestSweepPlan:
         direct = Simulator(plan.specs[0].build_config()).run()
         assert result.summary() == direct.summary()
 
-    def test_group_rows_match_sweep_runner(self):
-        """The declarative path must aggregate exactly like SweepRunner."""
-        seeds = [1, 2]
+    def test_group_row_contains_sweep_columns(self):
         plan = SweepPlan()
         plan.add_group(
-            LowSensingBackoff(), _batch_adversary(20), seeds, columns={"n": 20}
+            LowSensingBackoff(), _batch_adversary(20), [1, 2], columns={"n": 20}
         )
-        plan_row = plan.run().group_rows()[0]
-        runner_row = SweepRunner(seeds).aggregate_row(
-            LowSensingBackoff(),
-            lambda: CompositeAdversary(BatchArrivals(20)),
-            extra_columns={"n": 20},
-        )
-        assert plan_row == runner_row
+        row = plan.run().group_rows()[0]
+        assert row["protocol"] == "low-sensing"
+        assert row["n"] == 20
+        assert row["replicates"] == 2
+        assert row["arrivals"] == 20
+        assert row["delivered"] == 20
+        assert 0.0 < row["throughput"] <= 1.0
+        assert row["drained"]
 
 
 class TestVectorSupportMemoisation:
