@@ -437,7 +437,8 @@ class TestDiff:
             diff = diff_campaigns(left, "c", right, "c")
             assert diff.passed
 
-    def test_incomplete_campaign_flagged_by_diff(self, tmp_path):
+    def test_incomplete_campaign_flagged_by_diff_and_bench_gate(self, tmp_path):
+        """The diff gate fails on a campaign that stopped part-way."""
         with ResultsStore(tmp_path / "store") as store:
             self._campaign(store, VECTOR_ONLY, "done")
             with pytest.raises(CampaignInterrupted):

@@ -269,6 +269,8 @@ class TestScenario:
         # the schedule-aware vector kernels now.
         assert backend["vectorized_jobs"] > 0
         assert backend["fallback_jobs"] == 0
+        assert len(payload["content_hash"]) == 64
+        assert payload["elapsed_seconds"] > 0
 
     def test_scenario_run_vector_backend_warns_on_majority_fallback(
         self, tmp_path, capsys

@@ -113,13 +113,31 @@ class TestUnwritablePaths:
         )
 
 
-
 def _empty_store(tmp_path):
     from repro.store import ResultsStore
 
     root = tmp_path / "s"
     ResultsStore(root).close()
     return str(root)
+
+
+class TestRemovedOptions:
+    """``campaign diff`` compares two campaigns; wall-clock drift is
+    ``perf regress``'s job, so the old timing options are unknown."""
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--bench", "BENCH.json"], ["--bench-id", "E1"], ["--factor", "1.5"]],
+        ids=["bench", "bench-id", "factor"],
+    )
+    def test_diff_timing_option_is_a_usage_error(self, tmp_path, capsys, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "diff", "a", "b", "--store", _empty_store(tmp_path),
+                  *option])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+        assert "Traceback" not in err
 
 
 class TestCampaignAndCacheFailures:
@@ -137,7 +155,8 @@ class TestCampaignAndCacheFailures:
             "unknown campaign",
         )
 
-    def test_diff_needs_second_campaign(self, tmp_path, capsys):
+    def test_diff_needs_second_campaign_or_bench(self, tmp_path, capsys):
+        """CAMPAIGN_B is a required positional: without it, a usage error."""
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "diff", "a", "--store", _empty_store(tmp_path)])
         assert excinfo.value.code == 2

@@ -56,7 +56,7 @@ from repro.observe import (
     unit_imbalance,
     worker_utilization,
 )
-from repro.observe.perf import plan_workload_hash
+from repro.observe.perf import group_samples, plan_workload_hash
 from repro.observe.registry import METRIC_NAME_RE
 from repro.scenarios.runner import build_plan
 from repro.scenarios.spec import scenario_from_dict
@@ -489,6 +489,84 @@ class TestPerfHistory:
         # Smoke caps max_slots and replications; other seeds are other work.
         assert len({key("smoke"), key("default"), key("default", [1, 2, 3])}) == 3
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"max_slots": 2000},
+            {"arrivals": {"kind": "batch", "n": 13}},
+            {"jamming": {"kind": "bernoulli", "probability": 0.1}},
+            {"protocols": ["low-sensing"]},
+            {"base_seed": 7},
+        ],
+        ids=["max_slots", "arrivals", "jamming", "protocols", "base_seed"],
+    )
+    def test_workload_key_moves_with_the_work(self, edit):
+        base = scenario_from_dict(SCENARIO)
+        edited = scenario_from_dict(dict(SCENARIO, **edit))
+        assert plan_workload_hash(build_plan(edited)) != plan_workload_hash(
+            build_plan(base)
+        )
+
+    def test_workload_key_follows_plan_order(self):
+        scenario = scenario_from_dict(SCENARIO)
+        swapped = scenario_from_dict(
+            dict(SCENARIO, protocols=list(reversed(SCENARIO["protocols"])))
+        )
+        forward = plan_workload_hash(build_plan(scenario, "default", [1, 2, 3]))
+        assert forward != plan_workload_hash(build_plan(swapped, "default", [1, 2, 3]))
+        assert forward != plan_workload_hash(build_plan(scenario, "default", [3, 2, 1]))
+
+    def test_retitled_scenario_keeps_its_workload_key(self):
+        """A cosmetic edit moves the content hash but not the work timed."""
+        scenario = scenario_from_dict(SCENARIO)
+        retitled = scenario_from_dict(dict(SCENARIO, title="Renamed"))
+        assert retitled.content_hash() != scenario.content_hash()
+        assert plan_workload_hash(build_plan(retitled)) == plan_workload_hash(
+            build_plan(scenario)
+        )
+
+    def test_record_keys_explicit_seeds(self, tmp_path):
+        store = ResultsStore(tmp_path / "s")
+        scenario = scenario_from_dict(dict(SCENARIO, max_slots=300))
+        sample = record_scenario_perf(
+            store, scenario, seeds=[1, 2], backend_name="serial"
+        )
+        store.close()
+        assert sample["spec_hash"] == plan_workload_hash(
+            build_plan(scenario, "default", [1, 2])
+        )
+        assert sample["runs"] == 4  # 2 protocols x 2 seeds
+
+    def test_record_keys_the_scale(self, tmp_path):
+        store = ResultsStore(tmp_path / "s")
+        scenario = scenario_from_dict(SCENARIO)
+        sample = record_scenario_perf(
+            store, scenario, scale="smoke", backend_name="serial"
+        )
+        store.close()
+        assert sample["spec_hash"] == plan_workload_hash(build_plan(scenario, "smoke"))
+        assert sample["spec_hash"] != plan_workload_hash(build_plan(scenario))
+        assert sample["label"] == f"{scenario.scenario_id}@smoke"
+
+    def test_samples_under_the_scenario_hash_keep_their_group(self, tmp_path):
+        """Samples filed under the scenario content hash are never merged
+        into (or compared with) the workload-keyed series."""
+        store = ResultsStore(tmp_path / "s")
+        scenario = scenario_from_dict(dict(SCENARIO, replications=1, max_slots=300))
+        for seconds in (9.0, 9.1, 8.9, 9.0):
+            store.put_perf_sample(
+                spec_hash=scenario.content_hash(), backend_layout="serial",
+                host=host_fingerprint(), seconds=seconds, label="before",
+            )
+        sample = record_scenario_perf(store, scenario, backend_name="serial")
+        rows = store.perf_sample_rows()
+        store.close()
+        by_hash = {verdict["spec_hash"]: verdict for verdict in regress_groups(rows)}
+        assert set(by_hash) == {scenario.content_hash(), sample["spec_hash"]}
+        assert by_hash[scenario.content_hash()]["samples"] == 4
+        assert by_hash[scenario.content_hash()]["status"] == "ok"
+        assert by_hash[sample["spec_hash"]]["samples"] == 1
+
     def test_inject_sleep_env_slows_the_timed_region(self, tmp_path, monkeypatch):
         store = ResultsStore(tmp_path / "s")
         scenario = scenario_from_dict(dict(SCENARIO, replications=1, max_slots=200))
@@ -557,6 +635,49 @@ class TestDriftDetection:
         assert by_key[("a", "serial")]["status"] == "drift"
         assert by_key[("a", "serial")]["label"] == "a-label"
         assert by_key[("b", "vector")]["status"] == "ok"
+
+    def test_group_samples_keeps_recording_order_per_group(self):
+        rows = [
+            {"spec_hash": spec, "backend_layout": "serial", "host": "h",
+             "seconds": seconds}
+            for spec, seconds in (("a", 1.0), ("b", 5.0), ("a", 2.0), ("b", 6.0))
+        ]
+        groups = group_samples(rows)
+        assert list(groups) == [("a", "serial", "h"), ("b", "serial", "h")]
+        assert [row["seconds"] for row in groups[("a", "serial", "h")]] == [1.0, 2.0]
+        assert [row["seconds"] for row in groups[("b", "serial", "h")]] == [5.0, 6.0]
+
+    def test_hosts_are_never_compared(self):
+        """A slow host's samples cannot read as drift on a fast host."""
+        rows = [
+            {"spec_hash": "a", "backend_layout": "serial", "host": host,
+             "seconds": seconds, "label": "a"}
+            for host, seconds in [("fast", 1.0)] * 6 + [("slow", 4.0)] * 2
+        ]
+        verdicts = regress_groups(rows)
+        assert [(v["host"], v["status"]) for v in verdicts] == [
+            ("fast", "ok"),
+            ("slow", "insufficient"),
+        ]
+
+    def test_regress_groups_in_key_order_with_latest_label(self):
+        rows = [
+            {"spec_hash": spec, "backend_layout": layout, "host": "h",
+             "seconds": 1.0, "label": label}
+            for spec, layout, label in (
+                ("b", "serial", "b-old"),
+                ("a", "vector", "a"),
+                ("a", "serial", "a"),
+                ("b", "serial", "b-new"),
+            )
+        ]
+        verdicts = regress_groups(rows)
+        assert [(v["spec_hash"], v["backend_layout"]) for v in verdicts] == [
+            ("a", "serial"),
+            ("a", "vector"),
+            ("b", "serial"),
+        ]
+        assert verdicts[-1]["label"] == "b-new"
 
 
 class TestObserveFingerprintInvariance:
@@ -770,6 +891,49 @@ class TestPerfCli:
         assert len(groups) == 2
         assert sorted(group["status"] for group in groups) == ["insufficient", "ok"]
 
+    def test_spec_prefix_selects_one_workload(self, tmp_path, capsys):
+        scenario = self._scenario_file(tmp_path)
+        store_dir = str(tmp_path / "store")
+        for seeds in ("1,2", "3,4"):
+            assert main(["perf", "record", scenario, "--store", store_dir,
+                         "--seeds", seeds, "--repeat", "2"]) == 0
+        capsys.readouterr()
+        assert main(["perf", "history", "--store", store_dir, "--json"]) == 0
+        samples = json.loads(capsys.readouterr().out)["samples"]
+        keys = sorted({sample["spec_hash"] for sample in samples})
+        assert len(keys) == 2
+        prefix = keys[0][:12]
+        assert main(["perf", "regress", "--store", store_dir,
+                     "--spec", prefix, "--json"]) == 0
+        (group,) = json.loads(capsys.readouterr().out)["groups"]
+        assert group["spec_hash"] == keys[0]
+        assert group["samples"] == 2
+
+    def test_record_json_reports_the_workload_key(self, tmp_path, capsys):
+        scenario_file = self._scenario_file(tmp_path)
+        assert main(["perf", "record", scenario_file, "--store",
+                     str(tmp_path / "store"), "--scale", "smoke", "--json"]) == 0
+        (sample,) = json.loads(capsys.readouterr().out)["samples"]
+        scenario = scenario_from_dict(json.loads(Path(scenario_file).read_text()))
+        assert sample["spec_hash"] == plan_workload_hash(build_plan(scenario, "smoke"))
+
+    def test_regress_json_group_fields(self, tmp_path, capsys):
+        scenario = self._scenario_file(tmp_path)
+        store_dir = str(tmp_path / "store")
+        assert main(["perf", "record", scenario, "--store", store_dir,
+                     "--repeat", "4"]) == 0
+        capsys.readouterr()
+        code = main(["perf", "regress", "--store", store_dir, "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"groups", "drifted"}
+        assert code == (1 if payload["drifted"] else 0)
+        (group,) = payload["groups"]
+        assert set(group) == {
+            "spec_hash", "backend_layout", "host", "label", "status",
+            "samples", "window", "baseline", "latest_mean", "baseline_mean",
+            "ratio", "p_value", "factor", "alpha",
+        }
+
     def test_regress_json_reports_groups(self, tmp_path, capsys):
         scenario = self._scenario_file(tmp_path)
         store_dir = str(tmp_path / "store")
@@ -838,6 +1002,25 @@ class TestReportCli:
         assert "Performance history" in document
         assert document.count("<td>workload-a</td>") == 1
         assert document.count("<td>workload-b</td>") == 1
+
+    def test_html_perf_rows_follow_regress_groups(self, tmp_path):
+        store = ResultsStore(tmp_path / "s")
+        series = [("z", 1.0)] * 6 + [("z", 3.0)] * 2 + [("m", 1.0)]
+        for spec_hash, seconds in series:
+            store.put_perf_sample(
+                spec_hash=spec_hash, backend_layout="serial", host="h",
+                seconds=seconds, label=f"workload-{spec_hash}",
+            )
+        verdicts = regress_groups(store.perf_sample_rows())
+        document = render_html_report(store=store)
+        store.close()
+        positions = [
+            document.index(f"<td>{verdict['label']}</td>") for verdict in verdicts
+        ]
+        assert positions == sorted(positions)
+        assert [verdict["status"] for verdict in verdicts] == ["insufficient", "drift"]
+        assert '<td class="drift">drift</td>' in document
+        assert '<td class="insufficient">insufficient</td>' in document
 
     def test_html_escapes_untrusted_strings(self):
         events = [_span("<script>alert(1)</script>", 1.0)]

@@ -10,7 +10,7 @@ from repro.adversary.jamming import BernoulliJamming
 from repro.core.low_sensing import LowSensingBackoff
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.experiments.experiments import run_e1_throughput_batch, run_e9_potential_drift
-from repro.experiments.plan import RunSpec, SweepPlan, factory
+from repro.experiments.plan import RunSpec, SweepPlan, aggregate_replicate_row, factory
 from repro.sim.engine import Simulator
 
 
@@ -113,6 +113,28 @@ class TestSweepPlan:
         assert row["delivered"] == 20
         assert 0.0 < row["throughput"] <= 1.0
         assert row["drained"]
+
+    def test_group_rows_match_direct_replicates(self):
+        """A group's row aggregates exactly the per-seed direct runs."""
+        seeds = [1, 2]
+        plan = SweepPlan()
+        plan.add_group(
+            LowSensingBackoff(), _batch_adversary(20), seeds, columns={"n": 20}
+        )
+        direct = [Simulator(spec.build_config()).run() for spec in plan.specs]
+        expected = aggregate_replicate_row(
+            direct, protocol_name="low-sensing", extra_columns={"n": 20}
+        )
+        assert plan.run().group_rows() == [expected]
+
+    def test_group_rows_follow_group_order(self):
+        plan = SweepPlan()
+        for n in (30, 10):
+            plan.add_group(
+                LowSensingBackoff(), _batch_adversary(n), [1], columns={"n": n}
+            )
+        rows = plan.run().group_rows()
+        assert [(row["n"], row["arrivals"]) for row in rows] == [(30, 30), (10, 10)]
 
 
 class TestVectorSupportMemoisation:
