@@ -12,16 +12,19 @@ shape-verdicts:
   whether a measured curve grows polylogarithmically or polynomially;
 * :mod:`repro.analysis.tables` — plain-text table rendering for experiment
   reports (no plotting dependencies);
-* :mod:`repro.analysis.equivalence` — statistical-agreement checking
-  between execution backends (CI overlap on replicate means, two-sample KS
-  on pooled per-packet distributions), used to validate that the vector
-  engine reproduces the scalar engine's distributions.
+* :mod:`repro.analysis.equivalence` — the comparison core: one
+  two-sample rule for replicate means (:func:`compare_means`: Welch's t,
+  else a relative tolerance), a design-effect-corrected two-sample KS on
+  pooled per-packet distributions, and one report type; it validates that
+  the vector engine reproduces the scalar engine's distributions and backs
+  ``campaign diff``.
 """
 
 from repro.analysis.equivalence import (
     EquivalenceReport,
     KsResult,
     MetricComparison,
+    compare_means,
     compare_result_sets,
     design_effect,
     ks_2sample,
@@ -50,6 +53,7 @@ __all__ = [
     "FitResult",
     "KsResult",
     "MetricComparison",
+    "compare_means",
     "compare_result_sets",
     "design_effect",
     "ks_2sample",

@@ -33,6 +33,11 @@ Two complementary checks are applied per metric:
 
 Repeated *vector* runs of the same batch must be bit-identical — that
 stronger property is checked directly by the test suite, not here.
+
+This is the one comparison core: :func:`compare_means` is the two-sample
+rule and :class:`EquivalenceReport` the report type of ``equivalence``,
+``campaign diff`` and its trajectory diff (:mod:`repro.dynamics.compare`);
+``perf regress`` takes its Welch p-value from :func:`compare_means` too.
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ def _replicate_mean_latency(result: SimulationResult) -> float:
     return result.latency_statistics().mean_latency
 
 
-#: Per-replication headline metrics compared via CI overlap.
+#: Per-replication headline metrics compared by :func:`compare_means`.
 REPLICATE_METRICS: dict[str, Callable[[SimulationResult], float]] = {
     "throughput": _replicate_throughput,
     "mean_accesses": _replicate_mean_accesses,
@@ -209,9 +214,12 @@ class MetricComparison:
     """Outcome of comparing one metric between the two sides."""
 
     metric: str
-    method: str  # "ci-overlap" or "ks"
+    method: str  # "welch-t", "ks" or "bit-identical-repeat"
     passed: bool
     detail: str
+    #: The test's p-value; ``None`` when the verdict came from the
+    #: relative-tolerance fallback or from an exact check.
+    p_value: float | None = None
 
 
 @dataclass
@@ -235,6 +243,27 @@ class EquivalenceReport:
             lines.append(f"  [{status}] {c.metric} ({c.method}): {c.detail}")
         lines.extend(f"  note: {note}" for note in self.notes)
         return "\n".join(lines)
+
+
+class OptionError(ValueError):
+    """A comparison option out of range, named as on the command line with
+    underscores for dashes (``trajectory_alpha``)."""
+
+    def __init__(self, option: str, requirement: str, value: float) -> None:
+        super().__init__(f"{option} must be {requirement}, got {value!r}")
+        self.option = option
+
+
+def check_level(option: str, value: float) -> None:
+    """Reject a significance level outside (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise OptionError(option, "in (0, 1)", value)
+
+
+def check_minimum(option: str, value: float, minimum: float) -> None:
+    """Reject a value below ``minimum`` (or NaN)."""
+    if not value >= minimum:
+        raise OptionError(option, f">= {minimum:g}", value)
 
 
 def compare_result_sets(
@@ -262,6 +291,7 @@ def compare_result_sets(
     reuses this machinery to compare two stored campaigns, where
     "scalar"/"vector" would be misleading.
     """
+    check_level("alpha", alpha)
     if not scalar_results or not vector_results:
         raise ValueError("both result sets must be non-empty")
     report = EquivalenceReport()
@@ -274,7 +304,7 @@ def compare_result_sets(
             report.notes.append(f"{metric}: skipped ({exc})")
             continue
         report.comparisons.append(
-            _compare_means(metric, left, right, mean_alpha, relative_tolerance, labels)
+            compare_means(metric, left, right, mean_alpha, relative_tolerance, labels)
         )
 
     for metric, pool in POOLED_METRICS.items():
@@ -303,59 +333,66 @@ def compare_result_sets(
                     f"(n={ks.n1}/{ks.n2}, "
                     f"deff={deff_left:.1f}/{deff_right:.1f}, alpha={alpha})"
                 ),
+                p_value=ks.p_value,
             )
         )
     return report
 
 
-def _compare_means(
+def compare_means(
     metric: str,
-    left: list[float],
-    right: list[float],
+    left: Sequence[float],
+    right: Sequence[float],
     mean_alpha: float,
     relative_tolerance: float,
     labels: tuple[str, str] = ("scalar", "vector"),
 ) -> MetricComparison:
+    """The one two-sample rule: Welch's t where defined, else a tolerance.
+
+    The sides agree when Welch's two-sided p-value clears ``mean_alpha``,
+    or — where the test is undefined (fewer than two values on a side, or
+    zero variance) — when their means differ by at most
+    ``relative_tolerance`` of the larger one.  The comparison carries the
+    Welch p-value (``None`` for the fallback) for callers with their own
+    multiple-testing or one-sided rule.
+    """
+    check_level("mean_alpha", mean_alpha)
+    check_minimum("relative_tolerance", relative_tolerance, 0.0)
     left_label, right_label = labels
     n1, n2 = len(left), len(right)
     left_mean = sum(left) / n1
     right_mean = sum(right) / n2
-    scale = max(abs(left_mean), abs(right_mean), 1e-12)
-    relative_difference = abs(left_mean - right_mean) / scale
-    if n1 >= 2 and n2 >= 2:
-        try:
-            # Welch's t with Welch–Satterthwaite df, not a normal z: at the
-            # replicate counts campaigns and the harness actually run
-            # (2–24 per side), the normal approximation overstates
-            # significance by orders of magnitude and flags genuinely
-            # equivalent result sets.
-            t, df, p_value = welch_t_test(left, right)
-        except ValueError:
-            # Degenerate (zero-variance) metric: the test statistic is
-            # undefined and exact equality would be too strict across
-            # random-stream layouts — fall back to the relative tolerance.
-            passed = relative_difference <= relative_tolerance
-            detail = (
-                f"{left_label} {left_mean:.4f} vs {right_label} {right_mean:.4f} "
-                f"(zero variance; relative diff {relative_difference:.3f}, "
+    means = f"{left_label} {left_mean:.4f} vs {right_label} {right_mean:.4f}"
+    try:
+        # Welch's t with Welch–Satterthwaite df, not a normal z: at the
+        # replicate counts campaigns and the harness actually run (2–24 per
+        # side), the normal approximation overstates significance by orders
+        # of magnitude and flags genuinely equivalent result sets.
+        t, df, p_value = welch_t_test(left, right)
+    except ValueError:
+        # Too few values or zero variance: the statistic is undefined, and
+        # exact equality would be too strict across random-stream layouts.
+        scale = max(abs(left_mean), abs(right_mean), 1e-12)
+        relative_difference = abs(left_mean - right_mean) / scale
+        degenerate = "zero variance; " if n1 >= 2 and n2 >= 2 else ""
+        return MetricComparison(
+            metric=metric,
+            method="welch-t",
+            passed=relative_difference <= relative_tolerance,
+            detail=(
+                f"{means} ({degenerate}relative diff {relative_difference:.3f}, "
                 f"tolerance {relative_tolerance})"
-            )
-        else:
-            passed = p_value > mean_alpha
-            detail = (
-                f"{left_label} {left_mean:.4f} vs {right_label} {right_mean:.4f} "
-                f"(t={t:.2f}, df={df:.1f}, p={p_value:.4f}, alpha={mean_alpha}, "
-                f"n={n1}/{n2})"
-            )
-    else:
-        passed = relative_difference <= relative_tolerance
-        detail = (
-            f"{left_label} {left_mean:.4f} vs {right_label} {right_mean:.4f} "
-            f"(relative diff {relative_difference:.3f}, "
-            f"tolerance {relative_tolerance})"
+            ),
         )
     return MetricComparison(
-        metric=metric, method="welch-t", passed=passed, detail=detail
+        metric=metric,
+        method="welch-t",
+        passed=p_value > mean_alpha,
+        detail=(
+            f"{means} (t={t:.2f}, df={df:.1f}, p={p_value:.4f}, "
+            f"alpha={mean_alpha}, n={n1}/{n2})"
+        ),
+        p_value=p_value,
     )
 
 
@@ -364,13 +401,7 @@ def _compare_means(
 # ---------------------------------------------------------------------------
 
 
-def verify_vector_equivalence(
-    specs: Sequence,
-    *,
-    alpha: float = 0.001,
-    mean_alpha: float = 0.002,
-    relative_tolerance: float = 0.15,
-) -> EquivalenceReport:
+def verify_vector_equivalence(specs: Sequence) -> EquivalenceReport:
     """Run ``specs`` through both engines and compare the results.
 
     ``specs`` must all be replications of one vectorizable configuration
@@ -390,13 +421,7 @@ def verify_vector_equivalence(
             raise ValueError(f"spec cannot vectorize: {reason}")
     scalar_results = SerialBackend().run(specs)
     vector_results = VectorSimulator.from_specs(specs).run()
-    report = compare_result_sets(
-        scalar_results,
-        vector_results,
-        alpha=alpha,
-        mean_alpha=mean_alpha,
-        relative_tolerance=relative_tolerance,
-    )
+    report = compare_result_sets(scalar_results, vector_results)
     repeat = VectorSimulator.from_specs(specs).run()
     deterministic = all(
         first.collector.backlog_series == second.collector.backlog_series
@@ -415,13 +440,7 @@ def verify_vector_equivalence(
     return report
 
 
-def verify_plan_equivalence(
-    plan,
-    *,
-    alpha: float = 0.001,
-    mean_alpha: float = 0.002,
-    relative_tolerance: float = 0.15,
-) -> dict[int, "EquivalenceReport"]:
+def verify_plan_equivalence(plan) -> dict[int, "EquivalenceReport"]:
     """Check every vectorizable group of a sweep plan through both engines.
 
     ``plan`` is a :class:`~repro.experiments.plan.SweepPlan` (for example
@@ -439,9 +458,6 @@ def verify_plan_equivalence(
         if group.group_id in fallback_groups:
             continue
         reports[group.group_id] = verify_vector_equivalence(
-            [specs[index] for index in group.spec_indices],
-            alpha=alpha,
-            mean_alpha=mean_alpha,
-            relative_tolerance=relative_tolerance,
+            [specs[index] for index in group.spec_indices]
         )
     return reports

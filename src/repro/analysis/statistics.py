@@ -123,11 +123,12 @@ def benjamini_hochberg(
 ) -> list[bool]:
     """Benjamini–Hochberg FDR control: which hypotheses are rejected.
 
-    Returns one boolean per input p-value (in input order).  Used by the
-    trajectory diff, where one comparison per window per metric would make
-    a plain per-test ``alpha`` either far too loose (many false flags over
-    hundreds of windows) or, Bonferroni-corrected, far too strict to catch
-    a regression confined to a few windows.
+    Returns one boolean per input p-value (in input order); a p-value of
+    exactly 0.0, which :func:`welch_t_test` can return, is rejected too.
+    Used by the trajectory diff, where one comparison per window per metric
+    would make a plain per-test ``alpha`` either far too loose (many false
+    flags over hundreds of windows) or, Bonferroni-corrected, far too
+    strict to catch a regression confined to a few windows.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -138,11 +139,14 @@ def benjamini_hochberg(
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p-values must lie in [0, 1], got {p!r}")
     order = sorted(range(m), key=lambda index: p_values[index])
-    threshold = 0.0
+    # Reject every p-value up to the largest one under its step-up bound.
+    # Starting below 0.0 keeps a passing p-value of exactly 0.0 a rejection
+    # and rejects nothing when no p-value passes.
+    threshold = -1.0
     for rank, index in enumerate(order, start=1):
         if p_values[index] <= rank * alpha / m:
             threshold = p_values[index]
-    return [p <= threshold for p in p_values] if threshold else [False] * m
+    return [p <= threshold for p in p_values]
 
 
 @dataclass(frozen=True)

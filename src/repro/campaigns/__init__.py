@@ -10,8 +10,9 @@ resumes by skipping everything already stored and completes bit-identically
 to an uninterrupted run.
 
 On top of the store, :mod:`repro.campaigns.diff` compares two campaigns
-metric-by-metric with the Welch/KS machinery from
-:mod:`repro.analysis.equivalence`.
+metric-by-metric through the comparison core in
+:mod:`repro.analysis.equivalence` (Welch/KS), and with ``trajectories=True``
+window by window as well.
 """
 
 from repro.campaigns.runner import (
@@ -24,7 +25,7 @@ from repro.campaigns.runner import (
     resume_campaign,
     start_campaign,
 )
-from repro.campaigns.diff import diff_campaign_trajectories, diff_campaigns
+from repro.campaigns.diff import diff_campaigns
 
 __all__ = [
     "CampaignError",
@@ -33,7 +34,6 @@ __all__ = [
     "campaign_report",
     "campaign_status_rows",
     "default_campaign_id",
-    "diff_campaign_trajectories",
     "diff_campaigns",
     "resume_campaign",
     "start_campaign",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.equivalence import EquivalenceReport, compare_result_sets
 from repro.campaigns.runner import CampaignError
-from repro.dynamics import TrajectoryDiff, compare_trajectory_sets
+from repro.dynamics import compare_trajectory_sets
 from repro.sim.results import SimulationResult
 from repro.store import ResultsStore
 
@@ -33,15 +33,12 @@ class CampaignDiff:
     left_id: str
     right_id: str
     reports: dict[str, EquivalenceReport] = field(default_factory=dict)
-    trajectories: dict[str, TrajectoryDiff] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     missing: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         if self.missing:
-            return False
-        if not all(diff.passed for diff in self.trajectories.values()):
             return False
         return all(report.passed for report in self.reports.values())
 
@@ -54,11 +51,6 @@ class CampaignDiff:
             report = self.reports[protocol]
             lines.append(f"-- [{protocol}]")
             lines.extend("  " + line for line in report.render().splitlines())
-            trajectory = self.trajectories.get(protocol)
-            if trajectory is not None:
-                lines.extend(
-                    "  " + line for line in trajectory.render().splitlines()
-                )
         lines.extend(f"  missing: {item}" for item in self.missing)
         lines.extend(f"  note: {note}" for note in self.notes)
         return "\n".join(lines)
@@ -110,7 +102,8 @@ def diff_campaigns(
 
     ``trajectories=True`` additionally compares the *paths* window by
     window (:func:`repro.dynamics.compare_trajectory_sets`), which catches
-    a mid-run regression whose end-of-run aggregates cancel out.
+    a mid-run regression whose end-of-run aggregates cancel out; its
+    flagged windows join each protocol's report as failing comparisons.
     """
     if right_id is None:
         raise CampaignError("diff needs two campaign ids")
@@ -145,7 +138,7 @@ def diff_campaigns(
     for protocol in sorted(set(right) - set(left)):
         diff.missing.append(f"protocol {protocol!r} only in {right_id}")
     for protocol in sorted(set(left) & set(right)):
-        diff.reports[protocol] = compare_result_sets(
+        report = compare_result_sets(
             left[protocol],
             right[protocol],
             alpha=alpha,
@@ -154,47 +147,15 @@ def diff_campaigns(
             labels=(left_id, right_id),
         )
         if trajectories:
-            diff.trajectories[protocol] = compare_trajectory_sets(
+            windows = compare_trajectory_sets(
                 left[protocol],
                 right[protocol],
                 window=trajectory_window,
                 alpha=trajectory_alpha,
                 relative_tolerance=relative_tolerance,
+                labels=(left_id, right_id),
             )
+            report.comparisons.extend(windows.comparisons)
+            report.notes.extend(windows.notes)
+        diff.reports[protocol] = report
     return diff
-
-
-def diff_campaign_trajectories(
-    left_store: ResultsStore,
-    left_id: str,
-    right_store: ResultsStore | None = None,
-    right_id: str | None = None,
-    *,
-    window: int | None = None,
-    alpha: float = 0.01,
-    relative_tolerance: float = 0.15,
-) -> dict[str, TrajectoryDiff]:
-    """Trajectory-only comparison of two campaigns, per protocol.
-
-    The backing data comes from the stored result artifacts' per-slot
-    series (re-windowed at ``window``), so any two stored campaigns can be
-    compared — recording them with ``--dynamics`` is not required.
-    Protocols present on only one side are skipped (``campaign diff``
-    already flags coverage loss).
-    """
-    if right_id is None:
-        raise CampaignError("trajectory diff needs two campaign ids")
-    right_store = right_store or left_store
-    left = _campaign_results(left_store, left_id)
-    right = _campaign_results(right_store, right_id)
-    return {
-        protocol: compare_trajectory_sets(
-            left[protocol],
-            right[protocol],
-            window=window,
-            alpha=alpha,
-            relative_tolerance=relative_tolerance,
-        )
-        for protocol in sorted(set(left) & set(right))
-    }
-

@@ -52,12 +52,14 @@ Subcommands:
         python -m repro campaign resume onoff-jamming-1a2b3c4d --store runs/
         python -m repro campaign status --store runs/ --json
         python -m repro campaign show onoff-jamming-1a2b3c4d --store runs/
-        python -m repro campaign diff CAMPAIGN_A CAMPAIGN_B --store runs/
+        python -m repro campaign diff CAMPAIGN_A CAMPAIGN_B --store runs/ --trajectories
 
     ``run`` checkpoints progress per unit, so a killed campaign resumes
     with ``resume`` and converges to a store bit-identical to an
     uninterrupted run.  ``diff`` compares two campaigns metric-by-metric
-    (Welch/KS) and exits non-zero on a statistical regression.
+    (Welch/KS) and exits non-zero on a statistical regression;
+    ``--trajectories`` also compares the runs' paths window by window
+    (Welch + Benjamini–Hochberg).
 
 ``telemetry``
     Observability tooling (:mod:`repro.telemetry`).  ``run``, ``scenario
@@ -118,14 +120,11 @@ Subcommands:
         python -m repro dynamics show --store runs/
         python -m repro dynamics show 1a2b3c --seed 7 --store runs/
         python -m repro dynamics export 1a2b3c --seed 7 --format csv
-        python -m repro dynamics compare CAMPAIGN_A CAMPAIGN_B --store runs/
 
-    ``show`` lists or sparkline-renders stored trajectories, ``export``
-    emits JSON/CSV, and ``compare`` diffs two campaigns window by window
-    (Welch + Benjamini–Hochberg), exiting non-zero on a mid-run
-    regression even when end-of-run aggregates agree.  Like telemetry,
-    dynamics are RNG- and result-inert: store fingerprints with
-    ``--dynamics`` on and off are bit-identical.
+    ``show`` lists or sparkline-renders stored trajectories and ``export``
+    emits JSON/CSV; ``campaign diff --trajectories`` is the trajectory
+    regression gate.  Like telemetry, dynamics are RNG- and result-inert:
+    store fingerprints with ``--dynamics`` on and off are bit-identical.
 
 ``cache``
     Operational tooling for the result cache / results store::
@@ -496,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trajectory-alpha",
         type=float,
         default=0.01,
-        help="per-metric FDR level for the windowed tests (default: 0.01)",
+        help="FDR level over the Welch-tested windows (default: 0.01)",
     )
 
     telemetry_parser = subparsers.add_parser(
@@ -577,29 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write to PATH instead of stdout",
-    )
-    dynamics_compare = dynamics_sub.add_parser(
-        "compare",
-        help=(
-            "window-by-window trajectory regression diff of two stored "
-            "campaigns; non-zero exit on regression"
-        ),
-    )
-    dynamics_compare.add_argument("left", metavar="CAMPAIGN_A")
-    dynamics_compare.add_argument("right", metavar="CAMPAIGN_B")
-    _add_store_option(dynamics_compare)
-    dynamics_compare.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="W",
-        help="slots per comparison window (default: derived from run length)",
-    )
-    dynamics_compare.add_argument(
-        "--alpha",
-        type=float,
-        default=0.01,
-        help="per-metric FDR level for the windowed tests (default: 0.01)",
     )
 
     perf_parser = subparsers.add_parser(
@@ -1196,11 +1172,11 @@ def _run_scenarios(
 def _command_equivalence(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
+    from repro.analysis.equivalence import verify_plan_equivalence
+
     if args.replications < 1:
         parser.error("--replications must be at least 1")
-    failures = 0
     if args.scenario is not None:
-        from repro.analysis.equivalence import verify_plan_equivalence
         from repro.scenarios.runner import build_plan
         from repro.scenarios.spec import ScenarioError, resolve_scenario
 
@@ -1210,23 +1186,12 @@ def _command_equivalence(
             parser.error(str(exc))
         seeds = [scenario.base_seed + index for index in range(args.replications)]
         plan = build_plan(scenario, scale=args.scale, seeds=seeds)
-        reports = verify_plan_equivalence(plan)
-        if not reports:
-            parser.error(
-                f"scenario {scenario.scenario_id!r} has no vectorizable group; "
-                "nothing to compare"
-            )
-        for group_id, report in sorted(reports.items()):
-            protocol = plan.groups[group_id].protocol_name
-            print(f"-- {scenario.scenario_id} [{protocol}] x{args.replications}")
-            print(report.render())
-            failures += 0 if report.passed else 1
+        labels = {group.group_id: scenario.scenario_id for group in plan.groups}
     else:
         from repro.adversary.arrivals import BatchArrivals
         from repro.adversary.composite import CompositeAdversary
-        from repro.analysis.equivalence import verify_vector_equivalence
         from repro.core.low_sensing import LowSensingBackoff
-        from repro.experiments.plan import RunSpec, factory
+        from repro.experiments.plan import SweepPlan, factory
         from repro.protocols.binary_exponential import BinaryExponentialBackoff
         from repro.protocols.fixed_probability import FixedProbabilityProtocol
         from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
@@ -1240,6 +1205,9 @@ def _command_equivalence(
             SawtoothBackoff(),
             FullSensingMultiplicativeWeights(),
         )
+        # The E1 batch core as a plan: one group per (batch size, protocol).
+        plan = SweepPlan()
+        labels = {}
         for n in batch_sizes:
             adversary = factory(CompositeAdversary, factory(BatchArrivals, n))
             core_protocols = (
@@ -1254,14 +1222,19 @@ def _command_equivalence(
             else:
                 protocols = core_protocols + sensing_protocols
             for protocol in protocols:
-                specs = [
-                    RunSpec(protocol=protocol, adversary=adversary, seed=seed)
-                    for seed in seeds
-                ]
-                report = verify_vector_equivalence(specs)
-                print(f"-- {protocol.name} n={n} x{args.replications}")
-                print(report.render())
-                failures += 0 if report.passed else 1
+                labels[plan.add_group(protocol, adversary, seeds)] = f"n={n}"
+    reports = verify_plan_equivalence(plan)
+    if not reports:
+        parser.error(
+            f"scenario {args.scenario!r} has no vectorizable group; "
+            "nothing to compare"
+        )
+    failures = 0
+    for group_id, report in sorted(reports.items()):
+        protocol = plan.groups[group_id].protocol_name
+        print(f"-- {labels[group_id]} [{protocol}] x{args.replications}")
+        print(report.render())
+        failures += 0 if report.passed else 1
     if failures:
         print(f"\nequivalence: {failures} configuration(s) FAILED")
         return 1
@@ -1443,8 +1416,6 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
                 return 0
 
             # campaign diff
-            if args.trajectory_window is not None and args.trajectory_window < 1:
-                parser.error("--trajectory-window must be at least 1")
             diff = diff_campaigns(
                 store,
                 args.left,
@@ -1585,66 +1556,33 @@ def _command_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser)
             print(render_trajectory(trajectory, label=label))
             return 0
 
-        if args.dynamics_command == "export":
-            from repro.dynamics import trajectory_to_csv, trajectory_to_json
+        # dynamics export
+        from repro.dynamics import trajectory_to_csv, trajectory_to_json
 
-            row = _select_trajectory_row(store, args, parser)
-            trajectory = _load_trajectory(store, row, parser)
-            rendered = (
-                trajectory_to_csv(trajectory)
-                if args.export_format == "csv"
-                else trajectory_to_json(trajectory)
-            )
-            if args.out is None:
-                print(rendered, end="" if rendered.endswith("\n") else "\n")
-                return 0
-            out_path = pathlib.Path(args.out)
-            try:
-                out_path.parent.mkdir(parents=True, exist_ok=True)
-                out_path.write_text(
-                    rendered if rendered.endswith("\n") else rendered + "\n",
-                    encoding="utf-8",
-                )
-            except OSError as exc:
-                parser.error(f"cannot write --out {args.out!r}: {exc}")
-            print(
-                f"wrote {args.export_format} trajectory "
-                f"{row['spec_hash'][:12]}/seed={row['seed']} to {out_path}"
-            )
-            return 0
-
-        # dynamics compare
-        from repro.campaigns import CampaignError, diff_campaign_trajectories
-
-        if args.window is not None and args.window < 1:
-            parser.error("--window must be at least 1")
-        try:
-            diffs = diff_campaign_trajectories(
-                store,
-                args.left,
-                right_id=args.right,
-                window=args.window,
-                alpha=args.alpha,
-            )
-        except CampaignError as exc:
-            parser.error(str(exc))
-        if not diffs:
-            parser.error(
-                f"campaigns {args.left!r} and {args.right!r} share no protocol "
-                "groups; nothing to compare"
-            )
-        failures = 0
-        for protocol in sorted(diffs):
-            diff = diffs[protocol]
-            print(f"-- [{protocol}]")
-            print("\n".join("  " + line for line in diff.render().splitlines()))
-            failures += 0 if diff.passed else 1
-        verdict = "PASS" if not failures else "REGRESSION"
-        print(
-            f"\ntrajectory compare {args.left} vs {args.right}: {verdict} "
-            f"({len(diffs) - failures}/{len(diffs)} protocol group(s) clean)"
+        row = _select_trajectory_row(store, args, parser)
+        trajectory = _load_trajectory(store, row, parser)
+        rendered = (
+            trajectory_to_csv(trajectory)
+            if args.export_format == "csv"
+            else trajectory_to_json(trajectory)
         )
-        return 0 if not failures else 1
+        if args.out is None:
+            print(rendered, end="" if rendered.endswith("\n") else "\n")
+            return 0
+        out_path = pathlib.Path(args.out)
+        try:
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            out_path.write_text(
+                rendered if rendered.endswith("\n") else rendered + "\n",
+                encoding="utf-8",
+            )
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out!r}: {exc}")
+        print(
+            f"wrote {args.export_format} trajectory "
+            f"{row['spec_hash'][:12]}/seed={row['seed']} to {out_path}"
+        )
+        return 0
 
 
 def _command_cache(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -1896,27 +1834,34 @@ def _write_or_print(
 
 
 def main(argv: Iterable[str] | None = None) -> int:
+    from repro.analysis.equivalence import OptionError
+
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.command == "list":
-        return _command_list(args)
-    if args.command == "scenario":
-        return _command_scenario(args, parser)
-    if args.command == "equivalence":
-        return _command_equivalence(args, parser)
-    if args.command == "campaign":
-        return _command_campaign(args, parser)
-    if args.command == "telemetry":
-        return _command_telemetry(args, parser)
-    if args.command == "dynamics":
-        return _command_dynamics(args, parser)
-    if args.command == "cache":
-        return _command_cache(args, parser)
-    if args.command == "perf":
-        return _command_perf(args, parser)
-    if args.command == "report":
-        return _command_report(args, parser)
-    return _command_run(args, parser)
+    try:
+        if args.command == "list":
+            return _command_list(args)
+        if args.command == "scenario":
+            return _command_scenario(args, parser)
+        if args.command == "equivalence":
+            return _command_equivalence(args, parser)
+        if args.command == "campaign":
+            return _command_campaign(args, parser)
+        if args.command == "telemetry":
+            return _command_telemetry(args, parser)
+        if args.command == "dynamics":
+            return _command_dynamics(args, parser)
+        if args.command == "cache":
+            return _command_cache(args, parser)
+        if args.command == "perf":
+            return _command_perf(args, parser)
+        if args.command == "report":
+            return _command_report(args, parser)
+        return _command_run(args, parser)
+    except OptionError as exc:
+        # A bad comparison option is a usage error, never a verdict (exit 1);
+        # the message starts with the option's name (no other underscores).
+        parser.error("--" + str(exc).replace("_", "-"))
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry point

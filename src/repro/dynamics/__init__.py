@@ -3,15 +3,15 @@
 The paper's claims are about *trajectories* — window growth under jamming,
 backlog draining after a budget runs out — not just end-of-run aggregates.
 This package samples simulation state every W slots into compact numpy
-series on both engines, attaches them to results, persists them as
-fingerprint-inert artifacts in the results store, and diffs them between
-campaigns with per-window Welch tests under Benjamini–Hochberg control.
+series on both engines, attaches them to results, and persists them as
+fingerprint-inert artifacts in the results store.  ``campaign diff
+--trajectories`` compares two campaigns' paths window by window
+(:func:`compare_trajectory_sets`: the comparison core's two-sample rule per
+window, Benjamini–Hochberg control over the Welch-tested windows).
 """
 
 from repro.dynamics.compare import (
     DEFAULT_DIFF_METRICS,
-    TrajectoryDiff,
-    WindowFlag,
     compare_trajectory_sets,
     derive_window,
 )
@@ -42,8 +42,6 @@ __all__ = [
     "GAUGE_FIELDS",
     "DynamicsAccumulator",
     "DynamicsTrajectory",
-    "TrajectoryDiff",
-    "WindowFlag",
     "WindowSnapshot",
     "build_trajectory",
     "compare_trajectory_sets",

@@ -3,21 +3,25 @@
 End-of-run aggregates can agree while the *path* regressed — e.g. a
 protocol change that collapses throughput only after a jammer's budget
 runs out, paid back by an unusually strong opening.  The trajectory diff
-compares two replicate sets window by window: a Welch test per window per
-metric, with Benjamini–Hochberg control across all the windows so hundreds
-of tests do not drown the few that matter.  Windows with degenerate
-samples (fewer than two replicates, or zero variance) fall back to a
-relative-tolerance mean comparison, mirroring ``repro.analysis.compare``.
+compares two replicate sets window by window through the comparison
+core's two-sample rule (:func:`repro.analysis.equivalence.compare_means`):
+a Welch test per window per metric, with Benjamini–Hochberg control across
+all the Welch-tested windows so hundreds of tests do not drown the few
+that matter.  Windows where the test is undefined (fewer than two
+replicates, or zero variance) fall back to the rule's relative tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.analysis.statistics import benjamini_hochberg, welch_t_test
+from repro.analysis.equivalence import (
+    EquivalenceReport,
+    check_level,
+    check_minimum,
+    compare_means,
+)
+from repro.analysis.statistics import benjamini_hochberg
 from repro.dynamics.trajectory import windowed_series
 
 #: Metrics compared by default — both derivable from any stored result
@@ -28,65 +32,6 @@ DEFAULT_DIFF_METRICS = ("throughput", "backlog")
 #: Target number of windows when deriving a comparison window from the
 #: runs themselves (shortest run / 16, floored at 1).
 TARGET_WINDOWS = 16
-
-
-@dataclass(frozen=True)
-class WindowFlag:
-    """One flagged per-window comparison."""
-
-    metric: str
-    window_index: int
-    first_slot: int
-    last_slot: int
-    left_mean: float
-    right_mean: float
-    p_value: float | None  # None for tolerance-fallback flags
-
-    def render(self) -> str:
-        basis = (
-            f"p={self.p_value:.3g}"
-            if self.p_value is not None
-            else "degenerate, tolerance"
-        )
-        return (
-            f"{self.metric} window {self.window_index} "
-            f"[slots {self.first_slot}-{self.last_slot}]: "
-            f"{self.left_mean:.6g} vs {self.right_mean:.6g} ({basis})"
-        )
-
-
-@dataclass
-class TrajectoryDiff:
-    """The outcome of one trajectory-level comparison."""
-
-    window: int
-    num_windows: int
-    metrics: tuple[str, ...]
-    alpha: float
-    relative_tolerance: float
-    tested: int
-    left_replicates: int
-    right_replicates: int
-    flagged: list[WindowFlag] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.flagged
-
-    def render(self) -> str:
-        status = "PASS" if self.passed else "REGRESSION"
-        lines = [
-            f"trajectories ({self.left_replicates} vs "
-            f"{self.right_replicates} replicates, window={self.window}, "
-            f"{self.num_windows} windows, {self.tested} comparisons, "
-            f"FDR alpha={self.alpha}): {status}"
-        ]
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        for flag in self.flagged:
-            lines.append(f"  FLAG {flag.render()}")
-        return "\n".join(lines)
 
 
 def derive_window(results: Sequence[Any]) -> int:
@@ -105,100 +50,68 @@ def compare_trajectory_sets(
     metrics: Sequence[str] = DEFAULT_DIFF_METRICS,
     alpha: float = 0.01,
     relative_tolerance: float = 0.15,
-) -> TrajectoryDiff:
+    labels: tuple[str, str] = ("left", "right"),
+) -> EquivalenceReport:
     """Compare two sets of replicate results window by window.
 
     ``left``/``right`` are :class:`~repro.sim.results.SimulationResult`
     replicates of the same configuration (modulo the change under test).
+    ``alpha`` is the Benjamini–Hochberg false-discovery rate over the
+    Welch-tested windows.  The report holds one failing comparison per
+    flagged window, so it passes when nothing is flagged; its notes say
+    how many windows were compared and how many were Welch-tested.
     """
     if not left or not right:
         raise ValueError("both sides need at least one replicate result")
     if window is None:
         window = derive_window(list(left) + list(right))
-    if window < 1:
-        raise ValueError("window must be positive")
+    check_minimum("trajectory_window", window, 1)
+    check_level("trajectory_alpha", alpha)
     left_series = [windowed_series(result, window) for result in left]
     right_series = [windowed_series(result, window) for result in right]
     left_series = [series for series in left_series if series is not None]
     right_series = [series for series in right_series if series is not None]
-    diff = TrajectoryDiff(
-        window=window,
-        num_windows=0,
-        metrics=tuple(metrics),
-        alpha=alpha,
-        relative_tolerance=relative_tolerance,
-        tested=0,
-        left_replicates=len(left_series),
-        right_replicates=len(right_series),
-    )
+    report = EquivalenceReport()
     if not left_series or not right_series:
-        diff.notes.append(
+        report.notes.append(
             "no windowed series available (results stored without per-slot "
             "series); trajectory comparison skipped"
         )
-        return diff
+        return report
     num_windows = min(
-        min(series[metrics[0]].shape[0] for series in left_series),
-        min(series[metrics[0]].shape[0] for series in right_series),
+        series[metrics[0]].shape[0] for series in left_series + right_series
     )
-    diff.num_windows = num_windows
-    if num_windows == 0:
-        return diff
 
-    tests: list[tuple[str, int, float, float, float]] = []
-    for metric in metrics:
-        left_matrix = np.stack(
-            [series[metric][:num_windows] for series in left_series]
+    windows = [
+        compare_means(
+            f"{metric} window {j} [slots {j * window}-{(j + 1) * window - 1}]",
+            [float(series[metric][j]) for series in left_series],
+            [float(series[metric][j]) for series in right_series],
+            alpha,
+            relative_tolerance,
+            labels,
         )
-        right_matrix = np.stack(
-            [series[metric][:num_windows] for series in right_series]
+        for metric in metrics
+        for j in range(num_windows)
+    ]
+    tested = [c.p_value for c in windows if c.p_value is not None]
+    # A Welch-tested window is flagged when BH rejects it (BH only rejects
+    # p <= alpha, which the per-window comparison already failed); a
+    # fallback window is flagged when its means differ beyond tolerance.
+    rejected = iter(benjamini_hochberg(tested, alpha))
+    report.comparisons = [
+        comparison
+        for comparison in windows
+        if (
+            next(rejected)
+            if comparison.p_value is not None
+            else not comparison.passed
         )
-        for j in range(num_windows):
-            left_sample = left_matrix[:, j].tolist()
-            right_sample = right_matrix[:, j].tolist()
-            left_mean = float(np.mean(left_sample))
-            right_mean = float(np.mean(right_sample))
-            try:
-                _, _, p_value = welch_t_test(left_sample, right_sample)
-            except ValueError:
-                # Degenerate window: too few replicates or zero variance.
-                # Equal means pass; a relative gap beyond tolerance flags.
-                scale = max(abs(left_mean), abs(right_mean))
-                if scale > 0.0 and (
-                    abs(left_mean - right_mean) > relative_tolerance * scale
-                ):
-                    diff.flagged.append(
-                        _flag(metric, j, window, left_mean, right_mean, None)
-                    )
-                continue
-            tests.append((metric, j, left_mean, right_mean, p_value))
-    diff.tested = len(tests)
-    rejected = benjamini_hochberg([test[4] for test in tests], alpha)
-    for (metric, j, left_mean, right_mean, p_value), reject in zip(
-        tests, rejected
-    ):
-        if reject:
-            diff.flagged.append(
-                _flag(metric, j, window, left_mean, right_mean, p_value)
-            )
-    diff.flagged.sort(key=lambda flag: (flag.metric, flag.window_index))
-    return diff
-
-
-def _flag(
-    metric: str,
-    window_index: int,
-    window: int,
-    left_mean: float,
-    right_mean: float,
-    p_value: float | None,
-) -> WindowFlag:
-    return WindowFlag(
-        metric=metric,
-        window_index=window_index,
-        first_slot=window_index * window,
-        last_slot=(window_index + 1) * window - 1,
-        left_mean=left_mean,
-        right_mean=right_mean,
-        p_value=p_value,
+    ]
+    report.notes.append(
+        f"trajectories: {len(left_series)} vs {len(right_series)} replicates, "
+        f"window={window}, {num_windows} windows, {len(windows)} window "
+        f"comparisons, {len(tested)} Welch-tested under Benjamini–Hochberg "
+        f"FDR alpha={alpha}"
     )
+    return report

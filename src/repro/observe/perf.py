@@ -16,8 +16,9 @@ content hash they were filed under, and so form groups of their own.
 Drift rule (:func:`detect_drift`): the latest ``window`` samples drift
 when their mean is more than ``factor`` slower than the baseline mean
 *and* — whenever both sides support a Welch test — the difference is
-significant at ``alpha``.  The factor gate keeps one noisy sample from
-crying wolf; the significance gate keeps a materially-slower-looking but
+significant at ``alpha`` (the p-value of
+:func:`repro.analysis.equivalence.compare_means`).  The factor gate keeps
+one noisy sample from crying wolf; the significance gate keeps a materially-slower-looking but
 statistically-flat comparison honest.  Groups with too little history
 report ``insufficient`` and never fail the gate.
 
@@ -26,7 +27,8 @@ Exit-code contract (enforced by ``python -m repro perf regress``):
 * ``0`` — no group drifted (insufficient-history groups count as clean);
 * ``1`` — at least one (workload, backend layout, host) group shows
   sustained drift;
-* ``2`` — usage error (argparse).
+* ``2`` — usage error (argparse, or an option out of range: ``window`` or
+  ``baseline`` below 1, ``alpha`` outside (0, 1), ``factor`` below 1).
 
 ``REPRO_PERF_INJECT_SLEEP=<seconds>`` injects a sleep into the timed
 region of ``perf record`` — the deterministic regression fixture CI uses
@@ -47,7 +49,7 @@ import platform
 import time
 from typing import Any, Mapping, Sequence
 
-from repro.analysis.statistics import welch_t_test
+from repro.analysis.equivalence import check_level, check_minimum, compare_means
 
 #: Samples in the "latest" window regress compares against the baseline.
 DEFAULT_WINDOW = 2
@@ -177,11 +179,14 @@ def detect_drift(
     ``"insufficient"``), the latest/baseline means and their ratio, and
     the Welch p-value when both sides support the test (``None``
     otherwise — degenerate variance or a single-sample window, where the
-    factor gate alone decides).
+    factor gate alone decides).  A ``factor`` below 1 would flag
+    speed-ups, so it is rejected with the other out-of-range options.
     """
+    check_minimum("window", window, 1)
+    check_minimum("baseline", baseline, 1)
+    check_level("alpha", alpha)
+    check_minimum("factor", factor, 1.0)
     values = [float(value) for value in seconds]
-    if window < 1:
-        raise ValueError("window must be at least 1")
     if len(values) < window + 2:
         # Fewer than two baseline samples: no rolling baseline to test
         # against yet.
@@ -195,12 +200,9 @@ def detect_drift(
     latest_mean = sum(latest) / len(latest)
     base_mean = sum(base) / len(base)
     ratio = latest_mean / base_mean if base_mean > 0 else float("inf")
-    p_value: float | None = None
-    if len(latest) >= 2 and len(base) >= 2:
-        try:
-            _, _, p_value = welch_t_test(latest, base)
-        except ValueError:
-            p_value = None  # zero variance: the factor gate decides alone
+    # Only the p-value is used: the verdict is one-sided (slower, by more
+    # than ``factor``), so the rule's own two-sided verdict does not apply.
+    p_value = compare_means("seconds", latest, base, alpha, 0.0).p_value
     material = ratio > factor
     significant = p_value is None or p_value < alpha
     return {

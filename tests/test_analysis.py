@@ -12,6 +12,7 @@ from repro.analysis.fitting import (
     select_scaling_model,
 )
 from repro.analysis.statistics import (
+    benjamini_hochberg,
     bootstrap_mean_interval,
     describe,
     mean_confidence_interval,
@@ -212,3 +213,34 @@ class TestWelchTTest:
             welch_t_test([1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             welch_t_test([1.0, 1.0], [2.0, 2.0])
+
+
+class TestBenjaminiHochberg:
+    def test_exact_zero_p_value_is_rejected(self):
+        assert benjamini_hochberg([0.0, 0.9]) == [True, False]
+        assert benjamini_hochberg([0.0]) == [True]
+        # Welch's t can return exactly 0.0 on well-separated samples.
+        _, _, p = welch_t_test([0.0, 0.001] * 30, [1.0, 1.001] * 30)
+        assert p == 0.0
+        assert benjamini_hochberg([p, 0.5, 0.9]) == [True, False, False]
+
+    def test_empty_input_rejects_nothing(self):
+        assert benjamini_hochberg([]) == []
+
+    def test_results_follow_input_order(self):
+        # Sorted: 0.001 <= 0.0125 and 0.01 <= 0.025 pass; 0.04 > 0.0375.
+        assert benjamini_hochberg([0.9, 0.001, 0.04, 0.01]) == [
+            False, True, False, True,
+        ]
+
+    def test_step_up_rejects_below_the_largest_passing_rank(self):
+        # 0.03 misses its own step (0.025) but sits below 0.04, which
+        # passes at rank 2 (0.05), so both are rejected.
+        assert benjamini_hochberg([0.04, 0.03]) == [True, True]
+        assert benjamini_hochberg([0.2, 0.3]) == [False, False]
+
+    def test_bad_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            benjamini_hochberg([0.1], alpha=0.0)
+        with pytest.raises(ValueError):
+            benjamini_hochberg([1.5])

@@ -123,7 +123,8 @@ def _empty_store(tmp_path):
 
 class TestRemovedOptions:
     """``campaign diff`` compares two campaigns; wall-clock drift is
-    ``perf regress``'s job, so the old timing options are unknown."""
+    ``perf regress``'s job, so the old timing options are unknown, and
+    ``campaign diff --trajectories`` replaced ``dynamics compare``."""
 
     @pytest.mark.parametrize(
         "option",
@@ -137,6 +138,15 @@ class TestRemovedOptions:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {' '.join(option)}" in err
+        assert "Traceback" not in err
+
+    def test_compare_subcommand_of_dynamics_is_a_usage_error(self, tmp_path, capsys):
+        """``campaign diff --trajectories`` is the one trajectory gate."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dynamics", "compare", "a", "b", "--store", _empty_store(tmp_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'compare'" in err
         assert "Traceback" not in err
 
 

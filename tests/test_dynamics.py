@@ -535,11 +535,12 @@ class TestTrajectoryDiff:
         ]
 
     def test_same_path_passes(self):
-        diff = compare_trajectory_sets(
+        report = compare_trajectory_sets(
             self._results(regressed=False), self._results(regressed=False)
         )
-        assert diff.passed, diff.render()
-        assert diff.tested > 0
+        assert report.passed, report.render()
+        assert report.comparisons == []
+        assert "16 Welch-tested" in report.notes[-1]
 
     def test_mid_run_regression_is_flagged(self):
         healthy = self._results(regressed=False)
@@ -549,13 +550,43 @@ class TestTrajectoryDiff:
             assert left.num_delivered == right.num_delivered
             assert left.num_arrivals == right.num_arrivals
             assert left.collector.backlog == right.collector.backlog
-        diff = compare_trajectory_sets(healthy, regressed)
-        assert not diff.passed
-        flagged_metrics = {flag.metric for flag in diff.flagged}
-        assert "throughput" in flagged_metrics
-        assert "backlog" in flagged_metrics
-        rendered = diff.render()
-        assert "REGRESSION" in rendered and "FLAG" in rendered
+        report = compare_trajectory_sets(healthy, regressed)
+        assert not report.passed
+        failures = report.failures()
+        assert failures == report.comparisons
+        # Every throughput window is Welch-tested and rejected under
+        # Benjamini–Hochberg; backlog is flat across replicates, so its
+        # windows fall back to the relative tolerance (windows 3-13 are
+        # more than 15% apart).
+        flagged = {
+            (c.metric.split()[0], int(c.metric.split()[2])): c for c in failures
+        }
+        assert len(flagged) == len(failures) == 27
+        assert set(flagged) == {("throughput", j) for j in range(16)} | {
+            ("backlog", j) for j in range(3, 14)
+        }
+        welch = [c for c in failures if c.p_value is not None]
+        assert {c.metric.split()[0] for c in welch} == {"throughput"}
+        assert len(welch) == 16
+        assert "16 windows, 32 window comparisons, 16 Welch-tested" in (
+            report.notes[-1]
+        )
+        assert flagged[("backlog", 3)].metric == "backlog window 3 [slots 300-399]"
+        assert "[FAIL]" in report.render()
+
+    def test_out_of_range_options_are_rejected(self):
+        from repro.analysis.equivalence import OptionError
+
+        results = self._results(regressed=False)
+        for kwargs, option in (
+            ({"window": 0}, "trajectory_window"),
+            ({"alpha": 2.0}, "trajectory_alpha"),
+            ({"alpha": 0.0}, "trajectory_alpha"),
+            ({"relative_tolerance": -1.0}, "relative_tolerance"),
+        ):
+            with pytest.raises(OptionError) as excinfo:
+                compare_trajectory_sets(results, results, **kwargs)
+            assert excinfo.value.option == option
 
     def test_derive_window_targets_sixteen_windows(self):
         results = self._results(regressed=False)
@@ -602,17 +633,10 @@ class TestCampaignTrajectoryDiff:
                 store, "healthy", right_id="regressed", trajectories=True
             )
             assert not flagged.passed
-            assert "FLAG" in flagged.render()
-
-    def test_diff_campaign_trajectories_helper(self, tmp_path):
-        from repro.campaigns import diff_campaign_trajectories
-
-        with self._build_stores(tmp_path) as store:
-            diffs = diff_campaign_trajectories(
-                store, "healthy", right_id="regressed"
-            )
-            assert set(diffs) == {"synthetic"}
-            assert not diffs["synthetic"].passed
+            failures = flagged.reports["synthetic"].failures()
+            assert len(failures) == 27
+            assert all(" window " in c.metric for c in failures)
+            assert "healthy 0.0500 vs regressed 0.1000" in failures[0].detail
 
     def test_cli_campaign_diff_exits_nonzero(self, tmp_path, capsys):
         from repro.cli import main
@@ -630,24 +654,47 @@ class TestCampaignTrajectoryDiff:
                 "--store", store_arg, "--trajectories",
             ]
         )
-        assert code == 1
-        assert "FLAG" in capsys.readouterr().out
-
-    def test_cli_dynamics_compare_exits_nonzero(self, tmp_path, capsys):
-        from repro.cli import main
-
-        self._build_stores(tmp_path).close()
-        store_arg = str(tmp_path / "store")
-        code = main(
-            ["dynamics", "compare", "healthy", "regressed", "--store", store_arg]
-        )
         out = capsys.readouterr().out
         assert code == 1
         assert "REGRESSION" in out
+        assert "[FAIL] throughput window 0 [slots 0-99]" in out
         assert (
-            main(["dynamics", "compare", "healthy", "healthy", "--store", store_arg])
+            main(
+                [
+                    "campaign", "diff", "healthy", "healthy",
+                    "--store", store_arg, "--trajectories",
+                ]
+            )
             == 0
         )
+        out = capsys.readouterr().out
+        assert "PASS" in out and "16 Welch-tested" in out
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--alpha", "2"],
+            ["--mean-alpha", "-1"],
+            ["--trajectories", "--trajectory-alpha", "2"],
+            ["--trajectories", "--trajectory-window", "0"],
+        ],
+        ids=["alpha", "mean-alpha", "trajectory-alpha", "trajectory-window"],
+    )
+    def test_cli_out_of_range_option_is_a_usage_error(
+        self, tmp_path, capsys, option
+    ):
+        """A bad comparison option must not read as a verdict (exit 1)."""
+        from repro.cli import main
+
+        self._build_stores(tmp_path).close()
+        argv = ["campaign", "diff", "healthy", "healthy",
+                "--store", str(tmp_path / "store"), *option]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{option[-2]} must be" in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

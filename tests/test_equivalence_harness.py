@@ -9,7 +9,8 @@ import pytest
 from repro.analysis.equivalence import (
     EquivalenceReport,
     MetricComparison,
-    _compare_means,
+    OptionError,
+    compare_means,
     compare_result_sets,
     design_effect,
     ks_2sample,
@@ -87,29 +88,29 @@ class TestDesignEffect:
 
 class TestCompareMeans:
     def test_similar_samples_pass(self):
-        comparison = _compare_means(
+        comparison = compare_means(
             "metric", [1.0, 1.1, 0.9], [1.05, 0.95, 1.0], 0.002, 0.0
         )
         assert comparison.passed
 
     def test_distant_means_fail(self):
-        comparison = _compare_means(
+        comparison = compare_means(
             "metric", [1.0, 1.01, 0.99], [5.0, 5.01, 4.99], 0.002, 0.1
         )
         assert not comparison.passed
 
     def test_single_replicate_uses_relative_tolerance(self):
-        close = _compare_means("metric", [1.0], [1.05], 0.002, 0.1)
+        close = compare_means("metric", [1.0], [1.05], 0.002, 0.1)
         assert close.passed
-        far = _compare_means("metric", [1.0], [2.0], 0.002, 0.1)
+        far = compare_means("metric", [1.0], [2.0], 0.002, 0.1)
         assert not far.passed
 
     def test_zero_variance_identical_means_pass(self):
-        comparison = _compare_means("metric", [2.0, 2.0], [2.0, 2.0], 0.002, 0.0)
+        comparison = compare_means("metric", [2.0, 2.0], [2.0, 2.0], 0.002, 0.0)
         assert comparison.passed
 
     def test_zero_variance_close_means_use_relative_tolerance(self):
-        comparison = _compare_means("metric", [2.0, 2.0], [2.1, 2.1], 0.002, 0.15)
+        comparison = compare_means("metric", [2.0, 2.0], [2.1, 2.1], 0.002, 0.15)
         assert comparison.passed
 
     def test_systematic_bias_with_tight_spread_fails(self):
@@ -118,7 +119,7 @@ class TestCompareMeans:
         # not mask it.
         left = [1.0, 1.001, 0.999, 1.0]
         right = [1.1, 1.101, 1.099, 1.1]
-        comparison = _compare_means("metric", left, right, 0.002, 0.15)
+        comparison = compare_means("metric", left, right, 0.002, 0.15)
         assert not comparison.passed
 
     def test_modest_mean_gap_within_spread_passes(self):
@@ -128,9 +129,30 @@ class TestCompareMeans:
         # is exactly what the small Welch alpha protects against.
         left = [0.13, 0.15, 0.14, 0.16, 0.12, 0.14]
         right = [0.15, 0.14, 0.16, 0.17, 0.13, 0.16]
-        comparison = _compare_means("metric", left, right, 0.002, 0.0)
+        comparison = compare_means("metric", left, right, 0.002, 0.0)
         assert comparison.passed
         assert "p=" in comparison.detail
+
+    def test_p_value_is_none_only_for_the_fallback(self):
+        tested = compare_means("metric", [1.0, 1.1, 0.9], [1.05, 0.95, 1.0], 0.002, 0.0)
+        assert tested.p_value is not None and tested.p_value > 0.002
+        assert compare_means("metric", [1.0], [1.05], 0.002, 0.1).p_value is None
+        flat = compare_means("metric", [2.0, 2.0], [2.0, 2.0], 0.002, 0.0)
+        assert flat.p_value is None
+
+    @pytest.mark.parametrize(
+        "mean_alpha, tolerance, option",
+        [
+            (0.0, 0.1, "mean_alpha"),
+            (1.0, 0.1, "mean_alpha"),
+            (float("nan"), 0.1, "mean_alpha"),
+            (0.002, -0.1, "relative_tolerance"),
+        ],
+    )
+    def test_out_of_range_options_are_rejected(self, mean_alpha, tolerance, option):
+        with pytest.raises(OptionError) as excinfo:
+            compare_means("metric", [1.0, 1.1], [1.0, 1.2], mean_alpha, tolerance)
+        assert excinfo.value.option == option
 
 
 class TestReport:

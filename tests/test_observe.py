@@ -953,6 +953,35 @@ class TestPerfCli:
             main(["perf", "history", "--store", str(tmp_path / "missing")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--window", "0"],
+            ["--baseline", "-2"],
+            ["--baseline", "0"],
+            ["--alpha", "0"],
+            ["--alpha", "2"],
+            ["--factor", "-1"],
+        ],
+        ids=["window-0", "baseline-neg", "baseline-0", "alpha-0", "alpha-2",
+             "factor-neg"],
+    )
+    def test_out_of_range_option_is_a_usage_error(self, tmp_path, capsys, option):
+        store_dir = tmp_path / "store"
+        with ResultsStore(store_dir) as store:
+            for seconds in (1.0, 1.1, 0.9, 1.0, 1.05, 0.95):
+                store.put_perf_sample(
+                    spec_hash="w", backend_layout="serial", host="h",
+                    seconds=seconds, label="flat",
+                )
+        argv = ["perf", "regress", "--store", str(store_dir), *option]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{option[0]} must be" in err
+        assert "Traceback" not in err
+
 
 class TestReportCli:
     def test_html_report_for_a_campaign(self, tmp_path, capsys):
