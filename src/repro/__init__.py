@@ -14,8 +14,8 @@ Quickstart::
     )
     print(result.throughput, result.energy_statistics().mean_accesses)
 
-See README.md for an architecture overview and EXPERIMENTS.md for the
-paper-claim-by-claim reproduction results.
+See README.md for an architecture overview and, in its Experiments
+section, the paper-claim-by-claim index of the reproduction.
 """
 
 from repro.adversary import (

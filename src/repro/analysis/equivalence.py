@@ -424,9 +424,9 @@ def verify_vector_equivalence(specs: Sequence) -> EquivalenceReport:
     report = compare_result_sets(scalar_results, vector_results)
     repeat = VectorSimulator.from_specs(specs).run()
     deterministic = all(
-        first.collector.backlog_series == second.collector.backlog_series
-        and [(p.packet_id, p.departure_slot, p.sends) for p in first.packets]
-        == [(p.packet_id, p.departure_slot, p.sends) for p in second.packets]
+        first.packets == second.packets
+        and first.collector.jammed_active_slots
+        == second.collector.jammed_active_slots
         for first, second in zip(vector_results, repeat)
     )
     report.comparisons.append(

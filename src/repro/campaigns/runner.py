@@ -10,7 +10,7 @@ A campaign's plan is partitioned into **units**, the checkpoint granularity:
   filed under the vector result layout
   (:data:`repro.sim.vector.RESULT_LAYOUT`);
 * every other group is chunked into scalar units of ``checkpoint_every``
-  runs, filed under ``"scalar"``.
+  runs, filed under :data:`repro.exec.backends.SCALAR_LAYOUT`.
 
 Every run, vectorized or not, is a deterministic function of its (spec,
 seed) and layout, so each run is skipped or re-run on its own: a unit
@@ -36,7 +36,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.exec.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
+from repro.exec.backends import (
+    SCALAR_LAYOUT,
+    ExecutionBackend,
+    ProcessPoolBackend,
+    SerialBackend,
+)
 from repro.experiments.plan import RunSpec, SweepPlan
 from repro.experiments.spec import ExperimentReport, ExperimentSpec
 from repro.store import METRIC_COLUMNS, ResultsStore
@@ -144,7 +149,7 @@ def _partition_units(
                         group_id=group.group_id,
                         protocol=group.protocol_name,
                         indices=tuple(indices[start : start + checkpoint_every]),
-                        layout="scalar",
+                        layout=SCALAR_LAYOUT,
                         vectorized=False,
                     )
                 )

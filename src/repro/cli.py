@@ -798,6 +798,10 @@ def _backend_builder(
     """
     if args.workers is not None and args.backend != "processes":
         parser.error("--workers only applies to --backend processes")
+    if args.cache_dir is not None:
+        # Open the cache's store up front: one this code cannot use is a
+        # usage error naming it, not a traceback once runs are under way.
+        _open_store(args.cache_dir, parser, create=True).close()
 
     def build_backend():
         try:
@@ -1245,7 +1249,8 @@ def _command_equivalence(
 def _open_store(raw: str, parser: argparse.ArgumentParser, *, create: bool = False):
     """Open the results store at ``raw``.
 
-    Only ``campaign run`` may create a store (``create=True``); every
+    Only the writers (``campaign run``, ``perf record`` and a
+    ``--cache-dir`` sweep) may create a store (``create=True``); every
     read-side command requires one to exist already, so a mistyped
     ``--store``/``--cache-dir`` is a loud error instead of a silently
     created empty store reporting zero of everything.
@@ -1593,9 +1598,7 @@ def _command_cache(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             f"no cache directory at {args.cache_dir!r} "
             "(a --cache-dir sweep or 'campaign run' creates one)"
         )
-    from repro.store import ResultsStore
-
-    with ResultsStore(root) as store:
+    with _open_store(args.cache_dir, parser) as store:
         if args.cache_command == "stats":
             stats = store.stats()
             if args.json:

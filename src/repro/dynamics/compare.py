@@ -24,8 +24,8 @@ from repro.analysis.equivalence import (
 from repro.analysis.statistics import benjamini_hochberg
 from repro.dynamics.trajectory import windowed_series
 
-#: Metrics compared by default — both derivable from any stored result
-#: with per-slot series, so the diff works on campaigns recorded without
+#: Metrics compared by default — both derivable from any stored result's
+#: packet records, so the diff works on campaigns recorded without
 #: ``--dynamics``.
 DEFAULT_DIFF_METRICS = ("throughput", "backlog")
 
@@ -74,8 +74,8 @@ def compare_trajectory_sets(
     report = EquivalenceReport()
     if not left_series or not right_series:
         report.notes.append(
-            "no windowed series available (results stored without per-slot "
-            "series); trajectory comparison skipped"
+            "no windowed series available (runs of zero slots); "
+            "trajectory comparison skipped"
         )
         return report
     num_windows = min(

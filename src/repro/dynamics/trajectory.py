@@ -306,8 +306,9 @@ def windowed_series(result: Any, window: int) -> dict[str, np.ndarray] | None:
 
     Prefers the result's attached :class:`DynamicsTrajectory` when its
     window matches; otherwise derives the derivable subset (throughput,
-    backlog, arrivals, successes) from the collector's cumulative per-slot
-    series.  Returns ``None`` when neither is available.
+    backlog, arrivals, successes) from the result's cumulative per-slot
+    counts (:meth:`~repro.sim.results.SimulationResult.slot_counts`).
+    Returns ``None`` for a run of zero slots.
     """
     dynamics = getattr(result, "dynamics", None)
     if dynamics is not None and dynamics.window == window:
@@ -317,31 +318,18 @@ def windowed_series(result: Any, window: int) -> dict[str, np.ndarray] | None:
             "arrivals": dynamics.arrivals.astype(np.float64),
             "successes": dynamics.successes.astype(np.float64),
         }
-    collector = result.collector
-    if not getattr(collector, "collect_series", False):
-        return None
-    backlog_series = collector.backlog_series
-    n = len(backlog_series)
+    counts = result.slot_counts()
+    n = counts.backlog.shape[0]
     if n == 0:
         return None
-    ends = list(range(window - 1, n, window))
-    if not ends or ends[-1] != n - 1:
-        ends.append(n - 1)
-    cumulative_successes = collector.cumulative_successes
-    cumulative_arrivals = collector.cumulative_arrivals
-    widths = np.diff([0] + [end + 1 for end in ends]).astype(np.float64)
-    successes = np.diff(
-        [0] + [cumulative_successes[end] for end in ends]
-    ).astype(np.float64)
-    arrivals = np.diff(
-        [0] + [cumulative_arrivals[end] for end in ends]
-    ).astype(np.float64)
-    backlog = np.asarray(
-        [backlog_series[end] for end in ends], dtype=np.float64
-    )
+    ends = np.arange(window - 1, n, window)
+    if not ends.size or ends[-1] != n - 1:
+        ends = np.append(ends, n - 1)
+    widths = np.diff(ends, prepend=-1).astype(np.float64)
+    successes = np.diff(counts.successes[ends], prepend=0).astype(np.float64)
     return {
         "throughput": successes / widths,
-        "backlog": backlog,
-        "arrivals": arrivals,
+        "backlog": counts.backlog[ends].astype(np.float64),
+        "arrivals": np.diff(counts.arrivals[ends], prepend=0).astype(np.float64),
         "successes": successes,
     }

@@ -25,6 +25,7 @@ the serial backend.
 """
 
 from repro.exec.backends import (
+    SCALAR_LAYOUT,
     ConfigJob,
     DynamicsBackend,
     ExecutionBackend,
@@ -69,6 +70,7 @@ def make_backend(
 
 __all__ = [
     "BACKEND_NAMES",
+    "SCALAR_LAYOUT",
     "ConfigJob",
     "DynamicsBackend",
     "ExecutionBackend",

@@ -13,7 +13,7 @@ Every backend honours the same contract:
   so no mutable state leaks between replicates;
 * a job's result is a deterministic function of the job and the backend's
   *result layout* (:meth:`ExecutionBackend.result_layout`), never of the
-  batch it runs in: ``"scalar"`` results are identical to what
+  batch it runs in: :data:`SCALAR_LAYOUT` results are identical to what
   :class:`SerialBackend` produces — parallelism must never change the
   science — and the vector backend's layout is statistically equivalent.
 
@@ -41,6 +41,12 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
 from repro.telemetry import current as current_telemetry
+
+#: The result layout of the scalar engine, shared by the serial and
+#: process-pool backends.  The number is the result-format version: bump it
+#: when a result's pickled bytes change, so the result cache and campaign
+#: stores recompute rows filed under an older format rather than serve them.
+SCALAR_LAYOUT = "scalar:2"
 
 
 class RunJob(Protocol):
@@ -203,13 +209,13 @@ class ExecutionBackend(abc.ABC):
     def result_layout(self, job: RunJob) -> str:
         """Identity namespace of the result this backend produces for ``job``.
 
-        ``"scalar"`` is the reference layout: serial and process-pool
+        :data:`SCALAR_LAYOUT` is the reference layout: serial and process-pool
         executions are bit-identical, so their results are interchangeable
         under one cache key.  Every backend's result for a job is a
         deterministic function of the job and its layout, so the result
         cache files it under ``(spec hash, seed, layout)``.
         """
-        return "scalar"
+        return SCALAR_LAYOUT
 
     def describe(self) -> dict[str, Any]:
         """A JSON-friendly snapshot of the backend configuration."""

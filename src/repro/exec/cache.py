@@ -17,8 +17,8 @@ Only jobs that expose a stable ``cache_key()`` (notably
 :class:`~repro.experiments.plan.RunSpec`) participate; jobs without one, or
 whose key is ``None``, are always delegated to the inner backend and never
 stored, because there is no safe identity to file them under.  Entries are
-filed per *result layout* (``ExecutionBackend.result_layout``): ``"scalar"``
-for the serial and process-pool engines, the vector layout for vectorized
+filed per *result layout* (``ExecutionBackend.result_layout``): the scalar
+layout for the serial and process-pool engines, the vector layout for vectorized
 jobs, so a vector-engine result is never served to a serial run or vice
 versa.
 """
@@ -132,7 +132,7 @@ class ResultCacheBackend(ExecutionBackend):
         if not callable(key_method):
             return None
         # The store row identifies (spec, seed, result layout): results from
-        # the reference "scalar" layout are shared between serial and
+        # the reference scalar layout are shared between serial and
         # process-pool runs (they are bit-identical), and other layouts are
         # namespaced by the layout string.
         key = key_method()

@@ -1,11 +1,12 @@
 """Paper-experiment harness.
 
 Each of the paper's main claims is reproduced by one experiment (E1–E9 plus
-the ablation A1; see DESIGN.md for the index).  An experiment is a plain
-function that runs a parameter sweep with replication and returns an
-:class:`~repro.experiments.spec.ExperimentReport` containing the table rows
-that EXPERIMENTS.md records.  The benchmark suite calls the same functions,
-so `pytest benchmarks/ --benchmark-only` regenerates every table.
+the ablation A1; the Experiments section of README.md is the index).  An
+experiment is a plain function that runs a parameter sweep with replication
+and returns an :class:`~repro.experiments.spec.ExperimentReport` containing
+its table rows.  The benchmark suite calls the same functions, so
+`pytest benchmarks/ --benchmark-only` regenerates every table into
+`benchmarks/results/`.
 """
 
 from repro.experiments.experiments import (

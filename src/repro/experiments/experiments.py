@@ -4,7 +4,7 @@ Every experiment function takes a ``scale`` ("smoke" for tests, "default"
 for the benchmark suite, "full" for slower high-precision runs), a seed
 list, and an optional execution ``backend`` (see :mod:`repro.exec`), and
 returns an :class:`~repro.experiments.spec.ExperimentReport` whose rows are
-the table recorded in EXPERIMENTS.md.  The functions only *measure*; the
+the experiment's table (indexed in README.md).  The functions only *measure*; the
 pass/fail reasoning lives in the verdict strings and in the test-suite's
 assertions.
 

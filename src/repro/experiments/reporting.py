@@ -1,8 +1,8 @@
 """Rendering of experiment reports.
 
 ``render_report`` turns an :class:`~repro.experiments.spec.ExperimentReport`
-into the plain-text block that the benchmarks print and that EXPERIMENTS.md
-quotes.  The module is also runnable::
+into the plain-text block that the benchmarks print and write to
+`benchmarks/results/`.  The module is also runnable::
 
     python -m repro.experiments.reporting E1 E4 --scale smoke
 

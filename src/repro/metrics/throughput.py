@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ThroughputAccounting:
@@ -74,15 +76,9 @@ def throughput_series(
     line with the paper's convention that the first slot of interest is the
     first active slot.
     """
-    _check_equal_lengths(
+    return _ratio_series(
         cumulative_successes, cumulative_jammed_active, cumulative_active_slots
     )
-    series = []
-    for t_count, j_count, s_count in zip(
-        cumulative_successes, cumulative_jammed_active, cumulative_active_slots
-    ):
-        series.append(1.0 if s_count == 0 else (t_count + j_count) / s_count)
-    return series
 
 
 def implicit_throughput_series(
@@ -91,15 +87,20 @@ def implicit_throughput_series(
     cumulative_active_slots: Sequence[int],
 ) -> list[float]:
     """Per-slot implicit throughput series ``(N_t + J_t) / S_t``."""
-    _check_equal_lengths(
+    return _ratio_series(
         cumulative_arrivals, cumulative_jammed_active, cumulative_active_slots
     )
-    series = []
-    for n_count, j_count, s_count in zip(
-        cumulative_arrivals, cumulative_jammed_active, cumulative_active_slots
-    ):
-        series.append(1.0 if s_count == 0 else (n_count + j_count) / s_count)
-    return series
+
+
+def _ratio_series(
+    counts: Sequence[int], jammed_active: Sequence[int], active_slots: Sequence[int]
+) -> list[float]:
+    _check_equal_lengths(counts, jammed_active, active_slots)
+    numerator = np.asarray(counts, dtype=np.int64) + np.asarray(
+        jammed_active, dtype=np.int64
+    )
+    active = np.asarray(active_slots, dtype=np.int64)
+    return np.where(active == 0, 1.0, numerator / np.maximum(active, 1)).tolist()
 
 
 def _check_equal_lengths(*sequences: Sequence[int]) -> None:

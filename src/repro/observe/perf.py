@@ -47,7 +47,7 @@ import hashlib
 import os
 import platform
 import time
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.equivalence import check_level, check_minimum, compare_means
 
@@ -129,12 +129,15 @@ def record_scenario_perf(
     backend_name: str = "serial",
     workers: int | None = None,
     label: str | None = None,
+    clock: Callable[[], float] = time.perf_counter,
 ) -> dict[str, Any]:
     """Execute ``scenario``'s plan once, timed, and store one perf sample.
 
     Results are discarded after counting slots — this is a stopwatch, not
     a campaign — so the only store write is the ``perf_samples`` row
-    (committed in one transaction).  Returns the stored sample row.
+    (committed in one transaction).  ``clock`` is read once before and once
+    after the timed region; tests pass a fake to file fixed durations.
+    Returns the stored sample row.
     """
     from repro.exec import make_backend
     from repro.scenarios.runner import build_plan, scenario_seeds
@@ -144,12 +147,12 @@ def record_scenario_perf(
     workload = plan_workload_hash(plan)
     inject = float(os.environ.get("REPRO_PERF_INJECT_SLEEP", "0") or 0.0)
     with make_backend(backend_name, workers=workers) as backend:
-        started = time.perf_counter()
+        started = clock()
         results = plan.run(backend).results
         if inject > 0:
             # Deterministic regression fixture (see module docstring).
             time.sleep(inject)
-        elapsed = time.perf_counter() - started
+        elapsed = clock() - started
     slots = sum(result.num_slots for result in results)
     sample = {
         "spec_hash": workload,

@@ -98,7 +98,7 @@ class Simulator:
         self._active: dict[int, Packet] = {}
         self._all_packets: list[Packet] = []
         self._next_packet_id = 0
-        self.collector = MetricsCollector(collect_series=True)
+        self.collector = MetricsCollector()
         self.trace: ExecutionTrace | None = (
             ExecutionTrace() if config.collect_trace else None
         )

@@ -9,7 +9,9 @@ examples, and tests never re-derive them by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
+
+import numpy as np
 
 from repro.channel.trace import ExecutionTrace
 from repro.core.potential import PotentialTracker
@@ -49,9 +51,31 @@ class PacketRecord:
         return self.departure_slot - self.arrival_slot + 1
 
 
+@dataclass(frozen=True)
+class SlotCounts:
+    """The cumulative per-slot counts packet records imply; index ``t`` is slot ``t``.
+
+    ``arrivals``, ``successes`` and ``active_slots`` are the paper's
+    ``N_t``, ``T_t`` and ``S_t``; ``backlog`` is the number of packets left
+    in the system after slot ``t``.
+    """
+
+    arrivals: np.ndarray
+    successes: np.ndarray
+    active_slots: np.ndarray
+    backlog: np.ndarray
+
+
 @dataclass
 class SimulationResult:
-    """The outcome of one execution."""
+    """The outcome of one execution.
+
+    The packet records are the one per-slot representation: every success
+    is a departure, so arrivals, successes, backlog and active slots at
+    every slot follow from the packets' arrival and departure slots
+    (:meth:`slot_counts`), and the collector adds only the jammed active
+    slots.  The per-slot series are derived when read, never stored.
+    """
 
     config_description: dict[str, Any]
     protocol_name: str
@@ -112,24 +136,46 @@ class SimulationResult:
         """Implicit throughput ``(N + J) / S`` at the end of the execution."""
         return self.throughput_accounting().implicit_throughput
 
+    def slot_counts(self) -> SlotCounts:
+        """The cumulative per-slot counts, rebuilt from the packet records.
+
+        A slot is active when a packet was in the system during it: the
+        backlog after the slot plus the packet that departed in it.
+        """
+        num_slots = self.collector.num_slots
+        departures = _per_slot(
+            (p.departure_slot for p in self.packets if p.departure_slot is not None),
+            num_slots,
+        )
+        arrivals = np.cumsum(_per_slot((p.arrival_slot for p in self.packets), num_slots))
+        successes = np.cumsum(departures)
+        backlog = arrivals - successes
+        return SlotCounts(
+            arrivals=arrivals,
+            successes=successes,
+            active_slots=np.cumsum(backlog + departures > 0),
+            backlog=backlog,
+        )
+
+    def _jammed_active_counts(self) -> np.ndarray:
+        """The paper's ``J_t``: jammed active slots up to each slot."""
+        collector = self.collector
+        return np.cumsum(_per_slot(collector.jammed_active_slots, collector.num_slots))
+
     def throughput_series(self) -> list[float]:
-        collector = self._require_series()
+        counts = self.slot_counts()
         return throughput_series(
-            collector.cumulative_successes,
-            collector.cumulative_jammed_active,
-            collector.cumulative_active_slots,
+            counts.successes, self._jammed_active_counts(), counts.active_slots
         )
 
     def implicit_throughput_series(self) -> list[float]:
-        collector = self._require_series()
+        counts = self.slot_counts()
         return implicit_throughput_series(
-            collector.cumulative_arrivals,
-            collector.cumulative_jammed_active,
-            collector.cumulative_active_slots,
+            counts.arrivals, self._jammed_active_counts(), counts.active_slots
         )
 
     def backlog_series(self) -> list[int]:
-        return list(self._require_series().backlog_series)
+        return self.slot_counts().backlog.tolist()
 
     # -- Energy and latency -----------------------------------------------------
 
@@ -170,11 +216,6 @@ class SimulationResult:
             mean_accesses = max_accesses = mean_sends = mean_listens = 0.0
         delivered = [p for p in self.packets if p.departed]
         makespan = float(max((p.latency or 0) for p in delivered)) if delivered else 0.0
-        max_backlog = (
-            max(self.collector.backlog_series)
-            if self.collector.collect_series and self.collector.backlog_series
-            else self.backlog
-        )
         return RunSummary(
             protocol=self.protocol_name,
             seed=self.seed,
@@ -189,17 +230,12 @@ class SimulationResult:
             max_accesses=max_accesses,
             mean_sends=mean_sends,
             mean_listens=mean_listens,
-            max_backlog=int(max_backlog),
+            max_backlog=int(self.slot_counts().backlog.max(initial=0)),
             makespan=makespan,
             drained=self.drained,
         )
 
-    # -- Helpers -------------------------------------------------------------------
 
-    def _require_series(self) -> MetricsCollector:
-        if not self.collector.collect_series:
-            raise ValueError(
-                "per-slot series were not collected; construct the simulation "
-                "with series collection enabled"
-            )
-        return self.collector
+def _per_slot(slots: Iterable[int], num_slots: int) -> np.ndarray:
+    """How many of ``slots`` fall on each slot ``0 .. num_slots - 1``."""
+    return np.bincount(np.fromiter(slots, dtype=np.int64), minlength=num_slots)

@@ -1306,32 +1306,23 @@ class VectorSimulator:
                 slots = int(num_slots[index])
                 outcome = recorder.outcome[:slots, index]
                 jammed = recorder.jammed[:slots, index]
-                arriving = recorder.arrivals[:slots, index]
-                active_before = recorder.active_before[:slots, index]
-                active_after = recorder.active_after[:slots, index]
-                num_senders = recorder.num_senders[:slots, index]
-                was_active = active_before > 0
+                was_active = recorder.active_before[:slots, index] > 0
+                jammed_active = jammed & was_active
 
-                collector = MetricsCollector(collect_series=True)
+                collector = MetricsCollector()
                 collector.num_slots = slots
-                collector.num_arrivals = int(arriving.sum())
+                collector.num_arrivals = int(recorder.arrivals[:slots, index].sum())
                 collector.num_successes = int((outcome == 1).sum())
                 collector.num_collisions = int((outcome == 2).sum())
                 collector.num_empty_active = int(((outcome == 0) & was_active).sum())
                 collector.num_jammed = int(jammed.sum())
-                collector.num_jammed_active = int((jammed & was_active).sum())
+                collector.num_jammed_active = int(jammed_active.sum())
                 collector.num_active_slots = int(was_active.sum())
-                collector.total_sends = int(num_senders.sum())
+                collector.total_sends = int(recorder.num_senders[:slots, index].sum())
                 collector.total_listens = (
                     int(listens[index].sum()) if listens is not None else 0
                 )
-                collector.backlog_series = active_after.tolist()
-                collector.cumulative_arrivals = np.cumsum(arriving).tolist()
-                collector.cumulative_successes = np.cumsum(outcome == 1).tolist()
-                collector.cumulative_jammed_active = np.cumsum(
-                    jammed & was_active
-                ).tolist()
-                collector.cumulative_active_slots = np.cumsum(was_active).tolist()
+                collector.jammed_active_slots = np.flatnonzero(jammed_active).tolist()
 
                 packets = []
                 for packet_id in range(int(injected[index])):
@@ -1362,7 +1353,7 @@ class VectorSimulator:
                 potential = None
                 if self._collect_potential:
                     potential = self._materialize_potential(
-                        recorder, index, slots, active_after, has_windows
+                        recorder, index, slots, has_windows
                     )
                 dynamics = None
                 if dynamics_buffers is not None:
@@ -1513,11 +1504,11 @@ class VectorSimulator:
         recorder: _SlotRecorder,
         index: int,
         slots: int,
-        active_after: np.ndarray,
         has_windows: bool,
     ) -> PotentialTracker:
         """Expand the vectorized Φ accumulator into a scalar tracker."""
         tracker = PotentialTracker(self._potential_coefficients)
+        active_after = recorder.active_after[:slots, index]
         h_col = recorder.h_term[:slots, index]
         l_col = recorder.l_term[:slots, index]
         inverse_col = recorder.inverse_window_sum[:slots, index]

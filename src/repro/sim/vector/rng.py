@@ -41,11 +41,12 @@ from repro.sim.rng import derive_seed
 
 #: The result layout of every vectorized run: the result cache and the
 #: campaign store file vector results under it, apart from the scalar
-#: engine's ``"scalar"``.  The number is the coin-order version.  Bump it when
-#: the coin order changes, and never reuse a layout a store may hold (older
-#: stores hold ``vector:<64-hex batch signature>`` rows), so results drawn
-#: under another order are recomputed rather than served.
-RESULT_LAYOUT = "vector:3"
+#: engine's layout.  The number versions the coin order and the result
+#: format together.  Bump it when either changes, and never reuse a layout a
+#: store may hold (older stores hold ``vector:<64-hex batch signature>``,
+#: ``vector:3`` rows), so results drawn under another order or pickled in
+#: another format are recomputed rather than served.
+RESULT_LAYOUT = "vector:4"
 
 #: Uniforms buffered per row (grown on demand).
 _ROW_COIN_WIDTH = 4096

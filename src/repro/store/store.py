@@ -11,7 +11,8 @@ Design rules that the rest of the system depends on:
 * **Runs are identified by content, not by history.**  A run row is keyed
   by ``(spec_hash, seed, backend_layout)`` — the spec's content hash
   (:meth:`~repro.experiments.plan.RunSpec.cache_key`), its seed, and the
-  identity namespace of the result layout ("scalar" for the bit-identical
+  identity namespace of the result layout
+  (:data:`repro.exec.backends.SCALAR_LAYOUT` for the bit-identical
   serial/process engines, :data:`repro.sim.vector.RESULT_LAYOUT` for the
   vector engine, whose results are a function of (spec, seed) too).
   Writing the same run twice is a no-op, which is what makes
@@ -46,6 +47,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.sim.results import SimulationResult
+from repro.telemetry import current as current_telemetry
 
 #: Bump when the registry schema changes incompatibly.
 STORE_SCHEMA_VERSION = 1
@@ -300,15 +302,22 @@ class ResultsStore:
         return artifact_hash
 
     def load_artifact(self, artifact_hash: str) -> SimulationResult | None:
-        """Unpickle one artifact, or ``None`` if missing/corrupt."""
+        """Unpickle one artifact, or ``None`` if missing/corrupt.
+
+        Each miss emits one ``artifact_unreadable`` telemetry event naming
+        the artifact and the exception type.
+        """
         try:
             with self._artifact_path(artifact_hash).open("rb") as handle:
                 return pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Corrupt bytes or classes that moved between versions: treat
-            # as absent so callers re-run instead of crashing.
+        except Exception as exc:
+            # Missing files, corrupt bytes or classes that moved between
+            # versions: treat as absent so callers re-run instead of crashing.
+            current_telemetry().event(
+                "artifact_unreadable",
+                artifact_hash=artifact_hash,
+                error=type(exc).__name__,
+            )
             return None
 
     # -- Runs --------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.campaigns import (
 )
 from repro.campaigns import runner as campaign_runner
 from repro.campaigns.runner import _partition_units
-from repro.exec import ResultCacheBackend, VectorBackend
+from repro.exec import SCALAR_LAYOUT, ResultCacheBackend, VectorBackend, make_backend
 from repro.scenarios.runner import build_plan
 from repro.scenarios.spec import scenario_from_dict
 from repro.sim.vector import RESULT_LAYOUT
@@ -200,39 +200,50 @@ class TestRunAndResume:
             )
             assert store.stats()["runs_by_layout"] == {RESULT_LAYOUT: 4}
 
-    def test_units_stored_under_an_older_coin_order_are_recomputed(self, tmp_path):
-        """Earlier coin orders filed each vector unit under its batch
-        signature, ``vector:<64-hex>``; a campaign run now must recompute
-        those units, never serve or mix them in."""
+    @pytest.mark.parametrize(
+        "backend_name, old_layout",
+        [
+            ("vector", "batch-signature"),
+            ("vector", "vector:3"),
+            ("serial", "scalar"),
+        ],
+    )
+    def test_units_stored_under_an_older_layout_are_recomputed(
+        self, tmp_path, backend_name, old_layout
+    ):
+        """Earlier versions filed runs under other layouts: each vector unit
+        under its batch signature ``vector:<64-hex>`` (coin-order version
+        2), then vector runs under ``vector:3`` and scalar runs under
+        ``scalar`` (results that stored per-slot series).  A campaign run
+        now must recompute those runs, never serve or mix them in."""
         import hashlib
-
-        from repro.sim.vector import VectorSimulator
 
         scenario = _scenario(VECTOR_ONLY)
         plan = build_plan(scenario, "smoke")
-        units, hashes = _partition_units(plan, "vector", 8)
+        units, hashes = _partition_units(plan, backend_name, 8)
         specs = plan.specs
+        new_layout = RESULT_LAYOUT if backend_name == "vector" else SCALAR_LAYOUT
+        with make_backend(backend_name) as backend:
+            results = backend.run(specs)
         with ResultsStore(tmp_path / "store") as store:
             for unit in units:
-                # The batch signature of coin-order version 2.
-                payload = json.dumps(
-                    {"coins": 2, "specs": [hashes[i] for i in unit.indices]},
-                    separators=(",", ":"),
-                )
-                old_layout = "vector:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
-                assert unit.vectorized and unit.layout != old_layout
-                batch = [specs[i] for i in unit.indices]
-                for index, result in zip(
-                    unit.indices, VectorSimulator.from_specs(batch).run()
-                ):
-                    store.put_run(hashes[index], specs[index].seed, old_layout, result)
+                layout = old_layout
+                if old_layout == "batch-signature":
+                    payload = json.dumps(
+                        {"coins": 2, "specs": [hashes[i] for i in unit.indices]},
+                        separators=(",", ":"),
+                    )
+                    layout = "vector:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
+                assert unit.layout == new_layout != layout
+                for index in unit.indices:
+                    store.put_run(hashes[index], specs[index].seed, layout, results[index])
             outcome = start_campaign(
-                store, scenario, scale="smoke", backend_name="vector", campaign_id="v"
+                store, scenario, scale="smoke", backend_name=backend_name, campaign_id="c"
             )
             assert outcome.executed_runs == outcome.total_runs
             assert outcome.skipped_runs == 0
-            assert {row["backend_layout"] for row in store.campaign_run_rows("v")} == {
-                RESULT_LAYOUT
+            assert {row["backend_layout"] for row in store.campaign_run_rows("c")} == {
+                new_layout
             }
 
     @pytest.mark.parametrize("stored_by", ["killed-campaign", "cache-sweep"])
@@ -321,7 +332,7 @@ class TestRunAndResume:
                 campaign_id="v",
             )
             by_layout = store.stats()["runs_by_layout"]
-            assert by_layout["scalar"] == 4
+            assert by_layout[SCALAR_LAYOUT] == 4
             assert sum(v for k, v in by_layout.items() if k.startswith("vector:")) == 4
 
     def test_vector_campaign_with_reactive_scenario_cuts_scalar_units(self, tmp_path):
@@ -345,7 +356,7 @@ class TestRunAndResume:
                 backend_name="serial",
                 campaign_id="c",
             )
-            assert set(a.stats()["runs_by_layout"]) == {"scalar"}
+            assert set(a.stats()["runs_by_layout"]) == {SCALAR_LAYOUT}
             assert a.fingerprint() == b.fingerprint()
 
 
@@ -476,3 +487,20 @@ class TestCacheStoreInterop:
         cache.run(plan.specs)
         assert cache.hits == len(plan.specs)
         assert cache.misses == 0
+
+    def test_cache_misses_rows_under_the_old_scalar_layout(self, tmp_path):
+        """Scalar results that stored per-slot series were filed under
+        ``scalar``: the cache recomputes them under the current layout."""
+        specs = build_plan(_scenario(VECTOR_ONLY), "smoke").specs
+        with make_backend("serial") as backend:
+            results = backend.run(specs)
+        with ResultsStore(tmp_path / "store") as store:
+            for spec, result in zip(specs, results):
+                store.put_run(spec.cache_key(), spec.seed, "scalar", result)
+        with ResultCacheBackend(tmp_path / "store") as cache:
+            cache.run(specs)
+            assert (cache.hits, cache.misses) == (0, len(specs))
+            assert cache.store.stats()["runs_by_layout"] == {
+                "scalar": len(specs),
+                SCALAR_LAYOUT: len(specs),
+            }

@@ -199,6 +199,35 @@ class TestCampaignAndCacheFailures:
             _expect_error(capsys, argv, "no cache directory")
             assert not missing.exists(), f"{argv} created the cache"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "e1", "--scale", "smoke", "--seeds", "11", "--cache-dir"],
+            ["cache", "stats", "--cache-dir"],
+        ],
+        ids=["run", "cache-stats"],
+    )
+    def test_cache_dir_store_of_another_schema(self, tmp_path, capsys, argv):
+        """A --cache-dir store this code cannot open is a usage error
+        naming the store, as it is for every --store command."""
+        from repro.store import ResultsStore
+        from repro.store.store import STORE_SCHEMA_VERSION
+
+        root = tmp_path / "old-store"
+        with ResultsStore(root) as store:
+            with store._connection:
+                store._connection.execute(
+                    "UPDATE meta SET value = ? WHERE key = 'schema'",
+                    (str(STORE_SCHEMA_VERSION + 1),),
+                )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [str(root)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"cannot open results store at {str(root)!r}" in err
+        assert "schema" in err
+
     def test_campaign_run_typo_scenario_leaves_no_store_behind(
         self, tmp_path, capsys
     ):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ class TestDynamicsInertness:
         bare = Simulator(_spec(11).build_config()).run()
         sampled = Simulator(_spec(11, dynamics_window=64).build_config()).run()
         assert packet_tuples(bare) == packet_tuples(sampled)
-        assert bare.collector.backlog_series == sampled.collector.backlog_series
+        assert vars(bare.collector) == vars(sampled.collector)
 
     def test_vector_results_bit_identical(self):
         def run(window):
@@ -319,7 +320,7 @@ class TestDynamicsInertness:
 
         for bare, sampled in zip(run(0), run(64)):
             assert packet_tuples(bare) == packet_tuples(sampled)
-            assert bare.collector.backlog_series == sampled.collector.backlog_series
+            assert vars(bare.collector) == vars(sampled.collector)
             assert bare.dynamics is None
             assert sampled.dynamics is not None
 
@@ -441,56 +442,63 @@ REGRESSION_ARRIVALS = 120
 REGRESSION_SUCCESSES = 80
 
 
-def _success_slots(seed, *, regressed):
-    """A success schedule with identical totals but different paths.
+def _packet_slots(seed, *, regressed):
+    """(arrival, departure) slots of every packet, in arrival order.
 
-    The healthy side delivers evenly (one success every 20 slots); the
-    regressed side delivers twice as fast for the first half and nothing
-    afterwards — same 80 successes, same final backlog, same aggregate
-    throughput, different trajectory.  A small seed-dependent jitter gives
-    the per-window Welch tests real replicate variance.
+    Both sides deliver 80 packets with the same latencies (``10k + jitter +
+    1`` for the k-th delivered packet) and leave 40 undelivered packets that
+    arrived at slot 0, so the per-packet distributions (latency, accesses)
+    and the aggregate throughput agree.  The healthy side admits delivered
+    packet k at slot ``10k`` and delivers it at ``20k + jitter``: one
+    success every 20 slots.  The regressed side admits every packet at
+    slot 0 and delivers packet k at ``10k + jitter``: twice as fast for the
+    first half and nothing afterwards — same 80 successes, same final
+    backlog, different trajectory.  The seed-dependent jitter varies the
+    latencies between replicates.
     """
     jitter = seed % 4
     if regressed:
-        return [10 * k + jitter for k in range(REGRESSION_SUCCESSES)]
-    return [20 * k + jitter for k in range(REGRESSION_SUCCESSES)]
+        delivered = [(0, 10 * k + jitter) for k in range(REGRESSION_SUCCESSES)]
+    else:
+        delivered = [(10 * k, 20 * k + jitter) for k in range(REGRESSION_SUCCESSES)]
+    undelivered = [(0, None)] * (REGRESSION_ARRIVALS - REGRESSION_SUCCESSES)
+    return sorted(undelivered + delivered, key=lambda slots: slots[0])
 
 
 def synthetic_result(seed, *, regressed):
-    """A hand-built result whose collector series follow the schedule."""
-    collector = MetricsCollector(collect_series=True)
-    success_slots = set(_success_slots(seed, regressed=regressed))
+    """A hand-built result: packets on the schedule, collector to match."""
+    packets = [
+        PacketRecord(
+            packet_id=packet_id,
+            arrival_slot=arrival,
+            departure_slot=departure,
+            sends=0 if departure is None else 1,
+            listens=0,
+        )
+        for packet_id, (arrival, departure) in enumerate(
+            _packet_slots(seed, regressed=regressed)
+        )
+    ]
+    arrivals = Counter(p.arrival_slot for p in packets)
+    departures = {p.departure_slot for p in packets}
+    collector = MetricsCollector()
     backlog = 0
     for slot in range(REGRESSION_SLOTS):
-        arrivals = REGRESSION_ARRIVALS if slot == 0 else 0
-        backlog += arrivals
-        success = slot in success_slots and backlog > 0
-        if success:
-            backlog -= 1
+        active_before = backlog + arrivals[slot]
+        success = slot in departures
+        backlog = active_before - success
         collector.observe(
             SlotObservation(
                 slot=slot,
                 outcome=SlotOutcome.SUCCESS if success else SlotOutcome.EMPTY,
                 jammed=False,
-                arrivals=arrivals,
-                active_before=backlog + (1 if success else 0),
+                arrivals=arrivals[slot],
+                active_before=active_before,
                 active_after=backlog,
-                num_senders=1 if success else 0,
+                num_senders=int(success),
                 num_listeners=0,
             )
         )
-    # Identical packet records on both sides: the per-packet distributions
-    # (latency, accesses) agree, so only the *path* regressed.
-    packets = [
-        PacketRecord(
-            packet_id=k,
-            arrival_slot=0,
-            departure_slot=(20 * k if k < REGRESSION_SUCCESSES else None),
-            sends=1,
-            listens=0,
-        )
-        for k in range(REGRESSION_ARRIVALS)
-    ]
     return SimulationResult(
         config_description={"synthetic": True},
         protocol_name="synthetic",
@@ -550,20 +558,27 @@ class TestTrajectoryDiff:
             assert left.num_delivered == right.num_delivered
             assert left.num_arrivals == right.num_arrivals
             assert left.collector.backlog == right.collector.backlog
+        # Each hand-built collector agrees with what its packets imply.
+        for result in healthy + regressed:
+            counts = result.slot_counts()
+            assert counts.successes[-1] == result.num_delivered
+            assert counts.active_slots[-1] == result.num_active_slots
+            assert result.collector.total_sends == sum(p.sends for p in result.packets)
         report = compare_trajectory_sets(healthy, regressed)
         assert not report.passed
         failures = report.failures()
         assert failures == report.comparisons
         # Every throughput window is Welch-tested and rejected under
         # Benjamini–Hochberg; backlog is flat across replicates, so its
-        # windows fall back to the relative tolerance (windows 3-13 are
-        # more than 15% apart).
+        # windows fall back to the relative tolerance.  The backlog paths
+        # cross between windows 4 and 5 and meet again at the end, so only
+        # windows 0-3 and 6-13 are more than 15% apart.
         flagged = {
             (c.metric.split()[0], int(c.metric.split()[2])): c for c in failures
         }
-        assert len(flagged) == len(failures) == 27
+        assert len(flagged) == len(failures) == 28
         assert set(flagged) == {("throughput", j) for j in range(16)} | {
-            ("backlog", j) for j in range(3, 14)
+            ("backlog", j) for j in [0, 1, 2, 3, *range(6, 14)]
         }
         welch = [c for c in failures if c.p_value is not None]
         assert {c.metric.split()[0] for c in welch} == {"throughput"}
@@ -599,14 +614,14 @@ class TestTrajectoryDiff:
         assert np.array_equal(
             series["throughput"], result.dynamics.throughput
         )
-        # A mismatched window falls back to the collector derivation and
-        # still reproduces the same totals.
+        # A mismatched window falls back to the packet-record derivation
+        # and still reproduces the same totals.
         derived = windowed_series(result, 50)
         assert derived["successes"].sum() == result.collector.num_successes
 
-    def test_windowed_series_without_series_is_none(self):
-        result = Simulator(_spec(3).build_config()).run()
-        result.collector.collect_series = False
+    def test_windowed_series_of_zero_slots_is_none(self):
+        result = Simulator(_spec(3).build_config()).result()
+        assert result.num_slots == 0
         assert windowed_series(result, 100) is None
 
 
@@ -634,7 +649,7 @@ class TestCampaignTrajectoryDiff:
             )
             assert not flagged.passed
             failures = flagged.reports["synthetic"].failures()
-            assert len(failures) == 27
+            assert len(failures) == 28
             assert all(" window " in c.metric for c in failures)
             assert "healthy 0.0500 vs regressed 0.1000" in failures[0].detail
 

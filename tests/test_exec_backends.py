@@ -7,6 +7,7 @@ from repro.adversary.composite import CompositeAdversary
 from repro.core.low_sensing import LowSensingBackoff
 from repro.exec import make_backend
 from repro.exec.backends import (
+    SCALAR_LAYOUT,
     ConfigJob,
     ProcessPoolBackend,
     SerialBackend,
@@ -128,7 +129,7 @@ class TestResultCacheBackend:
         specs = _specs(seeds=(9,))
         cache = ResultCacheBackend(tmp_path / "cache")
         cache.run(specs)
-        stored = cache.store.get_run(specs[0].cache_key(), 9, "scalar")
+        stored = cache.store.get_run(specs[0].cache_key(), 9, SCALAR_LAYOUT)
         assert stored is not None and stored.source == "cache"
         assert stored.metrics["throughput"] > 0
 

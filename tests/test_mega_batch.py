@@ -41,7 +41,7 @@ def group(protocol, adversary, seeds, **kwargs):
 
 def identical(a, b):
     return (
-        a.collector.backlog_series == b.collector.backlog_series
+        a.backlog_series() == b.backlog_series()
         and a.collector.total_listens == b.collector.total_listens
         and a.num_slots == b.num_slots
         and a.drained == b.drained

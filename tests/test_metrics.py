@@ -62,16 +62,24 @@ class TestMetricsCollector:
         assert collector.num_jammed_active == 0
         assert collector.num_active_slots == 0
 
-    def test_series_collection(self):
+    def test_jammed_active_slots_recorded(self):
         collector = MetricsCollector()
-        collector.observe(observation(0, arrivals=2, active_before=2, active_after=2))
+        jammed = SlotOutcome.JAMMED
         collector.observe(
-            observation(1, outcome=SlotOutcome.SUCCESS, active_before=2, active_after=1, senders=1)
+            observation(0, outcome=jammed, jammed=True, active_before=0, active_after=0)
         )
-        assert collector.backlog_series == [2, 1]
-        assert collector.cumulative_arrivals == [2, 2]
-        assert collector.cumulative_successes == [0, 1]
-        assert collector.cumulative_active_slots == [1, 2]
+        collector.observe(
+            observation(1, outcome=jammed, jammed=True, arrivals=2, active_before=2, active_after=2)
+        )
+        collector.observe(
+            observation(2, outcome=SlotOutcome.SUCCESS, active_before=2, active_after=1, senders=1)
+        )
+        collector.observe(
+            observation(3, outcome=jammed, jammed=True, active_before=1, active_after=1)
+        )
+        assert collector.jammed_active_slots == [1, 3]
+        assert collector.num_jammed_active == 2
+        assert collector.num_jammed == 3
 
     def test_channel_access_totals(self):
         collector = MetricsCollector()
@@ -79,27 +87,6 @@ class TestMetricsCollector:
         assert collector.total_sends == 2
         assert collector.total_listens == 3
         assert collector.total_channel_accesses == 5
-
-    def test_loaded_series_stay_packed_until_read(self):
-        import pickle
-
-        collector = MetricsCollector()
-        collector.observe(observation(0, arrivals=2, active_before=2, active_after=2))
-        collector.observe(
-            observation(1, outcome=SlotOutcome.SUCCESS, active_before=2, active_after=1, senders=1)
-        )
-        collector.backlog_series[-1] = 2**40  # past the packed 4-byte range
-        payload = pickle.dumps(collector, protocol=pickle.HIGHEST_PROTOCOL)
-        loaded = pickle.loads(payload)
-        assert "cumulative_successes" not in vars(loaded)
-        assert loaded.cumulative_successes == [0, 1]
-        assert loaded.backlog_series == [2, 2**40]
-        assert loaded.backlog == 2**40
-        # Loaded, partly read, or not: the pickled bytes are the original's.
-        assert pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL) == payload
-        assert pickle.dumps(pickle.loads(payload), protocol=pickle.HIGHEST_PROTOCOL) == payload
-        with pytest.raises(AttributeError):
-            loaded.no_such_series
 
 
 class TestThroughput:

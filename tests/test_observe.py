@@ -15,6 +15,7 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -843,6 +844,25 @@ class TestSigkillDuringSampling:
             assert registry.get("repro_resource_rss_bytes") is not None
 
 
+def _file_fixed_durations(monkeypatch, durations):
+    """Make ``perf record`` file ``durations``, in order, as its timings.
+
+    The runs still execute; only the clock around them is fake, so the
+    drift verdicts below do not depend on the host's load.
+    """
+    from repro.observe import perf
+
+    readings = []
+    elapsed = 0.0
+    for duration in durations:
+        readings += [elapsed, elapsed + duration]
+        elapsed += duration
+    record = functools.partial(
+        perf.record_scenario_perf, clock=iter(readings).__next__
+    )
+    monkeypatch.setattr(perf, "record_scenario_perf", record)
+
+
 class TestPerfCli:
     def _scenario_file(self, tmp_path):
         scenario_file = tmp_path / "scenario.json"
@@ -851,7 +871,10 @@ class TestPerfCli:
         )
         return str(scenario_file)
 
-    def test_record_history_and_self_regress_pass(self, tmp_path, capsys):
+    def test_record_history_and_self_regress_pass(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _file_fixed_durations(monkeypatch, [0.50, 0.52, 0.51, 0.49])
         scenario = self._scenario_file(tmp_path)
         store_dir = str(tmp_path / "store")
         assert main(["perf", "record", scenario, "--store", store_dir,
@@ -860,6 +883,9 @@ class TestPerfCli:
         assert main(["perf", "history", "--store", store_dir, "--json"]) == 0
         history = json.loads(capsys.readouterr().out)
         assert len(history["samples"]) == 4
+        assert sorted(sample["seconds"] for sample in history["samples"]) == [
+            0.49, 0.50, 0.51, 0.52
+        ]
         assert main(["perf", "regress", "--store", store_dir]) == 0
         assert "ok" in capsys.readouterr().out
 
@@ -876,8 +902,11 @@ class TestPerfCli:
         assert main(["perf", "regress", "--store", store_dir]) == 1
         assert "DRIFT" in capsys.readouterr().out
 
-    def test_two_scales_are_two_groups(self, tmp_path, capsys):
+    def test_two_scales_are_two_groups(self, tmp_path, capsys, monkeypatch):
         """Timing one scenario at two scales must not read as drift."""
+        _file_fixed_durations(
+            monkeypatch, [0.50, 0.52, 0.51, 0.49] + [2.0, 2.1]
+        )
         scenario = self._scenario_file(tmp_path)
         store_dir = str(tmp_path / "store")
         assert main(["perf", "record", scenario, "--store", store_dir,

@@ -1,12 +1,23 @@
 """Tests for the convenience runner and the SimulationResult API."""
 
+import pickle
+
 import pytest
 
-from repro.adversary.arrivals import BatchArrivals
+from repro.adversary.arrivals import BatchArrivals, PoissonArrivals
 from repro.adversary.composite import CompositeAdversary
-from repro.adversary.jamming import PeriodicJamming
+from repro.adversary.jamming import BernoulliJamming, PeriodicJamming
+from repro.channel.feedback import SlotOutcome
 from repro.core.low_sensing import LowSensingBackoff
+from repro.exec import SerialBackend, VectorBackend
+from repro.protocols.binary_exponential import BinaryExponentialBackoff
+from repro.queueing import backlog_series
+from repro.scenarios.catalog import get_scenario
+from repro.scenarios.runner import build_plan
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import Simulator
 from repro.sim.runner import run_simulation
+from repro.sim.vector import VectorSimulator
 
 
 class TestRunSimulation:
@@ -89,3 +100,66 @@ class TestSimulationResultApi:
         for packet in self.result.packets:
             assert packet.departed
             assert 0 <= packet.arrival_slot <= packet.departure_slot < self.result.num_slots
+
+
+def _traced_runs(engine, protocol, jammer):
+    """Traced runs of Poisson arrivals (the system empties and refills)."""
+    arrivals = PoissonArrivals(0.05, horizon=1500)
+    seeds = [5, 6]
+    if engine == "vector":
+        return VectorSimulator(
+            protocol, arrivals, jammer, seeds, max_slots=3000, collect_trace=True
+        ).run()
+    return [
+        Simulator(
+            SimulationConfig(
+                protocol=protocol,
+                adversary=CompositeAdversary(arrivals, jammer),
+                seed=seed,
+                max_slots=3000,
+                collect_trace=True,
+            )
+        ).run()
+        for seed in seeds
+    ]
+
+
+def _trace_throughput(trace):
+    """``(T_t + J_t) / S_t`` rebuilt slot by slot from the trace records."""
+    series, successes, jammed, active = [], 0, 0, 0
+    for record in trace:
+        successes += record.outcome is SlotOutcome.SUCCESS
+        if record.active_before > 0:
+            active += 1
+            jammed += record.jammed
+        series.append(1.0 if active == 0 else (successes + jammed) / active)
+    return series
+
+
+class TestDerivedSeries:
+    """The per-slot series are derived from packet records and jammed slots;
+    a trace records every slot independently, so it is the cross-check."""
+
+    @pytest.mark.parametrize("engine", ["serial", "vector"])
+    @pytest.mark.parametrize(
+        "protocol", [LowSensingBackoff(), BinaryExponentialBackoff()], ids=["lsb", "beb"]
+    )
+    def test_series_match_the_trace(self, engine, protocol):
+        # Jamming inactive slots too: they must count in neither J_t nor S_t.
+        jammer = BernoulliJamming(0.2, only_active=False)
+        for result in _traced_runs(engine, protocol, jammer):
+            assert len(result.trace) == result.num_slots
+            assert any(not record.is_active for record in result.trace)
+            assert result.num_jammed > result.num_jammed_active > 0
+            assert result.backlog_series() == backlog_series(result.trace)
+            assert result.throughput_series() == _trace_throughput(result.trace)
+
+    def test_pickled_results_hold_no_numpy(self):
+        """Run artifacts stay numpy-free, so their hashes do not depend on
+        the installed numpy version."""
+        plan = build_plan(get_scenario("onoff-jamming"), "smoke")
+        for backend in (SerialBackend(), VectorBackend()):
+            results = plan.run(backend).results
+            assert all(result.collector.jammed_active_slots for result in results)
+            for result in results:
+                assert b"numpy" not in pickle.dumps(result, pickle.HIGHEST_PROTOCOL)

@@ -236,7 +236,7 @@ class TestEngineIntegration:
                 ScheduledJamming(Phase(PeriodicJamming(7))),
             )
         )
-        assert bare.collector.backlog_series == scheduled.collector.backlog_series
+        assert bare.backlog_series() == scheduled.backlog_series()
         assert [(p.packet_id, p.departure_slot, p.sends) for p in bare.packets] == [
             (p.packet_id, p.departure_slot, p.sends) for p in scheduled.packets
         ]
@@ -258,7 +258,7 @@ class TestEngineIntegration:
         )
         result = Simulator(config).run()
         assert result.drained
-        successes = result.collector.cumulative_successes
+        successes = result.slot_counts().successes
         assert successes[49] == 0
         assert result.collector.num_jammed == 50
 

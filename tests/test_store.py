@@ -86,6 +86,27 @@ class TestRunsRegistry:
             healed = store.get_result(spec.cache_key(), 11, "scalar")
             assert healed is not None and healed.summary() == result.summary()
 
+    def test_unreadable_artifacts_emit_one_event_each(self, tmp_path):
+        from repro.telemetry import MemorySink, TelemetrySession, activated
+
+        spec = _spec(seed=13)
+        key = (spec.cache_key(), 13, "scalar")
+        with ResultsStore(tmp_path / "store") as store:
+            artifact_hash = store.put_run(*key, _run(spec))
+            path = store._artifact_path(artifact_hash)
+            path.write_bytes(path.read_bytes()[:100])
+            # Telemetry off: the miss stays a plain None.
+            assert store.get_result(*key) is None
+            sink = MemorySink()
+            with activated(TelemetrySession([sink])):
+                assert store.get_result(*key) is None
+                path.unlink()
+                assert store.load_artifact(artifact_hash) is None
+            assert [event["attrs"] for event in sink.events("artifact_unreadable")] == [
+                {"artifact_hash": artifact_hash, "error": "UnpicklingError"},
+                {"artifact_hash": artifact_hash, "error": "FileNotFoundError"},
+            ]
+
 
 class TestSchemaVersion:
     def test_future_schema_store_is_refused_loudly(self, tmp_path):

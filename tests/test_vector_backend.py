@@ -28,6 +28,7 @@ from repro.adversary.jamming import (
 from repro.core.low_sensing import LowSensingBackoff
 from repro.exec import (
     BACKEND_NAMES,
+    SCALAR_LAYOUT,
     ConfigJob,
     SerialBackend,
     VectorBackend,
@@ -214,8 +215,8 @@ class TestFallbackBoundary:
         serial_result = SerialBackend().run([unsupported])[0]
         assert summary_tuple(vector_result) == summary_tuple(serial_result)
         assert (
-            vector_result.collector.backlog_series
-            == serial_result.collector.backlog_series
+            vector_result.backlog_series()
+            == serial_result.backlog_series()
         )
         assert backend.fallback_jobs == 1
         assert backend.vectorized_jobs == 0
@@ -283,7 +284,7 @@ class TestGroupingAndOrdering:
         first = VectorBackend().run(jobs)
         second = VectorBackend().run(jobs)
         for a, b in zip(first, second):
-            assert a.collector.backlog_series == b.collector.backlog_series
+            assert a.backlog_series() == b.backlog_series()
             assert summary_tuple(a) == summary_tuple(b)
 
 
@@ -384,14 +385,14 @@ class TestCacheLayoutIsolation:
         assert vector_cached.hits == 0
         reference = VectorBackend().run([job])[0]
         assert (
-            vector_result.collector.backlog_series
-            == reference.collector.backlog_series
+            vector_result.backlog_series()
+            == reference.backlog_series()
         )
         # And the serial entry is still intact for scalar consumers.
         serial_again = make_backend("serial", cache_dir=str(tmp_path)).run([job])[0]
         assert (
-            serial_again.collector.backlog_series
-            == serial_result.collector.backlog_series
+            serial_again.backlog_series()
+            == serial_result.backlog_series()
         )
 
     def test_vectorized_jobs_cache_per_job_whatever_their_batch(self, tmp_path):
@@ -403,8 +404,8 @@ class TestCacheLayoutIsolation:
         cached = vector_cached.run(jobs)
         assert (vector_cached.hits, vector_cached.misses) == (1, 3)
         fresh = VectorBackend().run(jobs)
-        assert [r.collector.backlog_series for r in cached] == [
-            r.collector.backlog_series for r in fresh
+        assert [r.backlog_series() for r in cached] == [
+            r.backlog_series() for r in fresh
         ]
 
     def test_fallback_jobs_share_the_scalar_cache(self, tmp_path):
@@ -420,8 +421,8 @@ class TestCacheLayoutIsolation:
         # Fallback results are scalar-layout, hence safely interchangeable.
         assert vector_cached.hits == 1
         assert (
-            vector_result.collector.backlog_series
-            == serial_result.collector.backlog_series
+            vector_result.backlog_series()
+            == serial_result.backlog_series()
         )
 
     def test_result_layout_declarations(self):
@@ -440,5 +441,5 @@ class TestCacheLayoutIsolation:
         ):
             assert backend.result_layout(spec(protocol, 1)) == RESULT_LAYOUT
         assert RESULT_LAYOUT.startswith("vector:")
-        assert backend.result_layout(fallback_spec) == "scalar"
-        assert SerialBackend().result_layout(fallback_spec) == "scalar"
+        assert backend.result_layout(fallback_spec) == SCALAR_LAYOUT
+        assert SerialBackend().result_layout(fallback_spec) == SCALAR_LAYOUT

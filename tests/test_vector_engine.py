@@ -41,6 +41,7 @@ COLLECTOR_FIELDS = (
     "num_jammed_active",
     "total_sends",
     "total_listens",
+    "jammed_active_slots",
 )
 
 
@@ -62,18 +63,8 @@ def assert_identical(vector_result, scalar_result):
         assert getattr(vector_result.collector, field) == getattr(
             scalar_result.collector, field
         ), field
-    assert (
-        vector_result.collector.backlog_series
-        == scalar_result.collector.backlog_series
-    )
-    assert (
-        vector_result.collector.cumulative_arrivals
-        == scalar_result.collector.cumulative_arrivals
-    )
-    assert (
-        vector_result.collector.cumulative_successes
-        == scalar_result.collector.cumulative_successes
-    )
+    assert vector_result.backlog_series() == scalar_result.backlog_series()
+    assert vector_result.throughput_series() == scalar_result.throughput_series()
     assert packet_tuples(vector_result) == packet_tuples(scalar_result)
 
 
@@ -129,7 +120,7 @@ class TestDeterministicWorkloadsMatchScalarExactly:
         assert result.num_slots == 0
         assert result.drained
         assert result.packets == []
-        assert result.collector.backlog_series == []
+        assert result.backlog_series() == []
 
 
 class TestDeterminismOfVectorRuns:
@@ -143,7 +134,7 @@ class TestDeterminismOfVectorRuns:
             ).run()
 
         for first, second in zip(run_batch(), run_batch()):
-            assert first.collector.backlog_series == second.collector.backlog_series
+            assert first.backlog_series() == second.backlog_series()
             assert packet_tuples(first) == packet_tuples(second)
             for field in COLLECTOR_FIELDS:
                 assert getattr(first.collector, field) == getattr(
@@ -157,7 +148,7 @@ class TestDeterminismOfVectorRuns:
             PolynomialBackoff(), BatchArrivals(20), NoJamming(), seeds=[1, 2]
         ).run()
         assert [r.seed for r in forward] == [1, 2]
-        assert forward[0].collector.backlog_series != forward[1].collector.backlog_series
+        assert forward[0].backlog_series() != forward[1].backlog_series()
 
     def test_num_slots_vary_per_replication(self):
         results = VectorSimulator(
@@ -205,14 +196,13 @@ class TestInvariants:
             assert collector.total_sends == sum(p.sends for p in result.packets)
             assert collector.total_listens == 0
             assert collector.backlog == collector.num_arrivals - collector.num_successes
-            assert len(collector.backlog_series) == result.num_slots
+            counts = result.slot_counts()
+            assert len(counts.backlog) == result.num_slots
             if result.num_slots:
-                assert collector.cumulative_arrivals[-1] == collector.num_arrivals
-                assert collector.cumulative_successes[-1] == collector.num_successes
-                assert (
-                    collector.cumulative_active_slots[-1]
-                    == collector.num_active_slots
-                )
+                assert counts.arrivals[-1] == collector.num_arrivals
+                assert counts.successes[-1] == collector.num_successes
+                assert counts.active_slots[-1] == collector.num_active_slots
+                assert len(collector.jammed_active_slots) == collector.num_jammed_active
             budget = getattr(jammer, "budget", None)
             if budget is not None:
                 assert collector.num_jammed <= budget

@@ -203,7 +203,7 @@ class TestTraceAndPotentialParity:
         collected = run(collect_trace=True, collect_potential=True)
         for a, b in zip(bare, collected):
             assert packet_tuples(a) == packet_tuples(b)
-            assert a.collector.backlog_series == b.collector.backlog_series
+            assert a.backlog_series() == b.backlog_series()
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ class TestMegaStackBitIdentity:
                 got = next(flat)
                 assert packet_tuples(got) == packet_tuples(expected)
                 assert (
-                    got.collector.backlog_series == expected.collector.backlog_series
+                    got.backlog_series() == expected.backlog_series()
                 )
 
     def test_budget_respected_per_replication(self):
@@ -382,5 +382,5 @@ class TestMegaStackBitIdentity:
             ).run()
 
         for first, second in zip(run_batch(), run_batch()):
-            assert first.collector.backlog_series == second.collector.backlog_series
+            assert first.backlog_series() == second.backlog_series()
             assert packet_tuples(first) == packet_tuples(second)

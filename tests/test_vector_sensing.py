@@ -307,7 +307,7 @@ class TestSensingInvariants:
             ).run()
 
         for first, second in zip(run_batch(), run_batch()):
-            assert first.collector.backlog_series == second.collector.backlog_series
+            assert first.backlog_series() == second.backlog_series()
             assert packet_tuples(first) == packet_tuples(second)
 
     def test_sensing_with_capacity_growth(self):
