@@ -1,15 +1,15 @@
 """Shared infrastructure for the benchmark suite.
 
 Each experiment benchmark regenerates one of the paper-claim experiments
-(see DESIGN.md section 3).  The experiment functions are deterministic given
-their seed list, so every benchmark runs its experiment exactly once
-(``benchmark.pedantic(rounds=1)``): the interesting output is the table of
-measurements, not the wall-clock time, although pytest-benchmark still
-records the latter.
+(listed in README.md's "Experiments" table).  The experiment functions are
+deterministic given their seed list, so every benchmark runs its experiment
+exactly once (``benchmark.pedantic(rounds=1)``): the interesting output is
+the table of measurements, not the wall-clock time, although
+pytest-benchmark still records the latter.
 
 Every experiment benchmark writes its rendered report to
-``benchmarks/results/<id>.txt`` so that EXPERIMENTS.md can be refreshed from
-an actual run.
+``benchmarks/results/<id>.txt``, so the recorded tables always come from an
+actual run.
 
 The gate benchmarks (``bench_vector_backend.py``, ``bench_*_vector.py``,
 ``bench_*_overhead.py``, ``bench_campaign_store.py``) assert a speedup or

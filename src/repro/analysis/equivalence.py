@@ -408,11 +408,11 @@ def verify_vector_equivalence(specs: Sequence) -> EquivalenceReport:
     (same protocol/adversary/options, varying seed) — the shape produced by
     one :class:`~repro.experiments.plan.SweepPlan` group.  The serial side
     is the reference scalar engine; the vector side runs the same seeds
-    through one lockstep batch.  Also asserts the vector side's stronger
-    determinism contract: a second vector run must be bit-identical.
+    on the :class:`~repro.exec.VectorBackend`, as one lockstep batch.
+    Also asserts the vector side's stronger determinism contract: a second
+    vector run must be bit-identical.
     """
-    from repro.exec.backends import SerialBackend
-    from repro.sim.vector import VectorSimulator
+    from repro.exec import SerialBackend, VectorBackend
 
     specs = list(specs)
     for spec in specs:
@@ -420,9 +420,9 @@ def verify_vector_equivalence(specs: Sequence) -> EquivalenceReport:
         if reason is not None:
             raise ValueError(f"spec cannot vectorize: {reason}")
     scalar_results = SerialBackend().run(specs)
-    vector_results = VectorSimulator.from_specs(specs).run()
+    vector_results = VectorBackend().run(specs)
     report = compare_result_sets(scalar_results, vector_results)
-    repeat = VectorSimulator.from_specs(specs).run()
+    repeat = VectorBackend().run(specs)
     deterministic = all(
         first.packets == second.packets
         and first.collector.jammed_active_slots

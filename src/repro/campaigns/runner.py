@@ -3,12 +3,15 @@
 Execution model
 ---------------
 
-A campaign's plan is partitioned into **units**, the checkpoint granularity:
+A campaign runs on one execution backend from
+:func:`repro.exec.make_backend`, which chooses the engine, the lockstep
+batches and each run's result layout
+(:meth:`~repro.exec.ExecutionBackend.result_layout`).  The plan is
+partitioned into **units**, the checkpoint granularity:
 
-* a replication group that the vector engine can batch (when the campaign
-  runs on the ``vector`` backend) is **one unit**, one lockstep batch,
-  filed under the vector result layout
-  (:data:`repro.sim.vector.RESULT_LAYOUT`);
+* a replication group whose runs take a lockstep layout (the vector
+  backend's :data:`repro.sim.vector.RESULT_LAYOUT`) is **one unit**, one
+  lockstep batch;
 * every other group is chunked into scalar units of ``checkpoint_every``
   runs, filed under :data:`repro.exec.backends.SCALAR_LAYOUT`.
 
@@ -25,9 +28,8 @@ producing a store bit-identical (by :meth:`~repro.store.ResultsStore.fingerprint
 to an uninterrupted run.
 
 Deterministic interruption for tests and benchmarks: ``fail_after_units=N``
-(or the ``REPRO_CAMPAIGN_FAIL_AFTER_UNITS`` environment variable for the
-CLI) raises :class:`CampaignInterrupted` after the N-th unit commit, which
-is observably equivalent to a hard kill at that unit boundary.
+raises :class:`CampaignInterrupted` after the N-th unit commit, which is
+observably equivalent to a hard kill at that unit boundary.
 """
 
 from __future__ import annotations
@@ -36,23 +38,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.exec.backends import (
-    SCALAR_LAYOUT,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
-from repro.experiments.plan import RunSpec, SweepPlan
+from repro.exec import BACKEND_NAMES, SCALAR_LAYOUT, ExecutionBackend, make_backend
+from repro.experiments.plan import SweepPlan
 from repro.experiments.spec import ExperimentReport, ExperimentSpec
 from repro.store import METRIC_COLUMNS, ResultsStore
 from repro.telemetry import current as current_telemetry
 
 #: Scalar runs committed per checkpoint transaction.
 DEFAULT_CHECKPOINT_EVERY = 8
-
-#: Backends a campaign can execute on (the cache wrapper is implicit — the
-#: store *is* the campaign's persistence layer).
-CAMPAIGN_BACKENDS = ("serial", "processes", "vector")
 
 
 class CampaignError(ValueError):
@@ -89,7 +82,6 @@ class _Unit:
     protocol: str
     indices: tuple[int, ...]
     layout: str
-    vectorized: bool
 
 
 def _utcnow_iso() -> str:
@@ -112,7 +104,7 @@ def default_campaign_id(
 
 
 def _partition_units(
-    plan: SweepPlan, backend_name: str, checkpoint_every: int
+    plan: SweepPlan, backend: ExecutionBackend, checkpoint_every: int
 ) -> tuple[list[_Unit], list[str]]:
     """Cut the plan into checkpoint units; returns (units, spec hashes)."""
     specs = plan.specs
@@ -125,56 +117,22 @@ def _partition_units(
             )
     units: list[_Unit] = []
     for group in plan.groups:
-        vectorize = (
-            backend_name == "vector"
-            and specs[group.spec_indices[0]].vector_support() is None
-        )
-        if vectorize:
-            from repro.sim.vector import RESULT_LAYOUT
-
+        indices = list(group.spec_indices)
+        # A group shares everything but the seed, so one layout covers it.
+        layout = backend.result_layout(specs[indices[0]])
+        # Scalar runs are independent and checkpoint in chunks; a lockstep
+        # group is one batch, so it is one unit.
+        size = checkpoint_every if layout == SCALAR_LAYOUT else len(indices)
+        for start in range(0, len(indices), size):
             units.append(
                 _Unit(
                     group_id=group.group_id,
                     protocol=group.protocol_name,
-                    indices=tuple(group.spec_indices),
-                    layout=RESULT_LAYOUT,
-                    vectorized=True,
+                    indices=tuple(indices[start : start + size]),
+                    layout=layout,
                 )
             )
-        else:
-            indices = list(group.spec_indices)
-            for start in range(0, len(indices), checkpoint_every):
-                units.append(
-                    _Unit(
-                        group_id=group.group_id,
-                        protocol=group.protocol_name,
-                        indices=tuple(indices[start : start + checkpoint_every]),
-                        layout=SCALAR_LAYOUT,
-                        vectorized=False,
-                    )
-                )
     return units, hashes  # type: ignore[return-value]
-
-
-def _scalar_backend(backend_name: str, workers: int | None) -> ExecutionBackend:
-    if backend_name == "processes":
-        return ProcessPoolBackend(workers=workers)
-    # The vector backend's scalar fallback is serial execution, so campaign
-    # scalar units under --backend vector take exactly that path.
-    return SerialBackend()
-
-
-def _run_vector_unit(specs: list[RunSpec]):
-    from repro.sim.vector import VectorSimulator
-
-    # Only the batch construction is timed here; the engine's run() emits
-    # its own simulate/finalize phase spans, and wrapping it again would
-    # double-count the unit's wall-clock in telemetry summaries.
-    with current_telemetry().span(
-        "build", kind="phase", backend="vector", jobs=len(specs)
-    ):
-        batch = VectorSimulator.from_specs(specs)
-    return batch.run()
 
 
 def _execute(
@@ -182,12 +140,13 @@ def _execute(
     plan: SweepPlan,
     campaign_id: str,
     *,
-    backend_name: str,
+    backend: ExecutionBackend,
     scenario_hash: str | None,
     workers: int | None,
     checkpoint_every: int,
     fail_after_units: int | None,
 ) -> CampaignOutcome:
+    backend_name = backend.name
     if backend_name == "processes":
         # A checkpoint unit is also one pool invocation, so a unit smaller
         # than the pool would cap concurrency at checkpoint_every and pay
@@ -203,9 +162,8 @@ def _execute(
     with tele.span(
         "build", kind="phase", backend=backend_name, op="partition-units"
     ):
-        units, hashes = _partition_units(plan, backend_name, checkpoint_every)
+        units, hashes = _partition_units(plan, backend, checkpoint_every)
     specs = plan.specs
-    scalar_backend = _scalar_backend(backend_name, workers)
     executed = 0
     skipped = 0
     total_elapsed = 0.0
@@ -224,14 +182,9 @@ def _execute(
                 if not store.has_run(hashes[index], specs[index].seed, unit.layout)
             ]
         if pending:
-            pending_specs = [specs[index] for index in pending]
-            if unit.vectorized:
-                # _run_vector_unit and the engine emit their own
-                # build/simulate/finalize phase spans.
-                results = _run_vector_unit(pending_specs)
-            else:
-                # The scalar backend emits its own build/simulate spans.
-                results = scalar_backend.run(pending_specs)
+            # The backend and its engines emit their own build/simulate
+            # (and, for lockstep batches, finalize) phase spans.
+            results = backend.run([specs[index] for index in pending])
             with tele.span(
                 "commit",
                 kind="phase",
@@ -350,10 +303,10 @@ def start_campaign(
     and the store fingerprint are unchanged by it, and a resume may choose
     a different window (only runs actually executed record trajectories).
     """
-    if backend_name not in CAMPAIGN_BACKENDS:
+    if backend_name not in BACKEND_NAMES:
         raise CampaignError(
             f"unknown campaign backend {backend_name!r}; "
-            f"expected one of {CAMPAIGN_BACKENDS}"
+            f"expected one of {BACKEND_NAMES}"
         )
     if checkpoint_every < 1:
         raise CampaignError("checkpoint_every must be at least 1")
@@ -379,7 +332,7 @@ def start_campaign(
                 f"campaign {campaign_id!r} already exists "
                 f"(status {existing['status']}); use resume"
             )
-        plan = build_plan(scenario, scale, seed_list, dynamics_window=dynamics_window)
+        plan = build_plan(scenario, scale, seed_list)
     with tele.span(
         "commit", kind="phase", backend=backend_name, op="create-campaign"
     ):
@@ -393,16 +346,19 @@ def start_campaign(
             backend=backend_name,
             total_runs=len(plan),
         )
-    return _execute(
-        store,
-        plan,
-        campaign_id,
-        backend_name=backend_name,
-        scenario_hash=scenario_hash,
-        workers=workers,
-        checkpoint_every=checkpoint_every,
-        fail_after_units=fail_after_units,
-    )
+    with make_backend(
+        backend_name, workers=workers, dynamics_window=dynamics_window
+    ) as backend:
+        return _execute(
+            store,
+            plan,
+            campaign_id,
+            backend=backend,
+            scenario_hash=scenario_hash,
+            workers=workers,
+            checkpoint_every=checkpoint_every,
+            fail_after_units=fail_after_units,
+        )
 
 
 def resume_campaign(
@@ -459,24 +415,25 @@ def resume_campaign(
     with current_telemetry().span(
         "build", kind="phase", backend=row["backend"], op="plan"
     ):
-        plan = build_plan(
-            scenario, row["scale"], seeds, dynamics_window=dynamics_window
-        )
+        plan = build_plan(scenario, row["scale"], seeds)
     if len(plan) != row["total_runs"]:
         raise CampaignError(
             f"campaign {campaign_id!r}: rebuilt plan has {len(plan)} runs but "
             f"{row['total_runs']} were recorded; code drift detected"
         )
-    return _execute(
-        store,
-        plan,
-        campaign_id,
-        backend_name=row["backend"],
-        scenario_hash=row["scenario_hash"],
-        workers=workers,
-        checkpoint_every=checkpoint_every,
-        fail_after_units=fail_after_units,
-    )
+    with make_backend(
+        row["backend"], workers=workers, dynamics_window=dynamics_window
+    ) as backend:
+        return _execute(
+            store,
+            plan,
+            campaign_id,
+            backend=backend,
+            scenario_hash=row["scenario_hash"],
+            workers=workers,
+            checkpoint_every=checkpoint_every,
+            fail_after_units=fail_after_units,
+        )
 
 
 # ---------------------------------------------------------------------------

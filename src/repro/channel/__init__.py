@@ -15,27 +15,15 @@ The main entry points are:
 
 from repro.channel.actions import Action, ActionKind
 from repro.channel.channel import MultipleAccessChannel, SlotResolution
-from repro.channel.events import (
-    ArrivalEvent,
-    DepartureEvent,
-    Event,
-    JamEvent,
-    SlotEvent,
-)
 from repro.channel.feedback import Feedback, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
 
 __all__ = [
     "Action",
     "ActionKind",
-    "ArrivalEvent",
-    "DepartureEvent",
-    "Event",
     "ExecutionTrace",
     "Feedback",
-    "JamEvent",
     "MultipleAccessChannel",
-    "SlotEvent",
     "SlotOutcome",
     "SlotRecord",
     "SlotResolution",

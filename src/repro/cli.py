@@ -143,7 +143,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import time
 from typing import Iterable
@@ -782,19 +781,12 @@ def _parse_positive_ints(
     return values
 
 
-def _backend_builder(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
-    *,
-    dynamics_window: int = 0,
-):
+def _backend_builder(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """A zero-argument backend factory, validated before anything runs.
 
-    ``dynamics_window`` wraps the backend in a
-    :class:`~repro.exec.DynamicsBackend` — used by the experiments ``run``
-    path, where the sweep plan is built inside the experiment function and
-    the backend is the only seam the CLI controls.  Scenario and campaign
-    runs thread the window through their plans instead.
+    ``--dynamics`` wraps the backend in a :class:`~repro.exec.DynamicsBackend`,
+    so every run records a windowed dynamics trajectory without the plan
+    knowing about it.
     """
     if args.workers is not None and args.backend != "processes":
         parser.error("--workers only applies to --backend processes")
@@ -809,7 +801,7 @@ def _backend_builder(
                 args.backend,
                 workers=args.workers,
                 cache_dir=args.cache_dir,
-                dynamics_window=dynamics_window or None,
+                dynamics_window=_dynamics_window(args, parser),
             )
         except ValueError as exc:
             parser.error(str(exc))
@@ -1009,9 +1001,7 @@ def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             plan = EXPERIMENT_PLANS[exp_id](scale=args.scale, seeds=seeds)
             _print_vectorization_table(exp_id, plan, args.scale)
         return 0
-    build_backend = _backend_builder(
-        args, parser, dynamics_window=_dynamics_window(args, parser)
-    )
+    build_backend = _backend_builder(args, parser)
     out_dir = _prepare_out_dir(args.out, parser)
     from repro.telemetry import activated
 
@@ -1120,19 +1110,14 @@ def _command_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser)
                 f"(from {previous!r} and {argument!r})"
             )
     out_dir = _prepare_out_dir(args.out, parser)
-    dynamics_window = _dynamics_window(args, parser)
     from repro.telemetry import activated
 
     with activated(_telemetry_session(args)) as tele:
         with _resource_sampler(args, parser, tele):
-            return _run_scenarios(
-                args, scenarios, seeds, build_backend, out_dir, tele, dynamics_window
-            )
+            return _run_scenarios(args, scenarios, seeds, build_backend, out_dir, tele)
 
 
-def _run_scenarios(
-    args, scenarios, seeds, build_backend, out_dir, tele, dynamics_window=0
-) -> int:
+def _run_scenarios(args, scenarios, seeds, build_backend, out_dir, tele) -> int:
     from repro.scenarios.runner import run_scenario, scenario_max_slots, scenario_seeds
 
     for scenario in scenarios:
@@ -1148,11 +1133,7 @@ def _run_scenarios(
                 scenario=scenario.scenario_id,
             ):
                 report = run_scenario(
-                    scenario,
-                    scale=args.scale,
-                    seeds=seeds,
-                    backend=backend,
-                    dynamics_window=dynamics_window,
+                    scenario, scale=args.scale, seeds=seeds, backend=backend
                 )
             elapsed = time.perf_counter() - started
         finally:
@@ -1278,26 +1259,9 @@ def _print_outcome(outcome) -> None:
     )
 
 
-def _fail_after_units_env(parser: argparse.ArgumentParser) -> int | None:
-    """Deterministic interruption hook for CI/smoke (unit count from env)."""
-    raw = os.environ.get("REPRO_CAMPAIGN_FAIL_AFTER_UNITS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        parser.error(
-            f"REPRO_CAMPAIGN_FAIL_AFTER_UNITS must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
 def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.campaigns import (
         CampaignError,
-        CampaignInterrupted,
         campaign_report,
         campaign_status_rows,
         diff_campaigns,
@@ -1348,7 +1312,6 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
                             workers=args.workers,
                             campaign_id=args.campaign_id,
                             checkpoint_every=checkpoint,
-                            fail_after_units=_fail_after_units_env(parser),
                             dynamics_window=_dynamics_window(args, parser),
                         )
                 _print_outcome(outcome)
@@ -1367,7 +1330,6 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
                             args.campaign_id,
                             workers=args.workers,
                             checkpoint_every=checkpoint,
-                            fail_after_units=_fail_after_units_env(parser),
                             dynamics_window=_dynamics_window(args, parser),
                         )
                 _print_outcome(outcome)
@@ -1433,11 +1395,6 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
             )
             print(diff.render())
             return 0 if diff.passed else 1
-        except CampaignInterrupted as exc:
-            # The deterministic interruption hook mimics a kill: report and
-            # exit non-zero so wrappers treat it as the crash it simulates.
-            print(str(exc))
-            return 1
         except CampaignError as exc:
             parser.error(str(exc))
     raise AssertionError("unreachable")  # pragma: no cover

@@ -131,9 +131,6 @@ class PotentialTracker:
     def potential_series(self) -> list[float]:
         return [sample.potential for sample in self.samples]
 
-    def contention_series(self) -> list[float]:
-        return [sample.contention for sample in self.samples]
-
     def max_potential(self) -> float:
         return max((s.potential for s in self.samples), default=0.0)
 

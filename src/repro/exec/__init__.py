@@ -44,14 +44,14 @@ def make_backend(
     *,
     workers: int | None = None,
     cache_dir: str | None = None,
-    dynamics_window: int | None = None,
+    dynamics_window: int = 0,
 ) -> ExecutionBackend:
     """Build a backend from CLI-style options.
 
     ``name`` selects the execution strategy; ``cache_dir``, when given,
-    wraps the chosen backend in a :class:`ResultCacheBackend`;
+    wraps the chosen backend in a :class:`ResultCacheBackend`; a positive
     ``dynamics_window`` wraps the result in a :class:`DynamicsBackend`
-    so every job records a windowed dynamics trajectory.
+    so every job records a windowed dynamics trajectory (0 is off).
     """
     if name == "serial":
         backend: ExecutionBackend = SerialBackend()
@@ -63,7 +63,7 @@ def make_backend(
         raise ValueError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
     if cache_dir is not None:
         backend = ResultCacheBackend(cache_dir, inner=backend)
-    if dynamics_window is not None:
+    if dynamics_window:
         backend = DynamicsBackend(backend, dynamics_window)
     return backend
 

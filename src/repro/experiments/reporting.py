@@ -2,18 +2,10 @@
 
 ``render_report`` turns an :class:`~repro.experiments.spec.ExperimentReport`
 into the plain-text block that the benchmarks print and write to
-`benchmarks/results/`.  The module is also runnable::
-
-    python -m repro.experiments.reporting E1 E4 --scale smoke
-
-which regenerates the requested experiments from the command line without
-going through pytest.
+`benchmarks/results/`; ``python -m repro run`` prints the same block.
 """
 
 from __future__ import annotations
-
-import argparse
-from typing import Iterable
 
 from repro.analysis.tables import render_rows
 from repro.experiments.spec import ExperimentReport
@@ -96,28 +88,3 @@ def render_report(report: ExperimentReport, precision: int = 4) -> str:
             lines.append(f"  - {note}")
     return "\n".join(lines)
 
-
-def main(argv: Iterable[str] | None = None) -> int:
-    """Command-line entry point: run and print selected experiments."""
-    from repro.experiments.experiments import ALL_EXPERIMENTS
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        default=list(ALL_EXPERIMENTS),
-        help="experiment ids to run (default: all)",
-    )
-    parser.add_argument("--scale", default="default", choices=("smoke", "default", "full"))
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    for exp_id in args.experiments:
-        if exp_id not in ALL_EXPERIMENTS:
-            parser.error(f"unknown experiment id {exp_id!r}")
-        report = ALL_EXPERIMENTS[exp_id](scale=args.scale)
-        print(render_report(report))
-        print()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry point
-    raise SystemExit(main())

@@ -8,7 +8,7 @@ min, max per numeric field), which is what experiment tables report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -88,8 +88,3 @@ def aggregate_summaries(
             std=math.sqrt(variance),
         )
     return aggregated
-
-
-def summary_field_names() -> list[str]:
-    """Names of all fields of :class:`RunSummary` (for table headers)."""
-    return [f.name for f in fields(RunSummary)]

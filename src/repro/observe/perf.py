@@ -30,11 +30,6 @@ Exit-code contract (enforced by ``python -m repro perf regress``):
 * ``2`` — usage error (argparse, or an option out of range: ``window`` or
   ``baseline`` below 1, ``alpha`` outside (0, 1), ``factor`` below 1).
 
-``REPRO_PERF_INJECT_SLEEP=<seconds>`` injects a sleep into the timed
-region of ``perf record`` — the deterministic regression fixture CI uses
-to prove the gate actually fails, mirroring
-``REPRO_CAMPAIGN_FAIL_AFTER_UNITS``.
-
 Perf samples are provenance, not science: the table is excluded from
 :meth:`~repro.store.ResultsStore.fingerprint`, and ``perf record``
 discards the simulation results it times (no run rows are written), so
@@ -145,13 +140,9 @@ def record_scenario_perf(
     seed_list = scenario_seeds(scenario, scale, seeds)
     plan = build_plan(scenario, scale, seed_list)
     workload = plan_workload_hash(plan)
-    inject = float(os.environ.get("REPRO_PERF_INJECT_SLEEP", "0") or 0.0)
     with make_backend(backend_name, workers=workers) as backend:
         started = clock()
         results = plan.run(backend).results
-        if inject > 0:
-            # Deterministic regression fixture (see module docstring).
-            time.sleep(inject)
         elapsed = clock() - started
     slots = sum(result.num_slots for result in results)
     sample = {

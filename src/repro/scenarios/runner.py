@@ -64,8 +64,6 @@ def build_plan(
     scenario: Scenario,
     scale: str = "default",
     seeds: Sequence[int] | None = None,
-    *,
-    dynamics_window: int = 0,
 ) -> SweepPlan:
     """One sweep group per protocol, all sharing the scenario's adversary."""
     scale = check_scale(scale)
@@ -80,7 +78,6 @@ def build_plan(
             seed_list,
             columns={"scenario": scenario.scenario_id},
             max_slots=max_slots,
-            dynamics_window=dynamics_window,
         )
     return plan
 
@@ -91,11 +88,10 @@ def run_scenario(
     scale: str = "default",
     seeds: Sequence[int] | None = None,
     backend: ExecutionBackend | None = None,
-    dynamics_window: int = 0,
 ) -> ExperimentReport:
     """Run ``scenario`` on ``backend`` and aggregate one row per protocol."""
     scale = check_scale(scale)
-    plan = build_plan(scenario, scale, seeds, dynamics_window=dynamics_window)
+    plan = build_plan(scenario, scale, seeds)
     spec = ExperimentSpec(
         exp_id=scenario.scenario_id,
         title=scenario.title,

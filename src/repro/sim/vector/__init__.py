@@ -24,7 +24,6 @@ from repro.sim.vector.support import (
     VECTOR_JAMMERS,
     VECTOR_PROTOCOLS,
     adversary_support,
-    config_support,
     protocol_support,
     vector_support,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "VECTOR_PROTOCOLS",
     "VectorSimulator",
     "adversary_support",
-    "config_support",
     "protocol_support",
     "vector_support",
 ]

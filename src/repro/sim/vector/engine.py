@@ -148,29 +148,36 @@ def _potential_terms(
     kernel: Any,
     active: np.ndarray,
     backlog: np.ndarray,
-    term_cache: "_WindowTermCache",
     coeffs: PotentialCoefficients,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(H, L, Σ1/w, Φ) per replication from post-slot windows and backlog.
 
     Scalar step 5: Φ is sampled after feedback updates and the winner's
     departure.  Windowless kernels yield zero rows, as on the scalar engine.
+    The per-window terms go through ``math.log``, as in
+    :class:`PotentialTracker`: ``np.log`` can differ from it by an ulp on
+    rare inputs, and Φ must match the scalar engine bit for bit.
     """
     windows = kernel.window_matrix()
     if windows is None:
         zero = np.zeros(backlog.shape[0])
         return zero, zero, zero, zero
     inverse_log = np.zeros_like(windows)
-    values = windows[active]
-    if values.size:
-        inverse_log[active] = term_cache.inverse_log(values)
+    values = windows[active].tolist()
+    if values:
+        if min(values) <= 1.0:
+            # Same contract as the scalar PotentialSample.h_term.
+            raise ValueError("potential tracking requires windows > 1")
+        inverse_log[active] = [1.0 / math.log(value) for value in values]
     h_row = inverse_log.cumsum(axis=1)[:, -1]
     inverse_sum = np.where(active, 1.0 / windows, 0.0).cumsum(axis=1)[:, -1]
     occupied = backlog > 0
     l_row = np.zeros(backlog.shape[0])
     if occupied.any():
         peak = np.where(active, windows, -np.inf).max(axis=1)
-        l_row[occupied] = term_cache.l_term(peak[occupied])
+        l_row[occupied] = [
+            value / math.log(value) ** 2 for value in peak[occupied].tolist()
+        ]
     phi = np.where(
         occupied,
         coeffs.alpha1 * backlog + coeffs.alpha2 * h_row + coeffs.alpha3 * l_row,
@@ -206,53 +213,6 @@ def _sample_dynamics_gauges(
         )
     if listens is not None:
         dyn_listens[j] = listens.sum(axis=1)
-
-
-class _WindowTermCache:
-    """Memoised per-window potential terms, computed with ``math.log``.
-
-    The scalar :class:`PotentialTracker` computes ``1 / math.log(w)`` and
-    ``w / math.log(w) ** 2`` per window; ``np.log`` can differ from
-    ``math.log`` by an ulp on rare inputs, so bit-for-bit parity requires
-    routing every distinct window value through the exact same Python
-    float operations.  Window values repeat massively across cells and
-    slots (every cell walks the same discrete update lattice), so a sorted
-    key array plus ``searchsorted`` amortises the Python-level ``math.log``
-    calls to one per distinct value per run.
-    """
-
-    def __init__(self) -> None:
-        self._terms: dict[float, tuple[float, float]] = {}
-        self._keys = np.empty(0)
-        self._inverse_log = np.empty(0)
-        self._l = np.empty(0)
-
-    def _ensure(self, values: np.ndarray) -> None:
-        fresh = [
-            value for value in np.unique(values).tolist() if value not in self._terms
-        ]
-        if not fresh:
-            return
-        for value in fresh:
-            if value <= 1.0:
-                # Same contract as the scalar PotentialSample.h_term.
-                raise ValueError("potential tracking requires windows > 1")
-            log = math.log(value)
-            self._terms[value] = (1.0 / log, value / log**2)
-        keys = sorted(self._terms)
-        self._keys = np.array(keys)
-        self._inverse_log = np.array([self._terms[key][0] for key in keys])
-        self._l = np.array([self._terms[key][1] for key in keys])
-
-    def inverse_log(self, values: np.ndarray) -> np.ndarray:
-        """``1 / math.log(v)`` for each value (the H(t) contribution)."""
-        self._ensure(values)
-        return self._inverse_log[np.searchsorted(self._keys, values)]
-
-    def l_term(self, values: np.ndarray) -> np.ndarray:
-        """``v / math.log(v) ** 2`` for each value (the L(t) term)."""
-        self._ensure(values)
-        return self._l[np.searchsorted(self._keys, values)]
 
 
 class _SlotRecorder:
@@ -376,6 +336,11 @@ class _SlotRecorder:
         self.l_term[slot] = l_term
         self.inverse_window_sum[slot] = inverse_window_sum
         self.potential[slot] = potential
+
+
+#: A batch's engine options: max_slots, stop_when_drained, collect_trace,
+#: collect_potential, potential coefficients and dynamics window.
+_Options = tuple[int, bool, bool, bool, PotentialCoefficients, int]
 
 
 class _GroupConfig:
@@ -509,91 +474,27 @@ class _Segment:
 
 
 class VectorSimulator:
-    """Runs a batch of replications of one configuration in lockstep.
+    """Runs a batch of replications in lockstep.
 
-    Parameters
-    ----------
-    protocol, arrival_process, jammer:
-        One supported configuration (see :mod:`repro.sim.vector.support`);
-        the instances are read for their parameters only and never mutated.
-    seeds:
-        One master seed per replication.  Replications are independent; a
-        batch's output is a deterministic function of this list.
-    max_slots, stop_when_drained:
-        Same meaning as on :class:`~repro.sim.config.SimulationConfig`.
-    config_descriptions:
-        Optional per-replication ``config_description`` dicts to embed in
-        the results (defaults to a description assembled from the parts).
-
-    Mega-batches are built through :meth:`from_spec_groups`, which stacks
-    several such configurations into one ragged lockstep batch.
+    Build a batch from :class:`~repro.experiments.plan.RunSpec` items:
+    :meth:`from_specs` takes one configuration replicated over seeds, and
+    :meth:`from_spec_groups` stacks several such groups into one ragged
+    lockstep mega-batch.  The specs' protocol and adversary instances are
+    read for their parameters only and never mutated; a batch's output is
+    a deterministic function of its specs.
     """
 
-    def __init__(
-        self,
-        protocol: BackoffProtocol,
-        arrival_process: ArrivalProcess,
-        jammer: Jammer,
-        seeds: Sequence[int],
-        *,
-        max_slots: int = 200_000,
-        stop_when_drained: bool = True,
-        collect_trace: bool = False,
-        collect_potential: bool = False,
-        potential_coefficients: PotentialCoefficients | None = None,
-        config_descriptions: Sequence[dict[str, Any]] | None = None,
-        dynamics_window: int = 0,
-    ) -> None:
-        if not seeds:
-            raise ValueError("at least one replication seed is required")
-        if max_slots <= 0:
-            raise ValueError("max_slots must be positive")
-        if dynamics_window < 0:
-            raise ValueError("dynamics_window must be >= 0")
-        reason = protocol_support(protocol)
-        if reason is None:
-            if arrival_process is jammer and isinstance(
-                arrival_process, BacklogCouplingAdversary
-            ):
-                # A coupled adversary occupies both roles: its injection and
-                # jamming kernels share the live backlog array.
-                reason = adversary_support(arrival_process)
-            else:
-                reason = adversary_support(CompositeAdversary(arrival_process, jammer))
-        if reason is not None:
-            raise ValueError(f"configuration cannot vectorize: {reason}")
-        seed_list = [int(seed) for seed in seeds]
-        if config_descriptions is not None:
-            if len(config_descriptions) != len(seed_list):
-                raise ValueError("need one config description per seed")
-            descriptions = list(config_descriptions)
-        else:
-            descriptions = [
-                self._default_description(
-                    protocol,
-                    arrival_process,
-                    jammer,
-                    seed,
-                    max_slots,
-                    stop_when_drained,
-                    collect_trace,
-                    collect_potential,
-                )
-                for seed in seed_list
-            ]
-        self._groups = [
-            _GroupConfig(protocol, arrival_process, jammer, seed_list, descriptions)
-        ]
-        self._max_slots = max_slots
-        self._stop_when_drained = stop_when_drained
-        self._collect_trace = collect_trace
-        self._collect_potential = collect_potential
-        self._potential_coefficients = (
-            potential_coefficients
-            if potential_coefficients is not None
-            else PotentialCoefficients()
-        )
-        self._dynamics_window = dynamics_window
+    def __init__(self, groups: list[_GroupConfig], options: _Options) -> None:
+        # Internal: from_specs and from_spec_groups validate what reaches here.
+        self._groups = groups
+        (
+            self._max_slots,
+            self._stop_when_drained,
+            self._collect_trace,
+            self._collect_potential,
+            self._potential_coefficients,
+            self._dynamics_window,
+        ) = options
 
     # -- Construction ---------------------------------------------------------
 
@@ -605,23 +506,7 @@ class VectorSimulator:
         :meth:`~repro.exec.vector_backend.VectorBackend` groups by).
         """
         group, options = cls._group_from_specs(specs)
-        simulator = cls.__new__(cls)
-        simulator._groups = [group]
-        simulator._apply_options(options)
-        return simulator
-
-    def _apply_options(
-        self,
-        options: tuple[int, bool, bool, bool, PotentialCoefficients, int],
-    ) -> None:
-        (
-            self._max_slots,
-            self._stop_when_drained,
-            self._collect_trace,
-            self._collect_potential,
-            self._potential_coefficients,
-            self._dynamics_window,
-        ) = options
+        return cls([group], options)
 
     @classmethod
     def from_spec_groups(cls, spec_groups: Sequence[Sequence[Any]]) -> "VectorSimulator":
@@ -673,17 +558,10 @@ class VectorSimulator:
                         f"mega-batched groups with a scheduled {label} must "
                         "share the schedule exactly"
                     )
-        simulator = cls.__new__(cls)
-        simulator._groups = groups
-        simulator._apply_options(options)
-        return simulator
+        return cls(groups, options)
 
     @classmethod
-    def _group_from_specs(
-        cls, specs: Sequence[Any]
-    ) -> tuple[
-        _GroupConfig, tuple[int, bool, bool, bool, PotentialCoefficients, int]
-    ]:
+    def _group_from_specs(cls, specs: Sequence[Any]) -> tuple[_GroupConfig, _Options]:
         if not specs:
             raise ValueError("at least one spec is required")
         configs = [spec.build_config() for spec in specs]
@@ -738,31 +616,6 @@ class VectorSimulator:
             first.dynamics_window,
         )
         return group, options
-
-    @staticmethod
-    def _default_description(
-        protocol: BackoffProtocol,
-        arrival_process: ArrivalProcess,
-        jammer: Jammer,
-        seed: int,
-        max_slots: int,
-        stop_when_drained: bool,
-        collect_trace: bool = False,
-        collect_potential: bool = False,
-    ) -> dict[str, Any]:
-        if arrival_process is jammer:
-            adversary: Any = arrival_process
-        else:
-            adversary = CompositeAdversary(arrival_process, jammer)
-        return {
-            "protocol": protocol.describe(),
-            "adversary": adversary.describe(),
-            "seed": seed,
-            "max_slots": max_slots,
-            "stop_when_drained": stop_when_drained,
-            "collect_trace": collect_trace,
-            "collect_potential": collect_potential,
-        }
 
     # -- Introspection --------------------------------------------------------
 
@@ -890,7 +743,6 @@ class VectorSimulator:
         # Vectorized potential accumulator state.
         has_windows = False
         if collect_potential:
-            term_cache = _WindowTermCache()
             coeffs = self._potential_coefficients
             has_windows = kernel.window_matrix() is not None
 
@@ -1020,7 +872,7 @@ class VectorSimulator:
                 if collect_potential:
                     recorder.record_potential(
                         slice(slot, idle_end),
-                        *_potential_terms(kernel, active, backlog, term_cache, coeffs),
+                        *_potential_terms(kernel, active, backlog, coeffs),
                     )
                 if dynamics_window:
                     for boundary in range(
@@ -1193,7 +1045,7 @@ class VectorSimulator:
                     recorder.record_trace(slot, winner_column, contention_pre)
                 if collect_potential:
                     recorder.record_potential(
-                        slot, *_potential_terms(kernel, active, backlog, term_cache, coeffs)
+                        slot, *_potential_terms(kernel, active, backlog, coeffs)
                     )
                 if dynamics_window and (slot + 1) % dynamics_window == 0:
                     # Post-step, like the scalar accumulator: feedback

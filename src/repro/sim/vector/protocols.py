@@ -630,10 +630,3 @@ def make_protocol_row_kernel(
         # subclass only pins the default probability).
         return FixedProbabilityKernel(pairs, capacity)
     raise TypeError(f"no vector kernel for protocol {kind.__name__}")
-
-
-def make_protocol_kernel(
-    protocol: BackoffProtocol, replications: int, capacity: int
-) -> VectorProtocolKernel:
-    """Build the kernel for one protocol batch (see ``support.py``)."""
-    return make_protocol_row_kernel([(protocol, replications)], capacity)

@@ -186,14 +186,6 @@ def adversary_support(adversary: Any) -> str | None:
     return jammer_support(adversary.jammer)
 
 
-def config_support(config: Any) -> str | None:
-    """``None`` if a built :class:`SimulationConfig` can vectorize."""
-    reason = protocol_support(config.protocol)
-    if reason is not None:
-        return reason
-    return adversary_support(config.adversary)
-
-
 def vector_support(spec: Any) -> str | None:
     """``None`` if a :class:`~repro.experiments.plan.RunSpec` can vectorize.
 

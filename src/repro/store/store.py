@@ -421,15 +421,6 @@ class ResultsStore:
     def has_run(self, spec_hash: str, seed: int, backend_layout: str) -> bool:
         return self.get_run(spec_hash, seed, backend_layout) is not None
 
-    def delete_run(self, spec_hash: str, seed: int, backend_layout: str) -> None:
-        """Drop one registry row (artifact cleanup is :meth:`prune`'s job)."""
-        with self._connection:
-            self._connection.execute(
-                "DELETE FROM runs WHERE spec_hash = ? AND seed = ? "
-                "AND backend_layout = ?",
-                (spec_hash, seed, backend_layout),
-            )
-
     def iter_runs(self, *, source: str | None = None) -> list[StoredRun]:
         query = "SELECT * FROM runs"
         params: tuple[Any, ...] = ()

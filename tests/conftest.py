@@ -10,6 +10,7 @@ from repro.adversary.arrivals import BatchArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.core.low_sensing import LowSensingBackoff
 from repro.core.parameters import LowSensingParameters
+from repro.experiments.plan import Factory, RunSpec
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 
@@ -45,6 +46,26 @@ def run_batch(
         collect_potential=collect_potential,
     )
     return Simulator(config).run()
+
+
+def run_specs(protocol, adversary, seeds, **options) -> list[RunSpec]:
+    """One :class:`RunSpec` per seed: replications of one configuration.
+
+    ``adversary`` is a :func:`~repro.experiments.plan.factory`, which builds
+    a fresh adversary for every run, or a built adversary that every spec
+    shares.  A shared one suits only ``VectorSimulator.from_specs``, which
+    reads adversary parameters and never mutates them.
+    """
+    if not isinstance(adversary, Factory):
+        built = adversary
+
+        def adversary():
+            return built
+
+    return [
+        RunSpec(protocol=protocol, adversary=adversary, seed=seed, **options)
+        for seed in seeds
+    ]
 
 
 @pytest.fixture

@@ -15,12 +15,11 @@ from repro.campaigns import (
     resume_campaign,
     start_campaign,
 )
-from repro.campaigns import runner as campaign_runner
 from repro.campaigns.runner import _partition_units
 from repro.exec import SCALAR_LAYOUT, ResultCacheBackend, VectorBackend, make_backend
 from repro.scenarios.runner import build_plan
 from repro.scenarios.spec import scenario_from_dict
-from repro.sim.vector import RESULT_LAYOUT
+from repro.sim.vector import RESULT_LAYOUT, VectorSimulator
 from repro.store import ResultsStore
 
 #: A fast mixed-protocol scenario.  Every protocol here vectorizes (the
@@ -64,7 +63,7 @@ def _scenario(definition=MIXED):
 def _unit_count(definition, backend_name, checkpoint_every=2):
     scenario = _scenario(definition)
     plan = build_plan(scenario, "smoke")
-    units, _ = _partition_units(plan, backend_name, checkpoint_every)
+    units, _ = _partition_units(plan, make_backend(backend_name), checkpoint_every)
     return len(units)
 
 
@@ -220,10 +219,10 @@ class TestRunAndResume:
 
         scenario = _scenario(VECTOR_ONLY)
         plan = build_plan(scenario, "smoke")
-        units, hashes = _partition_units(plan, backend_name, 8)
         specs = plan.specs
         new_layout = RESULT_LAYOUT if backend_name == "vector" else SCALAR_LAYOUT
         with make_backend(backend_name) as backend:
+            units, hashes = _partition_units(plan, backend, 8)
             results = backend.run(specs)
         with ResultsStore(tmp_path / "store") as store:
             for unit in units:
@@ -263,13 +262,13 @@ class TestRunAndResume:
         # the first run of the dense Sawtooth unit is already stored.
         stored = 9
         batch_sizes = []
-        run_vector_unit = campaign_runner._run_vector_unit
+        from_specs = VectorSimulator.from_specs
 
-        def counting_run_vector_unit(specs):
+        def counting_from_specs(specs):
             batch_sizes.append(len(specs))
-            return run_vector_unit(specs)
+            return from_specs(specs)
 
-        monkeypatch.setattr(campaign_runner, "_run_vector_unit", counting_run_vector_unit)
+        monkeypatch.setattr(VectorSimulator, "from_specs", counting_from_specs)
         with ResultsStore(tmp_path / "store") as store:
             if stored_by == "killed-campaign":
                 put_run = store.put_run
@@ -292,6 +291,7 @@ class TestRunAndResume:
                 cache = ResultCacheBackend(store.root, inner=VectorBackend())
                 cache.run(specs[:stored])
                 cache.close()
+                batch_sizes.clear()
                 outcome = start_campaign(store, _scenario(), **options)
             assert (outcome.executed_runs, outcome.skipped_runs) == (12 - stored, stored)
             assert batch_sizes == [3]
@@ -358,6 +358,54 @@ class TestRunAndResume:
             )
             assert set(a.stats()["runs_by_layout"]) == {SCALAR_LAYOUT}
             assert a.fingerprint() == b.fingerprint()
+
+
+def _stored(store):
+    """The store's run artifacts by run key, and its trajectory rows."""
+    runs = {
+        (run.spec_hash, run.seed, run.backend_layout): run.artifact_hash
+        for run in store.iter_runs()
+    }
+    trajectories = [
+        {key: value for key, value in row.items() if key != "created_at"}
+        for row in store.trajectory_rows()
+    ]
+    return runs, trajectories
+
+
+class TestCampaignRunsOnItsBackend:
+    @pytest.mark.parametrize("dynamics_window", [0, 64])
+    @pytest.mark.parametrize("backend_name", ["serial", "processes", "vector"])
+    def test_stores_what_the_backend_returns(
+        self, tmp_path, backend_name, dynamics_window
+    ):
+        """A campaign runs its units on ``make_backend``'s backend, so it
+        stores exactly the artifacts and trajectories that backend returns
+        for the same plan, under the layouts it names."""
+        scenario = _scenario()
+        workers = 2 if backend_name == "processes" else None
+        with ResultsStore(tmp_path / "campaign") as store:
+            start_campaign(
+                store,
+                scenario,
+                scale="smoke",
+                backend_name=backend_name,
+                workers=workers,
+                dynamics_window=dynamics_window,
+            )
+            campaign = _stored(store)
+        specs = build_plan(scenario, "smoke").specs
+        with make_backend(
+            backend_name, workers=workers, dynamics_window=dynamics_window
+        ) as backend, ResultsStore(tmp_path / "direct") as store:
+            for spec, result in zip(specs, backend.run(specs)):
+                store.put_run(
+                    spec.cache_key(), spec.seed, backend.result_layout(spec), result
+                )
+            direct = _stored(store)
+        assert campaign == direct
+        assert len(campaign[0]) == len(specs)
+        assert len(campaign[1]) == (len(specs) if dynamics_window else 0)
 
 
 class TestReportAndStatus:

@@ -378,21 +378,22 @@ class TestCampaignCli:
         assert shown["rows"]
         assert shown["store_fingerprint"] == payload["store_fingerprint"]
 
-    def test_interrupt_env_then_resume_cli(self, tmp_path, capsys, monkeypatch):
+    def test_interrupt_then_resume_cli(self, tmp_path, capsys):
+        from repro.campaigns import CampaignInterrupted, start_campaign
+        from repro.scenarios.spec import resolve_scenario
+        from repro.store import ResultsStore
+
         store = str(tmp_path / "store")
-        monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_AFTER_UNITS", "1")
-        code = main(
-            [
-                "campaign", "run", "onoff-jamming",
-                "--scale", "smoke",
-                "--store", store,
-                "--id", "c1",
-                "--checkpoint-every", "1",
-            ]
-        )
-        assert code == 1
-        assert "interrupted after 1 unit" in capsys.readouterr().out
-        monkeypatch.delenv("REPRO_CAMPAIGN_FAIL_AFTER_UNITS")
+        with ResultsStore(store) as opened:
+            with pytest.raises(CampaignInterrupted, match="after 1 unit"):
+                start_campaign(
+                    opened,
+                    resolve_scenario("onoff-jamming"),
+                    scale="smoke",
+                    campaign_id="c1",
+                    checkpoint_every=1,
+                    fail_after_units=1,
+                )
         assert main(["campaign", "resume", "c1", "--store", store]) == 0
         assert "[c1] complete" in capsys.readouterr().out
 

@@ -264,15 +264,3 @@ class TestCampaignAndCacheFailures:
             ["cache", "prune", "--cache-dir", _empty_store(tmp_path)],
             "--older-than-days and/or --max-bytes",
         )
-
-    def test_bad_fail_after_units_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_AFTER_UNITS", "zero")
-        _expect_error(
-            capsys,
-            [
-                "campaign", "run", "onoff-jamming",
-                "--scale", "smoke",
-                "--store", str(tmp_path / "s"),
-            ],
-            "REPRO_CAMPAIGN_FAIL_AFTER_UNITS",
-        )

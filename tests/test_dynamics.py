@@ -53,6 +53,7 @@ from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.engine import Simulator
 from repro.sim.results import PacketRecord, SimulationResult
 from repro.sim.vector import VectorSimulator
+from tests.conftest import run_specs
 
 
 def packet_tuples(result):
@@ -228,13 +229,16 @@ class TestVectorTrajectoryParity:
     @pytest.mark.parametrize("window", (64, 100, 1000))
     def test_vector_matches_scalar_reference_bit_for_bit(self, window):
         for seed in (3, 11, 42):
-            vector = VectorSimulator(
-                BinaryExponentialBackoff(),
-                BatchArrivals(12),
-                ReactiveSuccessJammer(budget=6),
-                seeds=[seed],
-                max_slots=4000,
-                dynamics_window=window,
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    BinaryExponentialBackoff(),
+                    CompositeAdversary(
+                        BatchArrivals(12), ReactiveSuccessJammer(budget=6)
+                    ),
+                    [seed],
+                    max_slots=4000,
+                    dynamics_window=window,
+                )
             ).run()[0]
             reference = reference_trajectory(
                 CompositeAdversary(
@@ -309,13 +313,16 @@ class TestDynamicsInertness:
 
     def test_vector_results_bit_identical(self):
         def run(window):
-            return VectorSimulator(
-                BinaryExponentialBackoff(),
-                BatchArrivals(12),
-                ReactiveSuccessJammer(budget=6),
-                seeds=[3, 7],
-                max_slots=4000,
-                dynamics_window=window,
+            return VectorSimulator.from_specs(
+                run_specs(
+                    BinaryExponentialBackoff(),
+                    CompositeAdversary(
+                        BatchArrivals(12), ReactiveSuccessJammer(budget=6)
+                    ),
+                    [3, 7],
+                    max_slots=4000,
+                    dynamics_window=window,
+                )
             ).run()
 
         for bare, sampled in zip(run(0), run(64)):

@@ -15,20 +15,18 @@ from repro.exec.backends import (
 )
 from repro.exec.cache import ResultCacheBackend
 from repro.exec.vector_backend import VectorBackend
-from repro.experiments.plan import RunSpec, factory
+from repro.experiments.plan import factory
 from repro.sim.config import SimulationConfig
+from tests.conftest import run_specs
 
 
 def _specs(n=20, seeds=(1, 2, 3)):
-    return [
-        RunSpec(
-            protocol=LowSensingBackoff(),
-            adversary=factory(CompositeAdversary, factory(BatchArrivals, n)),
-            seed=seed,
-            max_slots=50_000,
-        )
-        for seed in seeds
-    ]
+    return run_specs(
+        LowSensingBackoff(),
+        factory(CompositeAdversary, factory(BatchArrivals, n)),
+        seeds,
+        max_slots=50_000,
+    )
 
 
 def _summaries(results):

@@ -18,11 +18,12 @@ from repro.adversary.jamming import BernoulliJamming, NoJamming, PeriodicJamming
 from repro.core.low_sensing import LowSensingBackoff
 from repro.core.parameters import LowSensingParameters
 from repro.exec import SerialBackend, VectorBackend
-from repro.experiments.plan import RunSpec, SweepPlan, factory
+from repro.experiments.plan import SweepPlan, factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.polynomial_backoff import PolynomialBackoff
 from repro.sim.vector import VectorSimulator
+from tests.conftest import run_specs
 
 
 def batch_adversary(n, jammer=None):
@@ -30,13 +31,6 @@ def batch_adversary(n, jammer=None):
     if jammer is not None:
         parts.append(jammer)
     return factory(CompositeAdversary, *parts)
-
-
-def group(protocol, adversary, seeds, **kwargs):
-    return [
-        RunSpec(protocol=protocol, adversary=adversary, seed=seed, **kwargs)
-        for seed in seeds
-    ]
 
 
 def identical(a, b):
@@ -65,14 +59,14 @@ def assert_mega_matches_per_group(spec_groups):
 class TestBitIdentityWithPerGroupExecution:
     def test_send_only_protocol_param_grid(self):
         spec_groups = [
-            group(BinaryExponentialBackoff(initial_window=2.0 + i), batch_adversary(20 + 3 * i), [1, 2, 3])
+            run_specs(BinaryExponentialBackoff(initial_window=2.0 + i), batch_adversary(20 + 3 * i), [1, 2, 3])
             for i in range(6)
         ]
         assert_mega_matches_per_group(spec_groups)
 
     def test_sensing_protocol_param_grid(self):
         spec_groups = [
-            group(
+            run_specs(
                 LowSensingBackoff(params=LowSensingParameters(c=c, w_min=w_min)),
                 batch_adversary(n),
                 [1, 2],
@@ -83,7 +77,7 @@ class TestBitIdentityWithPerGroupExecution:
 
     def test_jammer_params_promoted_per_row(self):
         spec_groups = [
-            group(
+            run_specs(
                 PolynomialBackoff(),
                 batch_adversary(15, factory(PeriodicJamming, period=p, budget=b)),
                 [5, 6],
@@ -97,7 +91,7 @@ class TestBitIdentityWithPerGroupExecution:
         # Poisson arrivals + Bernoulli jamming both consume per-replication
         # adversary randomness; stacking must not shift any stream.
         spec_groups = [
-            group(
+            run_specs(
                 BinaryExponentialBackoff(),
                 factory(
                     CompositeAdversary,
@@ -115,7 +109,7 @@ class TestBitIdentityWithPerGroupExecution:
         # Wildly different batch sizes: early groups drain long before the
         # last one, so their rows must stop exactly where a solo run stops.
         spec_groups = [
-            group(BinaryExponentialBackoff(), batch_adversary(n), [1, 2])
+            run_specs(BinaryExponentialBackoff(), batch_adversary(n), [1, 2])
             for n in (2, 10, 80)
         ]
         assert_mega_matches_per_group(spec_groups)
@@ -137,7 +131,7 @@ class TestBitIdentityWithPerGroupExecution:
             )
 
         spec_groups = [
-            group(
+            run_specs(
                 LowSensingBackoff(params=LowSensingParameters(w_min=w_min)),
                 factory(
                     CompositeAdversary, factory(BatchArrivals, 15), scheduled_jammer()
@@ -160,7 +154,7 @@ class TestBitIdentityWithPerGroupExecution:
             )
 
         spec_groups = [
-            group(
+            run_specs(
                 LowSensingBackoff(),
                 factory(CompositeAdversary, factory(BatchArrivals, 10), jammer(p)),
                 [1],
@@ -181,13 +175,13 @@ class TestBitIdentityWithPerGroupExecution:
         # One group's Poisson overflow grows *its* capacity (and coin
         # geometry); the small group alongside must be unaffected.
         spec_groups = [
-            group(
+            run_specs(
                 BinaryExponentialBackoff(),
                 factory(CompositeAdversary, factory(PoissonArrivals, rate=0.2, horizon=900)),
                 [1, 2],
                 max_slots=8_000,
             ),
-            group(
+            run_specs(
                 BinaryExponentialBackoff(initial_window=4.0),
                 factory(CompositeAdversary, factory(PoissonArrivals, rate=0.01, horizon=900)),
                 [3, 4],
@@ -202,8 +196,8 @@ class TestFromSpecGroupsValidation:
         with pytest.raises(ValueError, match="protocol class"):
             VectorSimulator.from_spec_groups(
                 [
-                    group(BinaryExponentialBackoff(), batch_adversary(5), [1]),
-                    group(PolynomialBackoff(), batch_adversary(5), [1]),
+                    run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1]),
+                    run_specs(PolynomialBackoff(), batch_adversary(5), [1]),
                 ]
             )
 
@@ -211,8 +205,8 @@ class TestFromSpecGroupsValidation:
         with pytest.raises(ValueError, match="jammer class"):
             VectorSimulator.from_spec_groups(
                 [
-                    group(BinaryExponentialBackoff(), batch_adversary(5), [1]),
-                    group(
+                    run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1]),
+                    run_specs(
                         BinaryExponentialBackoff(),
                         batch_adversary(5, factory(PeriodicJamming, period=3)),
                         [1],
@@ -224,8 +218,8 @@ class TestFromSpecGroupsValidation:
         with pytest.raises(ValueError, match="max_slots"):
             VectorSimulator.from_spec_groups(
                 [
-                    group(BinaryExponentialBackoff(), batch_adversary(5), [1], max_slots=1_000),
-                    group(BinaryExponentialBackoff(), batch_adversary(5), [1], max_slots=2_000),
+                    run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1], max_slots=1_000),
+                    run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1], max_slots=2_000),
                 ]
             )
 

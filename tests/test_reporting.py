@@ -1,8 +1,6 @@
-"""Tests for experiment-report rendering and the reporting CLI plumbing."""
+"""Tests for experiment-report rendering."""
 
-import pytest
-
-from repro.experiments.reporting import _ordered_columns, main, render_report
+from repro.experiments.reporting import _ordered_columns, render_report
 from repro.experiments.spec import ExperimentReport, ExperimentSpec
 
 
@@ -44,12 +42,3 @@ class TestRenderReport:
         assert columns.index("throughput") < columns.index("zzz")
         assert set(columns) == {"protocol", "n", "throughput", "zzz"}
 
-
-class TestCli:
-    def test_unknown_experiment_id_is_an_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["NOT-AN-EXPERIMENT", "--scale", "smoke"])
-
-    def test_invalid_scale_is_an_error(self):
-        with pytest.raises(SystemExit):
-            main(["E1", "--scale", "galactic"])

@@ -18,6 +18,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.runner import run_simulation
 from repro.sim.vector import VectorSimulator
+from tests.conftest import run_specs
 
 
 class TestRunSimulation:
@@ -107,8 +108,14 @@ def _traced_runs(engine, protocol, jammer):
     arrivals = PoissonArrivals(0.05, horizon=1500)
     seeds = [5, 6]
     if engine == "vector":
-        return VectorSimulator(
-            protocol, arrivals, jammer, seeds, max_slots=3000, collect_trace=True
+        return VectorSimulator.from_specs(
+            run_specs(
+                protocol,
+                CompositeAdversary(arrivals, jammer),
+                seeds,
+                max_slots=3000,
+                collect_trace=True,
+            )
         ).run()
     return [
         Simulator(

@@ -49,6 +49,7 @@ from repro.telemetry import (
     summarize_events,
     summarize_file,
 )
+from tests.conftest import run_specs
 
 SCENARIO = {
     "id": "telemetry-mixed",
@@ -61,15 +62,12 @@ SCENARIO = {
 
 
 def _specs(count=4, n=15, max_slots=3000):
-    return [
-        RunSpec(
-            protocol=BinaryExponentialBackoff(),
-            adversary=factory(CompositeAdversary, factory(BatchArrivals, n)),
-            seed=seed,
-            max_slots=max_slots,
-        )
-        for seed in range(1, count + 1)
-    ]
+    return run_specs(
+        BinaryExponentialBackoff(),
+        factory(CompositeAdversary, factory(BatchArrivals, n)),
+        range(1, count + 1),
+        max_slots=max_slots,
+    )
 
 
 class TestCoreSession:

@@ -41,7 +41,7 @@ from repro.adversary.jamming import (
     ReactiveTargetedJammer,
 )
 from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
-from repro.experiments.plan import RunSpec, factory
+from repro.experiments.plan import factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.fixed_probability import FixedProbabilityProtocol
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
@@ -51,6 +51,7 @@ from repro.sim.vector import VectorSimulator
 from repro.sim.vector import rng as vector_rng
 from repro.sim.vector.rng import RowCoins, geometric_gaps
 from repro.telemetry import MemorySink, TelemetrySession, activated
+from tests.conftest import run_specs
 
 ACCESS_DRIVEN = [
     pytest.param(LowSensingBackoff(), id="low-sensing"),
@@ -100,8 +101,13 @@ class TestKernelsMatchScalarStateMachines:
     def test_bit_identical_to_the_scalar_state_machine(self, protocol, kind):
         build = _scalar_adversaries()[kind]
         for seed in (3, 11):
-            vector = VectorSimulator(
-                protocol, *build(), seeds=[seed], max_slots=3000
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    protocol,
+                    CompositeAdversary(*build()),
+                    [seed],
+                    max_slots=3000,
+                )
             ).run()[0]
             reference = reference_run(
                 protocol, CompositeAdversary(*build()), seed, 3000
@@ -117,8 +123,8 @@ class TestKernelsMatchScalarStateMachines:
 
         for seed in (3, 11):
             coupled = adversary()
-            vector = VectorSimulator(
-                protocol, coupled, coupled, seeds=[seed], max_slots=3000
+            vector = VectorSimulator.from_specs(
+                run_specs(protocol, coupled, [seed], max_slots=3000)
             ).run()[0]
             reference = reference_run(protocol, adversary(), seed, 3000)
             assert packet_tuples(vector) == reference.packets
@@ -126,15 +132,18 @@ class TestKernelsMatchScalarStateMachines:
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
     def test_trace_potential_and_dynamics_match(self, protocol):
         for seed in (3, 11):
-            vector = VectorSimulator(
-                protocol,
-                BatchArrivals(10),
-                ReactiveSuccessJammer(budget=4),
-                seeds=[seed],
-                max_slots=3000,
-                collect_trace=True,
-                collect_potential=True,
-                dynamics_window=64,
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    protocol,
+                    CompositeAdversary(
+                        BatchArrivals(10), ReactiveSuccessJammer(budget=4)
+                    ),
+                    [seed],
+                    max_slots=3000,
+                    collect_trace=True,
+                    collect_potential=True,
+                    dynamics_window=64,
+                )
             ).run()[0]
             reference = reference_run(
                 protocol,
@@ -154,8 +163,13 @@ class TestKernelsMatchScalarStateMachines:
         # within the run: a capped first gap must not land on its last slot.
         protocol = FixedProbabilityProtocol(probability=1e-12)
         for seed in (3, 11):
-            vector = VectorSimulator(
-                protocol, BatchArrivals(3), NoJamming(), seeds=[seed], max_slots=100
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    protocol,
+                    CompositeAdversary(BatchArrivals(3), NoJamming()),
+                    [seed],
+                    max_slots=100,
+                )
             ).run()[0]
             assert [(p.sends, p.departure_slot) for p in vector.packets] == [(0, None)] * 3
             assert (vector.num_slots, vector.drained) == (100, False)
@@ -199,13 +213,6 @@ def _adversary(kind, shift=0):
     )
 
 
-def _specs(protocol, adversary, seeds, **options):
-    return [
-        RunSpec(protocol=protocol, adversary=adversary, seed=seed, max_slots=3000, **options)
-        for seed in seeds
-    ]
-
-
 def assert_same_run(got, expected):
     assert packet_tuples(got) == packet_tuples(expected)
     assert (got.num_slots, got.drained) == (expected.num_slots, expected.drained)
@@ -236,20 +243,20 @@ def _seed_2_in_every_context(protocol, kind):
     """
     adversary = _adversary(kind)
     seeds = list(range(1, 17))
-    options = dict(dynamics_window=50)
+    options = dict(max_slots=3000, dynamics_window=50)
     (alone,), alone_skipped = _idle_slots_skipped(
-        _specs(protocol, adversary, [2], **options)
+        run_specs(protocol, adversary, [2], **options)
     )
     grouped = VectorSimulator.from_specs(
-        _specs(protocol, adversary, seeds[:2], **options)
+        run_specs(protocol, adversary, seeds[:2], **options)
     ).run()[1]
     resized, resized_skipped = _idle_slots_skipped(
-        _specs(protocol, adversary, seeds, **options)
+        run_specs(protocol, adversary, seeds, **options)
     )
     mega = VectorSimulator.from_spec_groups(
         [
-            _specs(protocol, _adversary(kind, shift=4), [7, 8], **options),
-            _specs(protocol, adversary, seeds[:2], **options),
+            run_specs(protocol, _adversary(kind, shift=4), [7, 8], **options),
+            run_specs(protocol, adversary, seeds[:2], **options),
         ]
     ).run()[3]
     return alone, [grouped, resized[1], mega], alone_skipped, resized_skipped
@@ -284,14 +291,16 @@ class TestRowLocality:
         # Trace and potential outputs run in their own lockstep batch (no
         # mega-batching), so the contexts are alone, paired, and resized.
         adversary = _adversary("poisson-reactive")
-        options = dict(collect_trace=True, collect_potential=True, dynamics_window=50)
+        options = dict(
+            max_slots=3000, collect_trace=True, collect_potential=True, dynamics_window=50
+        )
         seeds = list(range(1, 17))
         alone = VectorSimulator.from_specs(
-            _specs(protocol, adversary, [2], **options)
+            run_specs(protocol, adversary, [2], **options)
         ).run()[0]
         for count in (2, 16):
             batch = VectorSimulator.from_specs(
-                _specs(protocol, adversary, seeds[:count], **options)
+                run_specs(protocol, adversary, seeds[:count], **options)
             ).run()
             assert_same_run(batch[1], alone)
 

@@ -27,6 +27,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.vector import VectorSimulator
 from repro.sim.vector.support import adversary_support, protocol_support
+from tests.conftest import run_specs
 
 ALWAYS_SEND = FixedProbabilityProtocol(probability=1.0)
 
@@ -95,18 +96,23 @@ class TestDeterministicWorkloadsMatchScalarExactly:
         ],
     )
     def test_bit_identical_to_scalar(self, arrivals, jammer):
-        vector_result = VectorSimulator(
-            ALWAYS_SEND,
-            copy.deepcopy(arrivals),
-            copy.deepcopy(jammer),
-            seeds=[5],
-            max_slots=60,
+        vector_result = VectorSimulator.from_specs(
+            run_specs(
+                ALWAYS_SEND,
+                CompositeAdversary(copy.deepcopy(arrivals), copy.deepcopy(jammer)),
+                [5],
+                max_slots=60,
+            )
         ).run()[0]
         assert_identical(vector_result, scalar_run(ALWAYS_SEND, arrivals, jammer, 5))
 
     def test_single_packet_succeeds_at_slot_zero(self):
-        result = VectorSimulator(
-            ALWAYS_SEND, BatchArrivals(1), NoJamming(), seeds=[0]
+        result = VectorSimulator.from_specs(
+            run_specs(
+                ALWAYS_SEND,
+                CompositeAdversary(BatchArrivals(1), NoJamming()),
+                [0],
+            )
         ).run()[0]
         assert result.num_slots == 1
         assert result.drained
@@ -114,8 +120,8 @@ class TestDeterministicWorkloadsMatchScalarExactly:
         assert result.packets[0].sends == 1
 
     def test_no_arrivals_drains_immediately(self):
-        result = VectorSimulator(
-            ALWAYS_SEND, NoArrivals(), NoJamming(), seeds=[0]
+        result = VectorSimulator.from_specs(
+            run_specs(ALWAYS_SEND, CompositeAdversary(NoArrivals(), NoJamming()), [0])
         ).run()[0]
         assert result.num_slots == 0
         assert result.drained
@@ -126,11 +132,14 @@ class TestDeterministicWorkloadsMatchScalarExactly:
 class TestDeterminismOfVectorRuns:
     def test_repeat_runs_bit_identical(self):
         def run_batch():
-            return VectorSimulator(
-                BinaryExponentialBackoff(),
-                BatchArrivals(40),
-                BernoulliJamming(probability=0.05, budget=10),
-                seeds=[11, 23, 47],
+            return VectorSimulator.from_specs(
+                run_specs(
+                    BinaryExponentialBackoff(),
+                    CompositeAdversary(
+                        BatchArrivals(40), BernoulliJamming(probability=0.05, budget=10)
+                    ),
+                    [11, 23, 47],
+                )
             ).run()
 
         for first, second in zip(run_batch(), run_batch()):
@@ -144,18 +153,23 @@ class TestDeterminismOfVectorRuns:
     def test_replications_are_independent_of_batch_order(self):
         # Results come back in seed order, each replication keyed by its
         # own seed's streams.
-        forward = VectorSimulator(
-            PolynomialBackoff(), BatchArrivals(20), NoJamming(), seeds=[1, 2]
+        forward = VectorSimulator.from_specs(
+            run_specs(
+                PolynomialBackoff(),
+                CompositeAdversary(BatchArrivals(20), NoJamming()),
+                [1, 2],
+            )
         ).run()
         assert [r.seed for r in forward] == [1, 2]
         assert forward[0].backlog_series() != forward[1].backlog_series()
 
     def test_num_slots_vary_per_replication(self):
-        results = VectorSimulator(
-            FixedProbabilityProtocol.tuned_for(30),
-            BatchArrivals(30),
-            NoJamming(),
-            seeds=list(range(6)),
+        results = VectorSimulator.from_specs(
+            run_specs(
+                FixedProbabilityProtocol.tuned_for(30),
+                CompositeAdversary(BatchArrivals(30), NoJamming()),
+                list(range(6)),
+            )
         ).run()
         assert len({r.num_slots for r in results}) > 1
         assert all(r.drained for r in results)
@@ -184,8 +198,13 @@ class TestInvariants:
         ],
     )
     def test_conservation_and_consistency(self, protocol, arrivals, jammer):
-        results = VectorSimulator(
-            protocol, arrivals, jammer, seeds=[3, 7, 13], max_slots=30_000
+        results = VectorSimulator.from_specs(
+            run_specs(
+                protocol,
+                CompositeAdversary(arrivals, jammer),
+                [3, 7, 13],
+                max_slots=30_000,
+            )
         ).run()
         for result in results:
             collector = result.collector
@@ -215,12 +234,15 @@ class TestInvariants:
         # Poisson arrivals exceed the initial capacity guess and force the
         # state arrays to grow mid-run; growth must not break determinism.
         def run_batch():
-            return VectorSimulator(
-                BinaryExponentialBackoff(),
-                PoissonArrivals(rate=0.2, horizon=1200),
-                NoJamming(),
-                seeds=[1, 2, 3],
-                max_slots=10_000,
+            return VectorSimulator.from_specs(
+                run_specs(
+                    BinaryExponentialBackoff(),
+                    CompositeAdversary(
+                        PoissonArrivals(rate=0.2, horizon=1200), NoJamming()
+                    ),
+                    [1, 2, 3],
+                    max_slots=10_000,
+                )
             ).run()
 
         first, second = run_batch(), run_batch()
@@ -230,21 +252,27 @@ class TestInvariants:
             assert packet_tuples(a) == packet_tuples(b)
 
     def test_max_slots_cap_without_drain(self):
-        results = VectorSimulator(
-            ALWAYS_SEND, BatchArrivals(2), NoJamming(), seeds=[1], max_slots=25
+        results = VectorSimulator.from_specs(
+            run_specs(
+                ALWAYS_SEND,
+                CompositeAdversary(BatchArrivals(2), NoJamming()),
+                [1],
+                max_slots=25,
+            )
         ).run()
         assert results[0].num_slots == 25
         assert not results[0].drained
         assert results[0].collector.num_collisions == 25
 
     def test_stop_when_drained_false_runs_to_cap(self):
-        results = VectorSimulator(
-            ALWAYS_SEND,
-            BatchArrivals(1),
-            NoJamming(),
-            seeds=[1],
-            max_slots=30,
-            stop_when_drained=False,
+        results = VectorSimulator.from_specs(
+            run_specs(
+                ALWAYS_SEND,
+                CompositeAdversary(BatchArrivals(1), NoJamming()),
+                [1],
+                max_slots=30,
+                stop_when_drained=False,
+            )
         ).run()
         assert results[0].num_slots == 30
         assert results[0].drained
@@ -252,15 +280,27 @@ class TestInvariants:
 
 class TestValidationAndSupport:
     def test_rejects_empty_seed_list(self):
-        with pytest.raises(ValueError, match="seed"):
-            VectorSimulator(ALWAYS_SEND, BatchArrivals(1), NoJamming(), seeds=[])
+        with pytest.raises(ValueError, match="at least one spec"):
+            VectorSimulator.from_specs(
+                run_specs(
+                    ALWAYS_SEND,
+                    CompositeAdversary(BatchArrivals(1), NoJamming()),
+                    [],
+                )
+            )
 
     def test_rejects_unsupported_protocol(self):
         class CustomProtocol(BinaryExponentialBackoff):
             """Subclass without a registered kernel: must stay scalar."""
 
         with pytest.raises(ValueError, match="cannot vectorize"):
-            VectorSimulator(CustomProtocol(), BatchArrivals(1), NoJamming(), seeds=[1])
+            VectorSimulator.from_specs(
+                run_specs(
+                    CustomProtocol(),
+                    CompositeAdversary(BatchArrivals(1), NoJamming()),
+                    [1],
+                )
+            )
 
     def test_protocol_support_flags(self):
         from repro.core.low_sensing import DecoupledLowSensingBackoff
@@ -339,8 +379,12 @@ class TestStatisticalAgreementSpotChecks:
 
     def test_beb_mean_accesses_close_to_scalar(self):
         seeds = list(range(8))
-        vector_results = VectorSimulator(
-            BinaryExponentialBackoff(), BatchArrivals(50), NoJamming(), seeds=seeds
+        vector_results = VectorSimulator.from_specs(
+            run_specs(
+                BinaryExponentialBackoff(),
+                CompositeAdversary(BatchArrivals(50), NoJamming()),
+                seeds,
+            )
         ).run()
         scalar_results = [
             scalar_run(
@@ -361,8 +405,12 @@ class TestStatisticalAgreementSpotChecks:
         assert vector_mean == pytest.approx(scalar_mean, rel=0.2)
 
     def test_all_packets_delivered_on_batch(self):
-        results = VectorSimulator(
-            BinaryExponentialBackoff(), BatchArrivals(60), NoJamming(), seeds=[1, 2]
+        results = VectorSimulator.from_specs(
+            run_specs(
+                BinaryExponentialBackoff(),
+                CompositeAdversary(BatchArrivals(60), NoJamming()),
+                [1, 2],
+            )
         ).run()
         for result in results:
             assert result.drained

@@ -18,19 +18,13 @@ from repro.analysis.equivalence import (
     verify_vector_equivalence,
 )
 from repro.exec import SerialBackend
-from repro.experiments.plan import RunSpec, factory
+from repro.experiments.plan import factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.fixed_probability import FixedProbabilityProtocol
 from repro.protocols.polynomial_backoff import PolynomialBackoff
+from tests.conftest import run_specs
 
 SEEDS = tuple(range(1, 13))
-
-
-def specs_for(protocol, adversary, seeds=SEEDS, **kwargs):
-    return [
-        RunSpec(protocol=protocol, adversary=adversary, seed=seed, **kwargs)
-        for seed in seeds
-    ]
 
 
 class TestVectorMatchesScalarStatistically:
@@ -45,7 +39,7 @@ class TestVectorMatchesScalarStatistically:
     )
     def test_batch_workload(self, protocol):
         adversary = factory(CompositeAdversary, factory(BatchArrivals, 60))
-        report = verify_vector_equivalence(specs_for(protocol, adversary))
+        report = verify_vector_equivalence(run_specs(protocol, adversary, SEEDS))
         assert report.passed, report.render()
 
     def test_jammed_batch_workload(self):
@@ -55,7 +49,7 @@ class TestVectorMatchesScalarStatistically:
             factory(PeriodicJamming, period=7, budget=30),
         )
         report = verify_vector_equivalence(
-            specs_for(BinaryExponentialBackoff(), adversary)
+            run_specs(BinaryExponentialBackoff(), adversary, SEEDS)
         )
         assert report.passed, report.render()
 
@@ -66,14 +60,14 @@ class TestVectorMatchesScalarStatistically:
             factory(BernoulliJamming, probability=0.05, budget=20),
         )
         report = verify_vector_equivalence(
-            specs_for(BinaryExponentialBackoff(), adversary, max_slots=20_000)
+            run_specs(BinaryExponentialBackoff(), adversary, SEEDS, max_slots=20_000)
         )
         assert report.passed, report.render()
 
     def test_report_includes_determinism_check(self):
         adversary = factory(CompositeAdversary, factory(BatchArrivals, 30))
         report = verify_vector_equivalence(
-            specs_for(PolynomialBackoff(), adversary, seeds=range(1, 7))
+            run_specs(PolynomialBackoff(), adversary, range(1, 7))
         )
         metrics = {c.metric for c in report.comparisons}
         assert "vector_determinism" in metrics
@@ -88,7 +82,7 @@ class TestVectorMatchesScalarStatistically:
             factory(TraceArrivals, [10, 0, 0]),
         )
         with pytest.raises(ValueError, match="cannot vectorize"):
-            verify_vector_equivalence(specs_for(PolynomialBackoff(), adversary))
+            verify_vector_equivalence(run_specs(PolynomialBackoff(), adversary, SEEDS))
 
 
 class TestHarnessDetectsRealDifferences:
@@ -97,11 +91,13 @@ class TestHarnessDetectsRealDifferences:
         (well-tuned vs badly mistuned fixed probability) must FAIL."""
         adversary = factory(CompositeAdversary, factory(BatchArrivals, 20))
         tuned = SerialBackend().run(
-            specs_for(FixedProbabilityProtocol.tuned_for(20), adversary, max_slots=3_000)
+            run_specs(
+                FixedProbabilityProtocol.tuned_for(20), adversary, SEEDS, max_slots=3_000
+            )
         )
         mistuned = SerialBackend().run(
-            specs_for(
-                FixedProbabilityProtocol(probability=0.4), adversary, max_slots=3_000
+            run_specs(
+                FixedProbabilityProtocol(probability=0.4), adversary, SEEDS, max_slots=3_000
             )
         )
         report = compare_result_sets(tuned, mistuned)

@@ -39,9 +39,10 @@ from repro.adversary.jamming import (
 )
 from repro.analysis.equivalence import verify_vector_equivalence
 from repro.core.low_sensing import LowSensingBackoff
-from repro.experiments.plan import RunSpec, factory
+from repro.experiments.plan import factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.vector import VectorSimulator
+from tests.conftest import run_specs
 
 
 def packet_tuples(result):
@@ -61,12 +62,15 @@ class TestReactiveKernelsMatchScalarAdversaries:
 
     def test_reactive_success(self):
         for seed in (3, 11, 42):
-            vector = VectorSimulator(
-                BinaryExponentialBackoff(),
-                BatchArrivals(12),
-                ReactiveSuccessJammer(budget=6),
-                seeds=[seed],
-                max_slots=4000,
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    BinaryExponentialBackoff(),
+                    CompositeAdversary(
+                        BatchArrivals(12), ReactiveSuccessJammer(budget=6)
+                    ),
+                    [seed],
+                    max_slots=4000,
+                )
             ).run()[0]
             adversary = CompositeAdversary(
                 BatchArrivals(12), ReactiveSuccessJammer(budget=6)
@@ -77,12 +81,16 @@ class TestReactiveKernelsMatchScalarAdversaries:
 
     def test_reactive_targeted(self):
         for seed, target in ((3, 0), (11, 2), (42, 5)):
-            vector = VectorSimulator(
-                BinaryExponentialBackoff(),
-                BatchArrivals(8),
-                ReactiveTargetedJammer(budget=4, target_index=target),
-                seeds=[seed],
-                max_slots=4000,
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    BinaryExponentialBackoff(),
+                    CompositeAdversary(
+                        BatchArrivals(8),
+                        ReactiveTargetedJammer(budget=4, target_index=target),
+                    ),
+                    [seed],
+                    max_slots=4000,
+                )
             ).run()[0]
             adversary = CompositeAdversary(
                 BatchArrivals(8),
@@ -96,12 +104,8 @@ class TestReactiveKernelsMatchScalarAdversaries:
             adversary = BacklogCouplingAdversary(
                 target_backlog=3, total_packets=12, jam_budget=4
             )
-            vector = VectorSimulator(
-                BinaryExponentialBackoff(),
-                adversary,
-                adversary,
-                seeds=[seed],
-                max_slots=4000,
+            vector = VectorSimulator.from_specs(
+                run_specs(BinaryExponentialBackoff(), adversary, [seed], max_slots=4000)
             ).run()[0]
             reference = BacklogCouplingAdversary(
                 target_backlog=3, total_packets=12, jam_budget=4
@@ -118,14 +122,17 @@ class TestReactiveKernelsMatchScalarAdversaries:
 class TestTraceAndPotentialParity:
     def test_slot_records_match_scalar_semantics_bit_for_bit(self):
         for seed in (3, 11):
-            vector = VectorSimulator(
-                BinaryExponentialBackoff(),
-                BatchArrivals(10),
-                ReactiveSuccessJammer(budget=4),
-                seeds=[seed],
-                max_slots=4000,
-                collect_trace=True,
-                collect_potential=True,
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    BinaryExponentialBackoff(),
+                    CompositeAdversary(
+                        BatchArrivals(10), ReactiveSuccessJammer(budget=4)
+                    ),
+                    [seed],
+                    max_slots=4000,
+                    collect_trace=True,
+                    collect_potential=True,
+                )
             ).run()[0]
             adversary = CompositeAdversary(
                 BatchArrivals(10), ReactiveSuccessJammer(budget=4)
@@ -139,13 +146,14 @@ class TestTraceAndPotentialParity:
             assert list(vector.potential.samples) == reference.samples
 
     def test_trace_only_run_omits_potential(self):
-        result = VectorSimulator(
-            BinaryExponentialBackoff(),
-            BatchArrivals(5),
-            NoJamming(),
-            seeds=[7],
-            max_slots=2000,
-            collect_trace=True,
+        result = VectorSimulator.from_specs(
+            run_specs(
+                BinaryExponentialBackoff(),
+                CompositeAdversary(BatchArrivals(5), NoJamming()),
+                [7],
+                max_slots=2000,
+                collect_trace=True,
+            )
         ).run()[0]
         assert result.trace is not None
         assert result.potential is None
@@ -154,13 +162,14 @@ class TestTraceAndPotentialParity:
         assert result.trace.num_successes == 5
 
     def test_trace_aggregates_are_consistent_with_the_collector(self):
-        result = VectorSimulator(
-            BinaryExponentialBackoff(),
-            BatchArrivals(15),
-            ReactiveSuccessJammer(budget=5),
-            seeds=[13],
-            max_slots=8000,
-            collect_trace=True,
+        result = VectorSimulator.from_specs(
+            run_specs(
+                BinaryExponentialBackoff(),
+                CompositeAdversary(BatchArrivals(15), ReactiveSuccessJammer(budget=5)),
+                [13],
+                max_slots=8000,
+                collect_trace=True,
+            )
         ).run()[0]
         trace = result.trace
         collector = result.collector
@@ -176,13 +185,14 @@ class TestTraceAndPotentialParity:
     def test_windowless_protocol_yields_zero_potential(self):
         from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 
-        result = VectorSimulator(
-            FullSensingMultiplicativeWeights(),
-            BatchArrivals(6),
-            NoJamming(),
-            seeds=[5],
-            max_slots=2000,
-            collect_potential=True,
+        result = VectorSimulator.from_specs(
+            run_specs(
+                FullSensingMultiplicativeWeights(),
+                CompositeAdversary(BatchArrivals(6), NoJamming()),
+                [5],
+                max_slots=2000,
+                collect_potential=True,
+            )
         ).run()[0]
         assert result.potential is not None
         assert len(result.potential.samples) == result.num_slots
@@ -190,13 +200,16 @@ class TestTraceAndPotentialParity:
 
     def test_collected_outputs_do_not_perturb_the_run(self):
         def run(**flags):
-            return VectorSimulator(
-                BinaryExponentialBackoff(),
-                BatchArrivals(12),
-                ReactiveSuccessJammer(budget=4),
-                seeds=[3, 7],
-                max_slots=4000,
-                **flags,
+            return VectorSimulator.from_specs(
+                run_specs(
+                    BinaryExponentialBackoff(),
+                    CompositeAdversary(
+                        BatchArrivals(12), ReactiveSuccessJammer(budget=4)
+                    ),
+                    [3, 7],
+                    max_slots=4000,
+                    **flags,
+                )
             ).run()
 
         bare = run()
@@ -295,29 +308,23 @@ def _equivalence_cases():
 class TestReactiveKernelEquivalence:
     @pytest.mark.parametrize("protocol,adversary", _equivalence_cases())
     def test_kernel_statistically_matches_scalar(self, protocol, adversary):
-        specs = [
-            RunSpec(protocol=protocol, adversary=adversary, seed=seed, max_slots=20_000)
-            for seed in range(1, 9)
-        ]
+        specs = run_specs(protocol, adversary, range(1, 9), max_slots=20_000)
         report = verify_vector_equivalence(specs)
         assert report.passed, report.render()
 
     def test_equivalence_with_collected_outputs(self):
-        specs = [
-            RunSpec(
-                protocol=BinaryExponentialBackoff(),
-                adversary=factory(
-                    CompositeAdversary,
-                    factory(BatchArrivals, 25),
-                    factory(ReactiveSuccessJammer, budget=10),
-                ),
-                seed=seed,
-                max_slots=20_000,
-                collect_trace=True,
-                collect_potential=True,
-            )
-            for seed in range(1, 9)
-        ]
+        specs = run_specs(
+            BinaryExponentialBackoff(),
+            factory(
+                CompositeAdversary,
+                factory(BatchArrivals, 25),
+                factory(ReactiveSuccessJammer, budget=10),
+            ),
+            range(1, 9),
+            max_slots=20_000,
+            collect_trace=True,
+            collect_potential=True,
+        )
         report = verify_vector_equivalence(specs)
         assert report.passed, report.render()
 
@@ -327,27 +334,19 @@ class TestReactiveKernelEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def _spec(protocol, adversary, seed, **options):
-    return RunSpec(
-        protocol=protocol, adversary=adversary, seed=seed, max_slots=8000, **options
-    )
-
-
 class TestMegaStackBitIdentity:
     def test_reactive_groups_stack_bit_identically(self):
         groups = [
-            [
-                _spec(
-                    BinaryExponentialBackoff(),
-                    factory(
-                        CompositeAdversary,
-                        factory(BatchArrivals, 15),
-                        factory(ReactiveSuccessJammer, budget=budget),
-                    ),
-                    seed,
-                )
-                for seed in (1, 2, 3)
-            ]
+            run_specs(
+                BinaryExponentialBackoff(),
+                factory(
+                    CompositeAdversary,
+                    factory(BatchArrivals, 15),
+                    factory(ReactiveSuccessJammer, budget=budget),
+                ),
+                (1, 2, 3),
+                max_slots=8000,
+            )
             for budget in (5, 9)
         ]
         mega = VectorSimulator.from_spec_groups(groups).run()
@@ -361,24 +360,29 @@ class TestMegaStackBitIdentity:
                 )
 
     def test_budget_respected_per_replication(self):
-        results = VectorSimulator(
-            BinaryExponentialBackoff(),
-            BatchArrivals(20),
-            ReactiveSuccessJammer(budget=7),
-            seeds=[1, 2, 3, 4],
-            max_slots=8000,
+        results = VectorSimulator.from_specs(
+            run_specs(
+                BinaryExponentialBackoff(),
+                CompositeAdversary(BatchArrivals(20), ReactiveSuccessJammer(budget=7)),
+                [1, 2, 3, 4],
+                max_slots=8000,
+            )
         ).run()
         for result in results:
             assert result.collector.num_jammed <= 7
 
     def test_repeat_runs_bit_identical(self):
         def run_batch():
-            return VectorSimulator(
-                LowSensingBackoff(),
-                BatchArrivals(20),
-                AdaptiveContentionJammer(budget=8, target_regime="good"),
-                seeds=[11, 23, 47],
-                max_slots=20_000,
+            return VectorSimulator.from_specs(
+                run_specs(
+                    LowSensingBackoff(),
+                    CompositeAdversary(
+                        BatchArrivals(20),
+                        AdaptiveContentionJammer(budget=8, target_regime="good"),
+                    ),
+                    [11, 23, 47],
+                    max_slots=20_000,
+                )
             ).run()
 
         for first, second in zip(run_batch(), run_batch()):

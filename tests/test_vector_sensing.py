@@ -36,8 +36,9 @@ from repro.experiments.plan import RunSpec, factory
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.sawtooth import SawtoothBackoff
 from repro.sim.vector import VectorSimulator
-from repro.sim.vector.protocols import LowSensingKernel, make_protocol_kernel
+from repro.sim.vector.protocols import LowSensingKernel, make_protocol_row_kernel
 from repro.sim.vector.rng import VectorStreams
+from tests.conftest import run_specs
 
 
 def packet_tuples(result):
@@ -117,8 +118,13 @@ class TestKernelsMatchScalarStateMachines:
             return state.probability, 1.0  # sends or listens, never sleeps
 
         for seed in (3, 11, 42):
-            vector = VectorSimulator(
-                protocol, BatchArrivals(10), NoJamming(), seeds=[seed], max_slots=600
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    protocol,
+                    CompositeAdversary(BatchArrivals(10), NoJamming()),
+                    [seed],
+                    max_slots=600,
+                )
             ).run()[0]
             assert packet_tuples(vector) == dense_reference_run(
                 protocol, 10, seed, 600, thresholds
@@ -131,8 +137,13 @@ class TestKernelsMatchScalarStateMachines:
             return 1.0 / state.window, 1.0 / state.window  # send or sleep
 
         for seed in (3, 11, 42):
-            vector = VectorSimulator(
-                protocol, BatchArrivals(12), NoJamming(), seeds=[seed], max_slots=800
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    protocol,
+                    CompositeAdversary(BatchArrivals(12), NoJamming()),
+                    [seed],
+                    max_slots=800,
+                )
             ).run()[0]
             assert packet_tuples(vector) == dense_reference_run(
                 protocol, 12, seed, 800, thresholds
@@ -141,8 +152,13 @@ class TestKernelsMatchScalarStateMachines:
     def test_low_sensing(self):
         protocol = LowSensingBackoff()
         for seed in (3, 11):
-            vector = VectorSimulator(
-                protocol, BatchArrivals(10), NoJamming(), seeds=[seed], max_slots=4000
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    protocol,
+                    CompositeAdversary(BatchArrivals(10), NoJamming()),
+                    [seed],
+                    max_slots=4000,
+                )
             ).run()[0]
             reference = reference_run(
                 protocol, CompositeAdversary(BatchArrivals(10), NoJamming()), seed, 4000
@@ -152,8 +168,13 @@ class TestKernelsMatchScalarStateMachines:
     def test_decoupled_low_sensing(self):
         protocol = DecoupledLowSensingBackoff()
         for seed in (3, 11):
-            vector = VectorSimulator(
-                protocol, BatchArrivals(10), NoJamming(), seeds=[seed], max_slots=4000
+            vector = VectorSimulator.from_specs(
+                run_specs(
+                    protocol,
+                    CompositeAdversary(BatchArrivals(10), NoJamming()),
+                    [seed],
+                    max_slots=4000,
+                )
             ).run()[0]
             reference = reference_run(
                 protocol, CompositeAdversary(BatchArrivals(10), NoJamming()), seed, 4000
@@ -167,7 +188,7 @@ class TestLowSensingKernelMath:
     def test_thresholds_and_updates_track_the_scalar_state(self):
         params = LowSensingParameters(c=1.0, w_min=100.0)
         protocol = LowSensingBackoff(params=params)
-        kernel = make_protocol_kernel(protocol, 1, 1)
+        kernel = make_protocol_row_kernel([(protocol, 1)], 1)
         assert isinstance(kernel, LowSensingKernel)
         state = protocol.new_packet_state()
         cell = np.zeros(1, dtype=np.int64)  # the only cell, in row 0
@@ -274,12 +295,15 @@ class TestSensingInvariants:
         ids=["low-sensing", "full-sensing-mw", "sawtooth"],
     )
     def test_listen_accounting_and_conservation(self, protocol):
-        results = VectorSimulator(
-            protocol,
-            BatchArrivals(25),
-            BernoulliJamming(probability=0.05, budget=15),
-            seeds=[3, 7, 13],
-            max_slots=30_000,
+        results = VectorSimulator.from_specs(
+            run_specs(
+                protocol,
+                CompositeAdversary(
+                    BatchArrivals(25), BernoulliJamming(probability=0.05, budget=15)
+                ),
+                [3, 7, 13],
+                max_slots=30_000,
+            )
         ).run()
         for result in results:
             collector = result.collector
@@ -299,11 +323,14 @@ class TestSensingInvariants:
 
     def test_repeat_runs_bit_identical(self):
         def run_batch():
-            return VectorSimulator(
-                LowSensingBackoff(),
-                BatchArrivals(30),
-                BernoulliJamming(probability=0.04, budget=12),
-                seeds=[11, 23, 47],
+            return VectorSimulator.from_specs(
+                run_specs(
+                    LowSensingBackoff(),
+                    CompositeAdversary(
+                        BatchArrivals(30), BernoulliJamming(probability=0.04, budget=12)
+                    ),
+                    [11, 23, 47],
+                )
             ).run()
 
         for first, second in zip(run_batch(), run_batch()):
@@ -314,12 +341,15 @@ class TestSensingInvariants:
         # Poisson arrivals overflow the initial capacity guess mid-run;
         # sensing state (thresholds, listen counters) must grow with it.
         def run_batch():
-            return VectorSimulator(
-                FullSensingMultiplicativeWeights(),
-                PoissonArrivals(rate=0.2, horizon=1000),
-                NoJamming(),
-                seeds=[1, 2, 3],
-                max_slots=8_000,
+            return VectorSimulator.from_specs(
+                run_specs(
+                    FullSensingMultiplicativeWeights(),
+                    CompositeAdversary(
+                        PoissonArrivals(rate=0.2, horizon=1000), NoJamming()
+                    ),
+                    [1, 2, 3],
+                    max_slots=8_000,
+                )
             ).run()
 
         first, second = run_batch(), run_batch()
@@ -329,11 +359,12 @@ class TestSensingInvariants:
 
     def test_drains_like_scalar_on_single_packet(self):
         # One packet, MW: sends with p=0.25 until its first success.
-        results = VectorSimulator(
-            FullSensingMultiplicativeWeights(),
-            BatchArrivals(1),
-            NoJamming(),
-            seeds=[5],
+        results = VectorSimulator.from_specs(
+            run_specs(
+                FullSensingMultiplicativeWeights(),
+                CompositeAdversary(BatchArrivals(1), NoJamming()),
+                [5],
+            )
         ).run()
         packet = results[0].packets[0]
         assert packet.departure_slot is not None
