@@ -8,12 +8,12 @@ Two perf bars guard the two layers added for the sensing-tier work:
   a >= 4x speedup: before the sensing kernels existed this workload hit
   the serial fallback, so the bar pins the sensing tier to the fast path.
 * **Mega-batching** — a 50-configuration LOW-SENSING sweep (w_min and
-  batch size varied per config) through the vector backend with
-  mega-batching on vs off.  Mega-batched execution is bit-identical to
-  per-group execution (asserted below on the aggregate rows; the exact
-  per-packet identity is enforced by tests), so the >= 1.3x bar is pure
-  dispatch overhead reclaimed by stacking compatible groups into one
-  ragged lockstep launch.
+  batch size varied per config) through one vector-backend ``run`` call,
+  which stacks it into one launch, vs one ``run`` call per group.
+  Mega-batched execution is bit-identical to per-group execution
+  (asserted below on the aggregate rows; the exact per-packet identity is
+  enforced by tests), so the >= 1.3x bar is pure dispatch overhead
+  reclaimed by stacking compatible groups into one ragged lockstep launch.
 
 Both measured speedups are printed (run with ``-s``) and the asserted bars
 can be relaxed on noisy shared runners via ``BENCH_SENSING_SPEEDUP_TARGET``
@@ -32,7 +32,7 @@ from repro.adversary.composite import CompositeAdversary
 from repro.core.low_sensing import LowSensingBackoff
 from repro.core.parameters import LowSensingParameters
 from repro.exec import SerialBackend, VectorBackend
-from repro.experiments.plan import SweepPlan, factory
+from repro.experiments.plan import PlanResults, SweepPlan, factory
 
 #: Replications per configuration for the sensing-speedup bar (matches the
 #: vector-backend benchmark, so the two speedups are comparable).
@@ -112,7 +112,7 @@ def test_sensing_vector_speedup(benchmark):
 
     # -- Mega-batching: one ragged lockstep launch vs one launch per group.
     mega_plan = build_mega_plan()
-    mega_backend = VectorBackend(mega_batch=True)
+    mega_backend = VectorBackend()
     started = time.perf_counter()
     mega_results = mega_plan.run(mega_backend)
     mega_seconds = time.perf_counter() - started
@@ -121,9 +121,19 @@ def test_sensing_vector_speedup(benchmark):
         f"got {mega_backend.mega_batches}"
     )
 
-    per_group_backend = VectorBackend(mega_batch=False)
+    per_group_backend = VectorBackend()
+    specs = mega_plan.specs
     started = time.perf_counter()
-    per_group_results = mega_plan.run(per_group_backend)
+    per_group_results = PlanResults(
+        mega_plan,
+        [
+            result
+            for group in mega_plan.groups
+            for result in per_group_backend.run(
+                [specs[index] for index in group.spec_indices]
+            )
+        ],
+    )
     per_group_seconds = time.perf_counter() - started
     assert per_group_backend.mega_batches == MEGA_CONFIGS
 

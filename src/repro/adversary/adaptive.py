@@ -32,8 +32,6 @@ class BacklogCouplingAdversary(Adversary):
     finite-stream metrics remain well defined.
     """
 
-    vectorizable = True
-
     def __init__(
         self,
         target_backlog: int,

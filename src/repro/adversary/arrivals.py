@@ -24,12 +24,6 @@ class ArrivalProcess(abc.ABC):
     #: False so user subclasses must opt in explicitly.
     oblivious: bool = False
 
-    #: Whether :mod:`repro.sim.vector` can precompute this process's arrival
-    #: schedule as an array (requires obliviousness).  The vector engine
-    #: additionally requires an exact type match, so subclasses never
-    #: inherit a schedule kernel that may not describe them.
-    vectorizable: bool = False
-
     @abc.abstractmethod
     def arrivals(self, view: SystemView, rng: Random) -> int:
         """Number of packets injected at ``view.slot`` (non-negative)."""
@@ -55,7 +49,6 @@ class NoArrivals(ArrivalProcess):
     """No packets ever arrive (useful for composing tests)."""
 
     oblivious = True
-    vectorizable = True
 
     def arrivals(self, view: SystemView, rng: Random) -> int:
         return 0
@@ -75,7 +68,6 @@ class BatchArrivals(ArrivalProcess):
     """
 
     oblivious = True
-    vectorizable = True
 
     def __init__(self, n: int, slot: int = 0) -> None:
         if n < 0:
@@ -107,7 +99,6 @@ class PoissonArrivals(ArrivalProcess):
     """
 
     oblivious = True
-    vectorizable = True
 
     def __init__(self, rate: float, horizon: int | None = None) -> None:
         if rate < 0.0:
@@ -138,7 +129,6 @@ class PeriodicBurstArrivals(ArrivalProcess):
     """
 
     oblivious = True
-    vectorizable = True
 
     def __init__(
         self,
@@ -236,7 +226,6 @@ class AdversarialQueueingArrivals(ArrivalProcess):
     """
 
     oblivious = True
-    vectorizable = True
 
     PLACEMENTS = ("front", "uniform", "random")
 

@@ -41,14 +41,6 @@ class Jammer(abc.ABC):
     #: fast path; defaults to False so subclasses must opt in.
     oblivious: bool = False
 
-    #: Whether :mod:`repro.sim.vector` ships a batched jamming kernel for
-    #: this strategy.  The vector engine additionally requires an exact type
-    #: match, so subclasses never inherit a kernel that may not describe
-    #: them.  Unlike ``oblivious``, a vectorizable jammer may consult the
-    #: backlog (the vector engine tracks it as an array), which is why
-    #: budget- and activity-gated strategies qualify.
-    vectorizable: bool = False
-
     @abc.abstractmethod
     def jam(self, view: SystemView, rng: Random) -> bool:
         """Adaptive (pre-slot) jamming decision."""
@@ -98,7 +90,6 @@ class NoJamming(Jammer):
     """Never jams."""
 
     oblivious = True
-    vectorizable = True
 
     def jam(self, view: SystemView, rng: Random) -> bool:
         return False
@@ -112,8 +103,6 @@ class BernoulliJamming(_BudgetedJammer):
     packet (jamming inactive slots is wasted effort for the adversary and
     muddies the (N+J)/S accounting, so experiments default to True).
     """
-
-    vectorizable = True
 
     def __init__(
         self,
@@ -148,7 +137,6 @@ class PeriodicJamming(_BudgetedJammer):
     """Jam every ``period``-th slot starting at ``offset``."""
 
     oblivious = True
-    vectorizable = True
 
     def __init__(self, period: int, offset: int = 0, budget: int | None = None) -> None:
         super().__init__(budget)
@@ -180,7 +168,6 @@ class BurstJamming(_BudgetedJammer):
     """
 
     oblivious = True
-    vectorizable = True
 
     def __init__(
         self,
@@ -229,7 +216,6 @@ class BudgetedRandomJamming(_BudgetedJammer):
     """
 
     oblivious = True
-    vectorizable = True
 
     def __init__(self, budget: int, horizon: int) -> None:
         super().__init__(budget)
@@ -263,7 +249,6 @@ class AdaptiveContentionJammer(_BudgetedJammer):
     """
 
     needs_contention = True
-    vectorizable = True
 
     def __init__(
         self,
@@ -318,7 +303,6 @@ class ReactiveTargetedJammer(_BudgetedJammer):
     """
 
     reactive = True
-    vectorizable = True
 
     def __init__(self, budget: int | None, target_index: int = 0) -> None:
         super().__init__(budget)
@@ -360,7 +344,6 @@ class ReactiveSuccessJammer(_BudgetedJammer):
     """
 
     reactive = True
-    vectorizable = True
 
     def __init__(self, budget: int | None) -> None:
         super().__init__(budget)

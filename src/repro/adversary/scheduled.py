@@ -71,9 +71,9 @@ class ScheduledArrivals(ArrivalProcess):
     ``ScheduledArrivals(Phase(PoissonArrivals(0.05), 1000), Phase(NoArrivals()))``
     injects Poisson traffic for 1000 slots and nothing afterwards.  The
     adapter is oblivious exactly when every phase component is, which is
-    what lets the engine keep its fast path.  ``vectorizable`` stays False
-    at the class level: the vector support registry vets schedules
-    phase-by-phase instead (see :mod:`repro.sim.vector.support`).
+    what lets the engine keep its fast path.  The vector engine's arrival
+    kernel table holds this class, and :mod:`repro.sim.vector.support`
+    vets a schedule phase by phase against the same table.
     """
 
     def __init__(self, *phases: Phase | Schedule) -> None:

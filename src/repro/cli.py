@@ -153,26 +153,54 @@ from repro.experiments.reporting import render_report, report_to_dict
 from repro.experiments.spec import SCALES
 
 
-def _add_execution_options(parser: argparse.ArgumentParser) -> None:
-    """Backend/report options shared by ``run`` and ``scenario run``."""
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """``--scale/--seeds/--backend/--workers``: what to run, and where.
+
+    Shared by ``run``, ``scenario run``, ``campaign run`` and ``perf
+    record``; :func:`_check_run_options` validates them before any store
+    opens.
+    """
     parser.add_argument("--scale", default="default", choices=SCALES)
     parser.add_argument(
         "--seeds",
         default=None,
+        metavar="S1,S2,...",
         help="comma-separated replicate seeds (default: the scale's seed list)",
     )
     parser.add_argument(
         "--backend",
         default="serial",
         choices=BACKEND_NAMES,
-        help="execution backend for the sweep's replicates",
+        help="execution backend for the replicates",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
+        metavar="N",
         help="worker processes for --backend processes (default: cpu count)",
     )
+
+
+def _check_run_options(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> list[int] | None:
+    """Reject bad :func:`_add_run_options` values; return the seeds.
+
+    Runs before any store or cache opens, so a usage error leaves nothing
+    behind.
+    """
+    if args.workers is not None:
+        if args.backend != "processes":
+            parser.error("--workers only applies to --backend processes")
+        if args.workers < 1:
+            parser.error("--workers must be at least 1")
+    return _parse_seeds(args.seeds, parser)
+
+
+def _add_execution_options(parser: argparse.ArgumentParser) -> None:
+    """Run, cache and report options shared by ``run`` and ``scenario run``."""
+    _add_run_options(parser)
     parser.add_argument(
         "--cache-dir",
         default=None,
@@ -414,17 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario", metavar="NAME_OR_FILE", help="catalog name or .toml/.json path"
     )
     _add_store_option(campaign_run)
-    campaign_run.add_argument("--scale", default="default", choices=SCALES)
-    campaign_run.add_argument(
-        "--seeds", default=None, help="comma-separated replicate seeds"
-    )
-    campaign_run.add_argument(
-        "--backend",
-        default="serial",
-        choices=("serial", "processes", "vector"),
-        help="execution backend for the campaign's runs",
-    )
-    campaign_run.add_argument("--workers", type=int, default=None)
+    _add_run_options(campaign_run)
     campaign_run.add_argument(
         "--id",
         dest="campaign_id",
@@ -596,17 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario", metavar="SCENARIO", help="catalog name or scenario file"
     )
     _add_store_option(perf_record)
-    perf_record.add_argument("--scale", default="default", metavar="SCALE")
-    perf_record.add_argument(
-        "--seeds",
-        default=None,
-        metavar="S1,S2,...",
-        help="replicate seeds (default: the scenario's own)",
-    )
-    perf_record.add_argument(
-        "--backend", default="serial", choices=BACKEND_NAMES
-    )
-    perf_record.add_argument("--workers", type=int, default=None, metavar="N")
+    _add_run_options(perf_record)
     perf_record.add_argument(
         "--label", default=None, help="history label (default: scenario@scale)"
     )
@@ -788,8 +796,6 @@ def _backend_builder(args: argparse.Namespace, parser: argparse.ArgumentParser):
     so every run records a windowed dynamics trajectory without the plan
     knowing about it.
     """
-    if args.workers is not None and args.backend != "processes":
-        parser.error("--workers only applies to --backend processes")
     if args.cache_dir is not None:
         # Open the cache's store up front: one this code cannot use is a
         # usage error naming it, not a traceback once runs are under way.
@@ -993,7 +999,7 @@ def _write_report_json(
 
 def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ids = _normalise_ids(args.experiments, parser)
-    seeds = _parse_seeds(args.seeds, parser)
+    seeds = _check_run_options(args, parser)
     if args.explain:
         from repro.experiments.experiments import EXPERIMENT_PLANS
 
@@ -1093,7 +1099,7 @@ def _command_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser)
         return 0
 
     # scenario run
-    seeds = _parse_seeds(args.seeds, parser)
+    seeds = _check_run_options(args, parser)
     build_backend = _backend_builder(args, parser)
     try:
         scenarios = [resolve_scenario(name) for name in args.scenarios]
@@ -1280,7 +1286,7 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
             scenario = resolve_scenario(args.scenario)
         except ScenarioError as exc:
             parser.error(str(exc))
-        seeds = _parse_seeds(args.seeds, parser)
+        seeds = _check_run_options(args, parser)
     if args.campaign_command in ("run", "resume"):
         checkpoint = (
             DEFAULT_CHECKPOINT_EVERY
@@ -1614,7 +1620,7 @@ def _command_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             scenario = resolve_scenario(args.scenario)
         except ScenarioError as exc:
             parser.error(str(exc))
-        seeds = _parse_seeds(args.seeds, parser)
+        seeds = _check_run_options(args, parser)
         if args.repeat < 1:
             parser.error("--repeat must be at least 1")
         with _open_store(args.store, parser, create=True) as store:

@@ -123,11 +123,6 @@ class LowSensingBackoff(BackoffProtocol):
 
     name: str = "low-sensing"
 
-    # The vector engine ships a lockstep kernel for the coupled protocol and
-    # its decoupled A1 variant (see repro.sim.vector.protocols); the support
-    # registry's exact-type match keeps other subclasses on the scalar path.
-    vectorizable = True
-
     def new_packet_state(self) -> LowSensingPacketState:
         return LowSensingPacketState(self.params)
 

@@ -21,10 +21,9 @@ process pool, or against a result cache, and must produce identical results.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.adversary.base import Adversary
@@ -170,28 +169,6 @@ class RunSpec:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@functools.lru_cache(maxsize=4096)
-def _cached_vector_support_by_signature(signature_spec: "RunSpec") -> str | None:
-    return signature_spec.vector_support()
-
-
-def cached_vector_support(spec: "RunSpec") -> str | None:
-    """Memoised :meth:`RunSpec.vector_support`, keyed by the spec signature.
-
-    Probing support builds the spec's adversary to introspect it, and large
-    campaign plans replicate identical configurations over hundreds of
-    seeds; support never depends on the seed, so the memo key is the spec
-    with its seed normalised away — one probe per *configuration*, however
-    many seeds or plans repeat it.  Specs that cannot be hashed (a
-    plain-callable adversary carrying unhashable state) are probed
-    directly.
-    """
-    try:
-        return _cached_vector_support_by_signature(replace(spec, seed=0))
-    except TypeError:
-        return spec.vector_support()
-
-
 @dataclass(frozen=True)
 class SweepGroup:
     """One table row's worth of specs: a configuration replicated over seeds."""
@@ -276,50 +253,42 @@ class SweepPlan:
         return PlanResults(self, results)
 
     def vector_summary(self) -> dict[str, Any]:
-        """How much of the plan the vector backend could batch.
+        """How much of the plan the vector backend batches, and how.
 
         Groups share one spec per seed, so a group either vectorizes
         entirely or not at all; the summary maps each non-vectorizable
         group id to its reason.  ``vector_groups`` counts the lockstep
-        replication groups and ``mega_batches`` the kernel launches after
-        the backend stacks compatible groups (see
-        :class:`~repro.exec.vector_backend.VectorBackend`), so the summary
-        shows both how much vectorizes and how few launches it costs.
-        Support probes are memoised per spec signature
-        (:func:`cached_vector_support`), so a large campaign plan re-probing
-        identical configurations pays for each only once.
+        replication groups and ``mega_batches`` the kernel launches, both
+        from the placement rule the
+        :class:`~repro.exec.vector_backend.VectorBackend` runs by
+        (:func:`~repro.sim.vector.support.placement`), so the summary shows
+        what a run will do.  Placement is memoised per configuration, so a
+        large campaign plan re-probing identical configurations pays for
+        each only once.
         """
-        from repro.exec.vector_backend import vector_group_key, vector_mega_key
-        from repro.sim.vector.support import mega_batch_exclusion
+        from repro.sim.vector.support import mega_batch_exclusion, placement
 
         reasons: dict[int, str] = {}
         mega_exclusions: dict[int, str] = {}
         vectorizable_specs = 0
         group_keys: set[Any] = set()
-        mega_keys: set[Any] = set()
+        batch_keys: set[Any] = set()
         for group in self._groups:
             spec = self._specs[group.spec_indices[0]]
-            reason = cached_vector_support(spec)
-            if reason is None:
-                vectorizable_specs += len(group.spec_indices)
-                group_key = vector_group_key(spec)
-                group_keys.add(
-                    group_key if group_key is not None else ("group", group.group_id)
-                )
-                mega_key = vector_mega_key(spec)
-                mega_keys.add(
-                    mega_key if mega_key is not None else ("group", group.group_id)
-                )
-                exclusion = mega_batch_exclusion(spec)
-                if exclusion is not None:
-                    mega_exclusions[group.group_id] = exclusion
-            else:
-                reasons[group.group_id] = reason
+            place = placement(spec)
+            if place.reason is not None:
+                reasons[group.group_id] = place.reason
+                continue
+            vectorizable_specs += len(group.spec_indices)
+            group_keys.add(place.group)
+            batch_keys.add(place.batch)
+            if not place.stacks:
+                mega_exclusions[group.group_id] = mega_batch_exclusion(spec)
         return {
             "total_specs": len(self._specs),
             "vectorizable_specs": vectorizable_specs,
             "vector_groups": len(group_keys),
-            "mega_batches": len(mega_keys),
+            "mega_batches": len(batch_keys),
             "fallback_groups": reasons,
             "mega_exclusions": mega_exclusions,
         }

@@ -68,20 +68,15 @@ class BackoffProtocol(abc.ABC):
 
     A protocol object is immutable configuration (parameters only); all
     mutable state lives in the :class:`PacketState` objects it creates, one
-    per packet.
+    per packet.  Whether the lockstep engine runs a protocol is decided by
+    its exact type's entry in ``PROTOCOL_KERNELS``
+    (:mod:`repro.sim.vector.protocols`), so a subclass never inherits a
+    kernel that may no longer describe it.
     """
 
     #: Short machine-readable protocol name (used by the registry and in
     #: experiment reports).
     name: str = "abstract"
-
-    #: Whether :mod:`repro.sim.vector` ships a batched (numpy) kernel for
-    #: this protocol.  Deliberately a plain class attribute (not a dataclass
-    #: field) so frozen protocol dataclasses inherit it without it entering
-    #: their __init__/__eq__.  The vector engine additionally requires an
-    #: exact type match, so subclasses that override behaviour do not
-    #: silently inherit a kernel that no longer describes them.
-    vectorizable = False
 
     @abc.abstractmethod
     def new_packet_state(self) -> PacketState:

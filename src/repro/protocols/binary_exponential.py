@@ -75,7 +75,6 @@ class BinaryExponentialBackoff(BackoffProtocol):
     max_window: float | None = None
 
     name: str = "binary-exponential"
-    vectorizable = True
 
     def __post_init__(self) -> None:
         if self.initial_window < 1.0:

@@ -59,7 +59,6 @@ class FixedProbabilityProtocol(BackoffProtocol):
     probability: float = 0.05
 
     name: str = "fixed-probability"
-    vectorizable = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.probability <= 1.0:

@@ -88,8 +88,6 @@ class FullSensingMultiplicativeWeights(BackoffProtocol):
 
     name: str = "full-sensing-mw"
 
-    vectorizable = True
-
     def __post_init__(self) -> None:
         if not 0.0 < self.initial_probability <= 1.0:
             raise ValueError("initial_probability must be in (0, 1]")

@@ -66,7 +66,6 @@ class PolynomialBackoff(BackoffProtocol):
     degree: float = 2.0
 
     name: str = "polynomial"
-    vectorizable = True
 
     def __post_init__(self) -> None:
         if self.initial_window < 1.0:

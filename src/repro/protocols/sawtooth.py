@@ -82,8 +82,6 @@ class SawtoothBackoff(BackoffProtocol):
 
     name: str = "sawtooth"
 
-    vectorizable = True
-
     def __post_init__(self) -> None:
         if self.initial_window < 2.0:
             raise ValueError("initial_window must be at least 2")

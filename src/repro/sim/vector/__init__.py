@@ -1,10 +1,11 @@
 """Vectorized batch simulation.
 
-One :class:`VectorSimulator` runs every replication of one ``(protocol,
-adversary)`` configuration in lockstep over ``(replications × packets)``
-numpy arrays, turning a batch of scalar executions into a single pass of
-array operations per slot.  :mod:`repro.sim.vector.support` decides which
-configurations qualify; everything else runs on the scalar
+One :class:`VectorSimulator` runs every replication of one or more
+``(protocol, adversary)`` configurations in lockstep over ``(replications
+× packets)`` numpy arrays, turning a batch of scalar executions into a
+single pass of array operations per slot.  :mod:`repro.sim.vector.support`
+decides which configurations qualify and which share a batch; everything
+else runs on the scalar
 :class:`~repro.sim.engine.Simulator` (the
 :class:`~repro.exec.vector_backend.VectorBackend` handles that fallback
 transparently).
@@ -20,9 +21,6 @@ filed under the one vector result layout :data:`RESULT_LAYOUT`.
 from repro.sim.vector.engine import VectorSimulator
 from repro.sim.vector.rng import RESULT_LAYOUT
 from repro.sim.vector.support import (
-    VECTOR_ARRIVALS,
-    VECTOR_JAMMERS,
-    VECTOR_PROTOCOLS,
     adversary_support,
     protocol_support,
     vector_support,
@@ -30,9 +28,6 @@ from repro.sim.vector.support import (
 
 __all__ = [
     "RESULT_LAYOUT",
-    "VECTOR_ARRIVALS",
-    "VECTOR_JAMMERS",
-    "VECTOR_PROTOCOLS",
     "VectorSimulator",
     "adversary_support",
     "protocol_support",

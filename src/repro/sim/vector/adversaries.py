@@ -769,15 +769,15 @@ class ScheduledJammingVector(VectorJammer):
     the scalar adapter); ``jams_used`` sums them.
 
     Schedules never promote parameters per row (mega-batches only merge
-    groups with *identical* schedules), so this kernel keeps the
-    single-instance constructor.
+    groups with *identical* schedules), so the kernel is built from the
+    first pair's schedule.
     """
 
-    def __init__(self, jammer: ScheduledJamming, replications: int) -> None:
-        super().__init__([(jammer, replications)])
-        self._schedule = jammer.schedule
+    def __init__(self, pairs: JammerRows) -> None:
+        super().__init__(pairs)
+        self._schedule = pairs[0][0].schedule
         self._kernels = [
-            make_jammer_kernel(phase.component, replications)
+            make_jammer_kernel(phase.component, self.replications)
             for phase in self._schedule.phases
         ]
         self.never_jams = all(kernel.never_jams for kernel in self._kernels)
@@ -807,35 +807,56 @@ class ScheduledJammingVector(VectorJammer):
 
 
 # ---------------------------------------------------------------------------
-# Factories
+# The kernel tables and their factories
 # ---------------------------------------------------------------------------
 
 
+#: Exact arrival-process type -> its schedule kernel, built from
+#: ``(process, replications)``.  With :data:`JAMMER_KERNELS` this is the
+#: registry of vectorizable adversary components: the factories below and
+#: :mod:`repro.sim.vector.support` read the same tables, by exact type, so a
+#: subclass never inherits a kernel that may no longer describe it.  The
+#: backlog-coupled adversary fills both component roles itself.
+ARRIVAL_KERNELS: dict[type, type[VectorArrivals]] = {
+    NoArrivals: NoArrivalsVector,
+    BatchArrivals: BatchArrivalsVector,
+    PoissonArrivals: PoissonArrivalsVector,
+    PeriodicBurstArrivals: PeriodicBurstArrivalsVector,
+    AdversarialQueueingArrivals: AdversarialQueueingArrivalsVector,
+    ScheduledArrivals: ScheduledArrivalsVector,
+    BacklogCouplingAdversary: BacklogCouplingArrivalsVector,
+}
+
+#: Exact jammer type -> its jamming kernel, built from ``(jammer, rows)``
+#: pairs.
+JAMMER_KERNELS: dict[type, type[VectorJammer]] = {
+    NoJamming: NoJammingVector,
+    BernoulliJamming: BernoulliJammingVector,
+    PeriodicJamming: PeriodicJammingVector,
+    BurstJamming: BurstJammingVector,
+    BudgetedRandomJamming: BudgetedRandomJammingVector,
+    # Feedback-coupled jammers: served by the engine's lockstep feedback
+    # loop (per-slot contention rows and current-slot sender arrays).
+    AdaptiveContentionJammer: AdaptiveContentionJammerVector,
+    ReactiveTargetedJammer: ReactiveTargetedJammerVector,
+    ReactiveSuccessJammer: ReactiveSuccessJammerVector,
+    ScheduledJamming: ScheduledJammingVector,
+    BacklogCouplingAdversary: BacklogCouplingJammingVector,
+}
+
+
 def make_arrivals_kernel(process: Any, replications: int) -> VectorArrivals:
-    if isinstance(process, ScheduledArrivals):
-        return ScheduledArrivalsVector(process, replications)
-    if isinstance(process, NoArrivals):
-        return NoArrivalsVector(process, replications)
-    if isinstance(process, BatchArrivals):
-        return BatchArrivalsVector(process, replications)
-    if isinstance(process, PoissonArrivals):
-        return PoissonArrivalsVector(process, replications)
-    if isinstance(process, PeriodicBurstArrivals):
-        return PeriodicBurstArrivalsVector(process, replications)
-    if isinstance(process, AdversarialQueueingArrivals):
-        return AdversarialQueueingArrivalsVector(process, replications)
-    if isinstance(process, BacklogCouplingAdversary):
-        return BacklogCouplingArrivalsVector(process, replications)
-    raise TypeError(f"no vector schedule for arrival process {type(process).__name__}")
+    kind = type(process)
+    if kind not in ARRIVAL_KERNELS:
+        raise TypeError(f"no vector schedule for arrival process {kind.__name__}")
+    return ARRIVAL_KERNELS[kind](process, replications)
 
 
 def make_row_jammer_kernel(pairs: JammerRows) -> VectorJammer:
     """Build one jamming kernel covering every ``(jammer, rows)`` pair.
 
-    All pairs must share one jammer family; parameters are promoted to
-    per-row arrays.  Scheduled jamming never merges across distinct
-    schedules (mega-batch compatibility requires identical schedules), so
-    a scheduled kernel is always built from the first instance.
+    All pairs must share one exact jammer type; parameters are promoted to
+    per-row arrays.
     """
     if not pairs:
         raise ValueError("at least one jammer row block is required")
@@ -843,28 +864,10 @@ def make_row_jammer_kernel(pairs: JammerRows) -> VectorJammer:
     if len(kinds) > 1:
         names = ", ".join(sorted(kind.__name__ for kind in kinds))
         raise TypeError(f"cannot stack different jammer types: {names}")
-    jammer = pairs[0][0]
-    if isinstance(jammer, ScheduledJamming):
-        return ScheduledJammingVector(jammer, _jammer_rows(pairs))
-    if isinstance(jammer, NoJamming):
-        return NoJammingVector(pairs)
-    if isinstance(jammer, PeriodicJamming):
-        return PeriodicJammingVector(pairs)
-    if isinstance(jammer, BurstJamming):
-        return BurstJammingVector(pairs)
-    if isinstance(jammer, BernoulliJamming):
-        return BernoulliJammingVector(pairs)
-    if isinstance(jammer, BudgetedRandomJamming):
-        return BudgetedRandomJammingVector(pairs)
-    if isinstance(jammer, AdaptiveContentionJammer):
-        return AdaptiveContentionJammerVector(pairs)
-    if isinstance(jammer, ReactiveTargetedJammer):
-        return ReactiveTargetedJammerVector(pairs)
-    if isinstance(jammer, ReactiveSuccessJammer):
-        return ReactiveSuccessJammerVector(pairs)
-    if isinstance(jammer, BacklogCouplingAdversary):
-        return BacklogCouplingJammingVector(pairs)
-    raise TypeError(f"no vector kernel for jammer {type(jammer).__name__}")
+    (kind,) = kinds
+    if kind not in JAMMER_KERNELS:
+        raise TypeError(f"no vector kernel for jammer {kind.__name__}")
+    return JAMMER_KERNELS[kind](pairs)
 
 
 def make_jammer_kernel(jammer: Jammer, replications: int) -> VectorJammer:

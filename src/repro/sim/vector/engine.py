@@ -43,15 +43,16 @@ in its group, in a resized group, or inside a mega-batch, whatever the
 batch's packet capacity, and however many of its idle slots the batch
 skipped.
 
-The engine also supports **mega-batches**: several configurations that
-share one protocol/arrival/jammer kernel family (parameters promoted to
-per-row arrays) stacked into a single ragged lockstep batch via
-:meth:`VectorSimulator.from_spec_groups`.  Each configuration keeps its own
-*segment* — its own arrival schedule — and, like any row, consumes exactly
-the random streams it would consume in a standalone batch, so mega-batched
-results are **bit-identical** to per-group vector execution (enforced by
-tests).  Only the per-slot Python dispatch is shared, which is where the
-speedup lives.
+The engine also runs **mega-batches**: :meth:`VectorSimulator.from_specs`
+takes the specs of several configurations that share one batch key (one
+protocol/arrival/jammer kernel family and one set of engine options; see
+:func:`~repro.sim.vector.support.placement`) and stacks them into a
+single ragged lockstep batch, parameters promoted to per-row arrays.  Each
+configuration keeps its own *segment* — its own arrival schedule — and,
+like any row, consumes exactly the random streams it would consume in a
+standalone batch, so mega-batched results are **bit-identical** to
+per-group vector execution (enforced by tests).  Only the per-slot Python
+dispatch is shared, which is where the speedup lives.
 
 The engine reproduces the scalar engine's slot semantics exactly (same
 decision order, same channel rules, same metric definitions, same
@@ -74,9 +75,7 @@ import numpy as np
 
 from repro.telemetry import current as current_telemetry
 
-from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import ArrivalProcess
-from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import Jammer
 from repro.channel.feedback import SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
@@ -95,11 +94,7 @@ from repro.sim.vector.adversaries import (
 )
 from repro.sim.vector.protocols import _flat, make_protocol_row_kernel
 from repro.sim.vector.rng import RowCoins, VectorStreams, geometric_gaps
-from repro.sim.vector.support import (
-    adversary_support,
-    protocol_support,
-    scheduled_identity,
-)
+from repro.sim.vector.support import batch_difference, lockstep_components, placement
 
 #: Outcome-code → SlotOutcome lookup for trace materialisation.
 _OUTCOMES = (
@@ -476,17 +471,20 @@ class _Segment:
 class VectorSimulator:
     """Runs a batch of replications in lockstep.
 
-    Build a batch from :class:`~repro.experiments.plan.RunSpec` items:
-    :meth:`from_specs` takes one configuration replicated over seeds, and
-    :meth:`from_spec_groups` stacks several such groups into one ragged
-    lockstep mega-batch.  The specs' protocol and adversary instances are
-    read for their parameters only and never mutated; a batch's output is
-    a deterministic function of its specs.
+    Build a batch with :meth:`from_specs`, from
+    :class:`~repro.experiments.plan.RunSpec` items of one or more
+    configurations that share a batch key.  The specs' protocol and
+    adversary instances are read for their parameters only and never
+    mutated; a batch's output is a deterministic function of its specs.
     """
 
-    def __init__(self, groups: list[_GroupConfig], options: _Options) -> None:
-        # Internal: from_specs and from_spec_groups validate what reaches here.
+    def __init__(
+        self, groups: list[_GroupConfig], options: _Options, order: list[int]
+    ) -> None:
+        # Internal: from_specs validates what reaches here.  ``order`` maps
+        # each row to the position of its spec in the input.
         self._groups = groups
+        self._order = order
         (
             self._max_slots,
             self._stop_when_drained,
@@ -500,122 +498,55 @@ class VectorSimulator:
 
     @classmethod
     def from_specs(cls, specs: Sequence[Any]) -> "VectorSimulator":
-        """Build a batch from :class:`~repro.experiments.plan.RunSpec` items.
+        """Build one lockstep batch from specs, in any order.
 
-        All specs must share everything but the seed (which is exactly what
-        :meth:`~repro.exec.vector_backend.VectorBackend` groups by).
+        Specs are grouped by their group key (everything but the seed) in
+        first-seen order, and every spec must share the first one's batch
+        key (:func:`~repro.sim.vector.support.placement`): the protocol
+        class, the arrival and jammer classes with their schedules, and the
+        engine options.  Parameters may differ between groups; the kernels
+        promote them to per-row arrays.  :meth:`run` returns results in
+        input order, each bit-identical to running its group alone.
         """
-        group, options = cls._group_from_specs(specs)
-        return cls([group], options)
-
-    @classmethod
-    def from_spec_groups(cls, spec_groups: Sequence[Sequence[Any]]) -> "VectorSimulator":
-        """Stack several spec groups into one ragged lockstep mega-batch.
-
-        Each inner sequence must be a valid :meth:`from_specs` group (one
-        configuration replicated over seeds); across groups the protocol,
-        arrival-process, and jammer classes must match exactly (parameters
-        may differ — they are promoted to per-row arrays), scheduled
-        components must be identical, and the engine options must agree.
-        Results come back in input order and are bit-identical to running
-        each group through its own :meth:`from_specs` batch.
-        """
-        if not spec_groups:
-            raise ValueError("at least one spec group is required")
-        built = [cls._group_from_specs(specs) for specs in spec_groups]
-        groups = [group for group, _ in built]
-        options = built[0][1]
-        first = groups[0]
-        if len(groups) > 1:
-            if options[2] or options[3]:
-                raise ValueError(
-                    "trace and potential outputs are materialized per "
-                    "lockstep batch; such groups cannot mega-batch"
-                )
-            if isinstance(first.arrival_process, BacklogCouplingAdversary):
-                raise ValueError(
-                    "backlog-coupled adversaries read the live backlog each "
-                    "slot; such groups cannot mega-batch"
-                )
-        for group, group_options in built[1:]:
-            if group_options != options:
-                raise ValueError(
-                    "mega-batched groups must share max_slots, "
-                    "stop_when_drained, and collection options"
-                )
-            for mine, theirs, label in (
-                (first.protocol, group.protocol, "protocol"),
-                (first.arrival_process, group.arrival_process, "arrival process"),
-                (first.jammer, group.jammer, "jammer"),
-            ):
-                if type(mine) is not type(theirs):
-                    raise ValueError(
-                        f"mega-batched groups must share one {label} class; "
-                        f"got {type(mine).__name__} and {type(theirs).__name__}"
-                    )
-                if scheduled_identity(mine) != scheduled_identity(theirs):
-                    raise ValueError(
-                        f"mega-batched groups with a scheduled {label} must "
-                        "share the schedule exactly"
-                    )
-        return cls(groups, options)
-
-    @classmethod
-    def _group_from_specs(cls, specs: Sequence[Any]) -> tuple[_GroupConfig, _Options]:
         if not specs:
             raise ValueError("at least one spec is required")
-        configs = [spec.build_config() for spec in specs]
-        first = configs[0]
-        adversary = first.adversary
-        if isinstance(adversary, BacklogCouplingAdversary):
-            # Coupled adversary: one instance fills both component roles.
-            arrival_process: Any = adversary
-            jammer: Any = adversary
-        elif isinstance(adversary, CompositeAdversary):
-            arrival_process = adversary.arrival_process
-            jammer = adversary.jammer
-        else:
-            raise ValueError(
-                "vector batches require a CompositeAdversary or a "
-                "BacklogCouplingAdversary"
-            )
-        for config in configs[1:]:
-            if (
-                config.protocol != first.protocol
-                or config.adversary.describe() != first.adversary.describe()
-                or config.max_slots != first.max_slots
-                or config.stop_when_drained != first.stop_when_drained
-                or config.collect_trace != first.collect_trace
-                or config.collect_potential != first.collect_potential
-                or config.potential_coefficients != first.potential_coefficients
-                or config.dynamics_window != first.dynamics_window
-            ):
+        placements = [placement(spec) for spec in specs]
+        first = placements[0]
+        members: dict[Any, list[int]] = {}
+        for index, place in enumerate(placements):
+            if place.reason is not None:
+                raise ValueError(f"configuration cannot vectorize: {place.reason}")
+            if place.batch != first.batch:
                 raise ValueError(
-                    "a vector batch must replicate one configuration: all "
-                    "specs must share the protocol, adversary, and engine "
-                    "options, differing only in seed"
+                    "specs of one vector batch must share a batch key; got "
+                    + batch_difference(first, place)
                 )
-        reason = protocol_support(first.protocol)
-        if reason is None:
-            reason = adversary_support(adversary)
-        if reason is not None:
-            raise ValueError(f"configuration cannot vectorize: {reason}")
-        group = _GroupConfig(
-            first.protocol,
-            arrival_process,
-            jammer,
-            [config.seed for config in configs],
-            [config.describe() for config in configs],
-        )
+            members.setdefault(place.group, []).append(index)
+        groups = []
+        for indices in members.values():
+            configs = [specs[index].build_config() for index in indices]
+            config = configs[0]
+            arrival_process, jammer = lockstep_components(config.adversary)
+            groups.append(
+                _GroupConfig(
+                    config.protocol,
+                    arrival_process,
+                    jammer,
+                    [built.seed for built in configs],
+                    [built.describe() for built in configs],
+                )
+            )
+        # One batch key means one set of engine options.
         options = (
-            first.max_slots,
-            first.stop_when_drained,
-            first.collect_trace,
-            first.collect_potential,
-            first.potential_coefficients,
-            first.dynamics_window,
+            config.max_slots,
+            config.stop_when_drained,
+            config.collect_trace,
+            config.collect_potential,
+            config.potential_coefficients,
+            config.dynamics_window,
         )
-        return group, options
+        order = [index for indices in members.values() for index in indices]
+        return cls(groups, options, order)
 
     # -- Introspection --------------------------------------------------------
 
@@ -710,14 +641,8 @@ class VectorSimulator:
         # when an adaptive jammer (or the trace) consumes it, mirroring the
         # scalar engine's _track_contention gating.
         want_contention = needs_contention or collect_trace
-        if any(seg.arrivals.coupled for seg in segments):
-            if multi:
-                raise ValueError(
-                    "backlog-coupled adversaries cannot share a mega-batch"
-                )
-            coupled_arrivals = segments[0].arrivals
-        else:
-            coupled_arrivals = None
+        # A backlog-coupled group runs alone: its batch key is its group key.
+        coupled_arrivals = segments[0].arrivals if segments[0].arrivals.coupled else None
         # Idle stretches are skipped where no state can change unseen: an
         # access-driven kernel, with every arrival known a chunk ahead.
         skip_idle = calendar is not None and coupled_arrivals is None
@@ -1147,7 +1072,7 @@ class VectorSimulator:
         seeds = self._seeds
         if dynamics_buffers is not None:
             from repro.dynamics.trajectory import jammer_budget
-        results = []
+        results: list[SimulationResult] = [None] * len(seeds)  # type: ignore[list-item]
         for group, seg in zip(self._groups, segments):
             group_budget = (
                 jammer_budget(group.jammer)
@@ -1220,19 +1145,17 @@ class VectorSimulator:
                     arrivals_done = bool(
                         per_row_exhausted[index - seg.rows.start]
                     )
-                results.append(
-                    SimulationResult(
-                        config_description=descriptions[index],
-                        protocol_name=protocol_names[index],
-                        seed=seeds[index],
-                        num_slots=slots,
-                        drained=bool(backlog[index] == 0) and arrivals_done,
-                        collector=collector,
-                        packets=packets,
-                        trace=trace,
-                        potential=potential,
-                        dynamics=dynamics,
-                    )
+                results[self._order[index]] = SimulationResult(
+                    config_description=descriptions[index],
+                    protocol_name=protocol_names[index],
+                    seed=seeds[index],
+                    num_slots=slots,
+                    drained=bool(backlog[index] == 0) and arrivals_done,
+                    collector=collector,
+                    packets=packets,
+                    trace=trace,
+                    potential=potential,
+                    dynamics=dynamics,
                 )
         return results
 

@@ -44,6 +44,7 @@ stacked batch — the property mega-batching relies on.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ import numpy as np
 from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
 from repro.protocols.base import BackoffProtocol
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
-from repro.protocols.fixed_probability import FixedProbabilityProtocol
+from repro.protocols.fixed_probability import FixedProbabilityProtocol, SlottedAloha
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.polynomial_backoff import PolynomialBackoff
 from repro.protocols.sawtooth import SawtoothBackoff
@@ -590,8 +591,25 @@ class FullSensingMWKernel(DenseKernel):
 
 
 # ---------------------------------------------------------------------------
-# Factories
+# The kernel table and its factory
 # ---------------------------------------------------------------------------
+
+
+#: Exact protocol type -> its kernel, built from ``(pairs, capacity)``.  This
+#: table is the registry of vectorizable protocols: the factory below and
+#: :mod:`repro.sim.vector.support` both read it.  Lookup is by exact type,
+#: so a subclass never inherits a kernel that may no longer describe it.
+PROTOCOL_KERNELS: dict[type, Callable[..., VectorProtocolKernel]] = {
+    FixedProbabilityProtocol: FixedProbabilityKernel,
+    # The ALOHA alias only pins the default probability.
+    SlottedAloha: FixedProbabilityKernel,
+    BinaryExponentialBackoff: BinaryExponentialKernel,
+    PolynomialBackoff: PolynomialKernel,
+    LowSensingBackoff: LowSensingKernel,
+    DecoupledLowSensingBackoff: functools.partial(LowSensingKernel, decoupled=True),
+    SawtoothBackoff: SawtoothKernel,
+    FullSensingMultiplicativeWeights: FullSensingMWKernel,
+}
 
 
 def make_protocol_row_kernel(
@@ -609,24 +627,7 @@ def make_protocol_row_kernel(
     if len(kinds) > 1:
         names = ", ".join(sorted(kind.__name__ for kind in kinds))
         raise TypeError(f"cannot stack different protocol types: {names}")
-    protocol = pairs[0][0]
-    # Exact-type dispatch, mirroring the support registry: a subclass must
-    # not silently inherit a kernel that may no longer describe it.
-    kind = type(protocol)
-    if kind is BinaryExponentialBackoff:
-        return BinaryExponentialKernel(pairs, capacity)
-    if kind is PolynomialBackoff:
-        return PolynomialKernel(pairs, capacity)
-    if kind is SawtoothBackoff:
-        return SawtoothKernel(pairs, capacity)
-    if kind is FullSensingMultiplicativeWeights:
-        return FullSensingMWKernel(pairs, capacity)
-    if kind is LowSensingBackoff:
-        return LowSensingKernel(pairs, capacity)
-    if kind is DecoupledLowSensingBackoff:
-        return LowSensingKernel(pairs, capacity, decoupled=True)
-    if isinstance(protocol, FixedProbabilityProtocol):
-        # FixedProbability and its SlottedAloha alias share one kernel (the
-        # subclass only pins the default probability).
-        return FixedProbabilityKernel(pairs, capacity)
-    raise TypeError(f"no vector kernel for protocol {kind.__name__}")
+    (kind,) = kinds
+    if kind not in PROTOCOL_KERNELS:
+        raise TypeError(f"no vector kernel for protocol {kind.__name__}")
+    return PROTOCOL_KERNELS[kind](pairs, capacity)

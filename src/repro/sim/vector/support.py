@@ -1,4 +1,4 @@
-"""Which configurations the vector engine can run.
+"""Which configurations the vector engine runs, and which run together.
 
 The vector engine covers every built-in protocol tier: the send-only
 protocols whose per-packet state reduces to a handful of scalars, *and* the
@@ -19,111 +19,69 @@ injections and jams both read the live backlog
 decisions from the engine's backlog counter.  Execution traces and
 potential tracking are vectorized *outputs* — per-slot event arrays
 materialized into trace records and potential samples on demand — not
-blockers.  :func:`vector_support` answers "can this spec vectorize?" with
-``None`` (yes) or a human-readable reason (no), and the
-:class:`~repro.exec.vector_backend.VectorBackend` uses that answer to fall
-back transparently; :func:`mega_batch_exclusion` names the configurations
-that vectorize but must run in their own lockstep batch.
+blockers.
 
-This module deliberately avoids importing numpy, so capability checks stay
-importable (and cheap) even where the vector engine itself is never used.
-
-Eligibility is decided by an **exact type** match against the registries
-below *and* the declared ``vectorizable`` capability flag.  The flag
-documents intent on the class; the exact-type match protects against
-subclasses that override behaviour the kernels do not model.
-
+**The kernel tables are the registry.**  A protocol vectorizes when its
+exact type has an entry in
+:data:`~repro.sim.vector.protocols.PROTOCOL_KERNELS`; an arrival process or
+jammer when its exact type has one in
+:data:`~repro.sim.vector.adversaries.ARRIVAL_KERNELS` or
+:data:`~repro.sim.vector.adversaries.JAMMER_KERNELS`.  The kernel factories
+read the same tables, so what this module accepts is exactly what the
+engine can build, and the exact-type match keeps subclasses, which may
+override behaviour a kernel does not model, on the scalar engine.
 Piecewise schedules (:class:`~repro.adversary.scheduled.ScheduledArrivals`
 and :class:`~repro.adversary.scheduled.ScheduledJamming`) are vetted
-phase-by-phase: a schedule stays on the fast path exactly when every phase
-component would on its own — piecewise-constant compositions of
-vectorizable components vectorize, and the reported reason names the first
-offending phase otherwise.
+phase-by-phase: a schedule vectorizes exactly when every phase component
+would on its own, and the reason names the first offending phase otherwise.
+
+**One placement rule.**  :func:`placement` maps a spec to its fallback
+reason, or to two keys: its *group key*, the spec with its seed set to 0
+(the seed replicas of one configuration), and its *batch key*, which names
+the groups that stack into one ragged lockstep launch (protocol class,
+arrival and jammer classes with their schedule identity, and engine
+options).  A group that :func:`mega_batch_exclusion` names runs alone: its
+batch key is its group key.  The
+:class:`~repro.exec.vector_backend.VectorBackend`, its result layout,
+:meth:`~repro.experiments.plan.SweepPlan.vector_summary` and
+:meth:`~repro.sim.vector.engine.VectorSimulator.from_specs` all place specs
+with it, and it is memoised per configuration.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import dataclasses
+import functools
+import json
+from typing import Any, NamedTuple
 
-from repro.adversary.arrivals import (
-    AdversarialQueueingArrivals,
-    BatchArrivals,
-    NoArrivals,
-    PeriodicBurstArrivals,
-    PoissonArrivals,
-)
-from repro.adversary.composite import CompositeAdversary
-from repro.adversary.jamming import (
-    AdaptiveContentionJammer,
-    BernoulliJamming,
-    BudgetedRandomJamming,
-    BurstJamming,
-    NoJamming,
-    PeriodicJamming,
-    ReactiveSuccessJammer,
-    ReactiveTargetedJammer,
-)
 from repro.adversary.adaptive import BacklogCouplingAdversary
+from repro.adversary.composite import CompositeAdversary
 from repro.adversary.scheduled import ScheduledArrivals, ScheduledJamming
-from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
-from repro.protocols.binary_exponential import BinaryExponentialBackoff
-from repro.protocols.fixed_probability import FixedProbabilityProtocol, SlottedAloha
-from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
-from repro.protocols.polynomial_backoff import PolynomialBackoff
-from repro.protocols.sawtooth import SawtoothBackoff
-
-#: Protocol classes with a vector kernel (exact type match).
-VECTOR_PROTOCOLS = (
-    FixedProbabilityProtocol,
-    SlottedAloha,
-    BinaryExponentialBackoff,
-    PolynomialBackoff,
-    # The sensing tier: per-packet listen/send decisions and ternary-feedback
-    # state updates, computed in lockstep from per-replication feedback rows.
-    LowSensingBackoff,
-    DecoupledLowSensingBackoff,
-    SawtoothBackoff,
-    FullSensingMultiplicativeWeights,
-)
-
-#: Arrival-process classes with a vector schedule kernel (exact type match).
-VECTOR_ARRIVALS = (
-    NoArrivals,
-    BatchArrivals,
-    PoissonArrivals,
-    PeriodicBurstArrivals,
-    AdversarialQueueingArrivals,
-)
-
-#: Jammer classes with a vector kernel (exact type match).
-VECTOR_JAMMERS = (
-    NoJamming,
-    BernoulliJamming,
-    PeriodicJamming,
-    BurstJamming,
-    BudgetedRandomJamming,
-    # Feedback-coupled jammers: served by the engine's lockstep feedback
-    # loop (per-slot contention rows and current-slot sender arrays).
-    AdaptiveContentionJammer,
-    ReactiveTargetedJammer,
-    ReactiveSuccessJammer,
-)
+from repro.sim.vector.adversaries import ARRIVAL_KERNELS, JAMMER_KERNELS
+from repro.sim.vector.protocols import PROTOCOL_KERNELS
 
 
-def _eligible(instance: Any, registry: tuple[type, ...]) -> bool:
-    return type(instance) in registry and bool(getattr(instance, "vectorizable", False))
+def lockstep_components(adversary: Any) -> tuple[Any, Any] | None:
+    """The ``(arrival process, jammer)`` pair the engine drives, or ``None``.
+
+    A composite contributes its two parts; the backlog-coupled adversary
+    fills both roles itself.  Any other adversary is custom and runs on the
+    scalar engine.
+    """
+    if type(adversary) is BacklogCouplingAdversary:
+        return adversary, adversary
+    if isinstance(adversary, CompositeAdversary):
+        return adversary.arrival_process, adversary.jammer
+    return None
 
 
 def scheduled_identity(component: Any) -> str | None:
     """Canonical identity of a scheduled component, ``None`` otherwise.
 
-    Mega-batches only merge groups whose schedules are *identical*; both
-    the backend's compatibility key and the engine's
-    ``from_spec_groups`` validation compare this exact string, so the
-    merge decision and the engine's acceptance can never disagree.
+    Groups stack only when their schedules are *identical*, so this string
+    is part of the batch key.
     """
-    import json
-
     if isinstance(component, (ScheduledArrivals, ScheduledJamming)):
         return json.dumps(component.describe(), sort_keys=True)
     return None
@@ -131,7 +89,7 @@ def scheduled_identity(component: Any) -> str | None:
 
 def protocol_support(protocol: Any) -> str | None:
     """``None`` if the protocol has a vector kernel, else the reason not."""
-    if _eligible(protocol, VECTOR_PROTOCOLS):
+    if type(protocol) in PROTOCOL_KERNELS:
         return None
     return f"protocol {type(protocol).__name__} has no vector kernel"
 
@@ -143,47 +101,42 @@ def arrival_process_support(process: Any) -> str | None:
     schedule names the offending phase (and, for nested schedules, the
     whole phase path).
     """
-    if type(process) is ScheduledArrivals:
+    kind = type(process)
+    if kind not in ARRIVAL_KERNELS:
+        return f"arrival process {kind.__name__} has no vector schedule"
+    if kind is ScheduledArrivals:
         for index, phase in enumerate(process.schedule.phases):
             reason = arrival_process_support(phase.component)
             if reason is not None:
                 return f"arrival schedule phase {index}: {reason}"
-        return None
-    if _eligible(process, VECTOR_ARRIVALS):
-        return None
-    return f"arrival process {type(process).__name__} has no vector schedule"
+    return None
 
 
 def jammer_support(jammer: Any) -> str | None:
     """``None`` if the jammer has a vector kernel, else the reason not."""
-    if type(jammer) is ScheduledJamming:
+    kind = type(jammer)
+    if kind not in JAMMER_KERNELS:
+        return f"jammer {kind.__name__} has no vector kernel"
+    if kind is ScheduledJamming:
         if jammer.reactive:
             return "jamming schedule contains a reactive phase"
         for index, phase in enumerate(jammer.schedule.phases):
             reason = jammer_support(phase.component)
             if reason is not None:
                 return f"jamming schedule phase {index}: {reason}"
-        return None
-    if _eligible(jammer, VECTOR_JAMMERS):
-        return None
-    return f"jammer {type(jammer).__name__} has no vector kernel"
+    return None
 
 
 def adversary_support(adversary: Any) -> str | None:
     """``None`` if the adversary decomposes into vectorizable parts."""
-    if _eligible(adversary, (BacklogCouplingAdversary,)):
-        # The coupled adversary fills both component roles; the engine's
-        # lockstep backlog counter serves its per-slot reads.
-        return None
-    if not isinstance(adversary, CompositeAdversary):
+    components = lockstep_components(adversary)
+    if components is None:
         return (
             f"adversary {type(adversary).__name__} is not a CompositeAdversary "
             "(custom adversaries run on the scalar engine)"
         )
-    reason = arrival_process_support(adversary.arrival_process)
-    if reason is not None:
-        return reason
-    return jammer_support(adversary.jammer)
+    arrival_process, jammer = components
+    return arrival_process_support(arrival_process) or jammer_support(jammer)
 
 
 def vector_support(spec: Any) -> str | None:
@@ -193,7 +146,7 @@ def vector_support(spec: Any) -> str | None:
     introspect the concrete arrival/jammer types; the built objects are
     discarded, so this never leaks state into the actual run.
     """
-    reason = protocol_support(getattr(spec, "protocol", None))
+    reason = protocol_support(spec.protocol)
     if reason is not None:
         return reason
     try:
@@ -204,27 +157,114 @@ def vector_support(spec: Any) -> str | None:
 
 
 def mega_batch_exclusion(spec: Any) -> str | None:
-    """Why a vectorizable spec must run in its own lockstep batch.
+    """Why a vectorizable spec's group must run in its own lockstep batch.
 
-    ``None`` means the spec's group may stack into a mega-batch with other
-    compatible groups.  A named reason means the group still vectorizes —
-    it just gets its own kernel launch — mirroring the validation in
-    :meth:`~repro.sim.vector.engine.VectorSimulator.from_spec_groups`.
+    ``None`` means the group may stack with every group that shares its
+    batch key.  A named reason means the group still vectorizes — it just
+    gets its own kernel launch, because its batch key is its group key.
     """
-    if getattr(spec, "collect_trace", False) or getattr(
-        spec, "collect_potential", False
-    ):
+    if spec.collect_trace or spec.collect_potential:
         return (
             "trace and potential outputs are materialized per lockstep "
             "batch; such groups cannot mega-batch"
         )
-    try:
-        config = spec.build_config() if hasattr(spec, "build_config") else spec
-    except Exception:  # pragma: no cover - defensive
-        return None
-    if isinstance(config.adversary, BacklogCouplingAdversary):
+    components = lockstep_components(spec.build_config().adversary)
+    arrival_process = components[0] if components else None
+    if getattr(ARRIVAL_KERNELS.get(type(arrival_process)), "coupled", False):
+        # The engine asks a coupled schedule for the whole batch's arrivals
+        # each slot, so its group must be the batch's only one.
         return (
             "backlog-coupled adversaries read the live backlog each slot; "
             "such groups cannot mega-batch"
         )
     return None
+
+
+class Placement(NamedTuple):
+    """Where the vector backend runs one spec.
+
+    ``reason`` says why the spec falls back to the scalar engine, and is
+    ``None`` when it vectorizes: then the spec runs in the lockstep group
+    of its ``group`` key, inside the launch of its ``batch`` key.
+    """
+
+    reason: str | None
+    group: Any = None
+    batch: Any = None
+
+    @property
+    def stacks(self) -> bool:
+        """Whether the spec's group may share its launch with other groups."""
+        return self.batch is not self.group
+
+
+class _BatchKey(NamedTuple):
+    protocol: type
+    arrival_process: tuple[type, str | None]
+    jammer: tuple[type, str | None]
+    #: max_slots, stop_when_drained and the dynamics window.
+    options: tuple[int, bool, int]
+
+
+def placement(spec: Any) -> Placement:
+    """The one lockstep placement rule: a spec's fallback reason or its keys.
+
+    Memoised by the group key, so a plan that replicates a configuration
+    over hundreds of seeds probes :func:`vector_support` once for it.
+    Opaque jobs (no ``vector_support``, e.g.
+    :class:`~repro.exec.backends.ConfigJob`) and specs that cannot be
+    hashed into a group fall back.
+    """
+    if not callable(getattr(spec, "vector_support", None)):
+        return Placement("opaque job: only RunSpecs vectorize")
+    group = dataclasses.replace(spec, seed=0)
+    try:
+        hash(group)
+    except TypeError:
+        return Placement(
+            vector_support(spec)
+            or "spec is not hashable, so it cannot join a lockstep group"
+        )
+    return _placement(group)
+
+
+@functools.lru_cache(maxsize=4096)
+def _placement(group: Any) -> Placement:
+    reason = vector_support(group)
+    if reason is not None:
+        return Placement(reason)
+    if mega_batch_exclusion(group) is not None:
+        return Placement(None, group, group)
+    arrival_process, jammer = lockstep_components(group.build_config().adversary)
+    batch = _BatchKey(
+        type(group.protocol),
+        (type(arrival_process), scheduled_identity(arrival_process)),
+        (type(jammer), scheduled_identity(jammer)),
+        (group.max_slots, group.stop_when_drained, group.dynamics_window),
+    )
+    return Placement(None, group, batch)
+
+
+def batch_difference(first: Placement, other: Placement) -> str:
+    """What keeps two vectorizable specs out of one lockstep batch."""
+    for place in (first, other):
+        if not place.stacks:
+            return mega_batch_exclusion(place.group)
+    mine, theirs = first.batch, other.batch
+    if mine.protocol is not theirs.protocol:
+        return (
+            f"protocol class {mine.protocol.__name__} vs "
+            f"{theirs.protocol.__name__}"
+        )
+    for label, (my_class, my_schedule), (their_class, their_schedule) in (
+        ("arrival process", mine.arrival_process, theirs.arrival_process),
+        ("jammer", mine.jammer, theirs.jammer),
+    ):
+        if my_class is not their_class:
+            return f"{label} class {my_class.__name__} vs {their_class.__name__}"
+        if my_schedule != their_schedule:
+            return f"the scheduled {label}s differ in their schedule"
+    return (
+        "engine options (max_slots, stop_when_drained, dynamics window) "
+        f"{mine.options} vs {theirs.options}"
+    )

@@ -258,6 +258,48 @@ class TestCampaignAndCacheFailures:
                 "--checkpoint-every must be at least 1",
             )
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["perf", "record", "--scale", "bogus"], "invalid choice: 'bogus'"),
+            (
+                ["perf", "record", "--backend", "processes", "--workers", "0"],
+                "--workers must be at least 1",
+            ),
+            (
+                ["campaign", "run", "--backend", "processes", "--workers", "0"],
+                "--workers must be at least 1",
+            ),
+            (
+                ["campaign", "run", "--backend", "serial", "--workers", "3"],
+                "--workers only applies to --backend processes",
+            ),
+            (
+                ["perf", "record", "--backend", "vector", "--workers", "2"],
+                "--workers only applies to --backend processes",
+            ),
+        ],
+        ids=[
+            "perf-bad-scale",
+            "perf-zero-workers",
+            "campaign-zero-workers",
+            "campaign-serial-workers",
+            "perf-vector-workers",
+        ],
+    )
+    def test_bad_run_options_exit_2_before_the_store_opens(
+        self, tmp_path, capsys, argv, needle
+    ):
+        store = tmp_path / "fresh-store"
+        command, subcommand, *options = argv
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, subcommand, "onoff-jamming", *options, "--store", str(store)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert needle in err
+        assert not store.exists(), f"{argv} created the store"
+
     def test_cache_prune_without_criteria(self, tmp_path, capsys):
         _expect_error(
             capsys,

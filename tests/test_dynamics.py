@@ -269,7 +269,9 @@ class TestVectorTrajectoryParity:
                 for budget in (5, 9)
             ]
 
-        mega = VectorSimulator.from_spec_groups(groups(128)).run()
+        mega = VectorSimulator.from_specs(
+            [spec for specs in groups(128) for spec in specs]
+        ).run()
         flat = iter(mega)
         for specs in groups(128):
             for expected in VectorSimulator.from_specs(specs).run():

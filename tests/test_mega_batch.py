@@ -1,11 +1,12 @@
 """Tests for cross-config mega-batching.
 
 The headline contract: stacking compatible replication groups into one
-ragged lockstep batch (``VectorSimulator.from_spec_groups``, used by
-``VectorBackend(mega_batch=True)``) is a pure wall-clock optimisation —
-results are **bit-identical** to running each group through its own
-per-group batch, because every vector result is a function of its (spec,
-seed) alone.
+ragged lockstep batch (``VectorSimulator.from_specs`` on the specs of
+several groups that share a batch key, as ``VectorBackend.run`` does) is a
+pure wall-clock optimisation — results are **bit-identical** to running
+each group through its own per-group batch (one ``VectorBackend.run`` call
+per group), because every vector result is a function of its (spec, seed)
+alone.
 """
 
 from __future__ import annotations
@@ -44,8 +45,20 @@ def identical(a, b):
     )
 
 
+def flatten(spec_groups):
+    return [spec for specs in spec_groups for spec in specs]
+
+
+def run_per_group(plan, backend):
+    """Per-group execution: one ``backend.run`` call per plan group."""
+    results = []
+    for group in plan.groups:
+        results += backend.run([plan.specs[index] for index in group.spec_indices])
+    return results
+
+
 def assert_mega_matches_per_group(spec_groups):
-    simulator = VectorSimulator.from_spec_groups(spec_groups)
+    simulator = VectorSimulator.from_specs(flatten(spec_groups))
     assert simulator.num_groups == len(spec_groups)
     mega = simulator.run()
     flat = iter(mega)
@@ -63,6 +76,26 @@ class TestBitIdentityWithPerGroupExecution:
             for i in range(6)
         ]
         assert_mega_matches_per_group(spec_groups)
+
+    def test_interleaved_groups_come_back_in_input_order(self):
+        # Three groups' specs interleaved seed by seed: the batch regroups
+        # them, and every result lands at its spec's input position.
+        spec_groups = [
+            run_specs(BinaryExponentialBackoff(initial_window=w), batch_adversary(n), [1, 2, 3])
+            for w, n in [(2.0, 12), (4.0, 20), (8.0, 7)]
+        ]
+        interleaved = [spec for specs in zip(*spec_groups) for spec in specs]
+        simulator = VectorSimulator.from_specs(interleaved)
+        assert simulator.num_groups == 3
+        solo = {}
+        for specs in spec_groups:
+            for spec, result in zip(specs, VectorSimulator.from_specs(specs).run()):
+                solo[id(spec)] = result
+        for spec, got in zip(interleaved, simulator.run()):
+            expected = solo[id(spec)]
+            assert got.seed == spec.seed
+            assert got.config_description == expected.config_description
+            assert identical(got, expected)
 
     def test_sensing_protocol_param_grid(self):
         spec_groups = [
@@ -162,7 +195,7 @@ class TestBitIdentityWithPerGroupExecution:
             for p in (0.1, 0.2)
         ]
         with pytest.raises(ValueError, match="schedule"):
-            VectorSimulator.from_spec_groups(spec_groups)
+            VectorSimulator.from_specs(flatten(spec_groups))
         # The backend never attempts it: distinct schedules split launches.
         plan = SweepPlan()
         for specs in spec_groups:
@@ -194,38 +227,32 @@ class TestBitIdentityWithPerGroupExecution:
 class TestFromSpecGroupsValidation:
     def test_rejects_mixed_protocol_families(self):
         with pytest.raises(ValueError, match="protocol class"):
-            VectorSimulator.from_spec_groups(
-                [
-                    run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1]),
-                    run_specs(PolynomialBackoff(), batch_adversary(5), [1]),
-                ]
+            VectorSimulator.from_specs(
+                run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1])
+                + run_specs(PolynomialBackoff(), batch_adversary(5), [1])
             )
 
     def test_rejects_mixed_jammer_families(self):
         with pytest.raises(ValueError, match="jammer class"):
-            VectorSimulator.from_spec_groups(
-                [
-                    run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1]),
-                    run_specs(
-                        BinaryExponentialBackoff(),
-                        batch_adversary(5, factory(PeriodicJamming, period=3)),
-                        [1],
-                    ),
-                ]
+            VectorSimulator.from_specs(
+                run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1])
+                + run_specs(
+                    BinaryExponentialBackoff(),
+                    batch_adversary(5, factory(PeriodicJamming, period=3)),
+                    [1],
+                )
             )
 
     def test_rejects_mixed_engine_options(self):
         with pytest.raises(ValueError, match="max_slots"):
-            VectorSimulator.from_spec_groups(
-                [
-                    run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1], max_slots=1_000),
-                    run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1], max_slots=2_000),
-                ]
+            VectorSimulator.from_specs(
+                run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1], max_slots=1_000)
+                + run_specs(BinaryExponentialBackoff(), batch_adversary(5), [1], max_slots=2_000)
             )
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="spec group"):
-            VectorSimulator.from_spec_groups([])
+        with pytest.raises(ValueError, match="at least one spec"):
+            VectorSimulator.from_specs([])
 
 
 class TestBackendMegaBatching:
@@ -253,8 +280,8 @@ class TestBackendMegaBatching:
                 [1, 2],
                 columns={"i": i},
             )
-        backend = VectorBackend(mega_batch=False)
-        plan.run(backend)
+        backend = VectorBackend()
+        run_per_group(plan, backend)
         assert backend.vector_groups == 4
         assert backend.mega_batches == 4
 
@@ -281,8 +308,9 @@ class TestBackendMegaBatching:
                 [1, 2],
                 columns={"i": i},
             )
-        mega = plan.run(VectorBackend(mega_batch=True)).results
-        per_group = plan.run(VectorBackend(mega_batch=False)).results
+        mega = plan.run(VectorBackend()).results
+        per_group = run_per_group(plan, VectorBackend())
+        assert len(mega) == len(per_group) == 10
         for a, b in zip(mega, per_group):
             assert identical(a, b)
 
@@ -311,5 +339,4 @@ class TestBackendMegaBatching:
         backend = VectorBackend()
         description = backend.describe()
         assert description["mega_batches"] == 0
-        assert description["mega_batch"] is True
 

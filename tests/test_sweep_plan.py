@@ -137,36 +137,35 @@ class TestSweepPlan:
         assert [(row["n"], row["arrivals"]) for row in rows] == [(30, 30), (10, 10)]
 
 
-class TestVectorSupportMemoisation:
-    def test_identical_configs_probe_once_across_seeds_and_plans(self):
-        from repro.experiments.plan import (
-            _cached_vector_support_by_signature,
-            cached_vector_support,
-        )
+class TestPlacementProbesOncePerConfiguration:
+    def test_480_specs_of_2_configurations_cost_2_probes(self, monkeypatch):
+        """Listing, running and laying out a large plan probes vector
+        support once per configuration, not once per job."""
+        from repro.exec import VectorBackend
+        from repro.protocols.binary_exponential import BinaryExponentialBackoff
+        from repro.sim.vector import support
 
-        _cached_vector_support_by_signature.cache_clear()
-        adversary = _batch_adversary(9)
-        specs = [
-            RunSpec(protocol=LowSensingBackoff(), adversary=adversary, seed=seed)
-            for seed in range(40)
-        ]
-        for spec in specs:
-            assert cached_vector_support(spec) is None
-        info = _cached_vector_support_by_signature.cache_info()
-        # The seed is normalised out of the memo key: one probe, 39 hits.
-        assert info.misses == 1
-        assert info.hits == 39
+        probed = []
+        probe = support.vector_support
 
-    def test_vector_summary_uses_the_memo(self):
-        from repro.experiments.plan import _cached_vector_support_by_signature
+        def counted(spec):
+            probed.append(spec)
+            return probe(spec)
 
-        _cached_vector_support_by_signature.cache_clear()
-        plan = SweepPlan()
-        for _ in range(3):  # identical configuration added as three groups
-            plan.add_group(LowSensingBackoff(), _batch_adversary(9), [1, 2, 3])
-        plan.vector_summary()
-        plan.vector_summary()
-        assert _cached_vector_support_by_signature.cache_info().misses == 1
+        support._placement.cache_clear()
+        monkeypatch.setattr(support, "vector_support", counted)
+        plan = SweepPlan(default_max_slots=2_000)
+        for protocol in (LowSensingBackoff(), BinaryExponentialBackoff()):
+            plan.add_group(protocol, _batch_adversary(3), range(11, 251))
+        assert len(plan) == 480
+        summary = plan.vector_summary()
+        backend = VectorBackend()
+        plan.run(backend)
+        layouts = {backend.result_layout(spec) for spec in plan.specs}
+        assert len(probed) == 2
+        assert {spec.seed for spec in probed} == {0}
+        assert summary["vectorizable_specs"] == backend.vectorized_jobs == 480
+        assert len(layouts) == 1
 
 
 class TestBackendEquivalence:

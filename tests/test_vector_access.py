@@ -253,11 +253,9 @@ def _seed_2_in_every_context(protocol, kind):
     resized, resized_skipped = _idle_slots_skipped(
         run_specs(protocol, adversary, seeds, **options)
     )
-    mega = VectorSimulator.from_spec_groups(
-        [
-            run_specs(protocol, _adversary(kind, shift=4), [7, 8], **options),
-            run_specs(protocol, adversary, seeds[:2], **options),
-        ]
+    mega = VectorSimulator.from_specs(
+        run_specs(protocol, _adversary(kind, shift=4), [7, 8], **options)
+        + run_specs(protocol, adversary, seeds[:2], **options)
     ).run()[3]
     return alone, [grouped, resized[1], mega], alone_skipped, resized_skipped
 

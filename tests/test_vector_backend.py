@@ -354,6 +354,43 @@ class TestPlanIntegration:
         assert "backlog" in exclusions[1]
 
 
+def _smoke_plan(name):
+    from repro.experiments.experiments import EXPERIMENT_PLANS
+    from repro.scenarios.catalog import get_scenario
+    from repro.scenarios.runner import build_plan
+
+    if name in EXPERIMENT_PLANS:
+        return EXPERIMENT_PLANS[name](scale="smoke")
+    return build_plan(get_scenario(name), "smoke")
+
+
+def _smoke_plan_names():
+    from repro.experiments.experiments import EXPERIMENT_PLANS
+    from repro.scenarios.catalog import scenario_ids
+
+    return [*EXPERIMENT_PLANS, *scenario_ids()]
+
+
+class TestListingShowsWhatRuns:
+    """``vector_summary`` (behind ``--explain`` and ``list --json``) and the
+    backend place specs by one rule, so the listing is what runs."""
+
+    @pytest.mark.parametrize("name", _smoke_plan_names())
+    def test_summary_counts_equal_the_backend_counters(self, name):
+        plan = _smoke_plan(name)
+        summary = plan.vector_summary()
+        backend = VectorBackend()
+        plan.run(backend)
+        assert (
+            summary["vectorizable_specs"],
+            summary["vector_groups"],
+            summary["mega_batches"],
+        ) == (backend.vectorized_jobs, backend.vector_groups, backend.mega_batches)
+        assert summary["total_specs"] - summary["vectorizable_specs"] == (
+            backend.fallback_jobs
+        )
+
+
 class TestRegistration:
     def test_backend_names_include_vector(self):
         assert "vector" in BACKEND_NAMES

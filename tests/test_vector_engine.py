@@ -6,7 +6,9 @@ import copy
 
 import pytest
 
+from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import (
+    AdversarialQueueingArrivals,
     BatchArrivals,
     NoArrivals,
     PeriodicBurstArrivals,
@@ -14,22 +16,78 @@ from repro.adversary.arrivals import (
 )
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
+    AdaptiveContentionJammer,
     BernoulliJamming,
+    BudgetedRandomJamming,
     BurstJamming,
     NoJamming,
     PeriodicJamming,
+    ReactiveSuccessJammer,
+    ReactiveTargetedJammer,
 )
-from repro.core.low_sensing import LowSensingBackoff
+from repro.adversary.scheduled import ScheduledArrivals, ScheduledJamming
+from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
-from repro.protocols.fixed_probability import FixedProbabilityProtocol
+from repro.protocols.fixed_probability import FixedProbabilityProtocol, SlottedAloha
+from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.polynomial_backoff import PolynomialBackoff
+from repro.protocols.sawtooth import SawtoothBackoff
+from repro.scenarios.schedule import Phase
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.vector import VectorSimulator
-from repro.sim.vector.support import adversary_support, protocol_support
+from repro.sim.vector.adversaries import (
+    ARRIVAL_KERNELS,
+    JAMMER_KERNELS,
+    make_arrivals_kernel,
+    make_row_jammer_kernel,
+)
+from repro.sim.vector.protocols import PROTOCOL_KERNELS, make_protocol_row_kernel
+from repro.sim.vector.support import adversary_support, placement, protocol_support
 from tests.conftest import run_specs
 
 ALWAYS_SEND = FixedProbabilityProtocol(probability=1.0)
+
+#: Constructor arguments of one example instance per kernel-table key.
+PROTOCOL_EXAMPLES = {
+    FixedProbabilityProtocol: (),
+    SlottedAloha: (),
+    BinaryExponentialBackoff: (),
+    PolynomialBackoff: (),
+    LowSensingBackoff: (),
+    DecoupledLowSensingBackoff: (),
+    SawtoothBackoff: (),
+    FullSensingMultiplicativeWeights: (),
+}
+ARRIVAL_EXAMPLES = {
+    NoArrivals: (),
+    BatchArrivals: (3,),
+    PoissonArrivals: (0.1, 40),
+    PeriodicBurstArrivals: (2, 10, 0, 2),
+    AdversarialQueueingArrivals: (0.2, 10, "front", 40),
+    ScheduledArrivals: (Phase(BatchArrivals(2), duration=10), Phase(NoArrivals())),
+    BacklogCouplingAdversary: (2, 4),
+}
+JAMMER_EXAMPLES = {
+    NoJamming: (),
+    BernoulliJamming: (0.1, 5),
+    PeriodicJamming: (3,),
+    BurstJamming: (2, 3),
+    BudgetedRandomJamming: (3, 40),
+    AdaptiveContentionJammer: (3,),
+    ReactiveTargetedJammer: (3,),
+    ReactiveSuccessJammer: (3,),
+    ScheduledJamming: (Phase(BernoulliJamming(0.1), duration=10), Phase(NoJamming())),
+    BacklogCouplingAdversary: (2, 4, 1),
+}
+COMPONENT_EXAMPLES = [
+    pytest.param(table, cls, args, id=f"{role}-{cls.__name__}")
+    for role, table, examples in (
+        ("arrivals", ARRIVAL_KERNELS, ARRIVAL_EXAMPLES),
+        ("jammer", JAMMER_KERNELS, JAMMER_EXAMPLES),
+    )
+    for cls, args in examples.items()
+]
 
 COLLECTOR_FIELDS = (
     "num_slots",
@@ -278,6 +336,24 @@ class TestInvariants:
         assert results[0].drained
 
 
+def _bare_subclass(cls):
+    """A subclass that overrides nothing: exact-type tables still refuse it."""
+    return type(f"Bare{cls.__name__}", (cls,), {})
+
+
+def _adversary_with(table, component):
+    """An adversary that puts ``component`` in the role its table serves."""
+    if isinstance(component, BacklogCouplingAdversary):
+        return component  # it fills both roles itself
+    if table is ARRIVAL_KERNELS:
+        return CompositeAdversary(component, NoJamming())
+    return CompositeAdversary(BatchArrivals(2), component)
+
+
+def _placement_reason(protocol, adversary):
+    return placement(run_specs(protocol, adversary, [1])[0]).reason
+
+
 class TestValidationAndSupport:
     def test_rejects_empty_seed_list(self):
         with pytest.raises(ValueError, match="at least one spec"):
@@ -303,10 +379,6 @@ class TestValidationAndSupport:
             )
 
     def test_protocol_support_flags(self):
-        from repro.core.low_sensing import DecoupledLowSensingBackoff
-        from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
-        from repro.protocols.sawtooth import SawtoothBackoff
-
         assert protocol_support(BinaryExponentialBackoff()) is None
         assert protocol_support(PolynomialBackoff()) is None
         assert protocol_support(FixedProbabilityProtocol()) is None
@@ -316,31 +388,38 @@ class TestValidationAndSupport:
         assert protocol_support(SawtoothBackoff()) is None
         assert protocol_support(FullSensingMultiplicativeWeights()) is None
 
-    def test_subclass_of_supported_protocol_is_rejected(self):
-        class Tweaked(BinaryExponentialBackoff):
-            pass
+    # The kernel tables are the registry: every key vectorizes and builds
+    # its kernel, and a bare subclass of any key falls back, named.
+    def test_examples_cover_exactly_the_kernel_tables(self):
+        assert set(PROTOCOL_EXAMPLES) == set(PROTOCOL_KERNELS)
+        assert set(ARRIVAL_EXAMPLES) == set(ARRIVAL_KERNELS)
+        assert set(JAMMER_EXAMPLES) == set(JAMMER_KERNELS)
 
-        assert protocol_support(Tweaked()) is not None
+    @pytest.mark.parametrize("cls", PROTOCOL_EXAMPLES, ids=lambda cls: cls.__name__)
+    def test_subclass_of_supported_protocol_is_rejected(self, cls):
+        adversary = CompositeAdversary(BatchArrivals(2), NoJamming())
+        protocol = cls(*PROTOCOL_EXAMPLES[cls])
+        assert _placement_reason(protocol, adversary) is None
+        assert make_protocol_row_kernel([(protocol, 2)], 4).replications == 2
+        bare = _bare_subclass(cls)(*PROTOCOL_EXAMPLES[cls])
+        reason = _placement_reason(bare, adversary)
+        assert reason is not None and f"Bare{cls.__name__}" in reason
+        with pytest.raises(TypeError, match=f"Bare{cls.__name__}"):
+            make_protocol_row_kernel([(bare, 2)], 4)
 
-    def test_adversary_support(self):
-        assert adversary_support(CompositeAdversary(BatchArrivals(1), NoJamming())) is None
-        # Feedback-coupled jammers vectorize via the lockstep feedback loop.
-        from repro.adversary.jamming import ReactiveSuccessJammer
-
-        assert (
-            adversary_support(
-                CompositeAdversary(BatchArrivals(1), ReactiveSuccessJammer(budget=1))
-            )
-            is None
+    @pytest.mark.parametrize("table, cls, args", COMPONENT_EXAMPLES)
+    def test_adversary_support(self, table, cls, args):
+        component = cls(*args)
+        assert adversary_support(_adversary_with(table, component)) is None
+        if table is ARRIVAL_KERNELS:
+            assert make_arrivals_kernel(component, 2).replications == 2
+        else:
+            assert make_row_jammer_kernel([(component, 2)]).replications == 2
+        bare = _bare_subclass(cls)(*args)
+        reason = _placement_reason(
+            BinaryExponentialBackoff(), _adversary_with(table, bare)
         )
-
-        class CustomJammer(NoJamming):
-            pass
-
-        reason = adversary_support(
-            CompositeAdversary(BatchArrivals(1), CustomJammer())
-        )
-        assert reason is not None and "no vector kernel" in reason
+        assert reason is not None and f"Bare{cls.__name__}" in reason
 
     def test_from_specs_rejects_heterogeneous_batches(self):
         from repro.experiments.plan import RunSpec, factory
@@ -350,7 +429,7 @@ class TestValidationAndSupport:
             RunSpec(protocol=BinaryExponentialBackoff(), adversary=adversary, seed=1),
             RunSpec(protocol=PolynomialBackoff(), adversary=adversary, seed=2),
         ]
-        with pytest.raises(ValueError, match="one configuration"):
+        with pytest.raises(ValueError, match="protocol class"):
             VectorSimulator.from_specs(mixed)
 
     def test_trace_and_potential_vectorize_but_exclude_mega_batching(self):

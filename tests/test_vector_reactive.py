@@ -349,7 +349,9 @@ class TestMegaStackBitIdentity:
             )
             for budget in (5, 9)
         ]
-        mega = VectorSimulator.from_spec_groups(groups).run()
+        mega = VectorSimulator.from_specs(
+            [spec for specs in groups for spec in specs]
+        ).run()
         flat = iter(mega)
         for specs in groups:
             for expected in VectorSimulator.from_specs(specs).run():
