@@ -11,7 +11,10 @@ whether any packet is active.  Both reduce to per-slot ``(replications,)``
 array operations against state the engine already tracks (budget counters,
 the pre-injection backlog), mirroring the scalar semantics exactly: the
 decision for slot ``t`` sees the state at the end of slot ``t − 1``, and a
-budget unit is spent only when a jam actually happens.
+budget unit is spent only when a jam actually happens.  A decision may be
+asked for one slot of every row, for each row's own slot, or for a block of
+each row's slots at once (an idle stretch); a row's budget is spent in its
+own slot order either way, so the decisions are the same.
 
 State-coupled adversaries close a **lockstep feedback loop** with the
 engine instead of precomputing anything:
@@ -426,12 +429,19 @@ class VectorJammer(abc.ABC):
         """
 
     @abc.abstractmethod
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
-        """Jamming decisions ``(R,)`` for ``slot``; spends the budget.
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
+        """Jamming decisions for ``slot``; spends the budget.
 
-        ``backlog_pre`` is the backlog *before* this slot's injections (the
-        state an adaptive jammer sees); ``running`` masks replications whose
-        execution already ended, which therefore make no decisions at all.
+        ``slot`` is one slot for every row (an int) or per-row slots: an
+        ``(R,)`` array, or an ``(L, R)`` block whose column ``r`` lists row
+        ``r``'s slots in increasing order.  ``backlog_pre`` is the backlog
+        *before* the slot's injections (the state an adaptive jammer sees);
+        ``running``, ``(R,)`` or ``(L, R)``, masks the row-slots that take
+        no decision at all (ended replications, padding), whatever their
+        slot value.  Decisions take the broadcast shape of ``slot`` and
+        ``running``; an all-False answer may come back as ``(R,)``.
         """
 
     def set_contention(self, contention: np.ndarray) -> None:
@@ -466,6 +476,13 @@ class VectorJammer(abc.ABC):
         return self._used.copy()
 
     def _apply_budget(self, decisions: np.ndarray) -> np.ndarray:
+        if decisions.ndim == 2:
+            # A block of slots per row: the k-th jam of a row down axis 0 is
+            # granted exactly when k more jams still fit its budget.
+            if self._budget is not None:
+                decisions &= decisions.cumsum(axis=0) + self._used <= self._budget
+            self._used += decisions.sum(axis=0)
+            return decisions
         if self._budget is not None:
             decisions &= self._used < self._budget
         self._used += decisions
@@ -475,7 +492,9 @@ class VectorJammer(abc.ABC):
 class NoJammingVector(VectorJammer):
     never_jams = True
 
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
         return self._false
 
 
@@ -485,10 +504,12 @@ class PeriodicJammingVector(VectorJammer):
         self._period = _jam_param(pairs, lambda j: j.period)
         self._offset = _jam_param(pairs, lambda j: j.offset)
 
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
-        if not isinstance(self._period, np.ndarray) and not isinstance(
-            self._offset, np.ndarray
-        ):
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
+        if isinstance(slot, int) and not isinstance(
+            self._period, np.ndarray
+        ) and not isinstance(self._offset, np.ndarray):
             if slot < self._offset or (slot - self._offset) % self._period != 0:
                 return self._false
             return self._apply_budget(running.copy())
@@ -507,8 +528,10 @@ class BurstJammingVector(VectorJammer):
         self._length = _jam_param(pairs, lambda j: j.length)
         self._period = _jam_param(pairs, lambda j: j.period, none_as=0)
 
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
-        uniform = not any(
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
+        uniform = isinstance(slot, int) and not any(
             isinstance(param, np.ndarray)
             for param in (self._start, self._length, self._period)
         )
@@ -534,11 +557,16 @@ class BurstJammingVector(VectorJammer):
         return self._apply_budget(running & in_burst)
 
 
-class BernoulliJammingVector(VectorJammer):
+class _PreDrawnJammer(VectorJammer):
+    """A jammer whose per-slot coins are drawn a chunk ahead, per row.
+
+    Uniforms come from the per-replication adversary generators (a different
+    stream than the scalar ``random.Random`` — the statistical contract).
+    """
+
     def __init__(self, pairs: JammerRows) -> None:
         super().__init__(pairs)
-        self._probability = _jam_param(pairs, lambda j: j.probability)
-        self._only_active = _jam_param(pairs, lambda j: j.only_active)
+        self._rows = np.arange(self.replications)
         self._chunk_start = 0
         self._uniforms: np.ndarray | None = None
 
@@ -556,10 +584,27 @@ class BernoulliJammingVector(VectorJammer):
                 self._uniforms[index] = generator.random(count)
         self._chunk_start = start
 
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
-        assert self._uniforms is not None, "begin_chunk must precede jam"
-        draws = self._uniforms[:, slot - self._chunk_start] < self._probability
-        decisions = draws & running
+    def _draws(self, slot) -> np.ndarray:
+        """Each row's uniform at ``slot``; masked slots off the chunk read a
+        clipped neighbour."""
+        uniforms = self._uniforms
+        assert uniforms is not None, "begin_chunk must precede jam"
+        if isinstance(slot, int):
+            return uniforms[:, slot - self._chunk_start]
+        columns = np.clip(slot - self._chunk_start, 0, uniforms.shape[1] - 1)
+        return uniforms[self._rows, columns]
+
+
+class BernoulliJammingVector(_PreDrawnJammer):
+    def __init__(self, pairs: JammerRows) -> None:
+        super().__init__(pairs)
+        self._probability = _jam_param(pairs, lambda j: j.probability)
+        self._only_active = _jam_param(pairs, lambda j: j.only_active)
+
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
+        decisions = (self._draws(slot) < self._probability) & running
         if isinstance(self._only_active, np.ndarray):
             decisions &= (backlog_pre > 0) | ~self._only_active
         elif self._only_active:
@@ -567,44 +612,27 @@ class BernoulliJammingVector(VectorJammer):
         return self._apply_budget(decisions)
 
 
-class BudgetedRandomJammingVector(VectorJammer):
+class BudgetedRandomJammingVector(_PreDrawnJammer):
     """Spend a jamming budget uniformly at random before ``horizon``.
 
-    Like :class:`BernoulliJammingVector`, uniforms are pre-drawn per chunk
-    from the per-replication adversary generators (a different stream than
-    the scalar ``random.Random`` — the statistical contract); the jam
-    probability per row is ``budget / horizon``, gated on the horizon and
-    the budget counter.
+    Like :class:`BernoulliJammingVector`, uniforms are pre-drawn per chunk;
+    the jam probability per row is ``budget / horizon``, gated on the
+    horizon and the budget counter.
     """
 
     def __init__(self, pairs: JammerRows) -> None:
         super().__init__(pairs)
         self._horizon = _jam_param(pairs, lambda j: j.horizon)
         self._probability = _jam_param(pairs, lambda j: (j.budget or 0) / j.horizon)
-        self._chunk_start = 0
-        self._uniforms: np.ndarray | None = None
 
-    def begin_chunk(
-        self,
-        start: int,
-        count: int,
-        streams: VectorStreams,
-        running: np.ndarray | None = None,
-    ) -> None:
-        if self._uniforms is None or self._uniforms.shape[1] != count:
-            self._uniforms = np.empty((self.replications, count), dtype=np.float64)
-        for index, generator in enumerate(streams.adversary_generators):
-            if running is None or running[index]:
-                self._uniforms[index] = generator.random(count)
-        self._chunk_start = start
-
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
-        if not isinstance(self._horizon, np.ndarray) and slot >= self._horizon:
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
+        per_slot = isinstance(slot, int) and not isinstance(self._horizon, np.ndarray)
+        if per_slot and slot >= self._horizon:
             return self._false
-        assert self._uniforms is not None, "begin_chunk must precede jam"
-        draws = self._uniforms[:, slot - self._chunk_start] < self._probability
-        decisions = draws & running
-        if isinstance(self._horizon, np.ndarray):
+        decisions = (self._draws(slot) < self._probability) & running
+        if not per_slot:
             decisions &= slot < self._horizon
         return self._apply_budget(decisions)
 
@@ -639,7 +667,9 @@ class AdaptiveContentionJammerVector(VectorJammer):
     def set_contention(self, contention: np.ndarray) -> None:
         self._contention = contention
 
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
         contention = self._contention
         assert contention is not None, "set_contention must precede jam"
         regime = self._regime
@@ -686,7 +716,9 @@ class ReactiveTargetedJammerVector(VectorJammer):
         super().__init__(pairs)
         self._target = _jam_param(pairs, lambda j: j.target_index)
 
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
         return self._false
 
     def reactive_jam(
@@ -717,7 +749,9 @@ class ReactiveSuccessJammerVector(VectorJammer):
 
     reactive = True
 
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
         return self._false
 
     def reactive_jam(
@@ -751,7 +785,9 @@ class BacklogCouplingJammingVector(VectorJammer):
         if not bool(np.any(np.asarray(budget))):
             self.never_jams = True
 
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
         if self.never_jams:
             return self._false
         decisions = running & (backlog_pre == 1)
@@ -781,6 +817,11 @@ class ScheduledJammingVector(VectorJammer):
             for phase in self._schedule.phases
         ]
         self.never_jams = all(kernel.never_jams for kernel in self._kernels)
+        self.needs_contention = any(kernel.needs_contention for kernel in self._kernels)
+        self._bounds = [
+            (self._schedule.start_of(index), self._schedule.end_of(index))
+            for index in range(len(self._kernels))
+        ]
 
     def begin_chunk(
         self,
@@ -792,12 +833,28 @@ class ScheduledJammingVector(VectorJammer):
         for index, local_start, _offset, length in self._schedule.segments(start, count):
             self._kernels[index].begin_chunk(local_start, length, streams, running)
 
-    def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
-        located = self._schedule.phase_at(slot)
-        if located is None:
-            return self._false
-        index, local_slot = located
-        return self._kernels[index].jam(local_slot, backlog_pre, running)
+    def set_contention(self, contention: np.ndarray) -> None:
+        for kernel in self._kernels:
+            kernel.set_contention(contention)
+
+    def jam(
+        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
+        if isinstance(slot, int):
+            located = self._schedule.phase_at(slot)
+            if located is None:
+                return self._false
+            index, local_slot = located
+            return self._kernels[index].jam(local_slot, backlog_pre, running)
+        # Per-row slots: each phase decides the row-slots inside it.
+        decisions = np.zeros(np.broadcast(slot, running).shape, dtype=bool)
+        for kernel, (start, end) in zip(self._kernels, self._bounds):
+            inside = running & (slot >= start)
+            if end is not None:
+                inside &= slot < end
+            if inside.any():
+                decisions |= kernel.jam(slot - start, backlog_pre, inside)
+        return decisions
 
     def jams_used(self) -> np.ndarray:
         used = np.zeros(self.replications, dtype=np.int64)

@@ -1,14 +1,14 @@
-"""The lockstep batch simulation engine.
+"""The batch simulation engine.
 
 :class:`VectorSimulator` runs *every replication of one configuration at
 once*: packet protocol state, send decisions, channel resolution, ternary
 feedback, and metric accumulation are all held as ``(replications ×
-packets)`` numpy arrays, and one pass over the slot loop advances the whole
-batch.  The per-slot cost is a fixed number of array operations, so the
-interpreter overhead that dominates the scalar engine is paid once per slot
+packets)`` numpy arrays, and one pass of a loop advances the whole batch.
+The per-pass cost is a fixed number of array operations, so the
+interpreter overhead that dominates the scalar engine is paid once per pass
 instead of once per packet per replication.
 
-Two decision paths share the loop:
+Two decision paths share the slot body:
 
 * **access-driven kernels** (LOW-SENSING, decoupled LSB, BEB, polynomial,
   fixed-probability/ALOHA) change a packet's state only when it accesses
@@ -16,12 +16,11 @@ Two decision paths share the loop:
   Geometric(access probability) gap ahead (:class:`_AccessCalendar`).  A
   slot touches only the packets due: one coin each splits send from listen
   (listening kernels), the ternary feedback of their replication's channel
-  updates their state, and a second coin draws their next gap.  Lockstep
-  stretches in which no running replication has a due access or an arrival
-  change no state, so they are recorded in bulk, up to the next due
-  access and never across a ``CHUNK_SLOTS`` boundary, with each slot's jam
-  decision taken from the jammer kernel exactly as stepping would.  Cost
-  follows channel accesses, not packets × slots;
+  updates their state, and a second coin draws their next gap.  Stretches
+  in which a row has no due access or arrival change none of its state, so
+  they are recorded in bulk, never across a ``CHUNK_SLOTS`` boundary, with
+  each slot's jam decision taken from the jammer kernel exactly as
+  stepping would.  Cost follows channel accesses, not packets × slots;
 * **dense kernels** (Sawtooth, full-sensing MW) advance state every slot —
   Sawtooth's clock ticks while a packet sleeps, and MW listens every slot —
   so every active packet takes one coin a slot, scattered into a coin
@@ -35,23 +34,42 @@ Both paths hand the rest of the slot its senders as (row, packet) index
 arrays, which channel resolution, the reactive jammer kernels, and the
 trace read.  Per-packet listen counters feed the energy metrics.
 
+Two loops drive the slot body (:class:`_Batch`), and one predicate,
+:func:`steps_rows`, picks between them:
+
+* the **lockstep** loop steps the union of every row's event slots: each
+  pass resolves one slot of every running row, or records a stretch in
+  which no row has an event in bulk.  It serves every batch;
+* the **row** loop moves each running row to its own next event — its next
+  due access, its next arrival, arrival exhaustion, or the chunk end — per
+  pass: it records the row's idle stretch in bulk and resolves the row's
+  event slot, so a pass costs the busiest row's events, not the union's.
+  Rows still enter each ``CHUNK_SLOTS`` chunk together, so arrival chunks
+  and adversary draws are consumed as in lockstep.  It serves the
+  send-only access-driven kernels (BEB, polynomial, fixed-probability)
+  under oblivious arrivals and jammers without trace, Φ or dynamics
+  collection; whatever reads the whole batch's per-slot state (listening
+  or dense kernels, reactive and adaptive jammers, coupled arrivals, the
+  collected outputs) stays in lockstep.
+
 A replication consumes its packet stream only through its own events, in
 packet-id order within a slot (:class:`~repro.sim.vector.rng.RowCoins`),
-and its adversary stream per fixed ``CHUNK_SLOTS`` chunk while it runs, so
-every result is a function of (spec, seed) alone: bit-identical run alone,
-in its group, in a resized group, or inside a mega-batch, whatever the
-batch's packet capacity, and however many of its idle slots the batch
-skipped.
+and its adversary stream per fixed ``CHUNK_SLOTS`` chunk while it runs, and
+it spends a jamming budget in its own slot order, so every result is a
+function of (spec, seed) alone: bit-identical run alone, in its group, in a
+resized group, or inside a mega-batch, whatever the batch's packet
+capacity, however many of its idle slots the batch skipped, and whichever
+loop ran it.
 
 The engine also runs **mega-batches**: :meth:`VectorSimulator.from_specs`
 takes the specs of several configurations that share one batch key (one
 protocol/arrival/jammer kernel family and one set of engine options; see
 :func:`~repro.sim.vector.support.placement`) and stacks them into a
-single ragged lockstep batch, parameters promoted to per-row arrays.  Each
+single ragged batch, parameters promoted to per-row arrays.  Each
 configuration keeps its own *segment* — its own arrival schedule — and,
 like any row, consumes exactly the random streams it would consume in a
 standalone batch, so mega-batched results are **bit-identical** to
-per-group vector execution (enforced by tests).  Only the per-slot Python
+per-group vector execution (enforced by tests).  Only the per-pass Python
 dispatch is shared, which is where the speedup lives.
 
 The engine reproduces the scalar engine's slot semantics exactly (same
@@ -216,15 +234,18 @@ class _SlotRecorder:
     The base buffers feed metric finalisation; the optional trace buffers
     (per-slot winner column and pre-injection contention) and potential
     buffers (H, L, Σ1/w, Φ) are only allocated when the batch collects the
-    corresponding vectorized outputs.
+    corresponding vectorized outputs.  Buffers start at an idle slot's
+    values (empty, unjammed, no arrivals, no senders) and every row-slot is
+    written at most once, so an idle slot needs no write unless it is
+    jammed.  Backlogs and jam flags are derived (:func:`_backlogs`,
+    ``outcome == 3``), not stored.  One spare row past the slots takes the
+    writes of per-row slot ``-1`` (rows not resolving a slot), and is never
+    read.
     """
 
     _BASE_FIELDS = (
         ("outcome", np.int8, 0),
-        ("jammed", bool, False),
         ("arrivals", np.int32, 0),
-        ("active_before", np.int32, 0),
-        ("active_after", np.int32, 0),
         ("num_senders", np.int32, 0),
     )
     _TRACE_FIELDS = (
@@ -247,6 +268,7 @@ class _SlotRecorder:
         potential: bool = False,
     ) -> None:
         self._replications = replications
+        self._rows = np.arange(replications)
         self._capacity = max(1, initial_slots)
         self._fields = list(self._BASE_FIELDS)
         if trace:
@@ -257,60 +279,38 @@ class _SlotRecorder:
             setattr(self, name, self._alloc(self._capacity, dtype, fill))
 
     def _alloc(self, capacity: int, dtype, fill) -> np.ndarray:
-        buffer = np.full((capacity, self._replications), fill, dtype=dtype)
-        return buffer
+        return np.full((capacity + 1, self._replications), fill, dtype=dtype)
 
-    def _grow(self, needed: int) -> None:
-        new_capacity = max(needed, self._capacity * 2)
+    def reserve(self, stop: int) -> None:
+        """Make room for slots ``0 .. stop-1``."""
+        if stop <= self._capacity:
+            return
+        new_capacity = max(stop, self._capacity * 2)
         for name, dtype, fill in self._fields:
             old = getattr(self, name)
             grown = self._alloc(new_capacity, dtype, fill)
-            grown[: self._capacity] = old
+            grown[: self._capacity] = old[: self._capacity]
             setattr(self, name, grown)
         self._capacity = new_capacity
 
-    def _ensure(self, stop: int) -> None:
-        if stop > self._capacity:
-            self._grow(stop)
-
     def record(
         self,
-        slot: int,
+        slot: int | np.ndarray,
         outcome: np.ndarray,
-        jammed: np.ndarray,
-        arrivals: np.ndarray,
-        active_before: np.ndarray,
-        active_after: np.ndarray,
+        arrivals: np.ndarray | None,
         num_senders: np.ndarray,
     ) -> None:
-        self._ensure(slot + 1)
+        """One resolved slot of every row, or each row's own ``slot[row]``."""
+        if not isinstance(slot, int):
+            slot = (slot, self._rows)
         self.outcome[slot] = outcome
-        self.jammed[slot] = jammed
-        self.arrivals[slot] = arrivals
-        self.active_before[slot] = active_before
-        self.active_after[slot] = active_after
         self.num_senders[slot] = num_senders
+        if arrivals is not None:
+            self.arrivals[slot] = arrivals
 
-    def record_idle(
-        self, start: int, stop: int, jammed: np.ndarray | None, backlog: np.ndarray
-    ) -> None:
-        """Slots ``start .. stop-1``, in which no row accessed or injected.
-
-        ``jammed`` is the ``(stop - start, R)`` jam decisions, ``None`` for
-        a jammer that never jams.
-        """
-        self._ensure(stop)
-        span = slice(start, stop)
-        if jammed is None:
-            self.outcome[span] = 0
-            self.jammed[span] = False
-        else:
-            self.outcome[span] = np.where(jammed, 3, 0)
-            self.jammed[span] = jammed
-        self.arrivals[span] = 0
-        self.active_before[span] = backlog
-        self.active_after[span] = backlog
-        self.num_senders[span] = 0
+    def record_jams(self, slots: np.ndarray | int, rows: np.ndarray) -> None:
+        """Jammed idle row-slots."""
+        self.outcome[slots, rows] = 3
 
     def record_trace(
         self, slot: int | slice, winner: np.ndarray | int, contention: np.ndarray
@@ -331,6 +331,23 @@ class _SlotRecorder:
         self.l_term[slot] = l_term
         self.inverse_window_sum[slot] = inverse_window_sum
         self.potential[slot] = potential
+
+
+def _backlogs(arrivals: np.ndarray, outcome: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row's backlog per slot, after injection and after the slot.
+
+    Every success is a departure, so the backlog after slot ``s`` is the
+    arrivals through ``s`` less the successes through ``s`` — exact
+    integers from two cumulative sums.
+    """
+    successes = outcome == 1
+    after = np.cumsum(arrivals) - np.cumsum(successes)
+    return after + successes, after
+
+
+def _row_slots(slot: int | np.ndarray, rows: np.ndarray) -> int | np.ndarray:
+    """The slot of each listed row: one for all (lockstep), or per row."""
+    return slot if isinstance(slot, int) else slot[rows]
 
 
 #: A batch's engine options: max_slots, stop_when_drained, collect_trace,
@@ -372,6 +389,7 @@ class _AccessCalendar:
     first gap (a first access may fall in the arrival slot), then per
     accessor a send-vs-listen coin (listening kernels only) and the coin of
     its next gap, drawn before the channel resolves — a winner's is unused.
+    A ``slot`` is one slot for every row, or each row's own slot.
     """
 
     def __init__(
@@ -394,7 +412,11 @@ class _AccessCalendar:
         self.next_access = grown
 
     def arrive(
-        self, cells: np.ndarray, rows: np.ndarray, counts: np.ndarray, slot: int
+        self,
+        cells: np.ndarray,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        slot: int | np.ndarray,
     ) -> None:
         """Schedule the first access of packets injected at ``slot``."""
         # A first gap counts from ``slot - 1``: the capped gap is one slot
@@ -404,14 +426,24 @@ class _AccessCalendar:
             self.kernel.access_probability(cells, rows),
             self.horizon + 1,
         )
-        _flat(self.next_access)[cells] = gaps + (slot - 1)
+        _flat(self.next_access)[cells] = gaps + (_row_slots(slot, rows) - 1)
 
-    def due(self, slot: int) -> np.ndarray:
-        """Cells accessing at ``slot``, row by row in packet-id order."""
+    def due(self, slot: int | np.ndarray) -> np.ndarray:
+        """Cells accessing at ``slot``, row by row in packet-id order.
+
+        Per-row slots match only their own row; a negative one matches
+        nothing.
+        """
+        if not isinstance(slot, int):
+            slot = slot[:, None]
         return np.flatnonzero(self.next_access == slot)
 
     def next_due(self) -> int:
         return int(self.next_access.min())
+
+    def next_due_rows(self) -> np.ndarray:
+        """Each row's next access slot (``_NEVER`` for a row with none)."""
+        return self.next_access.min(axis=1)
 
     def decide(
         self, cells: np.ndarray, rows: np.ndarray
@@ -433,7 +465,7 @@ class _AccessCalendar:
         won: np.ndarray,
         empty: np.ndarray,
         noise: np.ndarray,
-        slot: int,
+        slot: int | np.ndarray,
     ) -> None:
         """Feedback and next gaps for the accessors; winners leave."""
         next_access = _flat(self.next_access)
@@ -447,7 +479,7 @@ class _AccessCalendar:
         gaps = geometric_gaps(
             gap_coins, self.kernel.access_probability(cells, rows), self.horizon
         )
-        next_access[cells] = gaps + slot
+        next_access[cells] = gaps + _row_slots(slot, rows)
 
 
 class _Segment:
@@ -468,8 +500,690 @@ class _Segment:
         self.live = True
 
 
+def steps_rows(
+    kernel: Any, jammer: Any, arrivals: Sequence[Any], options: _Options
+) -> bool:
+    """Whether a batch runs the row loop rather than lockstep.
+
+    A row steps alone when nothing it does reads another row's slot: an
+    access-driven send-only kernel (a packet's state changes only at its
+    own sends), oblivious arrival schedules, a jammer that is neither
+    reactive nor adaptive, and no trace, Φ or dynamics collection, which
+    sample the whole batch slot by slot.  Results are the same either way;
+    the row loop pays only where a batch's rows have their events in
+    different slots.
+    """
+    _, _, collect_trace, collect_potential, _, dynamics_window = options
+    return (
+        kernel.access_driven
+        and not kernel.listens
+        and not any(schedule.coupled for schedule in arrivals)
+        and not (jammer.reactive or jammer.needs_contention)
+        and not (collect_trace or collect_potential or dynamics_window)
+    )
+
+
+class _Batch:
+    """One batch's kernels and per-packet arrays, and the loops that run it.
+
+    :meth:`resolve` is the one slot body (inject, decide, channel,
+    departures, feedback, record) and :meth:`jam_idle` records the jams of
+    idle stretches; each takes one slot for every row or each row's own
+    slot.  :meth:`lockstep` and :meth:`row_steps` drive them, and
+    :attr:`stepping` names the loop :meth:`run` picks.
+    """
+
+    def __init__(self, groups: list[_GroupConfig], options: _Options) -> None:
+        (
+            max_slots,
+            self.stop_when_drained,
+            self.collect_trace,
+            self.collect_potential,
+            self.coefficients,
+            self.dynamics_window,
+        ) = options
+        self.max_slots = max_slots
+        seeds = [seed for group in groups for seed in group.seeds]
+        replications = self.replications = len(seeds)
+        streams = self.streams = VectorStreams(seeds)
+
+        self.segments: list[_Segment] = []
+        # The packet columns: enough for every arrival a bounded schedule
+        # can make, grown by doubling otherwise.  No result depends on it.
+        capacity = 1
+        start = 0
+        for group in groups:
+            stop = start + len(group.seeds)
+            arrivals = make_arrivals_kernel(group.arrival_process, len(group.seeds))
+            bound = arrivals.capacity_bound()
+            capacity = max(capacity, bound if bound is not None else 64)
+            self.segments.append(
+                _Segment(slice(start, stop), streams.slice(start, stop), arrivals, max_slots)
+            )
+            start = stop
+        self.capacity = capacity
+        self.multi = len(self.segments) > 1
+
+        kernel = self.kernel = make_protocol_row_kernel(
+            [(group.protocol, len(group.seeds)) for group in groups], capacity
+        )
+        jammer = self.jammer = make_row_jammer_kernel(
+            [(group.jammer, len(group.seeds)) for group in groups]
+        )
+        self.packet_coins = RowCoins(streams.packet_generators)
+        self.calendar: _AccessCalendar | None = None
+        if kernel.access_driven:
+            self.calendar = _AccessCalendar(
+                kernel, self.packet_coins, replications, capacity, max_slots
+            )
+        self.track_listens = kernel.listens
+        self.reactive = jammer.reactive
+        self.needs_contention = jammer.needs_contention
+        self.never_jams = jammer.never_jams
+        # Pre-injection contention is computed when an adaptive jammer (or
+        # the trace) consumes it, mirroring the scalar engine's
+        # _track_contention gating.
+        self.want_contention = self.needs_contention or self.collect_trace
+        self.contention_pre: np.ndarray | None = None
+        # A backlog-coupled group runs alone: its batch key is its group key.
+        first = self.segments[0].arrivals
+        self.coupled = first if first.coupled else None
+        self.stepping = (
+            "rows"
+            if steps_rows(kernel, jammer, [seg.arrivals for seg in self.segments], options)
+            else "lockstep"
+        )
+
+        self.row_ids = np.arange(replications)
+        self.active = np.zeros((replications, capacity), dtype=bool)
+        self.arrival_slot = np.full((replications, capacity), -1, dtype=np.int64)
+        self.departure_slot = np.full((replications, capacity), -1, dtype=np.int64)
+        self.sends = np.zeros((replications, capacity), dtype=np.int64)
+        self.listens = (
+            np.zeros((replications, capacity), dtype=np.int64) if self.track_listens else None
+        )
+        if self.calendar is None:
+            self._coin_buffers(capacity)
+        self.injected = np.zeros(replications, dtype=np.int64)
+        self.backlog = np.zeros(replications, dtype=np.int64)
+        self.running = np.ones(replications, dtype=bool)
+        self.num_slots = np.full(replications, max_slots, dtype=np.int64)
+        self.recorder = _SlotRecorder(
+            replications, trace=self.collect_trace, potential=self.collect_potential
+        )
+        # Loop statistics: the rounds that resolved a slot (of one row or of
+        # all), and lockstep's bulk-recorded slots.
+        self.iterations = 0
+        self.skipped = 0
+
+        # Vectorized trace output: per-slot sender/listener index pairs
+        # (materialised into SlotRecords at finalisation).
+        self.trace_senders: list[tuple[np.ndarray, np.ndarray]] = []
+        self.trace_listeners: list[tuple[np.ndarray, np.ndarray]] = []
+        self.has_windows = self.collect_potential and kernel.window_matrix() is not None
+
+        # Windowed dynamics gauge buffers: one row per global window
+        # boundary, sampled post-step at boundary slots only — the per-slot
+        # kernel path is untouched.  Counts are recovered from the recorder
+        # at finalisation; only live gauges (probability sum, window sum,
+        # cumulative listens) need boundary snapshots.  A drained row's
+        # kernel state is frozen (empty active mask, no injections), so a
+        # later global boundary reads exactly the values the row had when
+        # it finished — no per-row boundary bookkeeping is needed.
+        self.dynamics_buffers = None
+        if self.dynamics_window:
+            count = -(-max_slots // self.dynamics_window)
+            self.dynamics_buffers = (
+                np.zeros((count, replications)),
+                np.zeros((count, replications)),
+                np.zeros((count, replications), dtype=np.int64),
+                kernel.window_matrix() is not None,
+            )
+
+        # Per-replication arrival-exhaustion mask; monotone per segment, so
+        # each segment is checked only until it flips.
+        self.exhausted_rows = np.zeros(replications, dtype=bool)
+        self.any_exhausted = False
+        self.live = replications
+        if self.stop_when_drained:
+            for seg in self.segments:
+                if seg.arrivals.exhausted(0):
+                    # Nothing will ever arrive in this segment: all of its
+                    # replications drain at slot 0.
+                    seg.exhausted = True
+                    seg.live = False
+                    self.exhausted_rows[seg.rows] = True
+                    self.num_slots[seg.rows] = 0
+                    self.running[seg.rows] = False
+                    self.any_exhausted = True
+            if self.any_exhausted:
+                self.live = int(np.count_nonzero(self.running))
+
+    def _coin_buffers(self, capacity: int) -> None:
+        """The dense kernels' per-slot coin and decision matrices."""
+        shape = (self.replications, capacity)
+        self.coin_buffer = np.empty(shape)
+        self.send_buffer = np.empty(shape, dtype=bool)
+        self.listen_buffer = np.empty(shape, dtype=bool)
+
+    def run(self) -> None:
+        if self.stepping == "rows":
+            self.row_steps()
+        else:
+            self.lockstep()
+
+    # -- Shared by both loops -------------------------------------------------
+
+    def begin_chunk(self, start: int) -> tuple[int, np.ndarray | None]:
+        """Enter the chunk at ``start``: its end and arrival counts.
+
+        Every live segment draws its arrivals for the chunk and the jammer
+        its coins for the rows still running — exactly once per chunk, in
+        either loop.  Coupled arrivals have no chunk (``None``).
+        """
+        end = min(start + CHUNK_SLOTS, self.max_slots)
+        count = end - start
+        chunk = None
+        if self.coupled is None:
+            if self.multi:
+                chunk = np.zeros((self.replications, count), dtype=np.int64)
+                for seg in self.segments:
+                    if seg.live:
+                        chunk[seg.rows] = seg.arrivals.chunk(start, count, seg.streams)
+            else:
+                seg = self.segments[0]
+                chunk = seg.arrivals.chunk(start, count, seg.streams)
+        self.jammer.begin_chunk(start, count, self.streams, self.running)
+        self.recorder.reserve(end)
+        return end, chunk
+
+    def jam_idle(
+        self, start: int | np.ndarray, stop: int | np.ndarray, mask: np.ndarray
+    ) -> None:
+        """Record the jams of idle slots ``start .. stop-1`` of ``mask``'s rows.
+
+        ``start``/``stop`` are one stretch for every row or one per row;
+        the jammer decides the whole ``(slots × rows)`` block at once, with
+        each row's constant backlog, spending budgets in slot order as
+        stepping would.
+        """
+        lengths = stop - start
+        per_row = not isinstance(lengths, int)
+        span = int(np.max(lengths, where=mask, initial=0)) if per_row else lengths
+        if span <= 0:
+            return
+        offsets = np.arange(span)[:, None]
+        if per_row:
+            inside = mask & (offsets < lengths)
+        else:
+            inside = np.broadcast_to(mask, (span, self.replications))
+        jammed = self.jammer.jam(start + offsets, self.backlog, inside)
+        if jammed.any():
+            jam_offsets, jam_rows = np.nonzero(jammed)
+            self.recorder.record_jams(
+                _row_slots(start, jam_rows) + jam_offsets, jam_rows
+            )
+
+    def _grow(self, capacity: int) -> None:
+        replications = self.replications
+        grown = (
+            np.zeros((replications, capacity), dtype=bool),
+            np.full((replications, capacity), -1, dtype=np.int64),
+            np.full((replications, capacity), -1, dtype=np.int64),
+            np.zeros((replications, capacity), dtype=np.int64),
+        )
+        for old, new in zip(
+            (self.active, self.arrival_slot, self.departure_slot, self.sends), grown
+        ):
+            new[:, : old.shape[1]] = old
+        self.active, self.arrival_slot, self.departure_slot, self.sends = grown
+        if self.listens is not None:
+            listens = np.zeros((replications, capacity), dtype=np.int64)
+            listens[:, : self.listens.shape[1]] = self.listens
+            self.listens = listens
+        self.kernel.grow(capacity)
+        if self.calendar is not None:
+            self.calendar.grow(capacity)
+        else:
+            self._coin_buffers(capacity)
+        self.capacity = capacity
+
+    def _inject(self, slot: int | np.ndarray, arriving: np.ndarray) -> None:
+        total_after = self.injected + arriving
+        needed = int(total_after.max())
+        if needed > self.capacity:
+            self._grow(max(needed, self.capacity * 2))
+        capacity = self.capacity
+        # The new packets take the next columns of their rows, in packet-id
+        # order.
+        new_rows = np.repeat(self.row_ids, arriving)
+        first = np.cumsum(arriving) - arriving
+        new_cells = (
+            new_rows * capacity
+            + np.repeat(self.injected - first, arriving)
+            + np.arange(new_rows.size)
+        )
+        _flat(self.active)[new_cells] = True
+        _flat(self.arrival_slot)[new_cells] = _row_slots(slot, new_rows)
+        self.kernel.init_packets(new_cells, new_rows)
+        if self.calendar is not None:
+            self.calendar.arrive(new_cells, new_rows, arriving, slot)
+        self.injected = total_after
+        self.backlog = self.backlog + arriving
+
+    def resolve(
+        self,
+        slot: int | np.ndarray,
+        mask: np.ndarray,
+        arriving: np.ndarray | None,
+        accessors: np.ndarray | None = None,
+    ) -> None:
+        """Resolve one slot of each row in ``mask``.
+
+        ``slot`` is the slot of every row (lockstep) or each row's own slot
+        (row stepping; ``-1`` outside the mask).  ``arriving`` counts the
+        slot's arrivals per row (``None``: none), and ``accessors`` are the
+        due cells when the caller already looked them up.
+        """
+        kernel = self.kernel
+        calendar = self.calendar
+        jammer = self.jammer
+        replications = self.replications
+        track_listens = self.track_listens
+        never_jams = self.never_jams
+        backlog_pre = self.backlog
+        if self.want_contention:
+            # Pre-injection contention with the *current* protocol state —
+            # exactly the scalar SystemView's C(t).
+            self.contention_pre = _contention(kernel, self.active)
+            if self.needs_contention:
+                jammer.set_contention(self.contention_pre)
+        if arriving is not None:
+            self._inject(slot, arriving)
+        jammed = jammer.jam(slot, backlog_pre, mask)
+
+        active = self.active
+        capacity = self.capacity
+        if calendar is not None:
+            if accessors is None:
+                accessors = calendar.due(slot)
+            access_rows = accessors // capacity
+            sent, gap_coins = calendar.decide(accessors, access_rows)
+            senders = accessors[sent]
+            send_rows = access_rows[sent]
+            send_cols = senders - send_rows * capacity
+            if track_listens:
+                listeners = accessors[~sent]
+        else:
+            # Every active packet takes its row's next coin, in packet-id
+            # order (the backlog is each row's active count); inactive
+            # cells keep stale coins, masked below.
+            backlog = self.backlog
+            self.coin_buffer[active] = self.packet_coins.take(
+                np.repeat(self.row_ids, backlog), backlog
+            )
+            kernel.decide(self.coin_buffer, self.send_buffer, self.listen_buffer)
+            send = self.send_buffer
+            send &= active
+            listen = self.listen_buffer
+            listen &= active
+            send_rows, send_cols = np.nonzero(send)
+        num_senders = np.bincount(send_rows, minlength=replications)
+        if self.reactive:
+            # Step 3 of the scalar slot order: the reactive jammer sees this
+            # slot's senders before the channel resolves.
+            jammed = jammer.reactive_jam(
+                slot, send_rows, send_cols, num_senders,
+                backlog_pre, mask, self.arrival_slot, jammed,
+            )
+        if self.collect_trace:
+            # Captured before the winner departs, so the winner is among
+            # the senders — as in the scalar SlotRecord.
+            self.trace_senders.append((send_rows, send_cols))
+            if track_listens:
+                if calendar is not None:
+                    listen_rows = listeners // capacity
+                    self.trace_listeners.append(
+                        (listen_rows, listeners - listen_rows * capacity)
+                    )
+                else:
+                    self.trace_listeners.append(np.nonzero(listen))
+        if never_jams:
+            winners = mask & (num_senders == 1)
+        else:
+            winners = mask & ~jammed & (num_senders == 1)
+        # A sender in a winning row is that row's only sender.
+        won = winners[send_rows]
+        winner_rows = send_rows[won]
+        winner_cols = send_cols[won]
+        if calendar is not None:
+            _flat(self.sends)[senders] += 1
+            if track_listens:
+                _flat(self.listens)[listeners] += 1
+        else:
+            self.sends += send
+            if self.listens is not None:
+                self.listens += listen
+        active[winner_rows, winner_cols] = False
+        self.departure_slot[winner_rows, winner_cols] = _row_slots(slot, winner_rows)
+        # Per-replication ternary feedback: what every accessor of that
+        # replication's channel heard this slot.
+        if never_jams:
+            empty_rows = num_senders == 0
+            noise_rows = num_senders > 1
+        else:
+            empty_rows = ~jammed & (num_senders == 0)
+            noise_rows = jammed | (num_senders > 1)
+        if calendar is not None:
+            calendar.settle(
+                accessors, access_rows, sent, gap_coins,
+                sent & winners[access_rows],
+                empty_rows[access_rows], noise_rows[access_rows], slot,
+            )
+        else:
+            # Winners depart without a state update; the remaining senders
+            # are the slot's losers.
+            send[winner_rows, winner_cols] = False
+            kernel.on_feedback(empty_rows, noise_rows, send, listen, active)
+        self.backlog = self.backlog - winners
+
+        outcome = (num_senders > 0).astype(np.int8)
+        outcome += outcome
+        outcome -= winners
+        if not never_jams:
+            outcome[jammed] = 3
+        recorder = self.recorder
+        recorder.record(slot, outcome, arriving, num_senders)
+        if self.collect_trace:
+            winner_column = np.full(replications, -1, dtype=np.int64)
+            winner_column[winner_rows] = winner_cols
+            recorder.record_trace(slot, winner_column, self.contention_pre)
+        if self.collect_potential:
+            recorder.record_potential(
+                slot,
+                *_potential_terms(kernel, active, self.backlog, self.coefficients),
+            )
+
+    def _finish(self, finished: np.ndarray, slot: int | np.ndarray) -> None:
+        """End the drained rows in ``finished`` at ``slot`` (one or per row)."""
+        self.num_slots[finished] = slot if isinstance(slot, int) else slot[finished]
+        self.running &= ~finished
+        self.live = int(np.count_nonzero(self.running))
+        if self.multi:
+            for seg in self.segments:
+                if seg.live and not self.running[seg.rows].any():
+                    seg.live = False
+
+    def _sample_dynamics(self, boundary: int) -> None:
+        _sample_dynamics_gauges(
+            boundary, self.kernel, self.active, self.listens, *self.dynamics_buffers
+        )
+
+    # -- The lockstep loop ----------------------------------------------------
+
+    def lockstep(self) -> None:
+        """Step the union of every row's event slots, all rows together."""
+        kernel = self.kernel
+        calendar = self.calendar
+        jammer = self.jammer
+        recorder = self.recorder
+        segments = self.segments
+        running = self.running
+        max_slots = self.max_slots
+        stop_when_drained = self.stop_when_drained
+        coupled = self.coupled
+        collect_trace = self.collect_trace
+        collect_potential = self.collect_potential
+        dynamics_window = self.dynamics_window
+        # Idle stretches are skipped where no state can change unseen: an
+        # access-driven kernel, with every arrival known a chunk ahead.
+        skip_idle = calendar is not None and coupled is None
+
+        chunk_start = 0
+        chunk_end = 0
+        arrivals_chunk: np.ndarray | None = None
+        # The chunk's slots with an arrival in some row, and the first of
+        # them not yet passed.
+        arrival_slots: list[int] = []
+        arrival_cursor = 0
+        skipped = 0
+
+        slot = 0
+        while slot < max_slots and self.live:
+            if slot >= chunk_end:
+                chunk_start = slot
+                chunk_end, arrivals_chunk = self.begin_chunk(slot)
+                if arrivals_chunk is not None:
+                    arrival_slots = (
+                        np.flatnonzero(arrivals_chunk.any(axis=0)) + chunk_start
+                    ).tolist()
+                    arrival_cursor = 0
+            while (
+                arrival_cursor < len(arrival_slots)
+                and arrival_slots[arrival_cursor] < slot
+            ):
+                arrival_cursor += 1
+            next_arrival = (
+                arrival_slots[arrival_cursor]
+                if arrival_cursor < len(arrival_slots)
+                else chunk_end
+            )
+
+            accessors = None
+            idle_end = slot
+            if skip_idle and next_arrival > slot:
+                accessors = calendar.due(slot)
+                if not accessors.size:
+                    # No running row accesses or injects before the next due
+                    # access, arrival, or (for a waiting empty row) arrival
+                    # exhaustion; next_arrival never passes the chunk end.
+                    idle_end = min(calendar.next_due(), next_arrival)
+                    if stop_when_drained:
+                        for seg in segments:
+                            if seg.live and not seg.exhausted:
+                                idle_end = min(idle_end, seg.exhaust_slot)
+
+            if idle_end > slot:
+                # Nothing changes state in the stretch: record it in bulk,
+                # with the jam decisions stepping would have made slot by
+                # slot (the backlog, and an adaptive jammer's contention,
+                # are constant throughout).
+                length = idle_end - slot
+                if self.want_contention:
+                    self.contention_pre = _contention(kernel, self.active)
+                    if self.needs_contention:
+                        jammer.set_contention(self.contention_pre)
+                if not self.never_jams:
+                    self.jam_idle(slot, idle_end, running)
+                if collect_trace:
+                    recorder.record_trace(
+                        slice(slot, idle_end), -1, self.contention_pre
+                    )
+                    self.trace_senders.extend([_NO_EVENTS] * length)
+                    if self.track_listens:
+                        self.trace_listeners.extend([_NO_EVENTS] * length)
+                if collect_potential:
+                    recorder.record_potential(
+                        slice(slot, idle_end),
+                        *_potential_terms(
+                            kernel, self.active, self.backlog, self.coefficients
+                        ),
+                    )
+                if dynamics_window:
+                    for boundary in range(
+                        slot // dynamics_window + 1, idle_end // dynamics_window + 1
+                    ):
+                        self._sample_dynamics(boundary - 1)
+                skipped += length
+                slot = idle_end
+            else:
+                if coupled is not None:
+                    arriving = coupled.arrivals_now(slot, self.backlog, running)
+                    if not arriving.any():
+                        arriving = None
+                elif next_arrival == slot:
+                    arriving = arrivals_chunk[:, slot - chunk_start] * running
+                else:
+                    arriving = None
+                self.resolve(slot, running, arriving, accessors)
+                if dynamics_window and (slot + 1) % dynamics_window == 0:
+                    # Post-step, like the scalar accumulator: feedback
+                    # applied, winners departed.
+                    self._sample_dynamics(slot // dynamics_window)
+                slot += 1
+
+            if stop_when_drained:
+                for seg in segments:
+                    if seg.live and not seg.exhausted:
+                        if seg.exhaust_slot is not None:
+                            if slot >= seg.exhaust_slot:
+                                seg.exhausted = True
+                                self.exhausted_rows[seg.rows] = True
+                                self.any_exhausted = True
+                        else:
+                            per_row = seg.arrivals.exhausted_rows(slot)
+                            if per_row.any():
+                                self.exhausted_rows[seg.rows] = per_row
+                                self.any_exhausted = True
+                                if per_row.all():
+                                    seg.exhausted = True
+                if self.any_exhausted:
+                    finished = running & self.exhausted_rows & (self.backlog == 0)
+                    if finished.any():
+                        self._finish(finished, slot)
+
+        if dynamics_window and slot % dynamics_window:
+            # The loop ended mid-window (max_slots not a multiple of the
+            # window, or every row drained): one final partial-window sample.
+            self._sample_dynamics(slot // dynamics_window)
+        self.iterations = slot - skipped
+        self.skipped = skipped
+
+    # -- The row loop ---------------------------------------------------------
+
+    def row_steps(self) -> None:
+        """Move each running row to its own next event, one per pass.
+
+        A row's event is its next due access, its next arrival, arrival
+        exhaustion (while it waits empty for it), or the chunk end; the
+        pass records the row's stretch before it in bulk and resolves the
+        event slot of every row whose event is an access or an arrival.
+        All rows enter each chunk together.
+        """
+        calendar = self.calendar
+        running = self.running
+        row_ids = self.row_ids
+        max_slots = self.max_slots
+        may_jam = not self.never_jams
+        # Each row's first exhausted slot, where an empty row ends.
+        exhaust_at = None
+        if self.stop_when_drained:
+            exhaust_at = np.empty(self.replications, dtype=np.int64)
+            for seg in self.segments:
+                exhaust_at[seg.rows] = seg.exhaust_slot
+        row_slot = np.zeros(self.replications, dtype=np.int64)
+        resolved = 0
+        chunk_start = 0
+        while chunk_start < max_slots and self.live:
+            chunk_end, arrivals_chunk = self.begin_chunk(chunk_start)
+            count = chunk_end - chunk_start
+            row_slot[:] = chunk_start
+            # Each row's first arrival slot at or after each chunk offset.
+            next_arrival = None
+            if arrivals_chunk.any():
+                columns = np.where(arrivals_chunk > 0, np.arange(count), count)
+                next_arrival = np.empty((self.replications, count + 1), dtype=np.int64)
+                next_arrival[:, :count] = np.minimum.accumulate(
+                    columns[:, ::-1], axis=1
+                )[:, ::-1]
+                next_arrival[:, count] = count
+                next_arrival += chunk_start
+            # Rows whose arrivals exhaust inside the chunk stop there once.
+            waits = None
+            if exhaust_at is not None:
+                inside = (exhaust_at > chunk_start) & (exhaust_at < chunk_end)
+                if inside.any():
+                    waits = np.where(inside, exhaust_at, chunk_end)
+            pending = running.copy()
+            while pending.any():
+                event = calendar.next_due_rows()
+                if next_arrival is not None:
+                    np.minimum(
+                        event, next_arrival[row_ids, row_slot - chunk_start], out=event
+                    )
+                if waits is None:
+                    step = pending & (event < chunk_end)
+                    stop = np.where(step, event, chunk_end)
+                else:
+                    # A due access at the exhaustion slot steps: the row is
+                    # not empty, so it cannot end there.
+                    cap = np.where(row_slot < waits, waits, chunk_end)
+                    step = pending & (event <= cap) & (event < chunk_end)
+                    stop = np.where(step, event, cap)
+                if may_jam:
+                    self.jam_idle(row_slot, stop, pending)
+                if step.any():
+                    resolved += 1
+                    arriving = None
+                    if next_arrival is not None:
+                        arriving = arrivals_chunk[
+                            row_ids, np.where(step, stop - chunk_start, 0)
+                        ] * step
+                        if not arriving.any():
+                            arriving = None
+                    self.resolve(np.where(step, stop, -1), step, arriving)
+                np.copyto(row_slot, stop + step, where=pending)
+                if exhaust_at is not None:
+                    empty = pending & (self.backlog == 0)
+                    if empty.any():
+                        finished = empty & (row_slot >= exhaust_at)
+                        if finished.any():
+                            self._finish(finished, row_slot)
+                pending = running & (row_slot < chunk_end)
+            chunk_start = chunk_end
+        self.iterations = resolved
+
+    # -- Post-loop statistics -------------------------------------------------
+
+    def stats(self) -> dict[str, int]:
+        """The hot-loop counters, all derived from post-loop state."""
+        slots_simulated = int(self.num_slots.sum())
+        stats = {
+            "kernel_invocations": self.iterations,
+            "idle_slots_skipped": self.skipped,
+            "slots_simulated": slots_simulated,
+            "channel_accesses": int(self.sends.sum())
+            + (int(self.listens.sum()) if self.listens is not None else 0),
+            # Every stepped round of a reactive/adaptive batch is one
+            # feedback-loop iteration (senders/contention handed back to the
+            # jammer).
+            "feedback_iterations": (
+                self.iterations if (self.reactive or self.needs_contention) else 0
+            ),
+            "mega_batch_segments": len(self.segments),
+            "trace_materialisations": self.replications if self.collect_trace else 0,
+            "potential_materialisations": (
+                self.replications if self.collect_potential else 0
+            ),
+            "dynamics_materialisations": (
+                self.replications if self.dynamics_window else 0
+            ),
+        }
+        if self.stepping == "rows":
+            # A row resolves exactly the slots with an arrival or a send;
+            # every other slot it simulated was recorded in bulk.
+            span = int(self.num_slots.max(initial=0))
+            recorder = self.recorder
+            events = (recorder.arrivals[:span] > 0) | (recorder.num_senders[:span] > 0)
+            events &= np.arange(span)[:, None] < self.num_slots
+            resolved = int(np.count_nonzero(events))
+            stats["row_slots_resolved"] = resolved
+            stats["row_slots_skipped"] = slots_simulated - resolved
+        return stats
+
+
 class VectorSimulator:
-    """Runs a batch of replications in lockstep.
+    """Runs a batch of replications together.
 
     Build a batch with :meth:`from_specs`, from
     :class:`~repro.experiments.plan.RunSpec` items of one or more
@@ -485,14 +1199,7 @@ class VectorSimulator:
         # each row to the position of its spec in the input.
         self._groups = groups
         self._order = order
-        (
-            self._max_slots,
-            self._stop_when_drained,
-            self._collect_trace,
-            self._collect_potential,
-            self._potential_coefficients,
-            self._dynamics_window,
-        ) = options
+        self._options = options
 
     # -- Construction ---------------------------------------------------------
 
@@ -564,18 +1271,28 @@ class VectorSimulator:
     def run(self) -> list[SimulationResult]:
         """Simulate every replication and return results in input order.
 
-        The lockstep loop (:meth:`_simulate`) and result materialisation
-        (:meth:`_finalize`) are timed as separate telemetry phases when a
-        session is active, and the hot-loop counters (kernel invocations —
-        stepped lockstep rounds —, idle slots skipped, channel accesses,
-        slots simulated, feedback iterations, trace/potential
-        materialisations) are all derived from post-loop state — nothing
-        is sampled inside the per-slot path.
+        The loop and result materialisation (:meth:`_finalize`) are timed as
+        separate telemetry phases when a session is active; the ``simulate``
+        span names the batch's protocol and its loop (``stepping="rows"`` or
+        ``"lockstep"``, see :func:`steps_rows`).  The hot-loop counters are
+        all derived from post-loop state — nothing is sampled inside the
+        per-slot path:
+
+        * ``kernel_invocations``: the loop's slot-resolution rounds — stepped
+          lockstep slots, or row-loop passes that resolved a slot;
+        * ``idle_slots_skipped`` (lockstep): slots recorded in bulk, so that
+          with the stepped rounds they cover the batch's longest run;
+        * ``row_slots_resolved`` and ``row_slots_skipped`` (row loop): the
+          row-slots resolved one by one and recorded in bulk; they sum to
+          ``slots_simulated``;
+        * ``slots_simulated``, ``channel_accesses``, ``feedback_iterations``
+          and the trace/potential/dynamics materialisations.
         """
         tele = current_telemetry()
         if not tele.enabled:
-            finalize_args, _ = self._simulate()
-            return self._finalize(*finalize_args)
+            batch = _Batch(self._groups, self._options)
+            batch.run()
+            return self._finalize(batch)
         replications = len(self._seeds)
         with tele.span(
             "simulate",
@@ -583,486 +1300,26 @@ class VectorSimulator:
             backend="vector",
             replications=replications,
             groups=self.num_groups,
-        ):
-            finalize_args, stats = self._simulate()
+            protocol=self._groups[0].protocol.name,
+        ) as span:
+            batch = _Batch(self._groups, self._options)
+            span.attrs["stepping"] = batch.stepping
+            batch.run()
         with tele.span(
             "finalize", kind="phase", backend="vector", replications=replications
         ):
-            results = self._finalize(*finalize_args)
+            results = self._finalize(batch)
         tele.counter("replications", replications, backend="vector")
-        for name, value in stats.items():
+        for name, value in batch.stats().items():
             if value:
                 tele.counter(name, value, backend="vector")
         return results
 
-    def _simulate(self):
-        """Run the lockstep loop; return (finalize args, post-loop stats)."""
-        groups = self._groups
-        max_slots = self._max_slots
-        stop_when_drained = self._stop_when_drained
-        seeds = self._seeds
-        replications = len(seeds)
-        streams = VectorStreams(seeds)
-
-        segments: list[_Segment] = []
-        # The packet columns: enough for every arrival a bounded schedule
-        # can make, grown by doubling otherwise.  No result depends on it.
-        capacity = 1
-        start = 0
-        for group in groups:
-            stop = start + len(group.seeds)
-            arrivals = make_arrivals_kernel(group.arrival_process, len(group.seeds))
-            bound = arrivals.capacity_bound()
-            capacity = max(capacity, bound if bound is not None else 64)
-            segments.append(
-                _Segment(slice(start, stop), streams.slice(start, stop), arrivals, max_slots)
-            )
-            start = stop
-        multi = len(segments) > 1
-
-        kernel = make_protocol_row_kernel(
-            [(group.protocol, len(group.seeds)) for group in groups], capacity
-        )
-        jammer = make_row_jammer_kernel(
-            [(group.jammer, len(group.seeds)) for group in groups]
-        )
-        packet_coins = RowCoins(streams.packet_generators)
-        calendar: _AccessCalendar | None = None
-        if kernel.access_driven:
-            calendar = _AccessCalendar(
-                kernel, packet_coins, replications, capacity, max_slots
-            )
-        track_listens = kernel.listens
-        reactive = jammer.reactive
-        needs_contention = jammer.needs_contention
-        collect_trace = self._collect_trace
-        collect_potential = self._collect_potential
-        # The lockstep feedback loop: pre-injection contention is computed
-        # when an adaptive jammer (or the trace) consumes it, mirroring the
-        # scalar engine's _track_contention gating.
-        want_contention = needs_contention or collect_trace
-        # A backlog-coupled group runs alone: its batch key is its group key.
-        coupled_arrivals = segments[0].arrivals if segments[0].arrivals.coupled else None
-        # Idle stretches are skipped where no state can change unseen: an
-        # access-driven kernel, with every arrival known a chunk ahead.
-        skip_idle = calendar is not None and coupled_arrivals is None
-
-        active = np.zeros((replications, capacity), dtype=bool)
-        arrival_slot = np.full((replications, capacity), -1, dtype=np.int64)
-        departure_slot = np.full((replications, capacity), -1, dtype=np.int64)
-        sends = np.zeros((replications, capacity), dtype=np.int64)
-        listens = np.zeros((replications, capacity), dtype=np.int64) if track_listens else None
-
-        injected = np.zeros(replications, dtype=np.int64)
-        backlog = np.zeros(replications, dtype=np.int64)
-        running = np.ones(replications, dtype=bool)
-        num_slots = np.full(replications, max_slots, dtype=np.int64)
-        recorder = _SlotRecorder(
-            replications, trace=collect_trace, potential=collect_potential
-        )
-
-        # Vectorized trace output: per-slot sender/listener index pairs
-        # (materialised into SlotRecords at finalisation).
-        trace_senders: list[tuple[np.ndarray, np.ndarray]] = []
-        trace_listeners: list[tuple[np.ndarray, np.ndarray]] = []
-        # Vectorized potential accumulator state.
-        has_windows = False
-        if collect_potential:
-            coeffs = self._potential_coefficients
-            has_windows = kernel.window_matrix() is not None
-
-        # Windowed dynamics gauge buffers: one row per global window
-        # boundary, sampled post-step at boundary slots only — the per-slot
-        # kernel path is untouched.  Counts are recovered from the recorder
-        # at finalisation; only live gauges (probability sum, window sum,
-        # cumulative listens) need boundary snapshots.  A drained row's
-        # kernel state is frozen (empty active mask, no injections), so a
-        # later global boundary reads exactly the values the row had when
-        # it finished — no per-row boundary bookkeeping is needed.
-        dynamics_window = self._dynamics_window
-        dyn_prob_sum = dyn_window_sum = dyn_listens = None
-        dyn_has_windows = False
-        if dynamics_window:
-            dyn_count = -(-max_slots // dynamics_window)
-            dyn_prob_sum = np.zeros((dyn_count, replications))
-            dyn_window_sum = np.zeros((dyn_count, replications))
-            dyn_listens = np.zeros((dyn_count, replications), dtype=np.int64)
-            dyn_has_windows = kernel.window_matrix() is not None
-
-        # Per-replication arrival-exhaustion mask; monotone per segment, so
-        # each segment is checked only until it flips.
-        exhausted_rows = np.zeros(replications, dtype=bool)
-        any_exhausted = False
-        live = replications
-        if stop_when_drained:
-            for seg in segments:
-                if seg.arrivals.exhausted(0):
-                    # Nothing will ever arrive in this segment: all of its
-                    # replications drain at slot 0.
-                    seg.exhausted = True
-                    seg.live = False
-                    exhausted_rows[seg.rows] = True
-                    num_slots[seg.rows] = 0
-                    running[seg.rows] = False
-                    any_exhausted = True
-            if any_exhausted:
-                live = int(np.count_nonzero(running))
-
-        chunk_start = 0
-        chunk_end = 0
-        arrivals_chunk: np.ndarray | None = None
-        # The chunk's slots with an arrival in some row, and the first of
-        # them not yet passed.
-        arrival_slots: list[int] = []
-        arrival_cursor = 0
-        no_arrivals = np.zeros(replications, dtype=np.int64)
-        if calendar is None:
-            row_ids = np.arange(replications)
-            coin_buffer = np.empty((replications, capacity))
-            send_buffer = np.empty((replications, capacity), dtype=bool)
-            listen_buffer = np.empty((replications, capacity), dtype=bool)
-        never_jams = jammer.never_jams
-        contention_pre = None
-        skipped = 0
-
-        slot = 0
-        while slot < max_slots and live:
-            if slot >= chunk_end:
-                chunk_start = slot
-                chunk_end = min(slot + CHUNK_SLOTS, max_slots)
-                count = chunk_end - chunk_start
-                if coupled_arrivals is None:
-                    if multi:
-                        arrivals_chunk = np.zeros((replications, count), dtype=np.int64)
-                        for seg in segments:
-                            if seg.live:
-                                arrivals_chunk[seg.rows] = seg.arrivals.chunk(
-                                    chunk_start, count, seg.streams
-                                )
-                    else:
-                        arrivals_chunk = segments[0].arrivals.chunk(
-                            chunk_start, count, segments[0].streams
-                        )
-                    arrival_slots = (
-                        np.flatnonzero(arrivals_chunk.any(axis=0)) + chunk_start
-                    ).tolist()
-                    arrival_cursor = 0
-                jammer.begin_chunk(chunk_start, count, streams, running)
-            while (
-                arrival_cursor < len(arrival_slots)
-                and arrival_slots[arrival_cursor] < slot
-            ):
-                arrival_cursor += 1
-            next_arrival = (
-                arrival_slots[arrival_cursor]
-                if arrival_cursor < len(arrival_slots)
-                else chunk_end
-            )
-
-            accessors = None
-            idle_end = slot
-            if skip_idle and next_arrival > slot:
-                accessors = calendar.due(slot)
-                if not accessors.size:
-                    # No running row accesses or injects before the next due
-                    # access, arrival, or (for a waiting empty row) arrival
-                    # exhaustion; next_arrival never passes the chunk end.
-                    idle_end = min(calendar.next_due(), next_arrival)
-                    if stop_when_drained:
-                        for seg in segments:
-                            if seg.live and not seg.exhausted:
-                                idle_end = min(idle_end, seg.exhaust_slot)
-
-            if idle_end > slot:
-                # Nothing changes state in the stretch: record it in bulk,
-                # with the jam decisions stepping would have made slot by
-                # slot (the backlog, and an adaptive jammer's contention,
-                # are constant throughout).
-                length = idle_end - slot
-                if want_contention:
-                    contention_pre = _contention(kernel, active)
-                    if needs_contention:
-                        jammer.set_contention(contention_pre)
-                jammed_block = None
-                if not never_jams:
-                    jammed_block = np.empty((length, replications), dtype=bool)
-                    for offset in range(length):
-                        jammed_block[offset] = jammer.jam(slot + offset, backlog, running)
-                recorder.record_idle(slot, idle_end, jammed_block, backlog)
-                if collect_trace:
-                    recorder.record_trace(slice(slot, idle_end), -1, contention_pre)
-                    trace_senders.extend([_NO_EVENTS] * length)
-                    if track_listens:
-                        trace_listeners.extend([_NO_EVENTS] * length)
-                if collect_potential:
-                    recorder.record_potential(
-                        slice(slot, idle_end),
-                        *_potential_terms(kernel, active, backlog, coeffs),
-                    )
-                if dynamics_window:
-                    for boundary in range(
-                        slot // dynamics_window + 1, idle_end // dynamics_window + 1
-                    ):
-                        _sample_dynamics_gauges(
-                            boundary - 1, kernel, active, listens,
-                            dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows,
-                        )
-                skipped += length
-                slot = idle_end
-            else:
-                backlog_pre = backlog
-                if want_contention:
-                    # Pre-injection contention with the *current* protocol
-                    # state — exactly the scalar SystemView's C(t).
-                    contention_pre = _contention(kernel, active)
-                    if needs_contention:
-                        jammer.set_contention(contention_pre)
-                if coupled_arrivals is not None:
-                    arriving = coupled_arrivals.arrivals_now(slot, backlog_pre, running)
-                    inject = bool(arriving.any())
-                elif next_arrival == slot:
-                    assert arrivals_chunk is not None
-                    arriving = arrivals_chunk[:, slot - chunk_start] * running
-                    inject = True
-                else:
-                    arriving = no_arrivals
-                    inject = False
-                if inject:
-                    total_after = injected + arriving
-                    needed = int(total_after.max())
-                    if needed > capacity:
-                        capacity = max(needed, capacity * 2)
-                        grown = (
-                            np.zeros((replications, capacity), dtype=bool),
-                            np.full((replications, capacity), -1, dtype=np.int64),
-                            np.full((replications, capacity), -1, dtype=np.int64),
-                            np.zeros((replications, capacity), dtype=np.int64),
-                        )
-                        for old, new in zip(
-                            (active, arrival_slot, departure_slot, sends), grown
-                        ):
-                            new[:, : old.shape[1]] = old
-                        active, arrival_slot, departure_slot, sends = grown
-                        if listens is not None:
-                            grown_listens = np.zeros((replications, capacity), dtype=np.int64)
-                            grown_listens[:, : listens.shape[1]] = listens
-                            listens = grown_listens
-                        kernel.grow(capacity)
-                        if calendar is not None:
-                            calendar.grow(capacity)
-                        else:
-                            coin_buffer = np.empty((replications, capacity))
-                            send_buffer = np.empty((replications, capacity), dtype=bool)
-                            listen_buffer = np.empty((replications, capacity), dtype=bool)
-                    # The new packets take the next columns of their rows,
-                    # in packet-id order.
-                    new_rows = np.repeat(np.arange(replications), arriving)
-                    first = np.cumsum(arriving) - arriving
-                    new_cells = (
-                        new_rows * capacity
-                        + np.repeat(injected - first, arriving)
-                        + np.arange(new_rows.size)
-                    )
-                    _flat(active)[new_cells] = True
-                    _flat(arrival_slot)[new_cells] = slot
-                    kernel.init_packets(new_cells, new_rows)
-                    if calendar is not None:
-                        calendar.arrive(new_cells, new_rows, arriving, slot)
-                    injected = total_after
-                    backlog = backlog + arriving
-
-                active_before = backlog
-                jammed = jammer.jam(slot, backlog_pre, running)
-
-                if calendar is not None:
-                    if accessors is None:
-                        accessors = calendar.due(slot)
-                    access_rows = accessors // capacity
-                    sent, gap_coins = calendar.decide(accessors, access_rows)
-                    senders = accessors[sent]
-                    send_rows = access_rows[sent]
-                    send_cols = senders - send_rows * capacity
-                    if track_listens:
-                        listeners = accessors[~sent]
-                else:
-                    # Every active packet takes its row's next coin, in
-                    # packet-id order (the backlog is each row's active
-                    # count); inactive cells keep stale coins, masked below.
-                    coin_buffer[active] = packet_coins.take(
-                        np.repeat(row_ids, backlog), backlog
-                    )
-                    kernel.decide(coin_buffer, send_buffer, listen_buffer)
-                    send = send_buffer
-                    send &= active
-                    listen = listen_buffer
-                    listen &= active
-                    send_rows, send_cols = np.nonzero(send)
-                num_senders = np.bincount(send_rows, minlength=replications)
-                if reactive:
-                    # Step 3 of the scalar slot order: the reactive jammer
-                    # sees this slot's senders before the channel resolves.
-                    jammed = jammer.reactive_jam(
-                        slot, send_rows, send_cols, num_senders,
-                        backlog_pre, running, arrival_slot, jammed,
-                    )
-                if collect_trace:
-                    # Captured before the winner departs, so the winner is
-                    # among the senders — as in the scalar SlotRecord.
-                    trace_senders.append((send_rows, send_cols))
-                    if track_listens:
-                        if calendar is not None:
-                            listen_rows = listeners // capacity
-                            trace_listeners.append(
-                                (listen_rows, listeners - listen_rows * capacity)
-                            )
-                        else:
-                            trace_listeners.append(np.nonzero(listen))
-                if never_jams:
-                    winners = running & (num_senders == 1)
-                else:
-                    winners = running & ~jammed & (num_senders == 1)
-                # A sender in a winning row is that row's only sender.
-                won = winners[send_rows]
-                winner_rows = send_rows[won]
-                winner_cols = send_cols[won]
-                if calendar is not None:
-                    _flat(sends)[senders] += 1
-                    if track_listens:
-                        _flat(listens)[listeners] += 1
-                else:
-                    sends += send
-                    if listens is not None:
-                        listens += listen
-                active[winner_rows, winner_cols] = False
-                departure_slot[winner_rows, winner_cols] = slot
-                # Per-replication ternary feedback: what every accessor of
-                # that replication's channel heard this slot.
-                if never_jams:
-                    empty_rows = num_senders == 0
-                    noise_rows = num_senders > 1
-                else:
-                    empty_rows = ~jammed & (num_senders == 0)
-                    noise_rows = jammed | (num_senders > 1)
-                if calendar is not None:
-                    calendar.settle(
-                        accessors, access_rows, sent, gap_coins,
-                        sent & winners[access_rows],
-                        empty_rows[access_rows], noise_rows[access_rows], slot,
-                    )
-                else:
-                    # Winners depart without a state update; the remaining
-                    # senders are the slot's losers.
-                    send[winner_rows, winner_cols] = False
-                    kernel.on_feedback(empty_rows, noise_rows, send, listen, active)
-                backlog = backlog - winners
-
-                outcome = (num_senders > 0).astype(np.int8)
-                outcome += outcome
-                outcome -= winners
-                if not never_jams:
-                    outcome[jammed] = 3
-                recorder.record(
-                    slot, outcome, jammed, arriving, active_before, backlog, num_senders
-                )
-                if collect_trace:
-                    winner_column = np.full(replications, -1, dtype=np.int64)
-                    winner_column[winner_rows] = winner_cols
-                    recorder.record_trace(slot, winner_column, contention_pre)
-                if collect_potential:
-                    recorder.record_potential(
-                        slot, *_potential_terms(kernel, active, backlog, coeffs)
-                    )
-                if dynamics_window and (slot + 1) % dynamics_window == 0:
-                    # Post-step, like the scalar accumulator: feedback
-                    # applied, winners departed.
-                    _sample_dynamics_gauges(
-                        slot // dynamics_window, kernel, active, listens,
-                        dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows,
-                    )
-                slot += 1
-
-            if stop_when_drained:
-                for seg in segments:
-                    if seg.live and not seg.exhausted:
-                        if seg.exhaust_slot is not None:
-                            if slot >= seg.exhaust_slot:
-                                seg.exhausted = True
-                                exhausted_rows[seg.rows] = True
-                                any_exhausted = True
-                        else:
-                            per_row = seg.arrivals.exhausted_rows(slot)
-                            if per_row.any():
-                                exhausted_rows[seg.rows] = per_row
-                                any_exhausted = True
-                                if per_row.all():
-                                    seg.exhausted = True
-                if any_exhausted:
-                    finished = running & exhausted_rows & (backlog == 0)
-                    if finished.any():
-                        num_slots[finished] = slot
-                        running &= ~finished
-                        live = int(np.count_nonzero(running))
-                        if multi:
-                            for seg in segments:
-                                if seg.live and not running[seg.rows].any():
-                                    seg.live = False
-
-        if dynamics_window and slot % dynamics_window:
-            # The loop ended mid-window (max_slots not a multiple of the
-            # window, or every row drained): one final partial-window sample.
-            _sample_dynamics_gauges(
-                slot // dynamics_window, kernel, active, listens,
-                dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows,
-            )
-
-        # Post-loop telemetry stats.  The batch covered `slot` lockstep
-        # slots: `skipped` of them recorded in bulk as idle stretches, the
-        # rest stepped kernel rounds.  Every stepped round of a
-        # reactive/adaptive batch is one feedback-loop iteration
-        # (senders/contention handed back to the jammer kernels).
-        stepped = int(slot) - skipped
-        stats = {
-            "kernel_invocations": stepped,
-            "idle_slots_skipped": skipped,
-            "slots_simulated": int(num_slots.sum()),
-            "channel_accesses": int(sends.sum())
-            + (int(listens.sum()) if listens is not None else 0),
-            "feedback_iterations": stepped if (reactive or needs_contention) else 0,
-            "mega_batch_segments": len(segments),
-            "trace_materialisations": replications if collect_trace else 0,
-            "potential_materialisations": replications if collect_potential else 0,
-            "dynamics_materialisations": replications if dynamics_window else 0,
-        }
-        dynamics_buffers = (
-            (dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows)
-            if dynamics_window
-            else None
-        )
-        finalize_args = (
-            recorder, num_slots, backlog, segments, injected,
-            arrival_slot, departure_slot, sends, listens,
-            trace_senders, trace_listeners, has_windows, dynamics_buffers,
-        )
-        return finalize_args, stats
-
     # -- Finalisation --------------------------------------------------------
 
-    def _finalize(
-        self,
-        recorder: _SlotRecorder,
-        num_slots: np.ndarray,
-        backlog: np.ndarray,
-        segments: list[_Segment],
-        injected: np.ndarray,
-        arrival_slot: np.ndarray,
-        departure_slot: np.ndarray,
-        sends: np.ndarray,
-        listens: np.ndarray | None,
-        trace_senders: list[tuple[np.ndarray, np.ndarray]],
-        trace_listeners: list[tuple[np.ndarray, np.ndarray]],
-        has_windows: bool,
-        dynamics_buffers: tuple | None,
-    ) -> list[SimulationResult]:
+    def _finalize(self, batch: _Batch) -> list[SimulationResult]:
+        recorder = batch.recorder
+        listens = batch.listens
         descriptions = [
             description for group in self._groups for description in group.descriptions
         ]
@@ -1070,25 +1327,27 @@ class VectorSimulator:
             group.protocol.name for group in self._groups for _ in group.seeds
         ]
         seeds = self._seeds
-        if dynamics_buffers is not None:
+        if batch.dynamics_buffers is not None:
             from repro.dynamics.trajectory import jammer_budget
         results: list[SimulationResult] = [None] * len(seeds)  # type: ignore[list-item]
-        for group, seg in zip(self._groups, segments):
+        for group, seg in zip(self._groups, batch.segments):
             group_budget = (
                 jammer_budget(group.jammer)
-                if dynamics_buffers is not None
+                if batch.dynamics_buffers is not None
                 else None
             )
             for index in range(seg.rows.start, seg.rows.stop):
-                slots = int(num_slots[index])
+                slots = int(batch.num_slots[index])
                 outcome = recorder.outcome[:slots, index]
-                jammed = recorder.jammed[:slots, index]
-                was_active = recorder.active_before[:slots, index] > 0
+                arrivals = recorder.arrivals[:slots, index]
+                jammed = outcome == 3
+                active_before, active_after = _backlogs(arrivals, outcome)
+                was_active = active_before > 0
                 jammed_active = jammed & was_active
 
                 collector = MetricsCollector()
                 collector.num_slots = slots
-                collector.num_arrivals = int(recorder.arrivals[:slots, index].sum())
+                collector.num_arrivals = int(arrivals.sum())
                 collector.num_successes = int((outcome == 1).sum())
                 collector.num_collisions = int((outcome == 2).sum())
                 collector.num_empty_active = int(((outcome == 0) & was_active).sum())
@@ -1102,14 +1361,14 @@ class VectorSimulator:
                 collector.jammed_active_slots = np.flatnonzero(jammed_active).tolist()
 
                 packets = []
-                for packet_id in range(int(injected[index])):
-                    departed_at = int(departure_slot[index, packet_id])
+                for packet_id in range(int(batch.injected[index])):
+                    departed_at = int(batch.departure_slot[index, packet_id])
                     packets.append(
                         PacketRecord(
                             packet_id=packet_id,
-                            arrival_slot=int(arrival_slot[index, packet_id]),
+                            arrival_slot=int(batch.arrival_slot[index, packet_id]),
                             departure_slot=None if departed_at < 0 else departed_at,
-                            sends=int(sends[index, packet_id]),
+                            sends=int(batch.sends[index, packet_id]),
                             listens=(
                                 int(listens[index, packet_id])
                                 if listens is not None
@@ -1119,23 +1378,19 @@ class VectorSimulator:
                     )
 
                 trace = None
-                if self._collect_trace:
+                if batch.collect_trace:
                     trace = self._materialize_trace(
-                        recorder,
-                        index,
-                        slots,
-                        trace_senders,
-                        trace_listeners,
+                        batch, index, slots, active_before, active_after
                     )
                 potential = None
-                if self._collect_potential:
+                if batch.collect_potential:
                     potential = self._materialize_potential(
-                        recorder, index, slots, has_windows
+                        batch, index, slots, active_after
                     )
                 dynamics = None
-                if dynamics_buffers is not None:
+                if batch.dynamics_buffers is not None:
                     dynamics = self._materialize_dynamics(
-                        recorder, index, slots, dynamics_buffers, group_budget
+                        batch, index, slots, active_after, group_budget
                     )
 
                 per_row_exhausted = seg.arrivals.exhausted_rows(slots)
@@ -1150,7 +1405,7 @@ class VectorSimulator:
                     protocol_name=protocol_names[index],
                     seed=seeds[index],
                     num_slots=slots,
-                    drained=bool(backlog[index] == 0) and arrivals_done,
+                    drained=bool(batch.backlog[index] == 0) and arrivals_done,
                     collector=collector,
                     packets=packets,
                     trace=trace,
@@ -1161,16 +1416,17 @@ class VectorSimulator:
 
     def _materialize_dynamics(
         self,
-        recorder: _SlotRecorder,
+        batch: _Batch,
         index: int,
         slots: int,
-        dynamics_buffers: tuple,
+        active_after: np.ndarray,
         budget: float | None,
     ):
         """Expand one row's recorder columns + gauge buffers into a trajectory.
 
         Counts come from cumulative sums of the per-slot recorder columns at
-        each window end; the gauges come from the global boundary buffers,
+        each window end, the backlog from the derived ``active_after``; the
+        gauges come from the global boundary buffers,
         whose row values are frozen once a replication drains — so every
         snapshot matches what the scalar accumulator would have sampled at
         that row's own boundaries.  The snapshots then flow through the same
@@ -1179,9 +1435,10 @@ class VectorSimulator:
         """
         from repro.dynamics.trajectory import WindowSnapshot, build_trajectory
 
-        window = self._dynamics_window
+        recorder = batch.recorder
+        window = batch.dynamics_window
         dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows = (
-            dynamics_buffers
+            batch.dynamics_buffers
         )
         snapshots = []
         if slots:
@@ -1189,9 +1446,8 @@ class VectorSimulator:
             cumulative_arrivals = np.cumsum(recorder.arrivals[:slots, index])
             cumulative_successes = np.cumsum(outcome == 1)
             cumulative_collisions = np.cumsum(outcome == 2)
-            cumulative_jammed = np.cumsum(recorder.jammed[:slots, index])
+            cumulative_jammed = np.cumsum(outcome == 3)
             cumulative_sends = np.cumsum(recorder.num_senders[:slots, index])
-            active_after = recorder.active_after[:slots, index]
             for j in range(-(-slots // window)):
                 end = min((j + 1) * window, slots) - 1
                 backlog = int(active_after[end])
@@ -1218,11 +1474,11 @@ class VectorSimulator:
 
     def _materialize_trace(
         self,
-        recorder: _SlotRecorder,
+        batch: _Batch,
         index: int,
         slots: int,
-        trace_senders: list[tuple[np.ndarray, np.ndarray]],
-        trace_listeners: list[tuple[np.ndarray, np.ndarray]],
+        active_before: np.ndarray,
+        active_after: np.ndarray,
     ) -> ExecutionTrace:
         """Expand per-slot event arrays into the scalar engine's trace form.
 
@@ -1231,15 +1487,15 @@ class VectorSimulator:
         order, which matches the scalar engine's iteration over its active
         dict.
         """
+        recorder = batch.recorder
+        trace_senders = batch.trace_senders
+        trace_listeners = batch.trace_listeners
         arrivals = recorder.arrivals[:slots, index]
         outcome = recorder.outcome[:slots, index]
-        jammed = recorder.jammed[:slots, index]
-        active_before = recorder.active_before[:slots, index]
-        active_after = recorder.active_after[:slots, index]
         winner = recorder.winner[:slots, index]
         contention = recorder.contention[:slots, index]
         potential = (
-            recorder.potential[:slots, index] if self._collect_potential else None
+            recorder.potential[:slots, index] if batch.collect_potential else None
         )
         records = []
         next_packet_id = 0
@@ -1259,7 +1515,7 @@ class VectorSimulator:
                 SlotRecord(
                     slot=s,
                     outcome=_OUTCOMES[int(outcome[s])],
-                    jammed=bool(jammed[s]),
+                    jammed=bool(outcome[s] == 3),
                     arrivals=arrival_ids,
                     senders=senders,
                     listeners=listeners,
@@ -1276,14 +1532,15 @@ class VectorSimulator:
 
     def _materialize_potential(
         self,
-        recorder: _SlotRecorder,
+        batch: _Batch,
         index: int,
         slots: int,
-        has_windows: bool,
+        active_after: np.ndarray,
     ) -> PotentialTracker:
         """Expand the vectorized Φ accumulator into a scalar tracker."""
-        tracker = PotentialTracker(self._potential_coefficients)
-        active_after = recorder.active_after[:slots, index]
+        recorder = batch.recorder
+        has_windows = batch.has_windows
+        tracker = PotentialTracker(batch.coefficients)
         h_col = recorder.h_term[:slots, index]
         l_col = recorder.l_term[:slots, index]
         inverse_col = recorder.inverse_window_sum[:slots, index]

@@ -35,6 +35,7 @@ from repro.exec.backends import ProcessPoolBackend, WorkerJobError, job_identity
 from repro.experiments.plan import RunSpec, factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.scenarios.spec import scenario_from_dict
+from repro.sim.vector import engine as vector_engine
 from repro.store import ResultsStore
 from repro.telemetry import (
     NULL_SESSION,
@@ -349,7 +350,9 @@ class TestBackendInstrumentation:
             r.num_slots for r in results
         )
 
-    def test_vector_backend_emits_batch_events_and_hot_loop_counters(self):
+    def test_vector_backend_emits_batch_events_and_hot_loop_counters(
+        self, monkeypatch
+    ):
         mem = MemorySink()
         with activated(TelemetrySession([mem])):
             results = make_backend("vector").run(_specs(3))
@@ -359,14 +362,29 @@ class TestBackendInstrumentation:
         assert mem.counter_total("slots_simulated") == sum(
             r.num_slots for r in results
         )
-        # Stepped rounds plus bulk-recorded idle slots cover the batch.
-        assert mem.counter_total("kernel_invocations") + mem.counter_total(
-            "idle_slots_skipped"
-        ) == max(r.num_slots for r in results)
+        # BEB batches step by row: resolved plus bulk-recorded row-slots
+        # cover every row's run.
+        (simulate,) = mem.spans("simulate")
+        assert simulate["attrs"]["stepping"] == "rows"
+        assert mem.counter_total("row_slots_resolved") + mem.counter_total(
+            "row_slots_skipped"
+        ) == sum(r.num_slots for r in results)
         assert mem.counter_total("channel_accesses") == sum(
             p.sends + p.listens for r in results for p in r.packets
         )
         assert mem.spans("simulate") and mem.spans("finalize")
+
+        # The same batch forced into lockstep: stepped rounds plus
+        # bulk-recorded idle slots cover the batch.
+        monkeypatch.setattr(vector_engine, "steps_rows", lambda *args: False)
+        mem = MemorySink()
+        with activated(TelemetrySession([mem])):
+            results = make_backend("vector").run(_specs(3))
+        (simulate,) = mem.spans("simulate")
+        assert simulate["attrs"]["stepping"] == "lockstep"
+        assert mem.counter_total("kernel_invocations") + mem.counter_total(
+            "idle_slots_skipped"
+        ) == max(r.num_slots for r in results)
 
     def test_vector_fallback_event_names_the_reason(self):
         from repro.adversary.arrivals import TraceArrivals

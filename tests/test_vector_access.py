@@ -15,6 +15,10 @@ records stretches without accesses or arrivals in bulk.  Four layers:
   when the batch grows its packet capacity at different slots.  Larger
   groups skip fewer idle slots than singletons, so this also shows that
   skipping changes no result;
+* **the row loop** — the send-only kernels step each row to its own next
+  event; under every oblivious arrival schedule and jammer the results
+  equal the same specs forced into lockstep (``steps_rows`` patched), and
+  they are row-local too;
 * **the gap sampler** — chi-square against Geometric(p), and its edges;
 * **the coin stream** — a row consumes exactly its stream's prefix,
   however the buffer is refilled.
@@ -35,11 +39,14 @@ from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
     AdaptiveContentionJammer,
     BernoulliJamming,
+    BudgetedRandomJamming,
+    BurstJamming,
     NoJamming,
     PeriodicJamming,
     ReactiveSuccessJammer,
     ReactiveTargetedJammer,
 )
+from repro.adversary.scheduled import ScheduledArrivals, ScheduledJamming
 from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
 from repro.experiments.plan import factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
@@ -47,7 +54,9 @@ from repro.protocols.fixed_probability import FixedProbabilityProtocol
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.polynomial_backoff import PolynomialBackoff
 from repro.protocols.sawtooth import SawtoothBackoff
+from repro.scenarios.schedule import Phase
 from repro.sim.vector import VectorSimulator
+from repro.sim.vector import engine as vector_engine
 from repro.sim.vector import rng as vector_rng
 from repro.sim.vector.rng import RowCoins, geometric_gaps
 from repro.telemetry import MemorySink, TelemetrySession, activated
@@ -65,6 +74,9 @@ DENSE = [
     pytest.param(SawtoothBackoff(), id="sawtooth"),
     pytest.param(FullSensingMultiplicativeWeights(), id="full-sensing-mw"),
 ]
+
+#: The access-driven kernels whose every access is a send: they step by row.
+SEND_ONLY = ACCESS_DRIVEN[2:]
 
 
 def packet_tuples(result):
@@ -95,20 +107,41 @@ def _scalar_adversaries():
     }
 
 
+def _stepped(specs, counter="kernel_invocations", *, lockstep=False):
+    """Run ``specs`` as one batch: ``(results, stepping, counter total)``.
+
+    ``lockstep=True`` patches the loop predicate, forcing lockstep.
+    """
+    mem = MemorySink()
+    with pytest.MonkeyPatch.context() as patch:
+        if lockstep:
+            patch.setattr(vector_engine, "steps_rows", lambda *args: False)
+        with activated(TelemetrySession([mem])):
+            results = VectorSimulator.from_specs(specs).run()
+    (span,) = mem.spans("simulate")
+    return results, span["attrs"]["stepping"], mem.counter_total(counter)
+
+
 class TestKernelsMatchScalarStateMachines:
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
     @pytest.mark.parametrize("kind", sorted(_scalar_adversaries()))
     def test_bit_identical_to_the_scalar_state_machine(self, protocol, kind):
         build = _scalar_adversaries()[kind]
+        # Send-only kernels under oblivious jammers take the row loop, so
+        # the scalar reference covers both loops.
+        listening = isinstance(protocol, LowSensingBackoff)
+        oblivious = kind in ("batch", "bursts-periodic-jam")
+        expected = "rows" if oblivious and not listening else "lockstep"
         for seed in (3, 11):
-            vector = VectorSimulator.from_specs(
+            (vector,), stepping, _ = _stepped(
                 run_specs(
                     protocol,
                     CompositeAdversary(*build()),
                     [seed],
                     max_slots=3000,
                 )
-            ).run()[0]
+            )
+            assert stepping == expected
             reference = reference_run(
                 protocol, CompositeAdversary(*build()), seed, 3000
             )
@@ -198,6 +231,12 @@ def _adversary(kind, shift=0):
             factory(PoissonArrivals, rate=0.02 + 0.01 * shift, horizon=400),
             factory(ReactiveSuccessJammer, budget=4 + shift),
         )
+    if kind == "poisson-periodic":
+        return factory(
+            CompositeAdversary,
+            factory(PoissonArrivals, rate=0.02 + 0.01 * shift, horizon=900),
+            factory(PeriodicJamming, period=7 + shift, budget=10 + shift),
+        )
     # Poisson arrivals past the engine's initial 64 packet columns: the
     # batch grows its capacity at a slot that depends on every row in it.
     arrivals = factory(PoissonArrivals, rate=0.12 + 0.01 * shift, horizon=800)
@@ -228,44 +267,38 @@ def assert_same_run(got, expected):
     assert got.dynamics == expected.dynamics
 
 
-def _idle_slots_skipped(specs):
-    mem = MemorySink()
-    with activated(TelemetrySession([mem])):
-        results = VectorSimulator.from_specs(specs).run()
-    return results, mem.counter_total("idle_slots_skipped")
-
-
-def _seed_2_in_every_context(protocol, kind):
+def _seed_2_in_every_context(protocol, kind, counter, **options):
     """Seed 2 alone, in groups of 2 and 16, and in a mega-batch.
 
-    Returns ``(alone, [the other three], idle slots skipped alone, and in
-    the group of 16)``.
+    Returns ``(alone, [the other three], the telemetry ``counter`` alone,
+    and in the group of 16)``.
     """
     adversary = _adversary(kind)
     seeds = list(range(1, 17))
-    options = dict(max_slots=3000, dynamics_window=50)
-    (alone,), alone_skipped = _idle_slots_skipped(
-        run_specs(protocol, adversary, [2], **options)
+    options = dict(max_slots=3000, **options)
+    (alone,), _, alone_count = _stepped(
+        run_specs(protocol, adversary, [2], **options), counter
     )
     grouped = VectorSimulator.from_specs(
         run_specs(protocol, adversary, seeds[:2], **options)
     ).run()[1]
-    resized, resized_skipped = _idle_slots_skipped(
-        run_specs(protocol, adversary, seeds, **options)
+    resized, _, resized_count = _stepped(
+        run_specs(protocol, adversary, seeds, **options), counter
     )
     mega = VectorSimulator.from_specs(
         run_specs(protocol, _adversary(kind, shift=4), [7, 8], **options)
         + run_specs(protocol, adversary, seeds[:2], **options)
     ).run()[3]
-    return alone, [grouped, resized[1], mega], alone_skipped, resized_skipped
+    return alone, [grouped, resized[1], mega], alone_count, resized_count
 
 
 class TestRowLocality:
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
     @pytest.mark.parametrize("kind", ["batch-bernoulli", "poisson-reactive"])
     def test_alone_grouped_resized_and_mega_batched(self, protocol, kind):
+        # The dynamics window keeps every kernel in lockstep.
         alone, others, alone_skipped, resized_skipped = _seed_2_in_every_context(
-            protocol, kind
+            protocol, kind, "idle_slots_skipped", dynamics_window=50
         )
         for other in others:
             assert_same_run(other, alone)
@@ -278,7 +311,9 @@ class TestRowLocality:
         "kind", ["batch-bernoulli", "growing-reactive", "growing-adaptive"]
     )
     def test_dense_kernels_alone_grouped_resized_and_mega_batched(self, protocol, kind):
-        alone, others, _, _ = _seed_2_in_every_context(protocol, kind)
+        alone, others, _, _ = _seed_2_in_every_context(
+            protocol, kind, "idle_slots_skipped", dynamics_window=50
+        )
         for other in others:
             assert_same_run(other, alone)
         if kind != "batch-bernoulli":
@@ -301,6 +336,180 @@ class TestRowLocality:
                 run_specs(protocol, adversary, seeds[:count], **options)
             ).run()
             assert_same_run(batch[1], alone)
+
+
+# ---------------------------------------------------------------------------
+# The row loop: each send-only row steps only its own events
+# ---------------------------------------------------------------------------
+
+
+ROW_ARRIVALS = {
+    "batch": lambda: factory(BatchArrivals, 24),
+    "poisson": lambda: factory(PoissonArrivals, rate=0.03, horizon=700),
+    "periodic-burst": lambda: factory(
+        PeriodicBurstArrivals, burst_size=5, period=150, num_bursts=4
+    ),
+    "scheduled": lambda: factory(
+        ScheduledArrivals,
+        factory(Phase, factory(BatchArrivals, 10), duration=300),
+        factory(Phase, factory(PoissonArrivals, rate=0.02, horizon=500)),
+    ),
+}
+
+ROW_JAMMERS = {
+    "none": lambda: factory(NoJamming),
+    "bernoulli": lambda: factory(BernoulliJamming, 0.1, budget=12, only_active=True),
+    "periodic": lambda: factory(PeriodicJamming, period=9, budget=15),
+    "burst": lambda: factory(BurstJamming, start=40, length=25, period=300),
+    "budgeted-random": lambda: factory(BudgetedRandomJamming, budget=20, horizon=900),
+    "scheduled": lambda: factory(
+        ScheduledJamming,
+        factory(Phase, factory(BernoulliJamming, 0.3, budget=10), duration=200),
+        factory(Phase, factory(NoJamming), duration=200),
+        factory(Phase, factory(PeriodicJamming, period=5, budget=10)),
+    ),
+}
+
+
+def assert_rows_match_lockstep(specs):
+    """The row loop ran ``specs`` in fewer passes, with lockstep's results."""
+    rows, stepping, row_passes = _stepped(specs)
+    lockstep, forced, lockstep_passes = _stepped(specs, lockstep=True)
+    assert (stepping, forced) == ("rows", "lockstep")
+    for got, expected in zip(rows, lockstep):
+        assert_same_run(got, expected)
+    assert row_passes <= lockstep_passes
+    return rows
+
+
+class TestRowLoop:
+    @pytest.mark.parametrize("protocol", SEND_ONLY)
+    @pytest.mark.parametrize("arrivals", sorted(ROW_ARRIVALS))
+    @pytest.mark.parametrize("jammer", sorted(ROW_JAMMERS))
+    def test_matches_lockstep(self, protocol, arrivals, jammer):
+        adversary = factory(
+            CompositeAdversary, ROW_ARRIVALS[arrivals](), ROW_JAMMERS[jammer]()
+        )
+        results = assert_rows_match_lockstep(
+            run_specs(protocol, adversary, [1, 2, 3], max_slots=2500)
+        )
+        assert any(result.num_delivered for result in results)
+
+    @pytest.mark.parametrize("protocol", SEND_ONLY)
+    def test_mega_batch_matches_lockstep_and_each_group(self, protocol):
+        first, second = (_adversary("batch-bernoulli", shift) for shift in (0, 4))
+        specs = run_specs(protocol, first, [1, 2], max_slots=3000) + run_specs(
+            protocol, second, [3, 4], max_slots=3000
+        )
+        mega = assert_rows_match_lockstep(specs)
+        alone = _stepped(specs[:2])[0] + _stepped(specs[2:])[0]
+        for got, expected in zip(mega, alone):
+            assert_same_run(got, expected)
+
+    def test_capacity_growth_matches_lockstep(self):
+        adversary = factory(
+            CompositeAdversary,
+            factory(PoissonArrivals, rate=0.12, horizon=800),
+            factory(BernoulliJamming, 0.05, budget=30),
+        )
+        results = assert_rows_match_lockstep(
+            run_specs(BinaryExponentialBackoff(), adversary, [1, 2, 3], max_slots=3000)
+        )
+        assert max(len(result.packets) for result in results) > 64
+
+    def test_runs_past_drain_to_an_uneven_horizon_match_lockstep(self):
+        # Without stop_when_drained every row runs to max_slots, which ends
+        # mid-chunk; the drained rows' idle stretches are still jammed.
+        adversary = factory(
+            CompositeAdversary,
+            factory(BatchArrivals, 20),
+            factory(BurstJamming, start=100, length=30, period=400),
+        )
+        results = assert_rows_match_lockstep(
+            run_specs(
+                PolynomialBackoff(),
+                adversary,
+                [1, 2, 3],
+                max_slots=1300,
+                stop_when_drained=False,
+            )
+        )
+        for result in results:
+            assert result.num_slots == 1300
+            assert result.collector.num_jammed == 3 * 30  # bursts at 100, 500 and 900
+
+    @pytest.mark.parametrize("protocol", SEND_ONLY)
+    @pytest.mark.parametrize("kind", ["batch-bernoulli", "poisson-periodic"])
+    def test_alone_grouped_resized_and_mega_batched(self, protocol, kind):
+        alone, others, alone_passes, resized_passes = _seed_2_in_every_context(
+            protocol, kind, "kernel_invocations"
+        )
+        assert _stepped(run_specs(protocol, _adversary(kind), [2]))[1] == "rows"
+        for other in others:
+            assert_same_run(other, alone)
+        # The contexts made different numbers of passes around this row.
+        assert alone_passes != resized_passes
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            pytest.param(dict(dynamics_window=50), id="dynamics"),
+            pytest.param(dict(collect_trace=True), id="trace"),
+            pytest.param(dict(collect_potential=True), id="potential"),
+        ],
+    )
+    def test_collected_outputs_stay_in_lockstep(self, options):
+        specs = run_specs(
+            BinaryExponentialBackoff(), _adversary("batch-bernoulli"), [1, 2], **options
+        )
+        assert _stepped(specs)[1] == "lockstep"
+
+    @pytest.mark.parametrize(
+        "protocol, adversary",
+        [
+            pytest.param(
+                BinaryExponentialBackoff(), _adversary("poisson-reactive"), id="reactive"
+            ),
+            pytest.param(
+                BinaryExponentialBackoff(), _adversary("growing-adaptive"), id="adaptive"
+            ),
+            pytest.param(
+                BinaryExponentialBackoff(),
+                factory(
+                    BacklogCouplingAdversary,
+                    target_backlog=3,
+                    total_packets=12,
+                    jam_budget=4,
+                ),
+                id="coupled",
+            ),
+            pytest.param(LowSensingBackoff(), _adversary("batch-bernoulli"), id="listening"),
+            pytest.param(SawtoothBackoff(), _adversary("batch-bernoulli"), id="dense"),
+        ],
+    )
+    def test_whole_batch_readers_stay_in_lockstep(self, protocol, adversary):
+        specs = run_specs(protocol, adversary, [1, 2], max_slots=1500)
+        assert _stepped(specs)[1] == "lockstep"
+
+    def test_an_adaptive_phase_keeps_a_jamming_schedule_in_lockstep(self):
+        adversary = factory(
+            CompositeAdversary,
+            factory(BatchArrivals, 20),
+            factory(
+                ScheduledJamming,
+                factory(Phase, factory(NoJamming), duration=50),
+                factory(
+                    Phase,
+                    factory(AdaptiveContentionJammer, budget=10, target_regime="any"),
+                ),
+            ),
+        )
+        results, stepping, _ = _stepped(
+            run_specs(BinaryExponentialBackoff(), adversary, [1, 2], max_slots=3000)
+        )
+        assert stepping == "lockstep"
+        for result in results:
+            assert 0 < result.collector.num_jammed <= 10
 
 
 # ---------------------------------------------------------------------------
