@@ -17,13 +17,15 @@ overhead bar and print the number they measured; run them with ``-s`` to
 see it.  The repository's performance history is the results store's
 host-keyed ``perf_samples`` (``python -m repro perf record|history|regress``)
 and ``perfbench/``.  The vector-speedup and overhead gates share the E1
-vector core plan and the best-of-rounds timer defined here.
+vector core plan and the one-run timer defined here; the overhead gates
+also share its paired on/off ratio.
 """
 
 from __future__ import annotations
 
 import contextlib
 import pathlib
+import statistics
 import time
 from typing import Callable
 
@@ -51,6 +53,12 @@ BENCH_SCALE = "default"
 VECTOR_CORE_REPLICATIONS = 24
 
 VECTOR_CORE_BATCH_SIZES = (100, 200)
+
+#: Alternating on/off pairs an overhead gate times.
+OVERHEAD_PAIRS = 16
+
+#: One side of an overhead comparison: a plan and the context it runs in.
+Side = tuple[SweepPlan, Callable[[], contextlib.AbstractContextManager]]
 
 
 def save_report(report: ExperimentReport) -> str:
@@ -116,22 +124,51 @@ def build_warm_up_plan(dynamics_window: int = 0) -> SweepPlan:
 
 def time_vector_plan(
     plan: SweepPlan,
-    rounds: int,
     context: Callable[[], contextlib.AbstractContextManager] = contextlib.nullcontext,
 ) -> float:
-    """Best wall clock of ``rounds`` runs of ``plan`` on a fresh VectorBackend.
+    """Wall clock of one run of ``plan`` on a fresh VectorBackend.
 
-    Each round runs inside a fresh ``context()``, entered after the clock
-    starts, so switching instrumentation on is part of what is timed.  The
-    minimum sheds scheduler noise.
+    The run happens inside a fresh ``context()``, entered after the clock
+    starts, so switching instrumentation on is part of what is timed.
     """
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        with context():
-            plan.run(VectorBackend())
-        best = min(best, time.perf_counter() - started)
-    return best
+    started = time.perf_counter()
+    with context():
+        plan.run(VectorBackend())
+    return time.perf_counter() - started
+
+
+def paired_overhead(off: Side, on: Side, pairs: int = OVERHEAD_PAIRS) -> list[float]:
+    """The on/off wall-clock quartiles over ``pairs`` alternating pairs.
+
+    Each pair times one run of each side and the order flips every pair,
+    so host drift and warm caches hit both sides alike.  Returns the first
+    quartile, the median and the third quartile of the pairs' on/off
+    ratios; the median is what a gate asserts.  A best-of-N block per side
+    is as noisy as the gates' bars on a shared host; the paired median is
+    not.
+    """
+    ratios = []
+    for index in range(pairs):
+        if index % 2:
+            on_seconds = time_vector_plan(*on)
+            off_seconds = time_vector_plan(*off)
+        else:
+            off_seconds = time_vector_plan(*off)
+            on_seconds = time_vector_plan(*on)
+        ratios.append(on_seconds / off_seconds)
+    return statistics.quantiles(ratios, n=4)
+
+
+def assert_overhead(name: str, quartiles: list[float], target: float, runs: int) -> None:
+    """Print an overhead gate's paired ratio and assert its median bar."""
+    low, median, high = quartiles
+    print(
+        f"\n{name} on/off median {median:.3f}x (quartiles {low:.3f}-{high:.3f}) "
+        f"over {OVERHEAD_PAIRS} pairs (target <= {target}x) [{runs} runs]"
+    )
+    assert median <= target, (
+        f"{name} overhead ratio {median:.3f}x exceeded the {target}x acceptance bar"
+    )
 
 
 @pytest.fixture

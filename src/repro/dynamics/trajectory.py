@@ -12,8 +12,8 @@ Both engines produce trajectories through the same machinery:
 
 * the scalar engine feeds a :class:`DynamicsAccumulator` at each window
   boundary (one pass over the active packets, no per-slot work);
-* the vector engine samples its gauge buffers at the same global
-  boundaries and materialises per-row snapshots after the lockstep loop.
+* the vector engine samples each row's gauges as the row crosses a
+  boundary and materialises per-row snapshots after its loop.
 
 Both paths end in :func:`build_trajectory`, so the arithmetic that turns
 cumulative snapshots into per-window series is literally shared — when the

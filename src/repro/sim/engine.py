@@ -346,9 +346,9 @@ class Simulator:
         """Snapshot counters and live gauges at a window boundary.
 
         Runs post-slot (after feedback updates and the winner's departure),
-        so the gauges describe the same state the vector engine samples at
-        its global boundaries.  One O(backlog) pass; the fast path and the
-        RNG are untouched.
+        so the gauges describe the same state the vector engine samples as
+        each row crosses a boundary.  One O(backlog) pass; the fast path and
+        the RNG are untouched.
         """
         collector = self.collector
         window_sum = 0.0

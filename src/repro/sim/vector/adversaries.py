@@ -16,14 +16,15 @@ asked for one slot of every row, for each row's own slot, or for a block of
 each row's slots at once (an idle stretch); a row's budget is spent in its
 own slot order either way, so the decisions are the same.
 
-State-coupled adversaries close a **lockstep feedback loop** with the
-engine instead of precomputing anything:
+State-coupled adversaries close a **feedback loop** with the engine
+instead of precomputing anything:
 
-* **adaptive** jammers (:class:`AdaptiveContentionJammerVector`) receive the
-  pre-injection contention row vector each slot via :meth:`set_contention`;
-* **reactive** jammers see the slot's senders, as (row, packet) index
-  arrays, through :meth:`reactive_jam`, called after packet decisions but
-  before channel resolution — exactly the scalar engine's step 3;
+* **adaptive** jammers (:class:`AdaptiveContentionJammerVector`) receive
+  each row's pre-injection contention via :meth:`set_contention`;
+* **reactive** jammers see each resolving row's senders, as (row, packet)
+  index arrays, through :meth:`reactive_jam`, called after packet
+  decisions but before channel resolution — exactly the scalar engine's
+  step 3;
 * **backlog-coupled** arrivals (:class:`BacklogCouplingArrivalsVector`)
   compute per-slot injections from the live pre-injection backlog array
   (``coupled = True`` tells the engine to skip the chunked precompute).
@@ -395,7 +396,8 @@ class VectorJammer(abc.ABC):
     reactive: bool = False
 
     #: True when jam decisions read the pre-injection contention C(t): the
-    #: engine calls :meth:`set_contention` each slot before :meth:`jam`.
+    #: engine calls :meth:`set_contention` whenever a row's contention
+    #: changes, before the next :meth:`jam`.
     needs_contention: bool = False
 
     #: Sentinel for "no budget" rows when budgets are promoted per row.
@@ -454,7 +456,7 @@ class VectorJammer(abc.ABC):
 
     def reactive_jam(
         self,
-        slot: int,
+        slot: int | np.ndarray,
         send_rows: np.ndarray,
         send_cols: np.ndarray,
         num_senders: np.ndarray,
@@ -465,6 +467,7 @@ class VectorJammer(abc.ABC):
     ) -> np.ndarray:
         """Reactive decisions after the slot's senders are known.
 
+        ``slot`` is one slot for every row or each row's own (``(R,)``).
         ``send_rows`` / ``send_cols`` index the slot's senders (row, packet
         id; winners not yet removed), ``num_senders`` is their per-row
         count, and ``jammed`` the adaptive decisions already made; the
@@ -640,10 +643,10 @@ class BudgetedRandomJammingVector(_PreDrawnJammer):
 class AdaptiveContentionJammerVector(VectorJammer):
     """Adaptive strategy: jam rows whose contention is in a target regime.
 
-    The lockstep feedback loop hands the kernel each slot's pre-injection
-    contention row vector (:meth:`set_contention`) — the same C(t) the
-    scalar jammer reads from its ``SystemView`` — and the decision is an
-    elementwise regime test gated on a non-empty backlog and the budget.
+    The engine hands the kernel each row's pre-injection contention
+    (:meth:`set_contention`) — the same C(t) the scalar jammer reads from
+    its ``SystemView`` — and the decision is an elementwise regime test
+    gated on a non-empty backlog and the budget.
     """
 
     needs_contention = True
@@ -723,7 +726,7 @@ class ReactiveTargetedJammerVector(VectorJammer):
 
     def reactive_jam(
         self,
-        slot: int,
+        slot: int | np.ndarray,
         send_rows: np.ndarray,
         send_cols: np.ndarray,
         num_senders: np.ndarray,
@@ -737,6 +740,8 @@ class ReactiveTargetedJammerVector(VectorJammer):
             target = target[send_rows]
         hit = send_cols == target
         rows = send_rows[hit]
+        if not isinstance(slot, int):
+            slot = slot[rows]
         known = arrival_slot[rows, send_cols[hit]] < slot
         targeted = np.zeros(self.replications, dtype=bool)
         targeted[rows[known]] = True
@@ -756,7 +761,7 @@ class ReactiveSuccessJammerVector(VectorJammer):
 
     def reactive_jam(
         self,
-        slot: int,
+        slot: int | np.ndarray,
         send_rows: np.ndarray,
         send_cols: np.ndarray,
         num_senders: np.ndarray,
@@ -892,8 +897,8 @@ JAMMER_KERNELS: dict[type, type[VectorJammer]] = {
     PeriodicJamming: PeriodicJammingVector,
     BurstJamming: BurstJammingVector,
     BudgetedRandomJamming: BudgetedRandomJammingVector,
-    # Feedback-coupled jammers: served by the engine's lockstep feedback
-    # loop (per-slot contention rows and current-slot sender arrays).
+    # Feedback-coupled jammers: served by the engine's feedback loop (each
+    # row's contention and its resolving slot's senders).
     AdaptiveContentionJammer: AdaptiveContentionJammerVector,
     ReactiveTargetedJammer: ReactiveTargetedJammerVector,
     ReactiveSuccessJammer: ReactiveSuccessJammerVector,

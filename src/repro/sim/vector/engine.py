@@ -47,10 +47,14 @@ Two loops drive the slot body (:class:`_Batch`), and one predicate,
   Rows still enter each ``CHUNK_SLOTS`` chunk together, so arrival chunks
   and adversary draws are consumed as in lockstep.  It serves the
   send-only access-driven kernels (BEB, polynomial, fixed-probability)
-  under oblivious arrivals and jammers without trace, Φ or dynamics
-  collection; whatever reads the whole batch's per-slot state (listening
-  or dense kernels, reactive and adaptive jammers, coupled arrivals, the
-  collected outputs) stays in lockstep.
+  under oblivious arrivals, whatever the jammer and the outputs.
+
+In every kernel a packet changes state only at its own row's events, so
+every output and feedback jammer is kept per row: trace contention and Φ
+are written where a row resolves a slot and carried over its idle slots
+after the loop, dynamics windows are sampled as each row crosses them, and
+an adaptive jammer reads each row's contention after its last resolve.
+:func:`steps_rows` says why the other batches stay in lockstep.
 
 A replication consumes its packet stream only through its own events, in
 packet-id order within a slot (:class:`~repro.sim.vector.rng.RowCoins`),
@@ -126,17 +130,36 @@ _OUTCOMES = (
 #: departed, or past the run's horizon.
 _NEVER = np.iinfo(np.int64).max
 
-#: The trace entry of a slot without senders (or listeners).
-_NO_EVENTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
+def _row_totals(values: Any, active: np.ndarray, rows: Any = slice(None)) -> np.ndarray:
+    """Each listed row's sum of ``values`` over its active cells.
 
-def _contention(kernel: Any, active: np.ndarray) -> np.ndarray:
-    """C(t) per replication: the active packets' summed send probabilities.
-
-    The cumulative sum reproduces the scalar engine's sequential
-    ascending-id additions bitwise (inactive cells add +0.0, a float no-op).
+    ``values`` is a scalar, a per-row column or a cell matrix.  The
+    cumulative sum reproduces the scalar engine's sequential ascending-id
+    additions bitwise (inactive cells add +0.0, a float no-op).
     """
-    return np.where(active, kernel.sending_probabilities(), 0.0).cumsum(axis=1)[:, -1]
+    if isinstance(values, np.ndarray):
+        values = values[rows]
+    return np.where(active[rows], values, 0.0).cumsum(axis=1)[:, -1]
+
+
+def _contention(kernel: Any, active: np.ndarray, rows: Any = slice(None)) -> np.ndarray:
+    """C(t) per listed row: the active packets' summed send probabilities."""
+    return _row_totals(kernel.sending_probabilities(), active, rows)
+
+
+def _carried(written: np.ndarray) -> np.ndarray:
+    """One row's post-slot column, carried over the slots it did not resolve.
+
+    A row's state changes only at the slots it resolves (the others stay
+    NaN), so every other slot ends in the state of the last resolved slot
+    before it — or, before the first, in the empty state, whose values are
+    0.0.
+    """
+    last = np.maximum.accumulate(
+        np.where(np.isnan(written), -1, np.arange(written.size))
+    )
+    return np.where(last >= 0, written[last], 0.0)
 
 
 def _exhaustion_slot(arrivals: Any, max_slots: int) -> int:
@@ -199,48 +222,23 @@ def _potential_terms(
     return h_row, l_row, inverse_sum, phi
 
 
-def _sample_dynamics_gauges(
-    j: int,
-    kernel: Any,
-    active: np.ndarray,
-    listens: np.ndarray | None,
-    dyn_prob_sum: np.ndarray,
-    dyn_window_sum: np.ndarray,
-    dyn_listens: np.ndarray,
-    dyn_has_windows: bool,
-) -> None:
-    """Sample the live dynamics gauges into global-boundary row ``j``.
-
-    Post-step state only; the cumulative sums reproduce the scalar
-    engine's sequential ascending-id float additions bitwise (inactive
-    cells add +0.0, a float no-op).  Rows that drained earlier read back
-    their frozen end-of-run values — empty active mask, listens no longer
-    growing — which is exactly what the scalar accumulator recorded for
-    them.
-    """
-    dyn_prob_sum[j] = _contention(kernel, active)
-    if dyn_has_windows:
-        windows = kernel.window_matrix()
-        dyn_window_sum[j] = (
-            np.where(active, windows, 0.0).cumsum(axis=1)[:, -1]
-        )
-    if listens is not None:
-        dyn_listens[j] = listens.sum(axis=1)
+#: The recorder columns of :func:`_potential_terms`, in its order.
+_POTENTIAL_TERMS = ("h_term", "l_term", "inverse_window_sum", "potential")
 
 
 class _SlotRecorder:
     """Growable ``(slots × replications)`` per-slot observation buffers.
 
-    The base buffers feed metric finalisation; the optional trace buffers
-    (per-slot winner column and pre-injection contention) and potential
-    buffers (H, L, Σ1/w, Φ) are only allocated when the batch collects the
-    corresponding vectorized outputs.  Buffers start at an idle slot's
-    values (empty, unjammed, no arrivals, no senders) and every row-slot is
-    written at most once, so an idle slot needs no write unless it is
-    jammed.  Backlogs and jam flags are derived (:func:`_backlogs`,
-    ``outcome == 3``), not stored.  One spare row past the slots takes the
-    writes of per-row slot ``-1`` (rows not resolving a slot), and is never
-    read.
+    The base buffers feed metric finalisation; the optional trace buffer
+    (post-slot contention) and potential buffers (H, L, Σ1/w, Φ) are only
+    allocated when the batch collects the corresponding vectorized outputs,
+    and are written only where a row resolves a slot (NaN elsewhere, see
+    :func:`_carried`).  Base buffers start at an idle slot's values (empty,
+    unjammed, no arrivals, no senders) and every row-slot is written at
+    most once, so an idle slot needs no write unless it is jammed.
+    Backlogs and jam flags are derived (:func:`_backlogs`, ``outcome ==
+    3``), not stored.  One spare row past the slots takes the writes of
+    per-row slot ``-1`` (rows not resolving a slot), and is never read.
     """
 
     _BASE_FIELDS = (
@@ -248,16 +246,8 @@ class _SlotRecorder:
         ("arrivals", np.int32, 0),
         ("num_senders", np.int32, 0),
     )
-    _TRACE_FIELDS = (
-        ("winner", np.int64, -1),
-        ("contention", np.float64, 0.0),
-    )
-    _POTENTIAL_FIELDS = (
-        ("h_term", np.float64, 0.0),
-        ("l_term", np.float64, 0.0),
-        ("inverse_window_sum", np.float64, 0.0),
-        ("potential", np.float64, 0.0),
-    )
+    _TRACE_FIELDS = (("contention", np.float64, np.nan),)
+    _POTENTIAL_FIELDS = tuple((name, np.float64, np.nan) for name in _POTENTIAL_TERMS)
 
     def __init__(
         self,
@@ -293,44 +283,18 @@ class _SlotRecorder:
             setattr(self, name, grown)
         self._capacity = new_capacity
 
-    def record(
-        self,
-        slot: int | np.ndarray,
-        outcome: np.ndarray,
-        arrivals: np.ndarray | None,
-        num_senders: np.ndarray,
-    ) -> None:
-        """One resolved slot of every row, or each row's own ``slot[row]``."""
+    def record(self, slot: int | np.ndarray, **columns: np.ndarray | None) -> None:
+        """Named per-row values of one resolved slot of every row, or of each
+        row's own ``slot[row]``; a ``None`` column is not written."""
         if not isinstance(slot, int):
             slot = (slot, self._rows)
-        self.outcome[slot] = outcome
-        self.num_senders[slot] = num_senders
-        if arrivals is not None:
-            self.arrivals[slot] = arrivals
+        for name, values in columns.items():
+            if values is not None:
+                getattr(self, name)[slot] = values
 
     def record_jams(self, slots: np.ndarray | int, rows: np.ndarray) -> None:
         """Jammed idle row-slots."""
         self.outcome[slots, rows] = 3
-
-    def record_trace(
-        self, slot: int | slice, winner: np.ndarray | int, contention: np.ndarray
-    ) -> None:
-        """Trace rows; a slice of idle slots takes the values broadcast."""
-        self.winner[slot] = winner
-        self.contention[slot] = contention
-
-    def record_potential(
-        self,
-        slot: int | slice,
-        h_term: np.ndarray,
-        l_term: np.ndarray,
-        inverse_window_sum: np.ndarray,
-        potential: np.ndarray,
-    ) -> None:
-        self.h_term[slot] = h_term
-        self.l_term[slot] = l_term
-        self.inverse_window_sum[slot] = inverse_window_sum
-        self.potential[slot] = potential
 
 
 def _backlogs(arrivals: np.ndarray, outcome: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,6 +312,29 @@ def _backlogs(arrivals: np.ndarray, outcome: np.ndarray) -> tuple[np.ndarray, np
 def _row_slots(slot: int | np.ndarray, rows: np.ndarray) -> int | np.ndarray:
     """The slot of each listed row: one for all (lockstep), or per row."""
     return slot if isinstance(slot, int) else slot[rows]
+
+
+def _events(records: list) -> list[np.ndarray]:
+    """A batch's (slot, rows, columns) event records as three flat arrays."""
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, empty, empty)] + [
+        (np.broadcast_to(slot, rows.shape), rows, columns)
+        for slot, rows, columns in records
+    ]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _ids_by_slot(events: list[np.ndarray], index: int, count: int) -> list[tuple[int, ...]]:
+    """Row ``index``'s packet ids per slot ``0 .. count-1``.
+
+    ``events`` (:func:`_events`) list each row's events by slot, and by
+    column within a slot.
+    """
+    slots, rows, columns = events
+    mine = rows == index
+    bounds = np.searchsorted(slots[mine], np.arange(count + 1)).tolist()
+    columns = columns[mine].tolist()
+    return [tuple(columns[start:stop]) for start, stop in zip(bounds, bounds[1:])]
 
 
 #: A batch's engine options: max_slots, stop_when_drained, collect_trace,
@@ -500,26 +487,24 @@ class _Segment:
         self.live = True
 
 
-def steps_rows(
-    kernel: Any, jammer: Any, arrivals: Sequence[Any], options: _Options
-) -> bool:
+def steps_rows(kernel: Any, arrivals: Sequence[Any]) -> bool:
     """Whether a batch runs the row loop rather than lockstep.
 
-    A row steps alone when nothing it does reads another row's slot: an
-    access-driven send-only kernel (a packet's state changes only at its
-    own sends), oblivious arrival schedules, a jammer that is neither
-    reactive nor adaptive, and no trace, Φ or dynamics collection, which
-    sample the whole batch slot by slot.  Results are the same either way;
-    the row loop pays only where a batch's rows have their events in
-    different slots.
+    Results are the same in either loop (every output and feedback jammer
+    is kept per row); the row loop pays where a batch's rows have their
+    events in different slots.  Lockstep keeps:
+
+    * LOW-SENSING and decoupled LSB (listening kernels), whose rows access
+      so often that stepping them alone saves no passes worth their cost:
+      LSB N=2000 ×8 gave identical results but ran slower by row, median
+      ratio 1.05–1.11 over three sets of 6–12 alternating pairs;
+    * the dense kernels, where every slot of every row is an event;
+    * backlog-coupled arrivals, whose injections are decided slot by slot.
     """
-    _, _, collect_trace, collect_potential, _, dynamics_window = options
     return (
         kernel.access_driven
         and not kernel.listens
         and not any(schedule.coupled for schedule in arrivals)
-        and not (jammer.reactive or jammer.needs_contention)
-        and not (collect_trace or collect_potential or dynamics_window)
     )
 
 
@@ -580,17 +565,19 @@ class _Batch:
         self.reactive = jammer.reactive
         self.needs_contention = jammer.needs_contention
         self.never_jams = jammer.never_jams
-        # Pre-injection contention is computed when an adaptive jammer (or
-        # the trace) consumes it, mirroring the scalar engine's
-        # _track_contention gating.
+        # Each row's contention after its last resolve (the pre-injection
+        # C(t) of its next slot), kept when an adaptive jammer or the trace
+        # reads it, as the scalar engine's _track_contention gates it.
         self.want_contention = self.needs_contention or self.collect_trace
-        self.contention_pre: np.ndarray | None = None
+        self.contention = np.zeros(replications)
+        if self.needs_contention:
+            jammer.set_contention(self.contention)
         # A backlog-coupled group runs alone: its batch key is its group key.
         first = self.segments[0].arrivals
         self.coupled = first if first.coupled else None
         self.stepping = (
             "rows"
-            if steps_rows(kernel, jammer, [seg.arrivals for seg in self.segments], options)
+            if steps_rows(kernel, [seg.arrivals for seg in self.segments])
             else "lockstep"
         )
 
@@ -616,29 +603,26 @@ class _Batch:
         self.iterations = 0
         self.skipped = 0
 
-        # Vectorized trace output: per-slot sender/listener index pairs
-        # (materialised into SlotRecords at finalisation).
-        self.trace_senders: list[tuple[np.ndarray, np.ndarray]] = []
-        self.trace_listeners: list[tuple[np.ndarray, np.ndarray]] = []
-        self.has_windows = self.collect_potential and kernel.window_matrix() is not None
+        # Trace output: each resolve's senders and listeners as (slot, rows,
+        # columns) records, materialised into SlotRecords at finalisation.
+        self.sender_records: list[tuple[Any, np.ndarray, np.ndarray]] = []
+        self.listener_records: list[tuple[Any, np.ndarray, np.ndarray]] = []
+        self.windowed = kernel.window_matrix() is not None
 
-        # Windowed dynamics gauge buffers: one row per global window
-        # boundary, sampled post-step at boundary slots only — the per-slot
-        # kernel path is untouched.  Counts are recovered from the recorder
-        # at finalisation; only live gauges (probability sum, window sum,
-        # cumulative listens) need boundary snapshots.  A drained row's
-        # kernel state is frozen (empty active mask, no injections), so a
-        # later global boundary reads exactly the values the row had when
-        # it finished — no per-row boundary bookkeeping is needed.
-        self.dynamics_buffers = None
+        # Windowed dynamics gauges (probability sum, window sum, cumulative
+        # listens): one row per window, written for each row as it crosses
+        # the window's end (:meth:`sample_windows`).  Counts are recovered
+        # from the recorder at finalisation.
+        self.gauges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if self.dynamics_window:
             count = -(-max_slots // self.dynamics_window)
-            self.dynamics_buffers = (
+            self.gauges = (
                 np.zeros((count, replications)),
                 np.zeros((count, replications)),
                 np.zeros((count, replications), dtype=np.int64),
-                kernel.window_matrix() is not None,
             )
+            # Each row's first slot past its first unsampled window.
+            self.window_due = np.full(replications, self.dynamics_window, dtype=np.int64)
 
         # Per-replication arrival-exhaustion mask; monotone per segment, so
         # each segment is checked only until it flips.
@@ -671,8 +655,45 @@ class _Batch:
             self.row_steps()
         else:
             self.lockstep()
+        if self.dynamics_window:
+            # Each row's windows left, its last one maybe partial, end in
+            # its final state: sample up to the end of its last window.
+            self.sample_windows(
+                self.num_slots + self.dynamics_window - 1,
+                np.ones(self.replications, dtype=bool),
+            )
 
     # -- Shared by both loops -------------------------------------------------
+
+    def sample_windows(self, slot: int | np.ndarray, mask: np.ndarray) -> None:
+        """Sample the dynamics gauges of ``mask``'s windows that end before ``slot``.
+
+        ``slot`` is one slot for every row or each row's own.  A row's state
+        changes only where it resolves a slot, so before it resolves
+        ``slot`` every window ending before it ends in the state the row
+        has now.  Each window is sampled once per row, with the same
+        post-step values the scalar accumulator records at its end.
+        """
+        crossing = mask & (slot >= self.window_due)
+        if not crossing.any():
+            return
+        window = self.dynamics_window
+        rows = np.flatnonzero(crossing)
+        first = self.window_due[rows] // window - 1
+        reached = np.broadcast_to(_row_slots(slot, rows) // window, rows.shape)
+        self.window_due[rows] = (reached + 1) * window
+        kernel, active = self.kernel, self.active
+        probability_sum, window_sum, listens = self.gauges
+        samples = [(probability_sum, _contention(kernel, active, rows))]
+        if self.windowed:
+            samples.append((window_sum, _row_totals(kernel.window_matrix(), active, rows)))
+        if self.listens is not None:
+            samples.append((listens, self.listens[rows].sum(axis=1)))
+        # Every crossed window of a row takes the row's one set of values.
+        spans = list(zip(rows.tolist(), first.tolist(), reached.tolist()))
+        for gauge, values in samples:
+            for (row, start, stop), value in zip(spans, values.tolist()):
+                gauge[start:stop, row] = value
 
     def begin_chunk(self, start: int) -> tuple[int, np.ndarray | None]:
         """Enter the chunk at ``start``: its end and arrival counts.
@@ -791,13 +812,9 @@ class _Batch:
         replications = self.replications
         track_listens = self.track_listens
         never_jams = self.never_jams
+        if self.dynamics_window:
+            self.sample_windows(slot, mask)
         backlog_pre = self.backlog
-        if self.want_contention:
-            # Pre-injection contention with the *current* protocol state —
-            # exactly the scalar SystemView's C(t).
-            self.contention_pre = _contention(kernel, self.active)
-            if self.needs_contention:
-                jammer.set_contention(self.contention_pre)
         if arriving is not None:
             self._inject(slot, arriving)
         jammed = jammer.jam(slot, backlog_pre, mask)
@@ -839,15 +856,18 @@ class _Batch:
         if self.collect_trace:
             # Captured before the winner departs, so the winner is among
             # the senders — as in the scalar SlotRecord.
-            self.trace_senders.append((send_rows, send_cols))
+            self.sender_records.append(
+                (_row_slots(slot, send_rows), send_rows, send_cols)
+            )
             if track_listens:
                 if calendar is not None:
                     listen_rows = listeners // capacity
-                    self.trace_listeners.append(
-                        (listen_rows, listeners - listen_rows * capacity)
-                    )
+                    listen_cols = listeners - listen_rows * capacity
                 else:
-                    self.trace_listeners.append(np.nonzero(listen))
+                    listen_rows, listen_cols = np.nonzero(listen)
+                self.listener_records.append(
+                    (_row_slots(slot, listen_rows), listen_rows, listen_cols)
+                )
         if never_jams:
             winners = mask & (num_senders == 1)
         else:
@@ -893,16 +913,19 @@ class _Batch:
         if not never_jams:
             outcome[jammed] = 3
         recorder = self.recorder
-        recorder.record(slot, outcome, arriving, num_senders)
-        if self.collect_trace:
-            winner_column = np.full(replications, -1, dtype=np.int64)
-            winner_column[winner_rows] = winner_cols
-            recorder.record_trace(slot, winner_column, self.contention_pre)
+        recorder.record(
+            slot, outcome=outcome, arrivals=arriving, num_senders=num_senders
+        )
+        if self.want_contention:
+            # The rows that did not resolve keep their contention.
+            self.contention = _contention(kernel, active)
+            if self.needs_contention:
+                jammer.set_contention(self.contention)
+            if self.collect_trace:
+                recorder.record(slot, contention=self.contention)
         if self.collect_potential:
-            recorder.record_potential(
-                slot,
-                *_potential_terms(kernel, active, self.backlog, self.coefficients),
-            )
+            terms = _potential_terms(kernel, active, self.backlog, self.coefficients)
+            recorder.record(slot, **dict(zip(_POTENTIAL_TERMS, terms)))
 
     def _finish(self, finished: np.ndarray, slot: int | np.ndarray) -> None:
         """End the drained rows in ``finished`` at ``slot`` (one or per row)."""
@@ -914,27 +937,16 @@ class _Batch:
                 if seg.live and not self.running[seg.rows].any():
                     seg.live = False
 
-    def _sample_dynamics(self, boundary: int) -> None:
-        _sample_dynamics_gauges(
-            boundary, self.kernel, self.active, self.listens, *self.dynamics_buffers
-        )
-
     # -- The lockstep loop ----------------------------------------------------
 
     def lockstep(self) -> None:
         """Step the union of every row's event slots, all rows together."""
-        kernel = self.kernel
         calendar = self.calendar
-        jammer = self.jammer
-        recorder = self.recorder
         segments = self.segments
         running = self.running
         max_slots = self.max_slots
         stop_when_drained = self.stop_when_drained
         coupled = self.coupled
-        collect_trace = self.collect_trace
-        collect_potential = self.collect_potential
-        dynamics_window = self.dynamics_window
         # Idle stretches are skipped where no state can change unseen: an
         # access-driven kernel, with every arrival known a chunk ahead.
         skip_idle = calendar is not None and coupled is None
@@ -988,33 +1000,9 @@ class _Batch:
                 # with the jam decisions stepping would have made slot by
                 # slot (the backlog, and an adaptive jammer's contention,
                 # are constant throughout).
-                length = idle_end - slot
-                if self.want_contention:
-                    self.contention_pre = _contention(kernel, self.active)
-                    if self.needs_contention:
-                        jammer.set_contention(self.contention_pre)
                 if not self.never_jams:
                     self.jam_idle(slot, idle_end, running)
-                if collect_trace:
-                    recorder.record_trace(
-                        slice(slot, idle_end), -1, self.contention_pre
-                    )
-                    self.trace_senders.extend([_NO_EVENTS] * length)
-                    if self.track_listens:
-                        self.trace_listeners.extend([_NO_EVENTS] * length)
-                if collect_potential:
-                    recorder.record_potential(
-                        slice(slot, idle_end),
-                        *_potential_terms(
-                            kernel, self.active, self.backlog, self.coefficients
-                        ),
-                    )
-                if dynamics_window:
-                    for boundary in range(
-                        slot // dynamics_window + 1, idle_end // dynamics_window + 1
-                    ):
-                        self._sample_dynamics(boundary - 1)
-                skipped += length
+                skipped += idle_end - slot
                 slot = idle_end
             else:
                 if coupled is not None:
@@ -1026,10 +1014,6 @@ class _Batch:
                 else:
                     arriving = None
                 self.resolve(slot, running, arriving, accessors)
-                if dynamics_window and (slot + 1) % dynamics_window == 0:
-                    # Post-step, like the scalar accumulator: feedback
-                    # applied, winners departed.
-                    self._sample_dynamics(slot // dynamics_window)
                 slot += 1
 
             if stop_when_drained:
@@ -1052,10 +1036,6 @@ class _Batch:
                     if finished.any():
                         self._finish(finished, slot)
 
-        if dynamics_window and slot % dynamics_window:
-            # The loop ended mid-window (max_slots not a multiple of the
-            # window, or every row drained): one final partial-window sample.
-            self._sample_dynamics(slot // dynamics_window)
         self.iterations = slot - skipped
         self.skipped = skipped
 
@@ -1327,14 +1307,15 @@ class VectorSimulator:
             group.protocol.name for group in self._groups for _ in group.seeds
         ]
         seeds = self._seeds
-        if batch.dynamics_buffers is not None:
+        if batch.dynamics_window:
             from repro.dynamics.trajectory import jammer_budget
+        if batch.collect_trace:
+            senders = _events(batch.sender_records)
+            listeners = _events(batch.listener_records)
         results: list[SimulationResult] = [None] * len(seeds)  # type: ignore[list-item]
         for group, seg in zip(self._groups, batch.segments):
             group_budget = (
-                jammer_budget(group.jammer)
-                if batch.dynamics_buffers is not None
-                else None
+                jammer_budget(group.jammer) if batch.dynamics_window else None
             )
             for index in range(seg.rows.start, seg.rows.stop):
                 slots = int(batch.num_slots[index])
@@ -1377,18 +1358,19 @@ class VectorSimulator:
                         )
                     )
 
-                trace = None
-                if batch.collect_trace:
-                    trace = self._materialize_trace(
-                        batch, index, slots, active_before, active_after
-                    )
                 potential = None
                 if batch.collect_potential:
                     potential = self._materialize_potential(
                         batch, index, slots, active_after
                     )
+                trace = None
+                if batch.collect_trace:
+                    trace = self._materialize_trace(
+                        batch, index, slots, active_before, active_after,
+                        senders, listeners, potential,
+                    )
                 dynamics = None
-                if batch.dynamics_buffers is not None:
+                if batch.dynamics_window:
                     dynamics = self._materialize_dynamics(
                         batch, index, slots, active_after, group_budget
                     )
@@ -1422,14 +1404,14 @@ class VectorSimulator:
         active_after: np.ndarray,
         budget: float | None,
     ):
-        """Expand one row's recorder columns + gauge buffers into a trajectory.
+        """Expand one row's recorder columns + window gauges into a trajectory.
 
         Counts come from cumulative sums of the per-slot recorder columns at
         each window end, the backlog from the derived ``active_after``; the
-        gauges come from the global boundary buffers,
-        whose row values are frozen once a replication drains — so every
-        snapshot matches what the scalar accumulator would have sampled at
-        that row's own boundaries.  The snapshots then flow through the same
+        gauges are the row's own samples at its window ends
+        (:meth:`_Batch.sample_windows`) — so every snapshot matches what the
+        scalar accumulator would have sampled at that row's boundaries.  The
+        snapshots then flow through the same
         :func:`~repro.dynamics.trajectory.build_trajectory` the scalar
         engine uses, making equal snapshots bit-identical trajectories.
         """
@@ -1437,39 +1419,35 @@ class VectorSimulator:
 
         recorder = batch.recorder
         window = batch.dynamics_window
-        dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows = (
-            batch.dynamics_buffers
+        starts = np.arange(0, slots, window)
+        ends = np.minimum(starts + window, slots)
+
+        def through_window(values: np.ndarray) -> list[int]:
+            """Each window's cumulative total of a per-slot column."""
+            return np.add.reduceat(values, starts, dtype=np.int64).cumsum().tolist()
+
+        outcome = recorder.outcome[:slots, index]
+        backlogs = active_after[ends - 1].tolist()
+        # A windowless kernel's window sums stay at their initial 0.0.
+        probability_sum, window_sum, listens = (
+            gauge[: starts.size, index].tolist() for gauge in batch.gauges
         )
-        snapshots = []
-        if slots:
-            outcome = recorder.outcome[:slots, index]
-            cumulative_arrivals = np.cumsum(recorder.arrivals[:slots, index])
-            cumulative_successes = np.cumsum(outcome == 1)
-            cumulative_collisions = np.cumsum(outcome == 2)
-            cumulative_jammed = np.cumsum(outcome == 3)
-            cumulative_sends = np.cumsum(recorder.num_senders[:slots, index])
-            for j in range(-(-slots // window)):
-                end = min((j + 1) * window, slots) - 1
-                backlog = int(active_after[end])
-                snapshots.append(
-                    WindowSnapshot(
-                        num_slots=end + 1,
-                        arrivals=int(cumulative_arrivals[end]),
-                        successes=int(cumulative_successes[end]),
-                        collisions=int(cumulative_collisions[end]),
-                        jammed=int(cumulative_jammed[end]),
-                        sends=int(cumulative_sends[end]),
-                        listens=int(dyn_listens[j, index]),
-                        backlog=backlog,
-                        window_sum=(
-                            float(dyn_window_sum[j, index])
-                            if dyn_has_windows
-                            else 0.0
-                        ),
-                        window_count=backlog if dyn_has_windows else 0,
-                        probability_sum=float(dyn_prob_sum[j, index]),
-                    )
-                )
+        snapshots = [
+            WindowSnapshot(*fields)
+            for fields in zip(  # in WindowSnapshot's field order
+                ends.tolist(),
+                through_window(recorder.arrivals[:slots, index]),
+                through_window(outcome == 1),
+                through_window(outcome == 2),
+                through_window(outcome == 3),
+                through_window(recorder.num_senders[:slots, index]),
+                listens,
+                backlogs,
+                window_sum,
+                backlogs if batch.windowed else [0] * starts.size,
+                probability_sum,
+            )
+        ]
         return build_trajectory(window, slots, snapshots, budget=budget)
 
     def _materialize_trace(
@@ -1479,37 +1457,36 @@ class VectorSimulator:
         slots: int,
         active_before: np.ndarray,
         active_after: np.ndarray,
+        senders: list[np.ndarray],
+        listeners: list[np.ndarray],
+        potential: PotentialTracker | None,
     ) -> ExecutionTrace:
-        """Expand per-slot event arrays into the scalar engine's trace form.
+        """Expand one row's event records into the scalar engine's trace form.
 
         Packet ids are assigned in injection order (as the scalar engine
         does), and sender/listener tuples come out in ascending packet-id
         order, which matches the scalar engine's iteration over its active
-        dict.
+        dict.  Every success is a departure, so the winners are the
+        departure slots; a slot's pre-injection contention is the one its
+        row ended the previous slot with.
         """
         recorder = batch.recorder
-        trace_senders = batch.trace_senders
-        trace_listeners = batch.trace_listeners
         arrivals = recorder.arrivals[:slots, index]
         outcome = recorder.outcome[:slots, index]
-        winner = recorder.winner[:slots, index]
-        contention = recorder.contention[:slots, index]
-        potential = (
-            recorder.potential[:slots, index] if batch.collect_potential else None
-        )
+        winner = np.full(slots, -1, dtype=np.int64)
+        departures = batch.departure_slot[index, : int(batch.injected[index])]
+        departed = np.flatnonzero(departures >= 0)
+        winner[departures[departed]] = departed
+        contention = np.zeros(slots)
+        contention[1:] = _carried(recorder.contention[:slots, index])[:-1]
+        sender_ids = _ids_by_slot(senders, index, slots)
+        listener_ids = _ids_by_slot(listeners, index, slots)
         records = []
         next_packet_id = 0
         for s in range(slots):
             count = int(arrivals[s])
             arrival_ids = tuple(range(next_packet_id, next_packet_id + count))
             next_packet_id += count
-            rows_idx, cols_idx = trace_senders[s]
-            senders = tuple(int(c) for c in cols_idx[rows_idx == index])
-            if trace_listeners:
-                rows_idx, cols_idx = trace_listeners[s]
-                listeners = tuple(int(c) for c in cols_idx[rows_idx == index])
-            else:
-                listeners = ()
             winner_id = int(winner[s])
             records.append(
                 SlotRecord(
@@ -1517,14 +1494,14 @@ class VectorSimulator:
                     outcome=_OUTCOMES[int(outcome[s])],
                     jammed=bool(outcome[s] == 3),
                     arrivals=arrival_ids,
-                    senders=senders,
-                    listeners=listeners,
+                    senders=sender_ids[s],
+                    listeners=listener_ids[s],
                     winner=None if winner_id < 0 else winner_id,
                     active_before=int(active_before[s]),
                     active_after=int(active_after[s]),
                     contention=float(contention[s]),
                     potential=(
-                        float(potential[s]) if potential is not None else None
+                        potential.samples[s].potential if potential is not None else None
                     ),
                 )
             )
@@ -1537,22 +1514,23 @@ class VectorSimulator:
         slots: int,
         active_after: np.ndarray,
     ) -> PotentialTracker:
-        """Expand the vectorized Φ accumulator into a scalar tracker."""
+        """Expand one row's Φ columns, carried over its idle slots, into a
+        scalar tracker."""
         recorder = batch.recorder
-        has_windows = batch.has_windows
+        windowed = batch.windowed
         tracker = PotentialTracker(batch.coefficients)
-        h_col = recorder.h_term[:slots, index]
-        l_col = recorder.l_term[:slots, index]
-        inverse_col = recorder.inverse_window_sum[:slots, index]
-        phi_col = recorder.potential[:slots, index]
+        h_col, l_col, inverse_col, phi_col = (
+            _carried(getattr(recorder, name)[:slots, index]).tolist()
+            for name in _POTENTIAL_TERMS
+        )
         tracker.samples = [
             PotentialSample(
                 slot=s,
-                num_packets=int(active_after[s]) if has_windows else 0,
-                h_term=float(h_col[s]),
-                l_term=float(l_col[s]),
-                contention=float(inverse_col[s]),
-                potential=float(phi_col[s]),
+                num_packets=int(active_after[s]) if windowed else 0,
+                h_term=h_col[s],
+                l_term=l_col[s],
+                contention=inverse_col[s],
+                potential=phi_col[s],
             )
             for s in range(slots)
         ]

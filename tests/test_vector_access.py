@@ -16,9 +16,10 @@ records stretches without accesses or arrivals in bulk.  Four layers:
   groups skip fewer idle slots than singletons, so this also shows that
   skipping changes no result;
 * **the row loop** — the send-only kernels step each row to its own next
-  event; under every oblivious arrival schedule and jammer the results
-  equal the same specs forced into lockstep (``steps_rows`` patched), and
-  they are row-local too;
+  event; under every oblivious arrival schedule and every jammer, reactive
+  and adaptive ones included, with or without trace, Φ and dynamics, the
+  results equal the same specs forced into lockstep (``steps_rows``
+  patched), and they are row-local too;
 * **the gap sampler** — chi-square against Geometric(p), and its edges;
 * **the coin stream** — a row consumes exactly its stream's prefix,
   however the buffer is refilled.
@@ -127,11 +128,10 @@ class TestKernelsMatchScalarStateMachines:
     @pytest.mark.parametrize("kind", sorted(_scalar_adversaries()))
     def test_bit_identical_to_the_scalar_state_machine(self, protocol, kind):
         build = _scalar_adversaries()[kind]
-        # Send-only kernels under oblivious jammers take the row loop, so
-        # the scalar reference covers both loops.
+        # Send-only kernels take the row loop under every adversary, so the
+        # scalar reference covers both loops.
         listening = isinstance(protocol, LowSensingBackoff)
-        oblivious = kind in ("batch", "bursts-periodic-jam")
-        expected = "rows" if oblivious and not listening else "lockstep"
+        expected = "lockstep" if listening else "rows"
         for seed in (3, 11):
             (vector,), stepping, _ = _stepped(
                 run_specs(
@@ -164,8 +164,10 @@ class TestKernelsMatchScalarStateMachines:
 
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
     def test_trace_potential_and_dynamics_match(self, protocol):
+        # The send-only kernels collect every output on the row loop.
+        listening = isinstance(protocol, LowSensingBackoff)
         for seed in (3, 11):
-            vector = VectorSimulator.from_specs(
+            (vector,), stepping, _ = _stepped(
                 run_specs(
                     protocol,
                     CompositeAdversary(
@@ -177,7 +179,8 @@ class TestKernelsMatchScalarStateMachines:
                     collect_potential=True,
                     dynamics_window=64,
                 )
-            ).run()[0]
+            )
+            assert stepping == ("lockstep" if listening else "rows")
             reference = reference_run(
                 protocol,
                 CompositeAdversary(BatchArrivals(10), ReactiveSuccessJammer(budget=4)),
@@ -240,6 +243,12 @@ def _adversary(kind, shift=0):
     # Poisson arrivals past the engine's initial 64 packet columns: the
     # batch grows its capacity at a slot that depends on every row in it.
     arrivals = factory(PoissonArrivals, rate=0.12 + 0.01 * shift, horizon=800)
+    if kind == "growing-bernoulli":
+        return factory(
+            CompositeAdversary,
+            arrivals,
+            factory(BernoulliJamming, 0.05, budget=30 + shift),
+        )
     if kind == "growing-reactive":
         return factory(
             CompositeAdversary, arrivals, factory(ReactiveSuccessJammer, budget=40 + shift)
@@ -267,28 +276,32 @@ def assert_same_run(got, expected):
     assert got.dynamics == expected.dynamics
 
 
-def _seed_2_in_every_context(protocol, kind, counter, **options):
+def _seed_2_in_every_context(protocol, kind, counter, *, lockstep=False, **options):
     """Seed 2 alone, in groups of 2 and 16, and in a mega-batch.
 
     Returns ``(alone, [the other three], the telemetry ``counter`` alone,
-    and in the group of 16)``.
+    and in the group of 16)``.  ``lockstep=True`` forces every context into
+    lockstep.
     """
     adversary = _adversary(kind)
     seeds = list(range(1, 17))
     options = dict(max_slots=3000, **options)
-    (alone,), _, alone_count = _stepped(
-        run_specs(protocol, adversary, [2], **options), counter
-    )
-    grouped = VectorSimulator.from_specs(
-        run_specs(protocol, adversary, seeds[:2], **options)
-    ).run()[1]
-    resized, _, resized_count = _stepped(
-        run_specs(protocol, adversary, seeds, **options), counter
-    )
-    mega = VectorSimulator.from_specs(
-        run_specs(protocol, _adversary(kind, shift=4), [7, 8], **options)
-        + run_specs(protocol, adversary, seeds[:2], **options)
-    ).run()[3]
+    with pytest.MonkeyPatch.context() as patch:
+        if lockstep:
+            patch.setattr(vector_engine, "steps_rows", lambda *args: False)
+        (alone,), _, alone_count = _stepped(
+            run_specs(protocol, adversary, [2], **options), counter
+        )
+        grouped = VectorSimulator.from_specs(
+            run_specs(protocol, adversary, seeds[:2], **options)
+        ).run()[1]
+        resized, _, resized_count = _stepped(
+            run_specs(protocol, adversary, seeds, **options), counter
+        )
+        mega = VectorSimulator.from_specs(
+            run_specs(protocol, _adversary(kind, shift=4), [7, 8], **options)
+            + run_specs(protocol, adversary, seeds[:2], **options)
+        ).run()[3]
     return alone, [grouped, resized[1], mega], alone_count, resized_count
 
 
@@ -296,9 +309,8 @@ class TestRowLocality:
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
     @pytest.mark.parametrize("kind", ["batch-bernoulli", "poisson-reactive"])
     def test_alone_grouped_resized_and_mega_batched(self, protocol, kind):
-        # The dynamics window keeps every kernel in lockstep.
         alone, others, alone_skipped, resized_skipped = _seed_2_in_every_context(
-            protocol, kind, "idle_slots_skipped", dynamics_window=50
+            protocol, kind, "idle_slots_skipped", lockstep=True, dynamics_window=50
         )
         for other in others:
             assert_same_run(other, alone)
@@ -312,7 +324,7 @@ class TestRowLocality:
     )
     def test_dense_kernels_alone_grouped_resized_and_mega_batched(self, protocol, kind):
         alone, others, _, _ = _seed_2_in_every_context(
-            protocol, kind, "idle_slots_skipped", dynamics_window=50
+            protocol, kind, "idle_slots_skipped", lockstep=True, dynamics_window=50
         )
         for other in others:
             assert_same_run(other, alone)
@@ -321,7 +333,7 @@ class TestRowLocality:
 
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN + DENSE)
     def test_collected_outputs_are_row_local(self, protocol):
-        # Trace and potential outputs run in their own lockstep batch (no
+        # Trace and potential outputs run in their own batch (no
         # mega-batching), so the contexts are alone, paired, and resized.
         adversary = _adversary("poisson-reactive")
         options = dict(
@@ -368,6 +380,28 @@ ROW_JAMMERS = {
         factory(Phase, factory(NoJamming), duration=200),
         factory(Phase, factory(PeriodicJamming, period=5, budget=10)),
     ),
+    "reactive-success": lambda: factory(ReactiveSuccessJammer, budget=8),
+    "reactive-targeted": lambda: factory(
+        ReactiveTargetedJammer, budget=8, target_index=2
+    ),
+    "adaptive": lambda: factory(
+        AdaptiveContentionJammer, budget=15, target_regime="good"
+    ),
+    "adaptive-phase": lambda: factory(
+        ScheduledJamming,
+        factory(Phase, factory(NoJamming), duration=50),
+        factory(
+            Phase, factory(AdaptiveContentionJammer, budget=10, target_regime="any")
+        ),
+    ),
+}
+
+#: Collected outputs, on a ``max_slots`` that no dynamics window divides;
+#: the 64-slot windows also run every row to it, past its drain.
+ROW_OUTPUTS = {
+    "trace-potential": dict(collect_trace=True, collect_potential=True),
+    "dynamics-7": dict(dynamics_window=7),
+    "dynamics-64": dict(dynamics_window=64, stop_when_drained=False),
 }
 
 
@@ -406,14 +440,29 @@ class TestRowLoop:
         for got, expected in zip(mega, alone):
             assert_same_run(got, expected)
 
-    def test_capacity_growth_matches_lockstep(self):
+    @pytest.mark.parametrize(
+        "outputs", [pytest.param(ROW_OUTPUTS[name], id=name) for name in ROW_OUTPUTS]
+    )
+    @pytest.mark.parametrize("protocol", SEND_ONLY)
+    @pytest.mark.parametrize("arrivals", sorted(ROW_ARRIVALS))
+    @pytest.mark.parametrize("jammer", ["bernoulli", "reactive-success", "adaptive"])
+    def test_outputs_match_lockstep(self, protocol, arrivals, jammer, outputs):
         adversary = factory(
-            CompositeAdversary,
-            factory(PoissonArrivals, rate=0.12, horizon=800),
-            factory(BernoulliJamming, 0.05, budget=30),
+            CompositeAdversary, ROW_ARRIVALS[arrivals](), ROW_JAMMERS[jammer]()
         )
         results = assert_rows_match_lockstep(
-            run_specs(BinaryExponentialBackoff(), adversary, [1, 2, 3], max_slots=3000)
+            run_specs(protocol, adversary, [1, 2, 3], max_slots=1234, **outputs)
+        )
+        assert any(result.num_delivered for result in results)
+
+    @pytest.mark.parametrize(
+        "kind", ["growing-bernoulli", "growing-reactive", "growing-adaptive"]
+    )
+    def test_capacity_growth_matches_lockstep(self, kind):
+        results = assert_rows_match_lockstep(
+            run_specs(
+                BinaryExponentialBackoff(), _adversary(kind), [1, 2, 3], max_slots=3000
+            )
         )
         assert max(len(result.packets) for result in results) > 64
 
@@ -439,7 +488,9 @@ class TestRowLoop:
             assert result.collector.num_jammed == 3 * 30  # bursts at 100, 500 and 900
 
     @pytest.mark.parametrize("protocol", SEND_ONLY)
-    @pytest.mark.parametrize("kind", ["batch-bernoulli", "poisson-periodic"])
+    @pytest.mark.parametrize(
+        "kind", ["batch-bernoulli", "poisson-periodic", "growing-adaptive"]
+    )
     def test_alone_grouped_resized_and_mega_batched(self, protocol, kind):
         alone, others, alone_passes, resized_passes = _seed_2_in_every_context(
             protocol, kind, "kernel_invocations"
@@ -451,28 +502,8 @@ class TestRowLoop:
         assert alone_passes != resized_passes
 
     @pytest.mark.parametrize(
-        "options",
-        [
-            pytest.param(dict(dynamics_window=50), id="dynamics"),
-            pytest.param(dict(collect_trace=True), id="trace"),
-            pytest.param(dict(collect_potential=True), id="potential"),
-        ],
-    )
-    def test_collected_outputs_stay_in_lockstep(self, options):
-        specs = run_specs(
-            BinaryExponentialBackoff(), _adversary("batch-bernoulli"), [1, 2], **options
-        )
-        assert _stepped(specs)[1] == "lockstep"
-
-    @pytest.mark.parametrize(
         "protocol, adversary",
         [
-            pytest.param(
-                BinaryExponentialBackoff(), _adversary("poisson-reactive"), id="reactive"
-            ),
-            pytest.param(
-                BinaryExponentialBackoff(), _adversary("growing-adaptive"), id="adaptive"
-            ),
             pytest.param(
                 BinaryExponentialBackoff(),
                 factory(
@@ -487,27 +518,21 @@ class TestRowLoop:
             pytest.param(SawtoothBackoff(), _adversary("batch-bernoulli"), id="dense"),
         ],
     )
-    def test_whole_batch_readers_stay_in_lockstep(self, protocol, adversary):
+    def test_listening_dense_and_coupled_batches_stay_in_lockstep(
+        self, protocol, adversary
+    ):
         specs = run_specs(protocol, adversary, [1, 2], max_slots=1500)
         assert _stepped(specs)[1] == "lockstep"
 
-    def test_an_adaptive_phase_keeps_a_jamming_schedule_in_lockstep(self):
+    def test_an_adaptive_phase_spends_its_budget_by_row(self):
         adversary = factory(
             CompositeAdversary,
             factory(BatchArrivals, 20),
-            factory(
-                ScheduledJamming,
-                factory(Phase, factory(NoJamming), duration=50),
-                factory(
-                    Phase,
-                    factory(AdaptiveContentionJammer, budget=10, target_regime="any"),
-                ),
-            ),
+            ROW_JAMMERS["adaptive-phase"](),
         )
-        results, stepping, _ = _stepped(
+        results = assert_rows_match_lockstep(
             run_specs(BinaryExponentialBackoff(), adversary, [1, 2], max_slots=3000)
         )
-        assert stepping == "lockstep"
         for result in results:
             assert 0 < result.collector.num_jammed <= 10
 
