@@ -137,8 +137,8 @@ def time_vector_plan(
     return time.perf_counter() - started
 
 
-def paired_overhead(off: Side, on: Side, pairs: int = OVERHEAD_PAIRS) -> list[float]:
-    """The on/off wall-clock quartiles over ``pairs`` alternating pairs.
+def paired_overhead(off: Side, on: Side) -> list[float]:
+    """The on/off wall-clock quartiles over :data:`OVERHEAD_PAIRS` alternating pairs.
 
     Each pair times one run of each side and the order flips every pair,
     so host drift and warm caches hit both sides alike.  Returns the first
@@ -148,7 +148,7 @@ def paired_overhead(off: Side, on: Side, pairs: int = OVERHEAD_PAIRS) -> list[fl
     not.
     """
     ratios = []
-    for index in range(pairs):
+    for index in range(OVERHEAD_PAIRS):
         if index % 2:
             on_seconds = time_vector_plan(*on)
             off_seconds = time_vector_plan(*off)

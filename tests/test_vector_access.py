@@ -286,23 +286,21 @@ def _seed_2_in_every_context(protocol, kind, counter, *, lockstep=False, **optio
     adversary = _adversary(kind)
     seeds = list(range(1, 17))
     options = dict(max_slots=3000, **options)
-    with pytest.MonkeyPatch.context() as patch:
-        if lockstep:
-            patch.setattr(vector_engine, "steps_rows", lambda *args: False)
-        (alone,), _, alone_count = _stepped(
-            run_specs(protocol, adversary, [2], **options), counter
-        )
-        grouped = VectorSimulator.from_specs(
-            run_specs(protocol, adversary, seeds[:2], **options)
-        ).run()[1]
-        resized, _, resized_count = _stepped(
-            run_specs(protocol, adversary, seeds, **options), counter
-        )
-        mega = VectorSimulator.from_specs(
-            run_specs(protocol, _adversary(kind, shift=4), [7, 8], **options)
-            + run_specs(protocol, adversary, seeds[:2], **options)
-        ).run()[3]
-    return alone, [grouped, resized[1], mega], alone_count, resized_count
+    (alone,), _, alone_count = _stepped(
+        run_specs(protocol, adversary, [2], **options), counter, lockstep=lockstep
+    )
+    grouped, _, _ = _stepped(
+        run_specs(protocol, adversary, seeds[:2], **options), lockstep=lockstep
+    )
+    resized, _, resized_count = _stepped(
+        run_specs(protocol, adversary, seeds, **options), counter, lockstep=lockstep
+    )
+    mega, _, _ = _stepped(
+        run_specs(protocol, _adversary(kind, shift=4), [7, 8], **options)
+        + run_specs(protocol, adversary, seeds[:2], **options),
+        lockstep=lockstep,
+    )
+    return alone, [grouped[1], resized[1], mega[3]], alone_count, resized_count
 
 
 class TestRowLocality:
