@@ -847,14 +847,6 @@ def _vectorization_payload(plan) -> dict[str, object]:
             for group_id, reason in sorted(summary["fallback_groups"].items())
         ],
         "fallback_histogram": _fallback_histogram(plan, summary),
-        "mega_exclusions": [
-            {
-                "group": group_id,
-                "protocol": plan.groups[group_id].protocol_name,
-                "reason": reason,
-            }
-            for group_id, reason in sorted(summary["mega_exclusions"].items())
-        ],
     }
 
 

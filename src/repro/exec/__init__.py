@@ -1,8 +1,9 @@
 """Pluggable execution backends for running batches of simulations.
 
-The experiment layer describes *what* to run (a sequence of jobs, each of
-which can build a :class:`~repro.sim.config.SimulationConfig`); this package
-decides *how* to run it:
+The experiment layer describes *what* to run (a sequence of
+:class:`~repro.experiments.plan.RunSpec` jobs, each of which can build a
+:class:`~repro.sim.config.SimulationConfig`); this package decides *how* to
+run it:
 
 * :class:`~repro.exec.backends.SerialBackend` — in-process, one job at a
   time (the reference implementation every other backend must match
@@ -12,8 +13,8 @@ decides *how* to run it:
 * :class:`~repro.exec.cache.ResultCacheBackend` — a wrapper that memoises
   results on disk, keyed by a stable hash of the job specification;
 * :class:`~repro.exec.vector_backend.VectorBackend` — batches qualifying
-  spec groups through the lockstep numpy engine
-  (:mod:`repro.sim.vector`) and falls back serially for the rest.
+  spec groups through the numpy batch engine (:mod:`repro.sim.vector`)
+  and falls back serially for the rest.
   Vectorized results are statistically equivalent to serial results, not
   bit-identical (different random-stream layout).
 
@@ -26,7 +27,6 @@ the serial backend.
 
 from repro.exec.backends import (
     SCALAR_LAYOUT,
-    ConfigJob,
     DynamicsBackend,
     ExecutionBackend,
     ProcessPoolBackend,
@@ -71,7 +71,6 @@ def make_backend(
 __all__ = [
     "BACKEND_NAMES",
     "SCALAR_LAYOUT",
-    "ConfigJob",
     "DynamicsBackend",
     "ExecutionBackend",
     "ProcessPoolBackend",

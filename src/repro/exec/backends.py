@@ -1,10 +1,9 @@
 """Execution backends: serial and process-pool job runners.
 
-A *job* is any object exposing ``build_config() -> SimulationConfig``.  The
-two concrete job types are :class:`ConfigJob` (wraps an already-built
-configuration; the dynamics backend uses it to re-window a job) and
-:class:`~repro.experiments.plan.RunSpec` (fully declarative and picklable;
-used by the sweep layer and required for process pools and caching).
+A *job* is any object exposing ``build_config() -> SimulationConfig``
+(:class:`RunJob`).  Every caller builds
+:class:`~repro.experiments.plan.RunSpec` jobs: fully declarative and
+picklable, as process pools and caching require.
 
 Every backend honours the same contract:
 
@@ -33,8 +32,7 @@ import abc
 import os
 import pickle
 import time
-from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import Pool
 from typing import Any, Protocol, Sequence
 
 from repro.sim.config import SimulationConfig
@@ -53,23 +51,6 @@ class RunJob(Protocol):
     """Anything that can build a simulation configuration on demand."""
 
     def build_config(self) -> SimulationConfig: ...
-
-
-@dataclass(frozen=True)
-class ConfigJob:
-    """A job wrapping an already-built configuration.
-
-    The configuration's adversary is constructed by the caller, so a
-    ``ConfigJob`` must be run exactly once — its adversary carries mutable
-    state.  Declarative callers should prefer
-    :class:`~repro.experiments.plan.RunSpec`, which builds a fresh adversary
-    per execution and has a stable cache key.
-    """
-
-    config: SimulationConfig
-
-    def build_config(self) -> SimulationConfig:
-        return self.config
 
 
 def job_identity(job: RunJob) -> str:
@@ -235,11 +216,12 @@ class DynamicsBackend(ExecutionBackend):
     """Decorator backend that switches on windowed dynamics sampling.
 
     Rewrites every job it is handed to carry ``dynamics_window`` before
-    delegating to the wrapped backend.  This is how ``--dynamics`` reaches
-    sweeps whose plans are built elsewhere (the paper experiments build
-    their own plans internally); because ``dynamics_window`` is excluded
-    from spec cache keys and stripped from stored artifacts, the rewrite
-    is invisible to caching and result identity.
+    delegating to the wrapped backend; a job without that field passes
+    through unchanged.  This is how ``--dynamics`` reaches sweeps whose
+    plans are built elsewhere (the paper experiments build their own plans
+    internally); because ``dynamics_window`` is excluded from spec cache
+    keys and stripped from stored artifacts, the rewrite is invisible to
+    caching and result identity.
     """
 
     def __init__(self, inner: ExecutionBackend, window: int) -> None:
@@ -258,9 +240,6 @@ class DynamicsBackend(ExecutionBackend):
             field.name == "dynamics_window" for field in dataclasses.fields(job)
         ):
             return dataclasses.replace(job, dynamics_window=self.window)
-        config = getattr(job, "config", None)
-        if isinstance(config, SimulationConfig):
-            return ConfigJob(dataclasses.replace(config, dynamics_window=self.window))
         return job
 
     def run(self, jobs: Sequence[RunJob]) -> list[SimulationResult]:
@@ -296,36 +275,20 @@ class SerialBackend(ExecutionBackend):
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Runs jobs across a multiprocessing pool.
+    """Runs jobs across a multiprocessing pool of ``workers`` processes
+    (default ``os.cpu_count()``), started the platform's default way.
 
-    Parameters
-    ----------
-    workers:
-        Pool size; defaults to ``os.cpu_count()``.
-    chunksize:
-        Jobs handed to a worker per task.  The default of 1 gives the best
-        load balance, which matters because replicate runtimes vary widely
-        (a drained batch run ends early, a jammed one does not).
-    start_method:
-        ``multiprocessing`` start method (``None`` uses the platform
-        default).  All methods require jobs and results to be picklable.
+    Each task is one job: replicate runtimes vary widely (a drained batch
+    run ends early, a jammed one does not), so single jobs balance the load
+    best.  Jobs and results must be picklable.
     """
 
     name = "processes"
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunksize: int = 1,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers <= 0:
             raise ValueError("workers must be positive")
-        if chunksize <= 0:
-            raise ValueError("chunksize must be positive")
         self.workers = workers or os.cpu_count() or 1
-        self.chunksize = chunksize
-        self.start_method = start_method
 
     def run(self, jobs: Sequence[RunJob]) -> list[SimulationResult]:
         jobs = list(jobs)
@@ -336,14 +299,11 @@ class ProcessPoolBackend(ExecutionBackend):
         # silent serial fallback.
         self._check_picklable(jobs)
         tele = current_telemetry()
-        context = get_context(self.start_method)
         submitted = time.monotonic()
-        with context.Pool(processes=min(self.workers, len(jobs))) as pool:
+        with Pool(processes=min(self.workers, len(jobs))) as pool:
             # Pool.map preserves input order, which is what makes the
             # backend deterministic regardless of completion order.
-            outcomes = pool.map(
-                _execute_pool_job, list(enumerate(jobs)), chunksize=self.chunksize
-            )
+            outcomes = pool.map(_execute_pool_job, list(enumerate(jobs)), chunksize=1)
         results: list[SimulationResult] = []
         worker_resources: dict[int, dict[str, Any]] = {}
         for index, (result, worker_pid, started, ended, resources) in enumerate(
@@ -395,9 +355,4 @@ class ProcessPoolBackend(ExecutionBackend):
             ) from exc
 
     def describe(self) -> dict[str, Any]:
-        return {
-            "backend": self.name,
-            "workers": self.workers,
-            "chunksize": self.chunksize,
-            "start_method": self.start_method,
-        }
+        return {"backend": self.name, "workers": self.workers}

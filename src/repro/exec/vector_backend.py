@@ -3,10 +3,11 @@
 :class:`VectorBackend` accepts an arbitrary batch of jobs and places each
 one with the one lockstep placement rule,
 :func:`~repro.sim.vector.support.placement`: a job either falls back, with
-a named reason, or joins the lockstep batch of its batch key.  Each batch —
-one replication group, or several compatible groups stacked into a
-mega-batch (one ragged lockstep launch per protocol/arrival/jammer kernel
-family, parameters promoted to per-row arrays) — runs through one
+a named reason, or joins the batch of its batch key.  Each batch — one
+replication group, or several compatible groups stacked into a mega-batch
+(one ragged launch per protocol and jammer kernel family and set of engine
+options, parameters promoted to per-row arrays, each group keeping its own
+arrival schedule) — runs through one
 :meth:`~repro.sim.vector.VectorSimulator.from_specs` call, and every
 remaining job runs on a :class:`~repro.exec.backends.SerialBackend`.
 Results always come back in job order, so the backend is a drop-in
@@ -26,8 +27,8 @@ Contract differences from the other backends:
   (:data:`~repro.sim.vector.RESULT_LAYOUT`).  See
   ``repro.analysis.equivalence`` for the checking harness.
 
-Only :class:`~repro.experiments.plan.RunSpec` jobs are eligible; opaque
-jobs such as :class:`~repro.exec.backends.ConfigJob` always fall back.
+Only :class:`~repro.experiments.plan.RunSpec` jobs are eligible; an opaque
+job (one without ``vector_support``) always falls back.
 """
 
 from __future__ import annotations

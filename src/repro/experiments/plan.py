@@ -266,10 +266,9 @@ class SweepPlan:
         large campaign plan re-probing identical configurations pays for
         each only once.
         """
-        from repro.sim.vector.support import mega_batch_exclusion, placement
+        from repro.sim.vector.support import placement
 
         reasons: dict[int, str] = {}
-        mega_exclusions: dict[int, str] = {}
         vectorizable_specs = 0
         group_keys: set[Any] = set()
         batch_keys: set[Any] = set()
@@ -282,15 +281,12 @@ class SweepPlan:
             vectorizable_specs += len(group.spec_indices)
             group_keys.add(place.group)
             batch_keys.add(place.batch)
-            if not place.stacks:
-                mega_exclusions[group.group_id] = mega_batch_exclusion(spec)
         return {
             "total_specs": len(self._specs),
             "vectorizable_specs": vectorizable_specs,
             "vector_groups": len(group_keys),
             "mega_batches": len(batch_keys),
             "fallback_groups": reasons,
-            "mega_exclusions": mega_exclusions,
         }
 
 

@@ -16,21 +16,20 @@ asked for one slot of every row, for each row's own slot, or for a block of
 each row's slots at once (an idle stretch); a row's budget is spent in its
 own slot order either way, so the decisions are the same.
 
-State-coupled adversaries close a **feedback loop** with the engine
-instead of precomputing anything:
+Feedback jammers close a **feedback loop** with the engine instead of
+precomputing anything:
 
 * **adaptive** jammers (:class:`AdaptiveContentionJammerVector`) receive
   each row's pre-injection contention via :meth:`set_contention`;
 * **reactive** jammers see each resolving row's senders, as (row, packet)
   index arrays, through :meth:`reactive_jam`, called after packet
   decisions but before channel resolution — exactly the scalar engine's
-  step 3;
-* **backlog-coupled** arrivals (:class:`BacklogCouplingArrivalsVector`)
-  compute per-slot injections from the live pre-injection backlog array
-  (``coupled = True`` tells the engine to skip the chunked precompute).
+  step 3.
 
-All three read only ``(R,)`` state the engine already owns, so the per-slot
-cost stays a fixed number of array operations.
+Both read only ``(R,)`` state the engine already owns, so the per-slot
+cost stays a fixed number of array operations.  Every arrival schedule is
+oblivious: the engine draws it a chunk ahead, and adversaries whose
+injections read the live system run on the scalar engine.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import (
     AdversarialQueueingArrivals,
     ArrivalProcess,
@@ -75,10 +73,6 @@ CHUNK_SLOTS = 512
 class VectorArrivals(abc.ABC):
     """Chunked arrival schedule for one batch."""
 
-    #: True for schedules whose injections read the live backlog: the engine
-    #: then calls :meth:`arrivals_now` each slot instead of :meth:`chunk`.
-    coupled: bool = False
-
     def __init__(self, replications: int) -> None:
         self.replications = replications
 
@@ -86,25 +80,13 @@ class VectorArrivals(abc.ABC):
     def chunk(self, start: int, count: int, streams: VectorStreams) -> np.ndarray:
         """Arrival counts for slots ``start .. start+count-1`` as ``(R, count)``."""
 
-    def arrivals_now(
-        self, slot: int, backlog_pre: np.ndarray, running: np.ndarray
-    ) -> np.ndarray:
-        """Per-slot arrival counts for coupled schedules (``coupled = True``)."""
-        raise NotImplementedError
-
     @abc.abstractmethod
     def exhausted(self, slot: int) -> bool:
-        """True when no packet can arrive at ``slot`` or later (all reps)."""
+        """True when no packet can arrive at ``slot`` or later, in any row.
 
-    def exhausted_rows(self, slot: int) -> np.ndarray | None:
-        """Per-replication exhaustion mask, or ``None`` when uniform.
-
-        Oblivious schedules exhaust at the same slot in every replication,
-        so they return ``None`` and the engine uses :meth:`exhausted`;
-        coupled schedules exhaust per row (each replication spends its
-        packet budget on its own trajectory).
+        Pure and monotone in ``slot``: a schedule exhausts at one slot in
+        every replication.
         """
-        return None
 
     def capacity_bound(self) -> int | None:
         """Upper bound on total arrivals per replication, if known."""
@@ -302,49 +284,6 @@ class AdversarialQueueingArrivalsVector(VectorArrivals):
 
     def capacity_bound(self) -> int | None:
         return self._process.total_planned()
-
-
-class BacklogCouplingArrivalsVector(VectorArrivals):
-    """Injection half of :class:`BacklogCouplingAdversary`: top up the backlog.
-
-    Each slot injects ``min(target_backlog − backlog, remaining budget)``
-    packets per replication (clipped at zero), reading the same
-    pre-injection backlog array the jamming half sees — the coupling that
-    makes the schedule impossible to precompute.  Exhaustion is per row:
-    every replication spends its ``total_packets`` budget on its own
-    backlog trajectory.
-    """
-
-    coupled = True
-
-    def __init__(self, adversary: BacklogCouplingAdversary, replications: int) -> None:
-        super().__init__(replications)
-        self._target = int(adversary.target_backlog)
-        self._total = int(adversary.total_packets)
-        self._injected = np.zeros(replications, dtype=np.int64)
-
-    def chunk(self, start: int, count: int, streams: VectorStreams) -> np.ndarray:
-        raise RuntimeError(
-            "backlog-coupled arrivals are computed per slot (arrivals_now)"
-        )
-
-    def arrivals_now(
-        self, slot: int, backlog_pre: np.ndarray, running: np.ndarray
-    ) -> np.ndarray:
-        counts = np.minimum(self._target - backlog_pre, self._total - self._injected)
-        np.clip(counts, 0, None, out=counts)
-        counts[~running] = 0
-        self._injected += counts
-        return counts
-
-    def exhausted(self, slot: int) -> bool:
-        return bool(np.all(self._injected >= self._total))
-
-    def exhausted_rows(self, slot: int) -> np.ndarray:
-        return self._injected >= self._total
-
-    def capacity_bound(self) -> int:
-        return self._total
 
 
 # ---------------------------------------------------------------------------
@@ -775,30 +714,6 @@ class ReactiveSuccessJammerVector(VectorJammer):
         return jammed | decisions
 
 
-class BacklogCouplingJammingVector(VectorJammer):
-    """Jamming half of :class:`BacklogCouplingAdversary`: jam at backlog 1.
-
-    The budget lives on the adversary's ``jam_budget`` attribute (not
-    ``budget``), so the base promotion is overridden; a zero budget across
-    all rows degrades to a never-jamming kernel.
-    """
-
-    def __init__(self, pairs: JammerRows) -> None:
-        super().__init__(pairs)
-        budget = _jam_param(pairs, lambda j: j.jam_budget)
-        self._budget = budget
-        if not bool(np.any(np.asarray(budget))):
-            self.never_jams = True
-
-    def jam(
-        self, slot: int | np.ndarray, backlog_pre: np.ndarray, running: np.ndarray
-    ) -> np.ndarray:
-        if self.never_jams:
-            return self._false
-        decisions = running & (backlog_pre == 1)
-        return self._apply_budget(decisions)
-
-
 class ScheduledJammingVector(VectorJammer):
     """Piecewise schedule of jamming kernels with per-phase budgets.
 
@@ -877,8 +792,7 @@ class ScheduledJammingVector(VectorJammer):
 #: ``(process, replications)``.  With :data:`JAMMER_KERNELS` this is the
 #: registry of vectorizable adversary components: the factories below and
 #: :mod:`repro.sim.vector.support` read the same tables, by exact type, so a
-#: subclass never inherits a kernel that may no longer describe it.  The
-#: backlog-coupled adversary fills both component roles itself.
+#: subclass never inherits a kernel that may no longer describe it.
 ARRIVAL_KERNELS: dict[type, type[VectorArrivals]] = {
     NoArrivals: NoArrivalsVector,
     BatchArrivals: BatchArrivalsVector,
@@ -886,7 +800,6 @@ ARRIVAL_KERNELS: dict[type, type[VectorArrivals]] = {
     PeriodicBurstArrivals: PeriodicBurstArrivalsVector,
     AdversarialQueueingArrivals: AdversarialQueueingArrivalsVector,
     ScheduledArrivals: ScheduledArrivalsVector,
-    BacklogCouplingAdversary: BacklogCouplingArrivalsVector,
 }
 
 #: Exact jammer type -> its jamming kernel, built from ``(jammer, rows)``
@@ -897,13 +810,12 @@ JAMMER_KERNELS: dict[type, type[VectorJammer]] = {
     PeriodicJamming: PeriodicJammingVector,
     BurstJamming: BurstJammingVector,
     BudgetedRandomJamming: BudgetedRandomJammingVector,
-    # Feedback-coupled jammers: served by the engine's feedback loop (each
+    # Feedback jammers: served by the engine's feedback loop (each
     # row's contention and its resolving slot's senders).
     AdaptiveContentionJammer: AdaptiveContentionJammerVector,
     ReactiveTargetedJammer: ReactiveTargetedJammerVector,
     ReactiveSuccessJammer: ReactiveSuccessJammerVector,
     ScheduledJamming: ScheduledJammingVector,
-    BacklogCouplingAdversary: BacklogCouplingJammingVector,
 }
 
 

@@ -46,8 +46,13 @@ Two loops drive the slot body (:class:`_Batch`), and one predicate,
   event slot, so a pass costs the busiest row's events, not the union's.
   Rows still enter each ``CHUNK_SLOTS`` chunk together, so arrival chunks
   and adversary draws are consumed as in lockstep.  It serves the
-  send-only access-driven kernels (BEB, polynomial, fixed-probability)
-  under oblivious arrivals, whatever the jammer and the outputs.
+  send-only access-driven kernels (BEB, polynomial, fixed-probability),
+  whatever the arrivals, the jammer and the outputs.
+
+Every arrival schedule is oblivious, so each is drawn one ``CHUNK_SLOTS``
+chunk ahead, and each row has one arrival-exhaustion slot (the first slot
+from which nothing more can arrive), found once: a drained row ends there,
+in either loop, and the result's ``drained`` flag reads it.
 
 In every kernel a packet changes state only at its own row's events, so
 every output and feedback jammer is kept per row: trace contention and Φ
@@ -67,7 +72,7 @@ loop ran it.
 
 The engine also runs **mega-batches**: :meth:`VectorSimulator.from_specs`
 takes the specs of several configurations that share one batch key (one
-protocol/arrival/jammer kernel family and one set of engine options; see
+protocol and jammer kernel family and one set of engine options; see
 :func:`~repro.sim.vector.support.placement`) and stacks them into a
 single ragged batch, parameters promoted to per-row arrays.  Each
 configuration keeps its own *segment* — its own arrival schedule — and,
@@ -90,6 +95,7 @@ Outcome codes used internally: 0 empty, 1 success, 2 collision, 3 jammed.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Any, Sequence
 
@@ -163,7 +169,7 @@ def _carried(written: np.ndarray) -> np.ndarray:
 
 
 def _exhaustion_slot(arrivals: Any, max_slots: int) -> int:
-    """First slot from which an oblivious schedule is exhausted in every row.
+    """First slot from which a schedule is exhausted in every row.
 
     ``exhausted`` is pure and monotone in the slot, so a binary search over
     the run finds it; ``max_slots + 1`` when the schedule outlasts the run.
@@ -472,22 +478,17 @@ class _AccessCalendar:
 class _Segment:
     """One group's arrival schedule inside a (mega-)batch, over its rows."""
 
-    __slots__ = ("rows", "streams", "arrivals", "exhausted", "exhaust_slot", "live")
+    __slots__ = ("rows", "streams", "arrivals", "exhaust_slot", "live")
 
     def __init__(self, rows: slice, streams: Any, arrivals: Any, max_slots: int) -> None:
         self.rows = rows
         self.streams = streams
         self.arrivals = arrivals
-        self.exhausted = False
-        # Coupled schedules exhaust row by row and are asked slot by slot;
-        # an oblivious one exhausts at one slot in every row, found once.
-        self.exhaust_slot = (
-            None if arrivals.coupled else _exhaustion_slot(arrivals, max_slots)
-        )
+        self.exhaust_slot = _exhaustion_slot(arrivals, max_slots)
         self.live = True
 
 
-def steps_rows(kernel: Any, arrivals: Sequence[Any]) -> bool:
+def steps_rows(kernel: Any) -> bool:
     """Whether a batch runs the row loop rather than lockstep.
 
     Results are the same in either loop (every output and feedback jammer
@@ -498,14 +499,9 @@ def steps_rows(kernel: Any, arrivals: Sequence[Any]) -> bool:
       so often that stepping them alone saves no passes worth their cost:
       LSB N=2000 ×8 gave identical results but ran slower by row, median
       ratio 1.05–1.11 over three sets of 6–12 alternating pairs;
-    * the dense kernels, where every slot of every row is an event;
-    * backlog-coupled arrivals, whose injections are decided slot by slot.
+    * the dense kernels, where every slot of every row is an event.
     """
-    return (
-        kernel.access_driven
-        and not kernel.listens
-        and not any(schedule.coupled for schedule in arrivals)
-    )
+    return kernel.access_driven and not kernel.listens
 
 
 class _Batch:
@@ -572,14 +568,7 @@ class _Batch:
         self.contention = np.zeros(replications)
         if self.needs_contention:
             jammer.set_contention(self.contention)
-        # A backlog-coupled group runs alone: its batch key is its group key.
-        first = self.segments[0].arrivals
-        self.coupled = first if first.coupled else None
-        self.stepping = (
-            "rows"
-            if steps_rows(kernel, [seg.arrivals for seg in self.segments])
-            else "lockstep"
-        )
+        self.stepping = "rows" if steps_rows(kernel) else "lockstep"
 
         self.row_ids = np.arange(replications)
         self.active = np.zeros((replications, capacity), dtype=bool)
@@ -624,24 +613,16 @@ class _Batch:
             # Each row's first slot past its first unsampled window.
             self.window_due = np.full(replications, self.dynamics_window, dtype=np.int64)
 
-        # Per-replication arrival-exhaustion mask; monotone per segment, so
-        # each segment is checked only until it flips.
-        self.exhausted_rows = np.zeros(replications, dtype=bool)
-        self.any_exhausted = False
+        # Each row's arrival-exhaustion slot: a drained row ends there.
+        self.exhaust_at = np.empty(replications, dtype=np.int64)
+        for seg in self.segments:
+            self.exhaust_at[seg.rows] = seg.exhaust_slot
         self.live = replications
         if self.stop_when_drained:
-            for seg in self.segments:
-                if seg.arrivals.exhausted(0):
-                    # Nothing will ever arrive in this segment: all of its
-                    # replications drain at slot 0.
-                    seg.exhausted = True
-                    seg.live = False
-                    self.exhausted_rows[seg.rows] = True
-                    self.num_slots[seg.rows] = 0
-                    self.running[seg.rows] = False
-                    self.any_exhausted = True
-            if self.any_exhausted:
-                self.live = int(np.count_nonzero(self.running))
+            # Rows with nothing to arrive drain at slot 0.
+            empty = self.exhaust_at == 0
+            if empty.any():
+                self._finish(empty, 0)
 
     def _coin_buffers(self, capacity: int) -> None:
         """The dense kernels' per-slot coin and decision matrices."""
@@ -695,25 +676,23 @@ class _Batch:
             for (row, start, stop), value in zip(spans, values.tolist()):
                 gauge[start:stop, row] = value
 
-    def begin_chunk(self, start: int) -> tuple[int, np.ndarray | None]:
+    def begin_chunk(self, start: int) -> tuple[int, np.ndarray]:
         """Enter the chunk at ``start``: its end and arrival counts.
 
         Every live segment draws its arrivals for the chunk and the jammer
         its coins for the rows still running — exactly once per chunk, in
-        either loop.  Coupled arrivals have no chunk (``None``).
+        either loop.
         """
         end = min(start + CHUNK_SLOTS, self.max_slots)
         count = end - start
-        chunk = None
-        if self.coupled is None:
-            if self.multi:
-                chunk = np.zeros((self.replications, count), dtype=np.int64)
-                for seg in self.segments:
-                    if seg.live:
-                        chunk[seg.rows] = seg.arrivals.chunk(start, count, seg.streams)
-            else:
-                seg = self.segments[0]
-                chunk = seg.arrivals.chunk(start, count, seg.streams)
+        if self.multi:
+            chunk = np.zeros((self.replications, count), dtype=np.int64)
+            for seg in self.segments:
+                if seg.live:
+                    chunk[seg.rows] = seg.arrivals.chunk(start, count, seg.streams)
+        else:
+            seg = self.segments[0]
+            chunk = seg.arrivals.chunk(start, count, seg.streams)
         self.jammer.begin_chunk(start, count, self.streams, self.running)
         self.recorder.reserve(end)
         return end, chunk
@@ -942,18 +921,25 @@ class _Batch:
     def lockstep(self) -> None:
         """Step the union of every row's event slots, all rows together."""
         calendar = self.calendar
-        segments = self.segments
         running = self.running
         max_slots = self.max_slots
-        stop_when_drained = self.stop_when_drained
-        coupled = self.coupled
+        exhaust_at = self.exhaust_at
         # Idle stretches are skipped where no state can change unseen: an
         # access-driven kernel, with every arrival known a chunk ahead.
-        skip_idle = calendar is not None and coupled is None
+        skip_idle = calendar is not None
+        # The running rows' distinct exhaustion slots, ascending, then one
+        # past the run: the first is where the drained check starts, and an
+        # idle stretch ends at the next one ahead (a waiting empty row ends
+        # there).  A row that ended drained has passed its own, so every
+        # row still ahead of its slot is running.
+        exhaust_slots = [max_slots + 1]
+        if self.stop_when_drained:
+            exhaust_slots[:0] = sorted(set(exhaust_at[running].tolist()))
+        first_exhaust = exhaust_slots[0]
 
         chunk_start = 0
         chunk_end = 0
-        arrivals_chunk: np.ndarray | None = None
+        arrivals_chunk = None
         # The chunk's slots with an arrival in some row, and the first of
         # them not yet passed.
         arrival_slots: list[int] = []
@@ -965,11 +951,10 @@ class _Batch:
             if slot >= chunk_end:
                 chunk_start = slot
                 chunk_end, arrivals_chunk = self.begin_chunk(slot)
-                if arrivals_chunk is not None:
-                    arrival_slots = (
-                        np.flatnonzero(arrivals_chunk.any(axis=0)) + chunk_start
-                    ).tolist()
-                    arrival_cursor = 0
+                arrival_slots = (
+                    np.flatnonzero(arrivals_chunk.any(axis=0)) + chunk_start
+                ).tolist()
+                arrival_cursor = 0
             while (
                 arrival_cursor < len(arrival_slots)
                 and arrival_slots[arrival_cursor] < slot
@@ -989,11 +974,11 @@ class _Batch:
                     # No running row accesses or injects before the next due
                     # access, arrival, or (for a waiting empty row) arrival
                     # exhaustion; next_arrival never passes the chunk end.
-                    idle_end = min(calendar.next_due(), next_arrival)
-                    if stop_when_drained:
-                        for seg in segments:
-                            if seg.live and not seg.exhausted:
-                                idle_end = min(idle_end, seg.exhaust_slot)
+                    idle_end = min(
+                        calendar.next_due(),
+                        next_arrival,
+                        exhaust_slots[bisect.bisect_right(exhaust_slots, slot)],
+                    )
 
             if idle_end > slot:
                 # Nothing changes state in the stretch: record it in bulk,
@@ -1005,34 +990,16 @@ class _Batch:
                 skipped += idle_end - slot
                 slot = idle_end
             else:
-                if coupled is not None:
-                    arriving = coupled.arrivals_now(slot, self.backlog, running)
-                    if not arriving.any():
-                        arriving = None
-                elif next_arrival == slot:
+                arriving = None
+                if next_arrival == slot:
                     arriving = arrivals_chunk[:, slot - chunk_start] * running
-                else:
-                    arriving = None
                 self.resolve(slot, running, arriving, accessors)
                 slot += 1
 
-            if stop_when_drained:
-                for seg in segments:
-                    if seg.live and not seg.exhausted:
-                        if seg.exhaust_slot is not None:
-                            if slot >= seg.exhaust_slot:
-                                seg.exhausted = True
-                                self.exhausted_rows[seg.rows] = True
-                                self.any_exhausted = True
-                        else:
-                            per_row = seg.arrivals.exhausted_rows(slot)
-                            if per_row.any():
-                                self.exhausted_rows[seg.rows] = per_row
-                                self.any_exhausted = True
-                                if per_row.all():
-                                    seg.exhausted = True
-                if self.any_exhausted:
-                    finished = running & self.exhausted_rows & (self.backlog == 0)
+            if slot >= first_exhaust:
+                finished = running & (self.backlog == 0)
+                if finished.any():
+                    finished &= exhaust_at <= slot
                     if finished.any():
                         self._finish(finished, slot)
 
@@ -1056,11 +1023,7 @@ class _Batch:
         max_slots = self.max_slots
         may_jam = not self.never_jams
         # Each row's first exhausted slot, where an empty row ends.
-        exhaust_at = None
-        if self.stop_when_drained:
-            exhaust_at = np.empty(self.replications, dtype=np.int64)
-            for seg in self.segments:
-                exhaust_at[seg.rows] = seg.exhaust_slot
+        exhaust_at = self.exhaust_at if self.stop_when_drained else None
         row_slot = np.zeros(self.replications, dtype=np.int64)
         resolved = 0
         chunk_start = 0
@@ -1190,9 +1153,10 @@ class VectorSimulator:
         Specs are grouped by their group key (everything but the seed) in
         first-seen order, and every spec must share the first one's batch
         key (:func:`~repro.sim.vector.support.placement`): the protocol
-        class, the arrival and jammer classes with their schedules, and the
-        engine options.  Parameters may differ between groups; the kernels
-        promote them to per-row arrays.  :meth:`run` returns results in
+        class, the jammer class with its schedule, and the engine options.
+        Parameters and arrival schedules may differ between groups; the
+        kernels promote parameters to per-row arrays, and each group keeps
+        its own arrival schedule.  :meth:`run` returns results in
         input order, each bit-identical to running its group alone.
         """
         if not specs:
@@ -1307,6 +1271,7 @@ class VectorSimulator:
             group.protocol.name for group in self._groups for _ in group.seeds
         ]
         seeds = self._seeds
+        exhaust_at = batch.exhaust_at.tolist()
         if batch.dynamics_window:
             from repro.dynamics.trajectory import jammer_budget
         if batch.collect_trace:
@@ -1375,19 +1340,14 @@ class VectorSimulator:
                         batch, index, slots, active_after, group_budget
                     )
 
-                per_row_exhausted = seg.arrivals.exhausted_rows(slots)
-                if per_row_exhausted is None:
-                    arrivals_done = seg.arrivals.exhausted(slots)
-                else:
-                    arrivals_done = bool(
-                        per_row_exhausted[index - seg.rows.start]
-                    )
                 results[self._order[index]] = SimulationResult(
                     config_description=descriptions[index],
                     protocol_name=protocol_names[index],
                     seed=seeds[index],
                     num_slots=slots,
-                    drained=bool(batch.backlog[index] == 0) and arrivals_done,
+                    # A Python bool: numpy's would change the result's bytes.
+                    drained=bool(batch.backlog[index] == 0)
+                    and slots >= exhaust_at[index],
                     collector=collector,
                     packets=packets,
                     trace=trace,

@@ -5,21 +5,20 @@ protocols whose per-packet state reduces to a handful of scalars, *and* the
 sensing tier (LOW-SENSING BACKOFF, its decoupled A1 variant, Sawtooth, and
 full-sensing multiplicative weights), whose ternary-feedback updates are
 computed from the engine's per-replication feedback arrays.  Adversaries
-qualify when they compose an oblivious arrival process (whose whole
-schedule can be precomputed as an array) with a jammer whose per-slot
-decision depends on at most the slot index, a budget counter, and the
-backlog — all of which the engine tracks as arrays.
+qualify when they are a
+:class:`~repro.adversary.composite.CompositeAdversary` of an oblivious
+arrival process (whose whole schedule can be precomputed as an array) and
+a jammer whose per-slot decision depends on at most the slot index, a
+budget counter, and the backlog — all of which the engine tracks as
+arrays.  Any other adversary, such as
+:class:`~repro.adversary.adaptive.BacklogCouplingAdversary`, whose
+injections read the live backlog, runs on the scalar engine.
 
-Feedback-coupled components vectorize too, via the engine's lockstep
-feedback loop: reactive jammers see the current slot's per-replication
-sender arrays, contention-reading adaptive jammers are fed a
-per-replication contention row each slot, and coupled adversaries whose
-injections and jams both read the live backlog
-(:class:`~repro.adversary.adaptive.BacklogCouplingAdversary`) drive their
-decisions from the engine's backlog counter.  Execution traces and
-potential tracking are vectorized *outputs* — per-slot event arrays
-materialized into trace records and potential samples on demand — not
-blockers.
+Feedback jammers vectorize too, via the engine's feedback loop: reactive
+jammers see each resolving row's senders, and contention-reading adaptive
+jammers are fed each row's contention.  Execution traces and potential
+tracking are vectorized *outputs* — per-row records materialized into
+trace records and potential samples on demand — not blockers.
 
 **The kernel tables are the registry.**  A protocol vectorizes when its
 exact type has an entry in
@@ -38,10 +37,10 @@ would on its own, and the reason names the first offending phase otherwise.
 **One placement rule.**  :func:`placement` maps a spec to its fallback
 reason, or to two keys: its *group key*, the spec with its seed set to 0
 (the seed replicas of one configuration), and its *batch key*, which names
-the groups that stack into one ragged lockstep launch (protocol class,
-arrival and jammer classes with their schedule identity, and engine
-options).  A group that :func:`mega_batch_exclusion` names runs alone: its
-batch key is its group key.  The
+the groups that stack into one ragged launch: the protocol class, the
+jammer class with its schedule identity, and the engine options.  It has
+no exclusions and no arrival part, because each group keeps its own
+arrival schedule inside the batch.  The
 :class:`~repro.exec.vector_backend.VectorBackend`, its result layout,
 :meth:`~repro.experiments.plan.SweepPlan.vector_summary` and
 :meth:`~repro.sim.vector.engine.VectorSimulator.from_specs` all place specs
@@ -55,7 +54,6 @@ import functools
 import json
 from typing import Any, NamedTuple
 
-from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.scheduled import ScheduledArrivals, ScheduledJamming
 from repro.sim.vector.adversaries import ARRIVAL_KERNELS, JAMMER_KERNELS
@@ -65,25 +63,23 @@ from repro.sim.vector.protocols import PROTOCOL_KERNELS
 def lockstep_components(adversary: Any) -> tuple[Any, Any] | None:
     """The ``(arrival process, jammer)`` pair the engine drives, or ``None``.
 
-    A composite contributes its two parts; the backlog-coupled adversary
-    fills both roles itself.  Any other adversary is custom and runs on the
-    scalar engine.
+    A composite contributes its two parts.  Any other adversary is custom
+    and runs on the scalar engine.
     """
-    if type(adversary) is BacklogCouplingAdversary:
-        return adversary, adversary
     if isinstance(adversary, CompositeAdversary):
         return adversary.arrival_process, adversary.jammer
     return None
 
 
-def scheduled_identity(component: Any) -> str | None:
-    """Canonical identity of a scheduled component, ``None`` otherwise.
+def scheduled_identity(jammer: Any) -> str | None:
+    """Canonical identity of a jamming schedule, ``None`` for other jammers.
 
-    Groups stack only when their schedules are *identical*, so this string
-    is part of the batch key.
+    Groups stack only when their jamming schedules are *identical* (the
+    kernel runs the first group's), so this string is part of the batch
+    key.  Arrival schedules need none: each group keeps its own.
     """
-    if isinstance(component, (ScheduledArrivals, ScheduledJamming)):
-        return json.dumps(component.describe(), sort_keys=True)
+    if isinstance(jammer, ScheduledJamming):
+        return json.dumps(jammer.describe(), sort_keys=True)
     return None
 
 
@@ -156,30 +152,6 @@ def vector_support(spec: Any) -> str | None:
     return adversary_support(config.adversary)
 
 
-def mega_batch_exclusion(spec: Any) -> str | None:
-    """Why a vectorizable spec's group must run in its own lockstep batch.
-
-    ``None`` means the group may stack with every group that shares its
-    batch key.  A named reason means the group still vectorizes — it just
-    gets its own kernel launch, because its batch key is its group key.
-    """
-    if spec.collect_trace or spec.collect_potential:
-        return (
-            "trace and potential outputs are materialized per lockstep "
-            "batch; such groups cannot mega-batch"
-        )
-    components = lockstep_components(spec.build_config().adversary)
-    arrival_process = components[0] if components else None
-    if getattr(ARRIVAL_KERNELS.get(type(arrival_process)), "coupled", False):
-        # The engine asks a coupled schedule for the whole batch's arrivals
-        # each slot, so its group must be the batch's only one.
-        return (
-            "backlog-coupled adversaries read the live backlog each slot; "
-            "such groups cannot mega-batch"
-        )
-    return None
-
-
 class Placement(NamedTuple):
     """Where the vector backend runs one spec.
 
@@ -192,18 +164,14 @@ class Placement(NamedTuple):
     group: Any = None
     batch: Any = None
 
-    @property
-    def stacks(self) -> bool:
-        """Whether the spec's group may share its launch with other groups."""
-        return self.batch is not self.group
-
 
 class _BatchKey(NamedTuple):
     protocol: type
-    arrival_process: tuple[type, str | None]
+    #: The jammer class and its schedule identity.
     jammer: tuple[type, str | None]
-    #: max_slots, stop_when_drained and the dynamics window.
-    options: tuple[int, bool, int]
+    #: max_slots, stop_when_drained, collect_trace, collect_potential and
+    #: the dynamics window.
+    options: tuple[int, bool, bool, bool, int]
 
 
 def placement(spec: Any) -> Placement:
@@ -211,9 +179,8 @@ def placement(spec: Any) -> Placement:
 
     Memoised by the group key, so a plan that replicates a configuration
     over hundreds of seeds probes :func:`vector_support` once for it.
-    Opaque jobs (no ``vector_support``, e.g.
-    :class:`~repro.exec.backends.ConfigJob`) and specs that cannot be
-    hashed into a group fall back.
+    Opaque jobs (no ``vector_support``) and specs that cannot be hashed
+    into a group fall back.
     """
     if not callable(getattr(spec, "vector_support", None)):
         return Placement("opaque job: only RunSpecs vectorize")
@@ -233,38 +200,35 @@ def _placement(group: Any) -> Placement:
     reason = vector_support(group)
     if reason is not None:
         return Placement(reason)
-    if mega_batch_exclusion(group) is not None:
-        return Placement(None, group, group)
-    arrival_process, jammer = lockstep_components(group.build_config().adversary)
+    _, jammer = lockstep_components(group.build_config().adversary)
     batch = _BatchKey(
         type(group.protocol),
-        (type(arrival_process), scheduled_identity(arrival_process)),
         (type(jammer), scheduled_identity(jammer)),
-        (group.max_slots, group.stop_when_drained, group.dynamics_window),
+        (
+            group.max_slots,
+            group.stop_when_drained,
+            group.collect_trace,
+            group.collect_potential,
+            group.dynamics_window,
+        ),
     )
     return Placement(None, group, batch)
 
 
 def batch_difference(first: Placement, other: Placement) -> str:
     """What keeps two vectorizable specs out of one lockstep batch."""
-    for place in (first, other):
-        if not place.stacks:
-            return mega_batch_exclusion(place.group)
     mine, theirs = first.batch, other.batch
     if mine.protocol is not theirs.protocol:
         return (
             f"protocol class {mine.protocol.__name__} vs "
             f"{theirs.protocol.__name__}"
         )
-    for label, (my_class, my_schedule), (their_class, their_schedule) in (
-        ("arrival process", mine.arrival_process, theirs.arrival_process),
-        ("jammer", mine.jammer, theirs.jammer),
-    ):
-        if my_class is not their_class:
-            return f"{label} class {my_class.__name__} vs {their_class.__name__}"
-        if my_schedule != their_schedule:
-            return f"the scheduled {label}s differ in their schedule"
+    (my_class, my_schedule), (their_class, their_schedule) = mine.jammer, theirs.jammer
+    if my_class is not their_class:
+        return f"jammer class {my_class.__name__} vs {their_class.__name__}"
+    if my_schedule != their_schedule:
+        return "the scheduled jammers differ in their schedule"
     return (
-        "engine options (max_slots, stop_when_drained, dynamics window) "
-        f"{mine.options} vs {theirs.options}"
+        "engine options (max_slots, stop_when_drained, collect_trace, "
+        f"collect_potential, dynamics window) {mine.options} vs {theirs.options}"
     )

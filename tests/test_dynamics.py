@@ -380,6 +380,14 @@ class TestDynamicsBackend:
         assert wrapped[0].dynamics == direct[0].dynamics
         assert packet_tuples(wrapped[0]) == packet_tuples(direct[0])
 
+    def test_wrapper_passes_jobs_without_the_field_through(self):
+        class OpaqueJob:
+            def build_config(self):
+                return _spec(3).build_config()
+
+        (result,) = DynamicsBackend(SerialBackend(), 100).run([OpaqueJob()])
+        assert result.dynamics is None
+
     def test_make_backend_wraps(self):
         backend = make_backend("serial", dynamics_window=50)
         assert isinstance(backend, DynamicsBackend)

@@ -8,7 +8,6 @@ from repro.core.low_sensing import LowSensingBackoff
 from repro.exec import make_backend
 from repro.exec.backends import (
     SCALAR_LAYOUT,
-    ConfigJob,
     ProcessPoolBackend,
     SerialBackend,
     execute_job,
@@ -33,18 +32,23 @@ def _summaries(results):
     return [result.summary() for result in results]
 
 
+class DuckJob:
+    """A job that only builds its configuration: no spec fields, no cache key."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def build_config(self):
+        return SimulationConfig(
+            protocol=LowSensingBackoff(),
+            adversary=CompositeAdversary(BatchArrivals(10)),
+            seed=self.seed,
+        )
+
+
 class TestSerialBackend:
-    def test_runs_config_jobs_in_order(self):
-        jobs = [
-            ConfigJob(
-                SimulationConfig(
-                    protocol=LowSensingBackoff(),
-                    adversary=CompositeAdversary(BatchArrivals(10)),
-                    seed=seed,
-                )
-            )
-            for seed in (5, 6)
-        ]
+    def test_runs_duck_typed_jobs_in_order(self):
+        jobs = [DuckJob(seed) for seed in (5, 6)]
         results = SerialBackend().run(jobs)
         assert [result.seed for result in results] == [5, 6]
         assert all(result.drained for result in results)
@@ -83,8 +87,12 @@ class TestProcessPoolBackend:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             ProcessPoolBackend(workers=0)
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(chunksize=0)
+
+    def test_describe_reports_the_one_option(self):
+        assert ProcessPoolBackend(workers=3).describe() == {
+            "backend": "processes",
+            "workers": 3,
+        }
 
 
 class TestResultCacheBackend:
@@ -109,17 +117,10 @@ class TestResultCacheBackend:
         assert large.num_arrivals == 40
 
     def test_jobs_without_cache_key_always_delegate(self, tmp_path):
-        job = ConfigJob(
-            SimulationConfig(
-                protocol=LowSensingBackoff(),
-                adversary=CompositeAdversary(BatchArrivals(10)),
-                seed=1,
-            )
-        )
         cache = ResultCacheBackend(tmp_path / "cache")
-        cache.run([job])
-        # A ConfigJob's adversary is stateful, so re-running it requires a
-        # freshly built job; the cache must not have stored the first result.
+        cache.run([DuckJob(1)])
+        # A job without a cache key has no identity to file its result
+        # under; the cache must not have stored it.
         assert cache.misses == 1 and cache.hits == 0
         assert cache.store.stats()["runs"] == 0
 

@@ -6,16 +6,28 @@ several groups that share a batch key, as ``VectorBackend.run`` does) is a
 pure wall-clock optimisation — results are **bit-identical** to running
 each group through its own per-group batch (one ``VectorBackend.run`` call
 per group), because every vector result is a function of its (spec, seed)
-alone.
+alone.  The batch key has no arrival part and no exclusions, so groups
+whose arrival schedules differ, and groups that collect traces and Φ,
+stack too.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.adversary.arrivals import BatchArrivals, PoissonArrivals
+from repro.adversary.arrivals import (
+    BatchArrivals,
+    NoArrivals,
+    PeriodicBurstArrivals,
+    PoissonArrivals,
+)
 from repro.adversary.composite import CompositeAdversary
-from repro.adversary.jamming import BernoulliJamming, NoJamming, PeriodicJamming
+from repro.adversary.jamming import (
+    BernoulliJamming,
+    NoJamming,
+    PeriodicJamming,
+    ReactiveSuccessJammer,
+)
 from repro.core.low_sensing import LowSensingBackoff
 from repro.core.parameters import LowSensingParameters
 from repro.exec import SerialBackend, VectorBackend
@@ -23,6 +35,8 @@ from repro.experiments.plan import SweepPlan, factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.polynomial_backoff import PolynomialBackoff
+from repro.protocols.sawtooth import SawtoothBackoff
+from repro.scenarios.catalog import get_scenario
 from repro.sim.vector import VectorSimulator
 from tests.conftest import run_specs
 
@@ -42,6 +56,14 @@ def identical(a, b):
         and a.drained == b.drained
         and [(p.packet_id, p.arrival_slot, p.departure_slot, p.sends, p.listens) for p in a.packets]
         == [(p.packet_id, p.arrival_slot, p.departure_slot, p.sends, p.listens) for p in b.packets]
+        and (a.trace is None) == (b.trace is None)
+        and (a.trace is None or list(a.trace.records) == list(b.trace.records))
+        and (a.potential is None) == (b.potential is None)
+        and (
+            a.potential is None
+            or list(a.potential.samples) == list(b.potential.samples)
+        )
+        and a.dynamics == b.dynamics
     )
 
 
@@ -67,9 +89,96 @@ def assert_mega_matches_per_group(spec_groups):
         for expected in solo:
             got = next(flat)
             assert identical(got, expected)
+    # The backend stacks the same groups into one launch.
+    backend = VectorBackend()
+    backend.run(flatten(spec_groups))
+    assert (backend.vector_groups, backend.mega_batches) == (len(spec_groups), 1)
+    return mega
+
+
+#: One kernel family per loop: a send-only kernel (the row loop),
+#: LOW-SENSING (lockstep) and Sawtooth (dense), each with per-group
+#: parameters.
+PROTOCOL_FAMILIES = {
+    "send-only": lambda i: BinaryExponentialBackoff(initial_window=2.0 + 2 * i),
+    "low-sensing": lambda i: LowSensingBackoff(
+        params=LowSensingParameters(w_min=32.0 + 16 * i)
+    ),
+    "sawtooth": lambda i: SawtoothBackoff(initial_window=2 + i),
+}
+
+
+def _stacked_outputs(family):
+    """Trace+Φ groups of one kernel family with different parameters."""
+    return [
+        run_specs(
+            PROTOCOL_FAMILIES[family](i),
+            factory(
+                CompositeAdversary,
+                factory(BatchArrivals, 10 + 4 * i),
+                factory(ReactiveSuccessJammer, budget=2 + i),
+            ),
+            [1, 2],
+            max_slots=3_000,
+            collect_trace=True,
+            collect_potential=True,
+        )
+        for i in range(3)
+    ]
+
+
+def _mixed_arrivals(family):
+    """Groups of one protocol and jammer whose arrival schedules differ."""
+    schedules = [
+        factory(CompositeAdversary, factory(BatchArrivals, 12), factory(NoJamming)),
+        factory(
+            CompositeAdversary,
+            factory(PoissonArrivals, rate=0.03, horizon=600),
+            factory(NoJamming),
+        ),
+        factory(
+            CompositeAdversary,
+            factory(PeriodicBurstArrivals, burst_size=4, period=200, num_bursts=3),
+            factory(NoJamming),
+        ),
+        get_scenario("ramp-arrivals").adversary_factory(),
+    ]
+    protocol = PROTOCOL_FAMILIES[family](0)
+    return [
+        run_specs(protocol, adversary, [1, 2], max_slots=1_500)
+        for adversary in schedules
+    ]
+
+
+STACKED_CASES = [
+    pytest.param(build, family, id=f"{kind}-{family}")
+    for kind, build in (
+        ("trace-potential", _stacked_outputs),
+        ("mixed-arrivals", _mixed_arrivals),
+    )
+    for family in PROTOCOL_FAMILIES
+]
 
 
 class TestBitIdentityWithPerGroupExecution:
+    @pytest.mark.parametrize("build, family", STACKED_CASES)
+    def test_stacks_with_every_output_and_arrival_schedule(self, build, family):
+        results = assert_mega_matches_per_group(build(family))
+        assert any(result.num_delivered for result in results)
+
+    @pytest.mark.parametrize("family", PROTOCOL_FAMILIES)
+    def test_a_group_with_nothing_to_arrive_ends_at_slot_zero(self, family):
+        # Its rows are exhausted from slot 0: they end there, drained, while
+        # the group stacked beside them runs.
+        protocol = PROTOCOL_FAMILIES[family](0)
+        spec_groups = [
+            run_specs(protocol, factory(CompositeAdversary, factory(NoArrivals)), [1, 2]),
+            run_specs(protocol, batch_adversary(12), [1, 2]),
+        ]
+        mega = assert_mega_matches_per_group(spec_groups)
+        assert [(r.num_slots, r.drained) for r in mega[:2]] == [(0, True)] * 2
+        assert all(r.num_slots > 0 and r.drained for r in mega[2:])
+
     def test_send_only_protocol_param_grid(self):
         spec_groups = [
             run_specs(BinaryExponentialBackoff(initial_window=2.0 + i), batch_adversary(20 + 3 * i), [1, 2, 3])
@@ -314,7 +423,7 @@ class TestBackendMegaBatching:
         for a, b in zip(mega, per_group):
             assert identical(a, b)
 
-    def test_mixed_with_mega_exclusion_keeps_job_order(self):
+    def test_mixed_engine_options_keep_job_order(self):
         plan = SweepPlan()
         plan.add_group(BinaryExponentialBackoff(), batch_adversary(10), [1, 2])
         plan.add_group(
@@ -324,13 +433,13 @@ class TestBackendMegaBatching:
             BinaryExponentialBackoff(),
             batch_adversary(10),
             [4],
-            collect_trace=True,  # vectorizes, but in its own lockstep batch
+            collect_trace=True,  # other engine options: another launch
         )
         backend = VectorBackend()
         results = plan.run(backend).results
         assert [r.seed for r in results] == [1, 2, 3, 4]
-        # The two plain BEB groups stack; the trace-collecting group is
-        # mega-excluded and gets its own launch.
+        # The two plain BEB groups stack; the trace-collecting group differs
+        # in its engine options, so it gets its own launch.
         assert backend.mega_batches == 2
         assert backend.fallback_jobs == 0
         assert results[3].trace is not None

@@ -16,7 +16,7 @@ records stretches without accesses or arrivals in bulk.  Four layers:
   groups skip fewer idle slots than singletons, so this also shows that
   skipping changes no result;
 * **the row loop** — the send-only kernels step each row to its own next
-  event; under every oblivious arrival schedule and every jammer, reactive
+  event; under every arrival schedule and every jammer, reactive
   and adaptive ones included, with or without trace, Φ and dynamics, the
   results equal the same specs forced into lockstep (``steps_rows``
   patched), and they are row-local too;
@@ -34,7 +34,6 @@ import numpy as np
 import pytest
 
 from access_reference import reference_run
-from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import BatchArrivals, PeriodicBurstArrivals, PoissonArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
@@ -145,21 +144,6 @@ class TestKernelsMatchScalarStateMachines:
             reference = reference_run(
                 protocol, CompositeAdversary(*build()), seed, 3000
             )
-            assert packet_tuples(vector) == reference.packets
-
-    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
-    def test_backlog_coupling(self, protocol):
-        def adversary():
-            return BacklogCouplingAdversary(
-                target_backlog=3, total_packets=12, jam_budget=4
-            )
-
-        for seed in (3, 11):
-            coupled = adversary()
-            vector = VectorSimulator.from_specs(
-                run_specs(protocol, coupled, [seed], max_slots=3000)
-            ).run()[0]
-            reference = reference_run(protocol, adversary(), seed, 3000)
             assert packet_tuples(vector) == reference.packets
 
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
@@ -331,21 +315,18 @@ class TestRowLocality:
 
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN + DENSE)
     def test_collected_outputs_are_row_local(self, protocol):
-        # Trace and potential outputs run in their own batch (no
-        # mega-batching), so the contexts are alone, paired, and resized.
-        adversary = _adversary("poisson-reactive")
-        options = dict(
-            max_slots=3000, collect_trace=True, collect_potential=True, dynamics_window=50
+        # Trace and Φ groups stack like any other, so the contexts include
+        # a mega-batch with a group of other adversary parameters.
+        alone, others, _, _ = _seed_2_in_every_context(
+            protocol,
+            "poisson-reactive",
+            "kernel_invocations",
+            collect_trace=True,
+            collect_potential=True,
+            dynamics_window=50,
         )
-        seeds = list(range(1, 17))
-        alone = VectorSimulator.from_specs(
-            run_specs(protocol, adversary, [2], **options)
-        ).run()[0]
-        for count in (2, 16):
-            batch = VectorSimulator.from_specs(
-                run_specs(protocol, adversary, seeds[:count], **options)
-            ).run()
-            assert_same_run(batch[1], alone)
+        for other in others:
+            assert_same_run(other, alone)
 
 
 # ---------------------------------------------------------------------------
@@ -500,26 +481,14 @@ class TestRowLoop:
         assert alone_passes != resized_passes
 
     @pytest.mark.parametrize(
-        "protocol, adversary",
+        "protocol",
         [
-            pytest.param(
-                BinaryExponentialBackoff(),
-                factory(
-                    BacklogCouplingAdversary,
-                    target_backlog=3,
-                    total_packets=12,
-                    jam_budget=4,
-                ),
-                id="coupled",
-            ),
-            pytest.param(LowSensingBackoff(), _adversary("batch-bernoulli"), id="listening"),
-            pytest.param(SawtoothBackoff(), _adversary("batch-bernoulli"), id="dense"),
+            pytest.param(LowSensingBackoff(), id="listening"),
+            pytest.param(SawtoothBackoff(), id="dense"),
         ],
     )
-    def test_listening_dense_and_coupled_batches_stay_in_lockstep(
-        self, protocol, adversary
-    ):
-        specs = run_specs(protocol, adversary, [1, 2], max_slots=1500)
+    def test_listening_and_dense_batches_stay_in_lockstep(self, protocol):
+        specs = run_specs(protocol, _adversary("batch-bernoulli"), [1, 2], max_slots=1500)
         assert _stepped(specs)[1] == "lockstep"
 
     def test_an_adaptive_phase_spends_its_budget_by_row(self):

@@ -1,22 +1,23 @@
 """Tests for `VectorBackend`: grouping, ordering, and the serial fallback.
 
 The vector/scalar boundary contract: every configuration the vector engine
-does not support (custom protocol/adversary subclasses, replayed arrival
-traces) must cleanly fall back to the serial engine and produce results
-*identical* to `SerialBackend` — it is literally the same code path, so
-this is an equality, not a statistical, assertion.  The sensing protocols
-vectorize since the sensing-tier kernels landed, and the reactive/adaptive/
-coupled adversaries plus trace/potential outputs vectorize since the
-lockstep feedback loop, so the fallback set here is exactly the
-unregistered remainder.
+does not support (custom protocol/adversary subclasses, the backlog-coupled
+adversary, replayed arrival traces) must cleanly fall back to the serial
+engine and produce results *identical* to `SerialBackend` — it is
+literally the same code path, so this is an equality, not a statistical,
+assertion.  The sensing protocols, the reactive and adaptive jammers and
+the trace/potential outputs all vectorize, so the fallback set here is
+exactly the unregistered remainder.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.adversary.adaptive import BacklogCouplingAdversary
-from repro.adversary.arrivals import BatchArrivals, TraceArrivals
+from repro.adversary.arrivals import BatchArrivals, PoissonArrivals, TraceArrivals
 from repro.adversary.base import Adversary
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
@@ -29,7 +30,6 @@ from repro.core.low_sensing import LowSensingBackoff
 from repro.exec import (
     BACKEND_NAMES,
     SCALAR_LAYOUT,
-    ConfigJob,
     SerialBackend,
     VectorBackend,
     make_backend,
@@ -84,6 +84,7 @@ class CustomAdversary(Adversary):
         return False
 
 
+#: (spec, a fragment of its fallback reason)
 UNSUPPORTED_SPECS = [
     pytest.param(
         spec(
@@ -93,6 +94,7 @@ UNSUPPORTED_SPECS = [
                 CompositeAdversary, factory(TraceArrivals, (3, 0, 2, 1))
             ),
         ),
+        "TraceArrivals has no vector schedule",
         id="trace-arrivals",
     ),
     pytest.param(
@@ -105,11 +107,29 @@ UNSUPPORTED_SPECS = [
                 factory(TweakedJammer),
             ),
         ),
+        "TweakedJammer has no vector kernel",
         id="unregistered-jammer-subclass",
     ),
     pytest.param(
         spec(BinaryExponentialBackoff(), 6, adversary=factory(CustomAdversary)),
+        "custom adversaries run on the scalar engine",
         id="custom-adversary",
+    ),
+    # Its injections read the live backlog, so it is a custom adversary
+    # to the vector engine.
+    pytest.param(
+        spec(
+            LowSensingBackoff(),
+            7,
+            adversary=factory(
+                BacklogCouplingAdversary,
+                target_backlog=3,
+                total_packets=40,
+                jam_budget=10,
+            ),
+        ),
+        "custom adversaries run on the scalar engine",
+        id="backlog-coupling",
     ),
 ]
 
@@ -151,16 +171,6 @@ NEWLY_SUPPORTED_SPECS = [
         id="adaptive-contention",
     ),
     pytest.param(
-        spec(
-            BinaryExponentialBackoff(),
-            7,
-            adversary=factory(
-                BacklogCouplingAdversary, target_backlog=2, total_packets=10
-            ),
-        ),
-        id="backlog-coupling",
-    ),
-    pytest.param(
         spec(BinaryExponentialBackoff(), 8, collect_trace=True), id="trace-enabled"
     ),
     pytest.param(
@@ -171,9 +181,9 @@ NEWLY_SUPPORTED_SPECS = [
 
 
 class TestFallbackBoundary:
-    @pytest.mark.parametrize("unsupported", UNSUPPORTED_SPECS)
-    def test_unsupported_spec_declares_a_reason(self, unsupported):
-        assert unsupported.vector_support() is not None
+    @pytest.mark.parametrize("unsupported, reason", UNSUPPORTED_SPECS)
+    def test_unsupported_spec_declares_a_reason(self, unsupported, reason):
+        assert reason in unsupported.vector_support()
 
     def test_sensing_protocols_no_longer_fall_back(self):
         for protocol in (
@@ -194,41 +204,30 @@ class TestFallbackBoundary:
         assert backend.vectorized_jobs == 1
         assert backend.fallback_jobs == 0
 
-    def test_backlog_coupling_mega_exclusion_names_the_coupling(self):
-        from repro.sim.vector.support import mega_batch_exclusion
-
-        coupled = spec(
-            BinaryExponentialBackoff(),
-            7,
-            adversary=factory(
-                BacklogCouplingAdversary, target_backlog=2, total_packets=10
-            ),
-        )
-        assert coupled.vector_support() is None
-        reason = mega_batch_exclusion(coupled)
-        assert reason is not None and "backlog" in reason
-
-    @pytest.mark.parametrize("unsupported", UNSUPPORTED_SPECS)
-    def test_unsupported_spec_identical_to_serial(self, unsupported):
+    @pytest.mark.parametrize("unsupported, reason", UNSUPPORTED_SPECS)
+    def test_unsupported_spec_identical_to_serial(self, unsupported, reason):
         backend = VectorBackend()
         vector_result = backend.run([unsupported])[0]
         serial_result = SerialBackend().run([unsupported])[0]
-        assert summary_tuple(vector_result) == summary_tuple(serial_result)
-        assert (
-            vector_result.backlog_series()
-            == serial_result.backlog_series()
-        )
+        # Bit for bit: the fallback is the serial engine's own code path.
+        assert pickle.dumps(vector_result) == pickle.dumps(serial_result)
+        assert backend.result_layout(unsupported) == SCALAR_LAYOUT
         assert backend.fallback_jobs == 1
         assert backend.vectorized_jobs == 0
 
-    def test_config_jobs_always_fall_back(self):
-        config = SimulationConfig(
-            protocol=BinaryExponentialBackoff(),
-            adversary=CompositeAdversary(BatchArrivals(10), NoJamming()),
-            seed=1,
-        )
+    def test_opaque_jobs_always_fall_back(self):
+        class OpaqueJob:
+            """A job that only builds its configuration."""
+
+            def build_config(self):
+                return SimulationConfig(
+                    protocol=BinaryExponentialBackoff(),
+                    adversary=CompositeAdversary(BatchArrivals(10), NoJamming()),
+                    seed=1,
+                )
+
         backend = VectorBackend()
-        results = backend.run([ConfigJob(config)])
+        results = backend.run([OpaqueJob()])
         assert backend.fallback_jobs == 1
         assert results[0].num_arrivals == 10
 
@@ -331,27 +330,30 @@ class TestPlanIntegration:
         # mega-batch launch (same kernel family).
         assert summary["vector_groups"] == 2
         assert summary["mega_batches"] == 1
-        assert summary["mega_exclusions"] == {}
 
-    def test_vector_summary_reports_mega_exclusions(self):
+    def test_vector_summary_stacks_trace_groups_across_arrivals(self):
+        # Trace and Φ groups of one protocol and jammer class stack, even
+        # when their arrival schedules differ; plain groups launch apart.
+        traced = dict(collect_trace=True, collect_potential=True)
         plan = SweepPlan()
         plan.add_group(
-            BinaryExponentialBackoff(),
-            batch_adversary(10),
-            seeds=[1, 2],
-            collect_trace=True,
+            BinaryExponentialBackoff(), batch_adversary(10), seeds=[1, 2], **traced
         )
         plan.add_group(
-            BinaryExponentialBackoff(),
-            factory(BacklogCouplingAdversary, target_backlog=2, total_packets=10),
+            BinaryExponentialBackoff(initial_window=4.0),
+            factory(CompositeAdversary, factory(PoissonArrivals, 0.05, 300)),
             seeds=[1, 2],
+            **traced,
         )
+        plan.add_group(BinaryExponentialBackoff(), batch_adversary(10), seeds=[1, 2])
         summary = plan.vector_summary()
-        assert summary["vectorizable_specs"] == 4
+        assert summary["vectorizable_specs"] == 6
         assert summary["fallback_groups"] == {}
-        exclusions = summary["mega_exclusions"]
-        assert "mega-batch" in exclusions[0]
-        assert "backlog" in exclusions[1]
+        assert (summary["vector_groups"], summary["mega_batches"]) == (3, 2)
+        backend = VectorBackend()
+        results = plan.run(backend).results
+        assert backend.mega_batches == 2
+        assert all(result.trace is not None for result in results[:4])
 
 
 def _smoke_plan(name):

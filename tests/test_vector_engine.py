@@ -6,7 +6,6 @@ import copy
 
 import pytest
 
-from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import (
     AdversarialQueueingArrivals,
     BatchArrivals,
@@ -66,7 +65,6 @@ ARRIVAL_EXAMPLES = {
     PeriodicBurstArrivals: (2, 10, 0, 2),
     AdversarialQueueingArrivals: (0.2, 10, "front", 40),
     ScheduledArrivals: (Phase(BatchArrivals(2), duration=10), Phase(NoArrivals())),
-    BacklogCouplingAdversary: (2, 4),
 }
 JAMMER_EXAMPLES = {
     NoJamming: (),
@@ -78,7 +76,6 @@ JAMMER_EXAMPLES = {
     ReactiveTargetedJammer: (3,),
     ReactiveSuccessJammer: (3,),
     ScheduledJamming: (Phase(BernoulliJamming(0.1), duration=10), Phase(NoJamming())),
-    BacklogCouplingAdversary: (2, 4, 1),
 }
 COMPONENT_EXAMPLES = [
     pytest.param(table, cls, args, id=f"{role}-{cls.__name__}")
@@ -322,6 +319,28 @@ class TestInvariants:
         assert not results[0].drained
         assert results[0].collector.num_collisions == 25
 
+    @pytest.mark.parametrize(
+        "protocol",
+        [BinaryExponentialBackoff(), LowSensingBackoff(), SawtoothBackoff()],
+        ids=["rows", "lockstep", "dense"],
+    )
+    def test_drained_reads_the_exhaustion_slot_as_a_python_bool(self, protocol):
+        # Arrivals run to slot 300: a run cut before it is not drained,
+        # whatever its backlog.  The flag is a Python bool, as the scalar
+        # engine's is, so the result pickles to the same format.
+        adversary = CompositeAdversary(
+            PoissonArrivals(rate=0.02, horizon=300), NoJamming()
+        )
+        cut, full = (
+            VectorSimulator.from_specs(
+                run_specs(protocol, adversary, [1, 2], max_slots=max_slots)
+            ).run()
+            for max_slots in (250, 20_000)
+        )
+        assert [(r.num_slots, r.drained) for r in cut] == [(250, False)] * 2
+        for result in full:
+            assert result.drained is True and result.num_slots >= 300
+
     def test_stop_when_drained_false_runs_to_cap(self):
         results = VectorSimulator.from_specs(
             run_specs(
@@ -343,8 +362,6 @@ def _bare_subclass(cls):
 
 def _adversary_with(table, component):
     """An adversary that puts ``component`` in the role its table serves."""
-    if isinstance(component, BacklogCouplingAdversary):
-        return component  # it fills both roles itself
     if table is ARRIVAL_KERNELS:
         return CompositeAdversary(component, NoJamming())
     return CompositeAdversary(BatchArrivals(2), component)
@@ -432,24 +449,31 @@ class TestValidationAndSupport:
         with pytest.raises(ValueError, match="protocol class"):
             VectorSimulator.from_specs(mixed)
 
-    def test_trace_and_potential_vectorize_but_exclude_mega_batching(self):
+    def test_trace_and_potential_groups_share_a_batch_key(self):
         from repro.experiments.plan import RunSpec, factory
-        from repro.sim.vector.support import mega_batch_exclusion
 
-        adversary = factory(CompositeAdversary, factory(BatchArrivals, 5))
-        ok = RunSpec(protocol=ALWAYS_SEND, adversary=adversary, seed=1)
-        assert ok.vector_support() is None
-        assert mega_batch_exclusion(ok) is None
-        traced = RunSpec(
-            protocol=ALWAYS_SEND, adversary=adversary, seed=1, collect_trace=True
-        )
-        assert traced.vector_support() is None
-        assert "mega-batch" in mega_batch_exclusion(traced)
-        tracked = RunSpec(
-            protocol=ALWAYS_SEND, adversary=adversary, seed=1, collect_potential=True
-        )
-        assert tracked.vector_support() is None
-        assert "mega-batch" in mega_batch_exclusion(tracked)
+        def batch_key(protocol, arrivals, **options):
+            spec = RunSpec(
+                protocol=protocol,
+                adversary=factory(CompositeAdversary, arrivals),
+                seed=1,
+                **options,
+            )
+            place = placement(spec)
+            assert place.reason is None
+            return place.batch
+
+        batch = factory(BatchArrivals, 5)
+        poisson = factory(PoissonArrivals, 0.1, 40)
+        traced = dict(collect_trace=True, collect_potential=True)
+        key = batch_key(ALWAYS_SEND, batch, **traced)
+        # Other parameters and another arrival schedule: the same launch.
+        other = FixedProbabilityProtocol(probability=0.5)
+        assert batch_key(other, poisson, **traced) == key
+        # Each output is an engine option of the key.
+        assert batch_key(ALWAYS_SEND, batch) != key
+        assert batch_key(ALWAYS_SEND, batch, collect_trace=True) != key
+        assert batch_key(ALWAYS_SEND, batch, collect_potential=True) != key
 
 
 class TestStatisticalAgreementSpotChecks:

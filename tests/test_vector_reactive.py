@@ -1,18 +1,17 @@
-"""Tests for the feedback-coupled vector kernels and vectorized outputs.
+"""Tests for the feedback jammer kernels and vectorized outputs.
 
-The reactive/adaptive adversaries close a feedback loop with the protocol
-state (they read each slot's senders, contention, or backlog), so their
-vector kernels run inside the engine's lockstep slot loop.  Three layers of
-checking, mirroring ``test_vector_sensing``:
+The reactive/adaptive jammers close a feedback loop with the protocol
+state (they read each slot's senders or contention), so their vector
+kernels run inside the engine's slot loop.  Three layers of checking,
+mirroring ``test_vector_sensing``:
 
-* **state-machine identity** — driving the *scalar adversary objects*
-  (``ReactiveSuccessJammer``, ``ReactiveTargetedJammer``,
-  ``BacklogCouplingAdversary``) with the vector engine's own coins, in the
-  access-driven coin order (``access_reference``), must reproduce the
-  vector results bit-for-bit.  This proves the kernels
-  implement exactly the scalar jam/injection logic, so any residual
-  vector-vs-scalar difference is the random-stream layout — the vector
-  engine's documented contract;
+* **state-machine identity** — driving the *scalar jammer objects*
+  (``ReactiveSuccessJammer``, ``ReactiveTargetedJammer``) with the vector
+  engine's own coins, in the access-driven coin order
+  (``access_reference``), must reproduce the vector results bit-for-bit.
+  This proves the kernels implement exactly the scalar jam logic, so any
+  residual vector-vs-scalar difference is the random-stream layout — the
+  vector engine's documented contract;
 * **trace/potential output parity** — with ``collect_trace`` and
   ``collect_potential`` on, the materialised :class:`SlotRecord` and
   :class:`PotentialSample` sequences must equal a scalar-semantics
@@ -27,7 +26,6 @@ from __future__ import annotations
 import pytest
 
 from access_reference import reference_run
-from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import AdversarialQueueingArrivals, BatchArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
@@ -98,20 +96,6 @@ class TestReactiveKernelsMatchScalarAdversaries:
             )
             reference = reference_run(BinaryExponentialBackoff(), adversary, seed, 4000)
             assert packet_tuples(vector) == reference.packets
-
-    def test_backlog_coupling(self):
-        for seed in (3, 11, 42):
-            adversary = BacklogCouplingAdversary(
-                target_backlog=3, total_packets=12, jam_budget=4
-            )
-            vector = VectorSimulator.from_specs(
-                run_specs(BinaryExponentialBackoff(), adversary, [seed], max_slots=4000)
-            ).run()[0]
-            reference = BacklogCouplingAdversary(
-                target_backlog=3, total_packets=12, jam_budget=4
-            )
-            packets = reference_run(BinaryExponentialBackoff(), reference, seed, 4000).packets
-            assert packet_tuples(vector) == packets
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +275,6 @@ def _equivalence_cases():
                 factory(NoJamming),
             ),
             id="queueing-random",
-        ),
-        pytest.param(
-            BinaryExponentialBackoff(),
-            factory(
-                BacklogCouplingAdversary,
-                target_backlog=3,
-                total_packets=40,
-                jam_budget=10,
-            ),
-            id="backlog-coupling",
         ),
     ]
 
