@@ -304,20 +304,12 @@ def jammer_budget(obj: Any) -> float | None:
 def windowed_series(result: Any, window: int) -> dict[str, np.ndarray] | None:
     """Per-window series derived from a stored result, for trajectory diffs.
 
-    Prefers the result's attached :class:`DynamicsTrajectory` when its
-    window matches; otherwise derives the derivable subset (throughput,
-    backlog, arrivals, successes) from the result's cumulative per-slot
-    counts (:meth:`~repro.sim.results.SimulationResult.slot_counts`).
-    Returns ``None`` for a run of zero slots.
+    Derives throughput, backlog, arrivals and successes from the result's
+    cumulative per-slot counts
+    (:meth:`~repro.sim.results.SimulationResult.slot_counts`), so stored
+    results compare too; a :class:`DynamicsTrajectory` sampled at the same
+    window holds the same series.  Returns ``None`` for a run of zero slots.
     """
-    dynamics = getattr(result, "dynamics", None)
-    if dynamics is not None and dynamics.window == window:
-        return {
-            "throughput": dynamics.throughput.astype(np.float64),
-            "backlog": dynamics.backlog.astype(np.float64),
-            "arrivals": dynamics.arrivals.astype(np.float64),
-            "successes": dynamics.successes.astype(np.float64),
-        }
     counts = result.slot_counts()
     n = counts.backlog.shape[0]
     if n == 0:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.metrics.summary import nearest_rank_quantile
+
 
 @dataclass(frozen=True)
 class PacketEnergy:
@@ -56,13 +58,6 @@ class EnergyStatistics:
         }
 
 
-def _quantile(sorted_values: Sequence[int], q: float) -> float:
-    if not sorted_values:
-        raise ValueError("cannot take a quantile of an empty sequence")
-    index = min(len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1))))
-    return float(sorted_values[index])
-
-
 def energy_statistics(
     packets: Sequence[PacketEnergy], departed_only: bool = False
 ) -> EnergyStatistics:
@@ -85,9 +80,9 @@ def energy_statistics(
         num_packets=n,
         mean_accesses=sum(accesses) / n,
         max_accesses=int(accesses[-1]),
-        p50_accesses=_quantile(accesses, 0.50),
-        p95_accesses=_quantile(accesses, 0.95),
-        p99_accesses=_quantile(accesses, 0.99),
+        p50_accesses=nearest_rank_quantile(accesses, 0.50),
+        p95_accesses=nearest_rank_quantile(accesses, 0.95),
+        p99_accesses=nearest_rank_quantile(accesses, 0.99),
         mean_sends=sum(p.sends for p in selected) / n,
         mean_listens=sum(p.listens for p in selected) / n,
         total_accesses=sum(accesses),

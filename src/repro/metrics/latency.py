@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.metrics.summary import nearest_rank_quantile
+
 
 @dataclass(frozen=True)
 class PacketLatency:
@@ -51,13 +53,6 @@ class LatencyStatistics:
         }
 
 
-def _quantile(sorted_values: Sequence[int], q: float) -> float:
-    if not sorted_values:
-        raise ValueError("cannot take a quantile of an empty sequence")
-    index = min(len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1))))
-    return float(sorted_values[index])
-
-
 def latency_statistics(packets: Sequence[PacketLatency]) -> LatencyStatistics:
     """Summarise latencies; undelivered packets are counted but excluded."""
     delivered = sorted(p.latency for p in packets if p.latency is not None)
@@ -70,7 +65,7 @@ def latency_statistics(packets: Sequence[PacketLatency]) -> LatencyStatistics:
         num_undelivered=undelivered,
         mean_latency=sum(delivered) / n,
         max_latency=int(delivered[-1]),
-        p50_latency=_quantile(delivered, 0.50),
-        p95_latency=_quantile(delivered, 0.95),
-        p99_latency=_quantile(delivered, 0.99),
+        p50_latency=nearest_rank_quantile(delivered, 0.50),
+        p95_latency=nearest_rank_quantile(delivered, 0.95),
+        p99_latency=nearest_rank_quantile(delivered, 0.99),
     )

@@ -2,7 +2,8 @@
 
 Experiments replicate each configuration over several seeds; this module
 defines the per-run summary record and aggregation over replicates (mean,
-min, max per numeric field), which is what experiment tables report.
+min, max per numeric field), which is what experiment tables report, and
+the nearest-rank quantile the energy, latency and backlog statistics share.
 """
 
 from __future__ import annotations
@@ -88,3 +89,13 @@ def aggregate_summaries(
             std=math.sqrt(variance),
         )
     return aggregated
+
+
+def nearest_rank_quantile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank quantile of an already sorted, non-empty sequence."""
+    if not sorted_values:
+        raise ValueError("cannot take a quantile of an empty sequence")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    index = min(len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1))))
+    return float(sorted_values[index])

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.channel.trace import ExecutionTrace
+from repro.metrics.summary import nearest_rank_quantile
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,6 @@ def backlog_series(trace: ExecutionTrace) -> list[int]:
     return [record.active_after for record in trace]
 
 
-def _quantile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile of an already sorted, non-empty sequence."""
-    if not sorted_values:
-        raise ValueError("cannot take a quantile of an empty sequence")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
-    index = min(len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1))))
-    return float(sorted_values[index])
-
-
 def backlog_statistics(series: Sequence[int]) -> BacklogStatistics:
     """Summary statistics for a backlog series (which must be non-empty)."""
     if not series:
@@ -61,9 +52,9 @@ def backlog_statistics(series: Sequence[int]) -> BacklogStatistics:
     return BacklogStatistics(
         max_backlog=int(ordered[-1]),
         mean_backlog=sum(series) / len(series),
-        p50_backlog=_quantile(ordered, 0.50),
-        p95_backlog=_quantile(ordered, 0.95),
-        p99_backlog=_quantile(ordered, 0.99),
+        p50_backlog=nearest_rank_quantile(ordered, 0.50),
+        p95_backlog=nearest_rank_quantile(ordered, 0.95),
+        p99_backlog=nearest_rank_quantile(ordered, 0.99),
         final_backlog=int(series[-1]),
         num_slots=len(series),
     )

@@ -77,9 +77,11 @@ class TestExplain:
         assert "throughput" not in out
 
     def test_explain_shows_reactive_experiment_on_vector_path(self, capsys):
-        assert main(["run", "e6", "--scale", "smoke", "--explain"]) == 0
+        assert main(["run", "e6", "e9", "--scale", "smoke", "--explain"]) == 0
         out = capsys.readouterr().out
-        # E6's reactive jammers ride the lockstep feedback loop.
+        # E6's reactive jammers and E9's potential tracking ride the
+        # lockstep feedback loop.
+        assert out.count("2/2 specs vectorize") == 2
         assert "fallback: " not in out
         assert "vector kernel" in out
 
@@ -144,7 +146,8 @@ class TestRun:
         ]
         assert main(args) == 0
         first = json.loads((out_dir / "e1.json").read_text(encoding="utf-8"))
-        assert first["backend"]["inner"]["workers"] == 2
+        assert first["backend"]["inner"] == {"backend": "processes", "workers": 2}
+        assert first["rows"]
         assert (cache_dir / "store.db").exists(), "cache store should exist"
         assert list((cache_dir / "artifacts").rglob("*.pkl")), (
             "cache should be populated"
@@ -255,12 +258,16 @@ class TestScenario:
         assert "budget-starved-jammer" in rendered
 
     def test_scenario_run_vector_backend_reports_split(self, tmp_path):
+        from repro.dynamics import DEFAULT_WINDOW
+        from repro.scenarios.spec import resolve_scenario
+
         out_dir = tmp_path / "results"
         code = main(
             [
                 "scenario", "run", "ramp-down-jamming",
                 "--scale", "smoke",
                 "--backend", "vector",
+                "--dynamics",
                 "--out", str(out_dir),
             ]
         )
@@ -270,11 +277,16 @@ class TestScenario:
         )
         backend = payload["backend"]
         assert backend["backend"] == "vector"
+        assert backend["dynamics_window"] == DEFAULT_WINDOW
         # All of ramp-down-jamming's protocols (low-sensing included) ride
         # the schedule-aware vector kernels now.
         assert backend["vectorized_jobs"] > 0
         assert backend["fallback_jobs"] == 0
-        assert len(payload["content_hash"]) == 64
+        # The report names the scenario, whichever backend ran it.
+        assert payload["content_hash"] == (
+            resolve_scenario("ramp-down-jamming").content_hash()
+        )
+        assert payload["rows"]
         assert payload["elapsed_seconds"] > 0
 
     def test_scenario_run_vector_backend_warns_on_majority_fallback(
@@ -376,6 +388,8 @@ class TestCampaignCli:
         assert payload["campaigns"][0]["campaign_id"] == "c1"
         assert payload["campaigns"][0]["status"] == "complete"
         assert len(payload["store_fingerprint"]) == 64
+        assert main(["campaign", "status", "--store", store]) == 0
+        assert "over 2 unit(s)" in capsys.readouterr().out
 
         assert main(["campaign", "show", "c1", "--store", store, "--json"]) == 0
         shown = json.loads(capsys.readouterr().out)

@@ -625,14 +625,13 @@ class TestTrajectoryDiff:
         assert derive_window(results) == REGRESSION_SLOTS // 16
         assert derive_window([]) == 1
 
-    def test_windowed_series_prefers_attached_trajectories(self):
+    def test_windowed_series_equals_attached_trajectories(self):
         result = Simulator(_spec(3, dynamics_window=100).build_config()).run()
         series = windowed_series(result, 100)
-        assert np.array_equal(
-            series["throughput"], result.dynamics.throughput
-        )
-        # A mismatched window falls back to the packet-record derivation
-        # and still reproduces the same totals.
+        # Derived from the packet records, equal to the attached trajectory.
+        for metric in ("throughput", "backlog", "arrivals", "successes"):
+            assert np.array_equal(series[metric], getattr(result.dynamics, metric))
+        # Any window reproduces the run's totals.
         derived = windowed_series(result, 50)
         assert derived["successes"].sum() == result.collector.num_successes
 

@@ -1011,8 +1011,14 @@ class TestReportCli:
         store_dir = str(tmp_path / "store")
         tele_path = tmp_path / "t.jsonl"
         assert main(["campaign", "run", str(scenario_file),
-                     "--backend", "serial", "--store", store_dir,
-                     "--telemetry", str(tele_path), "--dynamics"]) == 0
+                     "--backend", "processes", "--workers", "2",
+                     "--store", store_dir, "--telemetry", str(tele_path),
+                     "--sample-resources", "0.05", "--dynamics"]) == 0
+        capsys.readouterr()
+        assert main(["telemetry", "summarize", str(tele_path)]) == 0
+        assert "workers (process-pool attribution)" in capsys.readouterr().out
+        assert main(["report", "metrics", str(tele_path)]) == 0
+        assert "# TYPE repro_resource_rss_bytes gauge" in capsys.readouterr().out
         store = ResultsStore(Path(store_dir))
         (campaign,) = store.list_campaigns()
         store.close()

@@ -8,6 +8,8 @@ The load-bearing invariants:
   truncated final line, tolerated on read);
 * `telemetry summarize` reproduces a per-phase breakdown covering >= 95%
   of total run wall-clock for an E1 sweep and a campaign run;
+* each E1 protocol's vector batches name the loop they ran (the
+  `simulate` span's `stepping`), and `--dynamics` does not change it;
 * pool worker failures surface with job index and spec identity.
 """
 
@@ -541,16 +543,44 @@ class TestCampaignUnitSpans:
 
 
 class TestCliTelemetry:
-    def test_e1_sweep_summarize_covers_95_percent(self, tmp_path, capsys):
+    # The loop each E1 protocol's vector batches run: the send-only kernels
+    # step by row, the listening and dense kernels in lockstep.
+    E1_STEPPING = {
+        "binary-exponential": {"rows"},
+        "polynomial": {"rows"},
+        "fixed-probability": {"rows"},
+        "low-sensing": {"lockstep"},
+        "full-sensing-mw": {"lockstep"},
+        "sawtooth": {"lockstep"},
+    }
+
+    @pytest.mark.parametrize("dynamics", [[], ["--dynamics", "500"]],
+                             ids=["plain", "dynamics"])
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_e1_sweep_summarize_covers_95_percent(
+        self, tmp_path, capsys, backend, dynamics
+    ):
         tele_path = tmp_path / "sweep.jsonl"
         assert main(
-            ["run", "e1", "--scale", "smoke", "--telemetry", str(tele_path)]
+            ["run", "e1", "--scale", "smoke", "--backend", backend,
+             "--telemetry", str(tele_path), *dynamics]
         ) == 0
         capsys.readouterr()
         assert main(["telemetry", "summarize", str(tele_path), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["coverage"] >= 0.95
         assert any(row["name"] == "sweep" for row in summary["roots"])
+        if backend == "vector":
+            # Collected outputs (--dynamics) must not change the loop.
+            stepping = {}
+            for record in read_events(tele_path):
+                attrs = record.get("attrs", {})
+                if record.get("name") == "simulate" and "stepping" in attrs:
+                    stepping.setdefault(attrs["protocol"], set()).add(
+                        attrs["stepping"]
+                    )
+            assert stepping == self.E1_STEPPING
+            assert summary["counters"]["slots_simulated"] > 0
 
     def test_campaign_run_summarize_covers_95_percent(self, tmp_path, capsys):
         tele_path = tmp_path / "campaign.jsonl"
