@@ -30,9 +30,9 @@ Two decision paths share the slot body:
   decisions, i.e. exactly what a scalar packet's ``FeedbackReport`` would
   say about its replication's channel.
 
-Both paths hand the rest of the slot its senders as (row, packet) index
-arrays, which channel resolution, the reactive jammer kernels, and the
-trace read.  Per-packet listen counters feed the energy metrics.
+Both paths hand the rest of the slot its senders' rows and, where the
+reactive jammer kernels or the trace read them, their packet columns.
+Per-packet listen counters feed the energy metrics.
 
 Two loops drive the slot body (:class:`_Batch`), and one predicate,
 :func:`steps_rows`, picks between them:
@@ -381,8 +381,9 @@ class _AccessCalendar:
     that row's events in packet-id order: one per arriving packet for its
     first gap (a first access may fall in the arrival slot), then per
     accessor a send-vs-listen coin (listening kernels only) and the coin of
-    its next gap, drawn before the channel resolves — a winner's is unused.
-    A ``slot`` is one slot for every row, or each row's own slot.
+    its next gap, drawn before the channel resolves (a winner's next access
+    is then reset to ``_NEVER``).  A ``slot`` is one slot for every row, or
+    each row's own slot.
     """
 
     def __init__(
@@ -446,33 +447,22 @@ class _AccessCalendar:
         share = self.kernel.send_share(cells, rows)
         if share is None:
             return np.ones(cells.size, dtype=bool), self.coins.take(rows, counts)
-        pairs = self.coins.take(np.repeat(rows, 2), 2 * counts).reshape(-1, 2)
-        return pairs[:, 0] < share, pairs[:, 1]
+        send_coins, gap_coins = self.coins.take(rows, counts, 2)
+        return send_coins < share, gap_coins
 
     def settle(
         self,
         cells: np.ndarray,
         rows: np.ndarray,
-        sent: np.ndarray,
         gap_coins: np.ndarray,
-        won: np.ndarray,
         empty: np.ndarray,
         noise: np.ndarray,
         slot: int | np.ndarray,
     ) -> None:
-        """Feedback and next gaps for the accessors; winners leave."""
-        next_access = _flat(self.next_access)
-        if won.any():
-            next_access[cells[won]] = _NEVER
-            stay = ~won
-            cells, rows, sent, gap_coins, empty, noise = (
-                values[stay] for values in (cells, rows, sent, gap_coins, empty, noise)
-            )
-        self.kernel.on_access(cells, rows, sent, empty, noise)
-        gaps = geometric_gaps(
-            gap_coins, self.kernel.access_probability(cells, rows), self.horizon
-        )
-        next_access[cells] = gaps + _row_slots(slot, rows)
+        """Feedback and the next access of every accessor, winners included."""
+        probabilities = self.kernel.on_access(cells, rows, empty, noise)
+        gaps = geometric_gaps(gap_coins, probabilities, self.horizon)
+        _flat(self.next_access)[cells] = gaps + _row_slots(slot, rows)
 
 
 class _Segment:
@@ -498,7 +488,9 @@ def steps_rows(kernel: Any) -> bool:
     * LOW-SENSING and decoupled LSB (listening kernels), whose rows access
       so often that stepping them alone saves no passes worth their cost:
       LSB N=2000 ×8 gave identical results but ran slower by row, median
-      ratio 1.05–1.11 over three sets of 6–12 alternating pairs;
+      ratio 1.05–1.11 over three sets of 6–12 alternating pairs, and 1.17
+      (quartiles 1.13–1.25, slower in 11 of 12 pairs) once the slot body
+      updated each accessor once;
     * the dense kernels, where every slot of every row is an event.
     """
     return kernel.access_driven and not kernel.listens
@@ -807,7 +799,9 @@ class _Batch:
             sent, gap_coins = calendar.decide(accessors, access_rows)
             senders = accessors[sent]
             send_rows = access_rows[sent]
-            send_cols = senders - send_rows * capacity
+            # Only a reactive jammer and the trace read columns.
+            if self.reactive or self.collect_trace:
+                send_cols = senders - send_rows * capacity
             if track_listens:
                 listeners = accessors[~sent]
         else:
@@ -853,18 +847,6 @@ class _Batch:
             winners = mask & ~jammed & (num_senders == 1)
         # A sender in a winning row is that row's only sender.
         won = winners[send_rows]
-        winner_rows = send_rows[won]
-        winner_cols = send_cols[won]
-        if calendar is not None:
-            _flat(self.sends)[senders] += 1
-            if track_listens:
-                _flat(self.listens)[listeners] += 1
-        else:
-            self.sends += send
-            if self.listens is not None:
-                self.listens += listen
-        active[winner_rows, winner_cols] = False
-        self.departure_slot[winner_rows, winner_cols] = _row_slots(slot, winner_rows)
         # Per-replication ternary feedback: what every accessor of that
         # replication's channel heard this slot.
         if never_jams:
@@ -874,21 +856,36 @@ class _Batch:
             empty_rows = ~jammed & (num_senders == 0)
             noise_rows = jammed | (num_senders > 1)
         if calendar is not None:
+            _flat(self.sends)[senders] += 1
+            if track_listens:
+                _flat(self.listens)[listeners] += 1
             calendar.settle(
-                accessors, access_rows, sent, gap_coins,
-                sent & winners[access_rows],
+                accessors, access_rows, gap_coins,
                 empty_rows[access_rows], noise_rows[access_rows], slot,
             )
+            # Winners leave by cell, after settle gave every accessor a
+            # next access.
+            leaving = senders[won]
+            _flat(active)[leaving] = False
+            _flat(self.departure_slot)[leaving] = _row_slots(slot, send_rows[won])
+            _flat(calendar.next_access)[leaving] = _NEVER
         else:
+            self.sends += send
+            if self.listens is not None:
+                self.listens += listen
+            winner_rows = send_rows[won]
+            winner_cols = send_cols[won]
+            active[winner_rows, winner_cols] = False
+            self.departure_slot[winner_rows, winner_cols] = _row_slots(slot, winner_rows)
             # Winners depart without a state update; the remaining senders
             # are the slot's losers.
             send[winner_rows, winner_cols] = False
             kernel.on_feedback(empty_rows, noise_rows, send, listen, active)
         self.backlog = self.backlog - winners
 
-        outcome = (num_senders > 0).astype(np.int8)
-        outcome += outcome
-        outcome -= winners
+        # Empty, success or collision by sender count: a row outside the
+        # mask has no senders.
+        outcome = np.minimum(num_senders, 2)
         if not never_jams:
             outcome[jammed] = 3
         recorder = self.recorder
@@ -1264,6 +1261,7 @@ class VectorSimulator:
     def _finalize(self, batch: _Batch) -> list[SimulationResult]:
         recorder = batch.recorder
         listens = batch.listens
+        packet_columns = (batch.arrival_slot, batch.departure_slot, batch.sends, listens)
         descriptions = [
             description for group in self._groups for description in group.descriptions
         ]
@@ -1306,22 +1304,15 @@ class VectorSimulator:
                 )
                 collector.jammed_active_slots = np.flatnonzero(jammed_active).tolist()
 
-                packets = []
-                for packet_id in range(int(batch.injected[index])):
-                    departed_at = int(batch.departure_slot[index, packet_id])
-                    packets.append(
-                        PacketRecord(
-                            packet_id=packet_id,
-                            arrival_slot=int(batch.arrival_slot[index, packet_id]),
-                            departure_slot=None if departed_at < 0 else departed_at,
-                            sends=int(batch.sends[index, packet_id]),
-                            listens=(
-                                int(listens[index, packet_id])
-                                if listens is not None
-                                else 0
-                            ),
-                        )
-                    )
+                count = int(batch.injected[index])
+                columns = [
+                    values[index, :count].tolist() if values is not None else [0] * count
+                    for values in packet_columns
+                ]
+                packets = [
+                    PacketRecord(packet_id, arrived, None if left < 0 else left, sent, heard)
+                    for packet_id, (arrived, left, sent, heard) in enumerate(zip(*columns))
+                ]
 
                 potential = None
                 if batch.collect_potential:

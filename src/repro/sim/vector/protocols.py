@@ -12,8 +12,10 @@ in ``(replications × packets)`` arrays.  Two kinds of kernel exist:
   Geometric(p) (see :mod:`repro.sim.vector.engine`).  The kernel exposes
   ``access_probability`` and ``send_share`` (``P(send | access)``, ``None``
   for the send-only kernels, whose every access is a send) at given cells,
-  and ``on_access``, the state update of the accessors that stay, from what
-  their replication's channel carried;
+  and ``on_access``, which updates every accessor of a slot, winners
+  included (nothing reads a departed cell again), from what its
+  replication's channel carried and returns their next access
+  probabilities;
 * **dense kernels** (Sawtooth, full-sensing MW) advance state every slot —
   Sawtooth's clock ticks while a packet sleeps, and MW listens every slot —
   so they keep a per-slot interface: ``decide`` turns one uniform coin
@@ -167,19 +169,16 @@ class AccessKernel(VectorProtocolKernel):
         return None
 
     def on_access(
-        self,
-        cells: np.ndarray,
-        rows: np.ndarray,
-        sent: np.ndarray,
-        empty: np.ndarray,
-        noise: np.ndarray,
-    ) -> None:
-        """Feedback update for the accessors that did not win.
+        self, cells: np.ndarray, rows: np.ndarray, empty: np.ndarray, noise: np.ndarray
+    ) -> np.ndarray | float:
+        """Feedback update for every accessor at ``cells``, winners included.
 
-        ``sent`` marks the senders among them; ``empty`` / ``noise`` mark
-        those whose replication's channel was idle / noisy this slot (the
-        rest heard another packet's success).
+        ``empty`` / ``noise`` mark the accessors whose replication's channel
+        was idle / noisy this slot; the rest heard a success, their own or
+        another packet's.  Returns the accessors' next access probabilities,
+        exactly what :meth:`access_probability` reads after the update.
         """
+        return self.access_probability(cells, rows)
 
 
 class DenseKernel(VectorProtocolKernel):
@@ -283,8 +282,9 @@ class BinaryExponentialKernel(AccessKernel):
     def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _flat(self._inverse)[cells]
 
-    def on_access(self, cells, rows, sent, empty, noise) -> None:
-        # Every access is a send, and a sender that stays lost its slot.
+    def on_access(self, cells, rows, empty, noise) -> np.ndarray:
+        # Every access is a send, and every sender but the winner (whose
+        # update nothing reads) lost its slot.
         grown = _flat(self._window)[cells] * _at(self._backoff_factor, rows)
         cap = self._max_window
         if isinstance(cap, np.ndarray):
@@ -292,7 +292,9 @@ class BinaryExponentialKernel(AccessKernel):
         elif cap != np.inf:
             np.minimum(grown, cap, out=grown)
         _flat(self._window)[cells] = grown
-        _flat(self._inverse)[cells] = 1.0 / grown
+        inverse = 1.0 / grown
+        _flat(self._inverse)[cells] = inverse
+        return inverse
 
 
 class PolynomialKernel(AccessKernel):
@@ -335,13 +337,15 @@ class PolynomialKernel(AccessKernel):
     def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _flat(self._inverse)[cells]
 
-    def on_access(self, cells, rows, sent, empty, noise) -> None:
-        # Every access is a send, and a sender that stays collided.
+    def on_access(self, cells, rows, empty, noise) -> np.ndarray:
+        # Every access is a send, and every sender but the winner collided.
         bumped = _flat(self._collisions)[cells] + 1
         _flat(self._collisions)[cells] = bumped
-        _flat(self._inverse)[cells] = 1.0 / (
+        inverse = 1.0 / (
             _at(self._initial_window, rows) * (bumped + 1.0) ** _at(self._degree, rows)
         )
+        _flat(self._inverse)[cells] = inverse
+        return inverse
 
 
 class LowSensingKernel(AccessKernel):
@@ -375,21 +379,23 @@ class LowSensingKernel(AccessKernel):
         self, window: np.ndarray, c: float | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(send, access, send share) for each window, as the scalar state."""
-        log_cubed = np.log(window) ** 3
-        access = np.minimum(1.0, c * log_cubed / window)
-        share = np.minimum(1.0, 1.0 / (c * log_cubed))
+        scaled = c * np.log(window) ** 3
+        access = np.minimum(1.0, scaled / window)
+        share = np.minimum(1.0, 1.0 / scaled)
         send = access * share
         if self._decoupled:
             access = send + (1.0 - send) * access
             share = send / access
         return send, access, share
 
-    def _store(self, cells: np.ndarray, rows: np.ndarray, window: np.ndarray) -> None:
+    def _store(self, cells: np.ndarray, rows: np.ndarray, window: np.ndarray):
+        """Set the windows at ``cells``; returns their access probabilities."""
         _flat(self._window)[cells] = window
         send, access, share = self._probabilities(window, _at(self._c, rows))
         _flat(self._send)[cells] = send
         _flat(self._access)[cells] = access
         _flat(self._share)[cells] = share
+        return access
 
     def sending_probabilities(self) -> np.ndarray:
         return self._send
@@ -419,22 +425,19 @@ class LowSensingKernel(AccessKernel):
     def send_share(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _flat(self._share)[cells]
 
-    def on_access(self, cells, rows, sent, empty, noise) -> None:
+    def on_access(self, cells, rows, empty, noise) -> np.ndarray:
         # An accessor hears silence only as a listener (a sender in an idle
         # slot is impossible) and backs on; every accessor of a noisy slot
-        # backs off; a success heard from another packet changes nothing.
-        changed = empty | noise
-        cells, rows, empty = cells[changed], rows[changed], empty[changed]
-        if not cells.size:
-            return
+        # backs off; a success keeps the window, and recomputing the
+        # probabilities of a kept window gives back the stored values.
         window = _flat(self._window)[cells]
         factor = 1.0 + 1.0 / (_at(self._c, rows) * np.log(window))
         window = np.where(
             empty,
             np.maximum(window / factor, _at(self._w_min, rows)),
-            window * factor,
+            np.where(noise, window * factor, window),
         )
-        self._store(cells, rows, window)
+        return self._store(cells, rows, window)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ this coin order in the result cache and the campaign store.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -144,15 +144,19 @@ class RowCoins:
         self._next = np.zeros(rows, dtype=np.int64)
         self._end = np.zeros(rows, dtype=np.int64)
 
-    def take(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """One uniform per entry of ``rows`` (ascending; ``counts`` its bincount)."""
-        for row in np.flatnonzero(self._next + counts > self._end).tolist():
-            self._refill(row, int(counts[row]))
-        # The k-th entry of row r reads the row's next unread uniform plus k.
-        first = np.cumsum(counts) - counts
-        start = self._origin + self._next - first
-        self._next += counts
-        return self._buffer.reshape(-1)[start[rows] + np.arange(rows.size)]
+    def take(self, rows: np.ndarray, counts: np.ndarray, per_entry: int = 1) -> Any:
+        """The next ``per_entry`` (1 or 2) uniforms of every entry of ``rows``
+        (ascending; ``counts`` its bincount): one array, or two, every
+        entry's first and every entry's second."""
+        needed = counts if per_entry == 1 else per_entry * counts
+        for row in np.flatnonzero(self._next + needed > self._end).tolist():
+            self._refill(row, int(needed[row]))
+        # Row r's j-th entry starts per_entry·j past the row's next unread one.
+        start = self._origin + self._next - (np.cumsum(needed) - needed)
+        self._next += needed
+        index = start[rows] + np.arange(0, per_entry * rows.size, per_entry)
+        flat = self._buffer.reshape(-1)
+        return flat[index] if per_entry == 1 else (flat[index], flat[index + 1])
 
     def _refill(self, row: int, needed: int) -> None:
         unread = self._buffer[row, self._next[row] : self._end[row]].copy()

@@ -20,9 +20,13 @@ records stretches without accesses or arrivals in bulk.  Four layers:
   and adaptive ones included, with or without trace, Φ and dynamics, the
   results equal the same specs forced into lockstep (``steps_rows``
   patched), and they are row-local too;
+* **the slot body's contracts** — ``on_access`` updates every accessor,
+  winners included, and returns exactly the access probabilities the
+  kernel then reads; a listener that heard another packet's success keeps
+  its state bit for bit; a departed cell never accesses again;
 * **the gap sampler** — chi-square against Geometric(p), and its edges;
 * **the coin stream** — a row consumes exactly its stream's prefix,
-  however the buffer is refilled.
+  however the buffer is refilled, one or two coins per entry.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from repro.adversary.jamming import (
 )
 from repro.adversary.scheduled import ScheduledArrivals, ScheduledJamming
 from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
+from repro.core.parameters import LowSensingParameters
 from repro.experiments.plan import factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.fixed_probability import FixedProbabilityProtocol
@@ -58,6 +63,7 @@ from repro.scenarios.schedule import Phase
 from repro.sim.vector import VectorSimulator
 from repro.sim.vector import engine as vector_engine
 from repro.sim.vector import rng as vector_rng
+from repro.sim.vector.protocols import make_protocol_row_kernel
 from repro.sim.vector.rng import RowCoins, geometric_gaps
 from repro.telemetry import MemorySink, TelemetrySession, activated
 from tests.conftest import run_specs
@@ -505,6 +511,111 @@ class TestRowLoop:
 
 
 # ---------------------------------------------------------------------------
+# The slot body's contracts
+# ---------------------------------------------------------------------------
+
+#: Each access-driven protocol, and a second parameterisation of it that a
+#: mega-batch stacks after it (its parameters become per-row columns).
+KERNEL_PAIRS = [
+    pytest.param(
+        LowSensingBackoff(),
+        LowSensingBackoff(params=LowSensingParameters(c=1.0, w_min=100.0)),
+        id="low-sensing",
+    ),
+    pytest.param(
+        DecoupledLowSensingBackoff(),
+        DecoupledLowSensingBackoff(params=LowSensingParameters(c=1.0, w_min=100.0)),
+        id="low-sensing-decoupled",
+    ),
+    pytest.param(
+        BinaryExponentialBackoff(),
+        BinaryExponentialBackoff(initial_window=4.0, backoff_factor=1.5, max_window=64.0),
+        id="binary-exponential",
+    ),
+    pytest.param(
+        PolynomialBackoff(), PolynomialBackoff(initial_window=3.0, degree=1.5), id="polynomial"
+    ),
+    pytest.param(
+        FixedProbabilityProtocol(probability=0.08),
+        FixedProbabilityProtocol(probability=0.3),
+        id="fixed-probability",
+    ),
+]
+
+
+def _cell_state(kernel, cells, rows):
+    """Every per-cell value a kernel exposes at ``cells``, as float lists."""
+    shape = (kernel.replications, kernel.capacity)
+    values = {
+        "access": kernel.access_probability(cells, rows),
+        "send": np.broadcast_to(kernel.sending_probabilities(), shape).reshape(-1)[cells],
+        "share": kernel.send_share(cells, rows),
+    }
+    if kernel.window_matrix() is not None:
+        values["window"] = kernel.window_matrix().reshape(-1)[cells]
+    return {
+        name: np.broadcast_to(value, cells.shape).tolist()
+        for name, value in values.items()
+        if value is not None
+    }
+
+
+class TestSlotContracts:
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-group", "mega-batched"])
+    @pytest.mark.parametrize("protocol, other", KERNEL_PAIRS)
+    def test_on_access_returns_what_the_kernel_reads_next(self, protocol, other, stacked):
+        pairs = [(protocol, 2), (other, 2)] if stacked else [(protocol, 4)]
+        capacity = 12
+        kernel = make_protocol_row_kernel(pairs, capacity)
+        cells = np.arange(4 * capacity)
+        kernel.init_packets(cells, cells // capacity)
+        rng = np.random.default_rng(2026)
+        kept = 0
+        for _ in range(60):
+            cells = np.flatnonzero(rng.random(4 * capacity) < 0.4)
+            rows = cells // capacity
+            # Each row's channel was idle, noisy, or carried a success.
+            heard = rng.integers(0, 3, size=4)[rows]
+            empty, noise = heard == 0, heard == 1
+            before = _cell_state(kernel, cells, rows)
+            returned = kernel.on_access(cells, rows, empty, noise)
+            after = _cell_state(kernel, cells, rows)
+            assert np.broadcast_to(returned, cells.shape).tolist() == after["access"]
+            if kernel.listens:
+                # A listener hears another packet's success (a send-only
+                # kernel's accessor in a success slot is the winner).
+                success = np.flatnonzero(heard == 2).tolist()
+                kept += len(success)
+                for name in before:
+                    assert [after[name][i] for i in success] == [
+                        before[name][i] for i in success
+                    ], name
+        assert kept or not kernel.listens
+
+    @pytest.mark.parametrize("loop", ["rows", "lockstep"])
+    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
+    def test_departed_cells_never_access_again(self, protocol, loop, monkeypatch):
+        resolve = vector_engine._Batch.resolve
+        checked = []
+
+        def checked_resolve(batch, *args, **kwargs):
+            resolve(batch, *args, **kwargs)
+            departed = batch.departure_slot >= 0
+            assert (batch.calendar.next_access[departed] == vector_engine._NEVER).all()
+            checked.append(int(departed.sum()))
+
+        monkeypatch.setattr(vector_engine._Batch, "resolve", checked_resolve)
+        # Either loop serves every access-driven kernel.
+        monkeypatch.setattr(
+            vector_engine, "steps_rows", lambda kernel: loop == "rows" and kernel.access_driven
+        )
+        specs = run_specs(protocol, _adversary("batch-bernoulli"), [1, 2], max_slots=3000)
+        results, stepping, _ = _stepped(specs)
+        assert stepping == loop
+        assert checked[-1] == sum(result.num_delivered for result in results) > 0
+
+
+# ---------------------------------------------------------------------------
 # The geometric gap sampler
 # ---------------------------------------------------------------------------
 
@@ -548,19 +659,34 @@ class TestGeometricGaps:
 # ---------------------------------------------------------------------------
 
 
-def test_row_coins_consume_each_rows_stream_prefix(monkeypatch):
+@pytest.mark.parametrize("per_entry", [1, 2])
+def test_row_coins_consume_each_rows_stream_prefix(monkeypatch, per_entry):
     monkeypatch.setattr(vector_rng, "_ROW_COIN_WIDTH", 8)
     keys = (5, 6, 7)
-    coins = RowCoins([np.random.Generator(np.random.Philox(key=key)) for key in keys])
+
+    def row_coins():
+        return RowCoins([np.random.Generator(np.random.Philox(key=key)) for key in keys])
+
+    coins, reference = row_coins(), row_coins()
     consumed = [[] for _ in keys]
     rng = random.Random(0)
     for _ in range(60):
         # Bursts wider than the buffer force refills and regrowth.
         counts = np.array([rng.choice((0, 1, 3, 9, 20)) for _ in keys])
         rows = np.repeat(np.arange(len(keys)), counts)
-        values = coins.take(rows, counts)
+        if per_entry == 1:
+            values = coins.take(rows, counts)
+        else:
+            first, second = coins.take(rows, counts, 2)
+            # The two-coin form splits one coin per entry of the doubled rows.
+            pairs = reference.take(np.repeat(rows, 2), 2 * counts).reshape(-1, 2)
+            assert (first.tolist(), second.tolist()) == (
+                pairs[:, 0].tolist(),
+                pairs[:, 1].tolist(),
+            )
+            values = np.column_stack([first, second]).reshape(-1)
         for row in range(len(keys)):
-            consumed[row].extend(values[rows == row].tolist())
+            consumed[row].extend(values[np.repeat(rows, per_entry) == row].tolist())
     for row, key in enumerate(keys):
         expected = np.random.Generator(np.random.Philox(key=key)).random(len(consumed[row]))
         assert consumed[row] == expected.tolist()

@@ -207,12 +207,12 @@ class TestLowSensingKernelMath:
         assert_in_sync()
         # A run of noisy slots (listener hears NOISE): backoff each time.
         for _ in range(12):
-            kernel.on_access(cell, cell, no, no, yes)
+            kernel.on_access(cell, cell, no, yes)
             state.observe(FeedbackReport(feedback=Feedback.NOISE, sent=False), None)
             assert_in_sync()
         # Then silence: back on, clamped at w_min.
         for _ in range(20):
-            kernel.on_access(cell, cell, no, yes, no)
+            kernel.on_access(cell, cell, yes, no)
             state.observe(FeedbackReport(feedback=Feedback.EMPTY, sent=False), None)
             assert_in_sync()
         assert kernel.window_matrix()[0, 0] == pytest.approx(params.w_min)
