@@ -389,6 +389,11 @@ def resume_campaign(
         )
     if workers is not None and workers <= 0:
         raise CampaignError("workers must be positive")
+    if workers is not None and row["backend"] != "processes":
+        raise CampaignError(
+            f"workers only apply to the processes backend; campaign "
+            f"{campaign_id!r} runs on the {row['backend']} backend"
+        )
     if row["status"] == "complete":
         return CampaignOutcome(
             campaign_id=campaign_id,

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.adversary.base import Adversary
-from repro.core.potential import PotentialCoefficients
 from repro.protocols.base import BackoffProtocol
 
 
@@ -36,9 +35,9 @@ class SimulationConfig:
     collect_potential:
         Track the potential function Φ(t) each slot (requires a protocol
         whose packet state exposes a ``window`` attribute, i.e. LOW-SENSING
-        BACKOFF); used by experiment E9.
-    potential_coefficients:
-        Coefficients (α1, α2, α3) for the potential tracker.
+        BACKOFF), with the default coefficients (α1, α2, α3) of
+        :class:`~repro.core.potential.PotentialCoefficients`; used by
+        experiment E9.
     dynamics_window:
         When positive, sample a windowed dynamics trajectory every this
         many slots (see :mod:`repro.dynamics`).  Dynamics are result-inert
@@ -53,9 +52,6 @@ class SimulationConfig:
     stop_when_drained: bool = True
     collect_trace: bool = False
     collect_potential: bool = False
-    potential_coefficients: PotentialCoefficients = field(
-        default_factory=PotentialCoefficients
-    )
     dynamics_window: int = 0
 
     def __post_init__(self) -> None:

@@ -103,9 +103,7 @@ class Simulator:
             ExecutionTrace() if config.collect_trace else None
         )
         self.potential: PotentialTracker | None = (
-            PotentialTracker(config.potential_coefficients)
-            if config.collect_potential
-            else None
+            PotentialTracker() if config.collect_potential else None
         )
         if getattr(config, "dynamics_window", 0):
             from repro.dynamics import DynamicsAccumulator, jammer_budget

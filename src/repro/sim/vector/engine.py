@@ -31,8 +31,8 @@ Two decision paths share the slot body:
   say about its replication's channel.
 
 Both paths hand the rest of the slot its senders' rows and, where the
-reactive jammer kernels or the trace read them, their packet columns.
-Per-packet listen counters feed the energy metrics.
+reactive jammer kernels read them, their packet columns.  Per-packet listen
+counters feed the energy metrics.
 
 Two loops drive the slot body (:class:`_Batch`), and one predicate,
 :func:`steps_rows`, picks between them:
@@ -55,11 +55,13 @@ from which nothing more can arrive), found once: a drained row ends there,
 in either loop, and the result's ``drained`` flag reads it.
 
 In every kernel a packet changes state only at its own row's events, so
-every output and feedback jammer is kept per row: trace contention and Φ
-are written where a row resolves a slot and carried over its idle slots
-after the loop, dynamics windows are sampled as each row crosses them, and
-an adaptive jammer reads each row's contention after its last resolve.
-:func:`steps_rows` says why the other batches stay in lockstep.
+every output and feedback jammer is kept per row: Φ is written where a row
+resolves a slot and carried over its idle slots after the loop, dynamics
+windows are sampled as each row crosses them, and an adaptive jammer reads
+each row's contention after its last resolve.  :func:`steps_rows` says why
+the other batches stay in lockstep.  Execution traces are not an output
+here: a traced spec runs on the scalar engine
+(:func:`~repro.sim.vector.support.vector_support`).
 
 A replication consumes its packet stream only through its own events, in
 packet-id order within a slot (:class:`~repro.sim.vector.rng.RowCoins`),
@@ -105,8 +107,6 @@ from repro.telemetry import current as current_telemetry
 
 from repro.adversary.arrivals import ArrivalProcess
 from repro.adversary.jamming import Jammer
-from repro.channel.feedback import SlotOutcome
-from repro.channel.trace import ExecutionTrace, SlotRecord
 from repro.core.potential import (
     PotentialCoefficients,
     PotentialSample,
@@ -123,14 +123,6 @@ from repro.sim.vector.adversaries import (
 from repro.sim.vector.protocols import _flat, make_protocol_row_kernel
 from repro.sim.vector.rng import RowCoins, VectorStreams, geometric_gaps
 from repro.sim.vector.support import batch_difference, lockstep_components, placement
-
-#: Outcome-code → SlotOutcome lookup for trace materialisation.
-_OUTCOMES = (
-    SlotOutcome.EMPTY,
-    SlotOutcome.SUCCESS,
-    SlotOutcome.COLLISION,
-    SlotOutcome.JAMMED,
-)
 
 #: Next-access slot of a cell with no access ahead: not yet arrived,
 #: departed, or past the run's horizon.
@@ -235,10 +227,9 @@ _POTENTIAL_TERMS = ("h_term", "l_term", "inverse_window_sum", "potential")
 class _SlotRecorder:
     """Growable ``(slots × replications)`` per-slot observation buffers.
 
-    The base buffers feed metric finalisation; the optional trace buffer
-    (post-slot contention) and potential buffers (H, L, Σ1/w, Φ) are only
-    allocated when the batch collects the corresponding vectorized outputs,
-    and are written only where a row resolves a slot (NaN elsewhere, see
+    The base buffers feed metric finalisation; the potential buffers (H,
+    L, Σ1/w, Φ) are only allocated when the batch collects Φ, and are
+    written only where a row resolves a slot (NaN elsewhere, see
     :func:`_carried`).  Base buffers start at an idle slot's values (empty,
     unjammed, no arrivals, no senders) and every row-slot is written at
     most once, so an idle slot needs no write unless it is jammed.
@@ -252,23 +243,15 @@ class _SlotRecorder:
         ("arrivals", np.int32, 0),
         ("num_senders", np.int32, 0),
     )
-    _TRACE_FIELDS = (("contention", np.float64, np.nan),)
     _POTENTIAL_FIELDS = tuple((name, np.float64, np.nan) for name in _POTENTIAL_TERMS)
 
     def __init__(
-        self,
-        replications: int,
-        initial_slots: int = 1024,
-        *,
-        trace: bool = False,
-        potential: bool = False,
+        self, replications: int, initial_slots: int = 1024, *, potential: bool = False
     ) -> None:
         self._replications = replications
         self._rows = np.arange(replications)
         self._capacity = max(1, initial_slots)
         self._fields = list(self._BASE_FIELDS)
-        if trace:
-            self._fields += list(self._TRACE_FIELDS)
         if potential:
             self._fields += list(self._POTENTIAL_FIELDS)
         for name, dtype, fill in self._fields:
@@ -320,32 +303,9 @@ def _row_slots(slot: int | np.ndarray, rows: np.ndarray) -> int | np.ndarray:
     return slot if isinstance(slot, int) else slot[rows]
 
 
-def _events(records: list) -> list[np.ndarray]:
-    """A batch's (slot, rows, columns) event records as three flat arrays."""
-    empty = np.empty(0, dtype=np.int64)
-    parts = [(empty, empty, empty)] + [
-        (np.broadcast_to(slot, rows.shape), rows, columns)
-        for slot, rows, columns in records
-    ]
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
-def _ids_by_slot(events: list[np.ndarray], index: int, count: int) -> list[tuple[int, ...]]:
-    """Row ``index``'s packet ids per slot ``0 .. count-1``.
-
-    ``events`` (:func:`_events`) list each row's events by slot, and by
-    column within a slot.
-    """
-    slots, rows, columns = events
-    mine = rows == index
-    bounds = np.searchsorted(slots[mine], np.arange(count + 1)).tolist()
-    columns = columns[mine].tolist()
-    return [tuple(columns[start:stop]) for start, stop in zip(bounds, bounds[1:])]
-
-
-#: A batch's engine options: max_slots, stop_when_drained, collect_trace,
-#: collect_potential, potential coefficients and dynamics window.
-_Options = tuple[int, bool, bool, bool, PotentialCoefficients, int]
+#: A batch's engine options, as its batch key holds them: max_slots,
+#: stop_when_drained, collect_potential and the dynamics window.
+_Options = tuple[int, bool, bool, int]
 
 
 class _GroupConfig:
@@ -510,9 +470,7 @@ class _Batch:
         (
             max_slots,
             self.stop_when_drained,
-            self.collect_trace,
             self.collect_potential,
-            self.coefficients,
             self.dynamics_window,
         ) = options
         self.max_slots = max_slots
@@ -553,13 +511,10 @@ class _Batch:
         self.reactive = jammer.reactive
         self.needs_contention = jammer.needs_contention
         self.never_jams = jammer.never_jams
-        # Each row's contention after its last resolve (the pre-injection
-        # C(t) of its next slot), kept when an adaptive jammer or the trace
-        # reads it, as the scalar engine's _track_contention gates it.
-        self.want_contention = self.needs_contention or self.collect_trace
-        self.contention = np.zeros(replications)
         if self.needs_contention:
-            jammer.set_contention(self.contention)
+            # Each row's contention after its last resolve: the pre-injection
+            # C(t) of its next slot, zero before any packet arrives.
+            jammer.set_contention(np.zeros(replications))
         self.stepping = "rows" if steps_rows(kernel) else "lockstep"
 
         self.row_ids = np.arange(replications)
@@ -576,19 +531,14 @@ class _Batch:
         self.backlog = np.zeros(replications, dtype=np.int64)
         self.running = np.ones(replications, dtype=bool)
         self.num_slots = np.full(replications, max_slots, dtype=np.int64)
-        self.recorder = _SlotRecorder(
-            replications, trace=self.collect_trace, potential=self.collect_potential
-        )
+        self.recorder = _SlotRecorder(replications, potential=self.collect_potential)
         # Loop statistics: the rounds that resolved a slot (of one row or of
         # all), and lockstep's bulk-recorded slots.
         self.iterations = 0
         self.skipped = 0
-
-        # Trace output: each resolve's senders and listeners as (slot, rows,
-        # columns) records, materialised into SlotRecords at finalisation.
-        self.sender_records: list[tuple[Any, np.ndarray, np.ndarray]] = []
-        self.listener_records: list[tuple[Any, np.ndarray, np.ndarray]] = []
         self.windowed = kernel.window_matrix() is not None
+        # Φ's coefficients are the defaults, as on the scalar engine.
+        self.coefficients = PotentialCoefficients()
 
         # Windowed dynamics gauges (probability sum, window sum, cumulative
         # listens): one row per window, written for each row as it crosses
@@ -799,8 +749,8 @@ class _Batch:
             sent, gap_coins = calendar.decide(accessors, access_rows)
             senders = accessors[sent]
             send_rows = access_rows[sent]
-            # Only a reactive jammer and the trace read columns.
-            if self.reactive or self.collect_trace:
+            # Only a reactive jammer reads columns.
+            if self.reactive:
                 send_cols = senders - send_rows * capacity
             if track_listens:
                 listeners = accessors[~sent]
@@ -826,21 +776,6 @@ class _Batch:
                 slot, send_rows, send_cols, num_senders,
                 backlog_pre, mask, self.arrival_slot, jammed,
             )
-        if self.collect_trace:
-            # Captured before the winner departs, so the winner is among
-            # the senders — as in the scalar SlotRecord.
-            self.sender_records.append(
-                (_row_slots(slot, send_rows), send_rows, send_cols)
-            )
-            if track_listens:
-                if calendar is not None:
-                    listen_rows = listeners // capacity
-                    listen_cols = listeners - listen_rows * capacity
-                else:
-                    listen_rows, listen_cols = np.nonzero(listen)
-                self.listener_records.append(
-                    (_row_slots(slot, listen_rows), listen_rows, listen_cols)
-                )
         if never_jams:
             winners = mask & (num_senders == 1)
         else:
@@ -892,13 +827,9 @@ class _Batch:
         recorder.record(
             slot, outcome=outcome, arrivals=arriving, num_senders=num_senders
         )
-        if self.want_contention:
+        if self.needs_contention:
             # The rows that did not resolve keep their contention.
-            self.contention = _contention(kernel, active)
-            if self.needs_contention:
-                jammer.set_contention(self.contention)
-            if self.collect_trace:
-                recorder.record(slot, contention=self.contention)
+            jammer.set_contention(_contention(kernel, active))
         if self.collect_potential:
             terms = _potential_terms(kernel, active, self.backlog, self.coefficients)
             recorder.record(slot, **dict(zip(_POTENTIAL_TERMS, terms)))
@@ -1101,7 +1032,6 @@ class _Batch:
                 self.iterations if (self.reactive or self.needs_contention) else 0
             ),
             "mega_batch_segments": len(self.segments),
-            "trace_materialisations": self.replications if self.collect_trace else 0,
             "potential_materialisations": (
                 self.replications if self.collect_potential else 0
             ),
@@ -1184,17 +1114,9 @@ class VectorSimulator:
                     [built.describe() for built in configs],
                 )
             )
-        # One batch key means one set of engine options.
-        options = (
-            config.max_slots,
-            config.stop_when_drained,
-            config.collect_trace,
-            config.collect_potential,
-            config.potential_coefficients,
-            config.dynamics_window,
-        )
         order = [index for indices in members.values() for index in indices]
-        return cls(groups, options, order)
+        # One batch key means one set of engine options.
+        return cls(groups, first.batch.options, order)
 
     # -- Introspection --------------------------------------------------------
 
@@ -1227,7 +1149,7 @@ class VectorSimulator:
           row-slots resolved one by one and recorded in bulk; they sum to
           ``slots_simulated``;
         * ``slots_simulated``, ``channel_accesses``, ``feedback_iterations``
-          and the trace/potential/dynamics materialisations.
+          and the potential/dynamics materialisations.
         """
         tele = current_telemetry()
         if not tele.enabled:
@@ -1272,9 +1194,6 @@ class VectorSimulator:
         exhaust_at = batch.exhaust_at.tolist()
         if batch.dynamics_window:
             from repro.dynamics.trajectory import jammer_budget
-        if batch.collect_trace:
-            senders = _events(batch.sender_records)
-            listeners = _events(batch.listener_records)
         results: list[SimulationResult] = [None] * len(seeds)  # type: ignore[list-item]
         for group, seg in zip(self._groups, batch.segments):
             group_budget = (
@@ -1319,12 +1238,6 @@ class VectorSimulator:
                     potential = self._materialize_potential(
                         batch, index, slots, active_after
                     )
-                trace = None
-                if batch.collect_trace:
-                    trace = self._materialize_trace(
-                        batch, index, slots, active_before, active_after,
-                        senders, listeners, potential,
-                    )
                 dynamics = None
                 if batch.dynamics_window:
                     dynamics = self._materialize_dynamics(
@@ -1341,7 +1254,6 @@ class VectorSimulator:
                     and slots >= exhaust_at[index],
                     collector=collector,
                     packets=packets,
-                    trace=trace,
                     potential=potential,
                     dynamics=dynamics,
                 )
@@ -1400,63 +1312,6 @@ class VectorSimulator:
             )
         ]
         return build_trajectory(window, slots, snapshots, budget=budget)
-
-    def _materialize_trace(
-        self,
-        batch: _Batch,
-        index: int,
-        slots: int,
-        active_before: np.ndarray,
-        active_after: np.ndarray,
-        senders: list[np.ndarray],
-        listeners: list[np.ndarray],
-        potential: PotentialTracker | None,
-    ) -> ExecutionTrace:
-        """Expand one row's event records into the scalar engine's trace form.
-
-        Packet ids are assigned in injection order (as the scalar engine
-        does), and sender/listener tuples come out in ascending packet-id
-        order, which matches the scalar engine's iteration over its active
-        dict.  Every success is a departure, so the winners are the
-        departure slots; a slot's pre-injection contention is the one its
-        row ended the previous slot with.
-        """
-        recorder = batch.recorder
-        arrivals = recorder.arrivals[:slots, index]
-        outcome = recorder.outcome[:slots, index]
-        winner = np.full(slots, -1, dtype=np.int64)
-        departures = batch.departure_slot[index, : int(batch.injected[index])]
-        departed = np.flatnonzero(departures >= 0)
-        winner[departures[departed]] = departed
-        contention = np.zeros(slots)
-        contention[1:] = _carried(recorder.contention[:slots, index])[:-1]
-        sender_ids = _ids_by_slot(senders, index, slots)
-        listener_ids = _ids_by_slot(listeners, index, slots)
-        records = []
-        next_packet_id = 0
-        for s in range(slots):
-            count = int(arrivals[s])
-            arrival_ids = tuple(range(next_packet_id, next_packet_id + count))
-            next_packet_id += count
-            winner_id = int(winner[s])
-            records.append(
-                SlotRecord(
-                    slot=s,
-                    outcome=_OUTCOMES[int(outcome[s])],
-                    jammed=bool(outcome[s] == 3),
-                    arrivals=arrival_ids,
-                    senders=sender_ids[s],
-                    listeners=listener_ids[s],
-                    winner=None if winner_id < 0 else winner_id,
-                    active_before=int(active_before[s]),
-                    active_after=int(active_after[s]),
-                    contention=float(contention[s]),
-                    potential=(
-                        potential.samples[s].potential if potential is not None else None
-                    ),
-                )
-            )
-        return ExecutionTrace(records=records)
 
     def _materialize_potential(
         self,

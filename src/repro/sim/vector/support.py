@@ -16,9 +16,11 @@ injections read the live backlog, runs on the scalar engine.
 
 Feedback jammers vectorize too, via the engine's feedback loop: reactive
 jammers see each resolving row's senders, and contention-reading adaptive
-jammers are fed each row's contention.  Execution traces and potential
-tracking are vectorized *outputs* — per-row records materialized into
-trace records and potential samples on demand — not blockers.
+jammers are fed each row's contention.  Potential tracking and dynamics
+trajectories are vectorized *outputs*, kept per row and materialized into
+potential samples and trajectories.  Execution traces are not: no
+experiment or scenario collects one, so a traced spec runs on the scalar
+engine, whose trace is the reference (:data:`TRACE_REASON`).
 
 **The kernel tables are the registry.**  A protocol vectorizes when its
 exact type has an entry in
@@ -38,7 +40,9 @@ would on its own, and the reason names the first offending phase otherwise.
 reason, or to two keys: its *group key*, the spec with its seed set to 0
 (the seed replicas of one configuration), and its *batch key*, which names
 the groups that stack into one ragged launch: the protocol class, the
-jammer class with its schedule identity, and the engine options.  It has
+jammer class with its schedule identity, and the engine options
+(``max_slots``, ``stop_when_drained``, ``collect_potential`` and the
+dynamics window), which the engine takes from it.  It has
 no exclusions and no arrival part, because each group keeps its own
 arrival schedule inside the batch.  The
 :class:`~repro.exec.vector_backend.VectorBackend`, its result layout,
@@ -58,6 +62,9 @@ from repro.adversary.composite import CompositeAdversary
 from repro.adversary.scheduled import ScheduledArrivals, ScheduledJamming
 from repro.sim.vector.adversaries import ARRIVAL_KERNELS, JAMMER_KERNELS
 from repro.sim.vector.protocols import PROTOCOL_KERNELS
+
+#: The fallback reason of a spec that collects an execution trace.
+TRACE_REASON = "execution traces run on the scalar engine"
 
 
 def lockstep_components(adversary: Any) -> tuple[Any, Any] | None:
@@ -142,6 +149,8 @@ def vector_support(spec: Any) -> str | None:
     introspect the concrete arrival/jammer types; the built objects are
     discarded, so this never leaks state into the actual run.
     """
+    if spec.collect_trace:
+        return TRACE_REASON
     reason = protocol_support(spec.protocol)
     if reason is not None:
         return reason
@@ -169,9 +178,9 @@ class _BatchKey(NamedTuple):
     protocol: type
     #: The jammer class and its schedule identity.
     jammer: tuple[type, str | None]
-    #: max_slots, stop_when_drained, collect_trace, collect_potential and
-    #: the dynamics window.
-    options: tuple[int, bool, bool, bool, int]
+    #: max_slots, stop_when_drained, collect_potential and the dynamics
+    #: window: the engine's options for the batch.
+    options: tuple[int, bool, bool, int]
 
 
 def placement(spec: Any) -> Placement:
@@ -207,7 +216,6 @@ def _placement(group: Any) -> Placement:
         (
             group.max_slots,
             group.stop_when_drained,
-            group.collect_trace,
             group.collect_potential,
             group.dynamics_window,
         ),
@@ -229,6 +237,6 @@ def batch_difference(first: Placement, other: Placement) -> str:
     if my_schedule != their_schedule:
         return "the scheduled jammers differ in their schedule"
     return (
-        "engine options (max_slots, stop_when_drained, collect_trace, "
-        f"collect_potential, dynamics window) {mine.options} vs {theirs.options}"
+        "engine options (max_slots, stop_when_drained, collect_potential, "
+        f"dynamics window) {mine.options} vs {theirs.options}"
     )

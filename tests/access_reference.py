@@ -18,7 +18,9 @@ the sleep report, which these state machines ignore), so bit-for-bit
 agreement with the vector engine shows that the kernels implement exactly
 the scalar protocol and adversary logic, and that an access-driven result
 depends only on the replication's own seed and events.  The adversary must
-be deterministic (it is called with ``rng=None``).
+be deterministic (it is called with ``rng=None``).  The vector engine keeps
+no trace, so :func:`assert_counts_match` checks a vector result's
+packet-derived per-slot counts against the reference's slot records.
 """
 
 from __future__ import annotations
@@ -56,6 +58,34 @@ def decision_probabilities(protocol, state):
 def gap(uniform: float, probability: float, horizon: int) -> int:
     """The kernels' Geometric(p) gap for one coin."""
     return int(geometric_gaps(np.array([uniform]), np.array([probability]), horizon)[0])
+
+
+def assert_counts_match(result, records):
+    """``result``'s per-slot counts and channel totals are what ``records`` say.
+
+    The counts are the packet-derived :meth:`SimulationResult.slot_counts`
+    and the collector's jammed active slots, compared slot for slot.
+    """
+    counts = result.slot_counts()
+    assert len(records) == result.num_slots
+
+    def cumulative(values):
+        return np.cumsum(values, dtype=np.int64).tolist()
+
+    assert counts.arrivals.tolist() == cumulative([len(r.arrivals) for r in records])
+    assert counts.successes.tolist() == cumulative([r.is_success for r in records])
+    assert counts.active_slots.tolist() == cumulative([r.is_active for r in records])
+    assert counts.backlog.tolist() == [r.active_after for r in records]
+    collector = result.collector
+    assert collector.jammed_active_slots == [
+        r.slot for r in records if r.jammed and r.is_active
+    ]
+    assert collector.num_collisions == sum(
+        r.outcome is SlotOutcome.COLLISION for r in records
+    )
+    assert collector.num_jammed == sum(r.jammed for r in records)
+    assert collector.total_sends == sum(len(r.senders) for r in records)
+    assert collector.total_listens == sum(len(r.listeners) for r in records)
 
 
 @dataclass

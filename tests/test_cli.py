@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.sim.vector.support import TRACE_REASON
 
 
 class TestList:
@@ -43,8 +44,8 @@ class TestList:
         assert e1["vectorizable_specs"] == e1["total_specs"] > 0
         assert 0 < e1["mega_batches"] <= e1["vector_groups"]
         assert e1["fallbacks"] == []
-        # E6's reactive jammers ride the feedback loop, and E9's
-        # trace/potential groups vectorize like any other.
+        # E6's reactive jammers ride the feedback loop, and E9's Φ groups
+        # vectorize like any other.
         e6 = by_id["E6"]
         assert e6["vectorizable_specs"] == e6["total_specs"] > 0
         assert e6["fallbacks"] == []
@@ -64,6 +65,11 @@ class TestList:
         for row in payload["scenarios"]:
             assert "vectorization" in row
             assert row["vectorization"]["total_specs"] > 0
+        # Execution traces run on the scalar engine, and no experiment or
+        # scenario collects one: a plan that starts to cannot turn serial
+        # unnoticed.
+        for row in payload["experiments"] + payload["scenarios"]:
+            assert TRACE_REASON not in row["vectorization"]["fallback_histogram"]
 
 
 class TestExplain:

@@ -158,6 +158,38 @@ class TestCampaignAndCacheFailures:
             "unknown campaign",
         )
 
+    def test_resume_workers_on_a_vector_campaign_exits_2(self, tmp_path, capsys):
+        """``--workers`` on a campaign stored with another backend than
+        ``processes`` is a usage error, as it is on ``campaign run``, and
+        no unit runs."""
+        from repro.campaigns import CampaignInterrupted, start_campaign
+        from repro.scenarios.spec import resolve_scenario
+        from repro.store import ResultsStore
+
+        store = str(tmp_path / "store")
+        with ResultsStore(store) as opened:
+            with pytest.raises(CampaignInterrupted):
+                start_campaign(
+                    opened,
+                    resolve_scenario("onoff-jamming"),
+                    scale="smoke",
+                    backend_name="vector",
+                    campaign_id="v",
+                    checkpoint_every=1,
+                    fail_after_units=1,
+                )
+            recorded = opened.campaign_run_count("v")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "resume", "v", "--store", store, "--workers", "3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "workers only apply to the processes backend" in err
+        assert "vector" in err
+        with ResultsStore(store) as opened:
+            assert opened.campaign_run_count("v") == recorded
+            assert opened.get_campaign("v")["status"] != "complete"
+
     def test_show_unknown_campaign(self, tmp_path, capsys):
         _expect_error(
             capsys,

@@ -7,8 +7,7 @@ pure wall-clock optimisation — results are **bit-identical** to running
 each group through its own per-group batch (one ``VectorBackend.run`` call
 per group), because every vector result is a function of its (spec, seed)
 alone.  The batch key has no arrival part and no exclusions, so groups
-whose arrival schedules differ, and groups that collect traces and Φ,
-stack too.
+whose arrival schedules differ, and groups that collect Φ, stack too.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ def identical(a, b):
         and a.drained == b.drained
         and [(p.packet_id, p.arrival_slot, p.departure_slot, p.sends, p.listens) for p in a.packets]
         == [(p.packet_id, p.arrival_slot, p.departure_slot, p.sends, p.listens) for p in b.packets]
-        and (a.trace is None) == (b.trace is None)
-        and (a.trace is None or list(a.trace.records) == list(b.trace.records))
         and (a.potential is None) == (b.potential is None)
         and (
             a.potential is None
@@ -109,7 +106,7 @@ PROTOCOL_FAMILIES = {
 
 
 def _stacked_outputs(family):
-    """Trace+Φ groups of one kernel family with different parameters."""
+    """Φ groups of one kernel family with different parameters."""
     return [
         run_specs(
             PROTOCOL_FAMILIES[family](i),
@@ -120,7 +117,6 @@ def _stacked_outputs(family):
             ),
             [1, 2],
             max_slots=3_000,
-            collect_trace=True,
             collect_potential=True,
         )
         for i in range(3)
@@ -153,7 +149,7 @@ def _mixed_arrivals(family):
 STACKED_CASES = [
     pytest.param(build, family, id=f"{kind}-{family}")
     for kind, build in (
-        ("trace-potential", _stacked_outputs),
+        ("potential", _stacked_outputs),
         ("mixed-arrivals", _mixed_arrivals),
     )
     for family in PROTOCOL_FAMILIES
@@ -433,16 +429,16 @@ class TestBackendMegaBatching:
             BinaryExponentialBackoff(),
             batch_adversary(10),
             [4],
-            collect_trace=True,  # other engine options: another launch
+            collect_potential=True,  # other engine options: another launch
         )
         backend = VectorBackend()
         results = plan.run(backend).results
         assert [r.seed for r in results] == [1, 2, 3, 4]
-        # The two plain BEB groups stack; the trace-collecting group differs
-        # in its engine options, so it gets its own launch.
+        # The two plain BEB groups stack; the Φ-collecting group differs in
+        # its engine options, so it gets its own launch.
         assert backend.mega_batches == 2
         assert backend.fallback_jobs == 0
-        assert results[3].trace is not None
+        assert results[3].potential is not None
 
     def test_describe_reports_launch_counters(self):
         backend = VectorBackend()

@@ -103,8 +103,10 @@ class TestSimulationResultApi:
             assert 0 <= packet.arrival_slot <= packet.departure_slot < self.result.num_slots
 
 
-def _traced_runs(engine, protocol, jammer):
-    """Traced runs of Poisson arrivals (the system empties and refills)."""
+def _recorded_runs(engine, protocol, jammer):
+    """Runs of Poisson arrivals (the system empties and refills) that record
+    every slot on their own: a trace on the scalar engine, a window-1
+    dynamics trajectory on the vector engine, which keeps no trace."""
     arrivals = PoissonArrivals(0.05, horizon=1500)
     seeds = [5, 6]
     if engine == "vector":
@@ -114,7 +116,7 @@ def _traced_runs(engine, protocol, jammer):
                 CompositeAdversary(arrivals, jammer),
                 seeds,
                 max_slots=3000,
-                collect_trace=True,
+                dynamics_window=1,
             )
         ).run()
     return [
@@ -131,35 +133,65 @@ def _traced_runs(engine, protocol, jammer):
     ]
 
 
-def _trace_throughput(trace):
-    """``(T_t + J_t) / S_t`` rebuilt slot by slot from the trace records."""
+def _recorded_slots(result):
+    """Per slot: (success, jammed, active, backlog after the slot)."""
+    if result.trace is not None:
+        return [
+            (
+                record.outcome is SlotOutcome.SUCCESS,
+                record.jammed,
+                record.active_before > 0,
+                record.active_after,
+            )
+            for record in result.trace
+        ]
+    trajectory = result.dynamics
+    assert trajectory.window == 1
+    # A success departs in its slot, so the slot was active even when the
+    # backlog after it is 0.
+    return [
+        (bool(success), bool(jammed), backlog + success > 0, backlog)
+        for success, jammed, backlog in zip(
+            trajectory.successes.tolist(),
+            trajectory.jammed.tolist(),
+            trajectory.backlog.tolist(),
+        )
+    ]
+
+
+def _recorded_throughput(slots):
+    """``(T_t + J_t) / S_t`` rebuilt slot by slot from the recorded slots."""
     series, successes, jammed, active = [], 0, 0, 0
-    for record in trace:
-        successes += record.outcome is SlotOutcome.SUCCESS
-        if record.active_before > 0:
+    for success, was_jammed, was_active, _ in slots:
+        successes += success
+        if was_active:
             active += 1
-            jammed += record.jammed
+            jammed += was_jammed
         series.append(1.0 if active == 0 else (successes + jammed) / active)
     return series
 
 
 class TestDerivedSeries:
     """The per-slot series are derived from packet records and jammed slots;
-    a trace records every slot independently, so it is the cross-check."""
+    a trace, or a window-1 dynamics trajectory, records every slot
+    independently, so it is the cross-check."""
 
     @pytest.mark.parametrize("engine", ["serial", "vector"])
     @pytest.mark.parametrize(
         "protocol", [LowSensingBackoff(), BinaryExponentialBackoff()], ids=["lsb", "beb"]
     )
-    def test_series_match_the_trace(self, engine, protocol):
+    def test_series_match_the_recorded_slots(self, engine, protocol):
         # Jamming inactive slots too: they must count in neither J_t nor S_t.
         jammer = BernoulliJamming(0.2, only_active=False)
-        for result in _traced_runs(engine, protocol, jammer):
-            assert len(result.trace) == result.num_slots
-            assert any(not record.is_active for record in result.trace)
+        for result in _recorded_runs(engine, protocol, jammer):
+            slots = _recorded_slots(result)
+            assert len(slots) == result.num_slots
+            assert any(not active for _, _, active, _ in slots)
             assert result.num_jammed > result.num_jammed_active > 0
-            assert result.backlog_series() == backlog_series(result.trace)
-            assert result.throughput_series() == _trace_throughput(result.trace)
+            assert result.backlog_series() == [backlog for *_, backlog in slots]
+            if result.trace is not None:
+                assert result.backlog_series() == backlog_series(result.trace)
+            assert result.throughput_series() == _recorded_throughput(slots)
 
     def test_pickled_results_hold_no_numpy(self):
         """Run artifacts stay numpy-free, so their hashes do not depend on

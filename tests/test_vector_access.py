@@ -8,7 +8,7 @@ records stretches without accesses or arrivals in bulk.  Four layers:
 * **state-machine identity** — the scalar ``PacketState`` and adversary
   objects driven with the access-driven coin order
   (``access_reference.reference_run``) reproduce every kernel bit-for-bit,
-  trace, potential and dynamics outputs included;
+  per-slot counts, potential and dynamics outputs included;
 * **row locality** — for every kernel, the dense Sawtooth and full-sensing
   MW included, a (spec, seed) result is bit-identical run alone, in its
   group, in a group resized from 2 to 16, and inside a mega-batch, also
@@ -17,7 +17,7 @@ records stretches without accesses or arrivals in bulk.  Four layers:
   skipping changes no result;
 * **the row loop** — the send-only kernels step each row to its own next
   event; under every arrival schedule and every jammer, reactive
-  and adaptive ones included, with or without trace, Φ and dynamics, the
+  and adaptive ones included, with or without Φ and dynamics, the
   results equal the same specs forced into lockstep (``steps_rows``
   patched), and they are row-local too;
 * **the slot body's contracts** — ``on_access`` updates every accessor,
@@ -37,7 +37,7 @@ import random
 import numpy as np
 import pytest
 
-from access_reference import reference_run
+from access_reference import assert_counts_match, reference_run
 from repro.adversary.arrivals import BatchArrivals, PeriodicBurstArrivals, PoissonArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
@@ -148,12 +148,13 @@ class TestKernelsMatchScalarStateMachines:
             )
             assert stepping == expected
             reference = reference_run(
-                protocol, CompositeAdversary(*build()), seed, 3000
+                protocol, CompositeAdversary(*build()), seed, 3000, collect=True
             )
             assert packet_tuples(vector) == reference.packets
+            assert_counts_match(vector, reference.records)
 
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
-    def test_trace_potential_and_dynamics_match(self, protocol):
+    def test_slot_counts_potential_and_dynamics_match(self, protocol):
         # The send-only kernels collect every output on the row loop.
         listening = isinstance(protocol, LowSensingBackoff)
         for seed in (3, 11):
@@ -165,7 +166,6 @@ class TestKernelsMatchScalarStateMachines:
                     ),
                     [seed],
                     max_slots=3000,
-                    collect_trace=True,
                     collect_potential=True,
                     dynamics_window=64,
                 )
@@ -180,7 +180,7 @@ class TestKernelsMatchScalarStateMachines:
                 dynamics_window=64,
             )
             assert packet_tuples(vector) == reference.packets
-            assert list(vector.trace.records) == reference.records
+            assert_counts_match(vector, reference.records)
             assert list(vector.potential.samples) == reference.samples
             assert vector.dynamics == reference.trajectory
 
@@ -259,8 +259,6 @@ def assert_same_run(got, expected):
     )
     assert got.throughput_series() == expected.throughput_series()
     assert got.collector.num_jammed == expected.collector.num_jammed
-    if expected.trace is not None:
-        assert list(got.trace.records) == list(expected.trace.records)
     if expected.potential is not None:
         assert list(got.potential.samples) == list(expected.potential.samples)
     assert got.dynamics == expected.dynamics
@@ -321,13 +319,12 @@ class TestRowLocality:
 
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN + DENSE)
     def test_collected_outputs_are_row_local(self, protocol):
-        # Trace and Φ groups stack like any other, so the contexts include
-        # a mega-batch with a group of other adversary parameters.
+        # Φ groups stack like any other, so the contexts include a
+        # mega-batch with a group of other adversary parameters.
         alone, others, _, _ = _seed_2_in_every_context(
             protocol,
             "poisson-reactive",
             "kernel_invocations",
-            collect_trace=True,
             collect_potential=True,
             dynamics_window=50,
         )
@@ -384,7 +381,7 @@ ROW_JAMMERS = {
 #: Collected outputs, on a ``max_slots`` that no dynamics window divides;
 #: the 64-slot windows also run every row to it, past its drain.
 ROW_OUTPUTS = {
-    "trace-potential": dict(collect_trace=True, collect_potential=True),
+    "potential": dict(collect_potential=True),
     "dynamics-7": dict(dynamics_window=7),
     "dynamics-64": dict(dynamics_window=64, stop_when_drained=False),
 }

@@ -2,12 +2,12 @@
 
 The vector/scalar boundary contract: every configuration the vector engine
 does not support (custom protocol/adversary subclasses, the backlog-coupled
-adversary, replayed arrival traces) must cleanly fall back to the serial
-engine and produce results *identical* to `SerialBackend` — it is
-literally the same code path, so this is an equality, not a statistical,
-assertion.  The sensing protocols, the reactive and adaptive jammers and
-the trace/potential outputs all vectorize, so the fallback set here is
-exactly the unregistered remainder.
+adversary, replayed arrival traces, execution traces) must cleanly fall
+back to the serial engine and produce results *identical* to
+`SerialBackend` — it is literally the same code path, so this is an
+equality, not a statistical, assertion.  The sensing protocols, the
+reactive and adaptive jammers and the potential output all vectorize, so
+the fallback set here is the unregistered remainder plus traced specs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.sawtooth import SawtoothBackoff
 from repro.sim.config import SimulationConfig
 from repro.sim.vector import RESULT_LAYOUT
+from repro.sim.vector.support import TRACE_REASON
 
 
 def batch_adversary(n):
@@ -131,6 +132,13 @@ UNSUPPORTED_SPECS = [
         "custom adversaries run on the scalar engine",
         id="backlog-coupling",
     ),
+    # No workload collects execution traces, so the scalar engine keeps
+    # the one trace implementation; Φ rides along to the same fallback.
+    pytest.param(
+        spec(BinaryExponentialBackoff(), 8, collect_trace=True, collect_potential=True),
+        TRACE_REASON,
+        id="trace-enabled",
+    ),
 ]
 
 NEWLY_SUPPORTED_SPECS = [
@@ -171,9 +179,6 @@ NEWLY_SUPPORTED_SPECS = [
         id="adaptive-contention",
     ),
     pytest.param(
-        spec(BinaryExponentialBackoff(), 8, collect_trace=True), id="trace-enabled"
-    ),
-    pytest.param(
         spec(BinaryExponentialBackoff(), 9, collect_potential=True),
         id="potential-enabled",
     ),
@@ -209,6 +214,10 @@ class TestFallbackBoundary:
         backend = VectorBackend()
         vector_result = backend.run([unsupported])[0]
         serial_result = SerialBackend().run([unsupported])[0]
+        assert vector_result.packets == serial_result.packets
+        if unsupported.collect_trace:
+            assert vector_result.trace.records == serial_result.trace.records
+            assert vector_result.potential.samples == serial_result.potential.samples
         # Bit for bit: the fallback is the serial engine's own code path.
         assert pickle.dumps(vector_result) == pickle.dumps(serial_result)
         assert backend.result_layout(unsupported) == SCALAR_LAYOUT
@@ -251,13 +260,12 @@ class TestGroupingAndOrdering:
             "binary-exponential",
             "fixed-probability",
         ]
-        # The trace-enabled BEB job vectorizes too (traces are lockstep
-        # outputs now) but lands in its own group: its collection options
-        # differ from the plain BEB job.  Low-sensing seeds 1 and 3 share a
-        # lockstep group.
-        assert backend.vectorized_jobs == 5
-        assert backend.fallback_jobs == 0
-        assert backend.vector_groups == 4
+        # The trace-enabled BEB job runs on the serial fallback, in its
+        # place.  Low-sensing seeds 1 and 3 share a lockstep group.
+        assert backend.vectorized_jobs == 4
+        assert backend.fallback_jobs == 1
+        assert backend.vector_groups == 3
+        assert results[3].trace is not None
 
     def test_same_config_many_seeds_is_one_group(self):
         jobs = [spec(BinaryExponentialBackoff(), seed) for seed in range(6)]
@@ -331,19 +339,21 @@ class TestPlanIntegration:
         assert summary["vector_groups"] == 2
         assert summary["mega_batches"] == 1
 
-    def test_vector_summary_stacks_trace_groups_across_arrivals(self):
-        # Trace and Φ groups of one protocol and jammer class stack, even
-        # when their arrival schedules differ; plain groups launch apart.
-        traced = dict(collect_trace=True, collect_potential=True)
+    def test_vector_summary_stacks_potential_groups_across_arrivals(self):
+        # Φ groups of one protocol and jammer class stack, even when their
+        # arrival schedules differ; plain groups launch apart.
         plan = SweepPlan()
         plan.add_group(
-            BinaryExponentialBackoff(), batch_adversary(10), seeds=[1, 2], **traced
+            BinaryExponentialBackoff(),
+            batch_adversary(10),
+            seeds=[1, 2],
+            collect_potential=True,
         )
         plan.add_group(
             BinaryExponentialBackoff(initial_window=4.0),
             factory(CompositeAdversary, factory(PoissonArrivals, 0.05, 300)),
             seeds=[1, 2],
-            **traced,
+            collect_potential=True,
         )
         plan.add_group(BinaryExponentialBackoff(), batch_adversary(10), seeds=[1, 2])
         summary = plan.vector_summary()
@@ -353,7 +363,7 @@ class TestPlanIntegration:
         backend = VectorBackend()
         results = plan.run(backend).results
         assert backend.mega_batches == 2
-        assert all(result.trace is not None for result in results[:4])
+        assert all(result.potential is not None for result in results[:4])
 
 
 def _smoke_plan(name):

@@ -42,7 +42,12 @@ from repro.sim.vector.adversaries import (
     make_row_jammer_kernel,
 )
 from repro.sim.vector.protocols import PROTOCOL_KERNELS, make_protocol_row_kernel
-from repro.sim.vector.support import adversary_support, placement, protocol_support
+from repro.sim.vector.support import (
+    TRACE_REASON,
+    adversary_support,
+    placement,
+    protocol_support,
+)
 from tests.conftest import run_specs
 
 ALWAYS_SEND = FixedProbabilityProtocol(probability=1.0)
@@ -449,31 +454,44 @@ class TestValidationAndSupport:
         with pytest.raises(ValueError, match="protocol class"):
             VectorSimulator.from_specs(mixed)
 
-    def test_trace_and_potential_groups_share_a_batch_key(self):
+    def test_potential_and_dynamics_groups_share_a_batch_key(self):
         from repro.experiments.plan import RunSpec, factory
 
-        def batch_key(protocol, arrivals, **options):
-            spec = RunSpec(
-                protocol=protocol,
-                adversary=factory(CompositeAdversary, arrivals),
-                seed=1,
-                **options,
+        def place(protocol, arrivals, **options):
+            return placement(
+                RunSpec(
+                    protocol=protocol,
+                    adversary=factory(CompositeAdversary, arrivals),
+                    seed=1,
+                    **options,
+                )
             )
-            place = placement(spec)
-            assert place.reason is None
-            return place.batch
+
+        def batch_key(protocol, arrivals, **options):
+            placed = place(protocol, arrivals, **options)
+            assert placed.reason is None
+            return placed.batch
 
         batch = factory(BatchArrivals, 5)
         poisson = factory(PoissonArrivals, 0.1, 40)
-        traced = dict(collect_trace=True, collect_potential=True)
-        key = batch_key(ALWAYS_SEND, batch, **traced)
+        outputs = dict(collect_potential=True, dynamics_window=64)
+        key = batch_key(ALWAYS_SEND, batch, **outputs)
+        # The key holds the batch's engine options, which the engine reads.
+        assert key.options == (200_000, True, True, 64)
         # Other parameters and another arrival schedule: the same launch.
         other = FixedProbabilityProtocol(probability=0.5)
-        assert batch_key(other, poisson, **traced) == key
+        assert batch_key(other, poisson, **outputs) == key
         # Each output is an engine option of the key.
         assert batch_key(ALWAYS_SEND, batch) != key
-        assert batch_key(ALWAYS_SEND, batch, collect_trace=True) != key
+        assert batch_key(ALWAYS_SEND, batch, dynamics_window=64) != key
         assert batch_key(ALWAYS_SEND, batch, collect_potential=True) != key
+        # An execution trace is not a vector output: the spec runs serially.
+        traced = place(ALWAYS_SEND, batch, collect_trace=True, **outputs)
+        assert traced == (TRACE_REASON, None, None)
+        with pytest.raises(ValueError, match=TRACE_REASON):
+            VectorSimulator.from_specs(
+                run_specs(ALWAYS_SEND, batch, [1, 2], collect_trace=True)
+            )
 
 
 class TestStatisticalAgreementSpotChecks:

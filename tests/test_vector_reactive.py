@@ -12,10 +12,11 @@ mirroring ``test_vector_sensing``:
   This proves the kernels implement exactly the scalar jam logic, so any
   residual vector-vs-scalar difference is the random-stream layout — the
   vector engine's documented contract;
-* **trace/potential output parity** — with ``collect_trace`` and
-  ``collect_potential`` on, the materialised :class:`SlotRecord` and
-  :class:`PotentialSample` sequences must equal a scalar-semantics
-  reconstruction on the same coins, field for field;
+* **output parity** — with ``collect_potential`` on, the materialised
+  :class:`PotentialSample` sequence, and the per-slot counts the packet
+  records imply, must equal a scalar-semantics reconstruction on the same
+  coins, slot for slot.  Execution traces are not a vector output: a
+  traced spec runs on the scalar engine;
 * **statistical equivalence** — every new kernel runs through the
   Welch + design-effect-corrected KS harness against the serial engine,
   plus mega-stack bit-identity and budget invariants.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import pytest
 
-from access_reference import reference_run
+from access_reference import assert_counts_match, reference_run
 from repro.adversary.arrivals import AdversarialQueueingArrivals, BatchArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
@@ -37,9 +38,11 @@ from repro.adversary.jamming import (
 )
 from repro.analysis.equivalence import verify_vector_equivalence
 from repro.core.low_sensing import LowSensingBackoff
+from repro.exec import VectorBackend
 from repro.experiments.plan import factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.vector import VectorSimulator
+from repro.sim.vector.support import TRACE_REASON
 from tests.conftest import run_specs
 
 
@@ -99,12 +102,12 @@ class TestReactiveKernelsMatchScalarAdversaries:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized trace / potential outputs
+# Vectorized outputs: Φ and the per-slot counts
 # ---------------------------------------------------------------------------
 
 
 class TestTraceAndPotentialParity:
-    def test_slot_records_match_scalar_semantics_bit_for_bit(self):
+    def test_slot_counts_and_potential_match_scalar_semantics_bit_for_bit(self):
         for seed in (3, 11):
             vector = VectorSimulator.from_specs(
                 run_specs(
@@ -114,7 +117,6 @@ class TestTraceAndPotentialParity:
                     ),
                     [seed],
                     max_slots=4000,
-                    collect_trace=True,
                     collect_potential=True,
                 )
             ).run()[0]
@@ -124,47 +126,51 @@ class TestTraceAndPotentialParity:
             reference = reference_run(
                 BinaryExponentialBackoff(), adversary, seed, 4000, collect=True
             )
-            assert vector.trace is not None
+            assert vector.trace is None
             assert vector.potential is not None
-            assert list(vector.trace.records) == reference.records
+            assert_counts_match(vector, reference.records)
             assert list(vector.potential.samples) == reference.samples
 
     def test_trace_only_run_omits_potential(self):
-        result = VectorSimulator.from_specs(
-            run_specs(
-                BinaryExponentialBackoff(),
-                CompositeAdversary(BatchArrivals(5), NoJamming()),
-                [7],
-                max_slots=2000,
-                collect_trace=True,
-            )
-        ).run()[0]
+        # A traced spec runs on the scalar engine, whose trace is the one
+        # trace implementation.
+        specs = run_specs(
+            BinaryExponentialBackoff(),
+            CompositeAdversary(BatchArrivals(5), NoJamming()),
+            [7],
+            max_slots=2000,
+            collect_trace=True,
+        )
+        with pytest.raises(ValueError, match=TRACE_REASON):
+            VectorSimulator.from_specs(specs)
+        backend = VectorBackend()
+        (result,) = backend.run(specs)
+        assert backend.fallback_jobs == 1
         assert result.trace is not None
         assert result.potential is None
         assert all(record.potential is None for record in result.trace.records)
         assert result.trace.num_arrivals == 5
         assert result.trace.num_successes == 5
 
-    def test_trace_aggregates_are_consistent_with_the_collector(self):
+    def test_packet_records_are_consistent_with_the_collector(self):
         result = VectorSimulator.from_specs(
             run_specs(
                 BinaryExponentialBackoff(),
                 CompositeAdversary(BatchArrivals(15), ReactiveSuccessJammer(budget=5)),
                 [13],
                 max_slots=8000,
-                collect_trace=True,
             )
         ).run()[0]
-        trace = result.trace
+        counts = result.slot_counts()
         collector = result.collector
-        assert trace.num_slots == result.num_slots
-        assert trace.num_successes == collector.num_successes
-        assert trace.num_jammed == collector.num_jammed == 5
-        assert trace.num_arrivals == collector.num_arrivals
-        sends_in_trace = sum(len(record.senders) for record in trace.records)
-        # Winners stay in their slot's sender tuple, so the trace's send
-        # count is the collector's total.
-        assert sends_in_trace == collector.total_sends
+        assert counts.arrivals.size == result.num_slots
+        assert counts.successes[-1] == collector.num_successes
+        assert counts.arrivals[-1] == collector.num_arrivals == 15
+        assert counts.active_slots[-1] == collector.num_active_slots
+        assert collector.num_jammed == 5
+        # Winners count their winning send, so the packets' sends are the
+        # collector's total.
+        assert sum(packet.sends for packet in result.packets) == collector.total_sends
 
     def test_windowless_protocol_yields_zero_potential(self):
         from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
@@ -197,7 +203,7 @@ class TestTraceAndPotentialParity:
             ).run()
 
         bare = run()
-        collected = run(collect_trace=True, collect_potential=True)
+        collected = run(collect_potential=True, dynamics_window=64)
         for a, b in zip(bare, collected):
             assert packet_tuples(a) == packet_tuples(b)
             assert a.backlog_series() == b.backlog_series()
@@ -296,8 +302,8 @@ class TestReactiveKernelEquivalence:
             ),
             range(1, 9),
             max_slots=20_000,
-            collect_trace=True,
             collect_potential=True,
+            dynamics_window=500,
         )
         report = verify_vector_equivalence(specs)
         assert report.passed, report.render()
