@@ -6,6 +6,8 @@ it sees the full system state — including every packet's internal window —
 up to the end of the previous slot, but not the current slot's coin flips.
 A *reactive* adversary (Section 1.3) additionally sees which packets transmit
 in the current slot before committing its jamming decision for that slot.
+Every strategy here reads counts from that state, the
+:class:`~repro.adversary.base.SystemView`.
 
 This subpackage factors the adversary into an arrival process and a jammer,
 combined by :class:`~repro.adversary.composite.CompositeAdversary`.  All

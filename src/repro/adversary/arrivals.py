@@ -17,12 +17,12 @@ from repro.adversary.base import SystemView
 
 
 class ArrivalProcess(abc.ABC):
-    """Decides how many packets arrive at the start of each slot."""
+    """Decides how many packets arrive at the start of each slot.
 
-    #: Whether the process is oblivious (reads only ``view.slot``, never the
-    #: system state).  Every built-in process is; the base class defaults to
-    #: False so user subclasses must opt in explicitly.
-    oblivious: bool = False
+    Every built-in process reads only ``view.slot`` and its own coins; a
+    subclass may also read the counts of the
+    :class:`~repro.adversary.base.SystemView` it is handed.
+    """
 
     @abc.abstractmethod
     def arrivals(self, view: SystemView, rng: Random) -> int:
@@ -48,8 +48,6 @@ class ArrivalProcess(abc.ABC):
 class NoArrivals(ArrivalProcess):
     """No packets ever arrive (useful for composing tests)."""
 
-    oblivious = True
-
     def arrivals(self, view: SystemView, rng: Random) -> int:
         return 0
 
@@ -66,8 +64,6 @@ class BatchArrivals(ArrivalProcess):
     This is the batch/static input on which binary exponential backoff's
     O(1/ln N) throughput is proved [23] and which E1 sweeps.
     """
-
-    oblivious = True
 
     def __init__(self, n: int, slot: int = 0) -> None:
         if n < 0:
@@ -98,8 +94,6 @@ class PoissonArrivals(ArrivalProcess):
     in examples and as a sanity workload rather than a headline experiment.
     """
 
-    oblivious = True
-
     def __init__(self, rate: float, horizon: int | None = None) -> None:
         if rate < 0.0:
             raise ValueError("rate must be non-negative")
@@ -127,8 +121,6 @@ class PeriodicBurstArrivals(ArrivalProcess):
     devices waking simultaneously); used by the Wi-Fi style example and by
     E2 as a structured adversarial pattern.
     """
-
-    oblivious = True
 
     def __init__(
         self,
@@ -186,8 +178,6 @@ class PeriodicBurstArrivals(ArrivalProcess):
 class TraceArrivals(ArrivalProcess):
     """Arrivals replayed from an explicit per-slot count sequence."""
 
-    oblivious = True
-
     def __init__(self, counts: Sequence[int]) -> None:
         if any(count < 0 for count in counts):
             raise ValueError("arrival counts must be non-negative")
@@ -224,8 +214,6 @@ class AdversarialQueueingArrivals(ArrivalProcess):
     * ``"uniform"`` — arrivals spread evenly across the window;
     * ``"random"`` — each window's arrivals land on uniformly random slots.
     """
-
-    oblivious = True
 
     PLACEMENTS = ("front", "uniform", "random")
 

@@ -1,42 +1,47 @@
-"""Adversary interfaces and the system-state snapshot they observe.
+"""Adversary interfaces and the per-slot system view they observe.
 
 The adaptive adversary of the paper bases its decisions for slot ``t`` on the
-entire state of the system up to the end of slot ``t − 1`` — including the
-internal state (window sizes) of every packet — but not on the coin flips of
-slot ``t`` itself.  :class:`SystemView` is exactly that snapshot.  A reactive
-adversary additionally gets to see the set of senders of the current slot
-through :meth:`Adversary.reactive_jam` before the outcome is committed.
+state of the system up to the end of slot ``t − 1``, but not on the coin
+flips of slot ``t`` itself.  Every adversary implemented here reads counts
+from that state — the backlog, the contention ``C(t)`` and the cumulative
+arrival, departure and jamming counters — so :class:`SystemView` holds
+exactly those counts.  A reactive adversary additionally gets to see the set
+of senders of the current slot through :meth:`Adversary.reactive_jam` before
+the outcome is committed.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 from repro.channel.feedback import SlotOutcome
 
 PacketId = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SystemView:
-    """Read-only snapshot of the system visible to an adaptive adversary.
+    """The counts visible to an adaptive adversary before a slot is played.
+
+    The engine builds a fresh view every slot (positionally, in field
+    order), and no adversary writes to it.  Packet ids are assigned in
+    arrival order, so the packets that arrived before this slot are exactly
+    the ids below ``arrivals_so_far``.
 
     Attributes
     ----------
     slot:
         Index of the slot about to be played.
-    active_packets:
-        Ids of packets currently in the system, in arrival order.
-    sending_probabilities:
-        Per-packet marginal sending probabilities for the upcoming slot
-        (``None`` for protocols that do not expose one).  This is the
-        adversary's window into packet internal state.
+    backlog:
+        Number of packets in the system before this slot's injections.
     contention:
-        Sum of the known sending probabilities (the paper's ``C(t)``,
-        computed over packets that expose a probability).
+        Sum of the known sending probabilities of those packets (the
+        paper's ``C(t)``).  The engine computes it only when something reads
+        it — an adversary with ``needs_contention``, the potential tracker
+        or the trace — and passes ``0.0`` otherwise.
     arrivals_so_far, departures_so_far, jammed_so_far:
         Cumulative counts up to and including the previous slot.
     active_slots_so_far:
@@ -46,19 +51,13 @@ class SystemView:
     """
 
     slot: int
-    active_packets: tuple[PacketId, ...]
-    sending_probabilities: Mapping[PacketId, float | None] = field(default_factory=dict)
+    backlog: int = 0
     contention: float = 0.0
     arrivals_so_far: int = 0
     departures_so_far: int = 0
     jammed_so_far: int = 0
     active_slots_so_far: int = 0
     last_outcome: SlotOutcome | None = None
-
-    @property
-    def backlog(self) -> int:
-        """Number of packets currently in the system."""
-        return len(self.active_packets)
 
 
 class Adversary(abc.ABC):
@@ -73,18 +72,6 @@ class Adversary(abc.ABC):
     #: skips the O(active packets) contention computation when no consumer
     #: needs it.
     needs_contention: bool = False
-
-    #: Whether the adversary reads ``SystemView.sending_probabilities``.
-    needs_probabilities: bool = False
-
-    #: Whether the adversary is *oblivious*: its decisions depend only on
-    #: the slot index and its own private coins/state, never on the system
-    #: state (active packets, windows, contention, counters of past
-    #: outcomes).  The engine uses this to take a fast path that skips the
-    #: per-slot :class:`SystemView` snapshot entirely; an adversary that
-    #: declares itself oblivious but then reads per-packet view fields
-    #: fails loudly rather than observing stale data.
-    oblivious: bool = False
 
     @abc.abstractmethod
     def arrivals(self, view: SystemView, rng: Random) -> int:

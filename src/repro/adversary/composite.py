@@ -30,13 +30,6 @@ class CompositeAdversary(Adversary):
         self.jammer = jammer or NoJamming()
         self.reactive = self.jammer.reactive
         self.needs_contention = self.jammer.needs_contention
-        # A reactive jammer observes the current slot's senders, so a
-        # composite with one is never oblivious even if its parts claim so.
-        self.oblivious = (
-            not self.reactive
-            and getattr(self.arrival_process, "oblivious", False)
-            and getattr(self.jammer, "oblivious", False)
-        )
 
     def arrivals(self, view: SystemView, rng: Random) -> int:
         return self.arrival_process.arrivals(view, rng)

@@ -27,7 +27,12 @@ PacketId = Hashable
 
 
 class Jammer(abc.ABC):
-    """Per-slot jamming strategy."""
+    """Per-slot jamming strategy.
+
+    A strategy decides from the slot index, its own coins and budget, and
+    the counts of the :class:`~repro.adversary.base.SystemView` it is
+    handed (the backlog, the contention, the cumulative counters).
+    """
 
     #: Whether the strategy needs the reactive hook (sees current senders).
     reactive: bool = False
@@ -35,11 +40,6 @@ class Jammer(abc.ABC):
     #: Whether the strategy reads ``SystemView.contention`` (adaptive
     #: state-aware strategies); lets the engine skip computing it otherwise.
     needs_contention: bool = False
-
-    #: Whether the strategy is oblivious (decisions depend only on the slot
-    #: index and private coins, never on system state).  Enables the engine
-    #: fast path; defaults to False so subclasses must opt in.
-    oblivious: bool = False
 
     @abc.abstractmethod
     def jam(self, view: SystemView, rng: Random) -> bool:
@@ -89,8 +89,6 @@ class _BudgetedJammer(Jammer):
 class NoJamming(Jammer):
     """Never jams."""
 
-    oblivious = True
-
     def jam(self, view: SystemView, rng: Random) -> bool:
         return False
 
@@ -115,12 +113,9 @@ class BernoulliJamming(_BudgetedJammer):
             raise ValueError("probability must be in [0, 1]")
         self.probability = probability
         self.only_active = only_active
-        # Restricting jams to active slots means observing the system state,
-        # so only the unrestricted variant is oblivious.
-        self.oblivious = not only_active
 
     def jam(self, view: SystemView, rng: Random) -> bool:
-        if self.only_active and not view.active_packets:
+        if self.only_active and not view.backlog:
             return False
         if rng.random() >= self.probability:
             return False
@@ -135,8 +130,6 @@ class BernoulliJamming(_BudgetedJammer):
 
 class PeriodicJamming(_BudgetedJammer):
     """Jam every ``period``-th slot starting at ``offset``."""
-
-    oblivious = True
 
     def __init__(self, period: int, offset: int = 0, budget: int | None = None) -> None:
         super().__init__(budget)
@@ -166,8 +159,6 @@ class BurstJamming(_BudgetedJammer):
     jamming is the canonical "denial window" attack and the workload used to
     show that LOW-SENSING BACKOFF recovers after sustained noise.
     """
-
-    oblivious = True
 
     def __init__(
         self,
@@ -214,8 +205,6 @@ class BudgetedRandomJamming(_BudgetedJammer):
     ``budget / horizon`` until the budget is exhausted, which spreads ``~J``
     jams roughly uniformly without requiring a pre-committed schedule.
     """
-
-    oblivious = True
 
     def __init__(self, budget: int, horizon: int) -> None:
         super().__init__(budget)
@@ -265,7 +254,7 @@ class AdaptiveContentionJammer(_BudgetedJammer):
         self.c_high = c_high
 
     def jam(self, view: SystemView, rng: Random) -> bool:
-        if not view.active_packets:
+        if not view.backlog:
             return False
         contention = view.contention
         if self.target_regime == "low":
@@ -299,7 +288,10 @@ class ReactiveTargetedJammer(_BudgetedJammer):
 
     ``target_index`` selects which packet (by arrival order) is persecuted;
     when that packet eventually succeeds (after the budget is exhausted) the
-    jammer retires.
+    jammer retires.  Packet ids are assigned in arrival order, so the target
+    is the id ``target_index``.  The jammer sees it once it arrived in an
+    earlier slot (``target_index < view.arrivals_so_far``): a target that
+    sends in its own arrival slot goes unjammed there.
     """
 
     reactive = True
@@ -309,7 +301,6 @@ class ReactiveTargetedJammer(_BudgetedJammer):
         if target_index < 0:
             raise ValueError("target_index must be non-negative")
         self.target_index = target_index
-        self._target_id: PacketId | None = None
 
     def jam(self, view: SystemView, rng: Random) -> bool:
         return False
@@ -317,14 +308,8 @@ class ReactiveTargetedJammer(_BudgetedJammer):
     def reactive_jam(
         self, view: SystemView, senders: Sequence[PacketId], rng: Random
     ) -> bool:
-        if self._target_id is None:
-            # Packet ids are assigned in arrival order by the engine, so the
-            # target is simply the id equal to target_index once it exists.
-            for packet_id in view.active_packets:
-                if packet_id == self.target_index:
-                    self._target_id = packet_id
-                    break
-        if self._target_id is None or self._target_id not in senders:
+        target = self.target_index
+        if target >= view.arrivals_so_far or target not in senders:
             return False
         return self._spend()
 

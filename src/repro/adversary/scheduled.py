@@ -30,11 +30,10 @@ PacketId = Hashable
 class _ShiftedView:
     """A system view whose ``slot`` is rebased to a phase-local clock.
 
-    Works for both the full :class:`~repro.adversary.base.SystemView` and
-    the engine fast path's minimal oblivious view: ``slot`` is overridden
-    here, every other attribute is forwarded — including the fast path's
-    fail-loudly properties, so an allegedly oblivious phase component that
-    peeks at per-packet state still fails loudly through the shift.
+    ``slot`` is overridden here; every other field of the
+    :class:`~repro.adversary.base.SystemView` — the backlog, the contention
+    and the cumulative counters — is forwarded, so a phase component reads
+    the same global counts as it would outside a schedule.
     """
 
     __slots__ = ("_view", "slot")
@@ -69,19 +68,15 @@ class ScheduledArrivals(ArrivalProcess):
     """Arrivals that follow a piecewise schedule of arrival processes.
 
     ``ScheduledArrivals(Phase(PoissonArrivals(0.05), 1000), Phase(NoArrivals()))``
-    injects Poisson traffic for 1000 slots and nothing afterwards.  The
-    adapter is oblivious exactly when every phase component is, which is
-    what lets the engine keep its fast path.  The vector engine's arrival
-    kernel table holds this class, and :mod:`repro.sim.vector.support`
-    vets a schedule phase by phase against the same table.
+    injects Poisson traffic for 1000 slots and nothing afterwards.  Each
+    phase component sees the slot on its own clock and the engine's counts
+    unchanged.  The vector engine's arrival kernel table holds this class,
+    and :mod:`repro.sim.vector.support` vets a schedule phase by phase
+    against the same table.
     """
 
     def __init__(self, *phases: Phase | Schedule) -> None:
         self.schedule = _as_schedule(phases, ArrivalProcess, "ScheduledArrivals")
-        self.oblivious = all(
-            getattr(phase.component, "oblivious", False)
-            for phase in self.schedule.phases
-        )
 
     def arrivals(self, view: Any, rng: Random) -> int:
         located = self.schedule.phase_at(view.slot)
@@ -119,9 +114,8 @@ class ScheduledJamming(Jammer):
 
     The adapter is reactive when any phase is (the engine's reactive hook
     is forwarded to the active phase; non-reactive phases never jam
-    reactively), needs contention when any phase does, and is oblivious
-    only when every phase is and none is reactive.  ``jams_used`` sums the
-    per-phase budget counters.
+    reactively) and needs contention when any phase does.  ``jams_used``
+    sums the per-phase budget counters.
     """
 
     def __init__(self, *phases: Phase | Schedule) -> None:
@@ -129,9 +123,6 @@ class ScheduledJamming(Jammer):
         components = [phase.component for phase in self.schedule.phases]
         self.reactive = any(jammer.reactive for jammer in components)
         self.needs_contention = any(jammer.needs_contention for jammer in components)
-        self.oblivious = not self.reactive and all(
-            getattr(jammer, "oblivious", False) for jammer in components
-        )
 
     def _locate(self, slot: int) -> tuple[Jammer, int] | None:
         located = self.schedule.phase_at(slot)

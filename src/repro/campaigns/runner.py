@@ -103,6 +103,28 @@ def default_campaign_id(
     return f"{scenario_id}-{hashlib.sha256(payload.encode()).hexdigest()[:8]}"
 
 
+def _check_request(
+    backend_name: str, workers: int | None, checkpoint_every: int
+) -> None:
+    """Reject worker and checkpoint settings before anything is written.
+
+    ``start_campaign`` and ``resume_campaign`` both call this, so a bad
+    value fails the same way on either entry point instead of being ignored
+    or failing deep inside the partitioning.
+    """
+    if checkpoint_every < 1:
+        raise CampaignError("checkpoint_every must be at least 1")
+    if workers is None:
+        return
+    if workers <= 0:
+        raise CampaignError("workers must be positive")
+    if backend_name != "processes":
+        raise CampaignError(
+            "workers only apply to the processes backend; the campaign runs "
+            f"on the {backend_name} backend"
+        )
+
+
 def _partition_units(
     plan: SweepPlan, backend: ExecutionBackend, checkpoint_every: int
 ) -> tuple[list[_Unit], list[str]]:
@@ -308,12 +330,9 @@ def start_campaign(
             f"unknown campaign backend {backend_name!r}; "
             f"expected one of {BACKEND_NAMES}"
         )
-    if checkpoint_every < 1:
-        raise CampaignError("checkpoint_every must be at least 1")
-    if workers is not None and workers <= 0:
-        # Checked here, before the campaign row is created: a backend
-        # constructor raising later would strand a 'running' campaign.
-        raise CampaignError("workers must be positive")
+    # Checked before the campaign row is created: a backend constructor
+    # raising later would strand a 'running' campaign.
+    _check_request(backend_name, workers, checkpoint_every)
     tele = current_telemetry()
     # Resolving the request and checking the store for it are timed with
     # the plan, so no set-up work falls outside the phase accounting.
@@ -387,13 +406,7 @@ def resume_campaign(
         raise CampaignError(
             f"unknown campaign {campaign_id!r}; known campaigns: {known}"
         )
-    if workers is not None and workers <= 0:
-        raise CampaignError("workers must be positive")
-    if workers is not None and row["backend"] != "processes":
-        raise CampaignError(
-            f"workers only apply to the processes backend; campaign "
-            f"{campaign_id!r} runs on the {row['backend']} backend"
-        )
+    _check_request(row["backend"], workers, checkpoint_every)
     if row["status"] == "complete":
         return CampaignOutcome(
             campaign_id=campaign_id,

@@ -29,63 +29,6 @@ from repro.sim.results import PacketRecord, SimulationResult
 from repro.sim.rng import RandomStreams
 
 
-class _ObliviousView:
-    """Minimal per-slot view handed to oblivious adversaries on the fast path.
-
-    Only the O(1) scalar fields of :class:`~repro.adversary.base.SystemView`
-    are materialised; the per-packet fields deliberately raise, because an
-    adversary that reads them is not oblivious and must run on the regular
-    path (where the snapshot is taken *before* this slot's injections —
-    reading lazily here would observe a different state).
-    """
-
-    __slots__ = (
-        "slot",
-        "backlog",
-        "arrivals_so_far",
-        "departures_so_far",
-        "jammed_so_far",
-        "active_slots_so_far",
-        "last_outcome",
-    )
-
-    def __init__(
-        self,
-        slot: int,
-        backlog: int,
-        arrivals_so_far: int,
-        departures_so_far: int,
-        jammed_so_far: int,
-        active_slots_so_far: int,
-        last_outcome: SlotOutcome | None,
-    ) -> None:
-        self.slot = slot
-        self.backlog = backlog
-        self.arrivals_so_far = arrivals_so_far
-        self.departures_so_far = departures_so_far
-        self.jammed_so_far = jammed_so_far
-        self.active_slots_so_far = active_slots_so_far
-        self.last_outcome = last_outcome
-
-    def _not_oblivious(self, name: str) -> RuntimeError:
-        return RuntimeError(
-            f"adversary declared itself oblivious but read view.{name}; "
-            "set oblivious=False on the adversary to run on the full path"
-        )
-
-    @property
-    def active_packets(self) -> tuple:
-        raise self._not_oblivious("active_packets")
-
-    @property
-    def sending_probabilities(self) -> dict:
-        raise self._not_oblivious("sending_probabilities")
-
-    @property
-    def contention(self) -> float:
-        raise self._not_oblivious("contention")
-
-
 class Simulator:
     """Runs one execution described by a :class:`SimulationConfig`."""
 
@@ -122,21 +65,7 @@ class Simulator:
             or config.collect_potential
             or config.collect_trace
         )
-        self._needs_probabilities = bool(
-            getattr(self._adversary, "needs_probabilities", False)
-        )
-        # Fast path: with no trace, no potential tracker, and an oblivious
-        # adversary, nothing consumes the per-slot SystemView snapshot, so
-        # the engine skips building it (no active-id tuple, no probability
-        # dict) and reuses its per-slot buffers.  The fast path is required
-        # to be bit-identical to the regular path: it performs the same RNG
-        # draws and state updates, only fewer allocations.
-        self._fast_path = (
-            not self._track_contention
-            and not self._needs_probabilities
-            and bool(getattr(self._adversary, "oblivious", False))
-        )
-        # Per-slot scratch buffers, reused across steps on both paths.
+        # Per-slot scratch buffers, reused across steps.
         self._actions_buffer: list[tuple[Packet, bool, bool]] = []
         self._senders_buffer: list[int] = []
         self._listeners_buffer: list[int] = []
@@ -179,19 +108,19 @@ class Simulator:
         """Simulate a single slot and return its outcome."""
         slot = self._slot
         adversary_rng = self._adversary_rng
-        if self._fast_path:
-            collector = self.collector
-            view = _ObliviousView(
-                slot,
-                len(self._active),
-                collector.num_arrivals,
-                collector.num_successes,
-                collector.num_jammed,
-                collector.num_active_slots,
-                self._last_outcome,
-            )
-        else:
-            view = self._build_view()
+        collector = self.collector
+        # The adversary's view of the state before this slot's injections,
+        # built positionally in SystemView's field order.
+        view = SystemView(
+            slot,
+            len(self._active),
+            self._contention() if self._track_contention else 0.0,
+            collector.num_arrivals,
+            collector.num_successes,
+            collector.num_jammed,
+            collector.num_active_slots,
+            self._last_outcome,
+        )
 
         # 1. Adversary: injections and adaptive jamming (pre-slot decision).
         num_arrivals = self._adversary.arrivals(view, adversary_rng)
@@ -266,7 +195,7 @@ class Simulator:
         active_after = len(self._active)
 
         # 5. Metrics, trace, and potential.
-        self.collector.observe(
+        collector.observe(
             SlotObservation(
                 slot=slot,
                 outcome=resolution.outcome,
@@ -278,7 +207,6 @@ class Simulator:
                 num_listeners=len(listeners),
             )
         )
-        contention = view.contention if self._track_contention else None
         potential_value = None
         if self.potential is not None:
             sample = self.potential.record(slot, self.active_windows())
@@ -295,7 +223,7 @@ class Simulator:
                     winner=winner,
                     active_before=active_before,
                     active_after=active_after,
-                    contention=contention,
+                    contention=view.contention,
                     potential=potential_value,
                 )
             )
@@ -345,8 +273,8 @@ class Simulator:
 
         Runs post-slot (after feedback updates and the winner's departure),
         so the gauges describe the same state the vector engine samples as
-        each row crosses a boundary.  One O(backlog) pass; the fast path and
-        the RNG are untouched.
+        each row crosses a boundary.  One O(backlog) pass; the RNG is
+        untouched.
         """
         collector = self.collector
         window_sum = 0.0
@@ -389,35 +317,14 @@ class Simulator:
         self._all_packets.append(packet)
         return packet_id
 
-    def _build_view(self) -> SystemView:
-        active_ids = tuple(self._active)
-        probabilities: dict[int, float | None] = {}
+    def _contention(self) -> float:
+        """The paper's C(t): the summed sending probabilities of the backlog."""
         contention = 0.0
-        # Two specialised loops: the probability dict is only populated when
-        # an adversary actually reads it, and the contention-only case walks
-        # the packets without per-packet flag checks or dict writes.
-        if self._needs_probabilities:
-            for packet_id, packet in self._active.items():
-                probability = packet.state.sending_probability()
-                probabilities[packet_id] = probability
-                if probability is not None:
-                    contention += probability
-        elif self._track_contention:
-            for packet in self._active.values():
-                probability = packet.state.sending_probability()
-                if probability is not None:
-                    contention += probability
-        return SystemView(
-            slot=self._slot,
-            active_packets=active_ids,
-            sending_probabilities=probabilities,
-            contention=contention,
-            arrivals_so_far=self.collector.num_arrivals,
-            departures_so_far=self.collector.num_successes,
-            jammed_so_far=self.collector.num_jammed,
-            active_slots_so_far=self.collector.num_active_slots,
-            last_outcome=self._last_outcome,
-        )
+        for packet in self._active.values():
+            probability = packet.state.sending_probability()
+            if probability is not None:
+                contention += probability
+        return contention
 
     def _arrivals_exhausted(self) -> bool:
         checker = getattr(self._adversary, "arrivals_exhausted", None)

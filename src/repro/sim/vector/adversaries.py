@@ -643,13 +643,12 @@ class AdaptiveContentionJammerVector(VectorJammer):
 class ReactiveTargetedJammerVector(VectorJammer):
     """Reactive strategy: jam whenever the targeted packet transmits.
 
-    The scalar jammer identifies its target from the pre-injection active
-    set and then jams every slot the target sends; because packet ids are
-    arrival-ordered column indices here, that reduces to a sender whose
-    column is the target index, gated on ``arrival_slot < slot`` — a packet
-    that arrives and would win in the same slot is never identified (the
-    scalar jammer only sees it pre-injection), so its arrival-slot sends go
-    unjammed, exactly as in the scalar engine.
+    Both engines apply one rule: jam when the target sends and arrived in
+    an earlier slot.  The scalar jammer tests ``target_index <
+    view.arrivals_so_far``; because packet ids are arrival-ordered column
+    indices here, the kernel tests a sender whose column is the target
+    index with ``arrival_slot < slot``.  A target that sends in its own
+    arrival slot goes unjammed there on both engines.
     """
 
     reactive = True

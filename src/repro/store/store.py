@@ -42,6 +42,7 @@ import os
 import pickle
 import sqlite3
 import subprocess
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -792,64 +793,84 @@ class ResultsStore:
         are deleted last.  Returns a summary of what was (or would be,
         with ``dry_run``) removed.
         """
-        candidates = self._connection.execute(
-            "SELECT spec_hash, seed, backend_layout, artifact_hash, created_at "
-            "FROM runs WHERE NOT EXISTS ("
-            "  SELECT 1 FROM campaign_runs c WHERE c.spec_hash = runs.spec_hash "
-            "  AND c.seed = runs.seed AND c.backend_layout = runs.backend_layout"
-            ") ORDER BY created_at, spec_hash"
-        ).fetchall()
-        doomed: list[sqlite3.Row] = []
+        candidates = [
+            ((spec_hash, seed, layout), created_at)
+            for spec_hash, seed, layout, created_at in self._connection.execute(
+                "SELECT spec_hash, seed, backend_layout, created_at "
+                "FROM runs WHERE NOT EXISTS ("
+                "  SELECT 1 FROM campaign_runs c WHERE c.spec_hash = runs.spec_hash "
+                "  AND c.seed = runs.seed AND c.backend_layout = runs.backend_layout"
+                ") ORDER BY created_at, spec_hash"
+            )
+        ]
+        # One read of every artifact reference.  Trajectory rows share the
+        # run key space and die with their run, so a doomed key releases its
+        # run artifact and its trajectory artifact; an artifact's bytes are
+        # freed when its last reference goes.
+        references: Counter[str] = Counter()
+        artifacts_of: dict[tuple, list[str]] = {}
+        for table in ("runs", "trajectories"):
+            for spec_hash, seed, layout, artifact_hash in self._connection.execute(
+                f"SELECT spec_hash, seed, backend_layout, artifact_hash FROM {table}"
+            ):
+                references[artifact_hash] += 1
+                artifacts_of.setdefault((spec_hash, seed, layout), []).append(
+                    artifact_hash
+                )
+        sizes = {
+            path.stem: path.stat().st_size
+            for path in self.artifacts_dir.rglob("*.pkl")
+        }
+        doomed: list[tuple] = []
+
+        def doom(key: tuple) -> int:
+            """Drop ``key``'s references; returns the bytes that frees."""
+            doomed.append(key)
+            freed = 0
+            for artifact_hash in artifacts_of.pop(key, ()):
+                references[artifact_hash] -= 1
+                if not references[artifact_hash]:
+                    freed += sizes.get(artifact_hash, 0)
+            return freed
+
         if older_than_days is not None:
             cutoff = (
                 datetime.datetime.now(datetime.timezone.utc)
                 - datetime.timedelta(days=older_than_days)
             ).isoformat(timespec="seconds")
-            doomed.extend(row for row in candidates if row["created_at"] < cutoff)
+            for key, created_at in candidates:
+                if created_at < cutoff:
+                    doom(key)
         if max_bytes is not None:
-            doomed_keys = {
-                (row["spec_hash"], row["seed"], row["backend_layout"]) for row in doomed
-            }
-            remaining = [
-                row
-                for row in candidates
-                if (row["spec_hash"], row["seed"], row["backend_layout"])
-                not in doomed_keys
-            ]
-            # Size after this prune = artifacts still referenced by a
-            # surviving row (a doomed row's artifact is only freed once no
-            # survivor shares it; orphans are swept regardless).
-            total = self._kept_artifact_bytes(doomed)
-            for row in remaining:
+            # Size after this prune = artifacts some surviving row still
+            # references (orphans are swept regardless); oldest go first,
+            # skipping keys the age cut already doomed.
+            total = sum(size for stem, size in sizes.items() if references[stem])
+            for key, _ in candidates:
                 if total <= max_bytes:
                     break
-                size = self._artifact_size_if_unshared(row, doomed)
-                doomed.append(row)
-                total -= size
-        removed_rows = len(doomed)
+                if key in artifacts_of:
+                    total -= doom(key)
         if not dry_run:
-            doomed_keys = [
-                (row["spec_hash"], row["seed"], row["backend_layout"])
-                for row in doomed
-            ]
             with self._connection:
                 self._connection.executemany(
                     "DELETE FROM runs WHERE spec_hash = ? AND seed = ? "
                     "AND backend_layout = ?",
-                    doomed_keys,
+                    doomed,
                 )
                 # A trajectory without its run row is dead weight; dropping
                 # it here lets the orphan sweep reclaim its artifact too.
                 self._connection.executemany(
                     "DELETE FROM trajectories WHERE spec_hash = ? AND seed = ? "
                     "AND backend_layout = ?",
-                    doomed_keys,
+                    doomed,
                 )
             removed_files, removed_bytes = self._sweep_orphan_artifacts()
         else:
-            removed_files, removed_bytes = self._orphan_preview(doomed)
+            orphans = [size for stem, size in sizes.items() if not references[stem]]
+            removed_files, removed_bytes = len(orphans), sum(orphans)
         return {
-            "removed_runs": removed_rows,
+            "removed_runs": len(doomed),
             "removed_artifacts": removed_files,
             "removed_bytes": removed_bytes,
             "dry_run": dry_run,
@@ -865,50 +886,6 @@ class ResultsStore:
                 "SELECT artifact_hash FROM trajectories"
             )
         }
-
-    def _kept_hashes(self, doomed: Sequence[sqlite3.Row]) -> set[str]:
-        """Artifact hashes still referenced once ``doomed`` rows are gone.
-
-        The single survivorship rule behind prune's byte accounting, its
-        dry-run preview, and the size-if-unshared probe: a shared artifact
-        survives as long as any referent does.
-        """
-        doomed_keys = {
-            (row["spec_hash"], row["seed"], row["backend_layout"]) for row in doomed
-        }
-        # Trajectory rows share the run key space and die with their run,
-        # so surviving trajectory artifacts join the kept set.
-        return {
-            row["artifact_hash"]
-            for table in ("runs", "trajectories")
-            for row in self._connection.execute(
-                f"SELECT spec_hash, seed, backend_layout, artifact_hash FROM {table}"
-            )
-            if (row["spec_hash"], row["seed"], row["backend_layout"])
-            not in doomed_keys
-        }
-
-    def _kept_artifact_bytes(self, doomed: Sequence[sqlite3.Row]) -> int:
-        """Bytes the store would still hold after deleting ``doomed`` rows
-        and sweeping orphans."""
-        total = 0
-        for artifact_hash in self._kept_hashes(doomed):
-            try:
-                total += self._artifact_path(artifact_hash).stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def _artifact_size_if_unshared(
-        self, row: sqlite3.Row, doomed: Sequence[sqlite3.Row]
-    ) -> int:
-        """Bytes freed by dropping ``row`` (0 while other rows share its artifact)."""
-        if row["artifact_hash"] in self._kept_hashes(list(doomed) + [row]):
-            return 0
-        try:
-            return self._artifact_path(row["artifact_hash"]).stat().st_size
-        except OSError:
-            return 0
 
     def _sweep_orphan_artifacts(self) -> tuple[int, int]:
         referenced = self._referenced_hashes()
@@ -934,14 +911,4 @@ class ResultsStore:
                     removed_files += 1
             except OSError:
                 pass
-        return removed_files, removed_bytes
-
-    def _orphan_preview(self, doomed: Sequence[sqlite3.Row]) -> tuple[int, int]:
-        kept_hashes = self._kept_hashes(doomed)
-        removed_files = 0
-        removed_bytes = 0
-        for path in self.artifacts_dir.rglob("*.pkl"):
-            if path.stem not in kept_hashes:
-                removed_files += 1
-                removed_bytes += path.stat().st_size
         return removed_files, removed_bytes

@@ -160,7 +160,9 @@ def reference_run(
         contention = 0.0
         for index in active:
             contention += states[index].sending_probability()
-        view = SystemView(slot=slot, active_packets=tuple(active), contention=contention)
+        view = SystemView(
+            slot=slot, backlog=len(active), contention=contention, arrivals_so_far=next_id
+        )
         count = adversary.arrivals(view, None)
         arrival_ids = tuple(range(next_id, next_id + count))
         for index in arrival_ids:

@@ -68,6 +68,18 @@ def run_specs(protocol, adversary, seeds, **options) -> list[RunSpec]:
     ]
 
 
+def counts_before(result, slot: int) -> tuple[int, int, int]:
+    """``(backlog, arrivals_so_far, departures_so_far)`` an adversary must see
+    before ``slot``'s injections, rebuilt from the run's packet records."""
+    arrived = sum(1 for p in result.packets if p.arrival_slot < slot)
+    departed = sum(
+        1
+        for p in result.packets
+        if p.departure_slot is not None and p.departure_slot < slot
+    )
+    return arrived - departed, arrived, departed
+
+
 @pytest.fixture
 def batch_runner():
     """Expose :func:`run_batch` as a fixture for convenience."""

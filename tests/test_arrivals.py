@@ -17,7 +17,7 @@ from repro.queueing.model import QueueingConstraint
 
 
 def view_at(slot: int) -> SystemView:
-    return SystemView(slot=slot, active_packets=())
+    return SystemView(slot=slot, backlog=0, arrivals_so_far=0)
 
 
 def collect(process, horizon: int, seed: int = 0) -> list[int]:

@@ -33,7 +33,9 @@ from repro.sim.engine import Simulator
 
 
 def view_at(slot: int, active: tuple = (0,), contention: float = 1.0) -> SystemView:
-    return SystemView(slot=slot, active_packets=active, contention=contention)
+    return SystemView(
+        slot=slot, backlog=len(active), arrivals_so_far=len(active), contention=contention
+    )
 
 
 def drive(jammer, slots: int, rng: Random) -> list[bool]:

@@ -114,6 +114,39 @@ class TestRunAndResume:
             # No stranded 'running' campaign row was left behind.
             assert store.list_campaigns() == []
 
+    def test_workers_off_the_processes_backend_rejected(self, tmp_path):
+        with ResultsStore(tmp_path / "store") as store:
+            with pytest.raises(
+                CampaignError, match="workers only apply to the processes backend"
+            ):
+                start_campaign(
+                    store,
+                    _scenario(),
+                    scale="smoke",
+                    backend_name="vector",
+                    workers=3,
+                )
+            assert store.list_campaigns() == []
+            assert store.stats()["runs"] == 0
+
+    def test_resume_rejects_zero_checkpoint_every(self, tmp_path):
+        with ResultsStore(tmp_path / "store") as store:
+            with pytest.raises(CampaignInterrupted):
+                start_campaign(
+                    store,
+                    _scenario(),
+                    scale="smoke",
+                    backend_name="serial",
+                    campaign_id="halted",
+                    checkpoint_every=2,
+                    fail_after_units=1,
+                )
+            recorded = store.campaign_run_count("halted")
+            with pytest.raises(CampaignError, match="checkpoint_every must be at least 1"):
+                resume_campaign(store, "halted", checkpoint_every=0)
+            assert store.campaign_run_count("halted") == recorded
+            assert store.get_campaign("halted")["status"] != "complete"
+
     def test_resume_unknown_campaign_rejected(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:
             with pytest.raises(CampaignError, match="unknown campaign"):

@@ -17,7 +17,7 @@ from repro.adversary.jamming import (
 
 
 def view(slot: int = 0, active: int = 0) -> SystemView:
-    return SystemView(slot=slot, active_packets=tuple(range(active)))
+    return SystemView(slot=slot, backlog=active, arrivals_so_far=active)
 
 
 class TestCompositeAdversary:

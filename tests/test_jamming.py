@@ -20,7 +20,8 @@ from repro.adversary.jamming import (
 def view(slot: int = 0, active: int = 1, contention: float = 1.0) -> SystemView:
     return SystemView(
         slot=slot,
-        active_packets=tuple(range(active)),
+        backlog=active,
+        arrivals_so_far=active,
         contention=contention,
     )
 

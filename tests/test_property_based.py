@@ -164,7 +164,7 @@ def test_queueing_arrivals_admissible(rate, granularity, placement, windows, see
     rng = Random(seed)
     horizon = granularity * windows
     counts = [
-        process.arrivals(SystemView(slot=slot, active_packets=()), rng)
+        process.arrivals(SystemView(slot=slot, backlog=0, arrivals_so_far=0), rng)
         for slot in range(horizon)
     ]
     constraint = QueueingConstraint(rate=rate, granularity=granularity, sliding=False)

@@ -15,6 +15,7 @@ from repro.adversary.arrivals import (
 from repro.adversary.base import SystemView
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
+    AdaptiveContentionJammer,
     BernoulliJamming,
     BurstJamming,
     Jammer,
@@ -23,14 +24,16 @@ from repro.adversary.jamming import (
     ReactiveTargetedJammer,
 )
 from repro.adversary.scheduled import ScheduledArrivals, ScheduledJamming
+from repro.channel.feedback import SlotOutcome
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.scenarios.schedule import Phase, Schedule
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
+from tests.conftest import counts_before
 
 
 def view_at(slot: int, active: tuple = ()) -> SystemView:
-    return SystemView(slot=slot, active_packets=active)
+    return SystemView(slot=slot, backlog=len(active), arrivals_so_far=len(active))
 
 
 class TestPhase:
@@ -156,11 +159,29 @@ class TestScheduledArrivals:
         )
         assert arrivals.total_planned() is None
 
-    def test_oblivious_iff_all_phases_are(self):
-        assert ScheduledArrivals(Phase(BatchArrivals(1))).oblivious
-        class Custom(BatchArrivals):
-            oblivious = False
-        assert not ScheduledArrivals(Phase(Custom(1))).oblivious
+    def test_phase_component_sees_counts_on_its_own_clock(self, rng):
+        seen = []
+
+        class Recording(NoArrivals):
+            def arrivals(self, view, rng):
+                seen.append(
+                    (
+                        view.slot,
+                        view.backlog,
+                        view.contention,
+                        view.arrivals_so_far,
+                        view.departures_so_far,
+                        view.jammed_so_far,
+                        view.active_slots_so_far,
+                        view.last_outcome,
+                    )
+                )
+                return 0
+
+        arrivals = ScheduledArrivals(Phase(NoArrivals(), 5), Phase(Recording()))
+        view = SystemView(7, 3, 1.5, 9, 6, 2, 7, SlotOutcome.COLLISION)
+        arrivals.arrivals(view, rng)
+        assert seen == [(2, 3, 1.5, 9, 6, 2, 7, SlotOutcome.COLLISION)]
 
     def test_describe_nests_phase_descriptions(self):
         description = ScheduledArrivals(Phase(BatchArrivals(4), 6)).describe()
@@ -211,11 +232,18 @@ class TestScheduledJamming:
         view = view_at(7, active=(0,))
         assert jamming.reactive_jam(view, (0,), rng)
 
-    def test_oblivious_and_contention_flags(self):
-        assert ScheduledJamming(Phase(PeriodicJamming(2))).oblivious
-        gated = ScheduledJamming(Phase(BernoulliJamming(0.5, only_active=True)))
-        assert not gated.oblivious
-        assert not gated.reactive
+    def test_contention_flag_and_backlog_gate(self, rng):
+        assert not ScheduledJamming(Phase(PeriodicJamming(2))).needs_contention
+        assert ScheduledJamming(
+            Phase(PeriodicJamming(2), 3), Phase(AdaptiveContentionJammer(budget=1))
+        ).needs_contention
+        gated = ScheduledJamming(
+            Phase(NoJamming(), 2), Phase(BernoulliJamming(1.0, only_active=True))
+        )
+        assert not gated.reactive and not gated.needs_contention
+        # The gate reads the backlog through the phase's shifted view.
+        assert not gated.jam(view_at(4), rng)
+        assert gated.jam(view_at(4, active=(0,)), rng)
 
 
 class TestEngineIntegration:
@@ -262,24 +290,30 @@ class TestEngineIntegration:
         assert successes[49] == 0
         assert result.collector.num_jammed == 50
 
-    def test_fast_path_fail_loud_passes_through_shifted_view(self):
-        class Peeking(Jammer):
-            oblivious = True  # lies: it reads per-packet state
+    def test_shifted_view_carries_engine_counts(self):
+        class Recording(Jammer):
+            def __init__(self):
+                self.seen = []
 
             def jam(self, view, rng):
-                return len(view.active_packets) > 0
+                self.seen.append(
+                    (view.slot, view.backlog, view.arrivals_so_far, view.departures_so_far)
+                )
+                return False
 
+        recording = Recording()
         adversary = CompositeAdversary(
-            BatchArrivals(3),
-            ScheduledJamming(Phase(NoJamming(), 2), Phase(Peeking())),
+            PeriodicBurstArrivals(burst_size=3, period=10, num_bursts=4),
+            ScheduledJamming(Phase(NoJamming(), 7), Phase(recording)),
         )
-        assert adversary.oblivious  # engine will take the fast path
         config = SimulationConfig(
             protocol=BinaryExponentialBackoff(),
             adversary=adversary,
             seed=1,
-            max_slots=100,
+            max_slots=2000,
         )
-        simulator = Simulator(config)
-        with pytest.raises(RuntimeError, match="oblivious"):
-            simulator.run()
+        result = Simulator(config).run()
+        assert len(recording.seen) == result.num_slots - 7
+        for local_slot, backlog, arrivals, departures in recording.seen:
+            slot = local_slot + 7
+            assert (backlog, arrivals, departures) == counts_before(result, slot), slot

@@ -12,12 +12,13 @@ from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.store import ResultsStore
 
 
-def _spec(seed=1, n=10):
+def _spec(seed=1, n=10, **options):
     return RunSpec(
         protocol=BinaryExponentialBackoff(),
         adversary=factory(CompositeAdversary, factory(BatchArrivals, n)),
         seed=seed,
         max_slots=2000,
+        **options,
     )
 
 
@@ -278,6 +279,41 @@ class TestStatsAndPrune:
             removed = store.prune(older_than_days=1, max_bytes=0)
             assert removed["removed_runs"] == 0
             assert store.has_run(spec.cache_key(), 1, "scalar")
+
+    def test_prune_max_bytes_counts_trajectory_artifacts(self, tmp_path):
+        """Dooming a row frees its run artifact and its trajectory's, so a
+        half-size budget keeps about half the runs instead of none."""
+        with ResultsStore(tmp_path / "store") as store:
+            for seed in range(10):
+                spec = _spec(seed=seed, dynamics_window=10)
+                store.put_run(spec.cache_key(), seed, "scalar", _run(spec))
+            stats = store.stats()
+            assert stats["trajectories"] == 10
+            budget = stats["artifact_bytes"] // 2
+            preview = store.prune(max_bytes=budget, dry_run=True)
+            removed = store.prune(max_bytes=budget)
+            assert preview["removed_runs"] == removed["removed_runs"]
+            assert preview["removed_bytes"] == removed["removed_bytes"]
+            stats = store.stats()
+            assert 0 < stats["artifact_bytes"] <= budget
+            assert 4 <= stats["runs"] == stats["trajectories"] < 10
+
+    def test_prune_reads_each_table_once(self, tmp_path):
+        """The SQL a prune runs does not grow with the number of candidates."""
+        result = _run(_spec(seed=1))
+
+        def statements(rows):
+            with ResultsStore(tmp_path / f"store-{rows}") as store:
+                for index in range(rows):
+                    store.put_run(f"spec-{index}", 1, "scalar", result)
+                executed = []
+                store._connection.set_trace_callback(executed.append)
+                removed = store.prune(max_bytes=0, dry_run=True)
+                store._connection.set_trace_callback(None)
+                assert removed["removed_runs"] == rows
+                return len(executed)
+
+        assert statements(20) == statements(60)
 
     def test_prune_dry_run_touches_nothing(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:

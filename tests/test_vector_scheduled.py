@@ -136,7 +136,7 @@ class TestScheduledKernels:
 
         rng = Random(0)
         expected = [
-            process.arrivals(SystemView(slot=slot, active_packets=()), rng)
+            process.arrivals(SystemView(slot=slot, backlog=0, arrivals_so_far=0), rng)
             for slot in range(25)
         ]
         for replication in range(replications):
