@@ -5,6 +5,10 @@ listen, or send.  Per Footnote 2 and Section 3 of the paper, a sending
 packet does not need to listen separately to learn the channel state — if it
 is still in the system after sending, the slot was noisy — so sending counts
 as a single channel access.
+
+The three decisions are the module's singletons :data:`SLEEP`,
+:data:`LISTEN` and :data:`SEND`; packet states return them directly, and
+the engine reads only an action's ``kind``.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ class ActionKind(enum.Enum):
 class Action:
     """A packet's decision for a single slot.
 
-    Use the class-level constructors :meth:`sleep`, :meth:`listen`, and
-    :meth:`send` rather than instantiating directly.
+    Return the singletons :data:`SLEEP`, :data:`LISTEN` and :data:`SEND`
+    rather than instantiating directly; the class-level constructors
+    :meth:`sleep`, :meth:`listen` and :meth:`send` return the same objects.
     """
 
     kind: ActionKind
@@ -34,17 +39,17 @@ class Action:
     @classmethod
     def sleep(cls) -> "Action":
         """The packet neither sends nor listens; it learns nothing."""
-        return _SLEEP
+        return SLEEP
 
     @classmethod
     def listen(cls) -> "Action":
         """The packet listens and learns the slot's ternary feedback."""
-        return _LISTEN
+        return LISTEN
 
     @classmethod
     def send(cls) -> "Action":
         """The packet transmits (and implicitly learns the slot state)."""
-        return _SEND
+        return SEND
 
     @property
     def accesses_channel(self) -> bool:
@@ -64,6 +69,6 @@ class Action:
         return self.kind is ActionKind.SLEEP
 
 
-_SLEEP = Action(ActionKind.SLEEP)
-_LISTEN = Action(ActionKind.LISTEN)
-_SEND = Action(ActionKind.SEND)
+SLEEP = Action(ActionKind.SLEEP)
+LISTEN = Action(ActionKind.LISTEN)
+SEND = Action(ActionKind.SEND)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
-from repro.channel.actions import Action
+from repro.channel.actions import LISTEN, SEND, SLEEP, Action
 from repro.channel.feedback import Feedback, FeedbackReport
 from repro.core.parameters import LowSensingParameters
 from repro.protocols.base import BackoffProtocol, PacketState
@@ -73,10 +73,10 @@ class LowSensingPacketState(PacketState):
 
     def decide(self, rng: Random) -> Action:
         if rng.random() >= self._access_probability:
-            return Action.sleep()
+            return SLEEP
         if rng.random() < self._send_given_access:
-            return Action.send()
-        return Action.listen()
+            return SEND
+        return LISTEN
 
     # -- Feedback phase -------------------------------------------------------
 
@@ -147,11 +147,11 @@ class DecoupledLowSensingPacketState(LowSensingPacketState):
         params = self.params
         send = rng.random() < params.send_probability(self.window)
         if send:
-            return Action.send()
+            return SEND
         listen_only = rng.random() < params.access_probability(self.window)
         if listen_only:
-            return Action.listen()
-        return Action.sleep()
+            return LISTEN
+        return SLEEP
 
 
 @dataclass(frozen=True)

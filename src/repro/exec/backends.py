@@ -23,7 +23,9 @@ is not.  Pool workers run with telemetry disabled (a session is
 process-local); the parent reconstructs per-job spans from the monotonic
 timestamps workers return, which on Linux are comparable across processes
 (``CLOCK_MONOTONIC`` is system-wide), giving queue-wait vs run time and
-worker-pid attribution for free.
+worker-pid attribution for free.  Each job carries the parent session's
+``enabled`` flag, and workers take their resource snapshot only when it
+is set.
 """
 
 from __future__ import annotations
@@ -149,23 +151,23 @@ def execute_job(job: RunJob) -> SimulationResult:
 
 
 def _execute_pool_job(
-    indexed_job: tuple[int, RunJob],
+    indexed_job: tuple[int, RunJob, bool],
 ) -> tuple[SimulationResult, int, float, float, dict[str, Any]]:
     """Worker-side job execution: timed, attributed, and error-wrapped.
 
-    Returns ``(result, worker_pid, started, ended, resources)`` with
-    monotonic timestamps, so the parent can reconstruct queue-wait vs run
-    time.  ``resources`` is a job-boundary snapshot of the worker's
-    RSS/CPU/fds (telemetry sessions are process-local, so workers hand
-    the sample back for the parent to emit; reading ``/proc`` twice per
-    job costs microseconds against millisecond-scale jobs).  Failures
-    re-raise as :class:`WorkerJobError` carrying the job index and spec
-    identity (a bare worker exception is unattributable in a large
-    sweep).
+    ``indexed_job`` is ``(index, job, telemetry)``, where ``telemetry`` is
+    the parent session's ``enabled`` flag.  Returns ``(result, worker_pid,
+    started, ended, resources)`` with monotonic timestamps, so the parent
+    can reconstruct queue-wait vs run time.  With telemetry on,
+    ``resources`` is a job-boundary snapshot of the worker's RSS/CPU/fds
+    (telemetry sessions are process-local, so workers hand the sample back
+    for the parent to emit); with it off, it is empty, and the worker
+    neither reads ``/proc`` nor imports :mod:`repro.observe` for it.
+    Failures re-raise as :class:`WorkerJobError` carrying the job index
+    and spec identity (a bare worker exception is unattributable in a
+    large sweep).
     """
-    from repro.observe.resources import sample_process
-
-    index, job = indexed_job
+    index, job, telemetry = indexed_job
     started = time.monotonic()
     try:
         config = job.build_config()
@@ -174,7 +176,13 @@ def _execute_pool_job(
         raise WorkerJobError(
             index, job_identity(job), type(exc).__name__, str(exc)
         ) from exc
-    return result, os.getpid(), started, time.monotonic(), sample_process()
+    ended = time.monotonic()
+    resources: dict[str, Any] = {}
+    if telemetry:
+        from repro.observe.resources import sample_process
+
+        resources = sample_process()
+    return result, os.getpid(), started, ended, resources
 
 
 class ExecutionBackend(abc.ABC):
@@ -303,7 +311,11 @@ class ProcessPoolBackend(ExecutionBackend):
         with Pool(processes=min(self.workers, len(jobs))) as pool:
             # Pool.map preserves input order, which is what makes the
             # backend deterministic regardless of completion order.
-            outcomes = pool.map(_execute_pool_job, list(enumerate(jobs)), chunksize=1)
+            outcomes = pool.map(
+                _execute_pool_job,
+                [(index, job, tele.enabled) for index, job in enumerate(jobs)],
+                chunksize=1,
+            )
         results: list[SimulationResult] = []
         worker_resources: dict[int, dict[str, Any]] = {}
         for index, (result, worker_pid, started, ended, resources) in enumerate(

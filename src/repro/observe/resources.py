@@ -10,7 +10,8 @@ unchanged):
 * :func:`sample_process` — a one-shot snapshot, which pool workers take
   at job boundaries (see ``repro.exec.backends._execute_pool_job``) and
   hand back to the parent for emission, because telemetry sessions are
-  process-local and workers have none.
+  process-local and workers have none.  A worker takes it, and imports
+  this module, only for a job whose parent has a telemetry session on.
 
 Reading ``/proc`` is a few microseconds and never raises out of here: on
 platforms without procfs the reader degrades to ``os.times()`` for CPU

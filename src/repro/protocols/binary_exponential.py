@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-from repro.channel.actions import Action
+from repro.channel.actions import SEND, SLEEP, Action
 from repro.channel.feedback import FeedbackReport
 from repro.protocols.base import BackoffProtocol, PacketState
 
@@ -37,8 +37,8 @@ class BinaryExponentialPacketState(PacketState):
 
     def decide(self, rng: Random) -> Action:
         if rng.random() < 1.0 / self.window:
-            return Action.send()
-        return Action.sleep()
+            return SEND
+        return SLEEP
 
     def observe(self, report: FeedbackReport, rng: Random) -> None:
         if report.sent and not report.succeeded:

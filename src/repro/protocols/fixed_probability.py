@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-from repro.channel.actions import Action
+from repro.channel.actions import SEND, SLEEP, Action
 from repro.channel.feedback import FeedbackReport
 from repro.protocols.base import BackoffProtocol, PacketState
 
@@ -38,8 +38,8 @@ class FixedProbabilityPacketState(PacketState):
 
     def decide(self, rng: Random) -> Action:
         if rng.random() < self.probability:
-            return Action.send()
-        return Action.sleep()
+            return SEND
+        return SLEEP
 
     def observe(self, report: FeedbackReport, rng: Random) -> None:
         # Oblivious: feedback never changes the sending probability.

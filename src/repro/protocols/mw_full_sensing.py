@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-from repro.channel.actions import Action
+from repro.channel.actions import LISTEN, SEND, Action
 from repro.channel.feedback import Feedback, FeedbackReport
 from repro.protocols.base import BackoffProtocol, PacketState
 
@@ -47,8 +47,8 @@ class FullSensingPacketState(PacketState):
 
     def decide(self, rng: Random) -> Action:
         if rng.random() < self.probability:
-            return Action.send()
-        return Action.listen()
+            return SEND
+        return LISTEN
 
     def observe(self, report: FeedbackReport, rng: Random) -> None:
         if report.succeeded:

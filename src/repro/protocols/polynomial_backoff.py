@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-from repro.channel.actions import Action
+from repro.channel.actions import SEND, SLEEP, Action
 from repro.channel.feedback import FeedbackReport
 from repro.protocols.base import BackoffProtocol, PacketState
 
@@ -35,8 +35,8 @@ class PolynomialPacketState(PacketState):
 
     def decide(self, rng: Random) -> Action:
         if rng.random() < 1.0 / self.window:
-            return Action.send()
-        return Action.sleep()
+            return SEND
+        return SLEEP
 
     def observe(self, report: FeedbackReport, rng: Random) -> None:
         if report.sent and not report.succeeded:

@@ -18,6 +18,7 @@ Each slot proceeds in the order mandated by the paper's model (Section 1.1):
 from __future__ import annotations
 
 from repro.adversary.base import Adversary, SystemView
+from repro.channel.actions import ActionKind
 from repro.channel.channel import MultipleAccessChannel
 from repro.channel.feedback import SLEEP_REPORT, FeedbackReport, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
@@ -66,7 +67,7 @@ class Simulator:
             or config.collect_trace
         )
         # Per-slot scratch buffers, reused across steps.
-        self._actions_buffer: list[tuple[Packet, bool, bool]] = []
+        self._actions_buffer: list[tuple[Packet, ActionKind]] = []
         self._senders_buffer: list[int] = []
         self._listeners_buffer: list[int] = []
 
@@ -136,7 +137,10 @@ class Simulator:
 
         active_before = len(self._active)
 
-        # 2. Packet decisions.
+        # 2. Packet decisions, in packet-id order.  Each decision's kind is
+        # read once here and kept for the feedback pass below.
+        send_kind = ActionKind.SEND
+        listen_kind = ActionKind.LISTEN
         senders = self._senders_buffer
         listeners = self._listeners_buffer
         actions = self._actions_buffer
@@ -144,14 +148,12 @@ class Simulator:
         listeners.clear()
         actions.clear()
         for packet in self._active.values():
-            action = packet.state.decide(packet.rng)
-            is_send = action.is_send
-            is_listen = action.is_listen
-            if is_send:
+            kind = packet.state.decide(packet.rng).kind
+            if kind is send_kind:
                 senders.append(packet.packet_id)
-            elif is_listen:
+            elif kind is listen_kind:
                 listeners.append(packet.packet_id)
-            actions.append((packet, is_send, is_listen))
+            actions.append((packet, kind))
 
         # 3. Reactive jamming (sees the senders of the current slot).
         if not jammed and self._adversary.reactive:
@@ -161,16 +163,17 @@ class Simulator:
 
         # 4. Channel resolution and feedback delivery.  The three possible
         # reports are shared (FeedbackReport is frozen) instead of being
-        # rebuilt per packet.
+        # rebuilt per packet.  Every packet observes its report, sleepers
+        # included: Sawtooth's clock ticks on SLEEP_REPORT.
         resolution = self.channel.resolve(senders, jammed=jammed)
         feedback = resolution.feedback
         winner = resolution.winner
         send_report = None
         win_report = None
         listen_report = None
-        for packet, is_send, is_listen in actions:
-            if is_send:
-                packet.record_send()
+        for packet, kind in actions:
+            if kind is send_kind:
+                packet.sends += 1
                 if packet.packet_id == winner:
                     if win_report is None:
                         win_report = FeedbackReport(
@@ -181,8 +184,8 @@ class Simulator:
                     if send_report is None:
                         send_report = FeedbackReport(feedback=feedback, sent=True)
                     report = send_report
-            elif is_listen:
-                packet.record_listen()
+            elif kind is listen_kind:
+                packet.listens += 1
                 if listen_report is None:
                     listen_report = FeedbackReport(feedback=feedback, sent=False)
                 report = listen_report

@@ -43,12 +43,6 @@ class Packet:
             return None
         return self.departure_slot - self.arrival_slot + 1
 
-    def record_send(self) -> None:
-        self.sends += 1
-
-    def record_listen(self) -> None:
-        self.listens += 1
-
     def mark_departed(self, slot: int) -> None:
         if self.departure_slot is not None:
             raise ValueError(f"packet {self.packet_id} already departed")

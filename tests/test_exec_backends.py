@@ -1,5 +1,11 @@
 """Tests for the execution-backend layer (serial, processes, cache)."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.adversary.arrivals import BatchArrivals
@@ -10,11 +16,13 @@ from repro.exec.backends import (
     SCALAR_LAYOUT,
     ProcessPoolBackend,
     SerialBackend,
+    _execute_pool_job,
     execute_job,
 )
 from repro.exec.cache import ResultCacheBackend
 from repro.exec.vector_backend import VectorBackend
-from repro.experiments.plan import factory
+from repro.experiments.plan import RunSpec, factory
+from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.config import SimulationConfig
 from tests.conftest import run_specs
 
@@ -93,6 +101,61 @@ class TestProcessPoolBackend:
             "backend": "processes",
             "workers": 3,
         }
+
+
+def _beb_spec():
+    return RunSpec(
+        protocol=BinaryExponentialBackoff(),
+        adversary=factory(CompositeAdversary, factory(BatchArrivals, 10)),
+        seed=4,
+        max_slots=1200,
+    )
+
+
+def _run_outputs(result):
+    return result.packets, result.summary()
+
+
+#: Runs one pool job with telemetry off in a fresh interpreter, as a fresh
+#: pool worker would, and reports whether it imported ``repro.observe``.
+_FRESH_WORKER = """
+import pickle, sys
+from repro.exec.backends import _execute_pool_job
+result, _, _, _, resources = _execute_pool_job((0, pickle.load(sys.stdin.buffer), False))
+pickle.dump((result, resources, "repro.observe" in sys.modules), sys.stdout.buffer)
+"""
+
+
+class TestPoolWorkerTelemetry:
+    """A pool job samples its worker's resources only with telemetry on."""
+
+    def test_telemetry_off_samples_and_imports_nothing(self):
+        spec = _beb_spec()
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep * bool(env.get("PYTHONPATH")) + env.get(
+            "PYTHONPATH", ""
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _FRESH_WORKER],
+            input=pickle.dumps(spec),
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        result, resources, observe_imported = pickle.loads(completed.stdout)
+        assert resources == {}
+        assert not observe_imported
+        assert _run_outputs(result) == _run_outputs(execute_job(spec))
+
+    def test_telemetry_on_samples_the_worker(self):
+        spec = _beb_spec()
+        result, pid, _, _, resources = _execute_pool_job((0, spec, True))
+        assert pid == os.getpid()
+        assert _run_outputs(result) == _run_outputs(execute_job(spec))
+        if not os.path.isdir("/proc"):
+            pytest.skip("resource samples need procfs")
+        assert resources["rss_bytes"] > 0
 
 
 class TestResultCacheBackend:
