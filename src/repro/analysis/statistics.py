@@ -176,9 +176,11 @@ def quantile(values: Sequence[float], q: float) -> float:
     """The ``q``-quantile of a sample by linear interpolation.
 
     Matches numpy's default (``method="linear"``) so quantiles computed
-    here and in vectorized code agree.  Shared by the telemetry
-    summarizer's p50/p95 span columns and the observe histogram's
-    p50/p95/p99 export, so one definition of "p95" exists in the repo.
+    here and in vectorized code agree.  It serves the timing numbers: the
+    telemetry summarizer's p50/p95 span columns, the observe histogram's
+    p50/p95/p99 export and the pool's queue-wait p50/p95.  Result metrics
+    (energy, latency and backlog percentiles) use the nearest-rank rule,
+    :func:`repro.metrics.summary.nearest_rank_quantile`, instead.
     """
     if not values:
         raise ValueError("cannot take a quantile of an empty sample")

@@ -144,12 +144,11 @@ class DecoupledLowSensingPacketState(LowSensingPacketState):
     """
 
     def decide(self, rng: Random) -> Action:
-        params = self.params
-        send = rng.random() < params.send_probability(self.window)
-        if send:
+        # The probabilities cached per window: ``params.send_probability``
+        # is the same product of the same two values.
+        if rng.random() < self._access_probability * self._send_given_access:
             return SEND
-        listen_only = rng.random() < params.access_probability(self.window)
-        if listen_only:
+        if rng.random() < self._access_probability:
             return LISTEN
         return SLEEP
 

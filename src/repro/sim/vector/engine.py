@@ -8,31 +8,27 @@ The per-pass cost is a fixed number of array operations, so the
 interpreter overhead that dominates the scalar engine is paid once per pass
 instead of once per packet per replication.
 
-Two decision paths share the slot body:
+One calendar serves every kernel (:class:`_AccessCalendar`).  A packet's
+state changes only when it accesses the channel, so every packet holds its
+next-access slot, and a slot touches only the packets due: a coin splits
+each accessor's send from listen or sleep (a send-only kernel's accessors
+all send), the ternary feedback of its replication's channel updates its
+state, and its next access is set.
 
-* **access-driven kernels** (LOW-SENSING, decoupled LSB, BEB, polynomial,
-  fixed-probability/ALOHA) change a packet's state only when it accesses
-  the channel, so every packet holds its next-access slot, a
-  Geometric(access probability) gap ahead (:class:`_AccessCalendar`).  A
-  slot touches only the packets due: one coin each splits send from listen
-  (listening kernels), the ternary feedback of their replication's channel
-  updates their state, and a second coin draws their next gap.  Stretches
-  in which a row has no due access or arrival change none of its state, so
-  they are recorded in bulk, never across a ``CHUNK_SLOTS`` boundary, with
-  each slot's jam decision taken from the jammer kernel exactly as
-  stepping would.  Cost follows channel accesses, not packets × slots;
-* **dense kernels** (Sawtooth, full-sensing MW) advance state every slot —
-  Sawtooth's clock ticks while a packet sleeps, and MW listens every slot —
-  so every active packet takes one coin a slot, scattered into a coin
-  matrix that the kernel compares against its thresholds, and the kernel
-  consumes the per-replication ternary feedback arrays: the ``(R,)`` idle /
-  success / noise row masks derived from the sender counts and the jamming
-  decisions, i.e. exactly what a scalar packet's ``FeedbackReport`` would
-  say about its replication's channel.
+* LOW-SENSING, decoupled LSB, BEB, polynomial and fixed-probability/ALOHA
+  access rarely: a second coin draws a packet's next access, a
+  Geometric(access probability) gap ahead, so cost follows channel
+  accesses, not packets × slots;
+* Sawtooth (whose clock ticks while a packet sleeps) and full-sensing MW
+  (which listens every slot) access every slot they are active: their
+  next access is always the next slot, and they draw no gap coin.
 
-Both paths hand the rest of the slot its senders' rows and, where the
-reactive jammer kernels read them, their packet columns.  Per-packet listen
-counters feed the energy metrics.
+Stretches in which a row has no due access or arrival change none of its
+state, so they are recorded in bulk, never across a ``CHUNK_SLOTS``
+boundary, with each slot's jam decision taken from the jammer kernel
+exactly as stepping would.  The slot body hands the rest of the slot its
+senders' rows and, where the reactive jammer kernels read them, their
+packet columns.  Per-packet listen counters feed the energy metrics.
 
 Two loops drive the slot body (:class:`_Batch`), and one predicate,
 :func:`steps_rows`, picks between them:
@@ -46,8 +42,8 @@ Two loops drive the slot body (:class:`_Batch`), and one predicate,
   event slot, so a pass costs the busiest row's events, not the union's.
   Rows still enter each ``CHUNK_SLOTS`` chunk together, so arrival chunks
   and adversary draws are consumed as in lockstep.  It serves the
-  send-only access-driven kernels (BEB, polynomial, fixed-probability),
-  whatever the arrivals, the jammer and the outputs.
+  send-only kernels that access rarely (BEB, polynomial,
+  fixed-probability), whatever the arrivals, the jammer and the outputs.
 
 Every arrival schedule is oblivious, so each is drawn one ``CHUNK_SLOTS``
 chunk ahead, and each row has one arrival-exhaustion slot (the first slot
@@ -329,21 +325,24 @@ class _GroupConfig:
 
 
 class _AccessCalendar:
-    """Next-access slots and per-row coins of an access-driven kernel.
+    """Next-access slots and per-row coins of a batch's kernel.
 
-    A packet of an access-driven kernel changes state only when it accesses
-    the channel, so between two accesses it repeats one trial per slot at a
-    fixed access probability ``p``: the slots to its next access are
-    Geometric(p), drawn once by inversion.  ``next_access`` holds each
-    cell's next access slot, and a slot touches only the packets due.
+    A packet changes state only when it accesses the channel, so between two
+    accesses it repeats one trial per slot at a fixed access probability
+    ``p``: the slots to its next access are Geometric(p), drawn once by
+    inversion.  A packet of an every-slot kernel accesses every slot it is
+    active, so its next access is always the next slot and no gap is drawn.
+    ``next_access`` holds each cell's next access slot, and a slot touches
+    only the packets due.
 
     Coins come from each replication's own packet stream, consumed only by
     that row's events in packet-id order: one per arriving packet for its
     first gap (a first access may fall in the arrival slot), then per
     accessor a send-vs-listen coin (listening kernels only) and the coin of
     its next gap, drawn before the channel resolves (a winner's next access
-    is then reset to ``_NEVER``).  A ``slot`` is one slot for every row, or
-    each row's own slot.
+    is then reset to ``_NEVER``).  An every-slot kernel's packet takes one
+    coin a slot, its send coin, and none on arrival.  A ``slot`` is one slot
+    for every row, or each row's own slot.
     """
 
     def __init__(
@@ -355,6 +354,7 @@ class _AccessCalendar:
         horizon: int,
     ) -> None:
         self.kernel = kernel
+        self.every_slot = kernel.every_slot
         self.replications = replications
         self.horizon = horizon
         self.coins = coins
@@ -373,6 +373,9 @@ class _AccessCalendar:
         slot: int | np.ndarray,
     ) -> None:
         """Schedule the first access of packets injected at ``slot``."""
+        if self.every_slot:
+            _flat(self.next_access)[cells] = _row_slots(slot, rows)
+            return
         # A first gap counts from ``slot - 1``: the capped gap is one slot
         # longer so that at slot 0 it still lands past the run.
         gaps = geometric_gaps(
@@ -401,10 +404,12 @@ class _AccessCalendar:
 
     def decide(
         self, cells: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """``(sent, gap coins)`` of the accessors at ``cells``."""
         counts = np.bincount(rows, minlength=self.replications)
         share = self.kernel.send_share(cells, rows)
+        if self.every_slot:
+            return self.coins.take(rows, counts) < share, None
         if share is None:
             return np.ones(cells.size, dtype=bool), self.coins.take(rows, counts)
         send_coins, gap_coins = self.coins.take(rows, counts, 2)
@@ -414,13 +419,16 @@ class _AccessCalendar:
         self,
         cells: np.ndarray,
         rows: np.ndarray,
-        gap_coins: np.ndarray,
+        gap_coins: np.ndarray | None,
         empty: np.ndarray,
         noise: np.ndarray,
         slot: int | np.ndarray,
     ) -> None:
         """Feedback and the next access of every accessor, winners included."""
         probabilities = self.kernel.on_access(cells, rows, empty, noise)
+        if self.every_slot:
+            _flat(self.next_access)[cells] = _row_slots(slot, rows) + 1
+            return
         gaps = geometric_gaps(gap_coins, probabilities, self.horizon)
         _flat(self.next_access)[cells] = gaps + _row_slots(slot, rows)
 
@@ -451,9 +459,13 @@ def steps_rows(kernel: Any) -> bool:
       ratio 1.05–1.11 over three sets of 6–12 alternating pairs, and 1.17
       (quartiles 1.13–1.25, slower in 11 of 12 pairs) once the slot body
       updated each accessor once;
-    * the dense kernels, where every slot of every row is an event.
+    * the every-slot kernels (Sawtooth, full-sensing MW), where every slot
+      of a row with an active packet is an event: Sawtooth batches
+      (N=100–800 ×8 seeds) gave identical results but ran slower by row,
+      median ratio 1.32 (range 1.20–1.46) over 8 in-process pairs, and 1.29
+      (1.00–1.45) over 8 more.
     """
-    return kernel.access_driven and not kernel.listens
+    return not kernel.listens and not kernel.every_slot
 
 
 class _Batch:
@@ -501,12 +513,9 @@ class _Batch:
         jammer = self.jammer = make_row_jammer_kernel(
             [(group.jammer, len(group.seeds)) for group in groups]
         )
-        self.packet_coins = RowCoins(streams.packet_generators)
-        self.calendar: _AccessCalendar | None = None
-        if kernel.access_driven:
-            self.calendar = _AccessCalendar(
-                kernel, self.packet_coins, replications, capacity, max_slots
-            )
+        self.calendar = _AccessCalendar(
+            kernel, RowCoins(streams.packet_generators), replications, capacity, max_slots
+        )
         self.track_listens = kernel.listens
         self.reactive = jammer.reactive
         self.needs_contention = jammer.needs_contention
@@ -525,8 +534,6 @@ class _Batch:
         self.listens = (
             np.zeros((replications, capacity), dtype=np.int64) if self.track_listens else None
         )
-        if self.calendar is None:
-            self._coin_buffers(capacity)
         self.injected = np.zeros(replications, dtype=np.int64)
         self.backlog = np.zeros(replications, dtype=np.int64)
         self.running = np.ones(replications, dtype=bool)
@@ -565,13 +572,6 @@ class _Batch:
             empty = self.exhaust_at == 0
             if empty.any():
                 self._finish(empty, 0)
-
-    def _coin_buffers(self, capacity: int) -> None:
-        """The dense kernels' per-slot coin and decision matrices."""
-        shape = (self.replications, capacity)
-        self.coin_buffer = np.empty(shape)
-        self.send_buffer = np.empty(shape, dtype=bool)
-        self.listen_buffer = np.empty(shape, dtype=bool)
 
     def run(self) -> None:
         if self.stepping == "rows":
@@ -684,10 +684,7 @@ class _Batch:
             listens[:, : self.listens.shape[1]] = self.listens
             self.listens = listens
         self.kernel.grow(capacity)
-        if self.calendar is not None:
-            self.calendar.grow(capacity)
-        else:
-            self._coin_buffers(capacity)
+        self.calendar.grow(capacity)
         self.capacity = capacity
 
     def _inject(self, slot: int | np.ndarray, arriving: np.ndarray) -> None:
@@ -708,8 +705,7 @@ class _Batch:
         _flat(self.active)[new_cells] = True
         _flat(self.arrival_slot)[new_cells] = _row_slots(slot, new_rows)
         self.kernel.init_packets(new_cells, new_rows)
-        if self.calendar is not None:
-            self.calendar.arrive(new_cells, new_rows, arriving, slot)
+        self.calendar.arrive(new_cells, new_rows, arriving, slot)
         self.injected = total_after
         self.backlog = self.backlog + arriving
 
@@ -740,40 +736,20 @@ class _Batch:
             self._inject(slot, arriving)
         jammed = jammer.jam(slot, backlog_pre, mask)
 
-        active = self.active
+        if accessors is None:
+            accessors = calendar.due(slot)
         capacity = self.capacity
-        if calendar is not None:
-            if accessors is None:
-                accessors = calendar.due(slot)
-            access_rows = accessors // capacity
-            sent, gap_coins = calendar.decide(accessors, access_rows)
-            senders = accessors[sent]
-            send_rows = access_rows[sent]
-            # Only a reactive jammer reads columns.
-            if self.reactive:
-                send_cols = senders - send_rows * capacity
-            if track_listens:
-                listeners = accessors[~sent]
-        else:
-            # Every active packet takes its row's next coin, in packet-id
-            # order (the backlog is each row's active count); inactive
-            # cells keep stale coins, masked below.
-            backlog = self.backlog
-            self.coin_buffer[active] = self.packet_coins.take(
-                np.repeat(self.row_ids, backlog), backlog
-            )
-            kernel.decide(self.coin_buffer, self.send_buffer, self.listen_buffer)
-            send = self.send_buffer
-            send &= active
-            listen = self.listen_buffer
-            listen &= active
-            send_rows, send_cols = np.nonzero(send)
+        access_rows = accessors // capacity
+        sent, gap_coins = calendar.decide(accessors, access_rows)
+        senders = accessors[sent]
+        send_rows = access_rows[sent]
         num_senders = np.bincount(send_rows, minlength=replications)
         if self.reactive:
             # Step 3 of the scalar slot order: the reactive jammer sees this
-            # slot's senders before the channel resolves.
+            # slot's senders, and their packet columns, before the channel
+            # resolves.
             jammed = jammer.reactive_jam(
-                slot, send_rows, send_cols, num_senders,
+                slot, send_rows, senders - send_rows * capacity, num_senders,
                 backlog_pre, mask, self.arrival_slot, jammed,
             )
         if never_jams:
@@ -790,32 +766,20 @@ class _Batch:
         else:
             empty_rows = ~jammed & (num_senders == 0)
             noise_rows = jammed | (num_senders > 1)
-        if calendar is not None:
-            _flat(self.sends)[senders] += 1
-            if track_listens:
-                _flat(self.listens)[listeners] += 1
-            calendar.settle(
-                accessors, access_rows, gap_coins,
-                empty_rows[access_rows], noise_rows[access_rows], slot,
-            )
-            # Winners leave by cell, after settle gave every accessor a
-            # next access.
-            leaving = senders[won]
-            _flat(active)[leaving] = False
-            _flat(self.departure_slot)[leaving] = _row_slots(slot, send_rows[won])
-            _flat(calendar.next_access)[leaving] = _NEVER
-        else:
-            self.sends += send
-            if self.listens is not None:
-                self.listens += listen
-            winner_rows = send_rows[won]
-            winner_cols = send_cols[won]
-            active[winner_rows, winner_cols] = False
-            self.departure_slot[winner_rows, winner_cols] = _row_slots(slot, winner_rows)
-            # Winners depart without a state update; the remaining senders
-            # are the slot's losers.
-            send[winner_rows, winner_cols] = False
-            kernel.on_feedback(empty_rows, noise_rows, send, listen, active)
+        _flat(self.sends)[senders] += 1
+        if track_listens:
+            _flat(self.listens)[accessors[~sent]] += 1
+        calendar.settle(
+            accessors, access_rows, gap_coins,
+            empty_rows[access_rows], noise_rows[access_rows], slot,
+        )
+        # Winners leave by cell, after settle gave every accessor a next
+        # access.
+        active = self.active
+        leaving = senders[won]
+        _flat(active)[leaving] = False
+        _flat(self.departure_slot)[leaving] = _row_slots(slot, send_rows[won])
+        _flat(calendar.next_access)[leaving] = _NEVER
         self.backlog = self.backlog - winners
 
         # Empty, success or collision by sender count: a row outside the
@@ -852,9 +816,6 @@ class _Batch:
         running = self.running
         max_slots = self.max_slots
         exhaust_at = self.exhaust_at
-        # Idle stretches are skipped where no state can change unseen: an
-        # access-driven kernel, with every arrival known a chunk ahead.
-        skip_idle = calendar is not None
         # The running rows' distinct exhaustion slots, ascending, then one
         # past the run: the first is where the drained check starts, and an
         # idle stretch ends at the next one ahead (a waiting empty row ends
@@ -896,7 +857,7 @@ class _Batch:
 
             accessors = None
             idle_end = slot
-            if skip_idle and next_arrival > slot:
+            if next_arrival > slot:
                 accessors = calendar.due(slot)
                 if not accessors.size:
                     # No running row accesses or injects before the next due

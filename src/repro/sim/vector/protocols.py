@@ -1,39 +1,37 @@
 """Batched protocol kernels.
 
 A kernel holds the protocol state of *every* packet of *every* replication
-in ``(replications × packets)`` arrays.  Two kinds of kernel exist:
+in ``(replications × packets)`` arrays.  A packet's state changes only when
+it accesses the channel, so the engine schedules accesses on one calendar
+(see :mod:`repro.sim.vector.engine`) and every kernel exposes the same
+three calls at given cells: ``access_probability``, ``send_share``
+(``P(send | access)``, ``None`` for the send-only kernels, whose every
+access is a send), and ``on_access``, which updates every accessor of a
+slot, winners included (nothing reads a departed cell again), from what its
+replication's channel carried and returns their next access
+probabilities.
 
-* **access-driven kernels** (``access_driven = True``): LOW-SENSING
-  BACKOFF, its decoupled A1 variant, binary exponential, polynomial, and
-  fixed-probability/ALOHA.  Their packet state changes only when the packet
-  accesses the channel — a sleeping packet learns nothing — so between two
+* LOW-SENSING BACKOFF, its decoupled A1 variant, binary exponential,
+  polynomial, and fixed-probability/ALOHA access rarely: between two
   accesses a packet repeats one trial per slot at a fixed access
   probability, and the engine draws the gap to its next access as
-  Geometric(p) (see :mod:`repro.sim.vector.engine`).  The kernel exposes
-  ``access_probability`` and ``send_share`` (``P(send | access)``, ``None``
-  for the send-only kernels, whose every access is a send) at given cells,
-  and ``on_access``, which updates every accessor of a slot, winners
-  included (nothing reads a departed cell again), from what its
-  replication's channel carried and returns their next access
-  probabilities;
-* **dense kernels** (Sawtooth, full-sensing MW) advance state every slot —
-  Sawtooth's clock ticks while a packet sleeps, and MW listens every slot —
-  so they keep a per-slot interface: ``decide`` turns one uniform coin
-  matrix into disjoint send/listen masks (``u < T_send`` sends,
-  ``T_send ≤ u < T_listen`` listens, the rest sleeps), and ``on_feedback``
-  consumes the engine's per-replication ternary feedback arrays (idle /
-  success / noise rows) exactly the way the scalar protocol's ``observe``
-  consumes its :class:`FeedbackReport`.
+  Geometric(p);
+* Sawtooth and full-sensing MW set ``every_slot``: their state advances
+  every slot a packet is active — Sawtooth's clock ticks while a packet
+  sleeps, and MW listens every slot — so every active packet accesses every
+  slot (``access_probability`` is 1).  Sawtooth sends with probability
+  ``1/w`` and otherwise sleeps; MW sends with probability ``p`` and
+  otherwise listens.
 
 Cells are addressed by flat indices into the C-ordered state matrices,
 together with each cell's row, which selects per-row parameters.
 
 The scalar LOW-SENSING state draws two coins per slot (access, then
-send-given-access); the access-driven kernel draws the slots between
-accesses as one gap and then one coin per access for the send-vs-listen
-split — the same joint distribution from different coins.  Vector results
-are therefore statistically (not bitwise) equivalent to scalar results,
-which is already the vector engine's contract.
+send-given-access); its kernel draws the slots between accesses as one
+gap and then one coin per access for the send-vs-listen split — the same
+joint distribution from different coins.  Vector results are therefore
+statistically (not bitwise) equivalent to scalar results, which is already
+the vector engine's contract.
 
 Every kernel is built from a list of ``(protocol, replications)`` pairs so
 that a mega-batch can stack configurations that share a kernel family but
@@ -92,13 +90,6 @@ def _param_column(
     return column
 
 
-def _cells(param: float | np.ndarray, mask: np.ndarray) -> float | np.ndarray:
-    """The parameter's value at each True cell of ``mask`` (scalar or 1-D)."""
-    if isinstance(param, np.ndarray):
-        return np.broadcast_to(param, mask.shape)[mask]
-    return param
-
-
 def _at(param: float | np.ndarray, rows: np.ndarray) -> float | np.ndarray:
     """The parameter's value for each listed row (scalar or 1-D)."""
     if isinstance(param, np.ndarray):
@@ -112,15 +103,16 @@ def _flat(matrix: np.ndarray) -> np.ndarray:
 
 
 class VectorProtocolKernel(abc.ABC):
-    """Lockstep protocol state for one batch."""
-
-    #: True for kernels whose packet state changes only when the packet
-    #: accesses the channel: the engine then schedules accesses by gaps.
-    access_driven = False
+    """Lockstep protocol state for one batch, changed only by accesses."""
 
     #: True when packets may listen without sending (the engine then
     #: maintains per-packet listen counters).
     listens = False
+
+    #: True for kernels whose state advances every slot a packet is active:
+    #: every active packet then accesses every slot, and the engine draws
+    #: no gaps for it.
+    every_slot = False
 
     def __init__(self, replications: int, capacity: int) -> None:
         self.replications = replications
@@ -152,12 +144,6 @@ class VectorProtocolKernel(abc.ABC):
         """
         return None
 
-
-class AccessKernel(VectorProtocolKernel):
-    """A protocol whose packet state changes only on channel accesses."""
-
-    access_driven = True
-
     @abc.abstractmethod
     def access_probability(
         self, cells: np.ndarray, rows: np.ndarray
@@ -181,46 +167,12 @@ class AccessKernel(VectorProtocolKernel):
         return self.access_probability(cells, rows)
 
 
-class DenseKernel(VectorProtocolKernel):
-    """A protocol whose state advances every slot: one coin matrix a slot."""
-
-    @abc.abstractmethod
-    def decide(
-        self, coins: np.ndarray, send_out: np.ndarray, listen_out: np.ndarray
-    ) -> None:
-        """Fill disjoint raw send/listen masks from one uniform coin matrix.
-
-        The engine masks both outputs by the active-packet matrix afterwards,
-        so kernels need not care about inactive cells.
-        """
-
-    @abc.abstractmethod
-    def on_feedback(
-        self,
-        empty_rows: np.ndarray,
-        noise_rows: np.ndarray,
-        send: np.ndarray,
-        listen: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        """Consume one slot's per-replication ternary feedback.
-
-        ``empty_rows`` / ``noise_rows`` are ``(R,)`` masks of replications
-        whose channel was idle / noisy this slot (the success rows are the
-        remainder); ``send`` is the sender matrix with this slot's winners
-        already removed (winners depart without a state update, exactly as
-        the scalar engine's ``observe``-then-depart order produces), and
-        ``listen``/``active`` are the listener and post-departure active
-        matrices.
-        """
-
-
 # ---------------------------------------------------------------------------
-# Access-driven kernels
+# Kernels that access rarely
 # ---------------------------------------------------------------------------
 
 
-class FixedProbabilityKernel(AccessKernel):
+class FixedProbabilityKernel(VectorProtocolKernel):
     """Constant sending probability; feedback never changes it."""
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
@@ -240,7 +192,7 @@ class FixedProbabilityKernel(AccessKernel):
         return _at(self._probability, rows)
 
 
-class BinaryExponentialKernel(AccessKernel):
+class BinaryExponentialKernel(VectorProtocolKernel):
     """Window per packet; doubles (up to a cap) on every unsuccessful send."""
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
@@ -297,7 +249,7 @@ class BinaryExponentialKernel(AccessKernel):
         return inverse
 
 
-class PolynomialKernel(AccessKernel):
+class PolynomialKernel(VectorProtocolKernel):
     """Collision count per packet; window is ``w0 * (collisions+1)**degree``."""
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
@@ -348,7 +300,7 @@ class PolynomialKernel(AccessKernel):
         return inverse
 
 
-class LowSensingKernel(AccessKernel):
+class LowSensingKernel(VectorProtocolKernel):
     """LOW-SENSING BACKOFF: window per packet, updated from ternary feedback.
 
     The access probability, the send share, and the unconditional send
@@ -441,17 +393,19 @@ class LowSensingKernel(AccessKernel):
 
 
 # ---------------------------------------------------------------------------
-# Dense kernels
+# Kernels that access every slot
 # ---------------------------------------------------------------------------
 
 
-class SawtoothKernel(DenseKernel):
+class SawtoothKernel(VectorProtocolKernel):
     """Truncated sawtooth: deterministic per-slot clock, no channel feedback.
 
-    Sawtooth never listens, but its state advances on *every* slot a packet
-    is active (including sleeping slots), so the engine hands it the full
-    active matrix each slot.
+    Sawtooth never listens, but its clock ticks on *every* slot a packet is
+    active, sleeping slots included, so every active packet accesses every
+    slot: it sends with probability ``1/w`` and otherwise sleeps.
     """
+
+    every_slot = True
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
         super().__init__(_rows(pairs), capacity)
@@ -497,43 +451,39 @@ class SawtoothKernel(DenseKernel):
         _flat(self._count)[cells] = 0
         _flat(self._inverse)[cells] = 1.0 / initial
 
-    def decide(
-        self, coins: np.ndarray, send_out: np.ndarray, listen_out: np.ndarray
-    ) -> None:
-        np.less(coins, self._inverse, out=send_out)
-        listen_out[:] = False
+    def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> float:
+        return 1.0
 
-    def on_feedback(
-        self,
-        empty_rows: np.ndarray,
-        noise_rows: np.ndarray,
-        send: np.ndarray,
-        listen: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        # Every active packet that did not just succeed spends one slot at
-        # its current window, regardless of what the channel carried.
-        count = self._count
-        np.add(count, 1, out=count, where=active)
-        due = active & (count >= self._window)
-        if not due.any():
-            return
+    def send_share(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return _flat(self._inverse)[cells]
+
+    def on_access(self, cells, rows, empty, noise) -> float:
+        # Every accessor spends one slot at its current window, whatever
+        # the channel carried.
+        count = _flat(self._count)[cells] + 1
+        due = count >= _flat(self._window)[cells]
         count[due] = 0
-        window = self._window[due] / 2.0
-        phase = self._phase[due]
-        ended = window < 2.0
-        if ended.any():
-            phase = np.where(ended, phase * 2.0, phase)
-            window = np.where(ended, phase, window)
-            self._phase[due] = phase
-        self._window[due] = window
-        self._inverse[due] = 1.0 / window
+        _flat(self._count)[cells] = count
+        if due.any():
+            cells = cells[due]
+            window = _flat(self._window)[cells] / 2.0
+            phase = _flat(self._phase)[cells]
+            ended = window < 2.0
+            if ended.any():
+                phase = np.where(ended, phase * 2.0, phase)
+                window = np.where(ended, phase, window)
+                _flat(self._phase)[cells] = phase
+            _flat(self._window)[cells] = window
+            _flat(self._inverse)[cells] = 1.0 / window
+        return 1.0
 
 
-class FullSensingMWKernel(DenseKernel):
-    """Multiplicative-weights probability per packet; listens every slot."""
+class FullSensingMWKernel(VectorProtocolKernel):
+    """Multiplicative-weights probability per packet: sends with probability
+    ``p`` and otherwise listens, every slot."""
 
     listens = True
+    every_slot = True
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
         super().__init__(_rows(pairs), capacity)
@@ -561,36 +511,28 @@ class FullSensingMWKernel(DenseKernel):
     def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
         _flat(self._probability)[cells] = _at(self._initial, rows)
 
-    def decide(
-        self, coins: np.ndarray, send_out: np.ndarray, listen_out: np.ndarray
-    ) -> None:
-        np.less(coins, self._probability, out=send_out)
-        np.logical_not(send_out, out=listen_out)
+    def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> float:
+        return 1.0
 
-    def on_feedback(
-        self,
-        empty_rows: np.ndarray,
-        noise_rows: np.ndarray,
-        send: np.ndarray,
-        listen: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        probability = self._probability
-        if empty_rows.any():
-            mask = (send | listen) & empty_rows[:, None]
-            if mask.any():
-                probability[mask] = np.minimum(
-                    probability[mask] * _cells(self._increase, mask),
-                    _cells(self._p_max, mask),
-                )
-        if noise_rows.any():
-            mask = (send | listen) & noise_rows[:, None]
-            if mask.any():
-                probability[mask] = np.maximum(
-                    probability[mask] / _cells(self._decrease, mask),
-                    _cells(self._p_min, mask),
-                )
-        # SUCCESS heard from another packet: no change.
+    def send_share(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return _flat(self._probability)[cells]
+
+    def on_access(self, cells, rows, empty, noise) -> float:
+        # Silence multiplies, noise divides, and a success, the accessor's
+        # own or another packet's, keeps the probability.
+        probability = _flat(self._probability)[cells]
+        _flat(self._probability)[cells] = np.where(
+            empty,
+            np.minimum(probability * _at(self._increase, rows), _at(self._p_max, rows)),
+            np.where(
+                noise,
+                np.maximum(
+                    probability / _at(self._decrease, rows), _at(self._p_min, rows)
+                ),
+                probability,
+            ),
+        )
+        return 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ There is one coin order (:class:`RowCoins`): a replication's packet stream
 is consumed only by that replication's own events, slot by slot and in
 packet-id order within a slot.
 
-* **Access-driven kernels** (LOW-SENSING, decoupled LSB, BEB, polynomial,
-  fixed-probability/ALOHA) take one coin per arriving packet (its first
-  gap), then per accessing packet a send-vs-listen coin (listening kernels
-  only) and the coin of its next gap.
-* **Dense kernels** (Sawtooth and full-sensing MW, whose state advances
-  every slot) take one coin per active packet per slot.  MW accesses the
-  channel every slot, so for it this is the access-driven order too.
+* The kernels that access rarely (LOW-SENSING, decoupled LSB, BEB,
+  polynomial, fixed-probability/ALOHA) take one coin per arriving packet
+  (its first gap), then per accessing packet a send-vs-listen coin
+  (listening kernels only) and the coin of its next gap.
+* The every-slot kernels (Sawtooth and full-sensing MW, whose state
+  advances every slot) access every slot a packet is active and draw no
+  gaps: one coin, the send coin, per active packet per slot.
 
 Philox streams are chunk-invariant (``random(a)`` then ``random(b)`` equals
 ``random(a + b)``), so how the buffer is refilled never matters, and every

@@ -1,11 +1,11 @@
 """Which configurations the vector engine runs, and which run together.
 
-The vector engine covers every built-in protocol tier: the send-only
-protocols whose per-packet state reduces to a handful of scalars, *and* the
-sensing tier (LOW-SENSING BACKOFF, its decoupled A1 variant, Sawtooth, and
-full-sensing multiplicative weights), whose ternary-feedback updates are
-computed from the engine's per-replication feedback arrays.  Adversaries
-qualify when they are a
+The vector engine covers every built-in protocol tier on one access
+calendar: the send-only protocols whose per-packet state reduces to a
+handful of scalars, *and* the sensing tier (LOW-SENSING BACKOFF, its
+decoupled A1 variant, Sawtooth, and full-sensing multiplicative weights),
+whose kernels update each accessor from its replication's ternary
+feedback.  Adversaries qualify when they are a
 :class:`~repro.adversary.composite.CompositeAdversary` of an oblivious
 arrival process (whose whole schedule can be precomputed as an array) and
 a jammer whose per-slot decision depends on at most the slot index, a

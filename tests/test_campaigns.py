@@ -292,7 +292,7 @@ class TestRunAndResume:
             start_campaign(reference, _scenario(), **options)
             expected = reference.fingerprint()
         # Units run in protocol order (BEB, LSB, Sawtooth), four runs each;
-        # the first run of the dense Sawtooth unit is already stored.
+        # the first run of the Sawtooth unit is already stored.
         stored = 9
         batch_sizes = []
         from_specs = VectorSimulator.from_specs

@@ -94,8 +94,8 @@ def assert_mega_matches_per_group(spec_groups):
 
 
 #: One kernel family per loop: a send-only kernel (the row loop),
-#: LOW-SENSING (lockstep) and Sawtooth (dense), each with per-group
-#: parameters.
+#: LOW-SENSING (lockstep) and Sawtooth (lockstep, every slot), each with
+#: per-group parameters.
 PROTOCOL_FAMILIES = {
     "send-only": lambda i: BinaryExponentialBackoff(initial_window=2.0 + 2 * i),
     "low-sensing": lambda i: LowSensingBackoff(

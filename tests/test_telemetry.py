@@ -544,7 +544,7 @@ class TestCampaignUnitSpans:
 
 class TestCliTelemetry:
     # The loop each E1 protocol's vector batches run: the send-only kernels
-    # step by row, the listening and dense kernels in lockstep.
+    # step by row, the listening and every-slot kernels in lockstep.
     E1_STEPPING = {
         "binary-exponential": {"rows"},
         "polynomial": {"rows"},

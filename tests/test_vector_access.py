@@ -1,18 +1,20 @@
-"""Tests for the access-driven lockstep kernels and the row coin order.
+"""Tests for the access calendar, the kernels on it, and the row coin order.
 
-LOW-SENSING, decoupled LSB, BEB, polynomial and fixed-probability change a
-packet's state only when it accesses the channel, so the engine draws the
-gap to each packet's next access, touches only the packets due, and
-records stretches without accesses or arrivals in bulk.  Four layers:
+Every kernel changes a packet's state only when it accesses the channel, so
+the engine touches only the packets due and records stretches without
+accesses or arrivals in bulk.  LOW-SENSING, decoupled LSB, BEB, polynomial
+and fixed-probability draw the gap to each packet's next access; Sawtooth
+and full-sensing MW access every slot they are active.  Six layers:
 
 * **state-machine identity** — the scalar ``PacketState`` and adversary
   objects driven with the access-driven coin order
   (``access_reference.reference_run``) reproduce every kernel bit-for-bit,
   per-slot counts, potential and dynamics outputs included;
-* **row locality** — for every kernel, the dense Sawtooth and full-sensing
-  MW included, a (spec, seed) result is bit-identical run alone, in its
-  group, in a group resized from 2 to 16, and inside a mega-batch, also
-  when the batch grows its packet capacity at different slots.  Larger
+* **row locality** — for every kernel, the every-slot Sawtooth and
+  full-sensing MW included, a (spec, seed) result is bit-identical run
+  alone, in its group, in a group resized from 2 to 16, and inside a
+  mega-batch, also when the batch grows its packet capacity at different
+  slots.  Larger
   groups skip fewer idle slots than singletons, so this also shows that
   skipping changes no result;
 * **the row loop** — the send-only kernels step each row to its own next
@@ -68,6 +70,7 @@ from repro.sim.vector.rng import RowCoins, geometric_gaps
 from repro.telemetry import MemorySink, TelemetrySession, activated
 from tests.conftest import run_specs
 
+#: The kernels that draw the gap to each packet's next access.
 ACCESS_DRIVEN = [
     pytest.param(LowSensingBackoff(), id="low-sensing"),
     pytest.param(DecoupledLowSensingBackoff(), id="low-sensing-decoupled"),
@@ -76,7 +79,8 @@ ACCESS_DRIVEN = [
     pytest.param(FixedProbabilityProtocol(probability=0.08), id="fixed-probability"),
 ]
 
-DENSE = [
+#: The kernels whose packets access every slot they are active.
+EVERY_SLOT = [
     pytest.param(SawtoothBackoff(), id="sawtooth"),
     pytest.param(FullSensingMultiplicativeWeights(), id="full-sensing-mw"),
 ]
@@ -304,7 +308,7 @@ class TestRowLocality:
         assert alone_skipped > 0
         assert alone_skipped != resized_skipped
 
-    @pytest.mark.parametrize("protocol", DENSE)
+    @pytest.mark.parametrize("protocol", EVERY_SLOT)
     @pytest.mark.parametrize(
         "kind", ["batch-bernoulli", "growing-reactive", "growing-adaptive"]
     )
@@ -317,7 +321,7 @@ class TestRowLocality:
         if kind != "batch-bernoulli":
             assert len(alone.packets) > 64  # the batch grew its capacity
 
-    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN + DENSE)
+    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN + EVERY_SLOT)
     def test_collected_outputs_are_row_local(self, protocol):
         # Φ groups stack like any other, so the contexts include a
         # mega-batch with a group of other adversary parameters.
@@ -511,7 +515,7 @@ class TestRowLoop:
 # The slot body's contracts
 # ---------------------------------------------------------------------------
 
-#: Each access-driven protocol, and a second parameterisation of it that a
+#: Each vector protocol, and a second parameterisation of it that a
 #: mega-batch stacks after it (its parameters become per-row columns).
 KERNEL_PAIRS = [
     pytest.param(
@@ -536,6 +540,12 @@ KERNEL_PAIRS = [
         FixedProbabilityProtocol(probability=0.08),
         FixedProbabilityProtocol(probability=0.3),
         id="fixed-probability",
+    ),
+    pytest.param(SawtoothBackoff(), SawtoothBackoff(initial_window=8.0), id="sawtooth"),
+    pytest.param(
+        FullSensingMultiplicativeWeights(),
+        FullSensingMultiplicativeWeights(initial_probability=0.1, p_max=0.3),
+        id="full-sensing-mw",
     ),
 ]
 
@@ -590,7 +600,7 @@ class TestSlotContracts:
         assert kept or not kernel.listens
 
     @pytest.mark.parametrize("loop", ["rows", "lockstep"])
-    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN)
+    @pytest.mark.parametrize("protocol", ACCESS_DRIVEN + EVERY_SLOT)
     def test_departed_cells_never_access_again(self, protocol, loop, monkeypatch):
         resolve = vector_engine._Batch.resolve
         checked = []
@@ -602,10 +612,8 @@ class TestSlotContracts:
             checked.append(int(departed.sum()))
 
         monkeypatch.setattr(vector_engine._Batch, "resolve", checked_resolve)
-        # Either loop serves every access-driven kernel.
-        monkeypatch.setattr(
-            vector_engine, "steps_rows", lambda kernel: loop == "rows" and kernel.access_driven
-        )
+        # Either loop serves every kernel.
+        monkeypatch.setattr(vector_engine, "steps_rows", lambda kernel: loop == "rows")
         specs = run_specs(protocol, _adversary("batch-bernoulli"), [1, 2], max_slots=3000)
         results, stepping, _ = _stepped(specs)
         assert stepping == loop

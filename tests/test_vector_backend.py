@@ -481,7 +481,8 @@ class TestCacheLayoutIsolation:
             factory(TraceArrivals, (5, 0, 0, 5)),
         )
         fallback_spec = spec(BinaryExponentialBackoff(), 1, adversary=replayed)
-        # Every vectorizable job, dense kernels included, shares one layout.
+        # Every vectorizable job, every-slot kernels included, shares one
+        # layout.
         for protocol in (
             BinaryExponentialBackoff(),
             LowSensingBackoff(),

@@ -3,10 +3,11 @@
 Three layers of checking, from exact to statistical:
 
 * **state-machine identity** — driving the scalar ``PacketState`` objects
-  with the *vector engine's own coins* in its own order (the access-driven
-  order of ``access_reference`` for LOW-SENSING; one coin per active packet
-  per slot from the row's packet stream, in packet-id order, with the same
-  trichotomy thresholds, for Sawtooth and MW) and the same per-replication
+  with the *vector engine's own coins* in its own order (the gap order of
+  ``access_reference`` for LOW-SENSING; one coin per active packet per slot
+  from the row's packet stream, in packet-id order, with the same
+  trichotomy thresholds, for the every-slot Sawtooth and MW, also across
+  the idle stretches between arrival bursts) and the same per-replication
   feedback must reproduce the vector results bit-for-bit.
   This proves the kernels implement exactly the scalar protocol logic, so
   any residual vector-vs-scalar difference is the random-stream layout —
@@ -27,9 +28,10 @@ import pytest
 
 from access_reference import reference_run
 from repro.adversary.arrivals import BatchArrivals, PeriodicBurstArrivals, PoissonArrivals
+from repro.adversary.base import SystemView
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import BernoulliJamming, BurstJamming, NoJamming, PeriodicJamming
-from repro.channel.feedback import Feedback, FeedbackReport
+from repro.channel.feedback import SLEEP_REPORT, Feedback, FeedbackReport
 from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
 from repro.core.parameters import LowSensingParameters
 from repro.experiments.plan import RunSpec, factory
@@ -53,59 +55,96 @@ def packet_tuples(result):
 # ---------------------------------------------------------------------------
 
 
-def dense_reference_run(protocol, n, seed, max_slots, thresholds):
+class _SlotUniform:
+    """A scalar jammer's ``rng``: the adversary stream's uniform of the slot.
+
+    The vector Bernoulli kernel reads one uniform per slot, jam or not,
+    while the scalar jammer draws only in the slots it may jam.
+    """
+
+    value = 0.0
+
+    def random(self) -> float:
+        return self.value
+
+
+def dense_reference_run(protocol, adversary, seed, max_slots, thresholds):
     """Re-run one replication with scalar PacketStates on the row's coins.
 
-    Each slot, every active packet takes the next uniform of the row's
-    packet stream, in packet-id order.  ``thresholds(state) -> (t_send,
-    t_listen)`` maps a scalar packet state to the single-coin trichotomy the
-    kernels use: ``u < t_send`` sends, ``t_send <= u < t_listen`` listens,
-    the rest sleeps.
+    Each slot, every active packet, arrivals included, takes the next
+    uniform of the row's packet stream, in packet-id order.
+    ``thresholds(state) -> (t_send, t_listen)`` maps a scalar packet state
+    to the single-coin trichotomy the kernels use: ``u < t_send`` sends,
+    ``t_send <= u < t_listen`` listens, the rest sleeps.  ``adversary`` is a
+    scalar composite of deterministic arrivals and a jammer that reads at
+    most one uniform a slot, which it takes from the row's adversary stream,
+    one per slot as the vector kernel pre-draws them.  The reference steps
+    every slot, including the idle stretches the engine skips.
     """
-    generator = VectorStreams([seed]).packet_generators[0]
-    states = [protocol.new_packet_state() for _ in range(n)]
-    active = list(range(n))
-    sends = [0] * n
-    listens = [0] * n
+    streams = VectorStreams([seed])
+    packet_coin = streams.packet_generators[0].random
+    adversary_coin = streams.adversary_generators[0].random
+    jam_rng = _SlotUniform()
+    states, arrival_slots, sends, listens = [], [], [], []
+    active: list[int] = []
     departed: dict[int, int] = {}
     slot = 0
-    while slot < max_slots and (slot == 0 or active):
+    while slot < max_slots and (active or not adversary.arrivals_exhausted(slot)):
+        view = SystemView(
+            slot=slot, backlog=len(active), contention=0.0, arrivals_so_far=len(states)
+        )
+        for _ in range(adversary.arrivals(view, None)):
+            active.append(len(states))
+            states.append(protocol.new_packet_state())
+            arrival_slots.append(slot)
+            sends.append(0)
+            listens.append(0)
+        jam_rng.value = adversary_coin()
+        jammed = adversary.jam(view, jam_rng)
         senders, listeners = [], []
         for index in active:
             t_send, t_listen = thresholds(states[index])
-            coin = generator.random()
+            coin = packet_coin()
             if coin < t_send:
                 senders.append(index)
             elif coin < t_listen:
                 listeners.append(index)
-        if len(senders) == 1:
+        if jammed:
+            winner, feedback = None, Feedback.NOISE
+        elif len(senders) == 1:
             winner, feedback = senders[0], Feedback.SUCCESS
         elif senders:
             winner, feedback = None, Feedback.NOISE
         else:
             winner, feedback = None, Feedback.EMPTY
-        for index in senders:
-            sends[index] += 1
-            states[index].observe(
-                FeedbackReport(feedback=feedback, sent=True, succeeded=index == winner),
-                None,
-            )
-        for index in listeners:
-            listens[index] += 1
-            states[index].observe(FeedbackReport(feedback=feedback, sent=False), None)
         for index in active:
-            if index not in senders and index not in listeners:
-                states[index].observe(
-                    FeedbackReport(feedback=None, sent=False), None
+            if index in senders:
+                sends[index] += 1
+                report = FeedbackReport(
+                    feedback=feedback, sent=True, succeeded=index == winner
                 )
+            elif index in listeners:
+                listens[index] += 1
+                report = FeedbackReport(feedback=feedback, sent=False)
+            else:
+                report = SLEEP_REPORT
+            states[index].observe(report, None)
         if winner is not None:
             active.remove(winner)
             departed[winner] = slot
         slot += 1
     return [
-        (index, 0, departed.get(index), sends[index], listens[index])
-        for index in range(n)
+        (index, arrival_slots[index], departed.get(index), sends[index], listens[index])
+        for index in range(len(states))
     ]
+
+
+def _mw_thresholds(state):
+    return state.probability, 1.0  # sends or listens, never sleeps
+
+
+def _sawtooth_thresholds(state):
+    return 1.0 / state.window, 1.0 / state.window  # sends or sleeps
 
 
 class TestKernelsMatchScalarStateMachines:
@@ -113,10 +152,6 @@ class TestKernelsMatchScalarStateMachines:
 
     def test_full_sensing_mw(self):
         protocol = FullSensingMultiplicativeWeights()
-
-        def thresholds(state):
-            return state.probability, 1.0  # sends or listens, never sleeps
-
         for seed in (3, 11, 42):
             vector = VectorSimulator.from_specs(
                 run_specs(
@@ -127,15 +162,15 @@ class TestKernelsMatchScalarStateMachines:
                 )
             ).run()[0]
             assert packet_tuples(vector) == dense_reference_run(
-                protocol, 10, seed, 600, thresholds
+                protocol,
+                CompositeAdversary(BatchArrivals(10), NoJamming()),
+                seed,
+                600,
+                _mw_thresholds,
             )
 
     def test_sawtooth(self):
         protocol = SawtoothBackoff(initial_window=4.0)
-
-        def thresholds(state):
-            return 1.0 / state.window, 1.0 / state.window  # send or sleep
-
         for seed in (3, 11, 42):
             vector = VectorSimulator.from_specs(
                 run_specs(
@@ -146,8 +181,40 @@ class TestKernelsMatchScalarStateMachines:
                 )
             ).run()[0]
             assert packet_tuples(vector) == dense_reference_run(
-                protocol, 12, seed, 800, thresholds
+                protocol,
+                CompositeAdversary(BatchArrivals(12), NoJamming()),
+                seed,
+                800,
+                _sawtooth_thresholds,
             )
+
+    @pytest.mark.parametrize(
+        "protocol, thresholds",
+        [
+            pytest.param(SawtoothBackoff(), _sawtooth_thresholds, id="sawtooth"),
+            pytest.param(
+                FullSensingMultiplicativeWeights(), _mw_thresholds, id="full-sensing-mw"
+            ),
+        ],
+    )
+    def test_every_slot_kernels_under_bursts_and_jamming(self, protocol, thresholds):
+        # Each burst drains long before the next, so the batch skips the
+        # idle stretches between bursts that the reference steps through.
+        def adversary():
+            return CompositeAdversary(
+                PeriodicBurstArrivals(8, period=400, num_bursts=3),
+                BernoulliJamming(0.2, budget=25),
+            )
+
+        for seed in (3, 11):
+            vector = VectorSimulator.from_specs(
+                run_specs(protocol, adversary(), [seed], max_slots=3000)
+            ).run()[0]
+            assert packet_tuples(vector) == dense_reference_run(
+                protocol, adversary(), seed, 3000, thresholds
+            )
+            assert vector.collector.num_jammed > 0
+            assert (vector.slot_counts().backlog[:800] == 0).any()
 
     def test_low_sensing(self):
         protocol = LowSensingBackoff()
