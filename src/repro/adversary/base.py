@@ -91,5 +91,13 @@ class Adversary(abc.ABC):
         """
         return False
 
+    def arrivals_exhausted(self, slot: int) -> bool:
+        """True when no packet can arrive at ``slot`` or any later slot.
+
+        A run that stops when drained ends once this holds and no packet is
+        left.  The default never exhausts.
+        """
+        return False
+
     def describe(self) -> dict[str, object]:
         return {"type": type(self).__name__, "reactive": self.reactive}

@@ -1,103 +1,30 @@
 """Slot resolution for the multiple-access channel.
 
-The channel is memoryless: each slot is resolved independently from the set
-of transmitting packets and the adversary's jamming decision.  The rules are
-exactly those of Section 1.1 of the paper:
+The channel is memoryless: each slot is resolved independently from the
+number of transmitting packets and the adversary's jamming decision.  The
+rules are exactly those of Section 1.1 of the paper:
 
 * no senders, not jammed           -> the slot is empty (silence);
 * exactly one sender, not jammed   -> that packet succeeds and departs;
 * two or more senders              -> collision; every sender stays;
 * jammed                           -> the slot is full and noisy no matter
                                       how many packets sent; no one succeeds.
+
+The vector engine applies the same rule to a whole batch at once, as
+``min(senders, 2)`` with jammed slots set to code 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Sequence
-
-from repro.channel.feedback import Feedback, SlotOutcome
-
-PacketId = Hashable
+from repro.channel.feedback import SlotOutcome
 
 
-@dataclass(frozen=True, slots=True)
-class SlotResolution:
-    """The resolved state of a single slot.
-
-    Attributes
-    ----------
-    outcome:
-        Ground-truth classification (empty / success / collision / jammed).
-    senders:
-        Ids of the packets that transmitted in the slot.
-    winner:
-        Id of the packet that succeeded, or ``None``.
-    jammed:
-        Whether the adversary jammed the slot.
-    """
-
-    outcome: SlotOutcome
-    senders: tuple[PacketId, ...] = field(default_factory=tuple)
-    winner: PacketId | None = None
-    jammed: bool = False
-
-    @property
-    def feedback(self) -> Feedback:
-        """Ternary feedback heard by any listener during this slot."""
-        return self.outcome.feedback
-
-    @property
-    def num_senders(self) -> int:
-        return len(self.senders)
-
-
-class MultipleAccessChannel:
-    """Resolves slots of a synchronous multiple-access channel.
-
-    The channel itself is stateless; it exists as a class so that alternative
-    channel models (e.g. capture effects, multi-channel) can subclass it and
-    plug into the same simulation engine.
-    """
-
-    def resolve(
-        self, senders: Sequence[PacketId], jammed: bool = False
-    ) -> SlotResolution:
-        """Resolve a slot given the set of senders and the jamming decision.
-
-        Parameters
-        ----------
-        senders:
-            Ids of packets transmitting in the slot (order irrelevant;
-            duplicates are rejected).
-        jammed:
-            Whether the adversary broadcasts noise into the slot.
-
-        Returns
-        -------
-        SlotResolution
-            The outcome, the winner (if any), and bookkeeping fields.
-        """
-        sender_tuple = tuple(senders)
-        if len(set(sender_tuple)) != len(sender_tuple):
-            raise ValueError("duplicate sender ids in a single slot")
-
-        if jammed:
-            return SlotResolution(
-                outcome=SlotOutcome.JAMMED,
-                senders=sender_tuple,
-                winner=None,
-                jammed=True,
-            )
-        if not sender_tuple:
-            return SlotResolution(outcome=SlotOutcome.EMPTY)
-        if len(sender_tuple) == 1:
-            return SlotResolution(
-                outcome=SlotOutcome.SUCCESS,
-                senders=sender_tuple,
-                winner=sender_tuple[0],
-            )
-        return SlotResolution(
-            outcome=SlotOutcome.COLLISION,
-            senders=sender_tuple,
-        )
+def resolve_slot(num_senders: int, jammed: bool) -> SlotOutcome:
+    """The outcome of a slot with ``num_senders`` senders."""
+    if jammed:
+        return SlotOutcome.JAMMED
+    if num_senders == 0:
+        return SlotOutcome.EMPTY
+    if num_senders == 1:
+        return SlotOutcome.SUCCESS
+    return SlotOutcome.COLLISION

@@ -92,3 +92,20 @@ class FeedbackReport:
 
 #: Report delivered to a sleeping packet: it learns nothing.
 SLEEP_REPORT = FeedbackReport(feedback=None, sent=False, succeeded=False)
+
+#: Report delivered to each sender, by slot outcome.  A success slot has
+#: one sender, the winner; no one sends in an empty slot.
+SEND_REPORTS = {
+    outcome: FeedbackReport(
+        feedback=outcome.feedback,
+        sent=True,
+        succeeded=outcome is SlotOutcome.SUCCESS,
+    )
+    for outcome in SlotOutcome
+}
+
+#: Report delivered to each listener, by slot outcome.
+LISTEN_REPORTS = {
+    outcome: FeedbackReport(feedback=outcome.feedback, sent=False)
+    for outcome in SlotOutcome
+}

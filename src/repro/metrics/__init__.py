@@ -10,9 +10,13 @@ The definitions follow Section 1.1 of the paper exactly:
   ``N_t`` counts packet arrivals so far;
 * **energy** is the number of channel accesses (sends plus listens) a packet
   performs over its lifetime.
+
+:class:`MetricsCollector` keeps the cumulative counters these are computed
+from.  The scalar engine hands it each slot's outcome and counts as plain
+values, and the collector numbers the slots itself.
 """
 
-from repro.metrics.collectors import MetricsCollector, SlotObservation
+from repro.metrics.collectors import MetricsCollector
 from repro.metrics.energy import EnergyStatistics, energy_statistics
 from repro.metrics.latency import LatencyStatistics, latency_statistics
 from repro.metrics.summary import RunSummary, aggregate_summaries
@@ -28,7 +32,6 @@ __all__ = [
     "LatencyStatistics",
     "MetricsCollector",
     "RunSummary",
-    "SlotObservation",
     "ThroughputAccounting",
     "aggregate_summaries",
     "energy_statistics",

@@ -8,8 +8,9 @@ Each slot proceeds in the order mandated by the paper's model (Section 1.1):
    action (sleep / listen / send) from its protocol state and private coins;
 3. if the adversary is reactive and has not already jammed, it sees the set
    of senders and may jam reactively (Section 1.3);
-4. the channel resolves the slot; a unique unjammed sender succeeds and
-   departs; everyone who accessed the channel receives ternary feedback and
+4. :func:`~repro.channel.channel.resolve_slot` resolves the slot; a unique
+   unjammed sender succeeds and departs; every packet receives its report
+   for the outcome (senders and listeners hear the ternary feedback) and
    updates its protocol state;
 5. metrics, the optional trace, and the optional potential tracker record
    the slot.
@@ -19,11 +20,16 @@ from __future__ import annotations
 
 from repro.adversary.base import Adversary, SystemView
 from repro.channel.actions import ActionKind
-from repro.channel.channel import MultipleAccessChannel
-from repro.channel.feedback import SLEEP_REPORT, FeedbackReport, SlotOutcome
+from repro.channel.channel import resolve_slot
+from repro.channel.feedback import (
+    LISTEN_REPORTS,
+    SEND_REPORTS,
+    SLEEP_REPORT,
+    SlotOutcome,
+)
 from repro.channel.trace import ExecutionTrace, SlotRecord
 from repro.core.potential import PotentialTracker
-from repro.metrics.collectors import MetricsCollector, SlotObservation
+from repro.metrics.collectors import MetricsCollector
 from repro.sim.config import SimulationConfig
 from repro.sim.packet import Packet
 from repro.sim.results import PacketRecord, SimulationResult
@@ -35,7 +41,6 @@ class Simulator:
 
     def __init__(self, config: SimulationConfig) -> None:
         self.config = config
-        self.channel = MultipleAccessChannel()
         self.streams = RandomStreams(config.seed)
         self._adversary_rng = self.streams.adversary_stream()
         self._adversary: Adversary = config.adversary
@@ -49,7 +54,7 @@ class Simulator:
         self.potential: PotentialTracker | None = (
             PotentialTracker() if config.collect_potential else None
         )
-        if getattr(config, "dynamics_window", 0):
+        if config.dynamics_window:
             from repro.dynamics import DynamicsAccumulator, jammer_budget
 
             self._dynamics: DynamicsAccumulator | None = DynamicsAccumulator(
@@ -62,7 +67,7 @@ class Simulator:
         # Contention is only computed when someone consumes it: an adversary
         # that declares it needs it, the potential tracker, or the trace.
         self._track_contention = bool(
-            getattr(self._adversary, "needs_contention", False)
+            self._adversary.needs_contention
             or config.collect_potential
             or config.collect_trace
         )
@@ -99,7 +104,7 @@ class Simulator:
             if (
                 config.stop_when_drained
                 and not self._active
-                and self._arrivals_exhausted()
+                and self._adversary.arrivals_exhausted(self._slot)
             ):
                 break
             self.step()
@@ -161,54 +166,30 @@ class Simulator:
                 self._adversary.reactive_jam(view, tuple(senders), adversary_rng)
             )
 
-        # 4. Channel resolution and feedback delivery.  The three possible
-        # reports are shared (FeedbackReport is frozen) instead of being
-        # rebuilt per packet.  Every packet observes its report, sleepers
-        # included: Sawtooth's clock ticks on SLEEP_REPORT.
-        resolution = self.channel.resolve(senders, jammed=jammed)
-        feedback = resolution.feedback
-        winner = resolution.winner
-        send_report = None
-        win_report = None
-        listen_report = None
+        # 4. Channel resolution and feedback delivery.  Every packet
+        # observes the shared report for its action and the slot's outcome,
+        # sleepers included: Sawtooth's clock ticks on SLEEP_REPORT.
+        outcome = resolve_slot(len(senders), jammed)
+        send_report = SEND_REPORTS[outcome]
+        listen_report = LISTEN_REPORTS[outcome]
         for packet, kind in actions:
             if kind is send_kind:
                 packet.sends += 1
-                if packet.packet_id == winner:
-                    if win_report is None:
-                        win_report = FeedbackReport(
-                            feedback=feedback, sent=True, succeeded=True
-                        )
-                    report = win_report
-                else:
-                    if send_report is None:
-                        send_report = FeedbackReport(feedback=feedback, sent=True)
-                    report = send_report
+                report = send_report
             elif kind is listen_kind:
                 packet.listens += 1
-                if listen_report is None:
-                    listen_report = FeedbackReport(feedback=feedback, sent=False)
                 report = listen_report
             else:
                 report = SLEEP_REPORT
             packet.state.observe(report, packet.rng)
-        if winner is not None:
-            departed = self._active.pop(winner)
-            departed.mark_departed(slot)
-        active_after = len(self._active)
+        winner = None
+        if outcome is SlotOutcome.SUCCESS:
+            winner = senders[0]
+            self._active.pop(winner).mark_departed(slot)
 
         # 5. Metrics, trace, and potential.
         collector.observe(
-            SlotObservation(
-                slot=slot,
-                outcome=resolution.outcome,
-                jammed=jammed,
-                arrivals=num_arrivals,
-                active_before=active_before,
-                active_after=active_after,
-                num_senders=len(senders),
-                num_listeners=len(listeners),
-            )
+            outcome, num_arrivals, active_before, len(senders), len(listeners)
         )
         potential_value = None
         if self.potential is not None:
@@ -218,14 +199,14 @@ class Simulator:
             self.trace.append(
                 SlotRecord(
                     slot=slot,
-                    outcome=resolution.outcome,
+                    outcome=outcome,
                     jammed=jammed,
                     arrivals=arrival_ids,
                     senders=tuple(senders),
                     listeners=tuple(listeners),
                     winner=winner,
                     active_before=active_before,
-                    active_after=active_after,
+                    active_after=len(self._active),
                     contention=view.contention,
                     potential=potential_value,
                 )
@@ -234,9 +215,9 @@ class Simulator:
         if self._dynamics is not None and (slot + 1) % self._dynamics.window == 0:
             self._sample_dynamics()
 
-        self._last_outcome = resolution.outcome
+        self._last_outcome = outcome
         self._slot += 1
-        return resolution.outcome
+        return outcome
 
     def result(self) -> SimulationResult:
         """Package the execution's outcome (can be called at any point)."""
@@ -261,7 +242,8 @@ class Simulator:
             protocol_name=self.config.protocol.name,
             seed=self.config.seed,
             num_slots=self._slot,
-            drained=not self._active and self._arrivals_exhausted(),
+            drained=not self._active
+            and bool(self._adversary.arrivals_exhausted(self._slot)),
             collector=self.collector,
             packets=records,
             trace=self.trace,
@@ -328,9 +310,3 @@ class Simulator:
             if probability is not None:
                 contention += probability
         return contention
-
-    def _arrivals_exhausted(self) -> bool:
-        checker = getattr(self._adversary, "arrivals_exhausted", None)
-        if checker is None:
-            return False
-        return bool(checker(self._slot))

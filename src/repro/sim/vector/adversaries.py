@@ -71,7 +71,11 @@ CHUNK_SLOTS = 512
 
 
 class VectorArrivals(abc.ABC):
-    """Chunked arrival schedule for one batch."""
+    """Chunked arrival schedule for one batch.
+
+    The schedule's end and size are its arrival process's
+    (``exhausted`` and ``total_planned``), which the engine reads there.
+    """
 
     def __init__(self, replications: int) -> None:
         self.replications = replications
@@ -80,18 +84,6 @@ class VectorArrivals(abc.ABC):
     def chunk(self, start: int, count: int, streams: VectorStreams) -> np.ndarray:
         """Arrival counts for slots ``start .. start+count-1`` as ``(R, count)``."""
 
-    @abc.abstractmethod
-    def exhausted(self, slot: int) -> bool:
-        """True when no packet can arrive at ``slot`` or later, in any row.
-
-        Pure and monotone in ``slot``: a schedule exhausts at one slot in
-        every replication.
-        """
-
-    def capacity_bound(self) -> int | None:
-        """Upper bound on total arrivals per replication, if known."""
-        return None
-
 
 class NoArrivalsVector(VectorArrivals):
     def __init__(self, process: NoArrivals, replications: int) -> None:
@@ -99,12 +91,6 @@ class NoArrivalsVector(VectorArrivals):
 
     def chunk(self, start: int, count: int, streams: VectorStreams) -> np.ndarray:
         return np.zeros((self.replications, count), dtype=np.int64)
-
-    def exhausted(self, slot: int) -> bool:
-        return True
-
-    def capacity_bound(self) -> int:
-        return 0
 
 
 class BatchArrivalsVector(VectorArrivals):
@@ -118,12 +104,6 @@ class BatchArrivalsVector(VectorArrivals):
         if start <= self._slot < start + count:
             counts[:, self._slot - start] = self._n
         return counts
-
-    def exhausted(self, slot: int) -> bool:
-        return slot > self._slot
-
-    def capacity_bound(self) -> int:
-        return self._n
 
 
 class PeriodicBurstArrivalsVector(VectorArrivals):
@@ -140,12 +120,6 @@ class PeriodicBurstArrivalsVector(VectorArrivals):
             burst &= (offsets // process.period) < process.num_bursts
         row = np.where(burst, process.burst_size, 0).astype(np.int64)
         return np.broadcast_to(row, (self.replications, count)).copy()
-
-    def exhausted(self, slot: int) -> bool:
-        return self._process.exhausted(slot)
-
-    def capacity_bound(self) -> int | None:
-        return self._process.total_planned()
 
 
 class PoissonArrivalsVector(VectorArrivals):
@@ -165,9 +139,6 @@ class PoissonArrivalsVector(VectorArrivals):
             counts[:] = 0
         return counts
 
-    def exhausted(self, slot: int) -> bool:
-        return self._horizon is not None and slot >= self._horizon
-
 
 class ScheduledArrivalsVector(VectorArrivals):
     """Piecewise schedule of arrival kernels, stitched along phase edges.
@@ -182,7 +153,6 @@ class ScheduledArrivalsVector(VectorArrivals):
 
     def __init__(self, process: ScheduledArrivals, replications: int) -> None:
         super().__init__(replications)
-        self._process = process
         self._schedule = process.schedule
         self._kernels = [
             make_arrivals_kernel(phase.component, replications)
@@ -196,12 +166,6 @@ class ScheduledArrivalsVector(VectorArrivals):
                 local_start, length, streams
             )
         return counts
-
-    def exhausted(self, slot: int) -> bool:
-        return self._process.exhausted(slot)
-
-    def capacity_bound(self) -> int | None:
-        return self._process.total_planned()
 
 
 class AdversarialQueueingArrivalsVector(VectorArrivals):
@@ -221,7 +185,6 @@ class AdversarialQueueingArrivalsVector(VectorArrivals):
         self, process: AdversarialQueueingArrivals, replications: int
     ) -> None:
         super().__init__(replications)
-        self._process = process
         self._granularity = process.granularity
         self._budget = process.arrivals_per_window
         self._placement = process.placement
@@ -278,12 +241,6 @@ class AdversarialQueueingArrivalsVector(VectorArrivals):
         if self._horizon is not None and start + count > self._horizon:
             counts[:, max(0, self._horizon - start) :] = 0
         return counts
-
-    def exhausted(self, slot: int) -> bool:
-        return self._process.exhausted(slot)
-
-    def capacity_bound(self) -> int | None:
-        return self._process.total_planned()
 
 
 # ---------------------------------------------------------------------------

@@ -156,18 +156,19 @@ def _carried(written: np.ndarray) -> np.ndarray:
     return np.where(last >= 0, written[last], 0.0)
 
 
-def _exhaustion_slot(arrivals: Any, max_slots: int) -> int:
-    """First slot from which a schedule is exhausted in every row.
+def _exhaustion_slot(process: ArrivalProcess, max_slots: int) -> int:
+    """First slot from which an oblivious arrival process is exhausted.
 
-    ``exhausted`` is pure and monotone in the slot, so a binary search over
-    the run finds it; ``max_slots + 1`` when the schedule outlasts the run.
+    Its ``exhausted`` is pure and monotone in the slot, so a binary search
+    over the run finds it; ``max_slots + 1`` when the process outlasts the
+    run.  Every row of a segment exhausts at this slot.
     """
-    if not arrivals.exhausted(max_slots):
+    if not process.exhausted(max_slots):
         return max_slots + 1
     low, high = 0, max_slots
     while low < high:
         middle = (low + high) // 2
-        if arrivals.exhausted(middle):
+        if process.exhausted(middle):
             high = middle
         else:
             low = middle + 1
@@ -438,11 +439,13 @@ class _Segment:
 
     __slots__ = ("rows", "streams", "arrivals", "exhaust_slot", "live")
 
-    def __init__(self, rows: slice, streams: Any, arrivals: Any, max_slots: int) -> None:
+    def __init__(
+        self, rows: slice, streams: Any, process: ArrivalProcess, max_slots: int
+    ) -> None:
         self.rows = rows
         self.streams = streams
-        self.arrivals = arrivals
-        self.exhaust_slot = _exhaustion_slot(arrivals, max_slots)
+        self.arrivals = make_arrivals_kernel(process, rows.stop - rows.start)
+        self.exhaust_slot = _exhaustion_slot(process, max_slots)
         self.live = True
 
 
@@ -497,11 +500,11 @@ class _Batch:
         start = 0
         for group in groups:
             stop = start + len(group.seeds)
-            arrivals = make_arrivals_kernel(group.arrival_process, len(group.seeds))
-            bound = arrivals.capacity_bound()
+            process = group.arrival_process
+            bound = process.total_planned()
             capacity = max(capacity, bound if bound is not None else 64)
             self.segments.append(
-                _Segment(slice(start, stop), streams.slice(start, stop), arrivals, max_slots)
+                _Segment(slice(start, stop), streams.slice(start, stop), process, max_slots)
             )
             start = stop
         self.capacity = capacity

@@ -3,11 +3,26 @@
 import pytest
 
 from repro.channel.feedback import (
+    LISTEN_REPORTS,
+    SEND_REPORTS,
     SLEEP_REPORT,
     Feedback,
     FeedbackReport,
     SlotOutcome,
 )
+
+#: ``(feedback, sent, succeeded)`` of the report a sender and a listener
+#: hear, by slot outcome: a success slot's one sender is its winner.
+EXPECTED_REPORTS = {
+    SlotOutcome.EMPTY: ((Feedback.EMPTY, True, False), (Feedback.EMPTY, False, False)),
+    SlotOutcome.SUCCESS: ((Feedback.SUCCESS, True, True), (Feedback.SUCCESS, False, False)),
+    SlotOutcome.COLLISION: ((Feedback.NOISE, True, False), (Feedback.NOISE, False, False)),
+    SlotOutcome.JAMMED: ((Feedback.NOISE, True, False), (Feedback.NOISE, False, False)),
+}
+
+
+def fields(report: FeedbackReport) -> tuple:
+    return report.feedback, report.sent, report.succeeded
 
 
 class TestFeedback:
@@ -72,3 +87,16 @@ class TestFeedbackReport:
         report = FeedbackReport(feedback=Feedback.NOISE, sent=True)
         with pytest.raises(AttributeError):
             report.sent = False
+
+
+class TestSlotReports:
+    def test_one_report_per_outcome(self):
+        assert set(SEND_REPORTS) == set(LISTEN_REPORTS) == set(SlotOutcome)
+
+    @pytest.mark.parametrize("outcome", list(SlotOutcome))
+    def test_send_report(self, outcome):
+        assert fields(SEND_REPORTS[outcome]) == EXPECTED_REPORTS[outcome][0]
+
+    @pytest.mark.parametrize("outcome", list(SlotOutcome))
+    def test_listen_report(self, outcome):
+        assert fields(LISTEN_REPORTS[outcome]) == EXPECTED_REPORTS[outcome][1]

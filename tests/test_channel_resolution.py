@@ -1,9 +1,7 @@
 """Tests for slot resolution and per-slot actions."""
 
-import pytest
-
 from repro.channel.actions import Action, ActionKind
-from repro.channel.channel import MultipleAccessChannel
+from repro.channel.channel import resolve_slot
 from repro.channel.feedback import Feedback, SlotOutcome
 
 
@@ -33,52 +31,32 @@ class TestAction:
 
 
 class TestChannelResolution:
-    def setup_method(self):
-        self.channel = MultipleAccessChannel()
-
     def test_no_senders_is_empty(self):
-        resolution = self.channel.resolve([])
-        assert resolution.outcome is SlotOutcome.EMPTY
-        assert resolution.winner is None
-        assert resolution.feedback is Feedback.EMPTY
+        outcome = resolve_slot(0, jammed=False)
+        assert outcome is SlotOutcome.EMPTY
+        assert outcome.feedback is Feedback.EMPTY
 
     def test_single_sender_succeeds(self):
-        resolution = self.channel.resolve([42])
-        assert resolution.outcome is SlotOutcome.SUCCESS
-        assert resolution.winner == 42
-        assert resolution.feedback is Feedback.SUCCESS
+        outcome = resolve_slot(1, jammed=False)
+        assert outcome is SlotOutcome.SUCCESS
+        assert outcome.feedback is Feedback.SUCCESS
 
     def test_two_senders_collide(self):
-        resolution = self.channel.resolve([1, 2])
-        assert resolution.outcome is SlotOutcome.COLLISION
-        assert resolution.winner is None
-        assert resolution.feedback is Feedback.NOISE
+        outcome = resolve_slot(2, jammed=False)
+        assert outcome is SlotOutcome.COLLISION
+        assert outcome.feedback is Feedback.NOISE
 
     def test_many_senders_collide(self):
-        resolution = self.channel.resolve(list(range(10)))
-        assert resolution.outcome is SlotOutcome.COLLISION
-        assert resolution.num_senders == 10
+        assert resolve_slot(10, jammed=False) is SlotOutcome.COLLISION
 
     def test_jammed_empty_slot_is_noisy(self):
-        resolution = self.channel.resolve([], jammed=True)
-        assert resolution.outcome is SlotOutcome.JAMMED
-        assert resolution.feedback is Feedback.NOISE
+        outcome = resolve_slot(0, jammed=True)
+        assert outcome is SlotOutcome.JAMMED
+        assert outcome.feedback is Feedback.NOISE
 
     def test_jamming_destroys_single_sender(self):
         # A packet that sends during a jammed slot collides and stays.
-        resolution = self.channel.resolve([7], jammed=True)
-        assert resolution.outcome is SlotOutcome.JAMMED
-        assert resolution.winner is None
+        assert resolve_slot(1, jammed=True) is SlotOutcome.JAMMED
 
     def test_jamming_with_many_senders(self):
-        resolution = self.channel.resolve([1, 2, 3], jammed=True)
-        assert resolution.outcome is SlotOutcome.JAMMED
-        assert resolution.jammed
-
-    def test_duplicate_senders_rejected(self):
-        with pytest.raises(ValueError):
-            self.channel.resolve([1, 1])
-
-    def test_senders_are_preserved(self):
-        resolution = self.channel.resolve([3, 1, 2])
-        assert set(resolution.senders) == {1, 2, 3}
+        assert resolve_slot(3, jammed=True) is SlotOutcome.JAMMED

@@ -6,7 +6,7 @@ import pytest
 
 from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import BatchArrivals, NoArrivals
-from repro.adversary.base import SystemView
+from repro.adversary.base import Adversary, SystemView
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import (
     AdaptiveContentionJammer,
@@ -14,10 +14,44 @@ from repro.adversary.jamming import (
     PeriodicJamming,
     ReactiveTargetedJammer,
 )
+from repro.core.low_sensing import LowSensingBackoff
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import Simulator
 
 
 def view(slot: int = 0, active: int = 0) -> SystemView:
     return SystemView(slot=slot, backlog=active, arrivals_so_far=active)
+
+
+class SilentAdversary(Adversary):
+    """Only the two abstract hooks: no arrivals and no jamming, ever."""
+
+    def arrivals(self, view, rng):
+        return 0
+
+    def jam(self, view, rng):
+        return False
+
+
+def run_engine(adversary, max_slots=25):
+    config = SimulationConfig(
+        protocol=LowSensingBackoff(), adversary=adversary, seed=0, max_slots=max_slots
+    )
+    return Simulator(config).run()
+
+
+class TestAdversaryDefaults:
+    def test_arrivals_never_exhaust_by_default(self):
+        assert not SilentAdversary().arrivals_exhausted(10**9)
+
+    def test_engine_runs_an_unexhausted_adversary_to_max_slots(self):
+        result = run_engine(SilentAdversary())
+        assert result.num_slots == 25
+        assert result.drained is False
+
+    def test_drained_is_a_bool(self):
+        result = run_engine(CompositeAdversary(BatchArrivals(3)), max_slots=10_000)
+        assert result.drained is True
 
 
 class TestCompositeAdversary:

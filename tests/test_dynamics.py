@@ -48,7 +48,7 @@ from repro.dynamics import (
 )
 from repro.exec import DynamicsBackend, SerialBackend, make_backend
 from repro.experiments.plan import RunSpec, SweepPlan, factory
-from repro.metrics.collectors import MetricsCollector, SlotObservation
+from repro.metrics.collectors import MetricsCollector
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.engine import Simulator
 from repro.sim.results import PacketRecord, SimulationResult
@@ -505,16 +505,11 @@ def synthetic_result(seed, *, regressed):
         success = slot in departures
         backlog = active_before - success
         collector.observe(
-            SlotObservation(
-                slot=slot,
-                outcome=SlotOutcome.SUCCESS if success else SlotOutcome.EMPTY,
-                jammed=False,
-                arrivals=arrivals[slot],
-                active_before=active_before,
-                active_after=backlog,
-                num_senders=int(success),
-                num_listeners=0,
-            )
+            SlotOutcome.SUCCESS if success else SlotOutcome.EMPTY,
+            arrivals[slot],
+            active_before,
+            int(success),
+            0,
         )
     return SimulationResult(
         config_description={"synthetic": True},

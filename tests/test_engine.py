@@ -5,9 +5,15 @@ import pytest
 from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import BatchArrivals, PoissonArrivals, TraceArrivals
 from repro.adversary.composite import CompositeAdversary
-from repro.adversary.jamming import BurstJamming, PeriodicJamming, ReactiveTargetedJammer
+from repro.adversary.jamming import (
+    BernoulliJamming,
+    BurstJamming,
+    PeriodicJamming,
+    ReactiveTargetedJammer,
+)
 from repro.channel.feedback import SlotOutcome
 from repro.core.low_sensing import LowSensingBackoff
+from repro.protocols.base import BackoffProtocol, PacketState
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.sim.config import SimulationConfig
@@ -108,7 +114,8 @@ class TestTraceCollection:
         result = run_batch(LowSensingBackoff(), 20, seed=4, collect_trace=True)
         for record in result.trace:
             if record.outcome is SlotOutcome.SUCCESS:
-                assert record.winner is not None
+                assert record.senders == (record.winner,)
+                assert result.packets[record.winner].departure_slot == record.slot
                 assert record.active_after == record.active_before - 1
             else:
                 assert record.winner is None
@@ -116,6 +123,71 @@ class TestTraceCollection:
 
     def test_no_trace_by_default(self):
         assert run_batch(LowSensingBackoff(), 5, seed=4).trace is None
+
+
+class RecordingState(PacketState):
+    """LOW-SENSING state that keeps every report it observes."""
+
+    def __init__(self, inner: PacketState) -> None:
+        self.inner = inner
+        self.reports = []
+
+    def decide(self, rng):
+        return self.inner.decide(rng)
+
+    def observe(self, report, rng):
+        self.reports.append(report)
+        self.inner.observe(report, rng)
+
+    def sending_probability(self):
+        return self.inner.sending_probability()
+
+
+class RecordingProtocol(BackoffProtocol):
+    name = "recording-low-sensing"
+
+    def __init__(self) -> None:
+        self.states = []
+
+    def new_packet_state(self) -> PacketState:
+        state = RecordingState(LowSensingBackoff().new_packet_state())
+        self.states.append(state)
+        return state
+
+
+class TestFeedbackDelivery:
+    def test_each_packet_observes_the_report_for_its_action(self):
+        protocol = RecordingProtocol()
+        config = SimulationConfig(
+            protocol=protocol,
+            adversary=CompositeAdversary(BatchArrivals(25), BernoulliJamming(0.2)),
+            seed=9,
+            max_slots=20_000,
+            collect_trace=True,
+        )
+        result = Simulator(config).run()
+        assert result.drained
+        seen = set()
+        for packet, state in zip(result.packets, protocol.states):
+            # One report per slot the packet was in the system, departure
+            # slot included.
+            assert len(state.reports) == packet.departure_slot - packet.arrival_slot + 1
+            for offset, report in enumerate(state.reports):
+                record = result.trace[packet.arrival_slot + offset]
+                got = (report.feedback, report.sent, report.succeeded)
+                if packet.packet_id in record.senders:
+                    won = packet.packet_id == record.winner
+                    assert got == (record.outcome.feedback, True, won)
+                elif packet.packet_id in record.listeners:
+                    assert got == (record.outcome.feedback, False, False)
+                else:
+                    assert got == (None, False, False)
+                seen.add((record.outcome, report.sent, report.feedback is None))
+        # Senders and listeners heard every outcome an action can meet.
+        for outcome in (SlotOutcome.SUCCESS, SlotOutcome.COLLISION, SlotOutcome.JAMMED):
+            assert (outcome, True, False) in seen
+        for outcome in SlotOutcome:
+            assert (outcome, False, False) in seen
 
 
 class TestPotentialCollection:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
 from repro.experiments.experiments import (
     ALL_EXPERIMENTS,
+    build_a1_plan,
     run_e1_throughput_batch,
     run_e6_reactive,
     run_e9_potential_drift,
@@ -70,3 +72,8 @@ class TestSmokeRuns:
         report = run_e9_potential_drift(scale="smoke")
         assert all(row["max_potential_over_n_plus_j"] < 50.0 for row in report.rows)
         assert all(row["fraction_negative_drift"] > 0.2 for row in report.rows)
+
+    def test_a1_smoke_runs_the_decoupled_variant(self):
+        # The smoke plan must cover the variant the ablation exists for.
+        protocols = {type(spec.protocol) for spec in build_a1_plan("smoke").specs}
+        assert protocols == {LowSensingBackoff, DecoupledLowSensingBackoff}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.channel.feedback import SlotOutcome
-from repro.metrics.collectors import MetricsCollector, SlotObservation
+from repro.metrics.collectors import MetricsCollector
 from repro.metrics.energy import PacketEnergy, energy_statistics
 from repro.metrics.latency import PacketLatency, latency_statistics
 from repro.metrics.summary import RunSummary, aggregate_summaries
@@ -15,49 +15,35 @@ from repro.metrics.throughput import (
 )
 
 
-def observation(slot, outcome=SlotOutcome.EMPTY, jammed=False, arrivals=0,
-                active_before=1, active_after=1, senders=0, listeners=0):
-    return SlotObservation(
-        slot=slot,
-        outcome=outcome,
-        jammed=jammed,
-        arrivals=arrivals,
-        active_before=active_before,
-        active_after=active_after,
-        num_senders=senders,
-        num_listeners=listeners,
-    )
-
-
 class TestMetricsCollector:
+    # observe(outcome, arrivals, active_before, num_senders, num_listeners)
+
     def test_counts_accumulate(self):
         collector = MetricsCollector()
-        collector.observe(observation(0, arrivals=3, active_before=3, active_after=3))
-        collector.observe(
-            observation(1, outcome=SlotOutcome.SUCCESS, active_before=3, active_after=2, senders=1)
-        )
-        collector.observe(
-            observation(2, outcome=SlotOutcome.JAMMED, jammed=True, active_before=2, active_after=2)
-        )
-        assert collector.num_slots == 3
+        collector.observe(SlotOutcome.EMPTY, 3, 3, 0, 0)
+        collector.observe(SlotOutcome.SUCCESS, 0, 3, 1, 0)
+        collector.observe(SlotOutcome.JAMMED, 0, 2, 0, 0)
+        collector.observe(SlotOutcome.COLLISION, 0, 2, 2, 0)
+        assert collector.num_slots == 4
         assert collector.num_arrivals == 3
         assert collector.num_successes == 1
+        assert collector.num_collisions == 1
+        assert collector.num_empty_active == 1
         assert collector.num_jammed == 1
         assert collector.num_jammed_active == 1
-        assert collector.num_active_slots == 3
+        assert collector.num_active_slots == 4
         assert collector.backlog == 2
 
-    def test_out_of_order_slots_rejected(self):
+    def test_empty_inactive_slot_is_not_an_empty_active_slot(self):
         collector = MetricsCollector()
-        collector.observe(observation(0))
-        with pytest.raises(ValueError):
-            collector.observe(observation(5))
+        collector.observe(SlotOutcome.EMPTY, 0, 0, 0, 0)
+        assert collector.num_slots == 1
+        assert collector.num_empty_active == 0
+        assert collector.num_active_slots == 0
 
     def test_jamming_inactive_slot_not_counted_as_active_jam(self):
         collector = MetricsCollector()
-        collector.observe(
-            observation(0, outcome=SlotOutcome.JAMMED, jammed=True, active_before=0, active_after=0)
-        )
+        collector.observe(SlotOutcome.JAMMED, 0, 0, 0, 0)
         assert collector.num_jammed == 1
         assert collector.num_jammed_active == 0
         assert collector.num_active_slots == 0
@@ -65,25 +51,17 @@ class TestMetricsCollector:
     def test_jammed_active_slots_recorded(self):
         collector = MetricsCollector()
         jammed = SlotOutcome.JAMMED
-        collector.observe(
-            observation(0, outcome=jammed, jammed=True, active_before=0, active_after=0)
-        )
-        collector.observe(
-            observation(1, outcome=jammed, jammed=True, arrivals=2, active_before=2, active_after=2)
-        )
-        collector.observe(
-            observation(2, outcome=SlotOutcome.SUCCESS, active_before=2, active_after=1, senders=1)
-        )
-        collector.observe(
-            observation(3, outcome=jammed, jammed=True, active_before=1, active_after=1)
-        )
+        collector.observe(jammed, 0, 0, 0, 0)
+        collector.observe(jammed, 2, 2, 0, 0)
+        collector.observe(SlotOutcome.SUCCESS, 0, 2, 1, 0)
+        collector.observe(jammed, 0, 1, 0, 0)
         assert collector.jammed_active_slots == [1, 3]
         assert collector.num_jammed_active == 2
         assert collector.num_jammed == 3
 
     def test_channel_access_totals(self):
         collector = MetricsCollector()
-        collector.observe(observation(0, senders=2, listeners=3))
+        collector.observe(SlotOutcome.COLLISION, 0, 5, 2, 3)
         assert collector.total_sends == 2
         assert collector.total_listens == 3
         assert collector.total_channel_accesses == 5

@@ -16,7 +16,7 @@ from repro.adversary.arrivals import AdversarialQueueingArrivals, TraceArrivals
 from repro.adversary.base import SystemView
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import BernoulliJamming
-from repro.channel.channel import MultipleAccessChannel
+from repro.channel.channel import resolve_slot
 from repro.channel.feedback import Feedback, FeedbackReport, SlotOutcome
 from repro.core.low_sensing import LowSensingPacketState
 from repro.core.parameters import LowSensingParameters
@@ -91,19 +91,16 @@ def test_window_monotone_in_noise_minus_silence(noisy_count, empty_count):
     jammed=st.booleans(),
 )
 def test_channel_resolution_cases(num_senders, jammed):
-    channel = MultipleAccessChannel()
-    resolution = channel.resolve(list(range(num_senders)), jammed=jammed)
+    outcome = resolve_slot(num_senders, jammed)
     if jammed:
-        assert resolution.outcome is SlotOutcome.JAMMED
-        assert resolution.winner is None
+        assert outcome is SlotOutcome.JAMMED
     elif num_senders == 0:
-        assert resolution.outcome is SlotOutcome.EMPTY
+        assert outcome is SlotOutcome.EMPTY
     elif num_senders == 1:
-        assert resolution.outcome is SlotOutcome.SUCCESS
-        assert resolution.winner == 0
+        assert outcome is SlotOutcome.SUCCESS
     else:
-        assert resolution.outcome is SlotOutcome.COLLISION
-    assert resolution.feedback in (Feedback.EMPTY, Feedback.SUCCESS, Feedback.NOISE)
+        assert outcome is SlotOutcome.COLLISION
+    assert outcome.feedback in (Feedback.EMPTY, Feedback.SUCCESS, Feedback.NOISE)
 
 
 # -- Throughput metrics ---------------------------------------------------------

@@ -4,8 +4,10 @@ Every other scalar check compares two runs of this code with each other
 (serial against processes, traced against untraced), so a change that
 alters every scalar result in the same way passes them all.  This module
 pins the results themselves: one SHA-256 per run over a canonical JSON of
-its packet records, ``num_slots``, ``drained``, ``jammed_active_slots``,
-and the Φ and dynamics values as ``repr`` strings.
+its packet records, ``num_slots``, ``drained``, every collector counter and
+``jammed_active_slots``, the trace's per-slot records (outcome, jamming,
+arrivals, senders, listeners, winner and backlog counts), and the Φ and
+dynamics values as ``repr`` strings.
 
 A change that alters scalar results on purpose bumps ``SCALAR_LAYOUT``
 and regenerates the table with ``PYTHONPATH=src python -m
@@ -68,10 +70,27 @@ MODES = {
 SEEDS = (11, 23)
 
 
+#: The collector's counters; the engine computes each from a slot's values.
+COUNTERS = (
+    "num_slots",
+    "num_active_slots",
+    "num_arrivals",
+    "num_successes",
+    "num_collisions",
+    "num_empty_active",
+    "num_jammed",
+    "num_jammed_active",
+    "total_sends",
+    "total_listens",
+)
+
+
 def result_digest(result) -> str:
     """SHA-256 of everything a scalar run reports, as canonical JSON."""
+    collector = result.collector
     potential = result.potential
     dynamics = result.dynamics
+    trace = result.trace
     payload = {
         "packets": [
             [p.packet_id, p.arrival_slot, p.departure_slot, p.sends, p.listens]
@@ -79,7 +98,25 @@ def result_digest(result) -> str:
         ],
         "num_slots": result.num_slots,
         "drained": result.drained,
-        "jammed_active_slots": result.collector.jammed_active_slots,
+        "counters": [getattr(collector, name) for name in COUNTERS],
+        "jammed_active_slots": collector.jammed_active_slots,
+        # Every field but the contention and Φ floats (Φ is pinned below).
+        "trace": None
+        if trace is None
+        else [
+            [
+                record.slot,
+                record.outcome.value,
+                record.jammed,
+                list(record.arrivals),
+                list(record.senders),
+                list(record.listeners),
+                record.winner,
+                record.active_before,
+                record.active_after,
+            ]
+            for record in trace
+        ],
         # Φ only: a sample's contention field is a builtin float sum(),
         # which Python 3.12 compensates, so its last bits vary by version.
         "potential": None
@@ -112,150 +149,150 @@ def digests(protocol_name: str) -> dict[tuple[str, str, int], str]:
 
 #: ``protocol workload mode seed digest`` per line.
 PINNED_TABLE = """
-low-sensing batch plain 11 480430a1ab40cef2dfa9639fa4768af1764d3d220f40973bf7bc095d33b5548b
-low-sensing batch plain 23 c93f4e22b0aac8931a62c8e142ec7b779bef723ebc830166d05d5054bcc0ac97
-low-sensing batch trace-phi 11 a48d29fcb78c94ba178523165996137eece2278ba71ae509b9fee6a88182f3c5
-low-sensing batch trace-phi 23 017a3bcd95dc9f9293bd588482503f3dd23d21b47c37b75486f8c388fbe743d7
-low-sensing batch dynamics-64 11 486f8b5ad7b26e614eaa4f5f08ea2b1742a755f22ba158764c18d371b99efccd
-low-sensing batch dynamics-64 23 42c384f0786631bd23cf78d9a9c8f82a2a7795b4f844abfbf7bdffaa95d78de3
-low-sensing poisson-bernoulli plain 11 4ec1a5d09bb49b005079fd619769f134e12342c8f43562b48b633b6f4e0844c7
-low-sensing poisson-bernoulli plain 23 1d3c8517614cd8a8f8860b7ef574bf70b0b5cd4a53852c3cb4dbdfc93815b19d
-low-sensing poisson-bernoulli trace-phi 11 7cf8d365f29b4ff06fa943488930efa1397b2c0d21f79e63a4e78d36231d1cdd
-low-sensing poisson-bernoulli trace-phi 23 0acb1e341b30cffd0cdb9ae29a33d67571aa0b6fb07696496ad4a21b7e5949f5
-low-sensing poisson-bernoulli dynamics-64 11 36719068ee6412ff624a64713845825e508f57006b9c2994f12ee04899bae7fd
-low-sensing poisson-bernoulli dynamics-64 23 9cf81608cc90d91a1d806e5520cd1a2804342de0d55db6893301d5fd446626cc
-low-sensing bursts-reactive plain 11 f6d6c7b3bd394e6bd412039d800ac182cda9ee30b2a49d22c708f152f4306ee9
-low-sensing bursts-reactive plain 23 32e1e4482cad63af0c758949ba5858ffd0ef2df4cc0453a2c7e751e578b4808e
-low-sensing bursts-reactive trace-phi 11 df0a91a04653a51940fb3b7c308e34b06e8c3097ec3498d404e62760f1bf2835
-low-sensing bursts-reactive trace-phi 23 61b9ae9a1f68fd108136586fa9ee9d56b2bff15ba1f2cb5a5d4f95b8c1eeb333
-low-sensing bursts-reactive dynamics-64 11 e1c375e97c699e8d0722c098507d6d3722a35d9e5d28207d6ed4df20b4fba2ed
-low-sensing bursts-reactive dynamics-64 23 95ae02f91f3b8f789289bcfbcfed3f1c3a05400a8fe2a9f0832a00d8c57bb438
-decoupled-low-sensing batch plain 11 c8508244bd105455fbc37803d434181ad671578d44a17d49c43a29002b0b10ba
-decoupled-low-sensing batch plain 23 bb6a427ffb2895cbec6410570167d6aa765b3bbd915bedb8b26cbdbb1f5eed97
-decoupled-low-sensing batch trace-phi 11 b6d753dce111afd66e25b5048184bc961d259c0a55aec485a63559a5f1fd0c67
-decoupled-low-sensing batch trace-phi 23 c8fa825d9f25a5c57a284b47db2ea05c9b266500ed98debd7184f1d273ee6eb0
-decoupled-low-sensing batch dynamics-64 11 1d151b52f23137724ae561a03630befb143b44ca3f2430acd5995f59aa8d8cb9
-decoupled-low-sensing batch dynamics-64 23 3dc6f1d635e4ffd5d32d24ef3786b5ef2eedb17829f7f62fa64fcab295c0fb17
-decoupled-low-sensing poisson-bernoulli plain 11 d163aa1ce617d71e1c26cd38ae05aef9ca50f2ac39d9e1499043d4c7fa57d17e
-decoupled-low-sensing poisson-bernoulli plain 23 05b7eb08d7cbed5de5949a31f2b4407a967ba1b1a59901de19183d473da6b096
-decoupled-low-sensing poisson-bernoulli trace-phi 11 a80376143a1c421e887fea2fac4f19085c7cafd9392a27fe9e8131be977a472c
-decoupled-low-sensing poisson-bernoulli trace-phi 23 6c7300ec71ddac40520e5000162896776167bf07dc1edd7fb11d9f4e0497886a
-decoupled-low-sensing poisson-bernoulli dynamics-64 11 77d45e91b7e781fe7c07aee579e48fa0291736b29ca3e7b486a2a534e52adb9f
-decoupled-low-sensing poisson-bernoulli dynamics-64 23 00e86c79740fa35748de42f3be1cfe733abe97551023043a65b4c8cfd14f5ca0
-decoupled-low-sensing bursts-reactive plain 11 9c157d1929358ddb4c4e7e8bbcb9e3efe0a0137e955000d8ac80667d58d4a09c
-decoupled-low-sensing bursts-reactive plain 23 cdeb9055373fb05f783347116d967bfacdd011a97cb778e086c0359ffce04a75
-decoupled-low-sensing bursts-reactive trace-phi 11 a16d2224ac3bfaf7f19c1e26249b7dc5ac43f38a754360b9650ae0e59eebd59e
-decoupled-low-sensing bursts-reactive trace-phi 23 658f3a1c780ce9269c9c4e1440cdfebea3fdd23296c5e19ede14e7745ea87dee
-decoupled-low-sensing bursts-reactive dynamics-64 11 37efa37b7b816cc1b8e3e38dbe489fe998259c2c2093ed6f2f16b7bb2449124e
-decoupled-low-sensing bursts-reactive dynamics-64 23 3f10a5e2d0763f1b78b5e260cf93ba7cb3d800cc525408c5f0569a5bf7d852a6
-binary-exponential batch plain 11 bbc6a3fa42aaa815e8d4b2a8a87ee80d5f0af00d521a4cfe11d546b2b503e327
-binary-exponential batch plain 23 d7208c37dbefefe1ced3498971b0c2c98dfd4cec1a80e613c8b2b7f832f67708
-binary-exponential batch trace-phi 11 e6231d246ae9fca797fc9e6b906ca55201b1646412fa55f1b835ad696dbf5314
-binary-exponential batch trace-phi 23 676466d9edc84d18c0161785bdfcd3d6f350bf0cbd7bcfc229fd8908ad9e4059
-binary-exponential batch dynamics-64 11 2a2af03a55f44bb13ff061976a3207aa1de2665a9589485cc3d3ede5cab661f2
-binary-exponential batch dynamics-64 23 f975ab8c02c07204119efebe421fdd3c800b58b82890baa06ea3311302686f95
-binary-exponential poisson-bernoulli plain 11 701d370958863c051f5d69c065555587a9d9675709b2a91817decf56156d35d8
-binary-exponential poisson-bernoulli plain 23 62b6729638ca3e0e8930055d5582f9f29fc9fc181762f894921abaa929845336
-binary-exponential poisson-bernoulli trace-phi 11 b01b3c9cdca5e5d253d2183fd468a9f8a0da5acc21a9acd0c323dfcc5b997bcf
-binary-exponential poisson-bernoulli trace-phi 23 92ec9ba81d70a08f0c43813e76780842f821cc025fe877294177c03e8679c5a4
-binary-exponential poisson-bernoulli dynamics-64 11 2d97243a58183c7639e8338bd19e90050cdb4819a026d0fefdbde89d8614bfdc
-binary-exponential poisson-bernoulli dynamics-64 23 cedd826a42de90410fa39d39f08cadfe64ab6bfce3878b852e96a45a040b35a0
-binary-exponential bursts-reactive plain 11 a0ee2d97bb159aeebb000c601e947c78090b62e9afbf591adb94e1c5ca99b06b
-binary-exponential bursts-reactive plain 23 5c4eb365a2d0e26d3fb774759a5d32ba220c1a4f47c740c12325f43184d6a0a3
-binary-exponential bursts-reactive trace-phi 11 a890de0fa73deb34fde000ce7a75952768fdf0aeaf69c27f5e22976701623d7d
-binary-exponential bursts-reactive trace-phi 23 dea76754b382b5f3fd9e5ecd07246f751d061d6551e3cf90957deba93ca870ea
-binary-exponential bursts-reactive dynamics-64 11 7e92f18485c6077f70ad995ba6d79bc7d36998a462db4ef3f2b6675bfff8e610
-binary-exponential bursts-reactive dynamics-64 23 12dd7821114121a0c30b5263239b4e23acc6a30ca87556119df5cb20765e6431
-polynomial batch plain 11 6e0600c5b0297b23dbde27259e91228a27eec976cebcfe7b4f8ce8cc94afc853
-polynomial batch plain 23 40ca67e3c7d3666aec639c21bfb0755688ef99632fab3364468c10fd110e91b9
-polynomial batch trace-phi 11 f78977170fe2389c51a5e0a6f49578599128b9bbb2e3dc251bfd988503a06485
-polynomial batch trace-phi 23 42bf0be2a6a3951e0f794d4e42b9fca2980a5f5aa3a58d29d30ae262910d8090
-polynomial batch dynamics-64 11 81aed7b9227027b7c50acd9d1c03383a1410aefdeef3e027331a588a9babcbef
-polynomial batch dynamics-64 23 23c9f06827c5b938023dbfb89edaec487b6f1471f29dae2c63e06bc8f43779d6
-polynomial poisson-bernoulli plain 11 701d370958863c051f5d69c065555587a9d9675709b2a91817decf56156d35d8
-polynomial poisson-bernoulli plain 23 62b6729638ca3e0e8930055d5582f9f29fc9fc181762f894921abaa929845336
-polynomial poisson-bernoulli trace-phi 11 f2e8ea71c7d67b356faab45a198c259a94ddc06d8f7cd597f003386aa505feb6
-polynomial poisson-bernoulli trace-phi 23 e3faebb6ce22fe83ccb37367ca04942894d2cde58a12c06b15393a38a37465bb
-polynomial poisson-bernoulli dynamics-64 11 2d97243a58183c7639e8338bd19e90050cdb4819a026d0fefdbde89d8614bfdc
-polynomial poisson-bernoulli dynamics-64 23 cedd826a42de90410fa39d39f08cadfe64ab6bfce3878b852e96a45a040b35a0
-polynomial bursts-reactive plain 11 dc014572db009c1f778e23615e4c53c58e571cf3e30ce7fcb848f0095f0546ea
-polynomial bursts-reactive plain 23 1a8cf8d1eb11d36d9fff9f2bb35c4f24a24456714946f8dec43a7be177f3be54
-polynomial bursts-reactive trace-phi 11 bee7216017591a248fac1c9165ba1cd008f4ebe512e03bb43ca63dd04d1ca6c0
-polynomial bursts-reactive trace-phi 23 d92cc5769307d07f71a15dbba94abe71bec09a0584165799931585d37e416a4e
-polynomial bursts-reactive dynamics-64 11 172063159c2ed11439fcc6bf434b2cf141d746b0317f2112dcd1c678a9d8ce1e
-polynomial bursts-reactive dynamics-64 23 d9fb95a0bf998494cda0b100a8458255ebccb52cd63e394efedc9e825ff2624b
-fixed-probability batch plain 11 23510b78d67623e67d74be04658611a6ffd7c50543d347ddfc5930c5850663a7
-fixed-probability batch plain 23 756cc398b5429c86378166ad8172ff89798b81e5fd605f4204278956083dfe60
-fixed-probability batch trace-phi 11 c6d108cadf96c46b6388a14a8a318f4f6fd55c74a72120723125e65739faea24
-fixed-probability batch trace-phi 23 e00fd9fd0285664fcd421125d4886c65b244339c5f98e70896144fa6b2b5b6a3
-fixed-probability batch dynamics-64 11 0664bd98e6c95522da3cb15395e1c158527575a421469e95f66e478f9d6a0f07
-fixed-probability batch dynamics-64 23 90fb8147db61973e22e9aeea64b5a1e6e548f18e1fb61703ddf52ffcbb8efa15
-fixed-probability poisson-bernoulli plain 11 d9550c5bf3c9fc301ecac6bdd37eef47075464cd24691026ca6e7360cb744842
-fixed-probability poisson-bernoulli plain 23 fb1903bb639cfe4cd4487d6f7b0edc69eef8e513689c2fe1e801da218c2f6aa9
-fixed-probability poisson-bernoulli trace-phi 11 53d1a6c70ad0e0403f5c5e7f5d07df4bbdbc7ce8d660f1066e4ce76a5e6f7da3
-fixed-probability poisson-bernoulli trace-phi 23 c639bed0908b55dfec1dd94f7ef8549df68e8926606be481c0e52e93e679c4ea
-fixed-probability poisson-bernoulli dynamics-64 11 8e853f6fd5fae5d01a406168e26d613745467fae15975378568c2bdde7711150
-fixed-probability poisson-bernoulli dynamics-64 23 d558713186dd2ea56f8b7e3223c439e751c9ac163b8458bda39d02ccfd2f3e58
-fixed-probability bursts-reactive plain 11 ada1ae113173ad82f2977d9daa07d4b7760b8a0071357aab255035d5dc2f0f44
-fixed-probability bursts-reactive plain 23 ab50284a2fac3cf91e7bdf17f38d992bcb6529e9877c38cc2c22d8a676ec6dbb
-fixed-probability bursts-reactive trace-phi 11 91fda34f4f00fd765b8d4646f4e4fc978ca07186681fb802155ad0e37abe1d1e
-fixed-probability bursts-reactive trace-phi 23 0fdd5236fc27ce3d46e04bff33dfef51d2f4fa1d29e104cf7630104853eaa489
-fixed-probability bursts-reactive dynamics-64 11 9755a2bb8ac990ec2f612bc86d5dc06ba7cc37bb813dda9064f6e683424bb400
-fixed-probability bursts-reactive dynamics-64 23 8deec9015fd8a78f5e26fe12963020efd55f2cbfadabe700b24e95daeffcd072
-slotted-aloha batch plain 11 2b8aacf79f063182c9a03f229b3acf9bca271a1009fa1824c4f334e2c229074f
-slotted-aloha batch plain 23 6dd2fe1d4bbf214c8d831a58dcec16beebec78a075d54e826cc63fac8125d2f4
-slotted-aloha batch trace-phi 11 4a7c7da9517f711daee5e087a06d8f312ddeadef269f6e6890f2f5f1eb9ed329
-slotted-aloha batch trace-phi 23 083a8d119707fd82508537d1d5c95ea568558fa2c2e4b6ecb35d57c751faae18
-slotted-aloha batch dynamics-64 11 6cf9c25477bfc8a81b7fc214f355e726268b3a0dca88db494c647e106d6b11bb
-slotted-aloha batch dynamics-64 23 8743968fda1345e8cfe5bb62c33bf52c9d0921da6bbf002028811600448674e1
-slotted-aloha poisson-bernoulli plain 11 d4117c174780fa1ec655f9926ef22d32139b81bc8d67c9c38f9deb5d0ac924d7
-slotted-aloha poisson-bernoulli plain 23 b783aab6a30c5e21e4378d918269eef8f3635e98ad7261f55727541c5aa0ecf0
-slotted-aloha poisson-bernoulli trace-phi 11 594f1e5dd7d4ca0a7ec471eec33e731d9e731e5af69ee0b7bd7e94465d86d5ce
-slotted-aloha poisson-bernoulli trace-phi 23 ee97d20f556fe1cb16568ef40c6f7dabc8a50d5a1f576b7c2cb141b25854ad09
-slotted-aloha poisson-bernoulli dynamics-64 11 dd7b1004703ffc646c5ded0b7eb615170b63d6a1cb84cbf610fec2b0348c8ba5
-slotted-aloha poisson-bernoulli dynamics-64 23 e996868b408331bb40fc765c1499886c13f4d427252c82d4e756b68cc0d1442f
-slotted-aloha bursts-reactive plain 11 b600b3503d7e2cb6936d314970fdc193f28dd6e61fad393e5a66d275a14bfd99
-slotted-aloha bursts-reactive plain 23 8b32202f87b25100c35813652a36444d3eb25405c99c20c900232dfaa088f251
-slotted-aloha bursts-reactive trace-phi 11 5c2629633ef3faf34b956afbe66b088bb5c3af1964b10de6535d1bdceacf3f43
-slotted-aloha bursts-reactive trace-phi 23 0a90ceb1e17a4a79689503dd75b7fafd7b30dd6dd4a65e7267e3eb7561c0a5a5
-slotted-aloha bursts-reactive dynamics-64 11 d2de0ac8d9e14e77fc0a80d46343a1e5371bffc1a871572544d296c7dee7a345
-slotted-aloha bursts-reactive dynamics-64 23 aa1489ea233f211056b0f48ffbb97042794197a3a461c2d9a28eccfa56b5c3c6
-sawtooth batch plain 11 92f35f2e5b4f8723007b9e4160d047b627f7276d1e15f5b8593d48f0354ccd34
-sawtooth batch plain 23 77e2f21fa9f02a0191d07b6c3bebc059e8be20232120f2f97ea94770c8ee256c
-sawtooth batch trace-phi 11 f1bbb65597c94a1273ec820ed1d243283059df36ecca5d1e708f4954143322be
-sawtooth batch trace-phi 23 f33a6fdd0a04e9e0e21db4d136abc89bc68360aa21cf8d3f74be6340f48f084b
-sawtooth batch dynamics-64 11 056227b395cd57c5c834f138fbb6740092cc617969c5832e03f229b2ce29f02e
-sawtooth batch dynamics-64 23 14e5fdf1b553150414f67c509c14fca7a37b9ddec0ef9424046ff5aa78a8f28f
-sawtooth poisson-bernoulli plain 11 5453bad6e1da9d160e2a8652cbd716fa774962d599f302a882d0556a131410f7
-sawtooth poisson-bernoulli plain 23 ce2c1ad00cb713c0f982e737945b6e936a2463d2f7178e9fa3a5b294012e101b
-sawtooth poisson-bernoulli trace-phi 11 ef536dbf406d9246e17caf6d48b1c57f0882fa5d8a45e677cf42a326fe251912
-sawtooth poisson-bernoulli trace-phi 23 247e951a5576866860b51ca76c0dd31ab85d31cd7a4653af0eb126d5e05b96c1
-sawtooth poisson-bernoulli dynamics-64 11 8995d9be8d0c0d82a5d86853ca65ce967d4b5c4122e732e4ef9afaa8434cba8d
-sawtooth poisson-bernoulli dynamics-64 23 548a52592c8421d3dbc1c4393c1982590952537958272a8bbd0af2b9f71994df
-sawtooth bursts-reactive plain 11 f57988d132a8a19fa7cc9b4b8b2f987027878070339a1c9f12dce3079f479f82
-sawtooth bursts-reactive plain 23 47d9c0e5108d354f774ec3a26212ff2ea5d4c9057aa7470ca00b4cd254d33984
-sawtooth bursts-reactive trace-phi 11 42c3fc8db4ec8e7143b24b359de4e00fce53a27db233e081a23892b293db2b26
-sawtooth bursts-reactive trace-phi 23 441cdbaebe589b95bb0cdac57d080cabb47f73007fd09743e69998cffde7787e
-sawtooth bursts-reactive dynamics-64 11 eba619d03e774a1579858558c02fe5454e65fe0c6e590c6dd34e41fe75651fb6
-sawtooth bursts-reactive dynamics-64 23 e64c734990e32757eb90dfb9adc3f2d24e4bcb4fb25722dab9059ca617877e14
-full-sensing-mw batch plain 11 4c876867aa8783a44cac9fa43a42d1177d0ef1056f3a5820e5af8b1cdd82bbbb
-full-sensing-mw batch plain 23 868af3a1e2388d8dc60b7896f0e450c94143f4ff6f909f17885e61e0a5fcdc45
-full-sensing-mw batch trace-phi 11 4213eae9a804d58a773e2bf873f9cde42c5379a17e512fac5a97ff31d706dfb9
-full-sensing-mw batch trace-phi 23 daa556a182ca597a485bb483d356c5a5ba1ecc491a6770fe2c4be25d12e46a14
-full-sensing-mw batch dynamics-64 11 f3630a86f6675795a9421dc0e66f2c1868a2246347439cb03c0838a90f9667b3
-full-sensing-mw batch dynamics-64 23 e1c463936875b2db5a511d7a17e9ac37fcb5fca360f04569996fdd78d9d9d677
-full-sensing-mw poisson-bernoulli plain 11 c891f705add7250e81126f758c51d28fa2f8fabd45bfeddf78e8a1c9c0ce8500
-full-sensing-mw poisson-bernoulli plain 23 7cfed9848537094db8984b950e2df6926b0e95a5397f0ab70a1fa402f45032de
-full-sensing-mw poisson-bernoulli trace-phi 11 73133d0f0fbd8b5f83ef798c3d88e49cb795b62f91dd870f3c64987e2571ff13
-full-sensing-mw poisson-bernoulli trace-phi 23 30c06f80249a3e8245f332f6dad7a108e728ec318dea4c9006e8434c2777a8d0
-full-sensing-mw poisson-bernoulli dynamics-64 11 3d39e561c1ae5cd3761ff7ccaa911a465bd34aa17c484bd13a32deb171aa10b6
-full-sensing-mw poisson-bernoulli dynamics-64 23 cc81913a14c57429787fa0a5bc04b0d0f5b6ab04a938d1fa631a05536f38e00f
-full-sensing-mw bursts-reactive plain 11 62d1f0521e9cc281d04f799482b8d5fcd18ed0fc3026500c39962125bc166925
-full-sensing-mw bursts-reactive plain 23 9fe05e4bd8dcb9a0b890482ca0810e00821b67fd659e4135f20a19dd9b9f5882
-full-sensing-mw bursts-reactive trace-phi 11 560b369e909e0fa68110a7d39d0f9285ca4b99d1b5462fca513ef14a433e3f9e
-full-sensing-mw bursts-reactive trace-phi 23 c362fcd1454a9d3bcd9c6f5d3f1bedbd0e9e33a0c9ac0179dcc846c3c29caf63
-full-sensing-mw bursts-reactive dynamics-64 11 543890175cb6ef09d95c15cc00f84a4254c13469dc1fd5fcd638c5f91ccd9106
-full-sensing-mw bursts-reactive dynamics-64 23 da63e559c30322c279d473d9d413812341efab3368ed65c4d4019080ab9f1340
+low-sensing batch plain 11 82edd87c0b1c799a35b112d1c7cc5dc0937d354e1d002742e27e85deb087291c
+low-sensing batch plain 23 54a946d55ee255ac5e5031ea6e79c0c03886470b873418a4c61ce3100f0f0426
+low-sensing batch trace-phi 11 5848b292f4b78c6adf1bd55829f6c5792fa1fc0c3e28190d32f7aab36ecfc455
+low-sensing batch trace-phi 23 3190fde03f66a1896b56eed47763ecbf3aabacba1fd5d987f250d1ce07a4b2fc
+low-sensing batch dynamics-64 11 5d3619850d81d8c2766d5ebd35a90b48bdcb4c0869883b263f07ccd73633b209
+low-sensing batch dynamics-64 23 91501f507a1ad9c9820a29c42b3136bf1365eb8f56b5de7f251f63135ed48b05
+low-sensing poisson-bernoulli plain 11 8095d3c7988f991b651af0c2e82ebe7fa379d95f1e452030ebe63fa8874fce0b
+low-sensing poisson-bernoulli plain 23 866980beba61eaabb01f41644c64b39bf5e17bbcd43aa7315f1064578eeeb3ab
+low-sensing poisson-bernoulli trace-phi 11 5f7af7da0fb2fdc9e3d7357b27bc1a304c9b924c8ca01a7add54d3d413f83e56
+low-sensing poisson-bernoulli trace-phi 23 791e0e2921a7162cdb176b7cf68ad825183b5af1a33494f4c9b3908a57e7366b
+low-sensing poisson-bernoulli dynamics-64 11 800bec413c00f14fad62c64ff11fe903c730332f9471a5433fef242eeab21d44
+low-sensing poisson-bernoulli dynamics-64 23 00c2383c729ec3fa754f445d53cbdcf12a19cd931d4709e90c284ed4070023e5
+low-sensing bursts-reactive plain 11 e95a42f1752fad7d31be00a1825ac5ddad5c144c2cc6a68572e9810803162d01
+low-sensing bursts-reactive plain 23 02578fbc51a4b6e7a2bbf16bdbf08db3c80cce6b6c2d62f763618001a79619eb
+low-sensing bursts-reactive trace-phi 11 96052ea4731f26012784ed29bbd6c0d05ddfd6ad1cf808b6ad71864b07c3cfab
+low-sensing bursts-reactive trace-phi 23 e4289ea1f422c2b74960de70101c55e59658d1afd5f47e2db84d24cb2837d719
+low-sensing bursts-reactive dynamics-64 11 5844eb73c89b292e4e012a37cb3926b52c85003f7fd0a8915c3642090ceb05ff
+low-sensing bursts-reactive dynamics-64 23 f56aca1dafbe3dcd40d6c2a205920fd5f0291606b21a4a3492ccf8d02b278e72
+decoupled-low-sensing batch plain 11 74641525c236a92e3c0ac91a4bb38766c3cb37b6df62480008b25d202d1b641b
+decoupled-low-sensing batch plain 23 b4c685da9a71ce5a53941b515966ad668548f967c4966d2baf3d6805995be6cd
+decoupled-low-sensing batch trace-phi 11 bc3f5de35bf720572bd2da96d9997c26094c894ccc6b8e092c6c2c73d8571ab3
+decoupled-low-sensing batch trace-phi 23 f803301f587926b8466e5d3f398ab9dd9bbb9f7dc1d713082f8a6820d6b8e904
+decoupled-low-sensing batch dynamics-64 11 4215b7b4feb7767dadeb755d6ff9461b7437c566cfe7bd79e4663f2b0e2605c1
+decoupled-low-sensing batch dynamics-64 23 29c5bfa269f301fb26ccae961c0f87f0d000fa4d36540c633b7201c5b2aa3fa3
+decoupled-low-sensing poisson-bernoulli plain 11 be32d68355bed949eb7b8dc10f7845cf9c416ed60f5865391adf0ec6a004691e
+decoupled-low-sensing poisson-bernoulli plain 23 2040827e5b78bb94dade0859a525f7c5f215ba93b9af8f788c38488d48b845a8
+decoupled-low-sensing poisson-bernoulli trace-phi 11 e776509e0007e32eebb3aaa37c97aced200b6ada8e061a29054f889eb41bc287
+decoupled-low-sensing poisson-bernoulli trace-phi 23 3e8650f79ef4efcf2a429f31bef002cd9f5e9fb693d825c0bb3240870352e499
+decoupled-low-sensing poisson-bernoulli dynamics-64 11 85e214907a12ed3eb541948dd3eae892feb3472c6fda15bebdf0097d7e43572c
+decoupled-low-sensing poisson-bernoulli dynamics-64 23 339ba717c9080f7ee4b6150e0755dcede79752cec1a8801b9ea800e98fffce3d
+decoupled-low-sensing bursts-reactive plain 11 604c01dcf6592693b504659e869dd4ef8b8721f05670c8b7a5c0d5969433dd1a
+decoupled-low-sensing bursts-reactive plain 23 ad33cff48eae02529a82b7ac7bd0d8cdab3ba5be590bbc0412d900a013878f79
+decoupled-low-sensing bursts-reactive trace-phi 11 2397edcf01da2993763a1e7e6f2253e5ff0bfeb997731a45eb5fe4d2017f8dca
+decoupled-low-sensing bursts-reactive trace-phi 23 79834ea9772a6ef39c59f3f55054f74311eb5f6b681db3e2bd4b5a384af7f541
+decoupled-low-sensing bursts-reactive dynamics-64 11 0c009831a8b6a65f6a7af82dfd50f4084a6e58162148c18b1944672f4e2abbad
+decoupled-low-sensing bursts-reactive dynamics-64 23 0165130c2705dbf191a7c59dc86141b58a844f754955e4d0763700582084ede9
+binary-exponential batch plain 11 faffdb195e3a42531822a25b56cf7ffdde92bf7d2203daa4b50fd7791b598fe1
+binary-exponential batch plain 23 35c08b61309394fa6d61ba2b8c1a6a8d14cbf620e8060d2da4c7e2e7b81ce96f
+binary-exponential batch trace-phi 11 7fa9205a3eda64cdd301c7f687292828430b6a446edcbac5e2fd5f775e5b36ca
+binary-exponential batch trace-phi 23 084da923bddfe474518e6928ead727c5a9478e3c3cfcd0d22fb413d0f99ce55f
+binary-exponential batch dynamics-64 11 26987f1f276b8dba27c2f77bb247756eb5c6f64fc7ff17c015c06ef2fc7a46d0
+binary-exponential batch dynamics-64 23 f4d4c2a6afed177bec06c6e03dc3a992a6b644912e49ccd3d985ebf53aa1cfc8
+binary-exponential poisson-bernoulli plain 11 10b720ca9bd9e63f7c0c66b08c2f91c50129194ab9397a64eff91ea4ba243fe6
+binary-exponential poisson-bernoulli plain 23 c9c540cbef4492e9e902b45702482380c4bf48f9b73e77a0d511bc70131f2102
+binary-exponential poisson-bernoulli trace-phi 11 30667d92287d7f17d872cb158e86776b8fb0ab4cc9c32114054abc7c7e5712e2
+binary-exponential poisson-bernoulli trace-phi 23 04b34fadc48b1ac113c29d88c595dea5996d63bd66b1375543af3a3a960ea80d
+binary-exponential poisson-bernoulli dynamics-64 11 0d52ed5c8be81e2eab21f758da007cfc403152f399f22d70747295d3ed089ee1
+binary-exponential poisson-bernoulli dynamics-64 23 fa774659986c7d6e41f0dcba4b12e7b71ce166768909c3a7c8f29f6773fbaa45
+binary-exponential bursts-reactive plain 11 2922aae83f9040b762640b0700731d58b52d3e344f23055c53009ba772e89876
+binary-exponential bursts-reactive plain 23 c78ea48942ddf42e3fbaca341e2f4622a2aa960baba26965a71126cb4dde2043
+binary-exponential bursts-reactive trace-phi 11 55a6754c513919964cf640a61b866319b68e88a1f83711f0f59847341987e4a5
+binary-exponential bursts-reactive trace-phi 23 b7132ee5c71770d80ecc07f3bee809e25164415aa71171249e385dfe7ede36d1
+binary-exponential bursts-reactive dynamics-64 11 10b1deb22deaf67b567bd9b90cb0fb04ce3e6a124162238b184c2e57552a0406
+binary-exponential bursts-reactive dynamics-64 23 63b58225d879189dacac9e28f4931a14be2cff18b4559b515218d07c81898962
+polynomial batch plain 11 777018b218a2285681b529f358e4dfaef69ed157a5f2b579de5bac0d7a06cdbc
+polynomial batch plain 23 fcdc73d9a0d699cb7fa902310163af7941e99fdfe190d833ff6b56f665912d99
+polynomial batch trace-phi 11 a3612483c1801ddda6de7d9b7e23095cff8afcac36e4e9eef10f5dd536b6cfec
+polynomial batch trace-phi 23 3b234776ffd07639f413664eaa4e75ba0542594ded9dcf782f7a8dc99efd2971
+polynomial batch dynamics-64 11 5dfe64c26c217fe3d865cfaf85f285605a32d3e6cef6c7e1bfe50600bd945129
+polynomial batch dynamics-64 23 81fdd64b91ff2c7da46ef35ea88b84db2e6cd6e1045c659d3704d5254472baed
+polynomial poisson-bernoulli plain 11 10b720ca9bd9e63f7c0c66b08c2f91c50129194ab9397a64eff91ea4ba243fe6
+polynomial poisson-bernoulli plain 23 c9c540cbef4492e9e902b45702482380c4bf48f9b73e77a0d511bc70131f2102
+polynomial poisson-bernoulli trace-phi 11 2df7910cbb20d225a93b70dcb8af0d3aabe0086c5d2657e40ba7ff785707070c
+polynomial poisson-bernoulli trace-phi 23 3a005b94d5c2b492cbcedcec8bcc9b97d80f07179af3184a6ee00d4d455cb303
+polynomial poisson-bernoulli dynamics-64 11 0d52ed5c8be81e2eab21f758da007cfc403152f399f22d70747295d3ed089ee1
+polynomial poisson-bernoulli dynamics-64 23 fa774659986c7d6e41f0dcba4b12e7b71ce166768909c3a7c8f29f6773fbaa45
+polynomial bursts-reactive plain 11 16fe8150b7b8c3e7acd8525697a19a6de566316a1a213ac47ab01c439072dfc9
+polynomial bursts-reactive plain 23 af49933443a4333cbbf920d7566025ae4cfb390485775db7e5b790b9d53407fa
+polynomial bursts-reactive trace-phi 11 7fcb345b0e643d9019a24dee4fa0e211282ae1439d79ea321535257b8e94d32f
+polynomial bursts-reactive trace-phi 23 53639ed3c4d83b66d659e3650f1f8f88241dec282a410c1d2e50cb4d2132d47d
+polynomial bursts-reactive dynamics-64 11 be5a2232bbd70f31c9de682e2b32988fcc5b0ecbe9730fae84142fd34f425a33
+polynomial bursts-reactive dynamics-64 23 002a4930e8cd1add3640c0406d7eed665118b69cf4b247812435165174db0d38
+fixed-probability batch plain 11 549937cc3d364bad4b64f98693395f1457f4889bbfe0bdcce92b887d131c8036
+fixed-probability batch plain 23 708bb5f9a7681fa341fde6653630e9d3cc319ee89ee961046ee399721514c544
+fixed-probability batch trace-phi 11 a6783e4b8e69cd696387ea44d8a93d0c345e4ce8862e7f0c21816bb9130e42f8
+fixed-probability batch trace-phi 23 cee76e1afe36a06687cd0daf7da42db666bb35ca0d61d510321980a64d4cf6ae
+fixed-probability batch dynamics-64 11 7e92d52400f30f207d644a60df595d8b27baf74800d9dd896a15ccd5ecf8c7be
+fixed-probability batch dynamics-64 23 81b027dc6bc5b935b972e9956fe349d5ab25f352687e5fb134eda1542a895114
+fixed-probability poisson-bernoulli plain 11 3d9566ed97dba143b4cc6efa46e891e0aa7e6f9059cf66d47783d088026fbdcd
+fixed-probability poisson-bernoulli plain 23 cce7c55e9a547b1e11cca8704833395e13729df838bfee9e1714b0c0869dca56
+fixed-probability poisson-bernoulli trace-phi 11 a69329bec41f71d965b71234d64804d5e4c4ed818fb0eb776275f6884d5b597f
+fixed-probability poisson-bernoulli trace-phi 23 f275b75ba07152815b019aa9451b4f3d1e364525120c40fe38162f1da4798231
+fixed-probability poisson-bernoulli dynamics-64 11 6623c4e33636cccddc9db81aee2ed448db795ef682b6e4743397f40fe479a94e
+fixed-probability poisson-bernoulli dynamics-64 23 3054bbbb2cbe9165deb68fd44280f5299441a135848540c9d57da1cd632c12b9
+fixed-probability bursts-reactive plain 11 a0e9b828088c54215564c8127c44910eeead08b2bb862b71eadd93dee5927731
+fixed-probability bursts-reactive plain 23 fffbfa67bde3b1730fdd803340a4009186ce57d877553f4f3723a197d1904993
+fixed-probability bursts-reactive trace-phi 11 80da7e98453344a7bf4a51ca22226e0785f197c49bcd2fe9d36953830651ee6f
+fixed-probability bursts-reactive trace-phi 23 f451c09adbbd62c879c99acf36fb89c7883bfdd649426f1d4ec5887978e9dc37
+fixed-probability bursts-reactive dynamics-64 11 3fcfedf7057965030bb2c8c7e17c7bb97bb7cb104e836345a0680b917d6bec26
+fixed-probability bursts-reactive dynamics-64 23 c132c291c50bf6094db1416ed1d17bde33180a75a64d90fb36713332226e8ac1
+slotted-aloha batch plain 11 2a4d1409ef424e81a89d11462e4413333ccbf2040285f9ccf909b10ad1048b06
+slotted-aloha batch plain 23 08ef69a8d45544ea932218272ecd63d922b928a28be0ee47dd7b77deab52430a
+slotted-aloha batch trace-phi 11 b16975f8ca0ca1d3dc2beff0e31027e7dafcfd15d9b51affa54f667fe7040934
+slotted-aloha batch trace-phi 23 8c0c0b1c7e74e8041b6a509643e867267e32883616b107bbf123d302ddc0b7a1
+slotted-aloha batch dynamics-64 11 12e012f5a5d9bc9842cb4a6771f5b216c855b86c58573c199c84e2d340ec9c48
+slotted-aloha batch dynamics-64 23 5526a4fc03c1e3fe9e9f2b0d1be5eb1fd300efe478cc40a6d81b3bf2e9e84a2c
+slotted-aloha poisson-bernoulli plain 11 7a691c51f7127b2e4b9556cd27a53359a3b2eb5c473f43f4e2948a5d3179ed38
+slotted-aloha poisson-bernoulli plain 23 80e6968decf5f4f3ac87bd9faa8518d3f8388fe026d89b6df85dbdc8557da2a2
+slotted-aloha poisson-bernoulli trace-phi 11 68f1a456f3bdf68845f57087afe8f9aadf6b8c0c9af5b86d8c713abf1242a036
+slotted-aloha poisson-bernoulli trace-phi 23 a1124ff58968585e3614ef69c9bdf142515ad6a0cac917b2e7e9c3be6ba6fe8b
+slotted-aloha poisson-bernoulli dynamics-64 11 cf693d619c340a574e4dfcca2f7d333439965f157ed7d4255cc1ea9d29ea2f9d
+slotted-aloha poisson-bernoulli dynamics-64 23 415c3f0300e6d91dc82ef40953dc1b5ac571489d45d96633af6b38e1d115b20a
+slotted-aloha bursts-reactive plain 11 1d1dbf02752d35a081b88be7ed468ec678e61c5c212cacd06a1266cacb70698d
+slotted-aloha bursts-reactive plain 23 bae3273501bab4881ee8edd6dd6922a16f1069ad4a3a8960a421dfb26e4b9575
+slotted-aloha bursts-reactive trace-phi 11 1d2c606cad5be7dc8c2c9f77886faaf0b266f90aaeb379e3619a00f253fc5118
+slotted-aloha bursts-reactive trace-phi 23 e712acac3984d1955175b99bcfba8c69383edf7e4f2f684bd9fa0631e2376863
+slotted-aloha bursts-reactive dynamics-64 11 bce7d9a860bc27b099d491ca10c533e1c1e2b5cd8c66bb5575e58bd84b46e73a
+slotted-aloha bursts-reactive dynamics-64 23 91bc2eb4fdd2fe441f39d485f099921812e8e02907ecd75404aa6138d556b7fe
+sawtooth batch plain 11 40986665817c8183d7b50a0e21eb76e15bad99e2f7a07545590079ffc4f2a4e5
+sawtooth batch plain 23 4418f8b485733efce680454c43aa0a0bcb26d76ef00851c6cda3f4b7d7f56e86
+sawtooth batch trace-phi 11 53578c9168e494292f512a7ebc2a2d3059eebc027ab26fcd3bca9551c591a8e7
+sawtooth batch trace-phi 23 84d7e03486f155f3556a42a3a5cfc9fbaec292bff70e5f9e91dd685890074395
+sawtooth batch dynamics-64 11 50ccdf8e0037b975ce90e9df5e3292ffc66d60a2621917417eb504a1423a21f6
+sawtooth batch dynamics-64 23 a82ce891b533f53f3979fa91679be88f181c6aad910def23d9d6d9cdc3c671b0
+sawtooth poisson-bernoulli plain 11 de65a2da74f066c84510dae81c9e5e425d6107d2c26de3bae2ac1b81927ee2c4
+sawtooth poisson-bernoulli plain 23 69a8bc4a26c3f634da27eaf7ae78717dad1f4911a310f168ba2d6552db88cd9c
+sawtooth poisson-bernoulli trace-phi 11 57de462f30f515bf39cf09365abf849006377736f3461b02638b377ac8722246
+sawtooth poisson-bernoulli trace-phi 23 464a36f2ae85cb1c3b43d32d48e270bd7a99208f73425707303e9dd2aaf9730f
+sawtooth poisson-bernoulli dynamics-64 11 ac93b138fc5dd5b25544d3717483ca28d75c447d3aabaf78c46d51345fae4cb6
+sawtooth poisson-bernoulli dynamics-64 23 d22e103f5a3b70e3b5e45b8a405d200e3baee59a6308bbb5227ee543e75576c3
+sawtooth bursts-reactive plain 11 bc0d4189a047d15c1e6cf66e413ee5940532055c44a2e024009ae23d9a8ae6e4
+sawtooth bursts-reactive plain 23 fa7730e57f682faebb6f6f9ad33a399c2ecd5e670b401488cb43ac85a60160fe
+sawtooth bursts-reactive trace-phi 11 121d50b70a6e14c513432bd6547fb4387b1db2d3ca30cbefeac404ac84228794
+sawtooth bursts-reactive trace-phi 23 323bdf9f45766a575ed12bda30a8db05e5edeca185f4e54e5a45b92085c89ec2
+sawtooth bursts-reactive dynamics-64 11 63ce06f0274f3773d7dc7f505262f3e721a216bb5d84ebdeab860781a7fb76aa
+sawtooth bursts-reactive dynamics-64 23 ecbd6423a1bf07d566ebce683362f803b7d185a03d7e341b33bdcfc0b67ad64a
+full-sensing-mw batch plain 11 7be7ba1062603794bba91c0f77d641fa9bfb065a34c916585d975806b7a227f3
+full-sensing-mw batch plain 23 592fd5e99a1bd9aae21ce6e4e0521db6fd8ac6fa5e483743e49946dec3c2aa0d
+full-sensing-mw batch trace-phi 11 c38f68056390860a166b2e4a9856706bf9ee81530a95c4e675c47fd9bbddb06a
+full-sensing-mw batch trace-phi 23 9244bfa19f8b24a1a66dabbc9588c7ef1c52c60bec854b7fa239915a46cba416
+full-sensing-mw batch dynamics-64 11 66235132c9b79572b37ee996187df4e590ea9d42100c0238023d251b3bc852b9
+full-sensing-mw batch dynamics-64 23 4207d9487dcf994c9e83133ec56ed23b5f10c0236afbe64f417ff2f79ab3abd6
+full-sensing-mw poisson-bernoulli plain 11 14777224b358f9d383c740552f69df4fb18323ed98d7c9c7de336d881d551631
+full-sensing-mw poisson-bernoulli plain 23 763ed78c5f4be9351d127cd12cea1549bb1b2bb14174d5bb9e27241c40b6950b
+full-sensing-mw poisson-bernoulli trace-phi 11 4e7cc8f46b1477702b2b3732159adce67220f930b176e46262f9a37b20629ef7
+full-sensing-mw poisson-bernoulli trace-phi 23 be9682d4ee580cbfefc8749aa4da28a8e3c8d846e0123d650f90e6ef0b29b211
+full-sensing-mw poisson-bernoulli dynamics-64 11 078219af35c54e8404b17e0e239c388f7caeae28d85fd0585468c95fc2579c47
+full-sensing-mw poisson-bernoulli dynamics-64 23 6d900c6cf09c135d6c73249249d70cd0d66d83d99e6dccf9207a743f817a68c0
+full-sensing-mw bursts-reactive plain 11 a2f54920dc49069f7d63349017e56c6169c8d703808e9674b849558eee182d9c
+full-sensing-mw bursts-reactive plain 23 c07f841339fd38e01b06f82b97c58721727cf3d159f9d99ecb5a39594cea10ec
+full-sensing-mw bursts-reactive trace-phi 11 909fda0d77372c838a264ea1b4b30317915be3a3eb5e1f0d9c8907907e73399d
+full-sensing-mw bursts-reactive trace-phi 23 a381a343fbab22ce8fae48976b9f36ea7e3d29ed0ed3f150e37424d1f25ae676
+full-sensing-mw bursts-reactive dynamics-64 11 3e09610668dd4dc763bfe270911a01fe1debe81c883a3037b44ca1b2c7aab5f9
+full-sensing-mw bursts-reactive dynamics-64 23 407ac03c9f76b0f4c8da9f48ee6e14a337e50984753df04193bc57a15470c2fd
 """
 
 PINNED = {

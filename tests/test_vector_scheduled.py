@@ -141,8 +141,8 @@ class TestScheduledKernels:
         ]
         for replication in range(replications):
             assert chunk[replication].tolist() == expected
-        assert kernel.capacity_bound() is None  # endless burst phase
-        assert kernel.exhausted(20)
+        assert process.total_planned() is None  # endless burst phase
+        assert process.exhausted(20)
 
     def test_arrival_chunk_with_offset_start_straddles_phases(self):
         process = ScheduledArrivals(
@@ -156,7 +156,7 @@ class TestScheduledKernels:
         expected = np.zeros(30, dtype=np.int64)
         expected[600 - 590] = 9
         assert (chunk == expected).all()
-        assert kernel.capacity_bound() == 16
+        assert process.total_planned() == 16
 
     def test_jamming_kernel_phase_transitions_and_budgets(self):
         jammer = ScheduledJamming(
