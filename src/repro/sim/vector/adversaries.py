@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.adversary.arrivals import (
     AdversarialQueueingArrivals,
-    ArrivalProcess,
     BatchArrivals,
     NoArrivals,
     PeriodicBurstArrivals,

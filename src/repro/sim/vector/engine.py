@@ -116,7 +116,7 @@ from repro.sim.vector.adversaries import (
     make_arrivals_kernel,
     make_row_jammer_kernel,
 )
-from repro.sim.vector.protocols import _flat, make_protocol_row_kernel
+from repro.sim.vector.protocols import make_protocol_row_kernel
 from repro.sim.vector.rng import RowCoins, VectorStreams, geometric_gaps
 from repro.sim.vector.support import batch_difference, lockstep_components, placement
 
@@ -231,8 +231,10 @@ class _SlotRecorder:
     unjammed, no arrivals, no senders) and every row-slot is written at
     most once, so an idle slot needs no write unless it is jammed.
     Backlogs and jam flags are derived (:func:`_backlogs`, ``outcome ==
-    3``), not stored.  One spare row past the slots takes the writes of
-    per-row slot ``-1`` (rows not resolving a slot), and is never read.
+    3``), not stored.  The slot body writes a resolved slot's columns
+    directly, at one slot of every row or at each row's own slot; one spare
+    row past the slots takes the writes of per-row slot ``-1`` (rows not
+    resolving a slot), and is never read.
     """
 
     _BASE_FIELDS = (
@@ -246,7 +248,6 @@ class _SlotRecorder:
         self, replications: int, initial_slots: int = 1024, *, potential: bool = False
     ) -> None:
         self._replications = replications
-        self._rows = np.arange(replications)
         self._capacity = max(1, initial_slots)
         self._fields = list(self._BASE_FIELDS)
         if potential:
@@ -268,15 +269,6 @@ class _SlotRecorder:
             grown[: self._capacity] = old[: self._capacity]
             setattr(self, name, grown)
         self._capacity = new_capacity
-
-    def record(self, slot: int | np.ndarray, **columns: np.ndarray | None) -> None:
-        """Named per-row values of one resolved slot of every row, or of each
-        row's own ``slot[row]``; a ``None`` column is not written."""
-        if not isinstance(slot, int):
-            slot = (slot, self._rows)
-        for name, values in columns.items():
-            if values is not None:
-                getattr(self, name)[slot] = values
 
     def record_jams(self, slots: np.ndarray | int, rows: np.ndarray) -> None:
         """Jammed idle row-slots."""
@@ -359,12 +351,17 @@ class _AccessCalendar:
         self.replications = replications
         self.horizon = horizon
         self.coins = coins
-        self.next_access = np.full((replications, capacity), _NEVER, dtype=np.int64)
+        self._hold(np.full((replications, capacity), _NEVER, dtype=np.int64))
+
+    def _hold(self, next_access: np.ndarray) -> None:
+        self.next_access = next_access
+        # The same slots indexed by flat cell.
+        self.next_access_flat = next_access.reshape(-1)
 
     def grow(self, capacity: int) -> None:
         grown = np.full((self.replications, capacity), _NEVER, dtype=np.int64)
         grown[:, : self.next_access.shape[1]] = self.next_access
-        self.next_access = grown
+        self._hold(grown)
 
     def arrive(
         self,
@@ -375,7 +372,7 @@ class _AccessCalendar:
     ) -> None:
         """Schedule the first access of packets injected at ``slot``."""
         if self.every_slot:
-            _flat(self.next_access)[cells] = _row_slots(slot, rows)
+            self.next_access_flat[cells] = _row_slots(slot, rows)
             return
         # A first gap counts from ``slot - 1``: the capped gap is one slot
         # longer so that at slot 0 it still lands past the run.
@@ -384,7 +381,8 @@ class _AccessCalendar:
             self.kernel.access_probability(cells, rows),
             self.horizon + 1,
         )
-        _flat(self.next_access)[cells] = gaps + (_row_slots(slot, rows) - 1)
+        gaps += _row_slots(slot, rows) - 1
+        self.next_access_flat[cells] = gaps
 
     def due(self, slot: int | np.ndarray) -> np.ndarray:
         """Cells accessing at ``slot``, row by row in packet-id order.
@@ -392,12 +390,12 @@ class _AccessCalendar:
         Per-row slots match only their own row; a negative one matches
         nothing.
         """
-        if not isinstance(slot, int):
-            slot = slot[:, None]
-        return np.flatnonzero(self.next_access == slot)
+        if isinstance(slot, int):
+            return (self.next_access_flat == slot).nonzero()[0]
+        return (self.next_access == slot[:, None]).reshape(-1).nonzero()[0]
 
     def next_due(self) -> int:
-        return int(self.next_access.min())
+        return int(self.next_access_flat.min())
 
     def next_due_rows(self) -> np.ndarray:
         """Each row's next access slot (``_NEVER`` for a row with none)."""
@@ -405,14 +403,15 @@ class _AccessCalendar:
 
     def decide(
         self, cells: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(sent, gap coins)`` of the accessors at ``cells``."""
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(sent, gap coins)`` of the accessors at ``cells``; ``sent`` is
+        ``None`` when every accessor sends (a send-only kernel)."""
         counts = np.bincount(rows, minlength=self.replications)
         share = self.kernel.send_share(cells, rows)
         if self.every_slot:
             return self.coins.take(rows, counts) < share, None
         if share is None:
-            return np.ones(cells.size, dtype=bool), self.coins.take(rows, counts)
+            return None, self.coins.take(rows, counts)
         send_coins, gap_coins = self.coins.take(rows, counts, 2)
         return send_coins < share, gap_coins
 
@@ -421,17 +420,20 @@ class _AccessCalendar:
         cells: np.ndarray,
         rows: np.ndarray,
         gap_coins: np.ndarray | None,
-        empty: np.ndarray,
-        noise: np.ndarray,
+        heard: np.ndarray,
         slot: int | np.ndarray,
     ) -> None:
-        """Feedback and the next access of every accessor, winners included."""
-        probabilities = self.kernel.on_access(cells, rows, empty, noise)
+        """Feedback and the next access of every accessor, winners included.
+
+        ``heard`` is each accessor's row outcome code.
+        """
+        probabilities = self.kernel.on_access(cells, rows, heard)
         if self.every_slot:
-            _flat(self.next_access)[cells] = _row_slots(slot, rows) + 1
+            self.next_access_flat[cells] = _row_slots(slot, rows) + 1
             return
         gaps = geometric_gaps(gap_coins, probabilities, self.horizon)
-        _flat(self.next_access)[cells] = gaps + _row_slots(slot, rows)
+        gaps += _row_slots(slot, rows)
+        self.next_access_flat[cells] = gaps
 
 
 class _Segment:
@@ -530,13 +532,9 @@ class _Batch:
         self.stepping = "rows" if steps_rows(kernel) else "lockstep"
 
         self.row_ids = np.arange(replications)
-        self.active = np.zeros((replications, capacity), dtype=bool)
-        self.arrival_slot = np.full((replications, capacity), -1, dtype=np.int64)
-        self.departure_slot = np.full((replications, capacity), -1, dtype=np.int64)
-        self.sends = np.zeros((replications, capacity), dtype=np.int64)
-        self.listens = (
-            np.zeros((replications, capacity), dtype=np.int64) if self.track_listens else None
-        )
+        self.active = self.arrival_slot = self.departure_slot = None
+        self.sends = self.listens = None
+        self._hold_cells(capacity)
         self.injected = np.zeros(replications, dtype=np.int64)
         self.backlog = np.zeros(replications, dtype=np.int64)
         self.running = np.ones(replications, dtype=bool)
@@ -669,23 +667,30 @@ class _Batch:
                 _row_slots(start, jam_rows) + jam_offsets, jam_rows
             )
 
+    def _hold_cells(self, capacity: int) -> None:
+        """(Re)build the per-packet matrices at ``capacity`` columns, keeping
+        what the old ones held, and a flat view of each, indexed by cell."""
+
+        def widened(old: np.ndarray | None, fill: Any, dtype: Any) -> np.ndarray:
+            new = np.full((self.replications, capacity), fill, dtype=dtype)
+            if old is not None:
+                new[:, : old.shape[1]] = old
+            return new
+
+        self.active = widened(self.active, False, bool)
+        self.arrival_slot = widened(self.arrival_slot, -1, np.int64)
+        self.departure_slot = widened(self.departure_slot, -1, np.int64)
+        self.sends = widened(self.sends, 0, np.int64)
+        if self.track_listens:
+            self.listens = widened(self.listens, 0, np.int64)
+            self.listens_flat = self.listens.reshape(-1)
+        self.active_flat = self.active.reshape(-1)
+        self.arrival_slot_flat = self.arrival_slot.reshape(-1)
+        self.departure_slot_flat = self.departure_slot.reshape(-1)
+        self.sends_flat = self.sends.reshape(-1)
+
     def _grow(self, capacity: int) -> None:
-        replications = self.replications
-        grown = (
-            np.zeros((replications, capacity), dtype=bool),
-            np.full((replications, capacity), -1, dtype=np.int64),
-            np.full((replications, capacity), -1, dtype=np.int64),
-            np.zeros((replications, capacity), dtype=np.int64),
-        )
-        for old, new in zip(
-            (self.active, self.arrival_slot, self.departure_slot, self.sends), grown
-        ):
-            new[:, : old.shape[1]] = old
-        self.active, self.arrival_slot, self.departure_slot, self.sends = grown
-        if self.listens is not None:
-            listens = np.zeros((replications, capacity), dtype=np.int64)
-            listens[:, : self.listens.shape[1]] = self.listens
-            self.listens = listens
+        self._hold_cells(capacity)
         self.kernel.grow(capacity)
         self.calendar.grow(capacity)
         self.capacity = capacity
@@ -705,8 +710,8 @@ class _Batch:
             + np.repeat(self.injected - first, arriving)
             + np.arange(new_rows.size)
         )
-        _flat(self.active)[new_cells] = True
-        _flat(self.arrival_slot)[new_cells] = _row_slots(slot, new_rows)
+        self.active_flat[new_cells] = True
+        self.arrival_slot_flat[new_cells] = _row_slots(slot, new_rows)
         self.kernel.init_packets(new_cells, new_rows)
         self.calendar.arrive(new_cells, new_rows, arriving, slot)
         self.injected = total_after
@@ -718,8 +723,9 @@ class _Batch:
         mask: np.ndarray,
         arriving: np.ndarray | None,
         accessors: np.ndarray | None = None,
-    ) -> None:
-        """Resolve one slot of each row in ``mask``.
+    ) -> int:
+        """Resolve one slot of each row in ``mask``; returns how many packets
+        left.
 
         ``slot`` is the slot of every row (lockstep) or each row's own slot
         (row stepping; ``-1`` outside the mask).  ``arriving`` counts the
@@ -729,24 +735,23 @@ class _Batch:
         kernel = self.kernel
         calendar = self.calendar
         jammer = self.jammer
-        replications = self.replications
-        track_listens = self.track_listens
-        never_jams = self.never_jams
         if self.dynamics_window:
             self.sample_windows(slot, mask)
         backlog_pre = self.backlog
         if arriving is not None:
             self._inject(slot, arriving)
-        jammed = jammer.jam(slot, backlog_pre, mask)
+        jammed = None if self.never_jams else jammer.jam(slot, backlog_pre, mask)
 
         if accessors is None:
             accessors = calendar.due(slot)
         capacity = self.capacity
         access_rows = accessors // capacity
         sent, gap_coins = calendar.decide(accessors, access_rows)
-        senders = accessors[sent]
-        send_rows = access_rows[sent]
-        num_senders = np.bincount(send_rows, minlength=replications)
+        if sent is None:
+            senders, send_rows = accessors, access_rows
+        else:
+            senders, send_rows = accessors[sent], access_rows[sent]
+        num_senders = np.bincount(send_rows, minlength=self.replications)
         if self.reactive:
             # Step 3 of the scalar slot order: the reactive jammer sees this
             # slot's senders, and their packet columns, before the channel
@@ -755,51 +760,44 @@ class _Batch:
                 slot, send_rows, senders - send_rows * capacity, num_senders,
                 backlog_pre, mask, self.arrival_slot, jammed,
             )
-        if never_jams:
-            winners = mask & (num_senders == 1)
-        else:
-            winners = mask & ~jammed & (num_senders == 1)
-        # A sender in a winning row is that row's only sender.
-        won = winners[send_rows]
-        # Per-replication ternary feedback: what every accessor of that
-        # replication's channel heard this slot.
-        if never_jams:
-            empty_rows = num_senders == 0
-            noise_rows = num_senders > 1
-        else:
-            empty_rows = ~jammed & (num_senders == 0)
-            noise_rows = jammed | (num_senders > 1)
-        _flat(self.sends)[senders] += 1
-        if track_listens:
-            _flat(self.listens)[accessors[~sent]] += 1
-        calendar.settle(
-            accessors, access_rows, gap_coins,
-            empty_rows[access_rows], noise_rows[access_rows], slot,
-        )
-        # Winners leave by cell, after settle gave every accessor a next
-        # access.
-        active = self.active
-        leaving = senders[won]
-        _flat(active)[leaving] = False
-        _flat(self.departure_slot)[leaving] = _row_slots(slot, send_rows[won])
-        _flat(calendar.next_access)[leaving] = _NEVER
-        self.backlog = self.backlog - winners
-
-        # Empty, success or collision by sender count: a row outside the
-        # mask has no senders.
+        # The row's outcome code: empty, success or collision by sender
+        # count, or jammed.  A row outside the mask has no sender and no jam,
+        # so the winning rows are the successes, and every accessor hears
+        # its row's code.
         outcome = np.minimum(num_senders, 2)
-        if not never_jams:
+        if jammed is not None:
             outcome[jammed] = 3
+        winners = outcome == 1
+        self.sends_flat[senders] += 1
+        if self.track_listens:
+            self.listens_flat[accessors[~sent]] += 1
+        calendar.settle(accessors, access_rows, gap_coins, outcome[access_rows], slot)
+        # Winners leave by cell, after settle gave every accessor a next
+        # access; a sender in a winning row is that row's only sender.
+        won = winners[send_rows]
+        leaving = senders[won]
+        if leaving.size:
+            self.active_flat[leaving] = False
+            self.departure_slot_flat[leaving] = _row_slots(slot, send_rows[won])
+            calendar.next_access_flat[leaving] = _NEVER
+            self.backlog = self.backlog - winners
+
         recorder = self.recorder
-        recorder.record(
-            slot, outcome=outcome, arrivals=arriving, num_senders=num_senders
-        )
+        at = slot if isinstance(slot, int) else (slot, self.row_ids)
+        recorder.outcome[at] = outcome
+        recorder.num_senders[at] = num_senders
+        if arriving is not None:
+            recorder.arrivals[at] = arriving
         if self.needs_contention:
             # The rows that did not resolve keep their contention.
-            jammer.set_contention(_contention(kernel, active))
+            jammer.set_contention(_contention(kernel, self.active))
         if self.collect_potential:
-            terms = _potential_terms(kernel, active, self.backlog, self.coefficients)
-            recorder.record(slot, **dict(zip(_POTENTIAL_TERMS, terms)))
+            terms = _potential_terms(
+                kernel, self.active, self.backlog, self.coefficients
+            )
+            for name, values in zip(_POTENTIAL_TERMS, terms):
+                getattr(recorder, name)[at] = values
+        return leaving.size
 
     def _finish(self, finished: np.ndarray, slot: int | np.ndarray) -> None:
         """End the drained rows in ``finished`` at ``slot`` (one or per row)."""
@@ -828,6 +826,9 @@ class _Batch:
         if self.stop_when_drained:
             exhaust_slots[:0] = sorted(set(exhaust_at[running].tolist()))
         first_exhaust = exhaust_slots[0]
+        # A row can end only after a departure, or, empty, on reaching its
+        # exhaustion slot: the next such slot past the last drained check.
+        check_at = first_exhaust
 
         chunk_start = 0
         chunk_end = 0
@@ -859,6 +860,7 @@ class _Batch:
             )
 
             accessors = None
+            departed = 0
             idle_end = slot
             if next_arrival > slot:
                 accessors = calendar.due(slot)
@@ -885,10 +887,11 @@ class _Batch:
                 arriving = None
                 if next_arrival == slot:
                     arriving = arrivals_chunk[:, slot - chunk_start] * running
-                self.resolve(slot, running, arriving, accessors)
+                departed = self.resolve(slot, running, arriving, accessors)
                 slot += 1
 
-            if slot >= first_exhaust:
+            if slot >= first_exhaust and (departed or slot >= check_at):
+                check_at = exhaust_slots[bisect.bisect_right(exhaust_slots, slot)]
                 finished = running & (self.backlog == 0)
                 if finished.any():
                     finished &= exhaust_at <= slot
@@ -1136,10 +1139,10 @@ class VectorSimulator:
             "finalize", kind="phase", backend="vector", replications=replications
         ):
             results = self._finalize(batch)
-        tele.counter("replications", replications, backend="vector")
-        for name, value in batch.stats().items():
-            if value:
-                tele.counter(name, value, backend="vector")
+            tele.counter("replications", replications, backend="vector")
+            for name, value in batch.stats().items():
+                if value:
+                    tele.counter(name, value, backend="vector")
         return results
 
     # -- Finalisation --------------------------------------------------------

@@ -1,15 +1,18 @@
 """Batched protocol kernels.
 
 A kernel holds the protocol state of *every* packet of *every* replication
-in ``(replications × packets)`` arrays.  A packet's state changes only when
-it accesses the channel, so the engine schedules accesses on one calendar
-(see :mod:`repro.sim.vector.engine`) and every kernel exposes the same
-three calls at given cells: ``access_probability``, ``send_share``
-(``P(send | access)``, ``None`` for the send-only kernels, whose every
-access is a send), and ``on_access``, which updates every accessor of a
-slot, winners included (nothing reads a departed cell again), from what its
-replication's channel carried and returns their next access
-probabilities.
+in flat per-cell arrays (``replications × packets``, C order).  A packet's
+state changes only when it accesses the channel, so the engine schedules
+accesses on one calendar (see :mod:`repro.sim.vector.engine`) and every
+kernel exposes the same three calls at given cells:
+``access_probability``, ``send_share`` (``P(send | access)``, ``None`` for
+the send-only kernels, whose every access is a send), and
+``on_access(cells, rows, heard)``, which updates every accessor of a slot,
+winners included (nothing reads a departed cell again), and returns their
+next access probabilities.  ``heard`` is each accessor's copy of its
+replication's outcome code — 0 empty, 1 success, 2 collision, 3 jammed —
+so a listening kernel reads silence as ``heard == 0`` and noise as
+``heard >= 2``; the send-only kernels ignore it.
 
 * LOW-SENSING BACKOFF, its decoupled A1 variant, binary exponential,
   polynomial, and fixed-probability/ALOHA access rarely: between two
@@ -23,8 +26,9 @@ probabilities.
   ``1/w`` and otherwise sleeps; MW sends with probability ``p`` and
   otherwise listens.
 
-Cells are addressed by flat indices into the C-ordered state matrices,
-together with each cell's row, which selects per-row parameters.
+Cells are addressed by flat indices into the state arrays, together with
+each cell's row, which selects per-row parameters; ``sending_probabilities``
+and ``window_matrix`` hand out ``(replications × packets)`` views.
 
 The scalar LOW-SENSING state draws two coins per slot (access, then
 send-given-access); its kernel draws the slots between accesses as one
@@ -97,11 +101,6 @@ def _at(param: float | np.ndarray, rows: np.ndarray) -> float | np.ndarray:
     return param
 
 
-def _flat(matrix: np.ndarray) -> np.ndarray:
-    """A state matrix as a 1-D view indexed by flat cell."""
-    return matrix.reshape(-1)
-
-
 class VectorProtocolKernel(abc.ABC):
     """Lockstep protocol state for one batch, changed only by accesses."""
 
@@ -114,9 +113,27 @@ class VectorProtocolKernel(abc.ABC):
     #: no gaps for it.
     every_slot = False
 
-    def __init__(self, replications: int, capacity: int) -> None:
+    def __init__(self, replications: int) -> None:
         self.replications = replications
-        self.capacity = capacity
+        self.capacity = 0
+
+    def _widened(
+        self, state: np.ndarray | None, capacity: int, fill: Any
+    ) -> np.ndarray:
+        """A flat state array of ``capacity`` cells per row: ``state``'s
+        cells (none when it is ``None``), then ``fill`` (a scalar or a
+        per-row column) in every new cell of each row."""
+        width = 0 if state is None else self.capacity
+        dtype = np.result_type(fill) if state is None else state.dtype
+        grown = np.empty((self.replications, capacity), dtype=dtype)
+        if width:
+            grown[:, :width] = self._matrix(state)
+        grown[:, width:] = fill
+        return grown.reshape(-1)
+
+    def _matrix(self, state: np.ndarray) -> np.ndarray:
+        """A flat state array as its ``(replications × capacity)`` view."""
+        return state.reshape(self.replications, self.capacity)
 
     @abc.abstractmethod
     def grow(self, capacity: int) -> None:
@@ -155,14 +172,15 @@ class VectorProtocolKernel(abc.ABC):
         return None
 
     def on_access(
-        self, cells: np.ndarray, rows: np.ndarray, empty: np.ndarray, noise: np.ndarray
+        self, cells: np.ndarray, rows: np.ndarray, heard: np.ndarray
     ) -> np.ndarray | float:
         """Feedback update for every accessor at ``cells``, winners included.
 
-        ``empty`` / ``noise`` mark the accessors whose replication's channel
-        was idle / noisy this slot; the rest heard a success, their own or
-        another packet's.  Returns the accessors' next access probabilities,
-        exactly what :meth:`access_probability` reads after the update.
+        ``heard`` is the outcome code of each accessor's replication this
+        slot: 0 empty, 1 success (its own or another packet's), 2
+        collision, 3 jammed.  Returns the accessors' next access
+        probabilities, exactly what :meth:`access_probability` reads after
+        the update.
         """
         return self.access_probability(cells, rows)
 
@@ -176,8 +194,9 @@ class FixedProbabilityKernel(VectorProtocolKernel):
     """Constant sending probability; feedback never changes it."""
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
-        super().__init__(_rows(pairs), capacity)
+        super().__init__(_rows(pairs))
         self._probability = _param_column(pairs, lambda p: p.probability)
+        self.grow(capacity)
 
     def grow(self, capacity: int) -> None:
         self.capacity = capacity
@@ -196,56 +215,48 @@ class BinaryExponentialKernel(VectorProtocolKernel):
     """Window per packet; doubles (up to a cap) on every unsuccessful send."""
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
-        super().__init__(_rows(pairs), capacity)
+        super().__init__(_rows(pairs))
         self._initial_window = _param_column(pairs, lambda p: p.initial_window)
         self._backoff_factor = _param_column(pairs, lambda p: p.backoff_factor)
         # ``None`` (uncapped) promotes to +inf: min(w, inf) == w bitwise.
         self._max_window = _param_column(
             pairs, lambda p: p.max_window, none_as=np.inf
         )
-        shape = (self.replications, capacity)
-        self._window = np.empty(shape)
-        self._window[:] = self._initial_window
-        self._inverse = np.reciprocal(self._window)
+        self._window = self._inverse = None
+        self.grow(capacity)
 
     def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        fresh = np.empty((self.replications, extra))
-        fresh[:] = self._initial_window
-        self._window = np.concatenate([self._window, fresh], axis=1)
-        self._inverse = np.concatenate(
-            [self._inverse, np.reciprocal(fresh)], axis=1
-        )
+        self._window = self._widened(self._window, capacity, self._initial_window)
+        inverse = 1.0 / self._initial_window
+        self._inverse = self._widened(self._inverse, capacity, inverse)
         self.capacity = capacity
 
     def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
         initial = _at(self._initial_window, rows)
-        _flat(self._window)[cells] = initial
-        _flat(self._inverse)[cells] = 1.0 / initial
+        self._window[cells] = initial
+        self._inverse[cells] = 1.0 / initial
 
     def sending_probabilities(self) -> np.ndarray:
-        return self._inverse
+        return self._matrix(self._inverse)
 
     def window_matrix(self) -> np.ndarray:
-        return self._window
+        return self._matrix(self._window)
 
     def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _flat(self._inverse)[cells]
+        return self._inverse[cells]
 
-    def on_access(self, cells, rows, empty, noise) -> np.ndarray:
+    def on_access(self, cells, rows, heard) -> np.ndarray:
         # Every access is a send, and every sender but the winner (whose
         # update nothing reads) lost its slot.
-        grown = _flat(self._window)[cells] * _at(self._backoff_factor, rows)
+        grown = self._window[cells] * _at(self._backoff_factor, rows)
         cap = self._max_window
         if isinstance(cap, np.ndarray):
             grown = np.minimum(grown, _at(cap, rows))
         elif cap != np.inf:
             np.minimum(grown, cap, out=grown)
-        _flat(self._window)[cells] = grown
+        self._window[cells] = grown
         inverse = 1.0 / grown
-        _flat(self._inverse)[cells] = inverse
+        self._inverse[cells] = inverse
         return inverse
 
 
@@ -253,50 +264,44 @@ class PolynomialKernel(VectorProtocolKernel):
     """Collision count per packet; window is ``w0 * (collisions+1)**degree``."""
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
-        super().__init__(_rows(pairs), capacity)
+        super().__init__(_rows(pairs))
         self._initial_window = _param_column(pairs, lambda p: p.initial_window)
         self._degree = _param_column(pairs, lambda p: p.degree)
-        shape = (self.replications, capacity)
-        self._collisions = np.zeros(shape, dtype=np.int64)
-        self._inverse = np.empty(shape)
-        self._inverse[:] = 1.0 / self._initial_window
+        self._collisions = self._inverse = None
+        self.grow(capacity)
 
     def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        self._collisions = np.concatenate(
-            [self._collisions, np.zeros((self.replications, extra), dtype=np.int64)],
-            axis=1,
-        )
-        fresh = np.empty((self.replications, extra))
-        fresh[:] = 1.0 / self._initial_window
-        self._inverse = np.concatenate([self._inverse, fresh], axis=1)
+        self._collisions = self._widened(self._collisions, capacity, 0)
+        inverse = 1.0 / self._initial_window
+        self._inverse = self._widened(self._inverse, capacity, inverse)
         self.capacity = capacity
 
     def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
-        _flat(self._collisions)[cells] = 0
-        _flat(self._inverse)[cells] = 1.0 / _at(self._initial_window, rows)
+        self._collisions[cells] = 0
+        self._inverse[cells] = 1.0 / _at(self._initial_window, rows)
 
     def sending_probabilities(self) -> np.ndarray:
-        return self._inverse
+        return self._matrix(self._inverse)
 
     def window_matrix(self) -> np.ndarray:
         # The scalar state computes ``initial * (collisions + 1) ** degree``
         # on demand; reproduce the same float operations.
-        return self._initial_window * (self._collisions + 1.0) ** self._degree
+        return (
+            self._initial_window
+            * (self._matrix(self._collisions) + 1.0) ** self._degree
+        )
 
     def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _flat(self._inverse)[cells]
+        return self._inverse[cells]
 
-    def on_access(self, cells, rows, empty, noise) -> np.ndarray:
+    def on_access(self, cells, rows, heard) -> np.ndarray:
         # Every access is a send, and every sender but the winner collided.
-        bumped = _flat(self._collisions)[cells] + 1
-        _flat(self._collisions)[cells] = bumped
+        bumped = self._collisions[cells] + 1
+        self._collisions[cells] = bumped
         inverse = 1.0 / (
             _at(self._initial_window, rows) * (bumped + 1.0) ** _at(self._degree, rows)
         )
-        _flat(self._inverse)[cells] = inverse
+        self._inverse[cells] = inverse
         return inverse
 
 
@@ -306,10 +311,11 @@ class LowSensingKernel(VectorProtocolKernel):
     The access probability, the send share, and the unconditional send
     probability involve logarithms, so they are kept per cell and
     recomputed only where the window changes — the same optimisation
-    :class:`LowSensingPacketState` applies per packet.  ``decoupled=True``
-    gives the A1 ablation variant, whose send and listen coins are
-    independent: it sends with probability ``s`` and otherwise listens with
-    probability ``a``, so it accesses with probability ``s + (1 − s)·a``.
+    :class:`LowSensingPacketState` applies per packet — and so is ``ln w``,
+    which the next window update reads.  ``decoupled=True`` gives the A1
+    ablation variant, whose send and listen coins are independent: it sends
+    with probability ``s`` and otherwise listens with probability ``a``, so
+    it accesses with probability ``s + (1 − s)·a``.
     """
 
     listens = True
@@ -317,21 +323,19 @@ class LowSensingKernel(VectorProtocolKernel):
     def __init__(
         self, pairs: ProtocolRows, capacity: int, *, decoupled: bool = False
     ) -> None:
-        super().__init__(_rows(pairs), capacity)
+        super().__init__(_rows(pairs))
         self._decoupled = decoupled
         self._c = _param_column(pairs, lambda p: p.params.c)
         self._w_min = _param_column(pairs, lambda p: p.params.w_min)
-        self._window = np.empty((self.replications, capacity))
-        self._window[:] = self._w_min
-        self._send, self._access, self._share = self._probabilities(
-            self._window, self._c
-        )
+        self._window = self._log_window = self._send = self._access = None
+        self._share = None
+        self.grow(capacity)
 
     def _probabilities(
-        self, window: np.ndarray, c: float | np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, window: Any, log_window: Any, c: float | np.ndarray
+    ) -> tuple[Any, Any, Any]:
         """(send, access, send share) for each window, as the scalar state."""
-        scaled = c * np.log(window) ** 3
+        scaled = c * log_window**3
         access = np.minimum(1.0, scaled / window)
         share = np.minimum(1.0, 1.0 / scaled)
         send = access * share
@@ -340,56 +344,58 @@ class LowSensingKernel(VectorProtocolKernel):
             share = send / access
         return send, access, share
 
-    def _store(self, cells: np.ndarray, rows: np.ndarray, window: np.ndarray):
+    def _store(self, cells: np.ndarray, window: np.ndarray, c: Any) -> np.ndarray:
         """Set the windows at ``cells``; returns their access probabilities."""
-        _flat(self._window)[cells] = window
-        send, access, share = self._probabilities(window, _at(self._c, rows))
-        _flat(self._send)[cells] = send
-        _flat(self._access)[cells] = access
-        _flat(self._share)[cells] = share
+        log_window = np.log(window)
+        self._window[cells] = window
+        self._log_window[cells] = log_window
+        send, access, share = self._probabilities(window, log_window, c)
+        self._send[cells] = send
+        self._access[cells] = access
+        self._share[cells] = share
         return access
 
     def sending_probabilities(self) -> np.ndarray:
-        return self._send
+        return self._matrix(self._send)
 
     def window_matrix(self) -> np.ndarray:
-        return self._window
+        return self._matrix(self._window)
 
     def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        fresh = np.empty((self.replications, extra))
-        fresh[:] = self._w_min
-        blocks = (fresh, *self._probabilities(fresh, self._c))
-        for name, block in zip(("_window", "_send", "_access", "_share"), blocks):
-            setattr(self, name, np.concatenate([getattr(self, name), block], axis=1))
+        w_min, log_w_min = self._w_min, np.log(self._w_min)
+        fills = (w_min, log_w_min, *self._probabilities(w_min, log_w_min, self._c))
+        for name, fill in zip(
+            ("_window", "_log_window", "_send", "_access", "_share"), fills
+        ):
+            setattr(self, name, self._widened(getattr(self, name), capacity, fill))
         self.capacity = capacity
 
     def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
         window = np.empty(cells.size)
         window[:] = _at(self._w_min, rows)
-        self._store(cells, rows, window)
+        self._store(cells, window, _at(self._c, rows))
 
     def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _flat(self._access)[cells]
+        return self._access[cells]
 
     def send_share(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _flat(self._share)[cells]
+        return self._share[cells]
 
-    def on_access(self, cells, rows, empty, noise) -> np.ndarray:
+    def on_access(self, cells, rows, heard) -> np.ndarray:
         # An accessor hears silence only as a listener (a sender in an idle
-        # slot is impossible) and backs on; every accessor of a noisy slot
-        # backs off; a success keeps the window, and recomputing the
-        # probabilities of a kept window gives back the stored values.
-        window = _flat(self._window)[cells]
-        factor = 1.0 + 1.0 / (_at(self._c, rows) * np.log(window))
+        # slot is impossible) and backs on; every accessor of a noisy
+        # (collided or jammed) slot backs off; a success keeps the window,
+        # and recomputing the probabilities of a kept window gives back the
+        # stored values.
+        c = _at(self._c, rows)
+        window = self._window[cells]
+        factor = 1.0 + 1.0 / (c * self._log_window[cells])
         window = np.where(
-            empty,
+            heard == 0,
             np.maximum(window / factor, _at(self._w_min, rows)),
-            np.where(noise, window * factor, window),
+            np.where(heard >= 2, window * factor, window),
         )
-        return self._store(cells, rows, window)
+        return self._store(cells, window, c)
 
 
 # ---------------------------------------------------------------------------
@@ -408,73 +414,61 @@ class SawtoothKernel(VectorProtocolKernel):
     every_slot = True
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
-        super().__init__(_rows(pairs), capacity)
+        super().__init__(_rows(pairs))
         # The scalar state clamps the starting phase at 2.0; the protocol
         # validates initial_window >= 2, so the clamp is a no-op kept for
         # parity with SawtoothPacketState.
         self._initial_window = _param_column(
             pairs, lambda p: max(2.0, float(p.initial_window))
         )
-        shape = (self.replications, capacity)
-        self._phase = np.empty(shape)
-        self._phase[:] = self._initial_window
-        self._window = self._phase.copy()
-        self._count = np.zeros(shape, dtype=np.int64)
-        self._inverse = np.reciprocal(self._window)
+        self._phase = self._window = self._count = self._inverse = None
+        self.grow(capacity)
 
     def sending_probabilities(self) -> np.ndarray:
-        return self._inverse
+        return self._matrix(self._inverse)
 
     def window_matrix(self) -> np.ndarray:
-        return self._window
+        return self._matrix(self._window)
 
     def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        fresh = np.empty((self.replications, extra))
-        fresh[:] = self._initial_window
-        self._phase = np.concatenate([self._phase, fresh], axis=1)
-        self._window = np.concatenate([self._window, fresh.copy()], axis=1)
-        self._count = np.concatenate(
-            [self._count, np.zeros((self.replications, extra), dtype=np.int64)], axis=1
-        )
-        self._inverse = np.concatenate(
-            [self._inverse, np.reciprocal(fresh)], axis=1
-        )
+        initial = self._initial_window
+        self._phase = self._widened(self._phase, capacity, initial)
+        self._window = self._widened(self._window, capacity, initial)
+        self._count = self._widened(self._count, capacity, 0)
+        self._inverse = self._widened(self._inverse, capacity, 1.0 / initial)
         self.capacity = capacity
 
     def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
         initial = _at(self._initial_window, rows)
-        _flat(self._phase)[cells] = initial
-        _flat(self._window)[cells] = initial
-        _flat(self._count)[cells] = 0
-        _flat(self._inverse)[cells] = 1.0 / initial
+        self._phase[cells] = initial
+        self._window[cells] = initial
+        self._count[cells] = 0
+        self._inverse[cells] = 1.0 / initial
 
     def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> float:
         return 1.0
 
     def send_share(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _flat(self._inverse)[cells]
+        return self._inverse[cells]
 
-    def on_access(self, cells, rows, empty, noise) -> float:
+    def on_access(self, cells, rows, heard) -> float:
         # Every accessor spends one slot at its current window, whatever
         # the channel carried.
-        count = _flat(self._count)[cells] + 1
-        due = count >= _flat(self._window)[cells]
+        count = self._count[cells] + 1
+        due = count >= self._window[cells]
         count[due] = 0
-        _flat(self._count)[cells] = count
+        self._count[cells] = count
         if due.any():
             cells = cells[due]
-            window = _flat(self._window)[cells] / 2.0
-            phase = _flat(self._phase)[cells]
+            window = self._window[cells] / 2.0
+            phase = self._phase[cells]
             ended = window < 2.0
             if ended.any():
                 phase = np.where(ended, phase * 2.0, phase)
                 window = np.where(ended, phase, window)
-                _flat(self._phase)[cells] = phase
-            _flat(self._window)[cells] = window
-            _flat(self._inverse)[cells] = 1.0 / window
+                self._phase[cells] = phase
+            self._window[cells] = window
+            self._inverse[cells] = 1.0 / window
         return 1.0
 
 
@@ -486,46 +480,41 @@ class FullSensingMWKernel(VectorProtocolKernel):
     every_slot = True
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
-        super().__init__(_rows(pairs), capacity)
+        super().__init__(_rows(pairs))
         self._initial = _param_column(pairs, lambda p: p.initial_probability)
         self._increase = _param_column(pairs, lambda p: p.increase)
         self._decrease = _param_column(pairs, lambda p: p.decrease)
         self._p_min = _param_column(pairs, lambda p: p.p_min)
         self._p_max = _param_column(pairs, lambda p: p.p_max)
-        shape = (self.replications, capacity)
-        self._probability = np.empty(shape)
-        self._probability[:] = self._initial
+        self._probability = None
+        self.grow(capacity)
 
     def sending_probabilities(self) -> np.ndarray:
-        return self._probability
+        return self._matrix(self._probability)
 
     def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        fresh = np.empty((self.replications, extra))
-        fresh[:] = self._initial
-        self._probability = np.concatenate([self._probability, fresh], axis=1)
+        self._probability = self._widened(self._probability, capacity, self._initial)
         self.capacity = capacity
 
     def init_packets(self, cells: np.ndarray, rows: np.ndarray) -> None:
-        _flat(self._probability)[cells] = _at(self._initial, rows)
+        self._probability[cells] = _at(self._initial, rows)
 
     def access_probability(self, cells: np.ndarray, rows: np.ndarray) -> float:
         return 1.0
 
     def send_share(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _flat(self._probability)[cells]
+        return self._probability[cells]
 
-    def on_access(self, cells, rows, empty, noise) -> float:
-        # Silence multiplies, noise divides, and a success, the accessor's
-        # own or another packet's, keeps the probability.
-        probability = _flat(self._probability)[cells]
-        _flat(self._probability)[cells] = np.where(
-            empty,
+    def on_access(self, cells, rows, heard) -> float:
+        # Silence multiplies, noise (a collision or a jam) divides, and a
+        # success, the accessor's own or another packet's, keeps the
+        # probability.
+        probability = self._probability[cells]
+        self._probability[cells] = np.where(
+            heard == 0,
             np.minimum(probability * _at(self._increase, rows), _at(self._p_max, rows)),
             np.where(
-                noise,
+                heard >= 2,
                 np.maximum(
                     probability / _at(self._decrease, rows), _at(self._p_min, rows)
                 ),

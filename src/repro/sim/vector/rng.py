@@ -64,7 +64,7 @@ def geometric_gaps(
     ``p = 0`` — gives inf or nan, which ``fmin`` clips before the int64
     cast.  Probabilities are clamped at 1 against rounding above it.
     """
-    probabilities = np.atleast_1d(np.minimum(probabilities, 1.0))
+    probabilities = np.minimum(probabilities, 1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         trials = np.log1p(-uniforms) / np.log1p(-probabilities)
     np.fmin(trials, horizon - 1, out=trials)
@@ -140,6 +140,7 @@ class RowCoins:
         self._generators = list(generators)
         rows = len(self._generators)
         self._buffer = np.empty((rows, _ROW_COIN_WIDTH))
+        self._flat = self._buffer.reshape(-1)
         self._origin = np.arange(rows, dtype=np.int64) * _ROW_COIN_WIDTH
         self._next = np.zeros(rows, dtype=np.int64)
         self._end = np.zeros(rows, dtype=np.int64)
@@ -149,13 +150,18 @@ class RowCoins:
         (ascending; ``counts`` its bincount): one array, or two, every
         entry's first and every entry's second."""
         needed = counts if per_entry == 1 else per_entry * counts
-        for row in np.flatnonzero(self._next + needed > self._end).tolist():
-            self._refill(row, int(needed[row]))
-        # Row r's j-th entry starts per_entry·j past the row's next unread one.
-        start = self._origin + self._next - (np.cumsum(needed) - needed)
-        self._next += needed
+        after = self._next + needed
+        short = (after > self._end).nonzero()[0]
+        if short.size:
+            for row in short.tolist():
+                self._refill(row, int(needed[row]))
+            after = self._next + needed
+        # Row r's j-th entry starts per_entry·j past the row's next unread
+        # one, which is ``after`` less the row's entries and those before it.
+        start = self._origin + after - needed.cumsum()
+        self._next = after
         index = start[rows] + np.arange(0, per_entry * rows.size, per_entry)
-        flat = self._buffer.reshape(-1)
+        flat = self._flat
         return flat[index] if per_entry == 1 else (flat[index], flat[index + 1])
 
     def _refill(self, row: int, needed: int) -> None:
@@ -166,6 +172,7 @@ class RowCoins:
             grown = np.empty((len(self._generators), width))
             grown[:, : self._buffer.shape[1]] = self._buffer
             self._buffer = grown
+            self._flat = grown.reshape(-1)
             self._origin = np.arange(len(self._generators), dtype=np.int64) * width
         self._buffer[row, : unread.size] = unread
         self._buffer[row, unread.size :] = self._generators[row].random(

@@ -32,7 +32,6 @@ from repro.adversary.jamming import NoJamming, ReactiveSuccessJammer
 from repro.channel.feedback import SlotOutcome
 from repro.dynamics import (
     ARRAY_FIELDS,
-    DEFAULT_WINDOW,
     DynamicsAccumulator,
     DynamicsTrajectory,
     WindowSnapshot,

@@ -1,7 +1,5 @@
 """Integration tests for the simulation engine."""
 
-import pytest
-
 from repro.adversary.adaptive import BacklogCouplingAdversary
 from repro.adversary.arrivals import BatchArrivals, PoissonArrivals, TraceArrivals
 from repro.adversary.composite import CompositeAdversary

@@ -574,30 +574,60 @@ class TestSlotContracts:
         pairs = [(protocol, 2), (other, 2)] if stacked else [(protocol, 4)]
         capacity = 12
         kernel = make_protocol_row_kernel(pairs, capacity)
+        # A twin kernel hears every jammed slot as a collision.
+        twin = make_protocol_row_kernel(pairs, capacity)
         cells = np.arange(4 * capacity)
         kernel.init_packets(cells, cells // capacity)
+        twin.init_packets(cells, cells // capacity)
         rng = np.random.default_rng(2026)
-        kept = 0
+        kept = jammed = 0
         for _ in range(60):
             cells = np.flatnonzero(rng.random(4 * capacity) < 0.4)
             rows = cells // capacity
-            # Each row's channel was idle, noisy, or carried a success.
-            heard = rng.integers(0, 3, size=4)[rows]
-            empty, noise = heard == 0, heard == 1
+            # Each row's outcome code: 0 empty, 1 success, 2 collision, 3
+            # jammed.
+            heard = rng.integers(0, 4, size=4)[rows]
             before = _cell_state(kernel, cells, rows)
-            returned = kernel.on_access(cells, rows, empty, noise)
+            returned = kernel.on_access(cells, rows, heard)
             after = _cell_state(kernel, cells, rows)
             assert np.broadcast_to(returned, cells.shape).tolist() == after["access"]
             if kernel.listens:
                 # A listener hears another packet's success (a send-only
                 # kernel's accessor in a success slot is the winner).
-                success = np.flatnonzero(heard == 2).tolist()
+                success = np.flatnonzero(heard == 1).tolist()
                 kept += len(success)
                 for name in before:
                     assert [after[name][i] for i in success] == [
                         before[name][i] for i in success
                     ], name
+            # A jam is noise to every accessor, exactly as a collision.
+            jammed += int(np.count_nonzero(heard == 3))
+            twin.on_access(cells, rows, np.where(heard == 3, 2, heard))
+            assert _cell_state(twin, cells, rows) == after
         assert kept or not kernel.listens
+        assert jammed
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-group", "mega-batched"])
+    @pytest.mark.parametrize("protocol, other", KERNEL_PAIRS[:2])
+    def test_low_sensing_keeps_the_log_of_every_stored_window(
+        self, protocol, other, stacked
+    ):
+        pairs = [(protocol, 2), (other, 2)] if stacked else [(protocol, 4)]
+        capacity = 12
+        kernel = make_protocol_row_kernel(pairs, capacity)
+        cells = np.arange(4 * capacity)
+        kernel.init_packets(cells, cells // capacity)
+        initial = kernel.window_matrix().reshape(-1).copy()
+        rng = np.random.default_rng(2027)
+        for _ in range(80):
+            cells = np.flatnonzero(rng.random(4 * capacity) < 0.4)
+            rows = cells // capacity
+            kernel.on_access(cells, rows, rng.integers(0, 4, size=4)[rows])
+        windows = kernel.window_matrix().reshape(-1)
+        assert (windows != initial).any()
+        # The next update reads each cell's ln w, bit for bit.
+        logs = kernel._log_window.view(np.int64)
+        assert logs.tolist() == np.log(windows).view(np.int64).tolist()
 
     @pytest.mark.parametrize("loop", ["rows", "lockstep"])
     @pytest.mark.parametrize("protocol", ACCESS_DRIVEN + EVERY_SLOT)

@@ -259,8 +259,7 @@ class TestLowSensingKernelMath:
         assert isinstance(kernel, LowSensingKernel)
         state = protocol.new_packet_state()
         cell = np.zeros(1, dtype=np.int64)  # the only cell, in row 0
-        yes = np.ones(1, dtype=bool)
-        no = ~yes
+        empty = np.zeros(1, dtype=np.int64)  # outcome code 0
 
         def assert_in_sync():
             assert kernel.window_matrix()[0, 0] == pytest.approx(state.window, rel=1e-12)
@@ -272,14 +271,15 @@ class TestLowSensingKernelMath:
             )
 
         assert_in_sync()
-        # A run of noisy slots (listener hears NOISE): backoff each time.
-        for _ in range(12):
-            kernel.on_access(cell, cell, no, yes)
+        # A run of noisy slots, collisions (code 2) and jams (code 3); the
+        # listener hears NOISE: backoff each time.
+        for step in range(12):
+            kernel.on_access(cell, cell, np.full(1, 2 + step % 2))
             state.observe(FeedbackReport(feedback=Feedback.NOISE, sent=False), None)
             assert_in_sync()
         # Then silence: back on, clamped at w_min.
         for _ in range(20):
-            kernel.on_access(cell, cell, yes, no)
+            kernel.on_access(cell, cell, empty)
             state.observe(FeedbackReport(feedback=Feedback.EMPTY, sent=False), None)
             assert_in_sync()
         assert kernel.window_matrix()[0, 0] == pytest.approx(params.w_min)
