@@ -3,7 +3,8 @@
 Runs the same vectorizable E1 batch-arrival workload as
 ``bench_vector_backend.py`` with dynamics off (``dynamics_window=0``, the
 default) and sampling a windowed trajectory per run, in alternating pairs,
-and prints the median enabled/disabled wall-clock ratio with its quartiles.
+and prints the median enabled/disabled wall-clock ratio with its quartiles
+and a 95% confidence interval.
 
 The dynamics contract mirrors telemetry's: sampling stays off the per-slot
 hot path (a cheap accumulator on the scalar engine; on the vector engine,
@@ -48,7 +49,7 @@ def test_dynamics_overhead(benchmark):
         time_vector_plan(build_warm_up_plan())
         time_vector_plan(build_warm_up_plan(DYNAMICS_WINDOW))
 
-    quartiles = benchmark.pedantic(
+    ratios = benchmark.pedantic(
         lambda: paired_overhead(
             (disabled_plan, contextlib.nullcontext),
             (enabled_plan, contextlib.nullcontext),
@@ -57,4 +58,4 @@ def test_dynamics_overhead(benchmark):
         iterations=1,
         warmup_rounds=0,
     )
-    assert_overhead("dynamics", quartiles, OVERHEAD_TARGET, len(disabled_plan))
+    assert_overhead("dynamics", ratios, OVERHEAD_TARGET, len(disabled_plan))

@@ -18,12 +18,13 @@ see it.  The repository's performance history is the results store's
 host-keyed ``perf_samples`` (``python -m repro perf record|history|regress``)
 and ``perfbench/``.  The vector-speedup and overhead gates share the E1
 vector core plan and the one-run timer defined here; the overhead gates
-also share its paired on/off ratio.
+also share its paired on/off ratio and the median's confidence interval.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import pathlib
 import statistics
 import time
@@ -55,7 +56,7 @@ VECTOR_CORE_REPLICATIONS = 24
 VECTOR_CORE_BATCH_SIZES = (100, 200)
 
 #: Alternating on/off pairs an overhead gate times.
-OVERHEAD_PAIRS = 16
+OVERHEAD_PAIRS = 32
 
 #: One side of an overhead comparison: a plan and the context it runs in.
 Side = tuple[SweepPlan, Callable[[], contextlib.AbstractContextManager]]
@@ -138,14 +139,12 @@ def time_vector_plan(
 
 
 def paired_overhead(off: Side, on: Side) -> list[float]:
-    """The on/off wall-clock quartiles over :data:`OVERHEAD_PAIRS` alternating pairs.
+    """The on/off wall-clock ratios of :data:`OVERHEAD_PAIRS` alternating pairs.
 
     Each pair times one run of each side and the order flips every pair,
-    so host drift and warm caches hit both sides alike.  Returns the first
-    quartile, the median and the third quartile of the pairs' on/off
-    ratios; the median is what a gate asserts.  A best-of-N block per side
-    is as noisy as the gates' bars on a shared host; the paired median is
-    not.
+    so host drift and warm caches hit both sides alike.  Their median is
+    what a gate asserts.  A best-of-N block per side is as noisy as the
+    gates' bars on a shared host; the paired median is not.
     """
     ratios = []
     for index in range(OVERHEAD_PAIRS):
@@ -156,15 +155,37 @@ def paired_overhead(off: Side, on: Side) -> list[float]:
             off_seconds = time_vector_plan(*off)
             on_seconds = time_vector_plan(*on)
         ratios.append(on_seconds / off_seconds)
-    return statistics.quantiles(ratios, n=4)
+    return ratios
 
 
-def assert_overhead(name: str, quartiles: list[float], target: float, runs: int) -> None:
-    """Print an overhead gate's paired ratio and assert its median bar."""
-    low, median, high = quartiles
+def median_interval(values: list[float]) -> tuple[float, float]:
+    """A distribution-free 95% confidence interval for the median of ``values``.
+
+    The interval between the ``k``-th smallest and the ``k``-th largest
+    value misses the median only when fewer than ``k`` values fall on one
+    side of it, which has probability ``2 P(Binomial(n, 1/2) < k)``; ``k``
+    is the largest for which that stays within 5%.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    k, below = 0, 0.0
+    while True:
+        below += math.comb(n, k) / 2**n
+        if 2 * below > 0.05:
+            break
+        k += 1
+    k = max(k, 1)
+    return ordered[k - 1], ordered[n - k]
+
+
+def assert_overhead(name: str, ratios: list[float], target: float, runs: int) -> None:
+    """Print an overhead gate's paired ratios and assert their median bar."""
+    low, median, high = statistics.quantiles(ratios, n=4)
+    lower, upper = median_interval(ratios)
     print(
-        f"\n{name} on/off median {median:.3f}x (quartiles {low:.3f}-{high:.3f}) "
-        f"over {OVERHEAD_PAIRS} pairs (target <= {target}x) [{runs} runs]"
+        f"\n{name} on/off median {median:.3f}x (quartiles {low:.3f}-{high:.3f}, "
+        f"95% CI of the median {lower:.3f}-{upper:.3f}) over {len(ratios)} pairs "
+        f"(target <= {target}x) [{runs} runs]"
     )
     assert median <= target, (
         f"{name} overhead ratio {median:.3f}x exceeded the {target}x acceptance bar"

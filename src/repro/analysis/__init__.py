@@ -6,7 +6,7 @@ provides the tools the experiments use to turn measurements into
 shape-verdicts:
 
 * :mod:`repro.analysis.statistics` — means, confidence intervals, quantiles
-  and bootstrap resampling over replicated runs;
+  and Welch's t over replicated runs;
 * :mod:`repro.analysis.fitting` — least-squares fits of constant, log-power,
   power-law, and linear scaling models with model selection, used to decide
   whether a measured curve grows polylogarithmically or polynomially;
@@ -40,7 +40,6 @@ from repro.analysis.fitting import (
 )
 from repro.analysis.statistics import (
     ConfidenceInterval,
-    bootstrap_mean_interval,
     describe,
     mean_confidence_interval,
     quantile,
@@ -58,7 +57,6 @@ __all__ = [
     "design_effect",
     "ks_2sample",
     "verify_vector_equivalence",
-    "bootstrap_mean_interval",
     "describe",
     "fit_constant",
     "fit_linear",

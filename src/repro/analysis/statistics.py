@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from random import Random
 from typing import Sequence
 
 
@@ -179,7 +178,7 @@ def quantile(values: Sequence[float], q: float) -> float:
     here and in vectorized code agree.  It serves the timing numbers: the
     telemetry summarizer's p50/p95 span columns, the observe histogram's
     p50/p95/p99 export and the pool's queue-wait p50/p95.  Result metrics
-    (energy, latency and backlog percentiles) use the nearest-rank rule,
+    (energy and latency percentiles) use the nearest-rank rule,
     :func:`repro.metrics.summary.nearest_rank_quantile`, instead.
     """
     if not values:
@@ -240,40 +239,4 @@ def mean_confidence_interval(
     return ConfidenceInterval(
         estimate=mean, low=mean - half_width, high=mean + half_width,
         confidence=confidence,
-    )
-
-
-def bootstrap_mean_interval(
-    values: Sequence[float],
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """Percentile-bootstrap confidence interval for the mean.
-
-    Used when the per-run metric is skewed (maximum channel accesses, maximum
-    backlog) and the normal approximation of
-    :func:`mean_confidence_interval` is unreliable.
-    """
-    if not values:
-        raise ValueError("cannot bootstrap an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    if resamples < 10:
-        raise ValueError("need at least 10 resamples")
-    rng = Random(seed)
-    n = len(values)
-    point = sum(values) / n
-    means = []
-    for _ in range(resamples):
-        resample = [values[rng.randrange(n)] for _ in range(n)]
-        means.append(sum(resample) / n)
-    means.sort()
-    alpha = (1.0 - confidence) / 2.0
-    low_index = max(0, min(resamples - 1, int(alpha * resamples)))
-    high_index = max(0, min(resamples - 1, int((1.0 - alpha) * resamples) - 1))
-    low = min(means[low_index], point)
-    high = max(means[high_index], point)
-    return ConfidenceInterval(
-        estimate=point, low=low, high=high, confidence=confidence
     )

@@ -24,11 +24,6 @@ class Feedback(enum.Enum):
     SUCCESS = 1
     NOISE = 2
 
-    @property
-    def is_busy(self) -> bool:
-        """True when the channel carried energy (success or noise)."""
-        return self is not Feedback.EMPTY
-
 
 class SlotOutcome(enum.Enum):
     """Ground-truth classification of a slot, for metrics and traces.
@@ -52,16 +47,6 @@ class SlotOutcome(enum.Enum):
         if self is SlotOutcome.SUCCESS:
             return Feedback.SUCCESS
         return Feedback.NOISE
-
-    @property
-    def is_wasted(self) -> bool:
-        """True for slots the algorithm wasted (silence or collision).
-
-        Jammed slots are *not* wasted in the paper's accounting: throughput
-        with jamming is (T_t + J_t) / S_t, i.e. jammed slots count as slots
-        the algorithm could not have used.
-        """
-        return self in (SlotOutcome.EMPTY, SlotOutcome.COLLISION)
 
 
 @dataclass(frozen=True, slots=True)

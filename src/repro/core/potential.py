@@ -128,9 +128,6 @@ class PotentialTracker:
 
     # -- Analysis helpers ----------------------------------------------------
 
-    def potential_series(self) -> list[float]:
-        return [sample.potential for sample in self.samples]
-
     def max_potential(self) -> float:
         return max((s.potential for s in self.samples), default=0.0)
 

@@ -84,14 +84,15 @@ class VectorBackend(ExecutionBackend):
                     # serial detour in a big sweep is exactly what the
                     # telemetry layer exists to surface.
                     cache_key = getattr(job, "cache_key", None)
+                    key = cache_key() if callable(cache_key) else None
                     tele.event(
                         "vector_fallback",
                         reason=place.reason,
                         job=index,
                         # Spec-hash prefix so `telemetry summarize` can
                         # name *which* configurations fell back, not
-                        # just how many.
-                        spec=cache_key()[:10] if callable(cache_key) else None,
+                        # just how many; a spec with no hash names none.
+                        spec=key[:10] if key else None,
                     )
         for done, indices in enumerate(batches.values(), start=1):
             with tele.span(

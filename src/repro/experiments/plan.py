@@ -107,7 +107,6 @@ class RunSpec:
     adversary: Factory | Callable[[], Adversary]
     seed: int
     max_slots: int = 200_000
-    stop_when_drained: bool = True
     collect_trace: bool = False
     collect_potential: bool = False
     #: Windowed dynamics sampling interval (0 = off).  Deliberately excluded
@@ -126,7 +125,6 @@ class RunSpec:
             adversary=adversary,
             seed=self.seed,
             max_slots=self.max_slots,
-            stop_when_drained=self.stop_when_drained,
             collect_trace=self.collect_trace,
             collect_potential=self.collect_potential,
             dynamics_window=self.dynamics_window,
@@ -159,7 +157,8 @@ class RunSpec:
                 "adversary": _canonical_value(self.adversary),
                 "seed": self.seed,
                 "max_slots": self.max_slots,
-                "stop_when_drained": self.stop_when_drained,
+                # Every run stops drained; the constant keeps stored hashes.
+                "stop_when_drained": True,
                 "collect_trace": self.collect_trace,
                 "collect_potential": self.collect_potential,
             }
@@ -183,10 +182,7 @@ class SweepGroup:
 class SweepPlan:
     """An ordered collection of run specs with row-grouping metadata."""
 
-    def __init__(self, *, default_max_slots: int = 200_000) -> None:
-        if default_max_slots <= 0:
-            raise ValueError("default_max_slots must be positive")
-        self.default_max_slots = default_max_slots
+    def __init__(self) -> None:
         self._specs: list[RunSpec] = []
         self._groups: list[SweepGroup] = []
 
@@ -208,8 +204,7 @@ class SweepPlan:
         seeds: Sequence[int],
         *,
         columns: Mapping[str, Any] | None = None,
-        max_slots: int | None = None,
-        stop_when_drained: bool = True,
+        max_slots: int = 200_000,
         collect_trace: bool = False,
         collect_potential: bool = False,
         dynamics_window: int = 0,
@@ -229,8 +224,7 @@ class SweepPlan:
                     protocol=protocol,
                     adversary=adversary,
                     seed=seed,
-                    max_slots=max_slots or self.default_max_slots,
-                    stop_when_drained=stop_when_drained,
+                    max_slots=max_slots,
                     collect_trace=collect_trace,
                     collect_potential=collect_potential,
                     dynamics_window=dynamics_window,

@@ -23,7 +23,6 @@ from repro.metrics.summary import RunSummary, aggregate_summaries
 from repro.metrics.throughput import (
     ThroughputAccounting,
     implicit_throughput_series,
-    overall_throughput,
     throughput_series,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "energy_statistics",
     "implicit_throughput_series",
     "latency_statistics",
-    "overall_throughput",
     "throughput_series",
 ]

@@ -3,7 +3,7 @@
 Experiments replicate each configuration over several seeds; this module
 defines the per-run summary record and aggregation over replicates (mean,
 min, max per numeric field), which is what experiment tables report, and
-the nearest-rank quantile the energy, latency and backlog statistics share.
+the nearest-rank quantile the energy and latency statistics share.
 """
 
 from __future__ import annotations

@@ -52,19 +52,6 @@ class ThroughputAccounting:
         return (self.arrivals + self.jammed_active) / self.active_slots
 
 
-def overall_throughput(
-    successes: int, jammed_active: int, active_slots: int
-) -> float:
-    """Overall throughput of a finished execution: ``(T + J) / S``."""
-    accounting = ThroughputAccounting(
-        arrivals=successes,
-        successes=successes,
-        jammed_active=jammed_active,
-        active_slots=active_slots,
-    )
-    return accounting.throughput
-
-
 def throughput_series(
     cumulative_successes: Sequence[int],
     cumulative_jammed_active: Sequence[int],

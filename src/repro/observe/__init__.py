@@ -54,7 +54,6 @@ from repro.observe.resources import (
     DEFAULT_INTERVAL,
     NULL_SAMPLER,
     ResourceSampler,
-    make_sampler,
     sample_process,
 )
 from repro.observe.workers import (
@@ -83,7 +82,6 @@ __all__ = [
     "escape_label_value",
     "fold_events",
     "host_fingerprint",
-    "make_sampler",
     "record_scenario_perf",
     "regress_groups",
     "registry_to_dict",

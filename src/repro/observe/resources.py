@@ -169,18 +169,5 @@ class _NullSampler:
     def __exit__(self, *exc_info: object) -> bool:
         return False
 
-    def start(self) -> None:
-        pass
-
-    def stop(self) -> None:
-        pass
-
 
 NULL_SAMPLER = _NullSampler()
-
-
-def make_sampler(session: Any, interval: float | None) -> Any:
-    """A running-or-null sampler: ``None``/no-session ⇒ the shared no-op."""
-    if interval is None or session is None or not getattr(session, "enabled", False):
-        return NULL_SAMPLER
-    return ResourceSampler(session, interval=interval)

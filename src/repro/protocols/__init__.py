@@ -9,8 +9,9 @@ defined in :mod:`repro.protocols.base`:
 * a per-packet :class:`~repro.protocols.base.PacketState` that decides an
   action each slot and updates itself from channel feedback.
 
-The registry maps protocol names to factories so experiments and benchmarks
-can sweep over protocols by name.
+:func:`~repro.protocols.registry.get_protocol` maps protocol names to the
+built-in classes so experiments and benchmarks can sweep over protocols by
+name.
 """
 
 from repro.protocols.base import BackoffProtocol, PacketState
@@ -18,11 +19,7 @@ from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.fixed_probability import FixedProbabilityProtocol, SlottedAloha
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.polynomial_backoff import PolynomialBackoff
-from repro.protocols.registry import (
-    available_protocols,
-    get_protocol,
-    register_protocol,
-)
+from repro.protocols.registry import available_protocols, get_protocol
 from repro.protocols.sawtooth import SawtoothBackoff
 
 __all__ = [
@@ -36,5 +33,4 @@ __all__ = [
     "SlottedAloha",
     "available_protocols",
     "get_protocol",
-    "register_protocol",
 ]

@@ -1,51 +1,23 @@
-"""Name-based protocol registry.
+"""Name-based protocol lookup.
 
 Experiments and benchmarks refer to protocols by short names (for example
 ``"low-sensing"``, ``"binary-exponential"``) so that sweeps over protocols
-are data, not code.  The registry maps each name to a zero-argument factory
-returning a protocol configured with its experiment-default parameters;
-callers that need non-default parameters construct protocol objects directly.
+are data, not code.  Each name maps to a built-in protocol class, built
+with its experiment-default parameters; callers that need non-default
+parameters construct protocol objects directly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import functools
+from typing import Iterable
 
 from repro.protocols.base import BackoffProtocol
 
-_REGISTRY: dict[str, Callable[[], BackoffProtocol]] = {}
 
-
-def register_protocol(name: str, factory: Callable[[], BackoffProtocol]) -> None:
-    """Register ``factory`` under ``name``.
-
-    Re-registering an existing name raises ``ValueError`` to catch accidental
-    collisions between modules.
-    """
-    if name in _REGISTRY:
-        raise ValueError(f"protocol name already registered: {name!r}")
-    _REGISTRY[name] = factory
-
-
-def get_protocol(name: str) -> BackoffProtocol:
-    """Instantiate the protocol registered under ``name`` with defaults."""
-    ensure_defaults_registered()
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown protocol {name!r}; known protocols: {known}") from None
-    return factory()
-
-
-def available_protocols() -> Iterable[str]:
-    """Sorted names of all registered protocols."""
-    ensure_defaults_registered()
-    return sorted(_REGISTRY)
-
-
-def _register_defaults() -> None:
-    """Register the default factories for all built-in protocols.
+@functools.cache
+def _protocols() -> dict[str, type[BackoffProtocol]]:
+    """The name → class table.
 
     Imports are local to avoid circular imports at package-import time (the
     core package imports :mod:`repro.protocols.base` as well).
@@ -57,7 +29,7 @@ def _register_defaults() -> None:
     from repro.protocols.polynomial_backoff import PolynomialBackoff
     from repro.protocols.sawtooth import SawtoothBackoff
 
-    defaults: dict[str, Callable[[], BackoffProtocol]] = {
+    return {
         "low-sensing": LowSensingBackoff,
         "binary-exponential": BinaryExponentialBackoff,
         "polynomial": PolynomialBackoff,
@@ -66,11 +38,18 @@ def _register_defaults() -> None:
         "sawtooth": SawtoothBackoff,
         "full-sensing-mw": FullSensingMultiplicativeWeights,
     }
-    for name, factory in defaults.items():
-        if name not in _REGISTRY:
-            _REGISTRY[name] = factory
 
 
-def ensure_defaults_registered() -> None:
-    """Idempotently register the built-in protocol factories."""
-    _register_defaults()
+def get_protocol(name: str) -> BackoffProtocol:
+    """Instantiate the protocol named ``name`` with its defaults."""
+    try:
+        protocol = _protocols()[name]
+    except KeyError:
+        known = ", ".join(available_protocols())
+        raise KeyError(f"unknown protocol {name!r}; known protocols: {known}") from None
+    return protocol()
+
+
+def available_protocols() -> Iterable[str]:
+    """Sorted names of all built-in protocols."""
+    return sorted(_protocols())

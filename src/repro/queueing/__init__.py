@@ -5,16 +5,9 @@ adversarial-queuing arrival model: for a granularity ``S`` and arrival rate
 ``λ < 1``, the number of packet arrivals plus jammed slots in any window of
 ``S`` consecutive slots is at most ``λ·S``, with the placement inside each
 window adversarial.  This subpackage provides the constraint object used to
-validate generated executions and backlog/stability statistics used by the
-backlog experiment (E3).
+validate generated executions.
 """
 
-from repro.queueing.backlog import BacklogStatistics, backlog_series, backlog_statistics
 from repro.queueing.model import QueueingConstraint
 
-__all__ = [
-    "BacklogStatistics",
-    "QueueingConstraint",
-    "backlog_series",
-    "backlog_statistics",
-]
+__all__ = ["QueueingConstraint"]

@@ -70,7 +70,7 @@ def build_plan(
     seed_list = scenario_seeds(scenario, scale, seeds)
     max_slots = scenario_max_slots(scenario, scale)
     adversary = scenario.adversary_factory()
-    plan = SweepPlan(default_max_slots=max_slots)
+    plan = SweepPlan()
     for protocol_name in scenario.protocols:
         plan.add_group(
             get_protocol(protocol_name),

@@ -22,22 +22,20 @@ class SimulationConfig:
     seed:
         Master seed; all randomness (packets and adversary) derives from it.
     max_slots:
-        Hard cap on the number of simulated slots.  Executions may stop
-        earlier when ``stop_when_drained`` is set and the system empties
-        after arrivals are exhausted.
-    stop_when_drained:
-        Stop as soon as no packets remain and the arrival process reports it
-        is exhausted (finite-stream experiments).  Open-ended experiments set
-        this to False and run to ``max_slots``.
+        Hard cap on the number of simulated slots.  An execution stops
+        earlier, drained, as soon as no packet remains and the arrival
+        process reports it is exhausted; one whose arrivals never exhaust
+        runs to the cap.
     collect_trace:
         Record a full per-slot :class:`~repro.channel.trace.ExecutionTrace`.
         Costs memory proportional to the number of slots.
     collect_potential:
-        Track the potential function Φ(t) each slot (requires a protocol
-        whose packet state exposes a ``window`` attribute, i.e. LOW-SENSING
-        BACKOFF), with the default coefficients (α1, α2, α3) of
-        :class:`~repro.core.potential.PotentialCoefficients`; used by
-        experiment E9.
+        Track the potential function Φ(t) each slot, with the default
+        coefficients (α1, α2, α3) of
+        :class:`~repro.core.potential.PotentialCoefficients`, over the
+        windows of the active packets (LOW-SENSING, decoupled LSB, BEB,
+        polynomial and Sawtooth expose one; windowless protocols record
+        zero terms); used by experiment E9.
     dynamics_window:
         When positive, sample a windowed dynamics trajectory every this
         many slots (see :mod:`repro.dynamics`).  Dynamics are result-inert
@@ -49,7 +47,6 @@ class SimulationConfig:
     adversary: Adversary
     seed: int = 0
     max_slots: int = 100_000
-    stop_when_drained: bool = True
     collect_trace: bool = False
     collect_potential: bool = False
     dynamics_window: int = 0
@@ -66,7 +63,8 @@ class SimulationConfig:
             "adversary": self.adversary.describe(),
             "seed": self.seed,
             "max_slots": self.max_slots,
-            "stop_when_drained": self.stop_when_drained,
+            # Every run stops drained; the constant keeps stored descriptions.
+            "stop_when_drained": True,
             "collect_trace": self.collect_trace,
             "collect_potential": self.collect_potential,
         }

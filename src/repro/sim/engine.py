@@ -98,14 +98,10 @@ class Simulator:
         return windows
 
     def run(self) -> SimulationResult:
-        """Run until drained (if configured) or until ``max_slots``."""
-        config = self.config
-        while self._slot < config.max_slots:
-            if (
-                config.stop_when_drained
-                and not self._active
-                and self._adversary.arrivals_exhausted(self._slot)
-            ):
+        """Run until drained or until ``max_slots``."""
+        max_slots = self.config.max_slots
+        while self._slot < max_slots:
+            if not self._active and self._adversary.arrivals_exhausted(self._slot):
                 break
             self.step()
         return self.result()

@@ -20,7 +20,6 @@ def run_simulation(
     jammer: Jammer | None = None,
     seed: int = 0,
     max_slots: int = 100_000,
-    stop_when_drained: bool = True,
     collect_trace: bool = False,
     collect_potential: bool = False,
 ) -> SimulationResult:
@@ -39,7 +38,6 @@ def run_simulation(
         adversary=adversary,
         seed=seed,
         max_slots=max_slots,
-        stop_when_drained=stop_when_drained,
         collect_trace=collect_trace,
         collect_potential=collect_potential,
     )

@@ -293,8 +293,8 @@ def _row_slots(slot: int | np.ndarray, rows: np.ndarray) -> int | np.ndarray:
 
 
 #: A batch's engine options, as its batch key holds them: max_slots,
-#: stop_when_drained, collect_potential and the dynamics window.
-_Options = tuple[int, bool, bool, int]
+#: collect_potential and the dynamics window.
+_Options = tuple[int, bool, int]
 
 
 class _GroupConfig:
@@ -484,12 +484,7 @@ class _Batch:
     """
 
     def __init__(self, groups: list[_GroupConfig], options: _Options) -> None:
-        (
-            max_slots,
-            self.stop_when_drained,
-            self.collect_potential,
-            self.dynamics_window,
-        ) = options
+        max_slots, self.collect_potential, self.dynamics_window = options
         self.max_slots = max_slots
         seeds = [seed for group in groups for seed in group.seeds]
         replications = self.replications = len(seeds)
@@ -568,11 +563,10 @@ class _Batch:
         for seg in self.segments:
             self.exhaust_at[seg.rows] = seg.exhaust_slot
         self.live = replications
-        if self.stop_when_drained:
-            # Rows with nothing to arrive drain at slot 0.
-            empty = self.exhaust_at == 0
-            if empty.any():
-                self._finish(empty, 0)
+        # Rows with nothing to arrive drain at slot 0.
+        empty = self.exhaust_at == 0
+        if empty.any():
+            self._finish(empty, 0)
 
     def run(self) -> None:
         if self.stepping == "rows":
@@ -822,9 +816,7 @@ class _Batch:
         # idle stretch ends at the next one ahead (a waiting empty row ends
         # there).  A row that ended drained has passed its own, so every
         # row still ahead of its slot is running.
-        exhaust_slots = [max_slots + 1]
-        if self.stop_when_drained:
-            exhaust_slots[:0] = sorted(set(exhaust_at[running].tolist()))
+        exhaust_slots = sorted(set(exhaust_at[running].tolist())) + [max_slots + 1]
         first_exhaust = exhaust_slots[0]
         # A row can end only after a departure, or, empty, on reaching its
         # exhaustion slot: the next such slot past the last drained check.
@@ -918,7 +910,7 @@ class _Batch:
         max_slots = self.max_slots
         may_jam = not self.never_jams
         # Each row's first exhausted slot, where an empty row ends.
-        exhaust_at = self.exhaust_at if self.stop_when_drained else None
+        exhaust_at = self.exhaust_at
         row_slot = np.zeros(self.replications, dtype=np.int64)
         resolved = 0
         chunk_start = 0
@@ -938,10 +930,9 @@ class _Batch:
                 next_arrival += chunk_start
             # Rows whose arrivals exhaust inside the chunk stop there once.
             waits = None
-            if exhaust_at is not None:
-                inside = (exhaust_at > chunk_start) & (exhaust_at < chunk_end)
-                if inside.any():
-                    waits = np.where(inside, exhaust_at, chunk_end)
+            inside = (exhaust_at > chunk_start) & (exhaust_at < chunk_end)
+            if inside.any():
+                waits = np.where(inside, exhaust_at, chunk_end)
             pending = running.copy()
             while pending.any():
                 event = calendar.next_due_rows()
@@ -971,12 +962,11 @@ class _Batch:
                             arriving = None
                     self.resolve(np.where(step, stop, -1), step, arriving)
                 np.copyto(row_slot, stop + step, where=pending)
-                if exhaust_at is not None:
-                    empty = pending & (self.backlog == 0)
-                    if empty.any():
-                        finished = empty & (row_slot >= exhaust_at)
-                        if finished.any():
-                            self._finish(finished, row_slot)
+                empty = pending & (self.backlog == 0)
+                if empty.any():
+                    finished = empty & (row_slot >= exhaust_at)
+                    if finished.any():
+                        self._finish(finished, row_slot)
                 pending = running & (row_slot < chunk_end)
             chunk_start = chunk_end
         self.iterations = resolved

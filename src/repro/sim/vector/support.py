@@ -41,10 +41,9 @@ reason, or to two keys: its *group key*, the spec with its seed set to 0
 (the seed replicas of one configuration), and its *batch key*, which names
 the groups that stack into one ragged launch: the protocol class, the
 jammer class with its schedule identity, and the engine options
-(``max_slots``, ``stop_when_drained``, ``collect_potential`` and the
-dynamics window), which the engine takes from it.  It has
-no exclusions and no arrival part, because each group keeps its own
-arrival schedule inside the batch.  The
+(``max_slots``, ``collect_potential`` and the dynamics window), which the
+engine takes from it.  It has no exclusions and no arrival part, because
+each group keeps its own arrival schedule inside the batch.  The
 :class:`~repro.exec.vector_backend.VectorBackend`, its result layout,
 :meth:`~repro.experiments.plan.SweepPlan.vector_summary` and
 :meth:`~repro.sim.vector.engine.VectorSimulator.from_specs` all place specs
@@ -178,9 +177,9 @@ class _BatchKey(NamedTuple):
     protocol: type
     #: The jammer class and its schedule identity.
     jammer: tuple[type, str | None]
-    #: max_slots, stop_when_drained, collect_potential and the dynamics
-    #: window: the engine's options for the batch.
-    options: tuple[int, bool, bool, int]
+    #: max_slots, collect_potential and the dynamics window: the engine's
+    #: options for the batch.
+    options: tuple[int, bool, int]
 
 
 def placement(spec: Any) -> Placement:
@@ -213,12 +212,7 @@ def _placement(group: Any) -> Placement:
     batch = _BatchKey(
         type(group.protocol),
         (type(jammer), scheduled_identity(jammer)),
-        (
-            group.max_slots,
-            group.stop_when_drained,
-            group.collect_potential,
-            group.dynamics_window,
-        ),
+        (group.max_slots, group.collect_potential, group.dynamics_window),
     )
     return Placement(None, group, batch)
 
@@ -237,6 +231,6 @@ def batch_difference(first: Placement, other: Placement) -> str:
     if my_schedule != their_schedule:
         return "the scheduled jammers differ in their schedule"
     return (
-        "engine options (max_slots, stop_when_drained, collect_potential, "
-        f"dynamics window) {mine.options} vs {theirs.options}"
+        "engine options (max_slots, collect_potential, dynamics window) "
+        f"{mine.options} vs {theirs.options}"
     )

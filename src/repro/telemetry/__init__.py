@@ -24,7 +24,6 @@ from repro.telemetry.summarize import (
     read_events,
     render_summary,
     summarize_events,
-    summarize_file,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "read_events",
     "render_summary",
     "summarize_events",
-    "summarize_file",
 ]

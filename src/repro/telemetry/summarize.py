@@ -178,10 +178,6 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     }
 
 
-def summarize_file(path: str | Path) -> dict[str, Any]:
-    return summarize_events(read_events(path))
-
-
 def render_summary(summary: dict[str, Any]) -> str:
     """Render :func:`summarize_events` output as an aligned text table."""
     lines: list[str] = []

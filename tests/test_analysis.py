@@ -13,7 +13,6 @@ from repro.analysis.fitting import (
 )
 from repro.analysis.statistics import (
     benjamini_hochberg,
-    bootstrap_mean_interval,
     describe,
     mean_confidence_interval,
     regularized_incomplete_beta,
@@ -55,17 +54,6 @@ class TestConfidenceIntervals:
     def test_unsupported_confidence(self):
         with pytest.raises(ValueError):
             mean_confidence_interval([1.0, 2.0], confidence=0.5)
-
-    def test_bootstrap_interval(self):
-        values = [1.0, 2.0, 3.0, 4.0, 100.0]
-        interval = bootstrap_mean_interval(values, seed=1)
-        assert interval.low <= interval.estimate <= interval.high
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_mean_interval([], seed=1)
-        with pytest.raises(ValueError):
-            bootstrap_mean_interval([1.0], resamples=2)
 
 
 class TestFitting:

@@ -29,15 +29,6 @@ class TestFeedback:
     def test_alphabet_has_exactly_three_symbols(self):
         assert {f.name for f in Feedback} == {"EMPTY", "SUCCESS", "NOISE"}
 
-    def test_empty_is_not_busy(self):
-        assert not Feedback.EMPTY.is_busy
-
-    def test_success_is_busy(self):
-        assert Feedback.SUCCESS.is_busy
-
-    def test_noise_is_busy(self):
-        assert Feedback.NOISE.is_busy
-
 
 class TestSlotOutcome:
     def test_empty_maps_to_empty_feedback(self):
@@ -52,12 +43,6 @@ class TestSlotOutcome:
     def test_jammed_maps_to_noise(self):
         # A listener cannot distinguish jamming from a collision.
         assert SlotOutcome.JAMMED.feedback is Feedback.NOISE
-
-    def test_wasted_slots_are_empty_and_collision_only(self):
-        assert SlotOutcome.EMPTY.is_wasted
-        assert SlotOutcome.COLLISION.is_wasted
-        assert not SlotOutcome.SUCCESS.is_wasted
-        assert not SlotOutcome.JAMMED.is_wasted
 
 
 class TestFeedbackReport:

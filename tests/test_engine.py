@@ -268,7 +268,6 @@ class TestOpenEndedWorkloads:
             adversary=CompositeAdversary(PoissonArrivals(rate=0.05)),
             seed=3,
             max_slots=2_000,
-            stop_when_drained=False,
         )
         result = Simulator(config).run()
         assert result.num_slots == 2_000

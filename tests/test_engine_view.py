@@ -116,7 +116,6 @@ class TestTrackingContentionChangesNothing:
                 adversary=CompositeAdversary(BatchArrivals(12)),
                 seed=5,
                 max_slots=400,
-                stop_when_drained=False,
                 collect_trace=collect_trace,
             )
             sim = Simulator(config)
@@ -238,7 +237,6 @@ class TestReactiveTargetedJammerTiming:
                 ),
                 seed=seed,
                 max_slots=200,
-                stop_when_drained=False,
                 collect_trace=True,
             )
             result = Simulator(config).run()

@@ -10,7 +10,6 @@ from repro.metrics.summary import RunSummary, aggregate_summaries
 from repro.metrics.throughput import (
     ThroughputAccounting,
     implicit_throughput_series,
-    overall_throughput,
     throughput_series,
 )
 
@@ -91,9 +90,6 @@ class TestThroughput:
     def test_more_successes_than_arrivals_rejected(self):
         with pytest.raises(ValueError):
             ThroughputAccounting(arrivals=1, successes=2, jammed_active=0, active_slots=5)
-
-    def test_overall_throughput_helper(self):
-        assert overall_throughput(successes=20, jammed_active=0, active_slots=80) == 0.25
 
     def test_series_computation(self):
         successes = [0, 1, 1, 2]

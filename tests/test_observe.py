@@ -44,7 +44,6 @@ from repro.observe import (
     escape_label_value,
     fold_events,
     host_fingerprint,
-    make_sampler,
     record_scenario_perf,
     regress_groups,
     registry_to_dict,
@@ -314,12 +313,36 @@ class TestResourceSampling:
         with pytest.raises(ValueError):
             ResourceSampler(TelemetrySession([MemorySink()]), interval=0.0)
 
-    def test_make_sampler_null_paths(self):
+    def test_cli_rule_resolves_to_the_null_or_a_real_sampler(self):
+        import argparse
+
+        from repro.cli import _resource_sampler
+        from repro.observe import DEFAULT_INTERVAL, NULL_SAMPLER
+
+        parser = argparse.ArgumentParser()
         session = TelemetrySession([MemorySink()])
-        assert make_sampler(None, 0.1).start() is None  # null sampler no-ops
-        assert make_sampler(session, None) is make_sampler(None, 0.1)
-        real = make_sampler(session, 0.1)
-        assert isinstance(real, ResourceSampler)
+        off = argparse.Namespace(sample_resources=None, telemetry=None)
+        assert _resource_sampler(off, parser, session) is NULL_SAMPLER
+        with NULL_SAMPLER as entered:  # the null sampler is a no-op context
+            assert entered is NULL_SAMPLER
+        bare = argparse.Namespace(sample_resources=-1.0, telemetry="t.jsonl")
+        default = _resource_sampler(bare, parser, session)
+        assert isinstance(default, ResourceSampler)
+        assert default.interval == DEFAULT_INTERVAL
+        given = argparse.Namespace(sample_resources=0.5, telemetry="t.jsonl")
+        assert _resource_sampler(given, parser, session).interval == 0.5
+        session.close()
+
+    def test_cli_rule_rejects_a_nonpositive_interval(self):
+        import argparse
+
+        from repro.cli import _resource_sampler
+
+        session = TelemetrySession([MemorySink()])
+        args = argparse.Namespace(sample_resources=0.0, telemetry="t.jsonl")
+        with pytest.raises(SystemExit) as excinfo:
+            _resource_sampler(args, argparse.ArgumentParser(), session)
+        assert excinfo.value.code == 2
         session.close()
 
     def test_pool_workers_contribute_job_boundary_samples(self):

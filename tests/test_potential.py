@@ -95,7 +95,7 @@ class TestTracker:
         tracker.record(0, [32.0] * 10)
         tracker.record(1, [32.0] * 5)
         tracker.record(2, [])
-        series = tracker.potential_series()
+        series = [sample.potential for sample in tracker.samples]
         assert len(series) == 3
         assert series[0] > series[1] > series[2] == 0.0
         assert tracker.max_potential() == series[0]

@@ -1,8 +1,7 @@
-"""Tests for the (λ, S) adversarial-queuing constraint and backlog statistics."""
+"""Tests for the (λ, S) adversarial-queuing constraint."""
 
 import pytest
 
-from repro.queueing.backlog import backlog_statistics
 from repro.queueing.model import QueueingConstraint
 
 
@@ -66,29 +65,3 @@ class TestQueueingConstraint:
         with pytest.raises(ValueError):
             QueueingConstraint(rate=0.5, granularity=0)
 
-
-class TestBacklogStatistics:
-    def test_basic_statistics(self):
-        stats = backlog_statistics([0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
-        assert stats.max_backlog == 9
-        assert stats.mean_backlog == pytest.approx(4.5)
-        assert stats.final_backlog == 9
-        assert stats.num_slots == 10
-        assert stats.p50_backlog in (4.0, 5.0)
-
-    def test_quantiles_ordered(self):
-        stats = backlog_statistics(list(range(101)))
-        assert stats.p50_backlog <= stats.p95_backlog <= stats.p99_backlog <= stats.max_backlog
-
-    def test_normalised_by_granularity(self):
-        stats = backlog_statistics([10, 20, 30])
-        normalised = stats.normalised(10)
-        assert normalised["max_over_s"] == pytest.approx(3.0)
-
-    def test_normalised_rejects_bad_granularity(self):
-        with pytest.raises(ValueError):
-            backlog_statistics([1]).normalised(0)
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            backlog_statistics([])

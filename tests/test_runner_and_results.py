@@ -11,7 +11,6 @@ from repro.channel.feedback import SlotOutcome
 from repro.core.low_sensing import LowSensingBackoff
 from repro.exec import SerialBackend, VectorBackend
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
-from repro.queueing import backlog_series
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.runner import build_plan
 from repro.sim.config import SimulationConfig
@@ -50,6 +49,17 @@ class TestRunSimulation:
             seed=2,
         )
         assert result.num_delivered == 5
+
+    def test_open_ended_arrivals_run_to_max_slots(self):
+        # Arrivals without a horizon never exhaust, so the run goes on
+        # through every stretch the system empties, to the cap.
+        result = run_simulation(
+            LowSensingBackoff(), arrivals=PoissonArrivals(0.05), seed=4, max_slots=800
+        )
+        assert result.num_slots == 800
+        assert not result.drained
+        assert result.num_arrivals == result.num_delivered + result.backlog
+        assert 0 in result.backlog_series()
 
 
 class TestSimulationResultApi:
@@ -190,8 +200,19 @@ class TestDerivedSeries:
             assert result.num_jammed > result.num_jammed_active > 0
             assert result.backlog_series() == [backlog for *_, backlog in slots]
             if result.trace is not None:
-                assert result.backlog_series() == backlog_series(result.trace)
+                assert result.backlog_series() == [
+                    record.active_after for record in result.trace
+                ]
             assert result.throughput_series() == _recorded_throughput(slots)
+
+    @pytest.mark.parametrize("engine", ["serial", "vector"])
+    def test_summary_max_backlog_is_the_backlog_series_peak(self, engine):
+        # The backlog experiment (E3) reads its peak from the summary row.
+        jammer = BernoulliJamming(0.2, only_active=False)
+        for result in _recorded_runs(engine, LowSensingBackoff(), jammer):
+            series = result.backlog_series()
+            assert result.summary().max_backlog == max(series) > 0
+            assert series[-1] == result.backlog
 
     def test_pickled_results_hold_no_numpy(self):
         """Run artifacts stay numpy-free, so their hashes do not depend on

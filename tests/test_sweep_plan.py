@@ -1,16 +1,22 @@
 """Tests for the declarative sweep layer (factories, RunSpec, SweepPlan)."""
 
+import hashlib
+import json
 import pickle
 
 import pytest
 
-from repro.adversary.arrivals import BatchArrivals
+from repro.adversary.arrivals import BatchArrivals, PoissonArrivals
 from repro.adversary.composite import CompositeAdversary
-from repro.adversary.jamming import BernoulliJamming
+from repro.adversary.jamming import BernoulliJamming, NoJamming
+from repro.adversary.scheduled import ScheduledJamming
 from repro.core.low_sensing import LowSensingBackoff
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.experiments.experiments import run_e1_throughput_batch, run_e9_potential_drift
 from repro.experiments.plan import RunSpec, SweepPlan, aggregate_replicate_row, factory
+from repro.protocols.binary_exponential import BinaryExponentialBackoff
+from repro.protocols.fixed_probability import FixedProbabilityProtocol
+from repro.scenarios.schedule import Phase
 from repro.sim.engine import Simulator
 
 
@@ -78,6 +84,77 @@ class TestRunSpec:
         assert spec.build_config().adversary.arrival_process.n == 3
 
 
+#: Three specs and their canonical forms as stored: ``RunSpec.cache_key()``
+#: and the SHA-256 of ``SimulationConfig.describe()`` as JSON in its key
+#: order (the order a pickled ``config_description`` keeps).  Every stored
+#: run is filed under its spec hash and holds its description, so an edit
+#: to either canonical form orphans the store.
+PINNED_SPECS = [
+    (
+        RunSpec(
+            LowSensingBackoff(),
+            factory(CompositeAdversary, factory(BatchArrivals, 50)),
+            seed=7,
+        ),
+        "26ed19d8ae9ed3c526817cbe2a72ad3390b695046694362290d912c914e77ce8",
+        "85e9df3a2e9aa117192acfa8095e239868383807e03a7765067eb37cdd5a584a",
+    ),
+    (
+        RunSpec(
+            BinaryExponentialBackoff(),
+            factory(
+                CompositeAdversary,
+                factory(BatchArrivals, 30),
+                factory(
+                    ScheduledJamming,
+                    factory(
+                        Phase, factory(BernoulliJamming, 0.2, budget=10), duration=100
+                    ),
+                    factory(Phase, factory(NoJamming)),
+                ),
+            ),
+            seed=3,
+            max_slots=5_000,
+        ),
+        "9c419e828e055f99f947345bb3ebf3ea1b73288c6146d220d04c702ca61df733",
+        "a018ab5cea03e8442f98a4e4887fdb3220c40a44a6b791a3d026b0439c984a98",
+    ),
+    (
+        RunSpec(
+            FixedProbabilityProtocol(probability=0.1),
+            factory(
+                CompositeAdversary, factory(PoissonArrivals, rate=0.02, horizon=500)
+            ),
+            seed=11,
+            collect_potential=True,
+        ),
+        "f5124a959b184de6530f01bec21afd9c4da3622795c05f36de3523f57a952d1f",
+        "60a65d5f60aa1f449649933b08ced3b2a4429b119e80cf6ba3c96ef7f6de81bb",
+    ),
+]
+
+
+class TestCanonicalForms:
+    @pytest.mark.parametrize(
+        "spec, cache_key, description",
+        PINNED_SPECS,
+        ids=["low-sensing-batch", "beb-scheduled-jamming", "fixed-probability-potential"],
+    )
+    def test_spec_hash_and_description_are_pinned(self, spec, cache_key, description):
+        described = spec.build_config().describe()
+        assert list(described) == [
+            "protocol",
+            "adversary",
+            "seed",
+            "max_slots",
+            "stop_when_drained",
+            "collect_trace",
+            "collect_potential",
+        ]
+        assert spec.cache_key() == cache_key
+        digest = hashlib.sha256(json.dumps(described).encode()).hexdigest()
+        assert digest == description
+
 class TestSweepPlan:
     def test_one_spec_per_seed_and_grouping(self):
         plan = SweepPlan()
@@ -92,6 +169,20 @@ class TestSweepPlan:
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
             SweepPlan().add_group(LowSensingBackoff(), _batch_adversary(5), [])
+
+    def test_groups_default_to_the_run_spec_cap(self):
+        # One default cap: a group that names none files the same specs, and
+        # so the same spec hashes, as RunSpec built without one.
+        plan = SweepPlan()
+        plan.add_group(LowSensingBackoff(), _batch_adversary(5), [1, 2])
+        direct = [
+            RunSpec(LowSensingBackoff(), _batch_adversary(5), seed=seed)
+            for seed in (1, 2)
+        ]
+        assert [spec.max_slots for spec in plan.specs] == [200_000, 200_000]
+        assert [spec.cache_key() for spec in plan.specs] == [
+            spec.cache_key() for spec in direct
+        ]
 
     def test_run_matches_direct_simulation(self):
         plan = SweepPlan()
@@ -154,9 +245,9 @@ class TestPlacementProbesOncePerConfiguration:
 
         support._placement.cache_clear()
         monkeypatch.setattr(support, "vector_support", counted)
-        plan = SweepPlan(default_max_slots=2_000)
+        plan = SweepPlan()
         for protocol in (LowSensingBackoff(), BinaryExponentialBackoff()):
-            plan.add_group(protocol, _batch_adversary(3), range(11, 251))
+            plan.add_group(protocol, _batch_adversary(3), range(11, 251), max_slots=2_000)
         assert len(plan) == 480
         summary = plan.vector_summary()
         backend = VectorBackend()

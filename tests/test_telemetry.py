@@ -50,7 +50,6 @@ from repro.telemetry import (
     read_events,
     render_summary,
     summarize_events,
-    summarize_file,
 )
 from tests.conftest import run_specs
 
@@ -158,14 +157,14 @@ class TestJsonlSink:
         truncated = read_events(path)
         assert truncated == whole[:-1]
 
-    def test_summarize_file_reads_from_disk(self, tmp_path):
+    def test_summarize_reads_events_from_disk(self, tmp_path):
         path = tmp_path / "t.jsonl"
         session = TelemetrySession([JsonlSink(path)])
         with session.span("sweep", kind="root", backend="serial"):
             with session.span("simulate", kind="phase", backend="serial"):
                 pass
         session.close()
-        summary = summarize_file(path)
+        summary = summarize_events(read_events(path))
         assert summary["roots"] and summary["phases"]
 
 
@@ -405,6 +404,34 @@ class TestBackendInstrumentation:
         (event,) = mem.events("vector_fallback")
         assert event["attrs"]["reason"]
         assert event["attrs"]["spec"] == trace_spec.cache_key()[:10]
+
+    def test_vector_fallback_of_a_spec_without_a_hash(self):
+        # A plain-callable adversary leaves the spec without a cache key:
+        # the fallback event names no spec, and the run is the one
+        # telemetry-off gives.
+        from repro.adversary.adaptive import BacklogCouplingAdversary
+        from repro.experiments.plan import SweepPlan
+
+        plan = SweepPlan()
+        plan.add_group(
+            BinaryExponentialBackoff(),
+            lambda: BacklogCouplingAdversary(2, 10),
+            [1],
+            max_slots=2000,
+        )
+        assert plan.specs[0].cache_key() is None
+        plain = plan.run(make_backend("vector"))
+        mem = MemorySink()
+        with activated(TelemetrySession([mem])):
+            observed = plan.run(make_backend("vector"))
+        assert [r.summary() for r in observed.results] == [
+            r.summary() for r in plain.results
+        ]
+        assert [r.packets for r in observed.results] == [
+            r.packets for r in plain.results
+        ]
+        (event,) = mem.events("vector_fallback")
+        assert event["attrs"]["spec"] is None
 
     def test_cache_backend_emits_lookup_event_and_commit_spans(self, tmp_path):
         mem = MemorySink()

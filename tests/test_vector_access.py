@@ -382,12 +382,26 @@ ROW_JAMMERS = {
     ),
 }
 
-#: Collected outputs, on a ``max_slots`` that no dynamics window divides;
-#: the 64-slot windows also run every row to it, past its drain.
+#: Each arrival schedule's open-ended counterpart: it never exhausts, so
+#: every row runs to ``max_slots``.
+OPEN_ROW_ARRIVALS = {
+    "batch": lambda: factory(PeriodicBurstArrivals, burst_size=24, period=600),
+    "poisson": lambda: factory(PoissonArrivals, rate=0.03),
+    "periodic-burst": lambda: factory(PeriodicBurstArrivals, burst_size=5, period=150),
+    "scheduled": lambda: factory(
+        ScheduledArrivals,
+        factory(Phase, factory(BatchArrivals, 10), duration=300),
+        factory(Phase, factory(PoissonArrivals, rate=0.02)),
+    ),
+}
+
+#: Collected outputs and the arrival schedules they run under, on a
+#: ``max_slots`` that no dynamics window divides; the 64-slot windows run
+#: open-ended schedules, so every row's trajectory reaches it.
 ROW_OUTPUTS = {
-    "potential": dict(collect_potential=True),
-    "dynamics-7": dict(dynamics_window=7),
-    "dynamics-64": dict(dynamics_window=64, stop_when_drained=False),
+    "potential": (dict(collect_potential=True), ROW_ARRIVALS),
+    "dynamics-7": (dict(dynamics_window=7), ROW_ARRIVALS),
+    "dynamics-64": (dict(dynamics_window=64), OPEN_ROW_ARRIVALS),
 }
 
 
@@ -433,13 +447,16 @@ class TestRowLoop:
     @pytest.mark.parametrize("arrivals", sorted(ROW_ARRIVALS))
     @pytest.mark.parametrize("jammer", ["bernoulli", "reactive-success", "adaptive"])
     def test_outputs_match_lockstep(self, protocol, arrivals, jammer, outputs):
+        options, schedules = outputs
         adversary = factory(
-            CompositeAdversary, ROW_ARRIVALS[arrivals](), ROW_JAMMERS[jammer]()
+            CompositeAdversary, schedules[arrivals](), ROW_JAMMERS[jammer]()
         )
         results = assert_rows_match_lockstep(
-            run_specs(protocol, adversary, [1, 2, 3], max_slots=1234, **outputs)
+            run_specs(protocol, adversary, [1, 2, 3], max_slots=1234, **options)
         )
         assert any(result.num_delivered for result in results)
+        if schedules is OPEN_ROW_ARRIVALS:
+            assert all(result.num_slots == 1234 for result in results)
 
     @pytest.mark.parametrize(
         "kind", ["growing-bernoulli", "growing-reactive", "growing-adaptive"]
@@ -452,26 +469,22 @@ class TestRowLoop:
         )
         assert max(len(result.packets) for result in results) > 64
 
-    def test_runs_past_drain_to_an_uneven_horizon_match_lockstep(self):
-        # Without stop_when_drained every row runs to max_slots, which ends
-        # mid-chunk; the drained rows' idle stretches are still jammed.
+    def test_open_ended_runs_to_an_uneven_horizon_match_lockstep(self):
+        # Bursts without a count never exhaust, so every row runs to
+        # max_slots, which ends mid-chunk; the idle stretches between the
+        # bursts are still jammed.
         adversary = factory(
             CompositeAdversary,
-            factory(BatchArrivals, 20),
+            factory(PeriodicBurstArrivals, burst_size=20, period=400, start=200),
             factory(BurstJamming, start=100, length=30, period=400),
         )
         results = assert_rows_match_lockstep(
-            run_specs(
-                PolynomialBackoff(),
-                adversary,
-                [1, 2, 3],
-                max_slots=1300,
-                stop_when_drained=False,
-            )
+            run_specs(PolynomialBackoff(), adversary, [1, 2, 3], max_slots=1300)
         )
         for result in results:
             assert result.num_slots == 1300
             assert result.collector.num_jammed == 3 * 30  # bursts at 100, 500 and 900
+            assert result.collector.num_jammed_active == 0  # each one between bursts
 
     @pytest.mark.parametrize("protocol", SEND_ONLY)
     @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from repro.adversary.jamming import (
 )
 from repro.adversary.scheduled import ScheduledArrivals, ScheduledJamming
 from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
+from repro.experiments.plan import factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.fixed_probability import FixedProbabilityProtocol, SlottedAloha
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
@@ -346,18 +347,54 @@ class TestInvariants:
         for result in full:
             assert result.drained is True and result.num_slots >= 300
 
-    def test_stop_when_drained_false_runs_to_cap(self):
+    def test_open_ended_arrivals_run_to_cap(self):
+        # Bursts without a count never exhaust: the run goes on past each
+        # drained stretch to max_slots, and is not drained there.
         results = VectorSimulator.from_specs(
             run_specs(
                 ALWAYS_SEND,
-                CompositeAdversary(BatchArrivals(1), NoJamming()),
+                CompositeAdversary(
+                    PeriodicBurstArrivals(burst_size=1, period=7), NoJamming()
+                ),
                 [1],
                 max_slots=30,
-                stop_when_drained=False,
             )
         ).run()
         assert results[0].num_slots == 30
-        assert results[0].drained
+        assert not results[0].drained
+        assert results[0].num_delivered == 5  # arrivals at 0, 7, 14, 21, 28
+
+    @pytest.mark.parametrize("engine", ["serial", "vector"])
+    @pytest.mark.parametrize(
+        "protocol",
+        [BinaryExponentialBackoff(), LowSensingBackoff(), SawtoothBackoff()],
+        ids=["rows", "lockstep", "every-slot"],
+    )
+    def test_a_run_stops_only_once_drained_and_exhausted(self, engine, protocol):
+        # Bursts at 0, 300 and 600: the system empties before each later
+        # burst, which does not stop the run, and it stops in the slot after
+        # the last departure.
+        specs = run_specs(
+            protocol,
+            factory(
+                CompositeAdversary,
+                factory(PeriodicBurstArrivals, burst_size=2, period=300, num_bursts=3),
+            ),
+            [1, 2],
+            max_slots=20_000,
+        )
+        if engine == "vector":
+            results = VectorSimulator.from_specs(specs).run()
+        else:
+            results = [Simulator(spec.build_config()).run() for spec in specs]
+        for result in results:
+            departures = [p.departure_slot for p in result.packets]
+            assert result.num_arrivals == result.num_delivered == 6
+            assert result.drained is True
+            assert result.num_slots == max(departures) + 1 > 600
+            for burst in (300, 600):
+                earlier = [p.departure_slot for p in result.packets if p.arrival_slot < burst]
+                assert max(earlier) < burst
 
 
 def _bare_subclass(cls):
@@ -477,7 +514,7 @@ class TestValidationAndSupport:
         outputs = dict(collect_potential=True, dynamics_window=64)
         key = batch_key(ALWAYS_SEND, batch, **outputs)
         # The key holds the batch's engine options, which the engine reads.
-        assert key.options == (200_000, True, True, 64)
+        assert key.options == (200_000, True, 64)
         # Other parameters and another arrival schedule: the same launch.
         other = FixedProbabilityProtocol(probability=0.5)
         assert batch_key(other, poisson, **outputs) == key
