@@ -24,6 +24,7 @@ also share its paired on/off ratio and the median's confidence interval.
 from __future__ import annotations
 
 import contextlib
+import gc
 import math
 import pathlib
 import statistics
@@ -130,8 +131,13 @@ def time_vector_plan(
     """Wall clock of one run of ``plan`` on a fresh VectorBackend.
 
     The run happens inside a fresh ``context()``, entered after the clock
-    starts, so switching instrumentation on is part of what is timed.
+    starts, so switching instrumentation on is part of what is timed.  Each
+    run starts from a collected heap: otherwise the cyclic collector's full
+    passes fall on every few runs in a fixed pattern that lines up with the
+    alternating order of :func:`paired_overhead`, and one side of a pair
+    pays for them more often than the other.
     """
+    gc.collect()
     started = time.perf_counter()
     with context():
         plan.run(VectorBackend())

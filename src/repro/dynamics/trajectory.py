@@ -13,12 +13,14 @@ Both engines produce trajectories through the same machinery:
 * the scalar engine feeds a :class:`DynamicsAccumulator` at each window
   boundary (one pass over the active packets, no per-slot work);
 * the vector engine samples each row's gauges as the row crosses a
-  boundary and materialises per-row snapshots after its loop.
+  boundary and turns every row's snapshots into series at once after its
+  loop.
 
-Both paths end in :func:`build_trajectory`, so the arithmetic that turns
-cumulative snapshots into per-window series is literally shared — when the
-two engines agree on the snapshot integers and gauge floats (which they do
-on shared coins), the trajectories are bit-identical.
+Both paths end in :func:`trajectory_series` (the scalar one through
+:func:`build_trajectory`), so the arithmetic that turns cumulative
+snapshots into per-window series is literally shared — when the two
+engines agree on the snapshot integers and gauge floats (which they do on
+shared coins), the trajectories are bit-identical.
 
 Trajectories are **result-inert**: they never consume randomness, never
 change any counter, and are excluded from run artifacts and store
@@ -27,6 +29,7 @@ fingerprints (see ``repro.store``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -161,6 +164,59 @@ class DynamicsTrajectory:
         return cls(**kwargs)
 
 
+def trajectory_series(
+    *, budget: float | np.ndarray, **snapshots: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Every :data:`ARRAY_FIELDS` series from cumulative boundary snapshots.
+
+    ``snapshots`` holds each :class:`WindowSnapshot` field as an array with
+    one entry per window along axis 0: one execution's, or one column per
+    execution of a batch.  The per-window counts are consecutive
+    differences, the gauges the end-of-window values; a window of zero
+    slots (a batch's windows past an execution's end) gets NaN rates.
+    ``budget`` is the jammer's static budget (per column of a batch), NaN
+    for none.
+    """
+    def per_window(cumulative: np.ndarray) -> np.ndarray:
+        return np.diff(cumulative, axis=0, prepend=0)
+
+    def ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+        out = np.full(denominator.shape, math.nan)
+        return np.divide(numerator, denominator, out=out, where=denominator > 0)
+
+    slots = per_window(snapshots["num_slots"])
+    successes = per_window(snapshots["successes"])
+    collisions = per_window(snapshots["collisions"])
+    jammed = per_window(snapshots["jammed"])
+    backlog = snapshots["backlog"]
+    probability_sum = snapshots["probability_sum"]
+    return {
+        "slots": slots,
+        "arrivals": per_window(snapshots["arrivals"]),
+        "successes": successes,
+        "collisions": collisions,
+        "jammed": jammed,
+        "idle": slots - successes - collisions - jammed,
+        "backlog": backlog,
+        "cumulative_sends": snapshots["sends"],
+        "cumulative_listens": snapshots["listens"],
+        "throughput": ratio(successes, slots),
+        "contention": probability_sum,
+        "mean_window": ratio(snapshots["window_sum"], snapshots["window_count"]),
+        "mean_send_probability": ratio(probability_sum, backlog),
+        "jammer_budget_remaining": np.subtract(
+            budget, snapshots["jammed"], dtype=np.float64
+        ),
+    }
+
+
+#: The :class:`WindowSnapshot` fields and the dtype each series of them takes.
+_SNAPSHOT_DTYPES = {
+    field.name: np.float64 if field.name in ("window_sum", "probability_sum") else np.int64
+    for field in dataclasses.fields(WindowSnapshot)
+}
+
+
 def build_trajectory(
     window: int,
     num_slots: int,
@@ -170,61 +226,25 @@ def build_trajectory(
 ) -> DynamicsTrajectory:
     """Turn boundary snapshots into per-window series.
 
-    This is the single code path both engines share: the per-window counts
-    are consecutive snapshot differences, the gauges are the snapshot's
-    end-of-window values, and every float operation happens here — so equal
-    snapshots imply bit-identical trajectories.
+    Both engines share the arithmetic of :func:`trajectory_series`: the
+    scalar engine through here, the vector engine once per batch — so
+    equal snapshots imply bit-identical trajectories.
     """
-    k = len(snapshots)
-    slots = np.zeros(k, dtype=np.int64)
-    counts = {
-        name: np.zeros(k, dtype=np.int64)
-        for name in COUNT_FIELDS
-        if name != "slots"
-    }
-    gauges = {name: np.full(k, math.nan) for name in GAUGE_FIELDS}
-    prev_slots = prev_arrivals = prev_successes = 0
-    prev_collisions = prev_jammed = 0
-    for j, snap in enumerate(snapshots):
-        width = snap.num_slots - prev_slots
-        if width <= 0:
-            raise ValueError("window snapshots must advance num_slots")
-        slots[j] = width
-        successes = snap.successes - prev_successes
-        collisions = snap.collisions - prev_collisions
-        jammed = snap.jammed - prev_jammed
-        counts["arrivals"][j] = snap.arrivals - prev_arrivals
-        counts["successes"][j] = successes
-        counts["collisions"][j] = collisions
-        counts["jammed"][j] = jammed
-        counts["idle"][j] = width - successes - collisions - jammed
-        counts["backlog"][j] = snap.backlog
-        counts["cumulative_sends"][j] = snap.sends
-        counts["cumulative_listens"][j] = snap.listens
-        gauges["throughput"][j] = successes / width
-        gauges["contention"][j] = snap.probability_sum
-        if snap.window_count > 0:
-            gauges["mean_window"][j] = snap.window_sum / snap.window_count
-        if snap.backlog > 0:
-            gauges["mean_send_probability"][j] = (
-                snap.probability_sum / snap.backlog
-            )
-        if budget is not None:
-            gauges["jammer_budget_remaining"][j] = budget - snap.jammed
-        prev_slots = snap.num_slots
-        prev_arrivals = snap.arrivals
-        prev_successes = snap.successes
-        prev_collisions = snap.collisions
-        prev_jammed = snap.jammed
-    if k and prev_slots != num_slots:
+    series = trajectory_series(
+        budget=math.nan if budget is None else budget,
+        **{
+            name: np.array([getattr(snap, name) for snap in snapshots], dtype=dtype)
+            for name, dtype in _SNAPSHOT_DTYPES.items()
+        },
+    )
+    if (series["slots"] <= 0).any():
+        raise ValueError("window snapshots must advance num_slots")
+    if snapshots and snapshots[-1].num_slots != num_slots:
         raise ValueError(
-            f"final snapshot covers {prev_slots} slots, execution ran "
+            f"final snapshot covers {snapshots[-1].num_slots} slots, execution ran "
             f"{num_slots}"
         )
-    return DynamicsTrajectory(
-        window=int(window), num_slots=int(num_slots), slots=slots,
-        **counts, **gauges,
-    )
+    return DynamicsTrajectory(window=int(window), num_slots=int(num_slots), **series)
 
 
 class DynamicsAccumulator:

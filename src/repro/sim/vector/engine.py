@@ -402,11 +402,11 @@ class _AccessCalendar:
         return self.next_access.min(axis=1)
 
     def decide(
-        self, cells: np.ndarray, rows: np.ndarray
+        self, cells: np.ndarray, rows: np.ndarray, counts: np.ndarray
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(sent, gap coins)`` of the accessors at ``cells``; ``sent`` is
-        ``None`` when every accessor sends (a send-only kernel)."""
-        counts = np.bincount(rows, minlength=self.replications)
+        """``(sent, gap coins)`` of the accessors at ``cells`` (``counts``:
+        their rows' bincount); ``sent`` is ``None`` when every accessor
+        sends (a send-only kernel)."""
         share = self.kernel.send_share(cells, rows)
         if self.every_slot:
             return self.coins.take(rows, counts) < share, None
@@ -461,14 +461,16 @@ def steps_rows(kernel: Any) -> bool:
     * LOW-SENSING and decoupled LSB (listening kernels), whose rows access
       so often that stepping them alone saves no passes worth their cost:
       LSB N=2000 ×8 gave identical results but ran slower by row, median
-      ratio 1.05–1.11 over three sets of 6–12 alternating pairs, and 1.17
+      ratio 1.05–1.11 over three sets of 6–12 alternating pairs, 1.17
       (quartiles 1.13–1.25, slower in 11 of 12 pairs) once the slot body
-      updated each accessor once;
+      updated each accessor once, and 1.15 (1.10–1.18, slower in 8 of 8
+      in-process pairs) on the lean row loop;
     * the every-slot kernels (Sawtooth, full-sensing MW), where every slot
       of a row with an active packet is an event: Sawtooth batches
       (N=100–800 ×8 seeds) gave identical results but ran slower by row,
       median ratio 1.32 (range 1.20–1.46) over 8 in-process pairs, and 1.29
-      (1.00–1.45) over 8 more.
+      (1.00–1.45) over 8 more; N=400 ×8 on the lean row loop, 1.21
+      (1.14–1.29, slower in 8 of 8).
     """
     return not kernel.listens and not kernel.every_slot
 
@@ -544,17 +546,12 @@ class _Batch:
         self.coefficients = PotentialCoefficients()
 
         # Windowed dynamics gauges (probability sum, window sum, cumulative
-        # listens): one row per window, written for each row as it crosses
-        # the window's end (:meth:`sample_windows`).  Counts are recovered
-        # from the recorder at finalisation.
-        self.gauges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # listens), sampled for each row as it crosses a window's end
+        # (:meth:`sample_windows`): one entry per crossing, spread over the
+        # windows at finalisation, where the counts are recovered from the
+        # recorder.
+        self.window_samples: list[tuple[np.ndarray, ...]] = []
         if self.dynamics_window:
-            count = -(-max_slots // self.dynamics_window)
-            self.gauges = (
-                np.zeros((count, replications)),
-                np.zeros((count, replications)),
-                np.zeros((count, replications), dtype=np.int64),
-            )
             # Each row's first slot past its first unsampled window.
             self.window_due = np.full(replications, self.dynamics_window, dtype=np.int64)
 
@@ -576,42 +573,41 @@ class _Batch:
         if self.dynamics_window:
             # Each row's windows left, its last one maybe partial, end in
             # its final state: sample up to the end of its last window.
-            self.sample_windows(
-                self.num_slots + self.dynamics_window - 1,
-                np.ones(self.replications, dtype=bool),
-            )
+            self.sample_windows(self.num_slots + self.dynamics_window - 1)
 
     # -- Shared by both loops -------------------------------------------------
 
-    def sample_windows(self, slot: int | np.ndarray, mask: np.ndarray) -> None:
-        """Sample the dynamics gauges of ``mask``'s windows that end before ``slot``.
+    def sample_windows(self, slot: int | np.ndarray) -> None:
+        """Sample the dynamics gauges of the windows that end before ``slot``.
 
-        ``slot`` is one slot for every row or each row's own.  A row's state
-        changes only where it resolves a slot, so before it resolves
-        ``slot`` every window ending before it ends in the state the row
-        has now.  Each window is sampled once per row, with the same
-        post-step values the scalar accumulator records at its end.
+        ``slot`` is one slot for every running row (lockstep) or each row's
+        own (``-1`` for a row that resolves none).  A row's state changes
+        only where it resolves a slot, so before it resolves ``slot`` every
+        window ending before it ends in the state the row has now.  Each
+        window is sampled once per row, with the same post-step values the
+        scalar accumulator records at its end.
         """
-        crossing = mask & (slot >= self.window_due)
+        crossing = slot >= self.window_due
+        if isinstance(slot, int):
+            crossing &= self.running
         if not crossing.any():
             return
         window = self.dynamics_window
-        rows = np.flatnonzero(crossing)
+        rows = crossing.nonzero()[0]
         first = self.window_due[rows] // window - 1
-        reached = np.broadcast_to(_row_slots(slot, rows) // window, rows.shape)
+        reached = _row_slots(slot, rows) // window
         self.window_due[rows] = (reached + 1) * window
         kernel, active = self.kernel, self.active
-        probability_sum, window_sum, listens = self.gauges
-        samples = [(probability_sum, _contention(kernel, active, rows))]
-        if self.windowed:
-            samples.append((window_sum, _row_totals(kernel.window_matrix(), active, rows)))
-        if self.listens is not None:
-            samples.append((listens, self.listens[rows].sum(axis=1)))
-        # Every crossed window of a row takes the row's one set of values.
-        spans = list(zip(rows.tolist(), first.tolist(), reached.tolist()))
-        for gauge, values in samples:
-            for (row, start, stop), value in zip(spans, values.tolist()):
-                gauge[start:stop, row] = value
+        # Every crossed window of a row, ``first .. reached - 1``, takes the
+        # row's one set of values (a gauge it lacks stays 0).
+        self.window_samples.append((
+            rows,
+            first,
+            reached - first,
+            _contention(kernel, active, rows),
+            _row_totals(kernel.window_matrix(), active, rows) if self.windowed else None,
+            self.listens[rows].sum(axis=1) if self.listens is not None else None,
+        ))
 
     def begin_chunk(self, start: int) -> tuple[int, np.ndarray]:
         """Enter the chunk at ``start``: its end and arrival counts.
@@ -730,7 +726,7 @@ class _Batch:
         calendar = self.calendar
         jammer = self.jammer
         if self.dynamics_window:
-            self.sample_windows(slot, mask)
+            self.sample_windows(slot)
         backlog_pre = self.backlog
         if arriving is not None:
             self._inject(slot, arriving)
@@ -740,12 +736,14 @@ class _Batch:
             accessors = calendar.due(slot)
         capacity = self.capacity
         access_rows = accessors // capacity
-        sent, gap_coins = calendar.decide(accessors, access_rows)
+        access_counts = np.bincount(access_rows, minlength=self.replications)
+        sent, gap_coins = calendar.decide(accessors, access_rows, access_counts)
         if sent is None:
             senders, send_rows = accessors, access_rows
+            num_senders = access_counts
         else:
             senders, send_rows = accessors[sent], access_rows[sent]
-        num_senders = np.bincount(send_rows, minlength=self.replications)
+            num_senders = np.bincount(send_rows, minlength=self.replications)
         if self.reactive:
             # Step 3 of the scalar slot order: the reactive jammer sees this
             # slot's senders, and their packet columns, before the channel
@@ -903,6 +901,12 @@ class _Batch:
         pass records the row's stretch before it in bulk and resolves the
         event slot of every row whose event is an access or an arrival.
         All rows enter each chunk together.
+
+        A pass does only the work some row can still need: the arrival
+        lookup stops once every row has passed the chunk's last arrival, the
+        exhaustion caps once every row has passed the last exhaustion slot
+        inside the chunk, and the drained check runs only after a departure
+        or while a row may still reach its exhaustion slot in the chunk.
         """
         calendar = self.calendar
         running = self.running
@@ -911,16 +915,22 @@ class _Batch:
         may_jam = not self.never_jams
         # Each row's first exhausted slot, where an empty row ends.
         exhaust_at = self.exhaust_at
-        row_slot = np.zeros(self.replications, dtype=np.int64)
         resolved = 0
         chunk_start = 0
         while chunk_start < max_slots and self.live:
             chunk_end, arrivals_chunk = self.begin_chunk(chunk_start)
             count = chunk_end - chunk_start
-            row_slot[:] = chunk_start
-            # Each row's first arrival slot at or after each chunk offset.
+            # Each row's next slot; a row that has ended waits at the chunk
+            # end, so it has no event in the chunk and the lowest slot is the
+            # slowest running row's.
+            row_slot = np.where(running, chunk_start, chunk_end)
+            lowest = chunk_start
+            # Each row's first arrival slot at or after each chunk offset,
+            # needed until every row has passed the chunk's last arrival.
             next_arrival = None
-            if arrivals_chunk.any():
+            arrival_columns = np.flatnonzero(arrivals_chunk.any(axis=0))
+            if arrival_columns.size:
+                last_arrival = chunk_start + int(arrival_columns[-1])
                 columns = np.where(arrivals_chunk > 0, np.arange(count), count)
                 next_arrival = np.empty((self.replications, count + 1), dtype=np.int64)
                 next_arrival[:, :count] = np.minimum.accumulate(
@@ -933,24 +943,35 @@ class _Batch:
             inside = (exhaust_at > chunk_start) & (exhaust_at < chunk_end)
             if inside.any():
                 waits = np.where(inside, exhaust_at, chunk_end)
-            pending = running.copy()
-            while pending.any():
+                last_wait = int(exhaust_at[inside].max())
+            # A row can end only after a departure, or, empty, on reaching
+            # its exhaustion slot: while some row may still reach one in this
+            # chunk, the chunk end included, every pass checks.
+            reach = (exhaust_at > chunk_start) & (exhaust_at <= chunk_end)
+            check_until = int(np.max(exhaust_at, where=reach, initial=chunk_start))
+            while lowest < chunk_end:
+                if next_arrival is not None and lowest > last_arrival:
+                    next_arrival = None
+                if waits is not None and lowest >= last_wait:
+                    waits = None
                 event = calendar.next_due_rows()
                 if next_arrival is not None:
                     np.minimum(
                         event, next_arrival[row_ids, row_slot - chunk_start], out=event
                     )
+                # A row at the chunk end has no event before it.
                 if waits is None:
-                    step = pending & (event < chunk_end)
+                    step = event < chunk_end
                     stop = np.where(step, event, chunk_end)
                 else:
                     # A due access at the exhaustion slot steps: the row is
                     # not empty, so it cannot end there.
                     cap = np.where(row_slot < waits, waits, chunk_end)
-                    step = pending & (event <= cap) & (event < chunk_end)
+                    step = (event <= cap) & (event < chunk_end)
                     stop = np.where(step, event, cap)
                 if may_jam:
-                    self.jam_idle(row_slot, stop, pending)
+                    self.jam_idle(row_slot, stop, running)
+                departed = 0
                 if step.any():
                     resolved += 1
                     arriving = None
@@ -960,14 +981,16 @@ class _Batch:
                         ] * step
                         if not arriving.any():
                             arriving = None
-                    self.resolve(np.where(step, stop, -1), step, arriving)
-                np.copyto(row_slot, stop + step, where=pending)
-                empty = pending & (self.backlog == 0)
-                if empty.any():
-                    finished = empty & (row_slot >= exhaust_at)
+                    departed = self.resolve(np.where(step, stop, -1), step, arriving)
+                np.add(stop, step, out=row_slot)
+                if departed or lowest < check_until:
+                    finished = running & (self.backlog == 0)
                     if finished.any():
-                        self._finish(finished, row_slot)
-                pending = running & (row_slot < chunk_end)
+                        finished &= row_slot >= exhaust_at
+                        if finished.any():
+                            self._finish(finished, row_slot)
+                            row_slot[finished] = chunk_end
+                lowest = int(row_slot.min())
             chunk_start = chunk_end
         self.iterations = resolved
 
@@ -1149,13 +1172,9 @@ class VectorSimulator:
         ]
         seeds = self._seeds
         exhaust_at = batch.exhaust_at.tolist()
-        if batch.dynamics_window:
-            from repro.dynamics.trajectory import jammer_budget
+        trajectories = self._materialize_dynamics(batch) if batch.dynamics_window else None
         results: list[SimulationResult] = [None] * len(seeds)  # type: ignore[list-item]
-        for group, seg in zip(self._groups, batch.segments):
-            group_budget = (
-                jammer_budget(group.jammer) if batch.dynamics_window else None
-            )
+        for seg in batch.segments:
             for index in range(seg.rows.start, seg.rows.stop):
                 slots = int(batch.num_slots[index])
                 outcome = recorder.outcome[:slots, index]
@@ -1195,11 +1214,7 @@ class VectorSimulator:
                     potential = self._materialize_potential(
                         batch, index, slots, active_after
                     )
-                dynamics = None
-                if batch.dynamics_window:
-                    dynamics = self._materialize_dynamics(
-                        batch, index, slots, active_after, group_budget
-                    )
+                dynamics = trajectories[index] if trajectories is not None else None
 
                 results[self._order[index]] = SimulationResult(
                     config_description=descriptions[index],
@@ -1216,59 +1231,91 @@ class VectorSimulator:
                 )
         return results
 
-    def _materialize_dynamics(
-        self,
-        batch: _Batch,
-        index: int,
-        slots: int,
-        active_after: np.ndarray,
-        budget: float | None,
-    ):
-        """Expand one row's recorder columns + window gauges into a trajectory.
+    def _materialize_dynamics(self, batch: _Batch) -> list[Any]:
+        """Every row's trajectory, from its recorder columns and window samples.
 
-        Counts come from cumulative sums of the per-slot recorder columns at
-        each window end, the backlog from the derived ``active_after``; the
-        gauges are the row's own samples at its window ends
+        A row's cumulative counts at each of its window ends are per-window
+        recorder sums (slots past the row's end hold an idle slot's zeros),
+        its backlog their arrivals less their successes, and its gauges the
+        row's own samples as it crossed each window end
         (:meth:`_Batch.sample_windows`) — so every snapshot matches what the
-        scalar accumulator would have sampled at that row's boundaries.  The
-        snapshots then flow through the same
-        :func:`~repro.dynamics.trajectory.build_trajectory` the scalar
-        engine uses, making equal snapshots bit-identical trajectories.
+        scalar accumulator would have sampled at that row's boundaries.  One
+        :func:`~repro.dynamics.trajectory.trajectory_series`, the arithmetic
+        the scalar engine's trajectories go through too, then turns the
+        whole batch's snapshots into series, and each row keeps its windows.
         """
-        from repro.dynamics.trajectory import WindowSnapshot, build_trajectory
+        from repro.dynamics.trajectory import (
+            DynamicsTrajectory,
+            jammer_budget,
+            trajectory_series,
+        )
 
         recorder = batch.recorder
         window = batch.dynamics_window
-        starts = np.arange(0, slots, window)
-        ends = np.minimum(starts + window, slots)
+        num_slots = batch.num_slots
+        span = int(num_slots.max(initial=0))
+        starts = np.arange(0, span, window)
+        shape = (starts.size, batch.replications)
 
-        def through_window(values: np.ndarray) -> list[int]:
+        def through_window(values: np.ndarray) -> np.ndarray:
             """Each window's cumulative total of a per-slot column."""
-            return np.add.reduceat(values, starts, dtype=np.int64).cumsum().tolist()
+            return np.add.reduceat(values, starts, axis=0, dtype=np.int64).cumsum(axis=0)
 
-        outcome = recorder.outcome[:slots, index]
-        backlogs = active_after[ends - 1].tolist()
-        # A windowless kernel's window sums stay at their initial 0.0.
-        probability_sum, window_sum, listens = (
-            gauge[: starts.size, index].tolist() for gauge in batch.gauges
+        outcome = recorder.outcome[:span]
+        arrivals = through_window(recorder.arrivals[:span])
+        successes = through_window(outcome == 1)
+        backlog = arrivals - successes
+
+        # A windowless kernel's window sums, and a kernel's listens it does
+        # not count, stay 0.
+        probability_sum, window_sum = np.zeros(shape), np.zeros(shape)
+        listens = np.zeros(shape, dtype=np.int64)
+        if batch.window_samples:
+            rows, first, spans, *values = (
+                np.concatenate(column) if column[0] is not None else None
+                for column in zip(*batch.window_samples)
+            )
+            window_rows = np.repeat(rows, spans)
+            windows = np.arange(window_rows.size) + np.repeat(
+                first - spans.cumsum() + spans, spans
+            )
+            for gauge, sampled in zip((probability_sum, window_sum, listens), values):
+                if sampled is not None:
+                    gauge[windows, window_rows] = np.repeat(sampled, spans)
+
+        # Each row's jammer budget, NaN for none.
+        budgets = [jammer_budget(group.jammer) for group in self._groups]
+        series = trajectory_series(
+            budget=np.repeat(
+                [math.nan if budget is None else budget for budget in budgets],
+                [len(group.seeds) for group in self._groups],
+            ),
+            # Each row's windows end every ``window`` slots and at its last
+            # slot; its windows past that have no slots.
+            num_slots=np.minimum(starts[:, None] + window, num_slots),
+            arrivals=arrivals,
+            successes=successes,
+            collisions=through_window(outcome == 2),
+            jammed=through_window(outcome == 3),
+            sends=through_window(recorder.num_senders[:span]),
+            listens=listens,
+            backlog=backlog,
+            window_sum=window_sum,
+            window_count=backlog if batch.windowed else np.zeros(shape, dtype=np.int64),
+            probability_sum=probability_sum,
         )
-        snapshots = [
-            WindowSnapshot(*fields)
-            for fields in zip(  # in WindowSnapshot's field order
-                ends.tolist(),
-                through_window(recorder.arrivals[:slots, index]),
-                through_window(outcome == 1),
-                through_window(outcome == 2),
-                through_window(outcome == 3),
-                through_window(recorder.num_senders[:slots, index]),
-                listens,
-                backlogs,
-                window_sum,
-                backlogs if batch.windowed else [0] * starts.size,
-                probability_sum,
+        # One contiguous row per execution, each cut to its own windows.
+        series = {name: np.ascontiguousarray(values.T) for name, values in series.items()}
+        return [
+            DynamicsTrajectory(
+                window=window,
+                num_slots=slots,
+                **{name: values[row, :count] for name, values in series.items()},
+            )
+            for row, (slots, count) in enumerate(
+                zip(num_slots.tolist(), (-(-num_slots // window)).tolist())
             )
         ]
-        return build_trajectory(window, slots, snapshots, budget=budget)
 
     def _materialize_potential(
         self,

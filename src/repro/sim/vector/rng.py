@@ -65,6 +65,9 @@ def geometric_gaps(
     cast.  Probabilities are clamped at 1 against rounding above it.
     """
     probabilities = np.minimum(probabilities, 1.0)
+    # Without errstate, p = 1 (whose gap is 1 even at u = 1 − 2⁻⁵³) and
+    # p = 0 (the horizon even at u = 0) each need a select to stay exact,
+    # and the selects cost more per call than errstate does.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         trials = np.log1p(-uniforms) / np.log1p(-probabilities)
     np.fmin(trials, horizon - 1, out=trials)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,7 @@ from repro.scenarios.schedule import Phase
 from repro.sim.vector import VectorSimulator
 from repro.sim.vector import engine as vector_engine
 from repro.sim.vector import rng as vector_rng
+from repro.sim.vector.adversaries import CHUNK_SLOTS
 from repro.sim.vector.protocols import make_protocol_row_kernel
 from repro.sim.vector.rng import RowCoins, geometric_gaps
 from repro.telemetry import MemorySink, TelemetrySession, activated
@@ -352,6 +354,21 @@ ROW_ARRIVALS = {
         factory(Phase, factory(BatchArrivals, 10), duration=300),
         factory(Phase, factory(PoissonArrivals, rate=0.02, horizon=500)),
     ),
+    # The chunk's edges: a last arrival on its last slot (arrivals exhaust
+    # at its end) and on the next chunk's first, and arrivals that exhaust
+    # at its end, long after the rows have drained, so the empty rows end
+    # there.
+    "last-arrival-at-chunk-end": lambda: factory(
+        PeriodicBurstArrivals, burst_size=6, period=CHUNK_SLOTS - 1, num_bursts=2
+    ),
+    "last-arrival-past-chunk-end": lambda: factory(
+        PeriodicBurstArrivals, burst_size=6, period=CHUNK_SLOTS // 2, num_bursts=3
+    ),
+    "exhausted-at-chunk-end": lambda: factory(
+        ScheduledArrivals,
+        factory(Phase, factory(BatchArrivals, 10), duration=100),
+        factory(Phase, factory(PoissonArrivals, rate=0.0, horizon=CHUNK_SLOTS - 100)),
+    ),
 }
 
 ROW_JAMMERS = {
@@ -392,6 +409,17 @@ OPEN_ROW_ARRIVALS = {
         ScheduledArrivals,
         factory(Phase, factory(BatchArrivals, 10), duration=300),
         factory(Phase, factory(PoissonArrivals, rate=0.02)),
+    ),
+    "last-arrival-at-chunk-end": lambda: factory(
+        PeriodicBurstArrivals, burst_size=6, period=CHUNK_SLOTS - 1
+    ),
+    "last-arrival-past-chunk-end": lambda: factory(
+        PeriodicBurstArrivals, burst_size=6, period=CHUNK_SLOTS // 2
+    ),
+    "exhausted-at-chunk-end": lambda: factory(
+        ScheduledArrivals,
+        factory(Phase, factory(BatchArrivals, 10), duration=100),
+        factory(Phase, factory(PoissonArrivals, rate=0.0)),
     ),
 }
 
@@ -439,6 +467,50 @@ class TestRowLoop:
         alone = _stepped(specs[:2])[0] + _stepped(specs[2:])[0]
         for got, expected in zip(mega, alone):
             assert_same_run(got, expected)
+
+    @pytest.mark.parametrize("protocol", SEND_ONLY)
+    def test_empty_rows_end_where_arrivals_exhaust_at_the_chunk_end(self, protocol):
+        adversary = factory(
+            CompositeAdversary,
+            ROW_ARRIVALS["exhausted-at-chunk-end"](),
+            ROW_JAMMERS["bernoulli"](),
+        )
+        for result in assert_rows_match_lockstep(
+            run_specs(protocol, adversary, [1, 2, 3], max_slots=2500)
+        ):
+            # The row emptied before the chunk's last slot, so no departure
+            # ended it.
+            assert result.drained and result.num_slots == CHUNK_SLOTS
+            assert max(packet.departure_slot for packet in result.packets) < CHUNK_SLOTS - 1
+
+    @pytest.mark.parametrize("protocol", SEND_ONLY)
+    def test_mega_batch_segments_exhausting_in_different_chunks_match_lockstep(
+        self, protocol
+    ):
+        # The segments' arrivals exhaust in the first chunk, at its end, and
+        # in the third chunk.
+        schedules = [
+            factory(BatchArrivals, 12),
+            ROW_ARRIVALS["exhausted-at-chunk-end"](),
+            factory(PeriodicBurstArrivals, burst_size=5, period=CHUNK_SLOTS, num_bursts=3),
+        ]
+        specs = [
+            spec
+            for index, arrivals in enumerate(schedules)
+            for spec in run_specs(
+                protocol,
+                factory(CompositeAdversary, arrivals, ROW_JAMMERS["bernoulli"]()),
+                [2 * index + 1, 2 * index + 2],
+                max_slots=3000,
+            )
+        ]
+        mega = assert_rows_match_lockstep(specs)
+        alone = [
+            result for start in (0, 2, 4) for result in _stepped(specs[start : start + 2])[0]
+        ]
+        for got, expected in zip(mega, alone):
+            assert_same_run(got, expected)
+        assert all(result.drained for result in mega)
 
     @pytest.mark.parametrize(
         "outputs", [pytest.param(ROW_OUTPUTS[name], id=name) for name in ROW_OUTPUTS]
@@ -689,17 +761,23 @@ class TestGeometricGaps:
 
     def test_certain_access_is_always_the_next_slot(self):
         uniforms = np.random.default_rng(7).random(100_000)
-        assert (geometric_gaps(uniforms, np.ones(uniforms.size), 1000) == 1).all()
         extremes = np.array([0.0, 1 - 2**-53])
-        assert (geometric_gaps(extremes, 1.0, 1000) == 1).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (geometric_gaps(uniforms, np.ones(uniforms.size), 1000) == 1).all()
+            assert (geometric_gaps(extremes, 1.0, 1000) == 1).all()
 
     def test_vanishing_probability_never_accesses_within_the_horizon(self):
-        uniforms = np.array([1e-12, 0.5, 1 - 2**-53])
+        uniforms = np.array([0.0, 1e-12, 0.5, 1 - 2**-53])
         for p in (5e-324, 1e-320, 0.0):
             assert abs(np.log1p(-p)) < np.finfo(float).tiny  # underflowed
-            gaps = geometric_gaps(uniforms, np.full(uniforms.size, p), 1000)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gaps = geometric_gaps(uniforms, np.full(uniforms.size, p), 1000)
             assert gaps.dtype == np.int64
-            assert gaps.tolist() == [1000, 1000, 1000]
+            # u = 0 accesses at once for any p > 0 (no trial fails), and
+            # never at p = 0.
+            assert gaps.tolist() == [1 if p else 1000, 1000, 1000, 1000]
 
 
 # ---------------------------------------------------------------------------
