@@ -902,11 +902,10 @@ class _Batch:
         event slot of every row whose event is an access or an arrival.
         All rows enter each chunk together.
 
-        A pass does only the work some row can still need: the arrival
-        lookup stops once every row has passed the chunk's last arrival, the
+        A pass skips the lookups no row needs any more: the arrival lookup
+        once every row has passed the chunk's last arrival, and the
         exhaustion caps once every row has passed the last exhaustion slot
-        inside the chunk, and the drained check runs only after a departure
-        or while a row may still reach its exhaustion slot in the chunk.
+        inside the chunk.
         """
         calendar = self.calendar
         running = self.running
@@ -944,11 +943,6 @@ class _Batch:
             if inside.any():
                 waits = np.where(inside, exhaust_at, chunk_end)
                 last_wait = int(exhaust_at[inside].max())
-            # A row can end only after a departure, or, empty, on reaching
-            # its exhaustion slot: while some row may still reach one in this
-            # chunk, the chunk end included, every pass checks.
-            reach = (exhaust_at > chunk_start) & (exhaust_at <= chunk_end)
-            check_until = int(np.max(exhaust_at, where=reach, initial=chunk_start))
             while lowest < chunk_end:
                 if next_arrival is not None and lowest > last_arrival:
                     next_arrival = None
@@ -971,7 +965,6 @@ class _Batch:
                     stop = np.where(step, event, cap)
                 if may_jam:
                     self.jam_idle(row_slot, stop, running)
-                departed = 0
                 if step.any():
                     resolved += 1
                     arriving = None
@@ -981,15 +974,14 @@ class _Batch:
                         ] * step
                         if not arriving.any():
                             arriving = None
-                    departed = self.resolve(np.where(step, stop, -1), step, arriving)
+                    self.resolve(np.where(step, stop, -1), step, arriving)
                 np.add(stop, step, out=row_slot)
-                if departed or lowest < check_until:
-                    finished = running & (self.backlog == 0)
+                finished = running & (self.backlog == 0)
+                if finished.any():
+                    finished &= row_slot >= exhaust_at
                     if finished.any():
-                        finished &= row_slot >= exhaust_at
-                        if finished.any():
-                            self._finish(finished, row_slot)
-                            row_slot[finished] = chunk_end
+                        self._finish(finished, row_slot)
+                        row_slot[finished] = chunk_end
                 lowest = int(row_slot.min())
             chunk_start = chunk_end
         self.iterations = resolved
@@ -1304,13 +1296,13 @@ class VectorSimulator:
             window_count=backlog if batch.windowed else np.zeros(shape, dtype=np.int64),
             probability_sum=probability_sum,
         )
-        # One contiguous row per execution, each cut to its own windows.
-        series = {name: np.ascontiguousarray(values.T) for name, values in series.items()}
+        # Each execution keeps a copy of its own windows, so no trajectory
+        # holds the batch's arrays alive.
         return [
             DynamicsTrajectory(
                 window=window,
                 num_slots=slots,
-                **{name: values[row, :count] for name, values in series.items()},
+                **{name: values[:count, row].copy() for name, values in series.items()},
             )
             for row, (slots, count) in enumerate(
                 zip(num_slots.tolist(), (-(-num_slots // window)).tolist())
