@@ -463,14 +463,15 @@ def steps_rows(kernel: Any) -> bool:
       LSB N=2000 ×8 gave identical results but ran slower by row, median
       ratio 1.05–1.11 over three sets of 6–12 alternating pairs, 1.17
       (quartiles 1.13–1.25, slower in 11 of 12 pairs) once the slot body
-      updated each accessor once, and 1.15 (1.10–1.18, slower in 8 of 8
-      in-process pairs) on the lean row loop;
+      updated each accessor once, and 1.19 and 1.18 (quartiles 1.14–1.24
+      and 1.14–1.29, slower in 7 and 8 of 8 in-process pairs) on the lean
+      row loop;
     * the every-slot kernels (Sawtooth, full-sensing MW), where every slot
       of a row with an active packet is an event: Sawtooth batches
       (N=100–800 ×8 seeds) gave identical results but ran slower by row,
       median ratio 1.32 (range 1.20–1.46) over 8 in-process pairs, and 1.29
-      (1.00–1.45) over 8 more; N=400 ×8 on the lean row loop, 1.21
-      (1.14–1.29, slower in 8 of 8).
+      (1.00–1.45) over 8 more; N=400 ×8 on the lean row loop, 1.32 and
+      1.30 (1.27–1.90 and 1.24–1.35, slower in 8 of 8 each).
     """
     return not kernel.listens and not kernel.every_slot
 
