@@ -1,16 +1,16 @@
 """Benchmark: the full observe stack must cost <= 1.05x on the E1 core.
 
 Runs the same vectorizable E1 batch-arrival workload as
-``bench_telemetry_overhead.py`` bare (NULL session) and with everything
-``repro.observe`` adds on top of telemetry active at the same time: a
-:class:`RegistrySink` folding every event into live metrics, a JSONL sink,
-and a :class:`ResourceSampler` polling ``/proc`` on a tight interval.  The
-two alternate in pairs, and the median enabled/disabled wall-clock ratio is
+``bench_telemetry_overhead.py`` bare (NULL session) and with what
+``repro.observe`` adds to a run's telemetry active at the same time: a
+JSONL sink and a :class:`ResourceSampler` polling ``/proc`` on a tight
+interval, whose samples ``telemetry summarize`` folds afterwards.  The two
+alternate in pairs, and the median enabled/disabled wall-clock ratio is
 printed with its quartiles and a 95% confidence interval.
 
-The aggregation layer inherits telemetry's contract: it only ever *reads*
-monotonic clocks, ``/proc``, and already-emitted events, so stacking it on
-must stay inside the same <= 1.05x bar the base instrumentation meets.
+The sampler inherits telemetry's contract: it only ever *reads* monotonic
+clocks and ``/proc``, so stacking it on must stay inside the same <= 1.05x
+bar the base instrumentation meets.
 On contended CI hardware the bar can be relaxed via
 ``BENCH_OBSERVE_OVERHEAD_TARGET``; the measured ratio is always printed
 (run with ``-s``) so the acceptance number stays auditable.
@@ -29,10 +29,10 @@ from conftest import (
     time_vector_plan,
 )
 
-from repro.observe import RegistrySink, ResourceSampler
+from repro.observe import ResourceSampler
 from repro.telemetry import JsonlSink, TelemetrySession, activated
 
-#: Enabled/disabled wall-clock ratio the aggregation layer may cost.
+#: Enabled/disabled wall-clock ratio the observe stack may cost.
 OVERHEAD_TARGET = float(os.environ.get("BENCH_OBSERVE_OVERHEAD_TARGET", "1.05"))
 
 #: Resource-sampler poll interval; deliberately much tighter than the
@@ -49,7 +49,7 @@ def _disabled():
 
 @contextlib.contextmanager
 def _observed(jsonl_path):
-    session = TelemetrySession([RegistrySink(), JsonlSink(jsonl_path)])
+    session = TelemetrySession([JsonlSink(jsonl_path)])
     with activated(session):
         with ResourceSampler(session, interval=SAMPLE_INTERVAL):
             yield

@@ -78,7 +78,10 @@ Subcommands:
     distribution, imbalance index) is appended when the file carries
     process-pool spans.  The run commands also accept
     ``--sample-resources [SECONDS]`` (with ``--telemetry``) to stream
-    ``/proc`` RSS/CPU/fd samples into the same file.  Telemetry is RNG-
+    ``/proc`` RSS/CPU/fd samples into the same file; those samples, and
+    the pool workers' job-boundary ones, come back as a ``resources``
+    table (peak RSS, last CPU seconds and open fds per pid and source),
+    which appears only when the file has samples.  Telemetry is RNG-
     and result-inert: fingerprints with it on and off are bit-identical.
 
 ``perf``
@@ -97,18 +100,6 @@ Subcommands:
     the latest window of each group against its rolling baseline and
     exits ``1`` on sustained drift, ``0`` otherwise (``2`` for usage
     errors).
-
-``report``
-    Exportable observability (:mod:`repro.observe`)::
-
-        python -m repro report html --campaign ID --store runs/ --out report.html
-        python -m repro report html --telemetry trace.jsonl --out report.html
-        python -m repro report metrics --telemetry trace.jsonl --format prometheus
-
-    ``html`` renders a self-contained single-file dashboard (SVG
-    sparklines, phase wall-clock bars, counter/utilization tables, perf
-    history) for a run or campaign; ``metrics`` folds telemetry into the
-    typed registry and exports it as Prometheus text exposition or JSON.
 
 ``dynamics``
     Windowed simulation-dynamics trajectories (:mod:`repro.dynamics`).
@@ -670,52 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="material-slowdown ratio gate (default: 1.2)",
     )
     perf_regress.add_argument("--json", action="store_true")
-
-    report_parser = subparsers.add_parser(
-        "report", help="exportable observability (html dashboard, metrics)"
-    )
-    report_sub = report_parser.add_subparsers(dest="report_command", required=True)
-    report_html = report_sub.add_parser(
-        "html",
-        help=(
-            "single-file static HTML dashboard (SVG sparklines, phase "
-            "bars, utilization tables, perf history) for a run or campaign"
-        ),
-    )
-    _add_store_option(report_html)
-    report_html.add_argument(
-        "--campaign", default=None, metavar="ID", help="campaign to report on"
-    )
-    report_html.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="PATH",
-        help="telemetry JSONL file to fold into the report",
-    )
-    report_html.add_argument("--title", default=None)
-    report_html.add_argument(
-        "--out", default=None, metavar="PATH", help="write to PATH (default: stdout)"
-    )
-    report_metrics = report_sub.add_parser(
-        "metrics",
-        help=(
-            "fold a telemetry JSONL file into the typed metrics registry "
-            "and export it"
-        ),
-    )
-    report_metrics.add_argument(
-        "telemetry", metavar="PATH", help="JSONL file written by --telemetry"
-    )
-    report_metrics.add_argument(
-        "--format",
-        dest="export_format",
-        default="prometheus",
-        choices=("prometheus", "json"),
-        help="export format (default: prometheus text exposition)",
-    )
-    report_metrics.add_argument(
-        "--out", default=None, metavar="PATH", help="write to PATH (default: stdout)"
-    )
 
     cache_parser = subparsers.add_parser(
         "cache", help="inspect and prune the on-disk result cache"
@@ -1719,78 +1664,6 @@ def _command_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
-def _command_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.report_command == "metrics":
-        from repro.observe import fold_events, to_json, to_prometheus
-        from repro.telemetry import read_events
-
-        path = pathlib.Path(args.telemetry)
-        if not path.is_file():
-            parser.error(f"no telemetry file at {args.telemetry!r}")
-        registry = fold_events(read_events(path))
-        rendered = (
-            to_prometheus(registry)
-            if args.export_format == "prometheus"
-            else to_json(registry) + "\n"
-        )
-        return _write_or_print(rendered, args.out, parser)
-
-    # report html
-    from repro.observe import render_html_report
-    from repro.telemetry import read_events
-
-    events = None
-    if args.telemetry:
-        path = pathlib.Path(args.telemetry)
-        if not path.is_file():
-            parser.error(f"no telemetry file at {args.telemetry!r}")
-        events = read_events(path)
-    store_path = pathlib.Path(args.store)
-    open_store = args.campaign is not None or store_path.is_dir()
-    if not open_store and events is None:
-        parser.error(
-            "report html needs at least one input: --telemetry PATH "
-            "and/or a results store (--store DIR, --campaign ID)"
-        )
-    try:
-        if open_store:
-            with _open_store(args.store, parser) as store:
-                rendered = render_html_report(
-                    store=store,
-                    campaign_id=args.campaign,
-                    events=events,
-                    title=args.title,
-                )
-        else:
-            rendered = render_html_report(events=events, title=args.title)
-    except Exception as exc:
-        from repro.campaigns import CampaignError
-
-        if isinstance(exc, CampaignError):
-            parser.error(str(exc))
-        raise
-    return _write_or_print(rendered, args.out, parser)
-
-
-def _write_or_print(
-    rendered: str, out: str | None, parser: argparse.ArgumentParser
-) -> int:
-    if out is None:
-        print(rendered, end="" if rendered.endswith("\n") else "\n")
-        return 0
-    out_path = pathlib.Path(out)
-    try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(
-            rendered if rendered.endswith("\n") else rendered + "\n",
-            encoding="utf-8",
-        )
-    except OSError as exc:
-        parser.error(f"cannot write {out!r}: {exc}")
-    print(f"wrote {out_path}")
-    return 0
-
-
 def main(argv: Iterable[str] | None = None) -> int:
     from repro.analysis.equivalence import OptionError
 
@@ -1813,8 +1686,6 @@ def main(argv: Iterable[str] | None = None) -> int:
             return _command_cache(args, parser)
         if args.command == "perf":
             return _command_perf(args, parser)
-        if args.command == "report":
-            return _command_report(args, parser)
         return _command_run(args, parser)
     except OptionError as exc:
         # A bad comparison option is a usage error, never a verdict (exit 1);

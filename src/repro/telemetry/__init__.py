@@ -2,8 +2,10 @@
 
 See :mod:`repro.telemetry.core` for the session/span/event model,
 :mod:`repro.telemetry.sinks` for the JSONL / in-memory / stderr-progress
-sinks, and :mod:`repro.telemetry.summarize` for the offline aggregator
-behind ``repro telemetry summarize``.
+sinks, and :mod:`repro.telemetry.summarize` for the one fold of the
+event stream, behind ``repro telemetry summarize``: span tables, counter
+totals, event counts, coverage, and the ``resources`` table of peak RSS
+and last CPU/fd readings per sampled process.
 """
 
 from repro.telemetry.core import (

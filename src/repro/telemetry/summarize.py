@@ -12,6 +12,12 @@ The summary decomposes wall-clock by span kind:
   bar cares about (≥95% means the breakdown explains the run).
 * ``unit`` spans (campaign checkpoint units) are reported separately
   and excluded from coverage — the phases inside them already count.
+
+``resource_sample`` events (``--sample-resources`` and the process
+pool's job-boundary snapshots, see :mod:`repro.observe.resources`) fold
+into one ``resources`` row per ``(pid, source)``: the peak RSS and the
+last CPU-seconds and open-fd readings.  A file without samples gets no
+``resources`` table or key.
 """
 
 from __future__ import annotations
@@ -91,7 +97,9 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     ``roots`` / ``units`` span tables keyed by ``(name, backend)``,
     ``counters`` totals, ``events`` counts keyed by ``(name, key-detail)``,
     and ``coverage`` (phase seconds / root seconds, ``None`` when no
-    root span exists).
+    root span exists).  When the events carry ``resource_sample``
+    events, ``resources`` lists one row per ``(pid, source)`` with the
+    peak ``rss_bytes`` and the last ``cpu_seconds`` and ``fds``.
     """
     runs: list[str] = []
     phases: dict[tuple[str, str], dict[str, Any]] = {}
@@ -100,6 +108,7 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     counters: dict[str, float] = {}
     event_counts: dict[str, int] = {}
     event_specs: dict[str, set[str]] = {}
+    resources: dict[tuple[str, str], dict[str, Any]] = {}
 
     def fold_span(table: dict[tuple[str, str], dict[str, Any]], record: dict[str, Any]) -> None:
         attrs = record.get("attrs") or {}
@@ -149,12 +158,32 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
             spec = attrs.get("spec")
             if spec:
                 event_specs.setdefault(label, set()).add(str(spec))
+            if name == "resource_sample":
+                key = (str(attrs.get("pid", "-")), str(attrs.get("source", "-")))
+                row = resources.setdefault(
+                    key,
+                    {
+                        "pid": key[0],
+                        "source": key[1],
+                        "rss_peak_bytes": None,
+                        "cpu_seconds": None,
+                        "fds": None,
+                    },
+                )
+                # The high-water mark is what capacity planning reads; a
+                # last RSS reading taken after a job would miss it.
+                rss = attrs.get("rss_bytes")
+                if rss is not None:
+                    row["rss_peak_bytes"] = max(rss, row["rss_peak_bytes"] or 0)
+                for field in ("cpu_seconds", "fds"):
+                    if attrs.get(field) is not None:
+                        row[field] = attrs[field]
 
     for table in (phases, roots, units):
         for row in table.values():
             row["mean"] = row["total"] / row["count"] if row["count"] else 0.0
-            # Same quantile definition the observe histograms export
-            # (linear interpolation, repro.analysis.statistics.quantile).
+            # Linear interpolation (repro.analysis.statistics.quantile), as
+            # the worker table's queue-wait quantiles.
             durations = row.pop("durations")
             row["p50"] = quantile(durations, 0.5) if durations else 0.0
             row["p95"] = quantile(durations, 0.95) if durations else 0.0
@@ -162,7 +191,7 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     phase_total = sum(row["total"] for row in phases.values())
     root_total = sum(row["total"] for row in roots.values())
     coverage = phase_total / root_total if root_total > 0 else None
-    return {
+    summary: dict[str, Any] = {
         "runs": runs,
         "phases": sorted(phases.values(), key=lambda r: -r["total"]),
         "roots": sorted(roots.values(), key=lambda r: -r["total"]),
@@ -176,6 +205,9 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
         "root_seconds": root_total,
         "coverage": coverage,
     }
+    if resources:
+        summary["resources"] = list(resources.values())
+    return summary
 
 
 def render_summary(summary: dict[str, Any]) -> str:
@@ -224,6 +256,23 @@ def render_summary(summary: dict[str, Any]) -> str:
                 shown = ", ".join(specs[:4])
                 extra = f" +{len(specs) - 4} more" if len(specs) > 4 else ""
                 lines.append(f"    specs: {shown}{extra}")
+        lines.append("")
+    if summary.get("resources"):
+        lines.append("resources (peak RSS; last CPU and fd readings)")
+        header = (
+            f"  {'pid':<10} {'source':<8} {'peak_rss_mib':>12} {'cpu_s':>10} {'fds':>6}"
+        )
+        lines.append(header)
+        lines.append("  " + "-" * (len(header) - 2))
+        for row in summary["resources"]:
+            rss, cpu, fds = row["rss_peak_bytes"], row["cpu_seconds"], row["fds"]
+            rss_text = f"{rss / 2**20:.1f}" if rss is not None else "-"
+            cpu_text = f"{cpu:.4f}" if cpu is not None else "-"
+            fds_text = str(fds) if fds is not None else "-"
+            lines.append(
+                f"  {row['pid']:<10} {row['source']:<8} {rss_text:>12} "
+                f"{cpu_text:>10} {fds_text:>6}"
+            )
         lines.append("")
 
     if summary["coverage"] is not None:

@@ -1,11 +1,55 @@
 """Tests for the ``python -m repro`` command line."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.sim.vector.support import TRACE_REASON
+
+
+def _command_tree(parser, prefix=()):
+    """Every command family and subcommand of ``parser``, in parser order."""
+    entries = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                entries.append(" ".join((*prefix, name)))
+                entries += _command_tree(sub, (*prefix, name))
+    return entries
+
+
+def test_command_tree():
+    """The census of the command line: adding or removing a command shows
+    up here as one diff."""
+    assert _command_tree(build_parser()) == [
+        "list",
+        "run",
+        "scenario",
+        "scenario list",
+        "scenario show",
+        "scenario run",
+        "equivalence",
+        "campaign",
+        "campaign run",
+        "campaign resume",
+        "campaign status",
+        "campaign show",
+        "campaign diff",
+        "telemetry",
+        "telemetry summarize",
+        "dynamics",
+        "dynamics show",
+        "dynamics export",
+        "perf",
+        "perf record",
+        "perf history",
+        "perf regress",
+        "cache",
+        "cache stats",
+        "cache prune",
+    ]
 
 
 class TestList:

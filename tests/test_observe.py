@@ -2,13 +2,12 @@
 
 The load-bearing invariants:
 
-* the full observe stack (registry sink, resource sampler, perf
+* the full observe stack (telemetry sinks, resource sampler, perf
   recording) is RNG- and result-inert — store fingerprints with it on
   and off are bit-identical on serial, processes, and vector backends;
-* Prometheus text exposition conforms: valid metric names, exactly one
-  HELP/TYPE pair per family, spec-compliant label escaping;
 * resource sampling inherits the JSONL SIGKILL contract — a kill
-  mid-sampling leaves a parseable file;
+  mid-sampling leaves a parseable file whose samples `telemetry
+  summarize` folds into its `resources` table;
 * `perf regress` passes a flat history (self-compare) and exits non-zero
   on an injected sustained slowdown.
 """
@@ -32,32 +31,18 @@ from repro.campaigns import campaign_status_rows, start_campaign
 from repro.cli import main
 from repro.exec import make_backend
 from repro.observe import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    RegistrySink,
     ResourceSampler,
     backend_layout_name,
     detect_drift,
-    escape_label_value,
-    fold_events,
     host_fingerprint,
     record_scenario_perf,
     regress_groups,
-    registry_to_dict,
-    render_html_report,
     render_worker_table,
     sample_process,
-    svg_sparkline,
-    to_json,
-    to_prometheus,
     unit_imbalance,
     worker_utilization,
 )
 from repro.observe.perf import group_samples, plan_workload_hash
-from repro.observe.registry import METRIC_NAME_RE
 from repro.scenarios.runner import build_plan
 from repro.scenarios.spec import scenario_from_dict
 from repro.store import ResultsStore
@@ -68,6 +53,8 @@ from repro.telemetry import (
     activated,
     filter_events,
     read_events,
+    render_summary,
+    summarize_events,
 )
 
 SCENARIO = {
@@ -105,179 +92,6 @@ class TestQuantile:
             quantile([], 0.5)
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
-
-
-class TestMetricsRegistry:
-    def test_counter_accumulates_per_label_set(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("jobs_total", "help")
-        counter.inc(2, backend="serial")
-        counter.inc(3, backend="serial")
-        counter.inc(1, backend="vector")
-        assert counter.value(backend="serial") == 5
-        assert counter.value(backend="vector") == 1
-
-    def test_counter_rejects_negative_increments(self):
-        counter = MetricsRegistry().counter("c_total")
-        with pytest.raises(MetricError):
-            counter.inc(-1)
-
-    def test_gauge_keeps_last_value(self):
-        gauge = MetricsRegistry().gauge("rss_bytes")
-        gauge.set(10, pid="1")
-        gauge.set(7, pid="1")
-        assert gauge.value(pid="1") == 7
-        assert gauge.value(pid="2") is None
-
-    def test_histogram_snapshot_has_quantiles(self):
-        histogram = MetricsRegistry().histogram("dur_seconds")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        snapshot = histogram.snapshot()
-        assert snapshot["count"] == 4
-        assert snapshot["sum"] == 10
-        assert snapshot["p50"] == pytest.approx(2.5)
-        assert histogram.snapshot(other="x") is None
-
-    def test_get_or_create_is_idempotent_but_type_strict(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a_total") is registry.counter("a_total")
-        with pytest.raises(MetricError):
-            registry.gauge("a_total")
-
-    def test_invalid_metric_and_label_names_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(MetricError):
-            registry.counter("0starts-with-digit")
-        with pytest.raises(MetricError):
-            registry.counter("ok_total").inc(1, **{"bad:label": "x"})
-
-
-class TestFoldEvents:
-    def test_spans_counters_events_sessions_all_fold(self):
-        events = [
-            {"ts": 1.0, "run": "r", "ev": "session_start", "argv": []},
-            _span("simulate", 0.5),
-            _span("simulate", 1.5),
-            {"ts": 2.0, "run": "r", "ev": "counter", "name": "slots",
-             "value": 100, "attrs": {"backend": "serial"}},
-            {"ts": 3.0, "run": "r", "ev": "event", "name": "fallback",
-             "attrs": {"reason": "protocol"}},
-            {"ts": 4.0, "run": "r", "ev": "progress", "label": "x",
-             "done": 1, "total": 2},
-            {"ts": 5.0, "run": "r", "ev": "session_end", "elapsed_seconds": 4.0},
-        ]
-        registry = fold_events(events)
-        spans = registry.get("repro_span_seconds")
-        snapshot = spans.snapshot(name="simulate", kind="phase", backend="serial")
-        assert snapshot["count"] == 2 and snapshot["sum"] == 2.0
-        assert registry.get("repro_counter_total").value(
-            name="slots", backend="serial"
-        ) == 100
-        assert registry.get("repro_events_total").value(
-            name="fallback", reason="protocol"
-        ) == 1
-        assert registry.get("repro_sessions_total").value(phase="end") == 1
-
-    def test_resource_samples_become_gauges_with_rss_peak(self):
-        def sample(rss, cpu):
-            return {"ts": 0, "run": "r", "ev": "event", "name": "resource_sample",
-                    "attrs": {"pid": 42, "source": "parent",
-                              "rss_bytes": rss, "cpu_seconds": cpu, "fds": 7}}
-
-        registry = fold_events([sample(100, 0.1), sample(300, 0.2), sample(200, 0.3)])
-        assert registry.get("repro_resource_rss_bytes").value(
-            pid="42", source="parent"
-        ) == 200  # last value
-        assert registry.get("repro_resource_rss_peak_bytes").value(
-            pid="42", source="parent"
-        ) == 300  # high-water mark
-        assert registry.get("repro_resource_cpu_seconds").value(
-            pid="42", source="parent"
-        ) == pytest.approx(0.3)
-        assert registry.get("repro_resource_open_fds").value(
-            pid="42", source="parent"
-        ) == 7
-
-    def test_registry_sink_folds_a_live_session(self):
-        sink = RegistrySink()
-        session = TelemetrySession([sink])
-        with session.span("simulate", kind="phase", backend="serial"):
-            pass
-        session.counter("slots", 50, backend="serial")
-        session.close()
-        assert sink.registry.get("repro_counter_total").value(
-            name="slots", backend="serial"
-        ) == 50
-        assert sink.registry.get("repro_span_seconds").snapshot(
-            name="simulate", kind="phase", backend="serial"
-        )["count"] == 1
-
-
-class TestPrometheusConformance:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_jobs_total", "Jobs").inc(3, backend="serial")
-        registry.gauge("repro_rss_bytes", "RSS").set(12345, pid="1")
-        hist = registry.histogram("repro_dur_seconds", "Durations")
-        for value in (0.1, 0.2, 0.3):
-            hist.observe(value, name="simulate")
-        return registry
-
-    def test_every_family_has_one_help_and_type_line(self):
-        text = to_prometheus(self._registry())
-        for name, exposition_type in (
-            ("repro_jobs_total", "counter"),
-            ("repro_rss_bytes", "gauge"),
-            ("repro_dur_seconds", "summary"),
-        ):
-            assert text.count(f"# HELP {name} ") == 1
-            assert text.count(f"# TYPE {name} {exposition_type}\n") == 1
-
-    def test_all_sample_lines_have_valid_metric_names(self):
-        for line in to_prometheus(self._registry()).splitlines():
-            if not line or line.startswith("#"):
-                continue
-            name = re.split(r"[{ ]", line, maxsplit=1)[0]
-            assert METRIC_NAME_RE.match(name), line
-
-    def test_histogram_exports_quantiles_sum_and_count(self):
-        text = to_prometheus(self._registry())
-        assert 'repro_dur_seconds{name="simulate",quantile="0.5"} 0.2' in text
-        assert 'repro_dur_seconds_sum{name="simulate"}' in text
-        assert 'repro_dur_seconds_count{name="simulate"} 3' in text
-
-    def test_label_values_escape_backslash_quote_and_newline(self):
-        assert escape_label_value('a\\b"c\nd') == 'a\\\\b\\"c\\nd'
-        registry = MetricsRegistry()
-        registry.counter("e_total").inc(1, reason='bad "quote"\nnewline\\slash')
-        (line,) = [
-            line
-            for line in to_prometheus(registry).splitlines()
-            if line.startswith("e_total{")
-        ]
-        assert line == 'e_total{reason="bad \\"quote\\"\\nnewline\\\\slash"} 1'
-        # The escaped payload must stay on one physical line.
-        assert "\n" not in line
-
-    def test_labels_render_sorted_and_infinities_render_signed(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(float("inf"), z="1", a="2")
-        text = to_prometheus(registry)
-        assert 'g{a="2",z="1"} +Inf' in text
-
-    def test_empty_registry_renders_empty_document(self):
-        assert to_prometheus(MetricsRegistry()) == ""
-
-    def test_json_export_mirrors_the_registry(self):
-        document = registry_to_dict(self._registry())
-        by_name = {metric["name"]: metric for metric in document["metrics"]}
-        assert by_name["repro_jobs_total"]["type"] == "counter"
-        assert by_name["repro_jobs_total"]["samples"][0]["value"] == 3
-        hist = by_name["repro_dur_seconds"]["samples"][0]
-        assert hist["count"] == 3 and "p95" in hist
-        # to_json round-trips
-        assert json.loads(to_json(self._registry()))["metrics"]
 
 
 class TestResourceSampling:
@@ -377,6 +191,58 @@ class TestResourceSampling:
         assert all(
             record["attrs"]["rss_bytes"] > 0 for record in worker_samples
         )
+
+    def test_summary_keeps_the_rss_peak_and_the_last_cpu_and_fds(self):
+        """One row per (pid, source), and none without samples."""
+        mib = 2**20
+
+        def sample(rss, cpu, fds, source="parent"):
+            return {"ts": 0, "run": "r", "ev": "event", "name": "resource_sample",
+                    "attrs": {"pid": 42, "source": source,
+                              "rss_bytes": rss, "cpu_seconds": cpu, "fds": fds}}
+
+        summary = summarize_events([
+            sample(100 * mib, 0.1, 7), sample(300 * mib, 0.2, 9),
+            sample(200 * mib, 0.3, 8), sample(50 * mib, 0.5, 4, source="worker"),
+        ])
+        assert summary["resources"] == [
+            {"pid": "42", "source": "parent", "rss_peak_bytes": 300 * mib,
+             "cpu_seconds": 0.3, "fds": 8},
+            {"pid": "42", "source": "worker", "rss_peak_bytes": 50 * mib,
+             "cpu_seconds": 0.5, "fds": 4},
+        ]
+        rendered = render_summary(summary)
+        assert "resources (peak RSS; last CPU and fd readings)" in rendered
+        (row,) = [line for line in rendered.splitlines() if " parent " in line]
+        assert row.split() == ["42", "parent", "300.0", "0.3000", "8"]
+        unsampled = summarize_events([_span("simulate", 0.5)])
+        assert "resources" not in unsampled
+        assert "resources" not in render_summary(unsampled)
+
+    def test_summarize_a_sampled_pool_campaign(self, tmp_path, capsys):
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(SCENARIO))
+        tele_path = tmp_path / "t.jsonl"
+        assert main(["campaign", "run", str(scenario_file),
+                     "--backend", "processes", "--workers", "2",
+                     "--store", str(tmp_path / "store"),
+                     "--telemetry", str(tele_path),
+                     "--sample-resources", "0.05", "--dynamics"]) == 0
+        capsys.readouterr()
+        assert main(["telemetry", "summarize", str(tele_path)]) == 0
+        rendered = capsys.readouterr().out
+        assert "workers (process-pool attribution)" in rendered
+        assert "resources (peak RSS; last CPU and fd readings)" in rendered
+        assert main(["telemetry", "summarize", str(tele_path), "--json"]) == 0
+        resources = json.loads(capsys.readouterr().out)["resources"]
+        assert {row["source"] for row in resources} == {"parent", "worker"}
+        if os.path.isdir("/proc"):
+            assert all(row["rss_peak_bytes"] > 0 for row in resources)
+
+    def test_sample_resources_requires_telemetry(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "e1", "--scale", "smoke", "--sample-resources"])
+        assert excinfo.value.code == 2
 
 
 class TestWorkerUtilization:
@@ -707,8 +573,7 @@ class TestObserveFingerprintInvariance:
             store = ResultsStore(tmp_path / f"{backend}-{mode}")
             if mode == "on":
                 session = TelemetrySession(
-                    [MemorySink(), RegistrySink(),
-                     JsonlSink(tmp_path / f"{backend}.jsonl")]
+                    [MemorySink(), JsonlSink(tmp_path / f"{backend}.jsonl")]
                 )
                 sampler = ResourceSampler(session, interval=0.01)
             else:
@@ -854,8 +719,8 @@ class TestSigkillDuringSampling:
                 and record.get("name") == "resource_sample"
             ]
             assert samples, "observed samples must survive the kill"
-            registry = fold_events(events)
-            assert registry.get("repro_resource_rss_bytes") is not None
+            resources = summarize_events(events)["resources"]
+            assert any((row["rss_peak_bytes"] or 0) > 0 for row in resources)
 
 
 def _file_fixed_durations(monkeypatch, durations):
@@ -1025,133 +890,3 @@ class TestPerfCli:
         err = capsys.readouterr().err
         assert f"{option[0]} must be" in err
         assert "Traceback" not in err
-
-
-class TestReportCli:
-    def test_html_report_for_a_campaign(self, tmp_path, capsys):
-        scenario_file = tmp_path / "scenario.json"
-        scenario_file.write_text(json.dumps(SCENARIO))
-        store_dir = str(tmp_path / "store")
-        tele_path = tmp_path / "t.jsonl"
-        assert main(["campaign", "run", str(scenario_file),
-                     "--backend", "processes", "--workers", "2",
-                     "--store", store_dir, "--telemetry", str(tele_path),
-                     "--sample-resources", "0.05", "--dynamics"]) == 0
-        capsys.readouterr()
-        assert main(["telemetry", "summarize", str(tele_path)]) == 0
-        assert "workers (process-pool attribution)" in capsys.readouterr().out
-        assert main(["report", "metrics", str(tele_path)]) == 0
-        assert "# TYPE repro_resource_rss_bytes gauge" in capsys.readouterr().out
-        store = ResultsStore(Path(store_dir))
-        (campaign,) = store.list_campaigns()
-        store.close()
-        out_path = tmp_path / "report.html"
-        assert main(["report", "html", "--store", store_dir,
-                     "--campaign", campaign["campaign_id"],
-                     "--telemetry", str(tele_path),
-                     "--out", str(out_path)]) == 0
-        document = out_path.read_text(encoding="utf-8")
-        assert document.startswith("<!DOCTYPE html>")
-        assert "<svg" in document  # sparklines and/or phase bars
-        assert "Phase wall-clock" in document
-        assert "Campaign" in document
-        assert "Trajectory" in document
-        assert campaign["campaign_id"] in document
-
-    def test_html_report_from_telemetry_only(self, tmp_path, capsys):
-        tele_path = tmp_path / "t.jsonl"
-        session = TelemetrySession([JsonlSink(tele_path)])
-        with session.span("sweep", kind="root", backend="serial"):
-            session.span_record("simulate", 0.5, kind="phase", backend="serial")
-        session.close()
-        assert main(["report", "html", "--telemetry", str(tele_path),
-                     "--store", str(tmp_path / "no-store")]) == 0
-        document = capsys.readouterr().out
-        assert "Phase wall-clock" in document
-
-    def test_html_perf_section_has_one_row_per_group(self, tmp_path):
-        store = ResultsStore(tmp_path / "s")
-        for spec_hash, seconds in (("a", 1.0), ("a", 1.1), ("b", 5.0)):
-            store.put_perf_sample(
-                spec_hash=spec_hash, backend_layout="serial", host="h",
-                seconds=seconds, label=f"workload-{spec_hash}",
-            )
-        document = render_html_report(store=store)
-        store.close()
-        assert "Performance history" in document
-        assert document.count("<td>workload-a</td>") == 1
-        assert document.count("<td>workload-b</td>") == 1
-
-    def test_html_perf_rows_follow_regress_groups(self, tmp_path):
-        store = ResultsStore(tmp_path / "s")
-        series = [("z", 1.0)] * 6 + [("z", 3.0)] * 2 + [("m", 1.0)]
-        for spec_hash, seconds in series:
-            store.put_perf_sample(
-                spec_hash=spec_hash, backend_layout="serial", host="h",
-                seconds=seconds, label=f"workload-{spec_hash}",
-            )
-        verdicts = regress_groups(store.perf_sample_rows())
-        document = render_html_report(store=store)
-        store.close()
-        positions = [
-            document.index(f"<td>{verdict['label']}</td>") for verdict in verdicts
-        ]
-        assert positions == sorted(positions)
-        assert [verdict["status"] for verdict in verdicts] == ["insufficient", "drift"]
-        assert '<td class="drift">drift</td>' in document
-        assert '<td class="insufficient">insufficient</td>' in document
-
-    def test_html_escapes_untrusted_strings(self):
-        events = [_span("<script>alert(1)</script>", 1.0)]
-        document = render_html_report(events=events, title="<b>t</b>")
-        assert "<script>alert(1)" not in document
-        assert "&lt;script&gt;" in document
-        assert "<title>&lt;b&gt;t&lt;/b&gt;</title>" in document
-
-    def test_report_without_inputs_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["report", "html", "--store", str(tmp_path / "nope")])
-        assert excinfo.value.code == 2
-
-    def test_unknown_campaign_is_a_usage_error(self, tmp_path):
-        store = ResultsStore(tmp_path / "s")
-        store.close()
-        with pytest.raises(SystemExit) as excinfo:
-            main(["report", "html", "--store", str(tmp_path / "s"),
-                  "--campaign", "nope"])
-        assert excinfo.value.code == 2
-
-    def test_metrics_export_prometheus_and_json(self, tmp_path, capsys):
-        tele_path = tmp_path / "t.jsonl"
-        session = TelemetrySession([JsonlSink(tele_path)])
-        session.counter("slots_simulated", 500, backend="serial")
-        session.close()
-        assert main(["report", "metrics", str(tele_path)]) == 0
-        text = capsys.readouterr().out
-        assert "# TYPE repro_counter_total counter" in text
-        assert 'repro_counter_total{backend="serial",name="slots_simulated"} 500' in text
-        assert main(["report", "metrics", str(tele_path),
-                     "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert any(
-            metric["name"] == "repro_counter_total"
-            for metric in payload["metrics"]
-        )
-
-    def test_sample_resources_requires_telemetry(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "e1", "--scale", "smoke", "--sample-resources"])
-        assert excinfo.value.code == 2
-
-
-class TestSvgSparkline:
-    def test_empty_and_constant_series(self):
-        assert svg_sparkline([]) == ""
-        constant = svg_sparkline([2.0, 2.0, 2.0])
-        assert constant.startswith("<svg")
-        assert "polyline" in constant
-
-    def test_long_series_is_downsampled(self):
-        document = svg_sparkline(list(range(10_000)), width=100)
-        points = document.split('polyline class="spark" points="')[1].split('"')[0]
-        assert len(points.split()) <= 52  # max_points = width // 2 + rounding

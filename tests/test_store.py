@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.adversary.arrivals import BatchArrivals
@@ -107,6 +109,81 @@ class TestRunsRegistry:
                 {"artifact_hash": artifact_hash, "error": "UnpicklingError"},
                 {"artifact_hash": artifact_hash, "error": "FileNotFoundError"},
             ]
+
+
+WRITERS = 8
+RUNS_PER_WRITER = 30
+
+
+def _write_campaign(root, writer, runs, barrier=None):
+    """Store ``runs`` and commit them as one unit of campaign ``writer``."""
+    if barrier is not None:
+        barrier.wait(timeout=60)
+    campaign_id = f"writer-{writer}"
+    with ResultsStore(root) as store:
+        store.create_campaign(
+            campaign_id,
+            scenario_id=None,
+            scenario_hash=None,
+            definition=None,
+            scale="smoke",
+            seeds=[seed for _, seed, _ in runs],
+            backend="serial",
+            total_runs=len(runs),
+        )
+        for spec_hash, seed, result in runs:
+            store.put_run(spec_hash, seed, "scalar", result, source="campaign")
+        store.record_campaign_unit(
+            campaign_id,
+            [
+                (position, 0, "binary-exponential", spec_hash, seed, "scalar")
+                for position, (spec_hash, seed, _) in enumerate(runs)
+            ],
+            elapsed_seconds=0.0,
+            unit_index=0,
+        )
+
+
+class TestConcurrentWriters:
+    def test_eight_processes_lose_no_row(self, tmp_path):
+        """Writers on one store wait for SQLite's lock; none loses a row."""
+        specs = [_spec(seed=seed) for seed in range(WRITERS * RUNS_PER_WRITER)]
+        results = SerialBackend().run(specs)
+        runs = [
+            (spec.cache_key(), spec.seed, result)
+            for spec, result in zip(specs, results)
+        ]
+        shares = [
+            runs[writer * RUNS_PER_WRITER : (writer + 1) * RUNS_PER_WRITER]
+            for writer in range(WRITERS)
+        ]
+        root = tmp_path / "shared"
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(WRITERS)
+        processes = [
+            context.Process(
+                target=_write_campaign, args=(root, writer, share, barrier)
+            )
+            for writer, share in enumerate(shares)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+        assert [process.exitcode for process in processes] == [0] * WRITERS
+
+        for writer, share in enumerate(shares):
+            _write_campaign(tmp_path / "single", writer, share)
+        with ResultsStore(root) as store, ResultsStore(tmp_path / "single") as single:
+            stored = store.iter_runs()
+            assert len(stored) == WRITERS * RUNS_PER_WRITER
+            assert sum(
+                store.campaign_run_count(f"writer-{writer}")
+                for writer in range(WRITERS)
+            ) == WRITERS * RUNS_PER_WRITER
+            for run in stored:
+                assert store.load_artifact(run.artifact_hash) is not None
+            assert store.fingerprint() == single.fingerprint()
 
 
 class TestSchemaVersion:
