@@ -52,6 +52,17 @@ def test_command_tree():
     ]
 
 
+def test_every_command_renders_its_help(capsys):
+    """argparse formats help text only when asked, so a malformed help
+    string (a bare ``%``, say) would break only that command's ``--help``."""
+    for command in _command_tree(build_parser()):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command.split(), "--help"])
+        assert excinfo.value.code == 0, command
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: python -m repro {command}"), command
+
+
 class TestList:
     def test_lists_all_experiments(self, capsys):
         assert main(["list"]) == 0

@@ -94,6 +94,23 @@ class TestQuantile:
             quantile([1.0], 1.5)
 
 
+def _pool_specs():
+    from repro.adversary.arrivals import BatchArrivals
+    from repro.adversary.composite import CompositeAdversary
+    from repro.experiments.plan import RunSpec, factory
+    from repro.protocols.binary_exponential import BinaryExponentialBackoff
+
+    return [
+        RunSpec(
+            protocol=BinaryExponentialBackoff(),
+            adversary=factory(CompositeAdversary, factory(BatchArrivals, 10)),
+            seed=seed,
+            max_slots=1200,
+        )
+        for seed in (1, 2, 3, 4)
+    ]
+
+
 class TestResourceSampling:
     def test_sample_process_reads_self(self):
         sample = sample_process()
@@ -160,24 +177,10 @@ class TestResourceSampling:
         session.close()
 
     def test_pool_workers_contribute_job_boundary_samples(self):
-        from repro.experiments.plan import RunSpec, factory
-        from repro.adversary.arrivals import BatchArrivals
-        from repro.adversary.composite import CompositeAdversary
-        from repro.protocols.binary_exponential import BinaryExponentialBackoff
-
-        specs = [
-            RunSpec(
-                protocol=BinaryExponentialBackoff(),
-                adversary=factory(CompositeAdversary, factory(BatchArrivals, 10)),
-                seed=seed,
-                max_slots=1200,
-            )
-            for seed in (1, 2, 3, 4)
-        ]
         mem = MemorySink()
         with activated(TelemetrySession([mem])):
             with make_backend("processes", workers=2) as backend:
-                backend.run(specs)
+                backend.run(_pool_specs())
         worker_samples = [
             record
             for record in mem.events("resource_sample")
@@ -243,6 +246,372 @@ class TestResourceSampling:
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "e1", "--scale", "smoke", "--sample-resources"])
         assert excinfo.value.code == 2
+
+
+def _sample(pid=42, source="parent", *, run="r1", **readings):
+    """A ``resource_sample`` event; an unreadable reading is left out, as
+    :func:`repro.observe.sample_process` leaves it out."""
+    return {"ts": 0.0, "run": run, "ev": "event", "name": "resource_sample",
+            "attrs": {"pid": pid, "source": source, **readings}}
+
+
+RESOURCES_TITLE = "resources (peak RSS; last CPU and fd readings)"
+
+
+class TestResourcesTable:
+    def test_a_sample_missing_a_reading_keeps_the_previous_one(self):
+        summary = summarize_events([
+            _sample(rss_bytes=500, cpu_seconds=0.1, fds=6),
+            _sample(cpu_seconds=0.2),
+            _sample(rss_bytes=400, fds=5),
+        ])
+        assert summary["resources"] == [
+            {"pid": "42", "source": "parent", "rss_peak_bytes": 500,
+             "cpu_seconds": 0.2, "fds": 5},
+        ]
+
+    def test_rows_key_by_pid_and_source_in_first_seen_order(self):
+        summary = summarize_events([
+            _sample(7, "worker", rss_bytes=10),
+            _sample(3, "parent", rss_bytes=30),
+            _sample("7", "worker", rss_bytes=20),  # same pid, read back as text
+            _sample(3, "worker", rss_bytes=40),
+            _sample(7, "worker", rss_bytes=15),
+        ])
+        assert [
+            (row["pid"], row["source"], row["rss_peak_bytes"])
+            for row in summary["resources"]
+        ] == [("7", "worker", 20), ("3", "parent", 30), ("3", "worker", 40)]
+
+    def test_samples_without_pid_or_source_fold_under_a_dash(self):
+        bare = {"ts": 0.0, "run": "r1", "ev": "event", "name": "resource_sample",
+                "attrs": {"rss_bytes": 64}}
+        summary = summarize_events([bare, dict(bare, attrs={"fds": 3})])
+        assert summary["resources"] == [
+            {"pid": "-", "source": "-", "rss_peak_bytes": 64,
+             "cpu_seconds": None, "fds": 3},
+        ]
+
+    def test_a_row_without_readings_renders_dashes(self):
+        rendered = render_summary(summarize_events([
+            _sample(9, "worker"),
+            _sample(8, "parent", rss_bytes=3 * 2**19, cpu_seconds=1.23456, fds=12),
+        ]))
+        lines = rendered.splitlines()
+        table = lines[lines.index(RESOURCES_TITLE):]
+        assert table[1].split() == ["pid", "source", "peak_rss_mib", "cpu_s", "fds"]
+        assert table[3].split() == ["9", "worker", "-", "-", "-"]
+        assert table[4].split() == ["8", "parent", "1.5", "1.2346", "12"]
+
+    def test_samples_still_count_in_the_events_table(self):
+        summary = summarize_events(
+            [_sample(rss_bytes=1)] * 3 + [_sample(5, "worker", rss_bytes=2)]
+        )
+        assert summary["events"] == {"resource_sample": 4}
+        assert len(summary["resources"]) == 2
+
+    def test_samples_add_only_the_table_before_the_coverage_line(self):
+        sampled = summarize_events([
+            _span("sweep", 1.0, kind="root"),
+            _span("simulate", 0.5),
+            _sample(rss_bytes=2**20, fds=4),
+            _sample(5, "worker", cpu_seconds=0.5),
+        ])
+        text = render_summary(sampled).splitlines()
+        start = text.index(RESOURCES_TITLE)
+        end = text.index("", start)
+        assert end - start == 5  # title, header, rule and one line per row
+        assert text[end + 1].startswith("coverage: phases explain")
+        # Dropping the `resources` key removes exactly the table; the events
+        # row still counts the samples.
+        without = render_summary(
+            {key: value for key, value in sampled.items() if key != "resources"}
+        ).splitlines()
+        assert text[:start] + text[end + 1:] == without
+        assert "  resource_sample" in "\n".join(without)
+
+    def test_last_session_filter_keeps_only_its_samples(self):
+        events = [
+            _sample(1, run="firstrun", rss_bytes=100),
+            _sample(2, run="secondrun", rss_bytes=200),
+            _sample(1, run="secondrun", rss_bytes=50),
+        ]
+        last = summarize_events(filter_events(events, last=True))
+        assert [(row["pid"], row["rss_peak_bytes"]) for row in last["resources"]] == [
+            ("2", 200), ("1", 50),
+        ]
+        first = summarize_events(filter_events(events, runs=["first"]))
+        assert [(row["pid"], row["rss_peak_bytes"]) for row in first["resources"]] == [
+            ("1", 100),
+        ]
+
+    def test_a_live_sampler_folds_into_one_parent_row(self):
+        mem = MemorySink()
+        session = TelemetrySession([mem])
+        with ResourceSampler(session, interval=60.0):
+            pass
+        session.close()
+        samples = mem.events("resource_sample")
+        (row,) = summarize_events(mem.records)["resources"]
+        assert (row["pid"], row["source"]) == (str(os.getpid()), "parent")
+        assert row["cpu_seconds"] == samples[-1]["attrs"]["cpu_seconds"]
+        if os.path.isdir("/proc/self"):
+            assert row["rss_peak_bytes"] == max(
+                record["attrs"]["rss_bytes"] for record in samples
+            )
+            assert row["fds"] == samples[-1]["attrs"]["fds"]
+
+    def test_pool_job_boundary_samples_fold_to_one_row_per_worker(self):
+        if not os.path.isdir("/proc"):
+            pytest.skip("worker samples need procfs")
+        mem = MemorySink()
+        with activated(TelemetrySession([mem])):
+            with make_backend("processes", workers=2) as backend:
+                backend.run(_pool_specs())
+        peaks = {}
+        for record in mem.events("resource_sample"):
+            attrs = record["attrs"]
+            key = (str(attrs["pid"]), attrs["source"])
+            peaks[key] = max(peaks.get(key, 0), attrs["rss_bytes"])
+        rows = summarize_events(mem.records)["resources"]
+        assert {row["source"] for row in rows} == {"worker"}
+        assert {
+            (row["pid"], row["source"]): row["rss_peak_bytes"] for row in rows
+        } == peaks
+        assert len(rows) == len(peaks)
+
+    def test_cli_json_keys_with_and_without_samples(self, tmp_path, capsys):
+        plain_path, sampled_path = tmp_path / "plain.jsonl", tmp_path / "s.jsonl"
+        for path in (plain_path, sampled_path):
+            session = TelemetrySession([JsonlSink(path)])
+            with session.span("sweep", kind="root", backend="serial"):
+                session.span_record("simulate", 0.25, kind="phase", backend="serial")
+            if path == sampled_path:
+                session.event("resource_sample", pid=11, source="parent",
+                              rss_bytes=4096, cpu_seconds=0.5, fds=9)
+            session.close()
+        summary_keys = [
+            "runs", "phases", "roots", "units", "counters", "events",
+            "event_specs", "phase_seconds", "root_seconds", "coverage",
+        ]
+        assert main(["telemetry", "summarize", str(plain_path), "--json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == summary_keys
+        assert main(["telemetry", "summarize", str(sampled_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == summary_keys + ["resources"]
+        (row,) = payload["resources"]
+        assert list(row.items()) == [
+            ("pid", "11"), ("source", "parent"), ("rss_peak_bytes", 4096),
+            ("cpu_seconds", 0.5), ("fds", 9),
+        ]
+
+
+class TestOneFold:
+    """What the event stream's one fold, ``summarize_events``, makes of
+    each kind of event, and the text ``telemetry summarize`` prints."""
+
+    def test_spans_counters_events_and_sessions_all_fold(self):
+        events = [
+            {"ts": 1.0, "run": "r", "ev": "session_start", "argv": []},
+            dict(_span("simulate", 0.5), run="r"),
+            dict(_span("simulate", 1.5), run="r"),
+            {"ts": 2.0, "run": "r", "ev": "counter", "name": "slots",
+             "value": 100, "attrs": {"backend": "serial"}},
+            {"ts": 3.0, "run": "r", "ev": "event", "name": "fallback",
+             "attrs": {"reason": "protocol"}},
+            {"ts": 4.0, "run": "r", "ev": "progress", "label": "x",
+             "done": 1, "total": 2},
+            {"ts": 5.0, "run": "r", "ev": "session_end", "elapsed_seconds": 4.0},
+        ]
+        summary = summarize_events(events)
+        assert summary["runs"] == ["r"]
+        (phase,) = summary["phases"]
+        assert (phase["name"], phase["backend"], phase["count"]) == (
+            "simulate", "serial", 2,
+        )
+        assert phase["total"] == 2.0 and phase["max"] == 1.5
+        assert summary["counters"] == {"slots": 100.0}
+        assert summary["events"] == {"fallback[protocol]": 1}
+        assert summary["roots"] == summary["units"] == []
+        assert "resources" not in summary
+
+    def test_sessions_are_listed_once_in_first_seen_order(self):
+        events = [
+            dict(_span("simulate", 0.5), run="second"),
+            dict(_span("simulate", 0.5), run="first"),
+            dict(_span("simulate", 0.5), run="second"),
+            {"ts": 0.0, "ev": "counter", "name": "slots", "value": 1},
+        ]
+        summary = summarize_events(events)
+        assert summary["runs"] == ["second", "first"]
+        assert render_summary(summary).splitlines()[0] == (
+            "telemetry summary — 2 session(s): second, first"
+        )
+        empty = render_summary(summarize_events([])).splitlines()
+        assert empty == [
+            "telemetry summary — 0 session(s): -",
+            "",
+            "coverage: no root spans in file",
+        ]
+
+    def test_a_live_session_and_its_jsonl_file_fold_alike(self, tmp_path):
+        mem = MemorySink()
+        path = tmp_path / "t.jsonl"
+        session = TelemetrySession([mem, JsonlSink(path)])
+        with session.span("sweep", kind="root", backend="serial"):
+            with session.span("simulate", kind="phase", backend="serial"):
+                pass
+            session.counter("slots", 50, backend="serial")
+            session.event("vector_fallback", reason="trace", spec="abc")
+        session.close()
+        live = summarize_events(mem.records)
+        assert live == summarize_events(read_events(path))
+        assert live["counters"] == {"slots": 50.0}
+        assert [row["count"] for row in live["phases"]] == [1]
+
+    def test_span_quantiles_interpolate_linearly(self):
+        (row,) = summarize_events(
+            [_span("simulate", value) for value in (4.0, 1.0, 3.0, 2.0)]
+        )["phases"]
+        assert (row["count"], row["total"], row["max"]) == (4, 10.0, 4.0)
+        assert row["mean"] == pytest.approx(2.5)
+        assert row["p50"] == pytest.approx(2.5)
+        assert row["p95"] == pytest.approx(3.85)
+
+    def test_counters_sum_per_name_across_backends(self):
+        def counter(name, value, backend):
+            return {"ts": 0.0, "run": "r1", "ev": "counter", "name": name,
+                    "value": value, "attrs": {"backend": backend}}
+
+        summary = summarize_events([
+            counter("slots", 2, "serial"), counter("slots", 3, "serial"),
+            counter("slots", 1, "vector"), counter("wait_s", 0.25, "serial"),
+            counter("wait_s", 0.125, "vector"),
+        ])
+        assert summary["counters"] == {"slots": 6.0, "wait_s": 0.375}
+        rendered = render_summary(summary).splitlines()
+        assert rendered[rendered.index("counters") + 1].split() == ["slots", "6"]
+        assert rendered[rendered.index("counters") + 2].split() == [
+            "wait_s", "0.3750",
+        ]
+
+    # A file without resource samples prints exactly this text.
+    PINNED_EVENTS = [
+        {"ts": 0.0, "run": "r1", "ev": "session_start", "argv": ["run", "e1"]},
+        _span("sweep", 2.0, kind="root"),
+        _span("build", 0.25),
+        _span("simulate", 0.5, backend="vector"),
+        _span("simulate", 1.0, backend="vector"),
+        _span("commit", 0.125),
+        _span("unit", 1.5, kind="unit"),
+        {"ts": 0.0, "run": "r1", "ev": "counter", "name": "slots_simulated",
+         "value": 1200, "attrs": {"backend": "vector"}},
+        {"ts": 0.0, "run": "r1", "ev": "counter", "name": "queue_wait_s",
+         "value": 0.0625, "attrs": {}},
+        {"ts": 0.0, "run": "r1", "ev": "event", "name": "vector_fallback",
+         "attrs": {"reason": "trace", "spec": "abc123"}},
+        {"ts": 0.0, "run": "r1", "ev": "session_end", "elapsed_seconds": 2.0},
+    ]
+    PINNED_HEADER = (
+        "  name               backend                 count    total_s     "
+        "mean_s      p50_s      p95_s      max_s   share"
+    )
+    PINNED_RULE = "  " + "-" * 111
+    PINNED_TEXT = [
+        "telemetry summary — 1 session(s): r1",
+        "",
+        "roots (total wall-clock)",
+        PINNED_HEADER,
+        PINNED_RULE,
+        "  sweep              serial                      1     2.0000     "
+        "2.0000     2.0000     2.0000     2.0000  100.0%",
+        "",
+        "phases (per-phase / per-backend breakdown)",
+        PINNED_HEADER,
+        PINNED_RULE,
+        "  simulate           vector                      2     1.5000     "
+        "0.7500     0.7500     0.9750     1.0000   75.0%",
+        "  build              serial                      1     0.2500     "
+        "0.2500     0.2500     0.2500     0.2500   12.5%",
+        "  commit             serial                      1     0.1250     "
+        "0.1250     0.1250     0.1250     0.1250    6.2%",
+        "",
+        "campaign units",
+        PINNED_HEADER,
+        PINNED_RULE,
+        "  unit               serial                      1     1.5000     "
+        "1.5000     1.5000     1.5000     1.5000   75.0%",
+        "",
+        "counters",
+        "  queue_wait_s                                       0.0625",
+        "  slots_simulated                                      1200",
+        "",
+        "events",
+        "  vector_fallback[trace]                                  1",
+        "    specs: abc123",
+        "",
+        "coverage: phases explain 93.8% of 2.0000s root wall-clock",
+    ]
+
+    def test_text_without_samples_is_pinned(self, tmp_path, capsys):
+        assert render_summary(summarize_events(self.PINNED_EVENTS)).splitlines() == (
+            self.PINNED_TEXT
+        )
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            "".join(json.dumps(record) + "\n" for record in self.PINNED_EVENTS),
+            encoding="utf-8",
+        )
+        assert main(["telemetry", "summarize", str(path)]) == 0
+        assert capsys.readouterr().out == "\n".join(self.PINNED_TEXT) + "\n"
+
+    def test_interior_garbage_and_non_objects_are_skipped(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            json.dumps(_span("simulate", 0.5)) + "\n"
+            "not json at all\n"
+            "[1, 2, 3]\n"
+            '"a string"\n'
+            "\n"
+            + json.dumps(_span("simulate", 0.25)) + "\n",
+            encoding="utf-8",
+        )
+        events = read_events(path)
+        assert [record["dur"] for record in events] == [0.5, 0.25]
+        (row,) = summarize_events(events)["phases"]
+        assert (row["count"], row["total"]) == (2, 0.75)
+
+    def test_a_file_without_parseable_events_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"truncated\n[1]\n', encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["telemetry", "summarize", str(path)])
+        assert excinfo.value.code == 2
+        assert "contains no parseable events" in capsys.readouterr().err
+
+    def test_public_names(self):
+        import repro.observe
+        import repro.telemetry
+
+        assert sorted(repro.observe.__all__) == [
+            "DEFAULT_ALPHA", "DEFAULT_BASELINE", "DEFAULT_FACTOR",
+            "DEFAULT_INTERVAL", "DEFAULT_WINDOW", "NULL_SAMPLER",
+            "ResourceSampler", "backend_layout_name", "detect_drift",
+            "host_fingerprint", "record_scenario_perf", "regress_groups",
+            "render_worker_table", "sample_process", "unit_imbalance",
+            "worker_utilization",
+        ]
+        assert sorted(repro.telemetry.__all__) == [
+            "JsonlSink", "MemorySink", "NULL_SESSION", "NullSession",
+            "ProgressSink", "Sink", "Span", "TelemetrySession", "activate",
+            "activated", "current", "deactivate", "filter_events",
+            "iter_events", "read_events", "render_summary", "summarize_events",
+        ]
+        for module in (repro.observe, repro.telemetry):
+            for name in module.__all__:
+                assert getattr(module, name) is not None
 
 
 class TestWorkerUtilization:
@@ -852,6 +1221,67 @@ class TestPerfCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["drifted"] == 0
         assert payload["groups"][0]["status"] == "insufficient"
+
+    def _perf_store(self, tmp_path):
+        store_dir = tmp_path / "store"
+        with ResultsStore(store_dir) as store:
+            for spec_hash, seconds in [("z", 1.0)] * 6 + [("z", 3.0)] * 2 + [("m", 1.0)]:
+                store.put_perf_sample(
+                    spec_hash=spec_hash, backend_layout="serial", host="h",
+                    seconds=seconds, label=f"workload-{spec_hash}",
+                )
+            store.put_perf_sample(
+                spec_hash="b" * 16, backend_layout="vector", host="h2",
+                seconds=5.0, runs=4, slots_per_second=1234.6,
+            )
+            rows = store.perf_sample_rows()
+        return str(store_dir), rows
+
+    def test_regress_text_prints_one_line_per_group_in_regress_order(
+        self, tmp_path, capsys
+    ):
+        store_dir, rows = self._perf_store(tmp_path)
+        verdicts = regress_groups(rows)
+        assert main(["perf", "regress", "--store", store_dir]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" [")[0] for line in lines[:-1]] == [
+            verdict["label"] or verdict["spec_hash"][:12] for verdict in verdicts
+        ]
+        assert lines == [
+            "bbbbbbbbbbbb [vector] host=h2: insufficient history (1/4 samples)",
+            "workload-m [serial] host=h: insufficient history (1/4 samples)",
+            "workload-z [serial] host=h: drift — latest 3.0000s vs baseline "
+            "1.0000s (x3.00, p=n/a, 2/6 samples)",
+            "DRIFT: 1 group(s) regressed",
+        ]
+
+    def test_history_text_lists_every_sample_in_recording_order(
+        self, tmp_path, capsys
+    ):
+        store_dir, rows = self._perf_store(tmp_path)
+        assert main(["perf", "history", "--store", store_dir]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split() == [
+            "label", "layout", "host", "runs", "seconds", "slots/s", "recorded_at",
+        ]
+        assert len(lines) == len(rows) == 10
+        assert [line.split()[:6] for line in lines] == (
+            [["workload-z", "serial", "h", "0", "1.0000", "-"]] * 6
+            + [["workload-z", "serial", "h", "0", "3.0000", "-"]] * 2
+            + [["workload-m", "serial", "h", "0", "1.0000", "-"],
+               ["bbbbbbbbbbbb", "vector", "h2", "4", "5.0000", "1235"]]
+        )
+        assert [line.split()[6] for line in lines] == [row["created_at"] for row in rows]
+
+    def test_an_empty_history_prints_a_hint_and_passes(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        ResultsStore(store_dir).close()
+        assert main(["perf", "history", "--store", str(store_dir)]) == 0
+        assert capsys.readouterr().out == (
+            "(no perf samples; record them with 'python -m repro perf record')\n"
+        )
+        assert main(["perf", "regress", "--store", str(store_dir)]) == 0
+        assert capsys.readouterr().out == "(no perf samples to test; record some first)\n"
 
     def test_usage_errors_exit_two(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
