@@ -40,8 +40,8 @@ class SystemView:
     contention:
         Sum of the known sending probabilities of those packets (the
         paper's ``C(t)``).  The engine computes it only when something reads
-        it — an adversary with ``needs_contention``, the potential tracker
-        or the trace — and passes ``0.0`` otherwise.
+        it — an adversary with ``needs_contention`` or the potential
+        tracker — and passes ``0.0`` otherwise.
     arrivals_so_far, departures_so_far, jammed_so_far:
         Cumulative counts up to and including the previous slot.
     active_slots_so_far:

@@ -13,20 +13,16 @@ The main entry points are:
 * :data:`repro.channel.feedback.SEND_REPORTS` and
   :data:`~repro.channel.feedback.LISTEN_REPORTS` — the report each sender
   and listener receives, by outcome.
-* :class:`repro.channel.trace.ExecutionTrace` — a recorded execution.
 """
 
 from repro.channel.actions import Action, ActionKind
 from repro.channel.channel import resolve_slot
 from repro.channel.feedback import Feedback, SlotOutcome
-from repro.channel.trace import ExecutionTrace, SlotRecord
 
 __all__ = [
     "Action",
     "ActionKind",
-    "ExecutionTrace",
     "Feedback",
     "SlotOutcome",
-    "SlotRecord",
     "resolve_slot",
 ]

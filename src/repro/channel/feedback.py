@@ -26,7 +26,7 @@ class Feedback(enum.Enum):
 
 
 class SlotOutcome(enum.Enum):
-    """Ground-truth classification of a slot, for metrics and traces.
+    """Ground-truth classification of a slot, for metrics and the adversary.
 
     Unlike :class:`Feedback`, the outcome distinguishes a jammed slot from a
     collision between packets, because throughput accounting with jamming

@@ -46,7 +46,7 @@ from repro.telemetry import current as current_telemetry
 #: process-pool backends.  The number is the result-format version: bump it
 #: when a result's pickled bytes change, so the result cache and campaign
 #: stores recompute rows filed under an older format rather than serve them.
-SCALAR_LAYOUT = "scalar:2"
+SCALAR_LAYOUT = "scalar:3"
 
 
 class RunJob(Protocol):
@@ -125,8 +125,6 @@ def _scalar_run_counters(tele: Any, result: SimulationResult, backend: str) -> N
     """
     tele.counter("slots_simulated", result.num_slots, backend=backend)
     tele.counter("packets_processed", len(result.packets), backend=backend)
-    if result.trace is not None:
-        tele.counter("trace_materialisations", 1, backend=backend)
     if result.potential is not None:
         tele.counter("potential_materialisations", 1, backend=backend)
 
@@ -330,10 +328,12 @@ class ProcessPoolBackend(ExecutionBackend):
             if tele.enabled:
                 # Workers time themselves on CLOCK_MONOTONIC, which is
                 # system-wide on Linux, so queue-wait (submit → worker
-                # start) and run time are directly comparable.
+                # start), run time and the job's end on the session clock
+                # are directly comparable.
                 tele.span_record(
                     "simulate",
                     ended - started,
+                    ended,
                     kind="phase",
                     backend=self.name,
                     job=index,
@@ -348,7 +348,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     source="worker",
                     **worker_resources[worker_pid],
                 )
-        if tele.enabled:
             for result in results:
                 _scalar_run_counters(tele, result, self.name)
             tele.progress("pool jobs", len(jobs), len(jobs), backend=self.name)

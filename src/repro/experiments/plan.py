@@ -107,7 +107,6 @@ class RunSpec:
     adversary: Factory | Callable[[], Adversary]
     seed: int
     max_slots: int = 200_000
-    collect_trace: bool = False
     collect_potential: bool = False
     #: Windowed dynamics sampling interval (0 = off).  Deliberately excluded
     #: from :meth:`cache_key` — dynamics are observability, not results, so
@@ -125,7 +124,6 @@ class RunSpec:
             adversary=adversary,
             seed=self.seed,
             max_slots=self.max_slots,
-            collect_trace=self.collect_trace,
             collect_potential=self.collect_potential,
             dynamics_window=self.dynamics_window,
         )
@@ -159,7 +157,8 @@ class RunSpec:
                 "max_slots": self.max_slots,
                 # Every run stops drained; the constant keeps stored hashes.
                 "stop_when_drained": True,
-                "collect_trace": self.collect_trace,
+                # No run records a trace; the constant keeps stored hashes.
+                "collect_trace": False,
                 "collect_potential": self.collect_potential,
             }
         except TypeError:
@@ -205,7 +204,6 @@ class SweepPlan:
         *,
         columns: Mapping[str, Any] | None = None,
         max_slots: int = 200_000,
-        collect_trace: bool = False,
         collect_potential: bool = False,
         dynamics_window: int = 0,
     ) -> int:
@@ -225,7 +223,6 @@ class SweepPlan:
                     adversary=adversary,
                     seed=seed,
                     max_slots=max_slots,
-                    collect_trace=collect_trace,
                     collect_potential=collect_potential,
                     dynamics_window=dynamics_window,
                 )

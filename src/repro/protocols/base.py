@@ -59,7 +59,7 @@ class PacketState(abc.ABC):
         return None
 
     def describe(self) -> dict[str, Any]:
-        """A JSON-friendly snapshot of the state, for traces and debugging."""
+        """A JSON-friendly snapshot of the state, for debugging."""
         return {}
 
 

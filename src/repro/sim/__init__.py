@@ -3,7 +3,7 @@
 The scalar engine (:class:`~repro.sim.engine.Simulator`) plays the paper's
 model slot by slot: the adversary injects packets and decides jamming,
 every active packet chooses an action from its protocol state, the channel
-resolves the slot, feedback is delivered, and metrics/traces are updated.
+resolves the slot, feedback is delivered, and metrics are updated.
 Executions are fully deterministic given a
 :class:`~repro.sim.config.SimulationConfig` (protocol, adversary, seed).
 

@@ -26,9 +26,6 @@ class SimulationConfig:
         earlier, drained, as soon as no packet remains and the arrival
         process reports it is exhausted; one whose arrivals never exhaust
         runs to the cap.
-    collect_trace:
-        Record a full per-slot :class:`~repro.channel.trace.ExecutionTrace`.
-        Costs memory proportional to the number of slots.
     collect_potential:
         Track the potential function Φ(t) each slot, with the default
         coefficients (α1, α2, α3) of
@@ -47,7 +44,6 @@ class SimulationConfig:
     adversary: Adversary
     seed: int = 0
     max_slots: int = 100_000
-    collect_trace: bool = False
     collect_potential: bool = False
     dynamics_window: int = 0
 
@@ -65,6 +61,7 @@ class SimulationConfig:
             "max_slots": self.max_slots,
             # Every run stops drained; the constant keeps stored descriptions.
             "stop_when_drained": True,
-            "collect_trace": self.collect_trace,
+            # No run records a trace; the constant keeps stored descriptions.
+            "collect_trace": False,
             "collect_potential": self.collect_potential,
         }

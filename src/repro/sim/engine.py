@@ -12,8 +12,7 @@ Each slot proceeds in the order mandated by the paper's model (Section 1.1):
    unjammed sender succeeds and departs; every packet receives its report
    for the outcome (senders and listeners hear the ternary feedback) and
    updates its protocol state;
-5. metrics, the optional trace, and the optional potential tracker record
-   the slot.
+5. metrics and the optional potential tracker record the slot.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.channel.feedback import (
     SLEEP_REPORT,
     SlotOutcome,
 )
-from repro.channel.trace import ExecutionTrace, SlotRecord
 from repro.core.potential import PotentialTracker
 from repro.metrics.collectors import MetricsCollector
 from repro.sim.config import SimulationConfig
@@ -48,9 +46,6 @@ class Simulator:
         self._all_packets: list[Packet] = []
         self._next_packet_id = 0
         self.collector = MetricsCollector()
-        self.trace: ExecutionTrace | None = (
-            ExecutionTrace() if config.collect_trace else None
-        )
         self.potential: PotentialTracker | None = (
             PotentialTracker() if config.collect_potential else None
         )
@@ -65,11 +60,9 @@ class Simulator:
         self._slot = 0
         self._last_outcome: SlotOutcome | None = None
         # Contention is only computed when someone consumes it: an adversary
-        # that declares it needs it, the potential tracker, or the trace.
+        # that declares it needs it, or the potential tracker.
         self._track_contention = bool(
-            self._adversary.needs_contention
-            or config.collect_potential
-            or config.collect_trace
+            self._adversary.needs_contention or config.collect_potential
         )
         # Per-slot scratch buffers, reused across steps.
         self._actions_buffer: list[tuple[Packet, ActionKind]] = []
@@ -128,12 +121,8 @@ class Simulator:
         num_arrivals = self._adversary.arrivals(view, adversary_rng)
         if num_arrivals < 0:
             raise ValueError("adversary produced a negative arrival count")
-        if self.trace is not None:
-            arrival_ids = tuple(self._inject(slot) for _ in range(num_arrivals))
-        else:
-            arrival_ids = ()
-            for _ in range(num_arrivals):
-                self._inject(slot)
+        for _ in range(num_arrivals):
+            self._inject(slot)
         jammed = bool(self._adversary.jam(view, adversary_rng))
 
         active_before = len(self._active)
@@ -178,35 +167,15 @@ class Simulator:
             else:
                 report = SLEEP_REPORT
             packet.state.observe(report, packet.rng)
-        winner = None
         if outcome is SlotOutcome.SUCCESS:
-            winner = senders[0]
-            self._active.pop(winner).mark_departed(slot)
+            self._active.pop(senders[0]).mark_departed(slot)
 
-        # 5. Metrics, trace, and potential.
+        # 5. Metrics and potential.
         collector.observe(
             outcome, num_arrivals, active_before, len(senders), len(listeners)
         )
-        potential_value = None
         if self.potential is not None:
-            sample = self.potential.record(slot, self.active_windows())
-            potential_value = sample.potential
-        if self.trace is not None:
-            self.trace.append(
-                SlotRecord(
-                    slot=slot,
-                    outcome=outcome,
-                    jammed=jammed,
-                    arrivals=arrival_ids,
-                    senders=tuple(senders),
-                    listeners=tuple(listeners),
-                    winner=winner,
-                    active_before=active_before,
-                    active_after=len(self._active),
-                    contention=view.contention,
-                    potential=potential_value,
-                )
-            )
+            self.potential.record(slot, self.active_windows())
 
         if self._dynamics is not None and (slot + 1) % self._dynamics.window == 0:
             self._sample_dynamics()
@@ -242,7 +211,6 @@ class Simulator:
             and bool(self._adversary.arrivals_exhausted(self._slot)),
             collector=self.collector,
             packets=records,
-            trace=self.trace,
             potential=self.potential,
             dynamics=dynamics,
         )
@@ -285,7 +253,7 @@ class Simulator:
             probability_sum=probability_sum,
         )
 
-    def _inject(self, slot: int) -> int:
+    def _inject(self, slot: int) -> None:
         packet_id = self._next_packet_id
         self._next_packet_id += 1
         packet = Packet(
@@ -296,7 +264,6 @@ class Simulator:
         )
         self._active[packet_id] = packet
         self._all_packets.append(packet)
-        return packet_id
 
     def _contention(self) -> float:
         """The paper's C(t): the summed sending probabilities of the backlog."""

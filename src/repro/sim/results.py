@@ -1,9 +1,9 @@
 """Simulation results.
 
 A :class:`SimulationResult` bundles everything an execution produced: the
-cumulative counters, the optional trace and potential samples, and per-packet
-records.  Convenience methods compute the paper's metrics so experiments,
-examples, and tests never re-derive them by hand.
+cumulative counters, the optional potential samples and dynamics trajectory,
+and per-packet records.  Convenience methods compute the paper's metrics so
+experiments, examples, and tests never re-derive them by hand.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.channel.trace import ExecutionTrace
 from repro.core.potential import PotentialTracker
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.energy import EnergyStatistics, PacketEnergy, energy_statistics
@@ -84,7 +83,6 @@ class SimulationResult:
     drained: bool
     collector: MetricsCollector
     packets: list[PacketRecord] = field(default_factory=list)
-    trace: ExecutionTrace | None = None
     potential: PotentialTracker | None = None
     # Optional windowed dynamics trajectory (repro.dynamics).  Result-inert:
     # stripped from run artifacts by the store, persisted separately.

@@ -20,7 +20,6 @@ def run_simulation(
     jammer: Jammer | None = None,
     seed: int = 0,
     max_slots: int = 100_000,
-    collect_trace: bool = False,
     collect_potential: bool = False,
 ) -> SimulationResult:
     """Run one execution.
@@ -38,7 +37,6 @@ def run_simulation(
         adversary=adversary,
         seed=seed,
         max_slots=max_slots,
-        collect_trace=collect_trace,
         collect_potential=collect_potential,
     )
     return Simulator(config).run()

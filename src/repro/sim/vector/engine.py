@@ -55,9 +55,7 @@ every output and feedback jammer is kept per row: Φ is written where a row
 resolves a slot and carried over its idle slots after the loop, dynamics
 windows are sampled as each row crosses them, and an adaptive jammer reads
 each row's contention after its last resolve.  :func:`steps_rows` says why
-the other batches stay in lockstep.  Execution traces are not an output
-here: a traced spec runs on the scalar engine
-(:func:`~repro.sim.vector.support.vector_support`).
+the other batches stay in lockstep.
 
 A replication consumes its packet stream only through its own events, in
 packet-id order within a slot (:class:`~repro.sim.vector.rng.RowCoins`),
@@ -221,7 +219,7 @@ def _potential_terms(
 _POTENTIAL_TERMS = ("h_term", "l_term", "inverse_window_sum", "potential")
 
 
-class _SlotRecorder:
+class _SlotBuffers:
     """Growable ``(slots × replications)`` per-slot observation buffers.
 
     The base buffers feed metric finalisation; the potential buffers (H,
@@ -537,7 +535,7 @@ class _Batch:
         self.backlog = np.zeros(replications, dtype=np.int64)
         self.running = np.ones(replications, dtype=bool)
         self.num_slots = np.full(replications, max_slots, dtype=np.int64)
-        self.recorder = _SlotRecorder(replications, potential=self.collect_potential)
+        self.recorder = _SlotBuffers(replications, potential=self.collect_potential)
         # Loop statistics: the rounds that resolved a slot (of one row or of
         # all), and lockstep's bulk-recorded slots.
         self.iterations = 0

@@ -44,9 +44,9 @@ from repro.sim.rng import derive_seed
 #: engine's layout.  The number versions the coin order and the result
 #: format together.  Bump it when either changes, and never reuse a layout a
 #: store may hold (older stores hold ``vector:<64-hex batch signature>``,
-#: ``vector:3`` rows), so results drawn under another order or pickled in
-#: another format are recomputed rather than served.
-RESULT_LAYOUT = "vector:4"
+#: ``vector:3`` and ``vector:4`` rows), so results drawn under another order
+#: or pickled in another format are recomputed rather than served.
+RESULT_LAYOUT = "vector:5"
 
 #: Uniforms buffered per row (grown on demand).
 _ROW_COIN_WIDTH = 4096

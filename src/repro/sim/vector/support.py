@@ -18,9 +18,7 @@ Feedback jammers vectorize too, via the engine's feedback loop: reactive
 jammers see each resolving row's senders, and contention-reading adaptive
 jammers are fed each row's contention.  Potential tracking and dynamics
 trajectories are vectorized *outputs*, kept per row and materialized into
-potential samples and trajectories.  Execution traces are not: no
-experiment or scenario collects one, so a traced spec runs on the scalar
-engine, whose trace is the reference (:data:`TRACE_REASON`).
+potential samples and trajectories.
 
 **The kernel tables are the registry.**  A protocol vectorizes when its
 exact type has an entry in
@@ -61,9 +59,6 @@ from repro.adversary.composite import CompositeAdversary
 from repro.adversary.scheduled import ScheduledArrivals, ScheduledJamming
 from repro.sim.vector.adversaries import ARRIVAL_KERNELS, JAMMER_KERNELS
 from repro.sim.vector.protocols import PROTOCOL_KERNELS
-
-#: The fallback reason of a spec that collects an execution trace.
-TRACE_REASON = "execution traces run on the scalar engine"
 
 
 def lockstep_components(adversary: Any) -> tuple[Any, Any] | None:
@@ -148,8 +143,6 @@ def vector_support(spec: Any) -> str | None:
     introspect the concrete arrival/jammer types; the built objects are
     discarded, so this never leaks state into the actual run.
     """
-    if spec.collect_trace:
-        return TRACE_REASON
     reason = protocol_support(spec.protocol)
     if reason is not None:
         return reason

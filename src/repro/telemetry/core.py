@@ -29,7 +29,8 @@ clock (wall-clock anchors live in the ``session_start`` event).  Kinds:
     Session lifecycle; ``session_start`` carries the wall-clock time and
     pid, ``session_end`` the total elapsed seconds.
 ``span``
-    One timed region: ``name``, ``dur`` (seconds) and free-form ``attrs``.
+    One timed region: ``name``, ``dur`` (seconds) and free-form ``attrs``;
+    its ``ts`` is the region's end.
     The ``kind`` attr partitions spans for summarisation: ``root`` spans
     bound a whole run's wall clock, ``phase`` spans (build / simulate /
     finalize / commit) decompose it, ``unit`` spans mark campaign
@@ -102,9 +103,8 @@ class Span:
         return self
 
     def __exit__(self, *exc_info: object) -> bool:
-        self._session._emit_span(
-            self.name, time.monotonic() - self._started, self.attrs
-        )
+        ended = time.monotonic()
+        self._session._emit_span(self.name, ended - self._started, self.attrs, ended)
         return False
 
 
@@ -121,7 +121,9 @@ class NullSession:
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def span_record(self, name: str, duration: float, **attrs: Any) -> None:
+    def span_record(
+        self, name: str, duration: float, ended: float | None = None, **attrs: Any
+    ) -> None:
         pass
 
     def counter(self, name: str, value: float, **attrs: Any) -> None:
@@ -224,15 +226,12 @@ class TelemetrySession:
         for sink in self._sinks:
             sink.emit(record)
 
-    def _emit_span(self, name: str, duration: float, attrs: dict[str, Any]) -> None:
-        self._emit(
-            {
-                "ev": "span",
-                "name": name,
-                "dur": round(duration, 6),
-                "attrs": attrs,
-            }
-        )
+    def _emit_span(
+        self, name: str, duration: float, attrs: dict[str, Any], ended: float
+    ) -> None:
+        record = {"ev": "span", "name": name, "dur": round(duration, 6), "attrs": attrs}
+        record["ts"] = round(ended - self._t0, 6)
+        self._emit(record)
 
     # -- Public API ---------------------------------------------------------
 
@@ -240,9 +239,14 @@ class TelemetrySession:
         """A context manager timing one region (see :class:`Span`)."""
         return Span(self, name, attrs)
 
-    def span_record(self, name: str, duration: float, **attrs: Any) -> None:
-        """Record an externally-timed span (e.g. measured in a pool worker)."""
-        self._emit_span(name, float(duration), attrs)
+    def span_record(
+        self, name: str, duration: float, ended: float | None = None, **attrs: Any
+    ) -> None:
+        """Record an externally-timed span (e.g. measured in a pool worker)
+        that ended at monotonic time ``ended`` (default: now)."""
+        if ended is None:
+            ended = time.monotonic()
+        self._emit_span(name, float(duration), attrs, ended)
 
     def counter(self, name: str, value: float, **attrs: Any) -> None:
         """Accumulate ``value`` under ``name`` (summed by the summarizer)."""

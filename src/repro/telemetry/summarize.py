@@ -9,7 +9,9 @@ The summary decomposes wall-clock by span kind:
 * ``root`` spans (sweep / scenario / campaign) define total wall clock.
 * ``phase`` spans (build / simulate / finalize / commit) decompose it;
   their share of root time is the ``coverage`` figure the acceptance
-  bar cares about (≥95% means the breakdown explains the run).
+  bar cares about (≥95% means the breakdown explains the run).  Pool jobs
+  (spans with a ``worker_pid``) overlap, so coverage counts them by the
+  union of their ``[ts − dur, ts]`` intervals; their rows keep the sums.
 * ``unit`` spans (campaign checkpoint units) are reported separately
   and excluded from coverage — the phases inside them already count.
 
@@ -96,10 +98,11 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     Returns a dict with ``runs`` (correlation ids seen), ``phases`` /
     ``roots`` / ``units`` span tables keyed by ``(name, backend)``,
     ``counters`` totals, ``events`` counts keyed by ``(name, key-detail)``,
-    and ``coverage`` (phase seconds / root seconds, ``None`` when no
-    root span exists).  When the events carry ``resource_sample``
-    events, ``resources`` lists one row per ``(pid, source)`` with the
-    peak ``rss_bytes`` and the last ``cpu_seconds`` and ``fds``.
+    and ``coverage`` (``phase_seconds``, with pool jobs counted by their
+    union, / root seconds; ``None`` when no root span exists).  When the
+    events carry ``resource_sample`` events, ``resources`` lists one row
+    per ``(pid, source)`` with the peak ``rss_bytes`` and the last
+    ``cpu_seconds`` and ``fds``.
     """
     runs: list[str] = []
     phases: dict[tuple[str, str], dict[str, Any]] = {}
@@ -109,6 +112,7 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     event_counts: dict[str, int] = {}
     event_specs: dict[str, set[str]] = {}
     resources: dict[tuple[str, str], dict[str, Any]] = {}
+    pooled: dict[str, list[tuple[float, float]]] = {}  # job intervals by run
 
     def fold_span(table: dict[tuple[str, str], dict[str, Any]], record: dict[str, Any]) -> None:
         attrs = record.get("attrs") or {}
@@ -144,6 +148,10 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
                 fold_span(units, record)
             else:
                 fold_span(phases, record)
+                if "worker_pid" in attrs:
+                    ended = float(record.get("ts", 0.0))
+                    started = ended - float(record.get("dur", 0.0))
+                    pooled.setdefault(str(run), []).append((started, ended))
         elif kind == "counter":
             name = str(record.get("name"))
             counters[name] = counters.get(name, 0.0) + float(record.get("value", 0.0))
@@ -189,6 +197,8 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
             row["p95"] = quantile(durations, 0.95) if durations else 0.0
 
     phase_total = sum(row["total"] for row in phases.values())
+    for intervals in pooled.values():
+        phase_total += _union_seconds(intervals) - sum(b - a for a, b in intervals)
     root_total = sum(row["total"] for row in roots.values())
     coverage = phase_total / root_total if root_total > 0 else None
     summary: dict[str, Any] = {
@@ -208,6 +218,16 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     if resources:
         summary["resources"] = list(resources.values())
     return summary
+
+
+def _union_seconds(intervals: list[tuple[float, float]]) -> float:
+    """The length of the union of ``(start, end)`` intervals."""
+    total, reach = 0.0, float("-inf")
+    for start, end in sorted(intervals):
+        if end > reach:
+            total += end - max(start, reach)
+            reach = end
+    return total
 
 
 def render_summary(summary: dict[str, Any]) -> str:

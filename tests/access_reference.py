@@ -31,12 +31,37 @@ import numpy as np
 
 from repro.adversary.base import SystemView
 from repro.channel.feedback import SLEEP_REPORT, Feedback, FeedbackReport, SlotOutcome
-from repro.channel.trace import SlotRecord
 from repro.core.low_sensing import DecoupledLowSensingBackoff, LowSensingBackoff
 from repro.core.potential import PotentialCoefficients, PotentialTracker
 from repro.dynamics.trajectory import WindowSnapshot, build_trajectory, jammer_budget
 from repro.sim.rng import derive_seed
 from repro.sim.vector.rng import geometric_gaps
+
+
+@dataclass(frozen=True, slots=True)
+class SlotRecord:
+    """Everything that happened in one reference slot."""
+
+    slot: int
+    outcome: SlotOutcome
+    jammed: bool
+    arrivals: tuple[int, ...]
+    senders: tuple[int, ...]
+    listeners: tuple[int, ...]
+    winner: int | None
+    active_before: int
+    active_after: int
+    contention: float
+    potential: float
+
+    @property
+    def is_active(self) -> bool:
+        """True when at least one packet was in the system during the slot."""
+        return self.active_before > 0
+
+    @property
+    def is_success(self) -> bool:
+        return self.outcome is SlotOutcome.SUCCESS
 
 
 def decision_probabilities(protocol, state):

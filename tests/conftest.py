@@ -33,7 +33,6 @@ def run_batch(
     seed: int = 7,
     jammer=None,
     max_slots: int = 300_000,
-    collect_trace: bool = False,
     collect_potential: bool = False,
 ):
     """Run ``protocol`` on a batch of ``n`` packets and return the result."""
@@ -42,7 +41,6 @@ def run_batch(
         adversary=CompositeAdversary(BatchArrivals(n), jammer),
         seed=seed,
         max_slots=max_slots,
-        collect_trace=collect_trace,
         collect_potential=collect_potential,
     )
     return Simulator(config).run()

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sim.vector.support import TRACE_REASON
 
 
 def _command_tree(parser, prefix=()):
@@ -120,11 +119,6 @@ class TestList:
         for row in payload["scenarios"]:
             assert "vectorization" in row
             assert row["vectorization"]["total_specs"] > 0
-        # Execution traces run on the scalar engine, and no experiment or
-        # scenario collects one: a plan that starts to cannot turn serial
-        # unnoticed.
-        for row in payload["experiments"] + payload["scenarios"]:
-            assert TRACE_REASON not in row["vectorization"]["fallback_histogram"]
 
 
 class TestExplain:

@@ -9,6 +9,7 @@ from repro.adversary.jamming import (
     PeriodicJamming,
     ReactiveTargetedJammer,
 )
+from repro.channel.actions import ActionKind
 from repro.channel.feedback import SlotOutcome
 from repro.core.low_sensing import LowSensingBackoff
 from repro.protocols.base import BackoffProtocol, PacketState
@@ -101,37 +102,53 @@ class TestEnergyAccounting:
 
 
 class TestTraceCollection:
-    def test_trace_records_every_slot(self):
-        result = run_batch(LowSensingBackoff(), 20, seed=4, collect_trace=True)
-        assert result.trace is not None
-        assert result.trace.num_slots == result.num_slots
-        assert result.trace.num_successes == result.num_delivered
-        assert result.trace.num_arrivals == result.num_arrivals
+    """A window-1 dynamics trajectory records every slot on its own."""
 
     def test_trace_winner_matches_success(self):
-        result = run_batch(LowSensingBackoff(), 20, seed=4, collect_trace=True)
-        for record in result.trace:
-            if record.outcome is SlotOutcome.SUCCESS:
-                assert record.senders == (record.winner,)
-                assert result.packets[record.winner].departure_slot == record.slot
-                assert record.active_after == record.active_before - 1
-            else:
-                assert record.winner is None
-                assert record.active_after >= record.active_before - 0
-
-    def test_no_trace_by_default(self):
-        assert run_batch(LowSensingBackoff(), 5, seed=4).trace is None
+        config = SimulationConfig(
+            protocol=LowSensingBackoff(),
+            adversary=CompositeAdversary(BatchArrivals(20)),
+            seed=4,
+            dynamics_window=1,
+        )
+        result = Simulator(config).run()
+        trajectory = result.dynamics
+        assert trajectory.window == 1 and trajectory.num_windows == result.num_slots
+        departures = [0] * result.num_slots
+        for packet in result.packets:
+            departures[packet.departure_slot] += 1
+        sends = trajectory.cumulative_sends.tolist()
+        backlog_before = 0
+        for slot, (arrivals, successes, backlog) in enumerate(
+            zip(
+                trajectory.arrivals.tolist(),
+                trajectory.successes.tolist(),
+                trajectory.backlog.tolist(),
+            )
+        ):
+            backlog_before += arrivals
+            # A success slot has one sender, which departs in it; no other
+            # slot sees a departure.
+            assert departures[slot] == successes
+            if successes:
+                assert sends[slot] - (sends[slot - 1] if slot else 0) == 1
+            assert backlog == backlog_before - successes
+            backlog_before = backlog
+        assert sum(trajectory.successes.tolist()) == result.num_delivered == 20
 
 
 class RecordingState(PacketState):
-    """LOW-SENSING state that keeps every report it observes."""
+    """LOW-SENSING state that keeps every action it takes and report it observes."""
 
     def __init__(self, inner: PacketState) -> None:
         self.inner = inner
+        self.kinds = []
         self.reports = []
 
     def decide(self, rng):
-        return self.inner.decide(rng)
+        action = self.inner.decide(rng)
+        self.kinds.append(action.kind)
+        return action
 
     def observe(self, report, rng):
         self.reports.append(report)
@@ -161,26 +178,53 @@ class TestFeedbackDelivery:
             adversary=CompositeAdversary(BatchArrivals(25), BernoulliJamming(0.2)),
             seed=9,
             max_slots=20_000,
-            collect_trace=True,
         )
         result = Simulator(config).run()
         assert result.drained
+        # Each slot's senders and listeners, rebuilt from the packets' own
+        # decisions: one decision and one report per slot a packet was in
+        # the system, departure slot included.
+        senders = [set() for _ in range(result.num_slots)]
+        listeners = [set() for _ in range(result.num_slots)]
+        for packet, state in zip(result.packets, protocol.states):
+            lifetime = packet.departure_slot - packet.arrival_slot + 1
+            assert len(state.kinds) == len(state.reports) == lifetime
+            for offset, kind in enumerate(state.kinds):
+                if kind is ActionKind.SEND:
+                    senders[packet.arrival_slot + offset].add(packet.packet_id)
+                elif kind is ActionKind.LISTEN:
+                    listeners[packet.arrival_slot + offset].add(packet.packet_id)
+        # Every slot of a batch run is active, so the jammed active slots
+        # are all the jammed slots.
+        jammed = set(result.collector.jammed_active_slots)
+        assert len(jammed) == result.num_jammed > 0
+        outcomes, winners = [], []
+        for slot, sent in enumerate(senders):
+            if slot in jammed:
+                outcome = SlotOutcome.JAMMED
+            elif len(sent) == 1:
+                outcome = SlotOutcome.SUCCESS
+            else:
+                outcome = SlotOutcome.COLLISION if sent else SlotOutcome.EMPTY
+            winner = min(sent) if outcome is SlotOutcome.SUCCESS else None
+            if winner is not None:
+                assert result.packets[winner].departure_slot == slot
+            outcomes.append(outcome)
+            winners.append(winner)
         seen = set()
         for packet, state in zip(result.packets, protocol.states):
-            # One report per slot the packet was in the system, departure
-            # slot included.
-            assert len(state.reports) == packet.departure_slot - packet.arrival_slot + 1
             for offset, report in enumerate(state.reports):
-                record = result.trace[packet.arrival_slot + offset]
+                slot = packet.arrival_slot + offset
+                outcome = outcomes[slot]
                 got = (report.feedback, report.sent, report.succeeded)
-                if packet.packet_id in record.senders:
-                    won = packet.packet_id == record.winner
-                    assert got == (record.outcome.feedback, True, won)
-                elif packet.packet_id in record.listeners:
-                    assert got == (record.outcome.feedback, False, False)
+                if packet.packet_id in senders[slot]:
+                    won = packet.packet_id == winners[slot]
+                    assert got == (outcome.feedback, True, won)
+                elif packet.packet_id in listeners[slot]:
+                    assert got == (outcome.feedback, False, False)
                 else:
                     assert got == (None, False, False)
-                seen.add((record.outcome, report.sent, report.feedback is None))
+                seen.add((outcome, report.sent, report.feedback is None))
         # Senders and listeners heard every outcome an action can meet.
         for outcome in (SlotOutcome.SUCCESS, SlotOutcome.COLLISION, SlotOutcome.JAMMED):
             assert (outcome, True, False) in seen

@@ -3,7 +3,7 @@
 The engine builds one count-only :class:`~repro.adversary.base.SystemView`
 per slot for every adversary.  These tests rebuild the counts it must carry
 from the run's packet records, and check that computing the contention every
-slot — as a traced run does — changes no result.
+slot — as a run that collects Φ does — changes no result.
 """
 
 import pytest
@@ -75,7 +75,7 @@ class RecordingAdversary(Adversary):
 
 
 class TestTrackingContentionChangesNothing:
-    """A traced run computes C(t) every slot; an untraced one never does."""
+    """A run that collects Φ computes C(t) every slot; a plain one never does."""
 
     @pytest.mark.parametrize(
         "adversary_factory",
@@ -93,32 +93,35 @@ class TestTrackingContentionChangesNothing:
         ],
     )
     @pytest.mark.parametrize("protocol_cls", [LowSensingBackoff, BinaryExponentialBackoff])
-    def test_traced_run_matches_untraced(self, adversary_factory, protocol_cls):
-        def run(collect_trace):
+    def test_tracking_run_matches_plain_run(self, adversary_factory, protocol_cls):
+        def run(collect_potential):
             config = SimulationConfig(
                 protocol=protocol_cls(),
                 adversary=adversary_factory(),
                 seed=13,
                 max_slots=100_000,
-                collect_trace=collect_trace,
+                collect_potential=collect_potential,
             )
-            return Simulator(config).run()
+            simulator = Simulator(config)
+            assert simulator._track_contention == collect_potential
+            return simulator.run()
 
-        traced, plain = run(True), run(False)
-        assert traced.summary() == plain.summary()
-        assert _packet_tuples(traced) == _packet_tuples(plain)
-        assert all(record.contention is not None for record in traced.trace)
+        tracking, plain = run(True), run(False)
+        assert tracking.summary() == plain.summary()
+        assert _packet_tuples(tracking) == _packet_tuples(plain)
+        assert len(tracking.potential.samples) == tracking.num_slots
 
     def test_slot_by_slot_outcomes_match(self):
-        def outcomes(collect_trace):
+        def outcomes(collect_potential):
             config = SimulationConfig(
                 protocol=LowSensingBackoff(),
                 adversary=CompositeAdversary(BatchArrivals(12)),
                 seed=5,
                 max_slots=400,
-                collect_trace=collect_trace,
+                collect_potential=collect_potential,
             )
             sim = Simulator(config)
+            assert sim._track_contention == collect_potential
             return [sim.step() for _ in range(400)]
 
         assert outcomes(False) == outcomes(True)
@@ -222,6 +225,19 @@ class TestViewCarriesEngineCounts:
             )
 
 
+class RecordingTargetedJammer(ReactiveTargetedJammer):
+    """Keeps each slot's senders and reactive jam decision."""
+
+    def __init__(self, budget, target_index):
+        super().__init__(budget, target_index)
+        self.decisions = []
+
+    def reactive_jam(self, view, senders, rng):
+        jammed = super().reactive_jam(view, senders, rng)
+        self.decisions.append((view.slot, senders, jammed))
+        return jammed
+
+
 class TestReactiveTargetedJammerTiming:
     def test_target_never_jammed_in_its_arrival_slot(self):
         # Every packet sends with probability 1/2, so over a few seeds the
@@ -229,25 +245,31 @@ class TestReactiveTargetedJammerTiming:
         target = 4
         sends_on_arrival = sends_later = 0
         for seed in range(1, 5):
+            jammer = RecordingTargetedJammer(budget=None, target_index=target)
             config = SimulationConfig(
                 protocol=FixedProbabilityProtocol(probability=0.5),
                 adversary=CompositeAdversary(
                     PeriodicBurstArrivals(burst_size=1, period=3, num_bursts=8),
-                    ReactiveTargetedJammer(budget=None, target_index=target),
+                    jammer,
                 ),
                 seed=seed,
                 max_slots=200,
-                collect_trace=True,
             )
             result = Simulator(config).run()
+            # The jammer never jams before the senders are known, so it
+            # decides every slot reactively.
+            assert [slot for slot, *_ in jammer.decisions] == list(range(result.num_slots))
+            assert result.collector.jammed_active_slots == [
+                slot for slot, _, jammed in jammer.decisions if jammed
+            ]
             arrival = result.packets[target].arrival_slot
-            for record in result.trace:
-                if target not in record.senders:
+            for slot, senders, jammed in jammer.decisions:
+                if target not in senders:
                     continue
                 # Unseen in its arrival slot, so unjammed there; jammed on
                 # every later send (unbounded budget, no other jammer).
-                assert record.jammed == (record.slot > arrival), (seed, record.slot)
-                if record.slot == arrival:
+                assert jammed == (slot > arrival), (seed, slot)
+                if slot == arrival:
                     sends_on_arrival += 1
                 else:
                     sends_later += 1

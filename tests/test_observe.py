@@ -657,7 +657,10 @@ class TestWorkerUtilization:
         assert unit_imbalance([0.0, 0.0]) is None
         assert unit_imbalance([1.0, 3.0]) == pytest.approx(1.5)
 
-    def test_processes_backend_spans_feed_utilization(self):
+    @staticmethod
+    def _pool_events(packets, jobs):
+        """The telemetry of ``jobs`` BEB batch runs on a 2-worker pool,
+        under one root span."""
         from repro.experiments.plan import RunSpec, factory
         from repro.adversary.arrivals import BatchArrivals
         from repro.adversary.composite import CompositeAdversary
@@ -666,20 +669,54 @@ class TestWorkerUtilization:
         specs = [
             RunSpec(
                 protocol=BinaryExponentialBackoff(),
-                adversary=factory(CompositeAdversary, factory(BatchArrivals, 8)),
+                adversary=factory(CompositeAdversary, factory(BatchArrivals, packets)),
                 seed=seed,
-                max_slots=1000,
+                max_slots=100_000,
             )
-            for seed in (1, 2, 3)
+            for seed in range(1, jobs + 1)
         ]
         mem = MemorySink()
-        with activated(TelemetrySession([mem])):
-            with make_backend("processes", workers=2) as backend:
-                backend.run(specs)
-        summary = worker_utilization(mem.records)
+        with activated(TelemetrySession([mem])) as session:
+            with session.span("sweep", kind="root", backend="processes"):
+                with make_backend("processes", workers=2) as backend:
+                    backend.run(specs)
+        return mem.records
+
+    def test_processes_backend_spans_feed_utilization(self):
+        events = self._pool_events(packets=8, jobs=6)
+        summary = worker_utilization(events)
         assert summary is not None
-        assert summary["jobs"] == 3
-        assert summary["queue_wait"]["count"] == 3
+        assert summary["jobs"] == 6
+        assert summary["queue_wait"]["count"] == 6
+        assert all(row["busy_fraction"] <= 1.0 for row in summary["workers"])
+        # Each job's span ends where the job ended, so the jobs of one
+        # worker never overlap (up to the microsecond rounding of ts and dur).
+        intervals = {}
+        for record in events:
+            pid = record.get("attrs", {}).get("worker_pid")
+            if record["ev"] == "span" and pid is not None:
+                end = record["ts"]
+                intervals.setdefault(pid, []).append((end - record["dur"], end))
+        assert sum(map(len, intervals.values())) == 6
+        for spans in intervals.values():
+            spans.sort()
+            for (_, end), (start, _) in zip(spans, spans[1:]):
+                assert start >= end - 2e-6
+
+    def test_pooled_coverage_stays_within_root_wall_clock(self):
+        # Jobs long enough that the two workers overlap for most of the run.
+        events = self._pool_events(packets=200, jobs=8)
+        summary = summarize_events(events)
+        (simulate,) = summary["phases"]
+        durations = [
+            record["dur"]
+            for record in events
+            if record["ev"] == "span" and record.get("name") == "simulate"
+        ]
+        # The phase row keeps the plain sum; coverage counts the union.
+        assert simulate["total"] == pytest.approx(sum(durations))
+        assert summary["phase_seconds"] <= simulate["total"]
+        assert 0 < summary["coverage"] <= 1.0
 
     def test_campaign_status_reports_unit_imbalance(self, tmp_path):
         store = ResultsStore(tmp_path / "s")

@@ -7,7 +7,6 @@ import pytest
 from repro.adversary.arrivals import BatchArrivals, PoissonArrivals
 from repro.adversary.composite import CompositeAdversary
 from repro.adversary.jamming import BernoulliJamming, PeriodicJamming
-from repro.channel.feedback import SlotOutcome
 from repro.core.low_sensing import LowSensingBackoff
 from repro.exec import SerialBackend, VectorBackend
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
@@ -115,8 +114,7 @@ class TestSimulationResultApi:
 
 def _recorded_runs(engine, protocol, jammer):
     """Runs of Poisson arrivals (the system empties and refills) that record
-    every slot on their own: a trace on the scalar engine, a window-1
-    dynamics trajectory on the vector engine, which keeps no trace."""
+    every slot on their own, in a window-1 dynamics trajectory."""
     arrivals = PoissonArrivals(0.05, horizon=1500)
     seeds = [5, 6]
     if engine == "vector":
@@ -136,7 +134,7 @@ def _recorded_runs(engine, protocol, jammer):
                 adversary=CompositeAdversary(arrivals, jammer),
                 seed=seed,
                 max_slots=3000,
-                collect_trace=True,
+                dynamics_window=1,
             )
         ).run()
         for seed in seeds
@@ -145,16 +143,6 @@ def _recorded_runs(engine, protocol, jammer):
 
 def _recorded_slots(result):
     """Per slot: (success, jammed, active, backlog after the slot)."""
-    if result.trace is not None:
-        return [
-            (
-                record.outcome is SlotOutcome.SUCCESS,
-                record.jammed,
-                record.active_before > 0,
-                record.active_after,
-            )
-            for record in result.trace
-        ]
     trajectory = result.dynamics
     assert trajectory.window == 1
     # A success departs in its slot, so the slot was active even when the
@@ -183,8 +171,8 @@ def _recorded_throughput(slots):
 
 class TestDerivedSeries:
     """The per-slot series are derived from packet records and jammed slots;
-    a trace, or a window-1 dynamics trajectory, records every slot
-    independently, so it is the cross-check."""
+    a window-1 dynamics trajectory records every slot independently, so it
+    is the cross-check."""
 
     @pytest.mark.parametrize("engine", ["serial", "vector"])
     @pytest.mark.parametrize(
@@ -199,10 +187,6 @@ class TestDerivedSeries:
             assert any(not active for _, _, active, _ in slots)
             assert result.num_jammed > result.num_jammed_active > 0
             assert result.backlog_series() == [backlog for *_, backlog in slots]
-            if result.trace is not None:
-                assert result.backlog_series() == [
-                    record.active_after for record in result.trace
-                ]
             assert result.throughput_series() == _recorded_throughput(slots)
 
     @pytest.mark.parametrize("engine", ["serial", "vector"])

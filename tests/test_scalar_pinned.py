@@ -1,13 +1,12 @@
 """Pinned scalar results: the reference engine's output for fixed seeds.
 
 Every other scalar check compares two runs of this code with each other
-(serial against processes, traced against untraced), so a change that
+(serial against processes, with Φ against without), so a change that
 alters every scalar result in the same way passes them all.  This module
 pins the results themselves: one SHA-256 per run over a canonical JSON of
 its packet records, ``num_slots``, ``drained``, every collector counter and
-``jammed_active_slots``, the trace's per-slot records (outcome, jamming,
-arrivals, senders, listeners, winner and backlog counts), and the Φ and
-dynamics values as ``repr`` strings.
+``jammed_active_slots``, and the Φ and dynamics values as ``repr``
+strings.
 
 A change that alters scalar results on purpose bumps ``SCALAR_LAYOUT``
 and regenerates the table with ``PYTHONPATH=src python -m
@@ -63,7 +62,7 @@ WORKLOADS = {
 
 MODES = {
     "plain": {},
-    "trace-phi": {"collect_trace": True, "collect_potential": True},
+    "phi": {"collect_potential": True},
     "dynamics-64": {"dynamics_window": 64},
 }
 
@@ -90,7 +89,6 @@ def result_digest(result) -> str:
     collector = result.collector
     potential = result.potential
     dynamics = result.dynamics
-    trace = result.trace
     payload = {
         "packets": [
             [p.packet_id, p.arrival_slot, p.departure_slot, p.sends, p.listens]
@@ -100,23 +98,6 @@ def result_digest(result) -> str:
         "drained": result.drained,
         "counters": [getattr(collector, name) for name in COUNTERS],
         "jammed_active_slots": collector.jammed_active_slots,
-        # Every field but the contention and Φ floats (Φ is pinned below).
-        "trace": None
-        if trace is None
-        else [
-            [
-                record.slot,
-                record.outcome.value,
-                record.jammed,
-                list(record.arrivals),
-                list(record.senders),
-                list(record.listeners),
-                record.winner,
-                record.active_before,
-                record.active_after,
-            ]
-            for record in trace
-        ],
         # Φ only: a sample's contention field is a builtin float sum(),
         # which Python 3.12 compensates, so its last bits vary by version.
         "potential": None
@@ -149,150 +130,150 @@ def digests(protocol_name: str) -> dict[tuple[str, str, int], str]:
 
 #: ``protocol workload mode seed digest`` per line.
 PINNED_TABLE = """
-low-sensing batch plain 11 82edd87c0b1c799a35b112d1c7cc5dc0937d354e1d002742e27e85deb087291c
-low-sensing batch plain 23 54a946d55ee255ac5e5031ea6e79c0c03886470b873418a4c61ce3100f0f0426
-low-sensing batch trace-phi 11 5848b292f4b78c6adf1bd55829f6c5792fa1fc0c3e28190d32f7aab36ecfc455
-low-sensing batch trace-phi 23 3190fde03f66a1896b56eed47763ecbf3aabacba1fd5d987f250d1ce07a4b2fc
-low-sensing batch dynamics-64 11 5d3619850d81d8c2766d5ebd35a90b48bdcb4c0869883b263f07ccd73633b209
-low-sensing batch dynamics-64 23 91501f507a1ad9c9820a29c42b3136bf1365eb8f56b5de7f251f63135ed48b05
-low-sensing poisson-bernoulli plain 11 8095d3c7988f991b651af0c2e82ebe7fa379d95f1e452030ebe63fa8874fce0b
-low-sensing poisson-bernoulli plain 23 866980beba61eaabb01f41644c64b39bf5e17bbcd43aa7315f1064578eeeb3ab
-low-sensing poisson-bernoulli trace-phi 11 5f7af7da0fb2fdc9e3d7357b27bc1a304c9b924c8ca01a7add54d3d413f83e56
-low-sensing poisson-bernoulli trace-phi 23 791e0e2921a7162cdb176b7cf68ad825183b5af1a33494f4c9b3908a57e7366b
-low-sensing poisson-bernoulli dynamics-64 11 800bec413c00f14fad62c64ff11fe903c730332f9471a5433fef242eeab21d44
-low-sensing poisson-bernoulli dynamics-64 23 00c2383c729ec3fa754f445d53cbdcf12a19cd931d4709e90c284ed4070023e5
-low-sensing bursts-reactive plain 11 e95a42f1752fad7d31be00a1825ac5ddad5c144c2cc6a68572e9810803162d01
-low-sensing bursts-reactive plain 23 02578fbc51a4b6e7a2bbf16bdbf08db3c80cce6b6c2d62f763618001a79619eb
-low-sensing bursts-reactive trace-phi 11 96052ea4731f26012784ed29bbd6c0d05ddfd6ad1cf808b6ad71864b07c3cfab
-low-sensing bursts-reactive trace-phi 23 e4289ea1f422c2b74960de70101c55e59658d1afd5f47e2db84d24cb2837d719
-low-sensing bursts-reactive dynamics-64 11 5844eb73c89b292e4e012a37cb3926b52c85003f7fd0a8915c3642090ceb05ff
-low-sensing bursts-reactive dynamics-64 23 f56aca1dafbe3dcd40d6c2a205920fd5f0291606b21a4a3492ccf8d02b278e72
-decoupled-low-sensing batch plain 11 74641525c236a92e3c0ac91a4bb38766c3cb37b6df62480008b25d202d1b641b
-decoupled-low-sensing batch plain 23 b4c685da9a71ce5a53941b515966ad668548f967c4966d2baf3d6805995be6cd
-decoupled-low-sensing batch trace-phi 11 bc3f5de35bf720572bd2da96d9997c26094c894ccc6b8e092c6c2c73d8571ab3
-decoupled-low-sensing batch trace-phi 23 f803301f587926b8466e5d3f398ab9dd9bbb9f7dc1d713082f8a6820d6b8e904
-decoupled-low-sensing batch dynamics-64 11 4215b7b4feb7767dadeb755d6ff9461b7437c566cfe7bd79e4663f2b0e2605c1
-decoupled-low-sensing batch dynamics-64 23 29c5bfa269f301fb26ccae961c0f87f0d000fa4d36540c633b7201c5b2aa3fa3
-decoupled-low-sensing poisson-bernoulli plain 11 be32d68355bed949eb7b8dc10f7845cf9c416ed60f5865391adf0ec6a004691e
-decoupled-low-sensing poisson-bernoulli plain 23 2040827e5b78bb94dade0859a525f7c5f215ba93b9af8f788c38488d48b845a8
-decoupled-low-sensing poisson-bernoulli trace-phi 11 e776509e0007e32eebb3aaa37c97aced200b6ada8e061a29054f889eb41bc287
-decoupled-low-sensing poisson-bernoulli trace-phi 23 3e8650f79ef4efcf2a429f31bef002cd9f5e9fb693d825c0bb3240870352e499
-decoupled-low-sensing poisson-bernoulli dynamics-64 11 85e214907a12ed3eb541948dd3eae892feb3472c6fda15bebdf0097d7e43572c
-decoupled-low-sensing poisson-bernoulli dynamics-64 23 339ba717c9080f7ee4b6150e0755dcede79752cec1a8801b9ea800e98fffce3d
-decoupled-low-sensing bursts-reactive plain 11 604c01dcf6592693b504659e869dd4ef8b8721f05670c8b7a5c0d5969433dd1a
-decoupled-low-sensing bursts-reactive plain 23 ad33cff48eae02529a82b7ac7bd0d8cdab3ba5be590bbc0412d900a013878f79
-decoupled-low-sensing bursts-reactive trace-phi 11 2397edcf01da2993763a1e7e6f2253e5ff0bfeb997731a45eb5fe4d2017f8dca
-decoupled-low-sensing bursts-reactive trace-phi 23 79834ea9772a6ef39c59f3f55054f74311eb5f6b681db3e2bd4b5a384af7f541
-decoupled-low-sensing bursts-reactive dynamics-64 11 0c009831a8b6a65f6a7af82dfd50f4084a6e58162148c18b1944672f4e2abbad
-decoupled-low-sensing bursts-reactive dynamics-64 23 0165130c2705dbf191a7c59dc86141b58a844f754955e4d0763700582084ede9
-binary-exponential batch plain 11 faffdb195e3a42531822a25b56cf7ffdde92bf7d2203daa4b50fd7791b598fe1
-binary-exponential batch plain 23 35c08b61309394fa6d61ba2b8c1a6a8d14cbf620e8060d2da4c7e2e7b81ce96f
-binary-exponential batch trace-phi 11 7fa9205a3eda64cdd301c7f687292828430b6a446edcbac5e2fd5f775e5b36ca
-binary-exponential batch trace-phi 23 084da923bddfe474518e6928ead727c5a9478e3c3cfcd0d22fb413d0f99ce55f
-binary-exponential batch dynamics-64 11 26987f1f276b8dba27c2f77bb247756eb5c6f64fc7ff17c015c06ef2fc7a46d0
-binary-exponential batch dynamics-64 23 f4d4c2a6afed177bec06c6e03dc3a992a6b644912e49ccd3d985ebf53aa1cfc8
-binary-exponential poisson-bernoulli plain 11 10b720ca9bd9e63f7c0c66b08c2f91c50129194ab9397a64eff91ea4ba243fe6
-binary-exponential poisson-bernoulli plain 23 c9c540cbef4492e9e902b45702482380c4bf48f9b73e77a0d511bc70131f2102
-binary-exponential poisson-bernoulli trace-phi 11 30667d92287d7f17d872cb158e86776b8fb0ab4cc9c32114054abc7c7e5712e2
-binary-exponential poisson-bernoulli trace-phi 23 04b34fadc48b1ac113c29d88c595dea5996d63bd66b1375543af3a3a960ea80d
-binary-exponential poisson-bernoulli dynamics-64 11 0d52ed5c8be81e2eab21f758da007cfc403152f399f22d70747295d3ed089ee1
-binary-exponential poisson-bernoulli dynamics-64 23 fa774659986c7d6e41f0dcba4b12e7b71ce166768909c3a7c8f29f6773fbaa45
-binary-exponential bursts-reactive plain 11 2922aae83f9040b762640b0700731d58b52d3e344f23055c53009ba772e89876
-binary-exponential bursts-reactive plain 23 c78ea48942ddf42e3fbaca341e2f4622a2aa960baba26965a71126cb4dde2043
-binary-exponential bursts-reactive trace-phi 11 55a6754c513919964cf640a61b866319b68e88a1f83711f0f59847341987e4a5
-binary-exponential bursts-reactive trace-phi 23 b7132ee5c71770d80ecc07f3bee809e25164415aa71171249e385dfe7ede36d1
-binary-exponential bursts-reactive dynamics-64 11 10b1deb22deaf67b567bd9b90cb0fb04ce3e6a124162238b184c2e57552a0406
-binary-exponential bursts-reactive dynamics-64 23 63b58225d879189dacac9e28f4931a14be2cff18b4559b515218d07c81898962
-polynomial batch plain 11 777018b218a2285681b529f358e4dfaef69ed157a5f2b579de5bac0d7a06cdbc
-polynomial batch plain 23 fcdc73d9a0d699cb7fa902310163af7941e99fdfe190d833ff6b56f665912d99
-polynomial batch trace-phi 11 a3612483c1801ddda6de7d9b7e23095cff8afcac36e4e9eef10f5dd536b6cfec
-polynomial batch trace-phi 23 3b234776ffd07639f413664eaa4e75ba0542594ded9dcf782f7a8dc99efd2971
-polynomial batch dynamics-64 11 5dfe64c26c217fe3d865cfaf85f285605a32d3e6cef6c7e1bfe50600bd945129
-polynomial batch dynamics-64 23 81fdd64b91ff2c7da46ef35ea88b84db2e6cd6e1045c659d3704d5254472baed
-polynomial poisson-bernoulli plain 11 10b720ca9bd9e63f7c0c66b08c2f91c50129194ab9397a64eff91ea4ba243fe6
-polynomial poisson-bernoulli plain 23 c9c540cbef4492e9e902b45702482380c4bf48f9b73e77a0d511bc70131f2102
-polynomial poisson-bernoulli trace-phi 11 2df7910cbb20d225a93b70dcb8af0d3aabe0086c5d2657e40ba7ff785707070c
-polynomial poisson-bernoulli trace-phi 23 3a005b94d5c2b492cbcedcec8bcc9b97d80f07179af3184a6ee00d4d455cb303
-polynomial poisson-bernoulli dynamics-64 11 0d52ed5c8be81e2eab21f758da007cfc403152f399f22d70747295d3ed089ee1
-polynomial poisson-bernoulli dynamics-64 23 fa774659986c7d6e41f0dcba4b12e7b71ce166768909c3a7c8f29f6773fbaa45
-polynomial bursts-reactive plain 11 16fe8150b7b8c3e7acd8525697a19a6de566316a1a213ac47ab01c439072dfc9
-polynomial bursts-reactive plain 23 af49933443a4333cbbf920d7566025ae4cfb390485775db7e5b790b9d53407fa
-polynomial bursts-reactive trace-phi 11 7fcb345b0e643d9019a24dee4fa0e211282ae1439d79ea321535257b8e94d32f
-polynomial bursts-reactive trace-phi 23 53639ed3c4d83b66d659e3650f1f8f88241dec282a410c1d2e50cb4d2132d47d
-polynomial bursts-reactive dynamics-64 11 be5a2232bbd70f31c9de682e2b32988fcc5b0ecbe9730fae84142fd34f425a33
-polynomial bursts-reactive dynamics-64 23 002a4930e8cd1add3640c0406d7eed665118b69cf4b247812435165174db0d38
-fixed-probability batch plain 11 549937cc3d364bad4b64f98693395f1457f4889bbfe0bdcce92b887d131c8036
-fixed-probability batch plain 23 708bb5f9a7681fa341fde6653630e9d3cc319ee89ee961046ee399721514c544
-fixed-probability batch trace-phi 11 a6783e4b8e69cd696387ea44d8a93d0c345e4ce8862e7f0c21816bb9130e42f8
-fixed-probability batch trace-phi 23 cee76e1afe36a06687cd0daf7da42db666bb35ca0d61d510321980a64d4cf6ae
-fixed-probability batch dynamics-64 11 7e92d52400f30f207d644a60df595d8b27baf74800d9dd896a15ccd5ecf8c7be
-fixed-probability batch dynamics-64 23 81b027dc6bc5b935b972e9956fe349d5ab25f352687e5fb134eda1542a895114
-fixed-probability poisson-bernoulli plain 11 3d9566ed97dba143b4cc6efa46e891e0aa7e6f9059cf66d47783d088026fbdcd
-fixed-probability poisson-bernoulli plain 23 cce7c55e9a547b1e11cca8704833395e13729df838bfee9e1714b0c0869dca56
-fixed-probability poisson-bernoulli trace-phi 11 a69329bec41f71d965b71234d64804d5e4c4ed818fb0eb776275f6884d5b597f
-fixed-probability poisson-bernoulli trace-phi 23 f275b75ba07152815b019aa9451b4f3d1e364525120c40fe38162f1da4798231
-fixed-probability poisson-bernoulli dynamics-64 11 6623c4e33636cccddc9db81aee2ed448db795ef682b6e4743397f40fe479a94e
-fixed-probability poisson-bernoulli dynamics-64 23 3054bbbb2cbe9165deb68fd44280f5299441a135848540c9d57da1cd632c12b9
-fixed-probability bursts-reactive plain 11 a0e9b828088c54215564c8127c44910eeead08b2bb862b71eadd93dee5927731
-fixed-probability bursts-reactive plain 23 fffbfa67bde3b1730fdd803340a4009186ce57d877553f4f3723a197d1904993
-fixed-probability bursts-reactive trace-phi 11 80da7e98453344a7bf4a51ca22226e0785f197c49bcd2fe9d36953830651ee6f
-fixed-probability bursts-reactive trace-phi 23 f451c09adbbd62c879c99acf36fb89c7883bfdd649426f1d4ec5887978e9dc37
-fixed-probability bursts-reactive dynamics-64 11 3fcfedf7057965030bb2c8c7e17c7bb97bb7cb104e836345a0680b917d6bec26
-fixed-probability bursts-reactive dynamics-64 23 c132c291c50bf6094db1416ed1d17bde33180a75a64d90fb36713332226e8ac1
-slotted-aloha batch plain 11 2a4d1409ef424e81a89d11462e4413333ccbf2040285f9ccf909b10ad1048b06
-slotted-aloha batch plain 23 08ef69a8d45544ea932218272ecd63d922b928a28be0ee47dd7b77deab52430a
-slotted-aloha batch trace-phi 11 b16975f8ca0ca1d3dc2beff0e31027e7dafcfd15d9b51affa54f667fe7040934
-slotted-aloha batch trace-phi 23 8c0c0b1c7e74e8041b6a509643e867267e32883616b107bbf123d302ddc0b7a1
-slotted-aloha batch dynamics-64 11 12e012f5a5d9bc9842cb4a6771f5b216c855b86c58573c199c84e2d340ec9c48
-slotted-aloha batch dynamics-64 23 5526a4fc03c1e3fe9e9f2b0d1be5eb1fd300efe478cc40a6d81b3bf2e9e84a2c
-slotted-aloha poisson-bernoulli plain 11 7a691c51f7127b2e4b9556cd27a53359a3b2eb5c473f43f4e2948a5d3179ed38
-slotted-aloha poisson-bernoulli plain 23 80e6968decf5f4f3ac87bd9faa8518d3f8388fe026d89b6df85dbdc8557da2a2
-slotted-aloha poisson-bernoulli trace-phi 11 68f1a456f3bdf68845f57087afe8f9aadf6b8c0c9af5b86d8c713abf1242a036
-slotted-aloha poisson-bernoulli trace-phi 23 a1124ff58968585e3614ef69c9bdf142515ad6a0cac917b2e7e9c3be6ba6fe8b
-slotted-aloha poisson-bernoulli dynamics-64 11 cf693d619c340a574e4dfcca2f7d333439965f157ed7d4255cc1ea9d29ea2f9d
-slotted-aloha poisson-bernoulli dynamics-64 23 415c3f0300e6d91dc82ef40953dc1b5ac571489d45d96633af6b38e1d115b20a
-slotted-aloha bursts-reactive plain 11 1d1dbf02752d35a081b88be7ed468ec678e61c5c212cacd06a1266cacb70698d
-slotted-aloha bursts-reactive plain 23 bae3273501bab4881ee8edd6dd6922a16f1069ad4a3a8960a421dfb26e4b9575
-slotted-aloha bursts-reactive trace-phi 11 1d2c606cad5be7dc8c2c9f77886faaf0b266f90aaeb379e3619a00f253fc5118
-slotted-aloha bursts-reactive trace-phi 23 e712acac3984d1955175b99bcfba8c69383edf7e4f2f684bd9fa0631e2376863
-slotted-aloha bursts-reactive dynamics-64 11 bce7d9a860bc27b099d491ca10c533e1c1e2b5cd8c66bb5575e58bd84b46e73a
-slotted-aloha bursts-reactive dynamics-64 23 91bc2eb4fdd2fe441f39d485f099921812e8e02907ecd75404aa6138d556b7fe
-sawtooth batch plain 11 40986665817c8183d7b50a0e21eb76e15bad99e2f7a07545590079ffc4f2a4e5
-sawtooth batch plain 23 4418f8b485733efce680454c43aa0a0bcb26d76ef00851c6cda3f4b7d7f56e86
-sawtooth batch trace-phi 11 53578c9168e494292f512a7ebc2a2d3059eebc027ab26fcd3bca9551c591a8e7
-sawtooth batch trace-phi 23 84d7e03486f155f3556a42a3a5cfc9fbaec292bff70e5f9e91dd685890074395
-sawtooth batch dynamics-64 11 50ccdf8e0037b975ce90e9df5e3292ffc66d60a2621917417eb504a1423a21f6
-sawtooth batch dynamics-64 23 a82ce891b533f53f3979fa91679be88f181c6aad910def23d9d6d9cdc3c671b0
-sawtooth poisson-bernoulli plain 11 de65a2da74f066c84510dae81c9e5e425d6107d2c26de3bae2ac1b81927ee2c4
-sawtooth poisson-bernoulli plain 23 69a8bc4a26c3f634da27eaf7ae78717dad1f4911a310f168ba2d6552db88cd9c
-sawtooth poisson-bernoulli trace-phi 11 57de462f30f515bf39cf09365abf849006377736f3461b02638b377ac8722246
-sawtooth poisson-bernoulli trace-phi 23 464a36f2ae85cb1c3b43d32d48e270bd7a99208f73425707303e9dd2aaf9730f
-sawtooth poisson-bernoulli dynamics-64 11 ac93b138fc5dd5b25544d3717483ca28d75c447d3aabaf78c46d51345fae4cb6
-sawtooth poisson-bernoulli dynamics-64 23 d22e103f5a3b70e3b5e45b8a405d200e3baee59a6308bbb5227ee543e75576c3
-sawtooth bursts-reactive plain 11 bc0d4189a047d15c1e6cf66e413ee5940532055c44a2e024009ae23d9a8ae6e4
-sawtooth bursts-reactive plain 23 fa7730e57f682faebb6f6f9ad33a399c2ecd5e670b401488cb43ac85a60160fe
-sawtooth bursts-reactive trace-phi 11 121d50b70a6e14c513432bd6547fb4387b1db2d3ca30cbefeac404ac84228794
-sawtooth bursts-reactive trace-phi 23 323bdf9f45766a575ed12bda30a8db05e5edeca185f4e54e5a45b92085c89ec2
-sawtooth bursts-reactive dynamics-64 11 63ce06f0274f3773d7dc7f505262f3e721a216bb5d84ebdeab860781a7fb76aa
-sawtooth bursts-reactive dynamics-64 23 ecbd6423a1bf07d566ebce683362f803b7d185a03d7e341b33bdcfc0b67ad64a
-full-sensing-mw batch plain 11 7be7ba1062603794bba91c0f77d641fa9bfb065a34c916585d975806b7a227f3
-full-sensing-mw batch plain 23 592fd5e99a1bd9aae21ce6e4e0521db6fd8ac6fa5e483743e49946dec3c2aa0d
-full-sensing-mw batch trace-phi 11 c38f68056390860a166b2e4a9856706bf9ee81530a95c4e675c47fd9bbddb06a
-full-sensing-mw batch trace-phi 23 9244bfa19f8b24a1a66dabbc9588c7ef1c52c60bec854b7fa239915a46cba416
-full-sensing-mw batch dynamics-64 11 66235132c9b79572b37ee996187df4e590ea9d42100c0238023d251b3bc852b9
-full-sensing-mw batch dynamics-64 23 4207d9487dcf994c9e83133ec56ed23b5f10c0236afbe64f417ff2f79ab3abd6
-full-sensing-mw poisson-bernoulli plain 11 14777224b358f9d383c740552f69df4fb18323ed98d7c9c7de336d881d551631
-full-sensing-mw poisson-bernoulli plain 23 763ed78c5f4be9351d127cd12cea1549bb1b2bb14174d5bb9e27241c40b6950b
-full-sensing-mw poisson-bernoulli trace-phi 11 4e7cc8f46b1477702b2b3732159adce67220f930b176e46262f9a37b20629ef7
-full-sensing-mw poisson-bernoulli trace-phi 23 be9682d4ee580cbfefc8749aa4da28a8e3c8d846e0123d650f90e6ef0b29b211
-full-sensing-mw poisson-bernoulli dynamics-64 11 078219af35c54e8404b17e0e239c388f7caeae28d85fd0585468c95fc2579c47
-full-sensing-mw poisson-bernoulli dynamics-64 23 6d900c6cf09c135d6c73249249d70cd0d66d83d99e6dccf9207a743f817a68c0
-full-sensing-mw bursts-reactive plain 11 a2f54920dc49069f7d63349017e56c6169c8d703808e9674b849558eee182d9c
-full-sensing-mw bursts-reactive plain 23 c07f841339fd38e01b06f82b97c58721727cf3d159f9d99ecb5a39594cea10ec
-full-sensing-mw bursts-reactive trace-phi 11 909fda0d77372c838a264ea1b4b30317915be3a3eb5e1f0d9c8907907e73399d
-full-sensing-mw bursts-reactive trace-phi 23 a381a343fbab22ce8fae48976b9f36ea7e3d29ed0ed3f150e37424d1f25ae676
-full-sensing-mw bursts-reactive dynamics-64 11 3e09610668dd4dc763bfe270911a01fe1debe81c883a3037b44ca1b2c7aab5f9
-full-sensing-mw bursts-reactive dynamics-64 23 407ac03c9f76b0f4c8da9f48ee6e14a337e50984753df04193bc57a15470c2fd
+low-sensing batch plain 11 d7294d243c588a2607920799a55c69cd6cbe9b70025ecd3c4297b2c3f9428eea
+low-sensing batch plain 23 cbf411a1e4ef334e55be967d275e25c07eb8729d34ab25d657f155e6f1664876
+low-sensing batch phi 11 53b74b773c4b098bd48be5eec2e29fa1c8e64d303687353867bd4c01f2a0a00d
+low-sensing batch phi 23 437800b1a92adccb5747f6c80796fb245536205a450432afa51ed6775246d4bc
+low-sensing batch dynamics-64 11 8618133210f3939fbc983026d321950e58d79d0a88bb8db8531f052460cb0a48
+low-sensing batch dynamics-64 23 e5a0ee3175141fef48fc1db52b54b30b522defd24b58c9a04145782a94fbc71f
+low-sensing poisson-bernoulli plain 11 c3098e0535f73174e9930025be4a62e1ae525f9de915708579915a525316d10a
+low-sensing poisson-bernoulli plain 23 a185be76b464b6562f0bccca46598239a4b928d73e1b386679e28e5cb4fdef31
+low-sensing poisson-bernoulli phi 11 2967b0acf0def912d00964eaf66813622e83afb3c5ddde49ba21104d2b7385ff
+low-sensing poisson-bernoulli phi 23 96287a0d29efef6858c70de7bef1d5938699c91fa9d0210ce923ead0ff5c9adc
+low-sensing poisson-bernoulli dynamics-64 11 eab2e879b7a394edc0f2a090d3cda86a5c3534c7f2577bdb5e24e39baf93bbba
+low-sensing poisson-bernoulli dynamics-64 23 79558aba74c6480c699e7614ca141495c05b67b3ca6fc275ad008cfe842d2b56
+low-sensing bursts-reactive plain 11 494aac8671647dfa5c4726bd888004a88672982158ad84a0d2ca560a6d36fe63
+low-sensing bursts-reactive plain 23 3a0609eec80ad08ab757b96eb6625312ddde203221452beb4a20d6b1990005aa
+low-sensing bursts-reactive phi 11 510fc3e629d82f3d9908cbc7791280494852cae2c8ac37106bdcc13cf90f2d66
+low-sensing bursts-reactive phi 23 7d1c88cdfe0dff090ce76ed3d64fee810228b0ad4d7abdfcb02d1d608fe0135b
+low-sensing bursts-reactive dynamics-64 11 6d672a29aae19a8777123377503fa040d93f411490966faa49018845759fd11a
+low-sensing bursts-reactive dynamics-64 23 f00557b9574faf0faa44491be282f9eb76d877e96b0a43031a83e57085dbf9d8
+decoupled-low-sensing batch plain 11 37d1590132081f6383f4cef85fc0c282c23e9057e88fc8ac0bd5f283f88ddc89
+decoupled-low-sensing batch plain 23 65e767ae4cb1590e577e6b731241a9cd8126b5116e44294f04c3573ca17ffe0e
+decoupled-low-sensing batch phi 11 c578c808504de8044a2811c8b4cd9c512a91e63592c51f6cbd7b2c7f00ff0419
+decoupled-low-sensing batch phi 23 6e26739cf7226d65b92eef24636a70db567d1229aee3d1948a7c10acad70049a
+decoupled-low-sensing batch dynamics-64 11 2e5bab4a295b24a93860b2f0c8e719bfe46457cbf8c4e9ed9fe20de1129e85d2
+decoupled-low-sensing batch dynamics-64 23 3c37ced438710473358cb506e579317c749c17a2e364613b45321294ac2fab1f
+decoupled-low-sensing poisson-bernoulli plain 11 7e481f229f79304371a0a01a25d62f9a7978a26c1359db8871aaa4e8f609aec7
+decoupled-low-sensing poisson-bernoulli plain 23 ca4cfc9e9ca925c36f33781330f2f38e72f53ffef6bf34bec85a1961dc28bb2f
+decoupled-low-sensing poisson-bernoulli phi 11 0a2bcb0c3c7ceeed7f3c31070dcf951cb4f865f62570dcced256d7da6bc40a77
+decoupled-low-sensing poisson-bernoulli phi 23 924b05885f5b59e599c2200c1514d0f1a0e2c3b6d2e864a05f62e96bbed3eb91
+decoupled-low-sensing poisson-bernoulli dynamics-64 11 0e55f9208aaf013cfd4f26de069b3cbdc4e559d02b2458f7470d4319f4b3ce00
+decoupled-low-sensing poisson-bernoulli dynamics-64 23 acb1033c0755d8bcbf64170ab89295622eaefdd3f79281ad713cacf35e656d3a
+decoupled-low-sensing bursts-reactive plain 11 dbe8adf6f47a77f23246a46d8f17d4291d17c4117bf86ee3212d5decce3c91d1
+decoupled-low-sensing bursts-reactive plain 23 5176ae671e62b59c7f73e70d8f27cfc54981d4911e69f36986f6a0655a3a3455
+decoupled-low-sensing bursts-reactive phi 11 55e53cd82524f1bb483c47430500c24b8b51cf6e1dce8987cdc7290d1dc2e6a9
+decoupled-low-sensing bursts-reactive phi 23 a04c253d6ae37928fdf5b2b75dd9401e7bfa7bde37eed2e251ae6f007df24ec4
+decoupled-low-sensing bursts-reactive dynamics-64 11 a918ce9b4dfd59972065f450586fa7fd6e1db8b035220f9a6dca7f5c2cd7a39c
+decoupled-low-sensing bursts-reactive dynamics-64 23 f444cf1f5e6bfe2abc8104ccfdb6ba7a1db8dc7df1544574b5b2da60ba46a8a5
+binary-exponential batch plain 11 6d76bd532bbfc8d8cc310848ca6bc7e3f9067cb40f5caf108e60e24f3912ca3a
+binary-exponential batch plain 23 d407e8e89f38272493e23d9fb5b5138aa4ddb77665f30904e167c6e4dfe19d77
+binary-exponential batch phi 11 5989f7d8e985d0ea6793149924df955c325b41ce80efc57b39c4e638d58a3b22
+binary-exponential batch phi 23 30f613aead7e319020b0f44912265a22a28ec3503031a1a099ab238304cdabac
+binary-exponential batch dynamics-64 11 1719df1e5861bf847cc61e9dc578ea0cc938c5634a1dcd6943ee940312c0a137
+binary-exponential batch dynamics-64 23 28ccb511ac8da73f5bb07a1881b91de8a05a335d71cd8d8e7f8668768bb5fb43
+binary-exponential poisson-bernoulli plain 11 5381134129ab27a6af10fc4ec784f27a48ea1897e3dc8121aa3594a936836ff5
+binary-exponential poisson-bernoulli plain 23 74712a2d14c1132576a92bd9ea17f6a1e9920095473662155247dcd1f2e75285
+binary-exponential poisson-bernoulli phi 11 08a2f2d08e4a3605d90b4a5ab9abd0baec7b417cd71972eccace47f86c9f8927
+binary-exponential poisson-bernoulli phi 23 38735a3e5af1254f1398a2b4546c116cf423ed8f23e46bee6651d2483ff93c75
+binary-exponential poisson-bernoulli dynamics-64 11 ae9d7ba70af126a4dc2c578d444cf4dba5441d6dbef518890aa2bc423d7de4d7
+binary-exponential poisson-bernoulli dynamics-64 23 774a65c2c9499c770c8edd946c393d8a35aebb71aeb0c5c49067b0b7535dba14
+binary-exponential bursts-reactive plain 11 911f354b7bbef9cc85eaa1f018b35c86ea5547b2bcf8bb66cd89a42a3e8a52f5
+binary-exponential bursts-reactive plain 23 adfc8847b727ef4cf135f7c7d941b97621d1f99b77789696ecd630b40b8a97e2
+binary-exponential bursts-reactive phi 11 d30ca54cd003e88b355365e53e9954187ac642d051575a2c524fdf9b3aa3245d
+binary-exponential bursts-reactive phi 23 62f469c39c2b57c8b4b3d2ffe2864d17fa516e741ab0b91b100f3a2d8c716d62
+binary-exponential bursts-reactive dynamics-64 11 bb0fe5948ea636a3affae0413d428306e5437e93a4e5838e9ae76ffe83b22309
+binary-exponential bursts-reactive dynamics-64 23 1ec289d7b9b5e74e9021ba0c4248e92c610d85e492d25d6cfd16d9183c943acc
+polynomial batch plain 11 ea1a78b19cd5de5ea34a1b0ebc8b08122d01cf719acae185d404dd5d272a4e09
+polynomial batch plain 23 97b80ad7e474f8cabbcd23d8b9ebc621f1e38e333ba5bac4a24a04a6fdf5ad98
+polynomial batch phi 11 c6ae3895ab8556df6b5b64ab896fe0bd790c31276f37403d0ec10a67b169e841
+polynomial batch phi 23 c1d1ba85345dccf821aa6738580aff28bb73bb74520fa9032403470648b93549
+polynomial batch dynamics-64 11 01a2f84fcbd9e6b999d56612a86870a792b34d4ae0d4977ee2a7a54bbbc08117
+polynomial batch dynamics-64 23 54ecc376e010659fcc45d8fc452280f6cba8f877e548a14fd9ac89b87541105b
+polynomial poisson-bernoulli plain 11 5381134129ab27a6af10fc4ec784f27a48ea1897e3dc8121aa3594a936836ff5
+polynomial poisson-bernoulli plain 23 74712a2d14c1132576a92bd9ea17f6a1e9920095473662155247dcd1f2e75285
+polynomial poisson-bernoulli phi 11 33d98db86d0208dc7d50b116111302d0a8f04da591e963707e07b7c14ca5080a
+polynomial poisson-bernoulli phi 23 a4403eafa67d7b07df9e73393471ba9d4ed87936f0910243afc852264c75f8fd
+polynomial poisson-bernoulli dynamics-64 11 ae9d7ba70af126a4dc2c578d444cf4dba5441d6dbef518890aa2bc423d7de4d7
+polynomial poisson-bernoulli dynamics-64 23 774a65c2c9499c770c8edd946c393d8a35aebb71aeb0c5c49067b0b7535dba14
+polynomial bursts-reactive plain 11 6d0189d8848ec7e4a674b2b5e7a82b294d147a5bc8ba31f6b4aea8778dc7483d
+polynomial bursts-reactive plain 23 87eaf30d37e378a7f344188c06a9520adfadd8292362cb53cad67e0ec5ab750b
+polynomial bursts-reactive phi 11 81bc88fa828035c3240e75ef5712863c056f36c2e05577e1fc08510020995e9a
+polynomial bursts-reactive phi 23 eef488a5df0a63b1463bd059190ded2ed6413c51ae97bb7310eb58954048943c
+polynomial bursts-reactive dynamics-64 11 2bd1c2d4e7a061f9dfb48e6926f9cf8db96d574df6ab695e24983e19fb966068
+polynomial bursts-reactive dynamics-64 23 9d4d3eca67feb745a3b06a3802e6c11fdc5ca4a26de80c3b292054a0287051cf
+fixed-probability batch plain 11 699d88d6db8dcc665e2eb8b4db0478d42e75a3df03d73d16ad5070673634109e
+fixed-probability batch plain 23 bc8311e614e0fa121ef22012ebed0e39ef7cf535621f8c107ebf37965b08629e
+fixed-probability batch phi 11 cbd7a400fdeec231a260ee7044683059054a9115891c6c83390c23c288412d20
+fixed-probability batch phi 23 d7bfc069bc854482f068448d5c97e4756e2f6559b33875ede5e678d6e2ae1695
+fixed-probability batch dynamics-64 11 9093dd23086de194a33632f07b98ebe33a9bebd831425b113e6bfda1e97a7519
+fixed-probability batch dynamics-64 23 f0839873f7648f0e478f68e2fb9707b57dc53dbc4e0c72e0b45c1511bda1402d
+fixed-probability poisson-bernoulli plain 11 32c32f5946a9a080bcf6fca78835af919727f508034fe02fefc83dacbeafe1a3
+fixed-probability poisson-bernoulli plain 23 b8348ceed3eca7683bbc5c5f249b8e82f9ef489b8dc8013087aafbd621ae28f8
+fixed-probability poisson-bernoulli phi 11 d4e9dd8ee1c4630258fe663abd47049a521930ec8fcca4f9fec63e58653bc7a0
+fixed-probability poisson-bernoulli phi 23 377ce7a9a10ad871b380f9895df1eac6f4c5a48907ab26d5653db759fe43e82a
+fixed-probability poisson-bernoulli dynamics-64 11 6f591783e8b6c67ed235c17cf9ac65e0f3ceb0a4eca5f31313fd118c3b3e6e7e
+fixed-probability poisson-bernoulli dynamics-64 23 5c4e49c43f3b52447272a9c246bccbd0b826248c3ce7e03ffff6acecaa52cac2
+fixed-probability bursts-reactive plain 11 4881394f236098f66c2ced89120b72f6aca5e3be8a10a1456a3f46e99c2e7796
+fixed-probability bursts-reactive plain 23 8e6ac1d84a8d2905d47fdf286070368071595288b1b4f3445d4dd33094c1050e
+fixed-probability bursts-reactive phi 11 afa9c3ff6479e0314f8737ef48288d51f3418af2a8a3dab46e58dd292b9be4f9
+fixed-probability bursts-reactive phi 23 ce486a0cfae864ae2a1cc404837a1088332312cbcde9a2c0f6fa36d8f906823e
+fixed-probability bursts-reactive dynamics-64 11 8fc014fd468929b4a946ec35f8007c37bf494780378beb00729427dcaa557326
+fixed-probability bursts-reactive dynamics-64 23 69bd5b5f48774ae48353a1c4cc10ef8b8c390408f5bcd8cb2a064d09b85b4a1a
+slotted-aloha batch plain 11 4bcbe0f9bfa79c9be9cd2f859c57ad79ea93b8f30676342d3d3a33385af39415
+slotted-aloha batch plain 23 b2a396b0c2760aabe644aec808f7528783eb0954a66db6494cc15dd314eb03e6
+slotted-aloha batch phi 11 e1f9c683c80284d669b30ff3ce256117da6188af1352faa797e8e37b1bb36f56
+slotted-aloha batch phi 23 1033c1713ebc025fb037b965785f87e26fe7b0c1649572e398807ab075bb20d6
+slotted-aloha batch dynamics-64 11 ca4c06699a62289c07b42e584eaaa3699dd5b1ad7dcf65574f9bd40c7bbab500
+slotted-aloha batch dynamics-64 23 0db2d0aed6fab2d592676f513b6f8b0224a460fc33a8389bb3d8946cbcefe2b6
+slotted-aloha poisson-bernoulli plain 11 62295015935163d0a0f2fa2715d437278a9f0cd4ce06bdfdbdb82008b848f434
+slotted-aloha poisson-bernoulli plain 23 562e9b968d52e127346077e7be7e24d5451acb3c8a96f7c5a702fd1183d15d8f
+slotted-aloha poisson-bernoulli phi 11 287cf14f7b01442b18b991698825f151bb20e9b109306b17ceca71d955bdca55
+slotted-aloha poisson-bernoulli phi 23 f6476065035da1b4e44e94cd125cd72bebef2ab09da4476c0ba96237008d1d66
+slotted-aloha poisson-bernoulli dynamics-64 11 1d5712bf1932a389f5321c3f2d04cdcebb88e533bf66b5171b5df2a8e23fbe45
+slotted-aloha poisson-bernoulli dynamics-64 23 f7a8f3acc1905824262226b7da076b5c34e55bbc93a34c71491c18a0616fd3fd
+slotted-aloha bursts-reactive plain 11 6fb737358d53ad8bb9e86a6216a408dd3622e628ace104153a38cc31e4903d3b
+slotted-aloha bursts-reactive plain 23 49bc32358b941e4799ff110add41d61a0b2a4a2f6cc47f2a5105b26b3312ca2f
+slotted-aloha bursts-reactive phi 11 c58d0947c28a56ae6abbd62e4091543eb2a114ddafdf7c3593be074863b8bf6f
+slotted-aloha bursts-reactive phi 23 ab420528fc23336aadf417feeb8ed25e553e031e506ccd6ce4770a36f9ab26ed
+slotted-aloha bursts-reactive dynamics-64 11 4118d1545a3aa68e86d9b539aa6846059263a739e8209c6b78d6dcf6f6b8e540
+slotted-aloha bursts-reactive dynamics-64 23 9db1ba57a6ad4d856477c1fa92477b256565e83fdf8d0d3a3a4891cd8d5eb836
+sawtooth batch plain 11 cbb65fc48ff8758911152afbe018aba8d7b2d26def30540bf9f90054d3095467
+sawtooth batch plain 23 08aefd072f972cab04306b34b9172ad63a00842ad3423ade7f8f4d06d240136d
+sawtooth batch phi 11 f5960cde2396ed87a7efe8660ba298f0fd9cfbc9138eb10eb96b3d2029902a59
+sawtooth batch phi 23 b1fa4222f8e7ba909de0c2728c8b1c3597012c5bc36879274bafdd46ddb09b95
+sawtooth batch dynamics-64 11 97926443c363c05e0ccf59ce7f51e104371ede98203110f915eb55d5e556eb8b
+sawtooth batch dynamics-64 23 8d1df89fea274873ab1a64115d41f31289dfbb452e6371b79995a7f20de764f8
+sawtooth poisson-bernoulli plain 11 a733c2931ca9fa050f4f50fd02589bed7ceabe3dafc78fd61832f44e8ea80a26
+sawtooth poisson-bernoulli plain 23 72fe9eb24a6a55f72e0bf89b55b070ea44390ccf6ac0a6bd5d7e912808026554
+sawtooth poisson-bernoulli phi 11 4fe359e22f609fbc989f327311e94f3c41f7515a563a897e3ac13ca4abaf3242
+sawtooth poisson-bernoulli phi 23 d31563918870b00f2834f8a3edc67bf115d3c56c91aadb5bacd3a8496285787d
+sawtooth poisson-bernoulli dynamics-64 11 ace8d122dacb7c170b823f9d34fe6beba0321319aa48456631cbefc980015eac
+sawtooth poisson-bernoulli dynamics-64 23 60146d4d3a2cf0c70f69b4074e70d69c76bd3f4c8984047a7eac4b5affdea3d1
+sawtooth bursts-reactive plain 11 4654e8800f1395f051b7addb67805739a6d56f3cc04ef060f1715e565886a3fa
+sawtooth bursts-reactive plain 23 c383d5c60bd72fa6618da080a5272e8a2fa9dd2d51e681e6b31f29c041c986b4
+sawtooth bursts-reactive phi 11 2307df461dcb12066003f473ef44eed1fc43d5556aa72e427ee94a821798bcdc
+sawtooth bursts-reactive phi 23 edc13f131b78225b8f5de89dd62d8f794fca47c710f89c585ce05bf635004011
+sawtooth bursts-reactive dynamics-64 11 3b96a0ec559df35ea73b1a6432c430c406fab984e9c7fbc9a481b425aac2ab60
+sawtooth bursts-reactive dynamics-64 23 6fa174e086b963ce7d908fa1229ab223161444425862a046d36ddcf4e52e4f92
+full-sensing-mw batch plain 11 a4c904eb7a16094540afb8a4aa60a8ec682f3f41c08a5467a2527acf4a32625d
+full-sensing-mw batch plain 23 8f2a7c919fe305cf743e1ab90813ad0c72a167525bd012ff212fcedeab7536d3
+full-sensing-mw batch phi 11 64fcaad4d95f387dc4abe4c8c7c9d77b8ce2e03aad5e96fdfe93004c6a6424ce
+full-sensing-mw batch phi 23 9f0b304b5f9944dbce27c853dc01c61cc64c71fe76c7ce5361311bc16ccde11a
+full-sensing-mw batch dynamics-64 11 abc0eb3e555b7a8781f0561f8d789a6f1ac9650c6be58320168b47bb15074dbb
+full-sensing-mw batch dynamics-64 23 1ecc34b2556e7c5e1a140da0cc4eab04985268d75590ad8bdb9afc674b49f0d5
+full-sensing-mw poisson-bernoulli plain 11 0e4734c084c8c71f01245625d55af4a9b9e0643b484a6222a31ef3225d43dc4f
+full-sensing-mw poisson-bernoulli plain 23 f331fa4b85c71d672122e694b1f6bc337cdf259bbf4f9906737bddfad9022bb7
+full-sensing-mw poisson-bernoulli phi 11 9924ea30055175879883993cdcb4b8367c8a6ef202fd450ecf57fc0cc42f6430
+full-sensing-mw poisson-bernoulli phi 23 a9526a587cb6da5b7198f4bf1fd7880b4fe0749186865d4ee101a551f924da96
+full-sensing-mw poisson-bernoulli dynamics-64 11 02fb11f6f66d14e5600afd85fa86f99ddbd633e3bac15e40b6e920c2df0c1243
+full-sensing-mw poisson-bernoulli dynamics-64 23 eb09e38cc9957cdf5a23df79de9eebdad5ee3aaa58b3b75df9cd1f1cd9baf81d
+full-sensing-mw bursts-reactive plain 11 0ef60db7385e9aeffc4bfc8afe8a0bd1b039e89af8a300d7fcb6c56493a06ad3
+full-sensing-mw bursts-reactive plain 23 6584533a3d327f4fe42c3045369a42dea33f5a8581676283acf77b94c4f6a932
+full-sensing-mw bursts-reactive phi 11 3a1f409f3210db9f3f68fc133d6e55f9d5db5b1e2727b682a15e5a2e40fcf9fd
+full-sensing-mw bursts-reactive phi 23 8dca030a2aea89ff385f198c6dce39ee91c58648f877debf498a208e69a98d8b
+full-sensing-mw bursts-reactive dynamics-64 11 9b6e5b156240245f408e178ad6b4a9893d1eb67169d9823adcebc2a3ce208862
+full-sensing-mw bursts-reactive dynamics-64 23 66c1b1b7a3f981a36f0e1c0f5d72a633ab6e7b39853bdf29375b59070d572b5e
 """
 
 PINNED = {
@@ -305,7 +286,7 @@ PINNED = {
 
 def test_pinned_digests_belong_to_the_scalar_layout():
     # Results that change on purpose bump the layout, and the table with it.
-    assert SCALAR_LAYOUT == "scalar:2"
+    assert SCALAR_LAYOUT == "scalar:3"
     assert len(PINNED) == len(PROTOCOLS) * len(WORKLOADS) * len(MODES) * len(SEEDS)
 
 

@@ -10,7 +10,9 @@ The load-bearing invariants:
   of total run wall-clock for an E1 sweep and a campaign run;
 * each E1 protocol's vector batches name the loop they ran (the
   `simulate` span's `stepping`), and `--dynamics` does not change it;
-* pool worker failures surface with job index and spec identity.
+* pool worker failures surface with job index and spec identity;
+* a span's ``ts`` is its end, so ``[ts - dur, ts]`` is the region it
+  timed, and coverage counts pool jobs by the union of those intervals.
 """
 
 from __future__ import annotations
@@ -109,6 +111,42 @@ class TestCoreSession:
         (span,) = mem.spans("simulate")
         assert span["dur"] >= 0.01
         assert span["attrs"] == {"kind": "phase", "backend": "serial"}
+
+    def test_a_span_is_stamped_at_its_end(self):
+        mem = MemorySink()
+        session = TelemetrySession([mem])
+        session.event("before")
+        with session.span("simulate", kind="phase"):
+            time.sleep(0.01)
+        session.event("after")
+        before, span, after = mem.records[1:4]
+        # [ts - dur, ts] is the region itself (up to the rounding of both).
+        assert before["ts"] <= span["ts"] - span["dur"] + 2e-6
+        assert span["ts"] <= after["ts"]
+
+    def test_span_record_is_stamped_at_the_given_end(self):
+        mem = MemorySink()
+        session = TelemetrySession([mem])
+        ended = time.monotonic() - 5.0
+        session.span_record("simulate", 0.5, ended, kind="phase", job=0)
+        session.span_record("simulate", 0.5, ended + 1.0, kind="phase", job=1)
+        session.event("now")
+        first, second = mem.spans("simulate")
+        assert second["ts"] - first["ts"] == pytest.approx(1.0, abs=2e-6)
+        # Stamped five seconds back, not when it was emitted.
+        assert mem.records[-1]["ts"] - first["ts"] >= 5.0 - 2e-6
+        assert first["dur"] == 0.5
+        assert first["attrs"] == {"kind": "phase", "job": 0}
+
+    def test_span_record_without_an_end_is_stamped_now(self):
+        mem = MemorySink()
+        session = TelemetrySession([mem])
+        session.event("before")
+        session.span_record("simulate", 0.25, kind="phase")
+        session.event("after")
+        before, span, after = mem.records[1:4]
+        assert before["ts"] <= span["ts"] <= after["ts"]
+        assert span["dur"] == 0.25
 
     def test_every_event_carries_the_correlation_id(self):
         mem = MemorySink()
@@ -313,6 +351,59 @@ class TestSummarize:
         ]
         rendered = render_summary(summary)
         assert "specs: spec00, spec01, spec02, spec03 +2 more" in rendered
+
+    @staticmethod
+    def _pooled(*jobs, run="r", root=1.0):
+        """A root span and one ``simulate`` span per ``(pid, start, end)``."""
+        events = [
+            {"ev": "span", "run": run, "name": "sweep", "dur": root, "ts": root,
+             "attrs": {"kind": "root", "backend": "processes"}},
+        ]
+        for pid, start, end in jobs:
+            events.append(
+                {"ev": "span", "run": run, "name": "simulate", "dur": end - start,
+                 "ts": end, "attrs": {"kind": "phase", "backend": "processes",
+                                      "worker_pid": pid}}
+            )
+        return events
+
+    def test_overlapping_worker_spans_count_their_union(self):
+        summary = summarize_events(self._pooled((101, 0.0, 0.6), (102, 0.2, 0.8)))
+        (simulate,) = summary["phases"]
+        # The phase row keeps the sum; coverage counts [0, 0.8] once.
+        assert simulate["total"] == pytest.approx(1.2)
+        assert summary["phase_seconds"] == pytest.approx(0.8)
+        assert summary["coverage"] == pytest.approx(0.8)
+        assert "phases explain 80.0%" in render_summary(summary)
+
+    def test_disjoint_worker_spans_count_their_sum(self):
+        summary = summarize_events(self._pooled((101, 0.0, 0.3), (102, 0.5, 0.9)))
+        assert summary["phase_seconds"] == pytest.approx(0.7)
+        assert summary["coverage"] == pytest.approx(0.7)
+
+    def test_a_nested_worker_span_adds_nothing(self):
+        summary = summarize_events(
+            self._pooled((101, 0.0, 0.9), (102, 0.2, 0.5), (102, 0.6, 0.7))
+        )
+        assert summary["phases"][0]["total"] == pytest.approx(1.3)
+        assert summary["coverage"] == pytest.approx(0.9)
+
+    def test_spans_without_a_worker_keep_the_plain_sum(self):
+        events = self._pooled((101, 0.0, 0.6), (102, 0.2, 0.8))
+        for record in events[1:]:
+            del record["attrs"]["worker_pid"]
+        # Without worker attribution nothing says the spans ran at once.
+        assert summarize_events(events)["coverage"] == pytest.approx(1.2)
+
+    def test_worker_spans_of_different_sessions_are_not_merged(self):
+        events = self._pooled((101, 0.0, 0.5), run="a") + self._pooled(
+            (101, 0.0, 0.5), run="b"
+        )
+        summary = summarize_events(events)
+        assert summary["runs"] == ["a", "b"]
+        # Both sessions' clocks start at 0: their jobs add up, root and phase.
+        assert summary["phase_seconds"] == pytest.approx(1.0)
+        assert summary["coverage"] == pytest.approx(0.5)
 
     def test_no_roots_means_no_coverage_claim(self):
         summary = summarize_events(

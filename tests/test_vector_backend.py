@@ -2,12 +2,12 @@
 
 The vector/scalar boundary contract: every configuration the vector engine
 does not support (custom protocol/adversary subclasses, the backlog-coupled
-adversary, replayed arrival traces, execution traces) must cleanly fall
-back to the serial engine and produce results *identical* to
-`SerialBackend` — it is literally the same code path, so this is an
-equality, not a statistical, assertion.  The sensing protocols, the
-reactive and adaptive jammers and the potential output all vectorize, so
-the fallback set here is the unregistered remainder plus traced specs.
+adversary, replayed arrival traces, jamming schedules with a reactive
+phase) must cleanly fall back to the serial engine and produce results
+*identical* to `SerialBackend` — it is literally the same code path, so
+this is an equality, not a statistical, assertion.  The sensing protocols, the reactive and adaptive jammers and
+the potential output all vectorize, so the fallback set here is the
+unregistered remainder.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.adversary.jamming import (
     ReactiveSuccessJammer,
     ReactiveTargetedJammer,
 )
+from repro.adversary.scheduled import ScheduledJamming
 from repro.core.low_sensing import LowSensingBackoff
 from repro.exec import (
     BACKEND_NAMES,
@@ -39,9 +40,9 @@ from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.fixed_probability import FixedProbabilityProtocol
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.sawtooth import SawtoothBackoff
+from repro.scenarios.schedule import Phase
 from repro.sim.config import SimulationConfig
 from repro.sim.vector import RESULT_LAYOUT
-from repro.sim.vector.support import TRACE_REASON
 
 
 def batch_adversary(n):
@@ -73,6 +74,10 @@ def summary_tuple(result):
 
 class TweakedJammer(NoJamming):
     """Subclass without a registered kernel: must stay scalar."""
+
+
+class TweakedBackoff(BinaryExponentialBackoff):
+    """Protocol subclass without a registered kernel: must stay scalar."""
 
 
 class CustomAdversary(Adversary):
@@ -112,7 +117,36 @@ UNSUPPORTED_SPECS = [
         id="unregistered-jammer-subclass",
     ),
     pytest.param(
-        spec(BinaryExponentialBackoff(), 6, adversary=factory(CustomAdversary)),
+        spec(TweakedBackoff(), 8),
+        "protocol TweakedBackoff has no vector kernel",
+        id="unregistered-protocol-subclass",
+    ),
+    # A reactive phase needs each slot's senders before the jam decision.
+    pytest.param(
+        spec(
+            BinaryExponentialBackoff(),
+            9,
+            adversary=factory(
+                CompositeAdversary,
+                factory(BatchArrivals, 10),
+                factory(
+                    ScheduledJamming,
+                    factory(Phase, factory(NoJamming), duration=5),
+                    factory(Phase, factory(ReactiveSuccessJammer, budget=3)),
+                ),
+            ),
+        ),
+        "jamming schedule contains a reactive phase",
+        id="reactive-jamming-schedule",
+    ),
+    # Φ rides along to the fallback.
+    pytest.param(
+        spec(
+            BinaryExponentialBackoff(),
+            6,
+            adversary=factory(CustomAdversary),
+            collect_potential=True,
+        ),
         "custom adversaries run on the scalar engine",
         id="custom-adversary",
     ),
@@ -131,13 +165,6 @@ UNSUPPORTED_SPECS = [
         ),
         "custom adversaries run on the scalar engine",
         id="backlog-coupling",
-    ),
-    # No workload collects execution traces, so the scalar engine keeps
-    # the one trace implementation; Φ rides along to the same fallback.
-    pytest.param(
-        spec(BinaryExponentialBackoff(), 8, collect_trace=True, collect_potential=True),
-        TRACE_REASON,
-        id="trace-enabled",
     ),
 ]
 
@@ -215,9 +242,6 @@ class TestFallbackBoundary:
         vector_result = backend.run([unsupported])[0]
         serial_result = SerialBackend().run([unsupported])[0]
         assert vector_result.packets == serial_result.packets
-        if unsupported.collect_trace:
-            assert vector_result.trace.records == serial_result.trace.records
-            assert vector_result.potential.samples == serial_result.potential.samples
         # Bit for bit: the fallback is the serial engine's own code path.
         assert pickle.dumps(vector_result) == pickle.dumps(serial_result)
         assert backend.result_layout(unsupported) == SCALAR_LAYOUT
@@ -247,7 +271,7 @@ class TestGroupingAndOrdering:
             spec(LowSensingBackoff(), 1),
             spec(BinaryExponentialBackoff(), 2),
             spec(LowSensingBackoff(), 3),
-            spec(BinaryExponentialBackoff(), 4, collect_trace=True),
+            spec(BinaryExponentialBackoff(), 4, adversary=factory(CustomAdversary)),
             spec(FixedProbabilityProtocol.tuned_for(20), 5),
         ]
         backend = VectorBackend()
@@ -260,12 +284,13 @@ class TestGroupingAndOrdering:
             "binary-exponential",
             "fixed-probability",
         ]
-        # The trace-enabled BEB job runs on the serial fallback, in its
+        # The custom-adversary BEB job runs on the serial fallback, in its
         # place.  Low-sensing seeds 1 and 3 share a lockstep group.
         assert backend.vectorized_jobs == 4
         assert backend.fallback_jobs == 1
         assert backend.vector_groups == 3
-        assert results[3].trace is not None
+        serial = SerialBackend().run([jobs[3]])[0]
+        assert pickle.dumps(results[3]) == pickle.dumps(serial)
 
     def test_same_config_many_seeds_is_one_group(self):
         jobs = [spec(BinaryExponentialBackoff(), seed) for seed in range(6)]

@@ -44,7 +44,6 @@ from repro.sim.vector.adversaries import (
 )
 from repro.sim.vector.protocols import PROTOCOL_KERNELS, make_protocol_row_kernel
 from repro.sim.vector.support import (
-    TRACE_REASON,
     adversary_support,
     placement,
     protocol_support,
@@ -522,13 +521,6 @@ class TestValidationAndSupport:
         assert batch_key(ALWAYS_SEND, batch) != key
         assert batch_key(ALWAYS_SEND, batch, dynamics_window=64) != key
         assert batch_key(ALWAYS_SEND, batch, collect_potential=True) != key
-        # An execution trace is not a vector output: the spec runs serially.
-        traced = place(ALWAYS_SEND, batch, collect_trace=True, **outputs)
-        assert traced == (TRACE_REASON, None, None)
-        with pytest.raises(ValueError, match=TRACE_REASON):
-            VectorSimulator.from_specs(
-                run_specs(ALWAYS_SEND, batch, [1, 2], collect_trace=True)
-            )
 
 
 class TestStatisticalAgreementSpotChecks:

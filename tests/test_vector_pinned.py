@@ -541,7 +541,7 @@ PINNED = {
 
 def test_pinned_digests_belong_to_the_vector_layout():
     # Results that change on purpose bump the layout, and the table with it.
-    assert RESULT_LAYOUT == "vector:4"
+    assert RESULT_LAYOUT == "vector:5"
     assert len(PINNED) == (
         len(KERNELS) * len(WORKLOADS) * len(MODES) * len(GROUPS) * len(SEEDS)
     )

@@ -15,8 +15,7 @@ mirroring ``test_vector_sensing``:
 * **output parity** — with ``collect_potential`` on, the materialised
   :class:`PotentialSample` sequence, and the per-slot counts the packet
   records imply, must equal a scalar-semantics reconstruction on the same
-  coins, slot for slot.  Execution traces are not a vector output: a
-  traced spec runs on the scalar engine;
+  coins, slot for slot;
 * **statistical equivalence** — every new kernel runs through the
   Welch + design-effect-corrected KS harness against the serial engine,
   plus mega-stack bit-identity and budget invariants.
@@ -38,11 +37,9 @@ from repro.adversary.jamming import (
 )
 from repro.analysis.equivalence import verify_vector_equivalence
 from repro.core.low_sensing import LowSensingBackoff
-from repro.exec import VectorBackend
 from repro.experiments.plan import factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.vector import VectorSimulator
-from repro.sim.vector.support import TRACE_REASON
 from tests.conftest import run_specs
 
 
@@ -126,31 +123,9 @@ class TestTraceAndPotentialParity:
             reference = reference_run(
                 BinaryExponentialBackoff(), adversary, seed, 4000, collect=True
             )
-            assert vector.trace is None
             assert vector.potential is not None
             assert_counts_match(vector, reference.records)
             assert list(vector.potential.samples) == reference.samples
-
-    def test_trace_only_run_omits_potential(self):
-        # A traced spec runs on the scalar engine, whose trace is the one
-        # trace implementation.
-        specs = run_specs(
-            BinaryExponentialBackoff(),
-            CompositeAdversary(BatchArrivals(5), NoJamming()),
-            [7],
-            max_slots=2000,
-            collect_trace=True,
-        )
-        with pytest.raises(ValueError, match=TRACE_REASON):
-            VectorSimulator.from_specs(specs)
-        backend = VectorBackend()
-        (result,) = backend.run(specs)
-        assert backend.fallback_jobs == 1
-        assert result.trace is not None
-        assert result.potential is None
-        assert all(record.potential is None for record in result.trace.records)
-        assert result.trace.num_arrivals == 5
-        assert result.trace.num_successes == 5
 
     def test_packet_records_are_consistent_with_the_collector(self):
         result = VectorSimulator.from_specs(
