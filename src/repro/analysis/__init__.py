@@ -5,8 +5,8 @@ accesses"); finite-size simulations can only exhibit shapes.  This subpackage
 provides the tools the experiments use to turn measurements into
 shape-verdicts:
 
-* :mod:`repro.analysis.statistics` — means, confidence intervals, quantiles
-  and Welch's t over replicated runs;
+* :mod:`repro.analysis.statistics` — Welch's t, Benjamini–Hochberg and
+  quantiles over replicated runs;
 * :mod:`repro.analysis.fitting` — least-squares fits of constant, log-power,
   power-law, and linear scaling models with model selection, used to decide
   whether a measured curve grows polylogarithmically or polynomially;
@@ -38,16 +38,10 @@ from repro.analysis.fitting import (
     fit_power_law,
     select_scaling_model,
 )
-from repro.analysis.statistics import (
-    ConfidenceInterval,
-    describe,
-    mean_confidence_interval,
-    quantile,
-)
+from repro.analysis.statistics import quantile
 from repro.analysis.tables import format_table, render_rows
 
 __all__ = [
-    "ConfidenceInterval",
     "EquivalenceReport",
     "FitResult",
     "KsResult",
@@ -57,13 +51,11 @@ __all__ = [
     "design_effect",
     "ks_2sample",
     "verify_vector_equivalence",
-    "describe",
     "fit_constant",
     "fit_linear",
     "fit_log_power",
     "fit_power_law",
     "format_table",
-    "mean_confidence_interval",
     "quantile",
     "render_rows",
     "select_scaling_model",

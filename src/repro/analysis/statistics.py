@@ -1,9 +1,15 @@
-"""Descriptive statistics and confidence intervals over replicated runs."""
+"""Statistics over replicated runs: Welch's t, FDR control, quantiles.
+
+Welch's t-test (with a scipy-free Student's t tail) backs the comparison
+core (:mod:`repro.analysis.equivalence`), Benjamini–Hochberg the trajectory
+diff (:mod:`repro.dynamics.compare`), and the linear quantile the timing
+numbers.  Report rows take the replicate means of result metrics
+themselves (:data:`repro.metrics.summary.MEAN_COLUMNS`).
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -148,37 +154,14 @@ def benjamini_hochberg(
     return [p <= threshold for p in p_values]
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    """A point estimate with a symmetric-coverage interval."""
-
-    estimate: float
-    low: float
-    high: float
-    confidence: float
-
-    def __post_init__(self) -> None:
-        if not self.low <= self.estimate <= self.high:
-            raise ValueError("interval must bracket the estimate")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
-
-
 def quantile(values: Sequence[float], q: float) -> float:
     """The ``q``-quantile of a sample by linear interpolation.
 
     Matches numpy's default (``method="linear"``) so quantiles computed
     here and in vectorized code agree.  It serves the timing numbers: the
-    telemetry summarizer's p50/p95 span columns, the observe histogram's
-    p50/p95/p99 export and the pool's queue-wait p50/p95.  Result metrics
-    (energy and latency percentiles) use the nearest-rank rule,
+    telemetry summarizer's p50/p95 span columns and its worker table's
+    queue-wait p50/p95.  Result metrics (energy and latency percentiles)
+    use the nearest-rank rule,
     :func:`repro.metrics.summary.nearest_rank_quantile`, instead.
     """
     if not values:
@@ -193,50 +176,3 @@ def quantile(values: Sequence[float], q: float) -> float:
         return float(ordered[lower])
     weight = position - lower
     return float(ordered[lower] * (1.0 - weight) + ordered[upper] * weight)
-
-
-def describe(values: Sequence[float]) -> dict[str, float]:
-    """Mean, standard deviation, min, max, and median of a sample."""
-    if not values:
-        raise ValueError("cannot describe an empty sample")
-    ordered = sorted(values)
-    n = len(values)
-    mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / n
-    median = (
-        ordered[n // 2]
-        if n % 2 == 1
-        else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
-    )
-    return {
-        "n": float(n),
-        "mean": mean,
-        "std": math.sqrt(variance),
-        "min": float(ordered[0]),
-        "max": float(ordered[-1]),
-        "median": float(median),
-    }
-
-
-# Two-sided critical values of the standard normal for common confidences;
-# the replicate counts used by experiments (5–20 seeds) make the normal
-# approximation adequate and avoid a scipy dependency in the core path.
-_Z_VALUES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
-
-
-def mean_confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> ConfidenceInterval:
-    """Normal-approximation confidence interval for the mean of a sample."""
-    if len(values) < 2:
-        raise ValueError("need at least two values for a confidence interval")
-    if confidence not in _Z_VALUES:
-        raise ValueError(f"supported confidences: {sorted(_Z_VALUES)}")
-    n = len(values)
-    mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half_width = _Z_VALUES[confidence] * math.sqrt(variance / n)
-    return ConfidenceInterval(
-        estimate=mean, low=mean - half_width, high=mean + half_width,
-        confidence=confidence,
-    )

@@ -41,6 +41,7 @@ from typing import Any, Sequence
 from repro.exec import BACKEND_NAMES, SCALAR_LAYOUT, ExecutionBackend, make_backend
 from repro.experiments.plan import SweepPlan
 from repro.experiments.spec import ExperimentReport, ExperimentSpec
+from repro.metrics.summary import MEAN_COLUMNS
 from repro.store import METRIC_COLUMNS, ResultsStore
 from repro.telemetry import current as current_telemetry
 
@@ -481,11 +482,9 @@ def campaign_status_rows(store: ResultsStore) -> list[dict[str, Any]]:
     per-unit spans (``campaign_units``); ``eta_seconds`` is ``None`` for
     campaigns that are complete or have no timing data yet;
     ``unit_imbalance`` is the max/mean unit wall-clock index
-    (:func:`repro.observe.workers.unit_imbalance` — 1.0 is a perfectly
-    level campaign, ``None`` below two timed units).
+    (:func:`unit_imbalance` — 1.0 is a perfectly level campaign, ``None``
+    below two timed units).
     """
-    from repro.observe.workers import unit_imbalance
-
     rows = []
     for campaign in store.list_campaigns():
         campaign_id = campaign["campaign_id"]
@@ -524,13 +523,30 @@ def campaign_status_rows(store: ResultsStore) -> list[dict[str, Any]]:
     return rows
 
 
+def unit_imbalance(unit_seconds: Sequence[float]) -> float | None:
+    """Max/mean imbalance index over campaign unit wall-clocks.
+
+    ``None`` when fewer than two units have timing (one unit is trivially
+    "balanced") or the mean is zero.
+    """
+    values = [float(value) for value in unit_seconds if value is not None]
+    if len(values) < 2:
+        return None
+    mean = sum(values) / len(values)
+    if mean <= 0:
+        return None
+    return round(max(values) / mean, 4)
+
+
 def campaign_report(store: ResultsStore, campaign_id: str) -> ExperimentReport:
     """Aggregate a stored campaign into a standard experiment report.
 
     Rows are computed from the registry's metric columns alone — no
     artifact is unpickled — which is the payoff of storing summaries as
-    columns.  One row per replication group, replicate means per metric,
-    mirroring :func:`repro.experiments.plan.aggregate_replicate_row`.
+    columns.  One row per replication group, with the replicate means of
+    the :data:`~repro.metrics.summary.MEAN_COLUMNS` fields the store keeps
+    a column for, as :func:`repro.experiments.plan.aggregate_replicate_row`
+    takes them.
     """
     campaign = store.get_campaign(campaign_id)
     if campaign is None:
@@ -556,10 +572,6 @@ def campaign_report(store: ResultsStore, campaign_id: str) -> ExperimentReport:
         by_group.setdefault(membership["group_id"], []).append(
             {"protocol": membership["protocol"], **run.metrics}
         )
-    # Report-row names for the count-style columns (matching the rows
-    # `aggregate_replicate_row` produces); everything else keeps its
-    # METRIC_COLUMNS name and is averaged over replicates.
-    renames = {"num_arrivals": "arrivals", "num_delivered": "delivered"}
     for group_id in sorted(by_group):
         runs = by_group[group_id]
         count = len(runs)
@@ -568,15 +580,10 @@ def campaign_report(store: ResultsStore, campaign_id: str) -> ExperimentReport:
             "scenario": campaign["scenario_id"],
             "replicates": count,
         }
-        for metric in METRIC_COLUMNS:
-            if metric == "drained":
-                row["drained"] = all(run["drained"] for run in runs)
-            elif metric == "num_slots":
-                continue  # a horizon setting, not an outcome worth a column
-            else:
-                row[renames.get(metric, metric)] = (
-                    sum(run[metric] for run in runs) / count
-                )
+        for column, name in MEAN_COLUMNS:
+            if name in METRIC_COLUMNS:
+                row[column] = sum(run[name] for run in runs) / count
+        row["drained"] = all(run["drained"] for run in runs)
         report.add_row(row)
     for row in report.rows:
         report.verdicts[f"{row['protocol']}_throughput"] = f"{row['throughput']:.3f}"

@@ -8,19 +8,18 @@ and listeners receive ternary feedback (empty / success / noisy).
 The main entry points are:
 
 * :class:`repro.channel.feedback.Feedback` — the ternary feedback alphabet.
-* :class:`repro.channel.actions.Action` — what a packet does in a slot.
+* :class:`repro.channel.actions.ActionKind` — what a packet does in a slot.
 * :func:`repro.channel.channel.resolve_slot` — the outcome of one slot.
 * :data:`repro.channel.feedback.SEND_REPORTS` and
   :data:`~repro.channel.feedback.LISTEN_REPORTS` — the report each sender
   and listener receives, by outcome.
 """
 
-from repro.channel.actions import Action, ActionKind
+from repro.channel.actions import ActionKind
 from repro.channel.channel import resolve_slot
 from repro.channel.feedback import Feedback, SlotOutcome
 
 __all__ = [
-    "Action",
     "ActionKind",
     "Feedback",
     "SlotOutcome",

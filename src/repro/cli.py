@@ -1346,7 +1346,6 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
 def _command_telemetry(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    from repro.observe import render_worker_table, worker_utilization
     from repro.telemetry import (
         filter_events,
         read_events,
@@ -1371,16 +1370,7 @@ def _command_telemetry(
                 "run ids are listed in the unfiltered summary header"
             )
     summary = summarize_events(events)
-    utilization = worker_utilization(events)
-    if args.json:
-        if utilization is not None:
-            summary["workers"] = utilization
-        print(json.dumps(summary, indent=2))
-        return 0
-    print(render_summary(summary))
-    if utilization is not None:
-        print()
-        print(render_worker_table(utilization))
+    print(json.dumps(summary, indent=2) if args.json else render_summary(summary))
     return 0
 
 

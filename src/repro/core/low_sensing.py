@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
-from repro.channel.actions import LISTEN, SEND, SLEEP, Action
+from repro.channel.actions import LISTEN, SEND, SLEEP, ActionKind
 from repro.channel.feedback import Feedback, FeedbackReport
 from repro.core.parameters import LowSensingParameters
 from repro.protocols.base import BackoffProtocol, PacketState
@@ -71,7 +71,7 @@ class LowSensingPacketState(PacketState):
 
     # -- Decision phase -----------------------------------------------------
 
-    def decide(self, rng: Random) -> Action:
+    def decide(self, rng: Random) -> ActionKind:
         if rng.random() >= self._access_probability:
             return SLEEP
         if rng.random() < self._send_given_access:
@@ -143,7 +143,7 @@ class DecoupledLowSensingPacketState(LowSensingPacketState):
     (the paper uses it to simplify the energy proof, Theorem 5.25).
     """
 
-    def decide(self, rng: Random) -> Action:
+    def decide(self, rng: Random) -> ActionKind:
         # The probabilities cached per window: ``params.send_probability``
         # is the same product of the same two values.
         if rng.random() < self._access_probability * self._send_given_access:

@@ -329,7 +329,8 @@ class ProcessPoolBackend(ExecutionBackend):
                 # Workers time themselves on CLOCK_MONOTONIC, which is
                 # system-wide on Linux, so queue-wait (submit → worker
                 # start), run time and the job's end on the session clock
-                # are directly comparable.
+                # are directly comparable.  Each call starts a fresh pool,
+                # named by its submit time on the session clock.
                 tele.span_record(
                     "simulate",
                     ended - started,
@@ -339,6 +340,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     job=index,
                     worker_pid=worker_pid,
                     queue_wait=round(max(0.0, started - submitted), 6),
+                    pool=tele.clock(submitted),
                 )
         if tele.enabled:
             for worker_pid in sorted(worker_resources):

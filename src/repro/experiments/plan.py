@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.adversary.base import Adversary
 from repro.exec.backends import ExecutionBackend, SerialBackend
-from repro.metrics.summary import aggregate_summaries
+from repro.metrics.summary import MEAN_COLUMNS
 from repro.protocols.base import BackoffProtocol
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
@@ -326,30 +326,19 @@ def aggregate_replicate_row(
     """Flatten replicate results into one row of means.
 
     The row contains the protocol name, any caller-provided sweep columns,
-    and the replicate means of the headline metrics.  This is the
-    aggregation behind :meth:`PlanResults.group_rows`.
+    the replicate count, the replicate mean of every
+    :data:`~repro.metrics.summary.MEAN_COLUMNS` field, and whether every
+    replicate drained.  This is the aggregation behind
+    :meth:`PlanResults.group_rows`.
     """
     summaries = [result.summary() for result in results]
-    aggregated = aggregate_summaries(summaries)
+    count = len(summaries)
     row: dict[str, Any] = {"protocol": protocol_name}
     if extra_columns:
         row.update(extra_columns)
-    row.update(
-        {
-            "replicates": len(results),
-            "throughput": aggregated["throughput"].mean,
-            "implicit_throughput": aggregated["implicit_throughput"].mean,
-            "mean_accesses": aggregated["mean_accesses"].mean,
-            "max_accesses": aggregated["max_accesses"].mean,
-            "mean_sends": aggregated["mean_sends"].mean,
-            "mean_listens": aggregated["mean_listens"].mean,
-            "max_backlog": aggregated["max_backlog"].mean,
-            "makespan": aggregated["makespan"].mean,
-            "active_slots": aggregated["num_active_slots"].mean,
-            "jammed_active": aggregated["num_jammed_active"].mean,
-            "arrivals": aggregated["num_arrivals"].mean,
-            "delivered": aggregated["num_delivered"].mean,
-            "drained": all(summary.drained for summary in summaries),
-        }
-    )
+    row["replicates"] = count
+    for column, name in MEAN_COLUMNS:
+        values = [float(getattr(summary, name)) for summary in summaries]
+        row[column] = sum(values) / count
+    row["drained"] = all(summary.drained for summary in summaries)
     return row

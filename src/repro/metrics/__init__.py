@@ -11,6 +11,11 @@ The definitions follow Section 1.1 of the paper exactly:
 * **energy** is the number of channel accesses (sends plus listens) a packet
   performs over its lifetime.
 
+The energy and latency statistics read the packet records
+(:class:`~repro.sim.results.PacketRecord`) directly, and a run's headline
+metrics are one :class:`RunSummary`; report rows average its fields over
+replicates by one table, :data:`repro.metrics.summary.MEAN_COLUMNS`.
+
 :class:`MetricsCollector` keeps the cumulative counters these are computed
 from.  The scalar engine hands it each slot's outcome and counts as plain
 values, and the collector numbers the slots itself.
@@ -19,7 +24,7 @@ values, and the collector numbers the slots itself.
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.energy import EnergyStatistics, energy_statistics
 from repro.metrics.latency import LatencyStatistics, latency_statistics
-from repro.metrics.summary import RunSummary, aggregate_summaries
+from repro.metrics.summary import RunSummary
 from repro.metrics.throughput import (
     ThroughputAccounting,
     implicit_throughput_series,
@@ -32,7 +37,6 @@ __all__ = [
     "MetricsCollector",
     "RunSummary",
     "ThroughputAccounting",
-    "aggregate_summaries",
     "energy_statistics",
     "implicit_throughput_series",
     "latency_statistics",

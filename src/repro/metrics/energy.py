@@ -5,29 +5,19 @@ and listens are also reported separately because the baselines differ in
 kind (binary exponential backoff never listens; full-sensing MW listens in
 every active slot).  The statistics here feed the energy experiments
 (E4–E6, E8): per-packet maximum, mean, and high quantiles, restricted either
-to all packets or to departed packets only.
+to all packets or to departed packets only.  They read the packet records
+(:class:`~repro.sim.results.PacketRecord`) directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.metrics.summary import nearest_rank_quantile
 
-
-@dataclass(frozen=True)
-class PacketEnergy:
-    """Energy record for one packet."""
-
-    packet_id: int
-    sends: int
-    listens: int
-    departed: bool
-
-    @property
-    def accesses(self) -> int:
-        return self.sends + self.listens
+if TYPE_CHECKING:
+    from repro.sim.results import PacketRecord
 
 
 @dataclass(frozen=True)
@@ -44,29 +34,16 @@ class EnergyStatistics:
     mean_listens: float
     total_accesses: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "num_packets": self.num_packets,
-            "mean_accesses": self.mean_accesses,
-            "max_accesses": self.max_accesses,
-            "p50_accesses": self.p50_accesses,
-            "p95_accesses": self.p95_accesses,
-            "p99_accesses": self.p99_accesses,
-            "mean_sends": self.mean_sends,
-            "mean_listens": self.mean_listens,
-            "total_accesses": self.total_accesses,
-        }
-
 
 def energy_statistics(
-    packets: Sequence[PacketEnergy], departed_only: bool = False
+    packets: Sequence[PacketRecord], departed_only: bool = False
 ) -> EnergyStatistics:
     """Summarise per-packet channel accesses.
 
     Parameters
     ----------
     packets:
-        Per-packet energy records.
+        Per-packet records.
     departed_only:
         Restrict to packets that succeeded; useful when an execution was
         truncated at ``max_slots`` and stragglers would skew the statistics.
@@ -74,7 +51,7 @@ def energy_statistics(
     selected = [p for p in packets if p.departed] if departed_only else list(packets)
     if not selected:
         raise ValueError("no packets to summarise")
-    accesses = sorted(p.accesses for p in selected)
+    accesses = sorted(p.channel_accesses for p in selected)
     n = len(selected)
     return EnergyStatistics(
         num_packets=n,

@@ -1,14 +1,13 @@
-"""Cross-seed aggregation of run summaries.
+"""The per-run summary record and the columns of replicate means.
 
 Experiments replicate each configuration over several seeds; this module
-defines the per-run summary record and aggregation over replicates (mean,
-min, max per numeric field), which is what experiment tables report, and
+defines the per-run summary record, the table of report-row columns that
+average it over replicates, which is what experiment tables report, and
 the nearest-rank quantile the energy and latency statistics share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,61 +33,26 @@ class RunSummary:
     makespan: float
     drained: bool
 
-    NUMERIC_FIELDS = (
-        "num_arrivals",
-        "num_delivered",
-        "num_active_slots",
-        "num_jammed_active",
-        "num_slots",
-        "throughput",
-        "implicit_throughput",
-        "mean_accesses",
-        "max_accesses",
-        "mean_sends",
-        "mean_listens",
-        "max_backlog",
-        "makespan",
-    )
 
-
-@dataclass(frozen=True)
-class AggregatedMetric:
-    """Mean / min / max / standard deviation of one metric over replicates."""
-
-    mean: float
-    minimum: float
-    maximum: float
-    std: float
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.mean:.4g} [{self.minimum:.4g}, {self.maximum:.4g}]"
-
-
-def aggregate_summaries(
-    summaries: Sequence[RunSummary],
-) -> dict[str, AggregatedMetric]:
-    """Aggregate replicate summaries field-by-field.
-
-    All summaries must describe the same protocol; aggregation across
-    protocols would be meaningless and is rejected.
-    """
-    if not summaries:
-        raise ValueError("no summaries to aggregate")
-    protocols = {summary.protocol for summary in summaries}
-    if len(protocols) > 1:
-        raise ValueError(f"cannot aggregate across protocols: {sorted(protocols)}")
-    aggregated: dict[str, AggregatedMetric] = {}
-    for name in RunSummary.NUMERIC_FIELDS:
-        values = [float(getattr(summary, name)) for summary in summaries]
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
-        aggregated[name] = AggregatedMetric(
-            mean=mean,
-            minimum=min(values),
-            maximum=max(values),
-            std=math.sqrt(variance),
-        )
-    return aggregated
+#: The report-row columns that hold replicate means, in row order, each
+#: with the :class:`RunSummary` field it averages.  A sweep row
+#: (:func:`repro.experiments.plan.aggregate_replicate_row`) fills every
+#: column; a campaign row (:func:`repro.campaigns.campaign_report`) skips
+#: the fields the store keeps no metric column for.
+MEAN_COLUMNS = (
+    ("throughput", "throughput"),
+    ("implicit_throughput", "implicit_throughput"),
+    ("mean_accesses", "mean_accesses"),
+    ("max_accesses", "max_accesses"),
+    ("mean_sends", "mean_sends"),
+    ("mean_listens", "mean_listens"),
+    ("max_backlog", "max_backlog"),
+    ("makespan", "makespan"),
+    ("active_slots", "num_active_slots"),
+    ("jammed_active", "num_jammed_active"),
+    ("arrivals", "num_arrivals"),
+    ("delivered", "num_delivered"),
+)
 
 
 def nearest_rank_quantile(sorted_values: Sequence[float], q: float) -> float:

@@ -1,16 +1,15 @@
-"""Cross-run observability: resources, worker attribution, perf history.
+"""Cross-run observability: resource samples and the perf history.
 
 :mod:`repro.telemetry` is the *emission* layer — cheap structured events
 from inside a run — and its :func:`~repro.telemetry.summarize_events` is
-the one fold of that stream.  This package adds what a single run's
-events cannot answer alone:
+the one fold of that stream, worker table included (busy fractions per
+pool, queue waits, imbalance index).  This package adds what a single
+run's events cannot answer alone:
 
 * :mod:`~repro.observe.resources` samples ``/proc`` (RSS, CPU, fds) into
   the telemetry stream — interval thread in the parent, job-boundary
   snapshots in pool workers; ``telemetry summarize`` reads them back as
   its ``resources`` table;
-* :mod:`~repro.observe.workers` attributes pool wall-clock to worker
-  pids (busy fractions, queue-wait distribution, imbalance index);
 * :mod:`~repro.observe.perf` keeps a store-backed wall-clock history and
   Welch-tests for sustained drift (``perf record|history|regress``).
 
@@ -36,11 +35,6 @@ from repro.observe.resources import (
     ResourceSampler,
     sample_process,
 )
-from repro.observe.workers import (
-    render_worker_table,
-    unit_imbalance,
-    worker_utilization,
-)
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -55,8 +49,5 @@ __all__ = [
     "host_fingerprint",
     "record_scenario_perf",
     "regress_groups",
-    "render_worker_table",
     "sample_process",
-    "unit_imbalance",
-    "worker_utilization",
 ]

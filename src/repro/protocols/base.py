@@ -1,7 +1,8 @@
 """Protocol interface shared by LOW-SENSING BACKOFF and all baselines.
 
 The interface mirrors the paper's model exactly: a packet is an independent
-agent; in every slot it chooses to sleep, listen, or send, using only its own
+agent; in every slot it chooses to sleep, listen, or send (an
+:class:`~repro.channel.actions.ActionKind` member), using only its own
 internal state and private randomness; at the end of the slot it receives a
 :class:`~repro.channel.feedback.FeedbackReport` (ternary feedback if it
 accessed the channel, nothing if it slept) and may update its state.
@@ -16,7 +17,7 @@ import abc
 from random import Random
 from typing import Any
 
-from repro.channel.actions import Action
+from repro.channel.actions import ActionKind
 from repro.channel.feedback import FeedbackReport
 
 
@@ -29,8 +30,9 @@ class PacketState(abc.ABC):
     """
 
     @abc.abstractmethod
-    def decide(self, rng: Random) -> Action:
-        """Choose this packet's action for the current slot.
+    def decide(self, rng: Random) -> ActionKind:
+        """Choose this packet's action for the current slot: ``SLEEP``,
+        ``LISTEN`` or ``SEND`` (:mod:`repro.channel.actions`).
 
         Parameters
         ----------

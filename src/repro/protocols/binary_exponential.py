@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-from repro.channel.actions import SEND, SLEEP, Action
+from repro.channel.actions import SEND, SLEEP, ActionKind
 from repro.channel.feedback import FeedbackReport
 from repro.protocols.base import BackoffProtocol, PacketState
 
@@ -35,7 +35,7 @@ class BinaryExponentialPacketState(PacketState):
         self._backoff_factor = float(backoff_factor)
         self._max_window = max_window
 
-    def decide(self, rng: Random) -> Action:
+    def decide(self, rng: Random) -> ActionKind:
         if rng.random() < 1.0 / self.window:
             return SEND
         return SLEEP

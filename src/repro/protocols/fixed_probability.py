@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-from repro.channel.actions import SEND, SLEEP, Action
+from repro.channel.actions import SEND, SLEEP, ActionKind
 from repro.channel.feedback import FeedbackReport
 from repro.protocols.base import BackoffProtocol, PacketState
 
@@ -36,7 +36,7 @@ class FixedProbabilityPacketState(PacketState):
     def __init__(self, probability: float) -> None:
         self.probability = float(probability)
 
-    def decide(self, rng: Random) -> Action:
+    def decide(self, rng: Random) -> ActionKind:
         if rng.random() < self.probability:
             return SEND
         return SLEEP

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-from repro.channel.actions import LISTEN, SEND, Action
+from repro.channel.actions import LISTEN, SEND, ActionKind
 from repro.channel.feedback import Feedback, FeedbackReport
 from repro.protocols.base import BackoffProtocol, PacketState
 
@@ -45,7 +45,7 @@ class FullSensingPacketState(PacketState):
         self._p_min = float(p_min)
         self._p_max = float(p_max)
 
-    def decide(self, rng: Random) -> Action:
+    def decide(self, rng: Random) -> ActionKind:
         if rng.random() < self.probability:
             return SEND
         return LISTEN

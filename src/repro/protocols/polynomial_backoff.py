@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-from repro.channel.actions import SEND, SLEEP, Action
+from repro.channel.actions import SEND, SLEEP, ActionKind
 from repro.channel.feedback import FeedbackReport
 from repro.protocols.base import BackoffProtocol, PacketState
 
@@ -33,7 +33,7 @@ class PolynomialPacketState(PacketState):
     def window(self) -> float:
         return self._initial_window * (self.collisions + 1) ** self._degree
 
-    def decide(self, rng: Random) -> Action:
+    def decide(self, rng: Random) -> ActionKind:
         if rng.random() < 1.0 / self.window:
             return SEND
         return SLEEP

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-from repro.channel.actions import SEND, SLEEP, Action
+from repro.channel.actions import SEND, SLEEP, ActionKind
 from repro.channel.feedback import FeedbackReport
 from repro.protocols.base import BackoffProtocol, PacketState
 
@@ -43,7 +43,7 @@ class SawtoothPacketState(PacketState):
         self.window = self.phase_window
         self._slots_at_window = 0
 
-    def decide(self, rng: Random) -> Action:
+    def decide(self, rng: Random) -> ActionKind:
         if rng.random() < 1.0 / self.window:
             return SEND
         return SLEEP

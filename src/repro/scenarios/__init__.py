@@ -8,7 +8,7 @@ The subsystem has four parts:
 * :mod:`repro.scenarios.spec` — the :class:`Scenario` object plus the
   TOML/JSON loader and validator: a scenario file fully specifies the
   protocol set, the adversary schedule, the scale, and the replication
-  count, round-trips through ``scenario_to_dict``/``scenario_from_dict``,
+  count, round-trips through ``Scenario.to_dict``/``scenario_from_dict``,
   and derives a stable ``content_hash`` identity;
 * :mod:`repro.scenarios.catalog` — the curated built-in catalog of named
   stress scenarios, registered alongside the paper experiments;
@@ -29,7 +29,6 @@ _SPEC_EXPORTS = {
     "load_scenario_file",
     "resolve_scenario",
     "scenario_from_dict",
-    "scenario_to_dict",
 }
 _CATALOG_EXPORTS = {"builtin_scenarios", "get_scenario", "scenario_ids"}
 _RUNNER_EXPORTS = {"build_plan", "run_scenario", "scenario_seeds", "scenario_max_slots"}

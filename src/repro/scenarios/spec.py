@@ -5,7 +5,7 @@ jammer, either stationary or a piecewise :class:`~repro.scenarios.schedule`),
 a scale (``max_slots``), and a replication count — everything needed to run
 it on any execution backend without writing Python.  Scenarios load from
 TOML or JSON files (or plain dicts), validate eagerly, round-trip through
-:func:`scenario_to_dict`/:func:`scenario_from_dict`, and derive a stable
+:meth:`Scenario.to_dict`/:func:`scenario_from_dict`, and derive a stable
 :meth:`Scenario.content_hash` so archived reports and caches can name the
 exact workload they came from.
 
@@ -347,11 +347,6 @@ def scenario_from_dict(data: Mapping[str, Any], *, source: str = "<dict>") -> Sc
         except Exception as exc:
             raise ScenarioError(f"{source}: invalid {label}: {exc}") from exc
     return scenario
-
-
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """Module-level alias of :meth:`Scenario.to_dict` (loader symmetry)."""
-    return scenario.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,8 @@ class Simulator:
 
         active_before = len(self._active)
 
-        # 2. Packet decisions, in packet-id order.  Each decision's kind is
-        # read once here and kept for the feedback pass below.
+        # 2. Packet decisions, in packet-id order.  Each decision is read
+        # once here and kept for the feedback pass below.
         send_kind = ActionKind.SEND
         listen_kind = ActionKind.LISTEN
         senders = self._senders_buffer
@@ -138,7 +138,7 @@ class Simulator:
         listeners.clear()
         actions.clear()
         for packet in self._active.values():
-            kind = packet.state.decide(packet.rng).kind
+            kind = packet.state.decide(packet.rng)
             if kind is send_kind:
                 senders.append(packet.packet_id)
             elif kind is listen_kind:

@@ -2,8 +2,11 @@
 
 A :class:`SimulationResult` bundles everything an execution produced: the
 cumulative counters, the optional potential samples and dynamics trajectory,
-and per-packet records.  Convenience methods compute the paper's metrics so
-experiments, examples, and tests never re-derive them by hand.
+and the per-packet records.  :class:`PacketRecord` is the one per-packet
+record: the per-slot counts, the energy and latency statistics and the
+run's :class:`~repro.metrics.summary.RunSummary` all read it directly.
+Convenience methods compute the paper's metrics so experiments, examples,
+and tests never re-derive them by hand.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from repro.core.potential import PotentialTracker
 from repro.metrics.collectors import MetricsCollector
-from repro.metrics.energy import EnergyStatistics, PacketEnergy, energy_statistics
-from repro.metrics.latency import LatencyStatistics, PacketLatency, latency_statistics
+from repro.metrics.energy import EnergyStatistics, energy_statistics
+from repro.metrics.latency import LatencyStatistics, latency_statistics
 from repro.metrics.summary import RunSummary
 from repro.metrics.throughput import (
     ThroughputAccounting,
@@ -177,28 +180,11 @@ class SimulationResult:
 
     # -- Energy and latency -----------------------------------------------------
 
-    def packet_energy(self) -> list[PacketEnergy]:
-        return [
-            PacketEnergy(
-                packet_id=p.packet_id,
-                sends=p.sends,
-                listens=p.listens,
-                departed=p.departed,
-            )
-            for p in self.packets
-        ]
-
     def energy_statistics(self, departed_only: bool = False) -> EnergyStatistics:
-        return energy_statistics(self.packet_energy(), departed_only=departed_only)
+        return energy_statistics(self.packets, departed_only=departed_only)
 
     def latency_statistics(self) -> LatencyStatistics:
-        records = [
-            PacketLatency(
-                packet_id=p.packet_id, arrival_slot=p.arrival_slot, latency=p.latency
-            )
-            for p in self.packets
-        ]
-        return latency_statistics(records)
+        return latency_statistics(self.packets)
 
     # -- Summaries ---------------------------------------------------------------
 

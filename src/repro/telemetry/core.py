@@ -220,8 +220,12 @@ class TelemetrySession:
 
     # -- Emission -----------------------------------------------------------
 
+    def clock(self, monotonic: float) -> float:
+        """A monotonic time on the session clock, as events stamp ``ts``."""
+        return round(monotonic - self._t0, 6)
+
     def _emit(self, record: dict[str, Any]) -> None:
-        record.setdefault("ts", round(time.monotonic() - self._t0, 6))
+        record.setdefault("ts", self.clock(time.monotonic()))
         record["run"] = self.run_id
         for sink in self._sinks:
             sink.emit(record)
@@ -230,7 +234,7 @@ class TelemetrySession:
         self, name: str, duration: float, attrs: dict[str, Any], ended: float
     ) -> None:
         record = {"ev": "span", "name": name, "dur": round(duration, 6), "attrs": attrs}
-        record["ts"] = round(ended - self._t0, 6)
+        record["ts"] = self.clock(ended)
         self._emit(record)
 
     # -- Public API ---------------------------------------------------------

@@ -20,6 +20,15 @@ pool's job-boundary snapshots, see :mod:`repro.observe.resources`) fold
 into one ``resources`` row per ``(pid, source)``: the peak RSS and the
 last CPU-seconds and open-fd readings.  A file without samples gets no
 ``resources`` table or key.
+
+Pool jobs also fold into a ``workers`` table, per pool: each pool's
+spans carry its identity (``pool``, its submit time on the session clock;
+spans written without it count as one pool per session).  A worker's busy
+fraction is its busy time over its own pool's window, from the pool's
+first job start to its last job end, and the imbalance index (max/mean
+busy time) compares the workers of one pool: the table reports the
+largest pool's.  A file without pool jobs gets no ``workers`` table or
+key.
 """
 
 from __future__ import annotations
@@ -102,7 +111,8 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     union, / root seconds; ``None`` when no root span exists).  When the
     events carry ``resource_sample`` events, ``resources`` lists one row
     per ``(pid, source)`` with the peak ``rss_bytes`` and the last
-    ``cpu_seconds`` and ``fds``.
+    ``cpu_seconds`` and ``fds``.  When the events carry pool jobs,
+    ``workers`` holds the worker table (see :func:`_worker_table`).
     """
     runs: list[str] = []
     phases: dict[tuple[str, str], dict[str, Any]] = {}
@@ -113,6 +123,8 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     event_specs: dict[str, set[str]] = {}
     resources: dict[tuple[str, str], dict[str, Any]] = {}
     pooled: dict[str, list[tuple[float, float]]] = {}  # job intervals by run
+    # Pool jobs as (pid, dur, ts, queue_wait), by session and pool.
+    pools: dict[tuple[str, Any], list[tuple[str, float, float, Any]]] = {}
 
     def fold_span(table: dict[tuple[str, str], dict[str, Any]], record: dict[str, Any]) -> None:
         attrs = record.get("attrs") or {}
@@ -150,8 +162,11 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
                 fold_span(phases, record)
                 if "worker_pid" in attrs:
                     ended = float(record.get("ts", 0.0))
-                    started = ended - float(record.get("dur", 0.0))
-                    pooled.setdefault(str(run), []).append((started, ended))
+                    duration = float(record.get("dur", 0.0))
+                    pooled.setdefault(str(run), []).append((ended - duration, ended))
+                    pid, wait = str(attrs["worker_pid"]), attrs.get("queue_wait")
+                    pool = pools.setdefault((str(run), attrs.get("pool")), [])
+                    pool.append((pid, duration, ended, wait))
         elif kind == "counter":
             name = str(record.get("name"))
             counters[name] = counters.get(name, 0.0) + float(record.get("value", 0.0))
@@ -217,7 +232,60 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     }
     if resources:
         summary["resources"] = list(resources.values())
+    if pools:
+        summary["workers"] = _worker_table(list(pools.values()))
     return summary
+
+
+def _worker_table(pools: list[list[tuple[str, float, float, Any]]]) -> dict[str, Any]:
+    """Per-worker rows, each over its own pool's window.
+
+    ``wall_seconds`` sums the pools' windows, ``imbalance`` is the largest
+    pool's (most jobs, then longest window) and ``pools`` counts the pools
+    when there is more than one.
+    """
+    rows: list[dict[str, Any]] = []
+    queue_waits: list[float] = []
+    wall_total = 0.0
+    largest: tuple[int, float, float | None] = (0, 0.0, None)
+    for jobs in pools:
+        start = min(ended - duration for _, duration, ended, _ in jobs)
+        wall = max(max(ended for _, _, ended, _ in jobs) - start, 0.0)
+        busy: dict[str, dict[str, Any]] = {}
+        for pid, duration, _, wait in jobs:
+            row = busy.setdefault(pid, {"pid": pid, "jobs": 0, "busy_seconds": 0.0})
+            row["jobs"] += 1
+            row["busy_seconds"] += duration
+            if wait is not None:
+                queue_waits.append(float(wait))
+        busy_values = [row["busy_seconds"] for row in busy.values()]
+        for row in busy.values():
+            row["busy_seconds"] = round(row["busy_seconds"], 6)
+            row["busy_fraction"] = (
+                round(row["busy_seconds"] / wall, 4) if wall > 0 else None
+            )
+        mean_busy = sum(busy_values) / len(busy_values)
+        imbalance = round(max(busy_values) / mean_busy, 4) if mean_busy > 0 else None
+        if (len(jobs), wall) > largest[:2]:
+            largest = (len(jobs), wall, imbalance)
+        rows.extend(busy.values())
+        wall_total += wall
+    table: dict[str, Any] = {
+        "workers": sorted(rows, key=lambda row: -row["busy_seconds"]),
+        "jobs": sum(len(jobs) for jobs in pools),
+        "wall_seconds": round(wall_total, 6),
+        "imbalance": largest[2],
+    }
+    if queue_waits:
+        table["queue_wait"] = {
+            "count": len(queue_waits),
+            "p50": round(quantile(queue_waits, 0.5), 6),
+            "p95": round(quantile(queue_waits, 0.95), 6),
+            "max": round(max(queue_waits), 6),
+        }
+    if len(pools) > 1:
+        table["pools"] = len(pools)
+    return table
 
 
 def _union_seconds(intervals: list[tuple[float, float]]) -> float:
@@ -302,4 +370,35 @@ def render_summary(summary: dict[str, Any]) -> str:
         )
     else:
         lines.append("coverage: no root spans in file")
+    workers = summary.get("workers")
+    if workers:
+        lines.append("")
+        lines.append("workers (process-pool attribution)")
+        header = f"  {'pid':<10} {'jobs':>6} {'busy_s':>10} {'busy_frac':>10}"
+        lines.append(header)
+        lines.append("  " + "-" * (len(header) - 2))
+        for row in workers["workers"]:
+            fraction = row["busy_fraction"]
+            shown = f"{fraction:.1%}" if fraction is not None else "-"
+            lines.append(
+                f"  {row['pid']:<10} {row['jobs']:>6} {row['busy_seconds']:>10.4f} "
+                f"{shown:>10}"
+            )
+        pools = workers.get("pools")
+        text = (
+            f"  {workers['jobs']} job(s) over {len(workers['workers'])} worker(s) "
+            f"in {workers['wall_seconds']:.4f}s"
+        )
+        if pools:
+            text += f" of {pools} pools"
+        if workers["imbalance"]:
+            scope = ", largest pool" if pools else ""
+            text += f"; imbalance {workers['imbalance']:.2f}x (max/mean busy{scope})"
+        lines.append(text)
+        wait = workers.get("queue_wait")
+        if wait:
+            lines.append(
+                f"  queue wait: p50 {wait['p50']:.4f}s, p95 {wait['p95']:.4f}s, "
+                f"max {wait['max']:.4f}s over {wait['count']} job(s)"
+            )
     return "\n".join(lines)

@@ -13,47 +13,11 @@ from repro.analysis.fitting import (
 )
 from repro.analysis.statistics import (
     benjamini_hochberg,
-    describe,
-    mean_confidence_interval,
     regularized_incomplete_beta,
     student_t_sf,
     welch_t_test,
 )
 from repro.analysis.tables import format_table, render_rows
-
-
-class TestDescribe:
-    def test_basic_statistics(self):
-        stats = describe([1.0, 2.0, 3.0, 4.0])
-        assert stats["mean"] == pytest.approx(2.5)
-        assert stats["min"] == 1.0 and stats["max"] == 4.0
-        assert stats["median"] == pytest.approx(2.5)
-        assert stats["n"] == 4
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            describe([])
-
-
-class TestConfidenceIntervals:
-    def test_interval_brackets_mean(self):
-        interval = mean_confidence_interval([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert interval.low <= interval.estimate <= interval.high
-        assert interval.contains(3.0)
-
-    def test_wider_confidence_gives_wider_interval(self):
-        values = [float(v) for v in range(20)]
-        narrow = mean_confidence_interval(values, confidence=0.90)
-        wide = mean_confidence_interval(values, confidence=0.99)
-        assert wide.width > narrow.width
-
-    def test_requires_two_values(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([1.0])
-
-    def test_unsupported_confidence(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([1.0, 2.0], confidence=0.5)
 
 
 class TestFitting:

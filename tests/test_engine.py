@@ -146,9 +146,9 @@ class RecordingState(PacketState):
         self.reports = []
 
     def decide(self, rng):
-        action = self.inner.decide(rng)
-        self.kinds.append(action.kind)
-        return action
+        kind = self.inner.decide(rng)
+        self.kinds.append(kind)
+        return kind
 
     def observe(self, report, rng):
         self.reports.append(report)

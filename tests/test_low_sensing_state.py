@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from repro.channel.actions import SEND, SLEEP
 from repro.channel.feedback import SLEEP_REPORT, Feedback, FeedbackReport
 from repro.core.low_sensing import (
     DecoupledLowSensingBackoff,
@@ -90,7 +91,7 @@ class TestDecisionDistribution:
         state = LowSensingPacketState(params)
         rng = Random(42)
         trials = 60_000
-        sends = sum(1 for _ in range(trials) if state.decide(rng).is_send)
+        sends = sum(1 for _ in range(trials) if state.decide(rng) is SEND)
         expected = trials / params.w_min
         assert sends == pytest.approx(expected, rel=0.2)
 
@@ -100,7 +101,7 @@ class TestDecisionDistribution:
         rng = Random(43)
         trials = 60_000
         accesses = sum(
-            1 for _ in range(trials) if state.decide(rng).accesses_channel
+            1 for _ in range(trials) if state.decide(rng) is not SLEEP
         )
         expected = trials * params.access_probability(params.w_min)
         assert accesses == pytest.approx(expected, rel=0.1)
@@ -127,9 +128,9 @@ class TestDecoupledVariant:
         decoupled = DecoupledLowSensingBackoff(params=params).new_packet_state()
         rng_a, rng_b = Random(7), Random(7)
         trials = 60_000
-        sends_coupled = sum(1 for _ in range(trials) if coupled.decide(rng_a).is_send)
+        sends_coupled = sum(1 for _ in range(trials) if coupled.decide(rng_a) is SEND)
         sends_decoupled = sum(
-            1 for _ in range(trials) if decoupled.decide(rng_b).is_send
+            1 for _ in range(trials) if decoupled.decide(rng_b) is SEND
         )
         assert sends_decoupled == pytest.approx(sends_coupled, rel=0.3)
 

@@ -3,15 +3,17 @@
 import pytest
 
 from repro.channel.feedback import SlotOutcome
+from repro.experiments.plan import aggregate_replicate_row
 from repro.metrics.collectors import MetricsCollector
-from repro.metrics.energy import PacketEnergy, energy_statistics
-from repro.metrics.latency import PacketLatency, latency_statistics
-from repro.metrics.summary import RunSummary, aggregate_summaries
+from repro.metrics.energy import energy_statistics
+from repro.metrics.latency import latency_statistics
+from repro.metrics.summary import MEAN_COLUMNS, RunSummary
 from repro.metrics.throughput import (
     ThroughputAccounting,
     implicit_throughput_series,
     throughput_series,
 )
+from repro.sim.results import PacketRecord
 
 
 class TestMetricsCollector:
@@ -111,9 +113,9 @@ class TestThroughput:
 class TestEnergyStatistics:
     def packets(self):
         return [
-            PacketEnergy(packet_id=0, sends=2, listens=10, departed=True),
-            PacketEnergy(packet_id=1, sends=1, listens=5, departed=True),
-            PacketEnergy(packet_id=2, sends=4, listens=40, departed=False),
+            PacketRecord(0, arrival_slot=0, departure_slot=20, sends=2, listens=10),
+            PacketRecord(1, arrival_slot=0, departure_slot=9, sends=1, listens=5),
+            PacketRecord(2, arrival_slot=3, departure_slot=None, sends=4, listens=40),
         ]
 
     def test_mean_and_max(self):
@@ -144,9 +146,9 @@ class TestEnergyStatistics:
 class TestLatencyStatistics:
     def test_basic(self):
         records = [
-            PacketLatency(packet_id=0, arrival_slot=0, latency=5),
-            PacketLatency(packet_id=1, arrival_slot=0, latency=15),
-            PacketLatency(packet_id=2, arrival_slot=3, latency=None),
+            PacketRecord(0, arrival_slot=0, departure_slot=4, sends=1, listens=0),
+            PacketRecord(1, arrival_slot=0, departure_slot=14, sends=3, listens=2),
+            PacketRecord(2, arrival_slot=3, departure_slot=None, sends=2, listens=9),
         ]
         stats = latency_statistics(records)
         assert stats.num_delivered == 2
@@ -156,7 +158,7 @@ class TestLatencyStatistics:
 
     def test_all_undelivered_rejected(self):
         with pytest.raises(ValueError):
-            latency_statistics([PacketLatency(0, 0, None)])
+            latency_statistics([PacketRecord(0, 0, None, sends=1, listens=0)])
 
 
 def make_summary(seed: int, throughput: float, protocol: str = "low-sensing") -> RunSummary:
@@ -180,22 +182,32 @@ def make_summary(seed: int, throughput: float, protocol: str = "low-sensing") ->
     )
 
 
+class _Replicate:
+    """A stand-in result whose summary is given."""
+
+    def __init__(self, summary: RunSummary) -> None:
+        self._summary = summary
+
+    def summary(self) -> RunSummary:
+        return self._summary
+
+
 class TestSummaryAggregation:
     def test_mean_min_max(self):
-        aggregated = aggregate_summaries(
-            [make_summary(1, 0.2), make_summary(2, 0.3), make_summary(3, 0.4)]
+        summaries = [make_summary(1, 0.2), make_summary(2, 0.3), make_summary(3, 0.4)]
+        row = aggregate_replicate_row(
+            [_Replicate(summary) for summary in summaries],
+            protocol_name="low-sensing",
+            extra_columns={"n": 100},
         )
-        assert aggregated["throughput"].mean == pytest.approx(0.3)
-        assert aggregated["throughput"].minimum == pytest.approx(0.2)
-        assert aggregated["throughput"].maximum == pytest.approx(0.4)
-        assert aggregated["throughput"].std > 0.0
-
-    def test_mixed_protocols_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_summaries(
-                [make_summary(1, 0.2), make_summary(2, 0.3, protocol="other")]
-            )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_summaries([])
+        # Protocol, sweep columns and replicate count, then one mean per
+        # table entry in table order, then whether every replicate drained.
+        assert list(row) == [
+            "protocol", "n", "replicates",
+            *(column for column, _ in MEAN_COLUMNS), "drained",
+        ]
+        assert row["replicates"] == 3
+        assert row["throughput"] == pytest.approx(0.3)
+        assert row["active_slots"] == 300.0
+        assert row["arrivals"] == 100.0
+        assert row["drained"] is True

@@ -28,6 +28,7 @@ import pytest
 
 from repro.analysis.statistics import quantile
 from repro.campaigns import campaign_status_rows, start_campaign
+from repro.campaigns.runner import unit_imbalance
 from repro.cli import main
 from repro.exec import make_backend
 from repro.observe import (
@@ -37,10 +38,7 @@ from repro.observe import (
     host_fingerprint,
     record_scenario_perf,
     regress_groups,
-    render_worker_table,
     sample_process,
-    unit_imbalance,
-    worker_utilization,
 )
 from repro.observe.perf import group_samples, plan_workload_hash
 from repro.scenarios.runner import build_plan
@@ -237,10 +235,35 @@ class TestResourceSampling:
         assert "workers (process-pool attribution)" in rendered
         assert "resources (peak RSS; last CPU and fd readings)" in rendered
         assert main(["telemetry", "summarize", str(tele_path), "--json"]) == 0
-        resources = json.loads(capsys.readouterr().out)["resources"]
+        summary = json.loads(capsys.readouterr().out)
+        resources = summary["resources"]
         assert {row["source"] for row in resources} == {"parent", "worker"}
         if os.path.isdir("/proc"):
             assert all(row["rss_peak_bytes"] > 0 for row in resources)
+        # Each protocol's unit starts its own pool: every worker's busy
+        # fraction is over its own pool's window, recomputed from the file.
+        windows: dict = {}
+        busy: dict = {}
+        for record in read_events(tele_path):
+            attrs = record.get("attrs") or {}
+            if record["ev"] != "span" or "worker_pid" not in attrs:
+                continue
+            start, end = record["ts"] - record["dur"], record["ts"]
+            low, high = windows.get(attrs["pool"], (start, end))
+            windows[attrs["pool"]] = (min(low, start), max(high, end))
+            key = (attrs["pool"], str(attrs["worker_pid"]))
+            busy[key] = busy.get(key, 0.0) + record["dur"]
+        table = summary["workers"]
+        assert len(windows) == table["pools"] == 2
+        assert table["jobs"] == 6
+        expected = sorted(
+            (pid, seconds / (windows[pool][1] - windows[pool][0]))
+            for (pool, pid), seconds in busy.items()
+        )
+        got = sorted((row["pid"], row["busy_fraction"]) for row in table["workers"])
+        assert [pid for pid, _ in got] == [pid for pid, _ in expected]
+        for (_, fraction), (_, wanted) in zip(got, expected):
+            assert fraction == pytest.approx(wanted, abs=2e-4)
 
     def test_sample_resources_requires_telemetry(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -600,8 +623,7 @@ class TestOneFold:
             "DEFAULT_INTERVAL", "DEFAULT_WINDOW", "NULL_SAMPLER",
             "ResourceSampler", "backend_layout_name", "detect_drift",
             "host_fingerprint", "record_scenario_perf", "regress_groups",
-            "render_worker_table", "sample_process", "unit_imbalance",
-            "worker_utilization",
+            "sample_process",
         ]
         assert sorted(repro.telemetry.__all__) == [
             "JsonlSink", "MemorySink", "NULL_SESSION", "NullSession",
@@ -615,6 +637,8 @@ class TestOneFold:
 
 
 class TestWorkerUtilization:
+    """The worker table of the one fold, ``summarize_events``."""
+
     def _events(self):
         return [
             _span("simulate", 2.0, backend="processes", ts=12.0,
@@ -626,7 +650,7 @@ class TestWorkerUtilization:
         ]
 
     def test_folds_busy_jobs_and_queue_wait(self):
-        summary = worker_utilization(self._events())
+        summary = summarize_events(self._events())["workers"]
         assert summary["jobs"] == 3
         by_pid = {row["pid"]: row for row in summary["workers"]}
         assert by_pid["101"]["jobs"] == 2
@@ -639,17 +663,68 @@ class TestWorkerUtilization:
         assert summary["queue_wait"]["count"] == 3
         assert summary["queue_wait"]["p50"] == pytest.approx(0.2)
         assert summary["queue_wait"]["max"] == pytest.approx(0.3)
+        # One pool: the table has exactly the keys it had before pools.
+        assert list(summary) == [
+            "workers", "jobs", "wall_seconds", "imbalance", "queue_wait",
+        ]
 
     def test_none_without_worker_attribution(self):
-        assert worker_utilization([_span("simulate", 1.0)]) is None
-        assert worker_utilization([]) is None
+        assert "workers" not in summarize_events([_span("simulate", 1.0)])
+        assert "workers" not in summarize_events([])
 
     def test_render_worker_table(self):
-        rendered = render_worker_table(worker_utilization(self._events()))
-        assert "workers (process-pool attribution)" in rendered
-        assert "101" in rendered and "102" in rendered
-        assert "imbalance 1.50x" in rendered
-        assert "queue wait" in rendered
+        rendered = render_summary(summarize_events(self._events())).splitlines()
+        start = rendered.index("workers (process-pool attribution)")
+        assert rendered[start - 1] == ""
+        assert rendered[start - 2].startswith("coverage: ")
+        assert rendered[start:] == [
+            "workers (process-pool attribution)",
+            "  pid          jobs     busy_s  busy_frac",
+            "  ---------------------------------------",
+            "  101             2     3.0000      75.0%",
+            "  102             1     1.0000      25.0%",
+            "  3 job(s) over 2 worker(s) in 4.0000s; imbalance 1.50x (max/mean busy)",
+            "  queue wait: p50 0.2000s, p95 0.2900s, max 0.3000s over 3 job(s)",
+        ]
+
+    def _two_pools(self, **pools):
+        # Pool "a" runs on [0, 1]: pid 1 busy 1.0 s, pid 2 busy 0.25 s.
+        # Pool "b" runs on [5, 7]: pids 3 and 4 busy 2.0 and 1.0 s.
+        jobs = [("a", 1, 1.0, 1.0), ("a", 2, 0.25, 1.0),
+                ("b", 3, 2.0, 7.0), ("b", 4, 1.0, 6.0), ("b", 3, 0.0, 7.0)]
+        return [
+            _span("simulate", dur, backend="processes", ts=ts, worker_pid=pid,
+                  queue_wait=0.0, **({"pool": pools[name]} if pools else {}))
+            for name, pid, dur, ts in jobs
+        ]
+
+    def test_two_pools_give_per_pool_fractions_and_imbalance(self):
+        summary = summarize_events(self._two_pools(a=0.0, b=5.0))
+        table = summary["workers"]
+        fractions = {row["pid"]: row["busy_fraction"] for row in table["workers"]}
+        # Each worker over its own pool's window: 1 s for "a", 2 s for "b".
+        assert fractions == {"1": 1.0, "2": 0.25, "3": 1.0, "4": 0.5}
+        assert table["wall_seconds"] == pytest.approx(3.0)
+        assert table["pools"] == 2
+        # The largest pool, "b" (3 jobs): busy 2.0 vs 1.0 -> 2.0 / 1.5;
+        # pool "a" alone would read 1.0 / 0.625 = 1.6.
+        assert table["imbalance"] == pytest.approx(1.3333)
+        assert (
+            "  5 job(s) over 4 worker(s) in 3.0000s of 2 pools; "
+            "imbalance 1.33x (max/mean busy, largest pool)"
+        ) in render_summary(summary).splitlines()
+
+    def test_spans_without_a_pool_count_one_pool_per_session(self):
+        table = summarize_events(self._two_pools())["workers"]
+        # One window, [0, 7], as before spans named their pool.
+        assert table["wall_seconds"] == pytest.approx(7.0)
+        assert "pools" not in table
+        events = self._two_pools()
+        for record in events[2:]:
+            record["run"] = "r2"
+        table = summarize_events(events)["workers"]
+        assert table["pools"] == 2
+        assert table["wall_seconds"] == pytest.approx(3.0)
 
     def test_unit_imbalance_edges(self):
         assert unit_imbalance([]) is None
@@ -684,9 +759,12 @@ class TestWorkerUtilization:
 
     def test_processes_backend_spans_feed_utilization(self):
         events = self._pool_events(packets=8, jobs=6)
-        summary = worker_utilization(events)
-        assert summary is not None
+        summary = summarize_events(events)["workers"]
         assert summary["jobs"] == 6
+        # One backend call, one pool: every job names it.
+        pools = {record["attrs"]["pool"] for record in events
+                 if "worker_pid" in record.get("attrs", {})}
+        assert len(pools) == 1 and "pools" not in summary
         assert summary["queue_wait"]["count"] == 6
         assert all(row["busy_fraction"] <= 1.0 for row in summary["workers"])
         # Each job's span ends where the job ended, so the jobs of one

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from repro.channel.actions import LISTEN, SEND, SLEEP
 from repro.channel.feedback import Feedback, FeedbackReport
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.fixed_probability import FixedProbabilityProtocol, SlottedAloha
@@ -31,7 +32,7 @@ class TestBinaryExponentialBackoff:
     def test_never_listens(self):
         state = BinaryExponentialBackoff().new_packet_state()
         rng = Random(3)
-        assert not any(state.decide(rng).is_listen for _ in range(5000))
+        assert not any(state.decide(rng) is LISTEN for _ in range(5000))
 
     def test_oblivious_to_channel_feedback(self):
         state = BinaryExponentialBackoff().new_packet_state()
@@ -51,7 +52,7 @@ class TestBinaryExponentialBackoff:
         state = BinaryExponentialBackoff(initial_window=4.0).new_packet_state()
         rng = Random(11)
         trials = 40_000
-        sends = sum(1 for _ in range(trials) if state.decide(rng).is_send)
+        sends = sum(1 for _ in range(trials) if state.decide(rng) is SEND)
         assert sends == pytest.approx(trials / 4.0, rel=0.1)
 
     def test_parameter_validation(self):
@@ -97,7 +98,7 @@ class TestFixedProbability:
         state = FixedProbabilityProtocol(probability=0.1).new_packet_state()
         rng = Random(2)
         trials = 40_000
-        sends = sum(1 for _ in range(trials) if state.decide(rng).is_send)
+        sends = sum(1 for _ in range(trials) if state.decide(rng) is SEND)
         assert sends == pytest.approx(trials * 0.1, rel=0.1)
 
     def test_tuned_for_batch(self):
@@ -140,7 +141,7 @@ class TestSawtooth:
     def test_never_listens(self):
         state = SawtoothBackoff().new_packet_state()
         rng = Random(1)
-        assert not any(state.decide(rng).is_listen for _ in range(2000))
+        assert not any(state.decide(rng) is LISTEN for _ in range(2000))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -151,7 +152,7 @@ class TestFullSensingMW:
     def test_always_accesses_channel(self):
         state = FullSensingMultiplicativeWeights().new_packet_state()
         rng = Random(9)
-        assert all(state.decide(rng).accesses_channel for _ in range(2000))
+        assert all(state.decide(rng) is not SLEEP for _ in range(2000))
 
     def test_silence_increases_probability(self):
         state = FullSensingMultiplicativeWeights(initial_probability=0.1).new_packet_state()

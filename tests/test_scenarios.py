@@ -24,7 +24,6 @@ from repro.scenarios.spec import (
     load_scenario_file,
     resolve_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples" / "scenarios"
@@ -137,7 +136,7 @@ class TestValidation:
 class TestRoundTripAndIdentity:
     def test_dict_round_trip(self):
         scenario = scenario_from_dict(minimal_definition())
-        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        assert scenario_from_dict(scenario.to_dict()) == scenario
 
     def test_json_round_trip(self):
         scenario = scenario_from_dict(
@@ -150,7 +149,7 @@ class TestRoundTripAndIdentity:
                 }
             )
         )
-        payload = json.dumps(scenario_to_dict(scenario))
+        payload = json.dumps(scenario.to_dict())
         assert scenario_from_dict(json.loads(payload)) == scenario
 
     def test_content_hash_is_stable_and_sensitive(self):
@@ -212,7 +211,7 @@ class TestFileLoading:
         )
         scenario = load_scenario_file(path)
         assert scenario.scenario_id == "from-toml"
-        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        assert scenario_from_dict(scenario.to_dict()) == scenario
 
     def test_json_file_loads(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -225,7 +224,7 @@ class TestFileLoading:
         assert toml_scenario.scenario_id == "pulsed-jamming"
         assert json_scenario.scenario_id == "surge-release"
         for scenario in (toml_scenario, json_scenario):
-            assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+            assert scenario_from_dict(scenario.to_dict()) == scenario
 
     def test_unsupported_suffix_rejected(self, tmp_path):
         path = tmp_path / "scenario.yaml"
@@ -272,7 +271,7 @@ class TestCatalog:
             assert isinstance(scenario, Scenario)
             assert scenario.protocols
             # Round-trip identity is part of the catalog contract.
-            assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+            assert scenario_from_dict(scenario.to_dict()) == scenario
             scenario.adversary_factory().build()
 
     def test_catalog_covers_schedules_and_vectorizable_cores(self):
